@@ -141,28 +141,59 @@ def style_reward(
 
 
 class WindowBuffer:
-    """Per-gait FIFO of the most recent policy windows."""
+    """Per-gait FIFO of the most recent policy windows.
+
+    Each gait owns a preallocated ring of ``capacity`` rows, so ``add`` writes
+    only the new rows.  Logical index 0 is the oldest window held; ``sample``
+    draws logical indices and maps them onto the ring, so a given rng draw
+    picks the same windows as it would from an oldest-first array.
+    """
 
     def __init__(self, n_gaits: int, window_dim: int, capacity: int = 4096):
+        if capacity < 1:
+            raise ValueError("window buffer capacity must be positive")
         self.capacity = capacity
-        self.buffers = [np.zeros((0, window_dim)) for _ in range(n_gaits)]
+        self._rings = [np.zeros((capacity, window_dim)) for _ in range(n_gaits)]
+        self._sizes = [0] * n_gaits
+        self._next = [0] * n_gaits  # ring row the next window goes to
 
     def add(self, gait_id: int, windows: np.ndarray) -> None:
         windows = np.atleast_2d(windows)
-        if windows.shape[0] == 0:
+        n = windows.shape[0]
+        if n == 0:
             return
-        buf = np.concatenate([self.buffers[gait_id], windows])
-        if buf.shape[0] > self.capacity:
-            buf = buf[-self.capacity :]
-        self.buffers[gait_id] = buf
+        cap = self.capacity
+        if n > cap:
+            windows = windows[-cap:]
+            n = cap
+        ring = self._rings[gait_id]
+        start = self._next[gait_id]
+        head = min(n, cap - start)
+        ring[start : start + head] = windows[:head]
+        ring[: n - head] = windows[head:]
+        self._next[gait_id] = (start + n) % cap
+        self._sizes[gait_id] = min(self._sizes[gait_id] + n, cap)
 
     def size(self, gait_id: int) -> int:
-        return self.buffers[gait_id].shape[0]
+        return self._sizes[gait_id]
+
+    def _rows(self, gait_id: int, logical: np.ndarray) -> np.ndarray:
+        """Ring rows of oldest-first logical indices."""
+        oldest = (self._next[gait_id] - self._sizes[gait_id]) % self.capacity
+        return (oldest + logical) % self.capacity
+
+    @property
+    def buffers(self) -> list[np.ndarray]:
+        """Each gait's windows, oldest first (copies)."""
+        return [
+            ring[self._rows(g, np.arange(size))]
+            for g, (ring, size) in enumerate(zip(self._rings, self._sizes))
+        ]
 
     def sample(self, gait_id: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        buf = self.buffers[gait_id]
-        idx = rng.integers(0, buf.shape[0], size=min(n, buf.shape[0]))
-        return buf[idx]
+        size = self._sizes[gait_id]
+        idx = rng.integers(0, size, size=min(n, size))
+        return self._rings[gait_id][self._rows(gait_id, idx)]
 
 
 def sample_reference(

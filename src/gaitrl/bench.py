@@ -137,11 +137,14 @@ def run_trial(
     goal_m: float = 14.0,
     seed: int = 0,
     trace_file=None,
+    reward_cfg: RewardConfig | None = None,
 ) -> dict:
     """One evaluation episode; returns the trial summary.
 
     Trials run without external pushes (those are a training-time
-    disturbance) and with identity domain randomization.
+    disturbance) and with identity domain randomization.  The trace scores
+    its reward terms with ``reward_cfg`` (the default ``RewardConfig()``
+    when omitted).
     """
     cfg_ep = EnvConfig(
         **{**env_cfg.__dict__, "max_episode_s": timeout_s, "push_vel_max": 0.0}
@@ -149,7 +152,7 @@ def run_trial(
     env = TerrainEnv(model, cfg_ep, seed=seed)
     gait = one_hot(gait_id, cfg_ep.n_gaits) if gait_id is not None else np.zeros(cfg_ep.n_gaits)
     bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=v_cmd, gait=gait))
-    reward_cfg = RewardConfig()
+    reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
     a_prev = np.zeros(N_JOINTS)
     a_prev2 = np.zeros(N_JOINTS)
     distance = 0.0
@@ -259,6 +262,7 @@ def run_benchmark(
                 goal_m=suite.goal_m,
                 seed=seed,
                 trace_file=trace_file,
+                reward_cfg=cfg.rewards,
             )
             if trace_file is not None:
                 trace_file.write(json.dumps({"trial_end": trial, **out}, sort_keys=True) + "\n")

@@ -68,7 +68,9 @@ class BipedModel:
     yaw_gain: float = 0.35
 
     def __post_init__(self):
-        # frozen dataclass: stash read-only array views of the tuple fields
+        # frozen dataclass: stash read-only array views of the tuple fields,
+        # and the same values as float tuples (name + "_f") for the scalar
+        # per-env hot path
         for name, src in (
             ("_nominal", self.nominal_pose),
             ("_lower", self.joint_lower),
@@ -80,6 +82,7 @@ class BipedModel:
             arr = np.array(src, dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+            object.__setattr__(self, name + "_f", tuple(arr.tolist()))
 
     def nominal(self) -> np.ndarray:
         return self._nominal.copy()
@@ -167,9 +170,6 @@ class BipedState:
     n_collisions: int = 0
     time: float = 0.0
 
-    def proj_gravity(self) -> np.ndarray:
-        return np.array([-math.sin(self.pitch), -math.cos(self.pitch)])
-
     def copy(self) -> "BipedState":
         c = BipedState(
             x=self.x, z=self.z, pitch=self.pitch, vx=self.vx, vz=self.vz,
@@ -203,11 +203,28 @@ def pd_torques(
     """Target-position PD control: torque toward scaled action + nominal pose."""
     if target is None:
         target = action_targets(model, action)
-    tau = model._kp * kp_scale * (target - state.joint_pos) - model._kd * kd_scale * state.joint_vel
-    tau *= motor_strength
-    np.minimum(tau, model._tlim, out=tau)
-    np.maximum(tau, -model._tlim, out=tau)
-    return tau
+    tau = []
+    for kp, kd, lim, tgt, q, qd in zip(
+        model._kp_f, model._kd_f, model._tlim_f,
+        target.tolist(), state.joint_pos.tolist(), state.joint_vel.tolist(),
+    ):
+        t = (kp * kp_scale * (tgt - q) - kd * kd_scale * qd) * motor_strength
+        # np.minimum then np.maximum against +-lim: NaN passes, ties take lim
+        if not t < lim and t == t:
+            t = lim
+        if not t > -lim and t == t:
+            t = -lim
+        tau.append(t)
+    return np.array(tau)
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.clip on one float: NaN passes through, a tie takes the bound."""
+    if not x > lo and x == x:
+        x = lo
+    if not x < hi and x == x:
+        x = hi
+    return x
 
 
 def substep(
@@ -226,24 +243,37 @@ def substep(
 
     Restitution softens the normal contact damping, letting touchdown keep a
     share of its vertical momentum; friction scales the tangential force cap.
-    """
-    # joints first: torque-driven servos (semi-implicit)
-    qdd = (tau - model.joint_damping * state.joint_vel) / model.joint_inertia
-    state.joint_vel += dt * qdd
-    np.clip(state.joint_vel, -model.joint_vel_limit, model.joint_vel_limit, out=state.joint_vel)
-    state.joint_pos += dt * state.joint_vel
-    lo, hi = model._lower, model._upper
-    below = state.joint_pos < lo
-    above = state.joint_pos > hi
-    if below.any() or above.any():
-        # hard joint stops kill velocity into the limit
-        state.joint_pos = np.clip(state.joint_pos, lo, hi)
-        state.joint_vel[below & (state.joint_vel < 0)] = 0.0
-        state.joint_vel[above & (state.joint_vel > 0)] = 0.0
 
-    # scalar math below: this loop dominates the simulation profile
+    Everything below runs on Python floats: each state array is read once with
+    ``tolist`` and written back once, and the expressions keep the operation
+    order of the array formulation, so results are bit-identical to it.
+    """
+    # joints first: torque-driven servos (semi-implicit), then hard joint
+    # stops that kill velocity into the limit
     q = state.joint_pos.tolist()
     qd = state.joint_vel.tolist()
+    tq = tau.tolist()
+    damping, inertia = model.joint_damping, model.joint_inertia
+    vlim = model.joint_vel_limit
+    lower, upper = model._lower_f, model._upper_f
+    at_stop = False
+    for j in range(N_JOINTS):
+        v = _clip(qd[j] + dt * ((tq[j] - damping * qd[j]) / inertia), -vlim, vlim)
+        qd[j] = v
+        p = q[j] + dt * v
+        q[j] = p
+        if p < lower[j] or p > upper[j]:
+            at_stop = True
+    if at_stop:
+        for j in range(N_JOINTS):
+            p, v = q[j], qd[j]
+            if (p < lower[j] and v < 0) or (p > upper[j] and v > 0):
+                qd[j] = 0.0
+            q[j] = _clip(p, lower[j], upper[j])
+    state.joint_pos[:] = q
+    state.joint_vel[:] = qd
+
+    # contact loop; terrain cells are read through the heightfield's views
     bx, bz = float(state.x), float(state.z)
     vx, vz = float(state.vx), float(state.vz)
     pitch, pr = float(state.pitch), float(state.pitch_rate)
@@ -256,6 +286,16 @@ def substep(
     com_z = bz - com_shift * math.sin(pitch)
     dn = model.contact_dn * (1.0 - 0.85 * restitution)
     kn, kt, ct = model.contact_kn, model.contact_kt, model.contact_ct
+    damp_ramp, force_cap = model.contact_damp_ramp, model.contact_force_cap
+    if terrain is not None:
+        heights, void, cell_at = terrain.height_view, terrain.void_view, terrain.cell_at
+    anchor_on = state.anchor_on
+    anchor_x = state.anchor_x
+    on = anchor_on.tolist()
+    ax = anchor_x.tolist()
+    foot_pos = state.foot_pos
+    foot_vel = state.foot_vel
+    contact = [False, False]
 
     for side in (LEFT, RIGHT):
         q1, q2, q3 = q[3 * side], q[3 * side + 1], q[3 * side + 2]
@@ -279,55 +319,61 @@ def substep(
         # foot-center velocity = base translation + pitch sweep + joint sweep
         vfx = vx + j00 * (pr + qd1) + j01 * qd2 + j02 * qd3
         vfz = vz + j10 * (pr + qd1) + j11 * qd2 + j12 * qd3
-        state.foot_pos[side, 0] = fx
-        state.foot_pos[side, 1] = fz
-        state.foot_vel[side, 0] = vfx
-        state.foot_vel[side, 1] = vfz
-        state.knee_heights[side] = kz - (terrain.height_at(kx) if terrain is not None else 0.0)
+        foot_pos[side, 0] = fx
+        foot_pos[side, 1] = fz
+        foot_vel[side, 0] = vfx
+        foot_vel[side, 1] = vfz
 
         in_contact = False
         force_x = force_z = 0.0
-        if terrain is not None:
+        if terrain is None:
+            state.knee_heights[side] = kz - 0.0
+        else:
+            state.knee_heights[side] = kz - heights[cell_at(kx)]
+            side_on = on[side]
+            side_x = ax[side]
             rate_sum = pr + qd1 + qd2 + qd3
             # heel and toe of the flat foot; the segment is horizontal at a3 = 0
             for pt, sgn in ((0, -1.0), (1, 1.0)):
                 px = fx + sgn * fh * c3
                 pz = fz + sgn * fh * s3
-                if terrain.is_void(px):
-                    state.anchor_on[side, pt] = False
-                    continue
-                pen = terrain.height_at(px) - pz
-                if pen <= 0.0:
-                    state.anchor_on[side, pt] = False
-                    continue
-                # the heel/toe offset swings with every angle in the chain
-                vpx = vfx - sgn * fh * s3 * rate_sum
-                vpz = vfz + sgn * fh * c3 * rate_sum
-                ramp = min(pen / model.contact_damp_ramp, 1.0)
-                fcz = kn * pen - dn * ramp * vpz
+                i = cell_at(px)
+                fcz = 0.0
+                if not void[i]:
+                    pen = heights[i] - pz
+                    if not pen <= 0.0:
+                        # the heel/toe offset swings with every angle in the chain
+                        vpx = vfx - sgn * fh * s3 * rate_sum
+                        vpz = vfz + sgn * fh * c3 * rate_sum
+                        ramp = min(pen / damp_ramp, 1.0)
+                        fcz = kn * pen - dn * ramp * vpz
                 if fcz <= 0.0:
-                    state.anchor_on[side, pt] = False
+                    # void cell, no penetration, or the damper pulls: no contact
+                    if side_on[pt]:
+                        side_on[pt] = False
+                        anchor_on[side, pt] = False
                     continue
-                fcz = min(fcz, model.contact_force_cap)
+                fcz = min(fcz, force_cap)
                 # anchored tangential spring: stick until the friction cone slips
-                if not state.anchor_on[side, pt]:
-                    state.anchor_on[side, pt] = True
-                    state.anchor_x[side, pt] = px
-                fcx = -kt * (px - state.anchor_x[side, pt]) - ct * vpx
+                if not side_on[pt]:
+                    side_on[pt] = True
+                    anchor_on[side, pt] = True
+                    side_x[pt] = anchor_x[side, pt] = px
+                fcx = -kt * (px - side_x[pt]) - ct * vpx
                 cap = friction * fcz
                 if fcx > cap:
                     fcx = cap
-                    state.anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
+                    side_x[pt] = anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
                 elif fcx < -cap:
                     fcx = -cap
-                    state.anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
+                    side_x[pt] = anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
                 in_contact = True
                 force_x += fcx
                 force_z += fcz
                 f_x += fcx
                 f_z += fcz
                 torque += (px - com_x) * fcz - (pz - com_z) * fcx
-        state.contact[side] = in_contact
+        contact[side] = state.contact[side] = in_contact
         state.contact_force[side, 0] = force_x
         state.contact_force[side, 1] = force_z
 
@@ -344,8 +390,8 @@ def substep(
     state.pitch = pitch + dt * pr
 
     # yaw proxy: hip-torque asymmetry turns the robot while grounded
-    grounded = bool(state.contact[0] or state.contact[1])
-    yaw_tau = model.yaw_gain * float(tau[0] - tau[3]) * (1.0 if grounded else 0.0)
+    grounded = contact[0] or contact[1]
+    yaw_tau = model.yaw_gain * (tq[0] - tq[3]) * (1.0 if grounded else 0.0)
     yr = float(state.yaw_rate)
     yr += dt * (yaw_tau - model.yaw_damping * yr) / model.yaw_inertia
     state.yaw_rate = yr

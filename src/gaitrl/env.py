@@ -197,18 +197,25 @@ def apply_push(state: BipedState, schedule: PushSchedule, rng: np.random.Generat
     return impulse
 
 
-def build_o_t(state: BipedState, commands: CommandState, last_action: np.ndarray) -> np.ndarray:
-    """Proprioceptive observation in the fixed layout [w, g, c_v, q, qd, a_prev]."""
-    return np.concatenate(
-        [
-            [state.pitch_rate, state.yaw_rate],
-            state.proj_gravity(),
-            [commands.v_cmd, commands.w_cmd],
-            state.joint_pos,
-            state.joint_vel,
-            last_action,
-        ]
-    )
+def build_o_t(
+    state: BipedState,
+    commands: CommandState,
+    last_action: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Proprioceptive observation in the fixed layout [w, g, c_v, q, qd, a_prev].
+
+    Written into ``out`` when given (one assignment), else into a new vector.
+    """
+    if out is None:
+        out = np.empty(2 + 2 + 2 + 3 * N_JOINTS)
+    out[:] = [
+        state.pitch_rate, state.yaw_rate,
+        -math.sin(state.pitch), -math.cos(state.pitch),  # projected gravity
+        commands.v_cmd, commands.w_cmd,
+        *state.joint_pos.tolist(), *state.joint_vel.tolist(), *last_action.tolist(),
+    ]
+    return out
 
 
 def sample_height_scan(
@@ -229,7 +236,9 @@ def sample_height_scan(
         if rng is None:
             raise ValueError("noise requires an rng")
         vals += rng.normal(0.0, noise_sigma, size=vals.shape)
-    return np.clip(vals, -clip, clip)
+    # np.clip as two ufuncs: same values, a fraction of the call overhead
+    np.maximum(vals, -clip, out=vals)
+    return np.minimum(vals, clip, out=vals)
 
 
 class TerrainEnv:
@@ -240,6 +249,7 @@ class TerrainEnv:
         self.cfg = cfg or EnvConfig()
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.dims = obs_dims(self.cfg)
+        self._o_t = np.empty(self.dims["d_o"])
         self._scan_offsets = self.cfg.scan_offsets()
         self._elev_offsets = self.cfg.elev_offsets()
         self.terrain: Heightfield | None = None
@@ -269,6 +279,8 @@ class TerrainEnv:
             self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.terrain = terrain
         self.dr = dr or DRConfig.identity()
+        # the DR draw is fixed for the episode; the critic sees it every step
+        self._dr_vec = self.dr.as_vector()
         if commands is not None:
             self.commands = commands.copy()
         else:
@@ -310,7 +322,7 @@ class TerrainEnv:
         self._done = False
 
         self._refresh_foot_state()
-        o0 = build_o_t(self.state, self.commands, self.last_action)
+        o0 = build_o_t(self.state, self.commands, self.last_action, out=self._o_t)
         self._history = deque([o0.copy() for _ in range(self.cfg.history_len)], maxlen=self.cfg.history_len)
         scan0 = self._scan()
         self._scans = deque([scan0.copy() for _ in range(4)], maxlen=4)
@@ -322,47 +334,40 @@ class TerrainEnv:
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (N_JOINTS,):
             raise ValueError(f"action shape {action.shape}, expected ({N_JOINTS},)")
-        if np.any(np.isnan(action)):
+        # one reduction for both checks: max propagates NaN, so NaN wins
+        peak = float(np.abs(action).max())
+        if peak != peak:
             raise ValueError("NaN in action")
-        if np.any(np.abs(action) > self.model.action_bound + 1e-9):
+        if peak > self.model.action_bound + 1e-9:
             raise ValueError("action outside configured bound")
 
-        apply_push(self.state, self.push, self.rng)
+        st = self.state
+        dr = self.dr
+        model = self.model
+        apply_push(st, self.push, self.rng)
 
         self._action_queue.append(action.copy())
         applied = self._action_queue[0]
 
-        dt_sub = self.cfg.dt / self.cfg.substeps
-        qd_before = self.state.joint_vel.copy()
+        substeps = self.cfg.substeps
+        dt_sub = self.cfg.dt / substeps
+        qd_before = st.joint_vel.copy()
         torque_acc = np.zeros(N_JOINTS)
-        target = action_targets(self.model, applied)
-        for _ in range(self.cfg.substeps):
+        target = action_targets(model, applied)
+        for _ in range(substeps):
             tau = pd_torques(
-                self.model,
-                self.state,
-                applied,
-                self.dr.kp_scale,
-                self.dr.kd_scale,
-                self.dr.motor_strength,
-                target=target,
+                model, st, applied, dr.kp_scale, dr.kd_scale, dr.motor_strength, target=target
             )
             substep(
-                self.model,
-                self.state,
-                tau,
-                self.terrain,
-                dt_sub,
-                friction=self.dr.friction,
-                restitution=self.dr.restitution,
-                total_mass=self._ep_dr_mass,
-                com_shift=self.dr.com_shift,
-                inertia_scale=self.dr.link_mass_scale,
+                model, st, tau, self.terrain, dt_sub, dr.friction, dr.restitution,
+                self._ep_dr_mass, dr.com_shift, dr.link_mass_scale,
             )
             torque_acc += tau
-        self.state.joint_torque = torque_acc / self.cfg.substeps
-        self.state.joint_acc = (self.state.joint_vel - qd_before) / self.cfg.dt
+        st.joint_torque = torque_acc / substeps
+        st.joint_acc = (st.joint_vel - qd_before) / self.cfg.dt
 
-        self.state.n_collisions = int(np.sum(self.state.knee_heights < 0.0))
+        knee_l, knee_r = st.knee_heights.tolist()
+        st.n_collisions = (knee_l < 0.0) + (knee_r < 0.0)
         self.prev_action = self.last_action
         self.last_action = action.copy()
         self.step_count += 1
@@ -370,7 +375,7 @@ class TerrainEnv:
         termination = self._check_termination()
         self._done = termination != "none"
 
-        o_t = build_o_t(self.state, self.commands, self.last_action)
+        o_t = build_o_t(st, self.commands, self.last_action, out=self._o_t)
         self._history.append(o_t.copy())
         self._scans.append(self._scan())
         bundle = self._assemble(o_t)
@@ -406,23 +411,17 @@ class TerrainEnv:
         cur = self._scans[-1 - d]
         prev = self._scans[-2 - d] if len(self._scans) >= 2 + d else cur
         scans = np.concatenate([prev, cur])
-        hist = np.concatenate(list(self._history))
+        hist = np.concatenate(self._history)
         m = self._elevation_map()
         st = self.state
-        feet_rel = np.array(
-            [
-                st.foot_pos[0, 0] - st.x,
-                st.foot_pos[0, 1] - st.z,
-                st.foot_pos[1, 0] - st.x,
-                st.foot_pos[1, 1] - st.z,
-            ]
-        )
+        (lx, lz), (rx, rz) = st.foot_pos.tolist()
+        left, right = st.contact.tolist()
+        # [feet relative to the base, contacts, true velocity], DR, o_t, history
         e = np.concatenate(
             [
-                feet_rel,
-                st.contact.astype(np.float64),
-                [st.vx, st.vz],
-                self.dr.as_vector(),
+                [lx - st.x, lz - st.z, rx - st.x, rz - st.z,
+                 float(left), float(right), st.vx, st.vz],
+                self._dr_vec,
                 o_t,
                 hist,
             ]
@@ -449,10 +448,9 @@ class TerrainEnv:
         base_clearance = st.z - terrain.surface_at(st.x)
         if base_clearance < self.cfg.min_base_height or abs(st.pitch) > self.cfg.max_pitch:
             return "fall"
-        for side in (0, 1):
-            fx, fz = st.foot_pos[side]
+        for fx, fz in st.foot_pos.tolist():
             if terrain.is_void(fx) and fz < terrain.surface_at(fx) - 0.05:
                 return "fall"
         if not terrain.is_void(st.x) and st.z - self.model.base_half_height < terrain.height_at(st.x):
             return "collision"
-        return "fall" if not np.isfinite(st.z) else "none"
+        return "fall" if not math.isfinite(st.z) else "none"

@@ -4,7 +4,7 @@ The update differentiates the clipped objective by hand: the per-sample
 cotangent on the action mean and log-std follows from the diagonal-Gaussian
 log-density, and flows through the policy's own backward pass.  A NaN in the
 loss or any gradient aborts the iteration and restores the pre-update
-parameters.
+parameters and optimizer states.
 """
 
 from __future__ import annotations
@@ -131,14 +131,27 @@ def make_optimizers(policy: ActorCritic, cfg: PPOConfig) -> dict[str, AdamState]
     return opts
 
 
-def _snapshot(policy: ActorCritic) -> dict[str, list[np.ndarray]]:
-    return {k: [p.copy() for p in ps] for k, ps in policy.components().items()}
+def _snapshot(policy: ActorCritic, opts: dict[str, AdamState]) -> tuple:
+    """Copies of everything an update touches: parameters and Adam states."""
+    params = {k: [p.copy() for p in ps] for k, ps in policy.components().items()}
+    adam = {
+        k: (o.step_count, [m.copy() for m in o.m], [v.copy() for v in o.v])
+        for k, o in opts.items()
+    }
+    return params, adam
 
 
-def _restore(policy: ActorCritic, snap: dict[str, list[np.ndarray]]) -> None:
+def _restore(policy: ActorCritic, opts: dict[str, AdamState], snap: tuple) -> None:
+    params, adam = snap
     for k, ps in policy.components().items():
-        for p, s in zip(ps, snap[k]):
+        for p, s in zip(ps, params[k]):
             p[:] = s
+    for k, o in opts.items():
+        o.step_count, ms, vs = adam[k]
+        for m, s in zip(o.m, ms):
+            m[:] = s
+        for v, s in zip(o.v, vs):
+            v[:] = s
 
 
 def ppo_loss_and_grads(
@@ -232,7 +245,7 @@ def ppo_update(
     adv_std = adv.std()
     adv_n = (adv - adv.mean()) / (adv_std + 1e-8)
 
-    snap = _snapshot(policy)
+    snap = _snapshot(policy, opts)
     stage2 = policy.mode.stage >= 2
     stats = {"policy_loss": [], "value_loss": [], "entropy": [], "approx_kl": [], "clip_frac": []}
 
@@ -253,8 +266,11 @@ def ppo_update(
                 all(np.all(np.isfinite(ga)) for ga in gl) for gl in grad_lists.values()
             )
             if not finite:
-                _restore(policy, snap)
-                log.warning("non-finite PPO loss/gradient; iteration aborted, parameters restored")
+                _restore(policy, opts, snap)
+                log.warning(
+                    "non-finite PPO loss/gradient; iteration aborted, parameters "
+                    "and optimizer states restored"
+                )
                 return {"nan_aborted": True}
 
             comps = policy.components()

@@ -105,22 +105,12 @@ class RewardBreakdown:
 
 
 # -- locomotion terms ---------------------------------------------------------
-
-
-def _limit_arrays(cfg: RewardConfig, model):
-    # per-(config, model) cache; both are long-lived in a training run
-    key = id(model)
-    cached = getattr(cfg, "_limit_cache", None)
-    if cached is not None and cached[0] == key:
-        return cached[1:]
-    lower, upper = model.lower(), model.upper()
-    mid = 0.5 * (lower + upper)
-    half = 0.5 * (upper - lower) * cfg.soft_limit_frac
-    soft_lo, soft_hi = mid - half, mid + half
-    tmax = np.asarray(model.torque_limit) * cfg.torque_soft_frac
-    nominal = model.nominal()
-    cfg._limit_cache = (key, soft_lo, soft_hi, tmax, nominal)
-    return soft_lo, soft_hi, tmax, nominal
+#
+# The per-joint rows run on Python floats.  Each sum starts at 0.0 and adds
+# the joints in index order, which is exactly what np.sum does on these
+# 6-vectors; the builtin sum() would not do (Python >= 3.12 compensates).
+# ``x if x > 0.0 or x != x else 0.0`` is np.maximum(x, 0.0): NaN passes and
+# -0.0 becomes 0.0.
 
 
 def locomotion_rewards(
@@ -133,54 +123,74 @@ def locomotion_rewards(
     cfg: RewardConfig,
     model,
 ) -> RewardBreakdown:
-    """Evaluate every locomotion-table row on the post-step state."""
-    soft_lo, soft_hi, tmax, nominal = _limit_arrays(cfg, model)
+    """Evaluate every locomotion-table row on the post-step state.
+
+    The soft joint and torque limits are derived from ``cfg`` and ``model``
+    on every call, so a changed config takes effect at once.
+    """
     st = state
-    jv = st.joint_vel
-    jt = st.joint_torque
-    jp = st.joint_pos
-    abs_jv = np.abs(jv)
-    abs_jt = np.abs(jt)
-    d1 = a_t - a_prev
-    d2 = d1 - (a_prev - a_prev2)
+    jp = st.joint_pos.tolist()
+    jv = st.joint_vel.tolist()
+    ja = st.joint_acc.tolist()
+    jt = st.joint_torque.tolist()
+    at, ap, app = a_t.tolist(), a_prev.tolist(), a_prev2.tolist()
+    frac, tfrac, vsoft = cfg.soft_limit_frac, cfg.torque_soft_frac, cfg.joint_vel_soft
+    acc_sq = vel_sq = rate_sq = smooth_sq = power = pos_lim = vel_lim = torque_lim = 0.0
+    for j, (lo, hi, tlim) in enumerate(zip(model._lower_f, model._upper_f, model._tlim_f)):
+        q, v, t = jp[j], jv[j], jt[j]
+        abs_v, abs_t = abs(v), abs(t)
+        d1 = at[j] - ap[j]
+        d2 = d1 - (ap[j] - app[j])
+        acc_sq += ja[j] * ja[j]
+        vel_sq += v * v
+        rate_sq += d1 * d1
+        smooth_sq += d2 * d2
+        power += abs_t * abs_v
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo) * frac
+        below = (mid - half) - q
+        above = q - (mid + half)
+        pos_lim += (below if below > 0.0 or below != below else 0.0) + (
+            above if above > 0.0 or above != above else 0.0
+        )
+        over_v = abs_v - vsoft
+        vel_lim += over_v if over_v > 0.0 or over_v != over_v else 0.0
+        over_t = abs_t - tlim * tfrac
+        torque_lim += over_t if over_t > 0.0 or over_t != over_t else 0.0
+    posture = 0.0
+    for j in cfg.posture_joints:
+        posture += abs(jp[j] - model._nominal_f[j])
     verr = commands.v_cmd - st.vx
     werr = commands.w_cmd - st.yaw_rate
-    f = st.contact_force
+    (f_lx, f_lz), (f_rx, f_rz) = st.contact_force.tolist()
+    (v_lx, v_lz), (v_rx, v_rz) = st.foot_vel.tolist()
+    left, right = st.contact.tolist()
     stumble = float(
-        (st.contact[0] and abs(f[0, 0]) >= 3.0 * abs(f[0, 1]))
-        or (st.contact[1] and abs(f[1, 0]) >= 3.0 * abs(f[1, 1]))
+        (left and abs(f_lx) >= 3.0 * abs(f_lz)) or (right and abs(f_rx) >= 3.0 * abs(f_rz))
     )
-    out = np.maximum(soft_lo - jp, 0.0)
-    out += np.maximum(jp - soft_hi, 0.0)
-    sep = abs(st.foot_pos[0, 0] - st.foot_pos[1, 0])
-    slip = float(
-        st.contact[0] * math.hypot(st.foot_vel[0, 0], st.foot_vel[0, 1])
-        + st.contact[1] * math.hypot(st.foot_vel[1, 0], st.foot_vel[1, 1])
-    )
+    (p_lx, _), (p_rx, _) = st.foot_pos.tolist()
+    sep = abs(p_lx - p_rx)
+    slip = float(left * math.hypot(v_lx, v_lz) + right * math.hypot(v_rx, v_rz))
     raw = {
         "track_lin_vel": math.exp(-(verr * verr) / cfg.tracking_sigma),
         "track_ang_vel": math.exp(-(werr * werr) / cfg.tracking_sigma),
-        # sequential sums rather than BLAS dots: the acceptance bar holds these
-        # to 1e-12 absolute against a plain re-evaluation loop
-        "joint_acc": float(np.sum(st.joint_acc * st.joint_acc)),
-        "joint_vel": float(np.sum(jv * jv)),
-        "action_rate": float(np.sum(d1 * d1)),
-        "action_smoothness": float(np.sum(d2 * d2)),
+        "joint_acc": acc_sq,
+        "joint_vel": vel_sq,
+        "action_rate": rate_sq,
+        "action_smoothness": smooth_sq,
         "ang_vel_pitch": st.pitch_rate * st.pitch_rate,
-        "joint_power": float(np.sum(abs_jt * abs_jv)),
+        "joint_power": power,
         "feet_stumble": stumble,
-        "posture_deviation": float(
-            sum(abs(jp[j] - nominal[j]) for j in cfg.posture_joints)
-        ),
-        "joint_pos_limits": float(out.sum()),
-        "joint_vel_limits": float(np.maximum(abs_jv - cfg.joint_vel_soft, 0.0).sum()),
-        "torque_limits": float(np.maximum(abs_jt - tmax, 0.0).sum()),
+        "posture_deviation": posture,
+        "joint_pos_limits": pos_lim,
+        "joint_vel_limits": vel_lim,
+        "torque_limits": torque_lim,
         "feet_distance": (sep - cfg.d_min_feet)
         if cfg.literal_signs
         else -max(cfg.d_min_feet - sep, 0.0),
         "feet_slippage": slip,
         "feet_force": float(
-            max(f[0, 1] - cfg.f_min_force, 0.0) + max(f[1, 1] - cfg.f_min_force, 0.0)
+            max(f_lz - cfg.f_min_force, 0.0) + max(f_rz - cfg.f_min_force, 0.0)
         ),
         "collision": float(st.n_collisions),
         "stuck": float(
@@ -213,7 +223,8 @@ def gait_rewards(
 ) -> RewardBreakdown:
     """Gait-command-routed terms; non-commanded gaits contribute exactly zero."""
     bd = RewardBreakdown()
-    active = int(np.argmax(gait)) if np.any(gait) else -1
+    g = gait.tolist()
+    active = g.index(max(g)) if any(g) else -1  # np.argmax: the first maximum
 
     knee = 0.0
     if active == GAIT_HIGH_KNEES and cfg.is_enabled("knee_height"):
@@ -231,7 +242,8 @@ def gait_rewards(
     bd.raw["squat_height"] = squat
     bd.weighted["squat_height"] = cfg.weight("squat_height") * squat
 
-    bd.r_g = sum(bd.weighted.values())
+    # the 0.0 start of the sum keeps a -0.0 pair at +0.0
+    bd.r_g = 0.0 + bd.weighted["knee_height"] + bd.weighted["squat_height"]
     return bd
 
 

@@ -45,6 +45,15 @@ class Obstacle:
 
 @dataclass
 class Heightfield:
+    """One track of cells; x maps to cell ``int(x / cell_size)``, clamped.
+
+    ``heights`` and ``void`` are read through zero-copy views made at
+    construction (``height_view``, ``void_view``; indexing a view yields a
+    Python float or bool).  The arrays may be changed in place, as the
+    generators below do, but must never be rebound or resized: a rebound
+    array would leave the views reading the old one.
+    """
+
     cell_size: float
     heights: np.ndarray  # [n_cells] elevation (m)
     void: np.ndarray  # [n_cells] bool, true inside gaps
@@ -56,6 +65,8 @@ class Heightfield:
         # hot-path lookup constants; cell COUNT is fixed after construction
         self._inv_cell = 1.0 / self.cell_size
         self._last = len(self.heights) - 1
+        self.height_view = memoryview(self.heights)
+        self.void_view = memoryview(self.void)
 
     @property
     def n_cells(self) -> int:
@@ -72,30 +83,22 @@ class Heightfield:
         return i if i < self._last else self._last
 
     def height_at(self, x: float) -> float:
-        i = int(x * self._inv_cell)
-        if i < 0:
-            i = 0
-        elif i > self._last:
-            i = self._last
-        return self.heights[i]
+        return self.height_view[self.cell_at(x)]
 
     def is_void(self, x: float) -> bool:
-        i = int(x * self._inv_cell)
-        if i < 0:
-            i = 0
-        elif i > self._last:
-            i = self._last
-        return self.void[i]
+        return self.void_view[self.cell_at(x)]
 
     def heights_at(self, xs: np.ndarray) -> np.ndarray:
-        idx = np.clip((xs * self._inv_cell).astype(np.intp), 0, self._last)
+        idx = (xs * self._inv_cell).astype(np.intp)
+        np.maximum(idx, 0, out=idx)
+        np.minimum(idx, self._last, out=idx)
         return self.heights[idx]
 
     def surface_at(self, x: float) -> float:
         """Walkable surface height: for void cells, the edge level of the gap."""
         i = self.cell_at(x)
-        if not self.void[i]:
-            return float(self.heights[i])
+        if not self.void_view[i]:
+            return self.height_view[i]
         for ob in self.obstacles:
             if ob.start <= i < ob.end:
                 return ob.surface

@@ -10,6 +10,7 @@ own).  Everything is single-threaded and keyed off one run seed, so a
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import os
@@ -231,13 +232,15 @@ class Trainer:
         stage1_checkpoint: dict | None = None,
         resume: dict | None = None,
     ):
+        # a private copy: the blind switch below must not reach the caller
+        cfg = copy.deepcopy(cfg)
+        cfg.env.blind = cfg.train.blind or cfg.env.blind
         self.cfg = cfg
         self.seed = seed
         self.stage = stage
         self.out_dir = out_dir
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
-        cfg.env.blind = cfg.train.blind or cfg.env.blind
 
         ss = np.random.SeedSequence(seed)
         init_ss, self.train_ss, amp_ss, env_root = ss.spawn(4)

@@ -179,3 +179,22 @@ class TestWindowBuffer:
         np.testing.assert_array_equal(buf.buffers[0][-1], np.arange(44, 48))
         np.testing.assert_array_equal(buf.buffers[0][0], np.arange(8, 12))
         assert buf.size(1) == 0
+
+    def test_ring_keeps_fifo_order_across_wraps(self):
+        buf = WindowBuffer(1, 2, capacity=5)
+        rows = np.arange(26, dtype=float).reshape(13, 2)
+        for start, stop in ((0, 3), (3, 7), (7, 8), (8, 13)):
+            buf.add(0, rows[start:stop])
+            kept = rows[max(0, stop - 5) : stop]
+            assert buf.size(0) == len(kept)
+            np.testing.assert_array_equal(buf.buffers[0], kept)
+
+    def test_sample_maps_the_draw_oldest_first(self):
+        buf = WindowBuffer(2, 3, capacity=7)
+        rows = np.arange(60, dtype=float).reshape(20, 3)
+        buf.add(1, rows[:4])
+        buf.add(1, rows[4:15])  # wraps: the ring holds rows 8..14
+        oldest_first = buf.buffers[1]
+        drawn = buf.sample(1, 50, np.random.default_rng(4))
+        idx = np.random.default_rng(4).integers(0, 7, size=7)
+        np.testing.assert_array_equal(drawn, oldest_first[idx])

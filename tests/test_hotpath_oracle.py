@@ -1,0 +1,242 @@
+"""Bit-exact agreement of the scalar control step with its numpy references.
+
+``pd_torques``, ``substep`` and ``locomotion_rewards`` compute on Python
+floats; ``tests/oracles.py`` keeps the array formulations they replaced.
+Every comparison here is on the bytes of the float64 values, which is
+stricter than ``==`` (it also tells 0.0 from -0.0), and has no tolerance.
+"""
+
+import contextlib
+import math
+import struct
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gaitrl.env as env_module
+from gaitrl.biped import N_JOINTS, BipedModel, BipedState, action_targets, pd_torques, substep
+from gaitrl.env import DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
+from gaitrl.rewards import RewardConfig, locomotion_rewards
+from gaitrl.terrain import TERRAIN_KINDS, generate_terrain
+
+from oracles import (
+    ref_locomotion_raw,
+    ref_locomotion_total,
+    ref_pd_torques,
+    ref_substep,
+)
+
+MODEL = BipedModel()
+STATE_FLOATS = (
+    "x", "z", "pitch", "vx", "vz", "pitch_rate", "yaw_rate", "heading", "y_offset", "time",
+)
+STATE_ARRAYS = (
+    "joint_pos", "joint_vel", "joint_acc", "joint_torque", "foot_pos", "foot_vel",
+    "contact", "contact_force", "knee_heights", "anchor_x", "anchor_on",
+)
+
+
+def bits(v) -> bytes:
+    return struct.pack("<d", float(v))
+
+
+def assert_same_array(a, b, name=""):
+    assert a.dtype == b.dtype and a.shape == b.shape, name
+    assert a.tobytes() == b.tobytes(), (name, a, b)
+
+
+def assert_same_state(a: BipedState, b: BipedState) -> None:
+    for name in STATE_FLOATS:
+        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+    for name in STATE_ARRAYS:
+        assert_same_array(getattr(a, name), getattr(b, name), name)
+    assert a.n_collisions == b.n_collisions
+
+
+def assert_same_rewards(bd, raw_ref, cfg):
+    assert list(bd.raw) == [k for k in raw_ref if cfg.enabled.get(k, True)]
+    for k, v in bd.raw.items():
+        assert bits(v) == bits(raw_ref[k]), k
+        assert bits(bd.weighted[k]) == bits(cfg.weights.get(k, 0.0) * raw_ref[k]), k
+    assert bits(bd.r_l) == bits(ref_locomotion_total(raw_ref, cfg))
+
+
+def random_dr(rng) -> DRConfig:
+    return DRConfig(**{k: float(rng.uniform(lo, hi)) for k, (lo, hi) in DR_RANGES.items()})
+
+
+def random_state(rng, terrain) -> BipedState:
+    """A state near the ground anywhere on the track, joints near or past their
+    limits, and friction anchors set at random (some far enough to slip)."""
+    lo, hi = MODEL.lower(), MODEL.upper()
+    q = rng.uniform(lo - 0.05, hi + 0.05)
+    x = rng.uniform(0.3, terrain.track_length - 0.3)
+    st_ = BipedState(
+        x=x,
+        z=terrain.surface_at(x) + MODEL.standing_height(q) + rng.uniform(-0.04, 0.03),
+        pitch=rng.uniform(-0.3, 0.3),
+        vx=rng.uniform(-1.5, 1.5),
+        vz=rng.uniform(-1.0, 0.5),
+        pitch_rate=rng.uniform(-2.0, 2.0),
+        yaw_rate=rng.uniform(-1.0, 1.0),
+        heading=rng.uniform(-1.0, 1.0),
+        y_offset=rng.uniform(-0.5, 0.5),
+        joint_pos=q,
+        joint_vel=rng.uniform(-25.0, 25.0, N_JOINTS),
+        anchor_on=rng.random((2, 2)) < 0.5,
+    )
+    st_.anchor_x = st_.x + rng.uniform(-0.5, 0.5, (2, 2))
+    return st_
+
+
+class TestPhysicsOracle:
+    def test_pd_torques_match_reference(self):
+        rng = np.random.default_rng(0)
+        saturated = 0
+        for _ in range(300):
+            st_ = random_state(rng, generate_terrain("flat", 0.0, seed=0))
+            dr = random_dr(rng)
+            action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
+            args = (MODEL, st_, action, dr.kp_scale, dr.kd_scale, dr.motor_strength)
+            tau = pd_torques(*args)
+            assert_same_array(tau, ref_pd_torques(*args))
+            target = action_targets(MODEL, action)
+            assert_same_array(pd_torques(*args, target=target), ref_pd_torques(*args, target=target))
+            saturated += int(np.any(np.abs(tau) == MODEL._tlim))
+        assert saturated > 0
+
+    def test_substep_matches_reference_on_every_terrain_kind(self):
+        rng = np.random.default_rng(1)
+        seen = dict.fromkeys(("joint_stop", "vel_clip", "contact", "slip", "void"), 0)
+        for kind in TERRAIN_KINDS:
+            for trial in range(40):
+                terrain = generate_terrain(kind, float(rng.uniform(0.3, 1.0)), seed=trial)
+                new = random_state(rng, terrain)
+                ref = new.copy()
+                dr = random_dr(rng)
+                mass = (MODEL.base_mass + dr.payload) * dr.link_mass_scale
+                action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
+                for _ in range(12):
+                    tau = pd_torques(MODEL, new, action, dr.kp_scale, dr.kd_scale, dr.motor_strength)
+                    tau_ref = ref_pd_torques(
+                        MODEL, ref, action, dr.kp_scale, dr.kd_scale, dr.motor_strength
+                    )
+                    assert_same_array(tau, tau_ref)
+                    anchors_before = (ref.anchor_on.copy(), ref.anchor_x.copy())
+                    physics = (0.005, dr.friction, dr.restitution, mass, dr.com_shift,
+                               dr.link_mass_scale)
+                    substep(MODEL, new, tau, terrain, *physics)
+                    ref_substep(MODEL, ref, tau_ref, terrain, *physics)
+                    assert_same_state(new, ref)
+
+                    q = ref.joint_pos
+                    seen["joint_stop"] += int(np.any((q == MODEL._lower) | (q == MODEL._upper)))
+                    seen["vel_clip"] += int(np.any(np.abs(ref.joint_vel) == MODEL.joint_vel_limit))
+                    seen["contact"] += int(ref.contact.any())
+                    held = anchors_before[0] & ref.anchor_on
+                    seen["slip"] += int(np.any(held & (anchors_before[1] != ref.anchor_x)))
+                    seen["void"] += int(any(terrain.is_void(fx) for fx in ref.foot_pos[:, 0]))
+        assert all(seen.values()), seen
+
+    def test_substep_without_terrain_matches_reference(self):
+        rng = np.random.default_rng(2)
+        new = random_state(rng, generate_terrain("flat", 0.0, seed=0))
+        ref = new.copy()
+        tau = rng.uniform(-100.0, 100.0, N_JOINTS)
+        for _ in range(20):
+            substep(MODEL, new, tau, None, 0.005, 1.0, 0.0, 12.0, 0.01)
+            ref_substep(MODEL, ref, tau, None, 0.005, 1.0, 0.0, 12.0, 0.01)
+            assert_same_state(new, ref)
+
+
+class TestRewardOracle:
+    def test_locomotion_rewards_match_reference(self):
+        rng = np.random.default_rng(3)
+        for trial in range(300):
+            terrain = generate_terrain(TERRAIN_KINDS[trial % 5], 0.5, seed=trial)
+            st_ = random_state(rng, terrain)
+            st_.joint_acc = rng.uniform(-300.0, 300.0, N_JOINTS)
+            st_.joint_torque = rng.uniform(-130.0, 130.0, N_JOINTS)
+            st_.contact = rng.random(2) < 0.5
+            st_.contact_force = rng.uniform(-100.0, 400.0, (2, 2))
+            st_.foot_pos = rng.uniform(-1.0, 1.0, (2, 2))
+            st_.foot_vel = rng.uniform(-2.0, 2.0, (2, 2))
+            st_.n_collisions = int(rng.integers(0, 3))
+            if trial % 7 == 0:
+                # exact soft-limit and zero-velocity ties
+                mid = 0.5 * (MODEL._lower + MODEL._upper)
+                st_.joint_pos = mid - 0.5 * (MODEL._upper - MODEL._lower) * 0.9
+                st_.joint_vel = np.array([-0.0, 0.0, 12.0, -12.0, 0.0, -0.0])
+            cfg = RewardConfig(
+                soft_limit_frac=float(rng.uniform(0.5, 1.0)),
+                torque_soft_frac=float(rng.uniform(0.5, 1.0)),
+                literal_signs=bool(trial % 2),
+                enabled={"stuck": False} if trial % 3 == 0 else {},
+            )
+            cmd = CommandState(
+                v_cmd=float(rng.uniform(-0.5, 1.2)), w_cmd=float(rng.uniform(-0.6, 0.6)),
+                gait=one_hot(trial % 3, 3),
+            )
+            a_t, a_p, a_pp = (rng.uniform(-4.0, 4.0, N_JOINTS) for _ in range(3))
+            bd = locomotion_rewards(st_, cmd, a_t, a_p, a_pp, 0.02, cfg, MODEL)
+            assert_same_rewards(bd, ref_locomotion_raw(st_, cmd, a_t, a_p, a_pp, cfg, MODEL), cfg)
+
+
+@contextlib.contextmanager
+def reference_physics():
+    """Run TerrainEnv.step with the numpy reference pd_torques and substep."""
+    saved = env_module.pd_torques, env_module.substep
+    env_module.pd_torques, env_module.substep = ref_pd_torques, ref_substep
+    try:
+        yield
+    finally:
+        env_module.pd_torques, env_module.substep = saved
+
+
+DR_DRAWS = st.builds(
+    DRConfig, **{k: st.floats(min_value=lo, max_value=hi) for k, (lo, hi) in DR_RANGES.items()}
+)
+BOUND = MODEL.action_bound
+ACTIONS = st.lists(
+    st.lists(st.floats(min_value=-BOUND, max_value=BOUND), min_size=N_JOINTS, max_size=N_JOINTS),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dr=DR_DRAWS,
+    kind=st.sampled_from(TERRAIN_KINDS),
+    difficulty=st.floats(min_value=0.0, max_value=1.0),
+    terrain_seed=st.integers(min_value=0, max_value=2**16),
+    actions=ACTIONS,
+)
+def test_env_trajectory_matches_reference_for_any_dr_and_bounded_actions(
+    dr, kind, difficulty, terrain_seed, actions
+):
+    terrain = generate_terrain(kind, difficulty, seed=terrain_seed)
+    cmd = CommandState(v_cmd=0.5, w_cmd=0.1, gait=np.zeros(3))
+    cfg = RewardConfig()
+    new, ref = (TerrainEnv(MODEL, EnvConfig(), seed=11) for _ in range(2))
+    new.reset(terrain, dr, cmd)
+    ref.reset(terrain, dr, cmd)
+    a_p = a_pp = np.zeros(N_JOINTS)
+    for a in actions:
+        a = np.array(a)
+        res = new.step(a)
+        with reference_physics():
+            res_ref = ref.step(a)
+        assert_same_state(new.state, ref.state)
+        assert res.termination == res_ref.termination
+        for name in ("o", "hist", "scans", "m", "e"):
+            assert_same_array(getattr(res.bundle, name), getattr(res_ref.bundle, name), name)
+        bd = locomotion_rewards(new.state, new.commands, a, a_p, a_pp, 0.02, cfg, MODEL)
+        assert_same_rewards(
+            bd, ref_locomotion_raw(ref.state, ref.commands, a, a_p, a_pp, cfg, MODEL), cfg
+        )
+        a_pp, a_p = a_p, a
+        if res.done:
+            break
+    assert math.isfinite(new.state.x)

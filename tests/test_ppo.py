@@ -192,6 +192,21 @@ class TestPPOUpdate:
             for a, b in zip(before[k], ps):
                 np.testing.assert_array_equal(a, b)
 
+    def test_nan_abort_restores_optimizer_states(self):
+        policy = ActorCritic(MODEL, TINY_ENV, TINY, PolicyMode(stage=1), seed=7)
+        cfg = PPOConfig(epochs=1, minibatch=3)
+        opts = make_optimizers(policy, cfg)
+        buf = self.make_buffer(policy, seed=3)
+        # put the NaN in the last minibatch, so earlier minibatches step Adam first
+        B = buf.horizon * buf.n_envs
+        last = int(np.random.default_rng(0).permutation(B)[-1])
+        buf.actions[last // buf.n_envs, last % buf.n_envs, 0] = np.nan
+        before = {k: o.state_dict() for k, o in opts.items()}
+        metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0))
+        assert metrics.get("nan_aborted") is True
+        for k, o in opts.items():
+            assert o.state_dict() == before[k], k
+
     def test_freeze_mask_respected(self):
         policy = ActorCritic(MODEL, TINY_ENV, TINY, PolicyMode(stage=1), seed=8)
         cfg = PPOConfig(epochs=1, minibatch=12, freeze=("trunk", "scan_enc"))

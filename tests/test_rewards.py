@@ -272,3 +272,24 @@ class TestTotal:
             style = float(rng.uniform(0, 1))
             bd = total_reward(loco, style, gait, stage=2, cfg=CFG)
             assert bd.total == pytest.approx(sum(bd.weighted.values()), abs=1e-12)
+
+
+class TestLimitConfig:
+    def test_changed_soft_limits_take_effect_on_a_used_config(self):
+        rng = np.random.default_rng(21)
+        st, cmd, a, ap, app = random_inputs(rng)
+        st.joint_pos = MODEL.upper() - 0.05  # inside the hard limits, near the top
+        st.joint_torque = np.array(MODEL.torque_limit) * 0.8
+        cfg = RewardConfig()
+        first = locomotion_rewards(st, cmd, a, ap, app, 0.02, cfg, MODEL)
+        cfg.soft_limit_frac = 0.5
+        cfg.torque_soft_frac = 0.5
+        changed = locomotion_rewards(st, cmd, a, ap, app, 0.02, cfg, MODEL)
+        fresh = locomotion_rewards(
+            st, cmd, a, ap, app, 0.02,
+            RewardConfig(soft_limit_frac=0.5, torque_soft_frac=0.5), MODEL,
+        )
+        for name in ("joint_pos_limits", "torque_limits"):
+            assert changed.raw[name] == fresh.raw[name]
+            assert changed.raw[name] > first.raw[name]
+        assert not [k for k in vars(cfg) if k.startswith("_")]

@@ -46,6 +46,17 @@ def tiny_cfg(**over):
     return cfg
 
 
+class TestTrainerConfig:
+    def test_trainer_leaves_the_callers_config_unchanged(self):
+        cfg = tiny_cfg(**{"train.blind": True})
+        before = config_to_dict(cfg)
+        trainer = Trainer(cfg, seed=0, stage=1)
+        assert config_to_dict(cfg) == before
+        assert cfg.env.blind is False
+        assert trainer.cfg.env.blind is True
+        assert not trainer.workers[0].bundle.scans.any()
+
+
 class TestCurriculum:
     CFG = RunConfig().curriculum
 
