@@ -13,7 +13,7 @@ discriminator is read, every other one contributes exactly zero.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,10 +15,8 @@ import sys
 
 import numpy as np
 
-from . import bench as bench_mod
 from .bench import (
     BenchmarkSuite,
-    LatentReport,
     PolicyController,
     analyze_latents,
     collect_latent_samples,
@@ -28,7 +26,6 @@ from .bench import (
 from .config import (
     RunConfig,
     apply_ablation,
-    canonical_json,
     config_hash,
     config_to_dict,
     load_config,

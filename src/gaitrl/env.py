@@ -27,7 +27,9 @@ from .terrain import Heightfield
 
 OBS_LAYOUT_VERSION = 1
 
-TERMINATIONS = ("none", "fall", "collision", "out_of_bounds", "timeout")
+# "diverged": the state went non-finite (NaN or inf).  That step returns the
+# last finite observation and the pre-step distance, and ends the episode.
+TERMINATIONS = ("none", "fall", "collision", "out_of_bounds", "timeout", "diverged")
 
 # Domain randomization ranges (uniform), one row per dynamic parameter.
 DR_RANGES = {
@@ -241,6 +243,19 @@ def sample_height_scan(
     return np.minimum(vals, clip, out=vals)
 
 
+def _state_is_finite(st: BipedState) -> bool:
+    """Every integrated state component is finite.
+
+    One float sum, finite only if every term is; finite terms that overflow
+    it also read as non-finite, which only a diverging state reaches.
+    """
+    return math.isfinite(
+        st.x + st.z + st.pitch + st.vx + st.vz + st.pitch_rate + st.yaw_rate
+        + st.heading + st.y_offset + st.time
+        + sum(st.joint_pos.tolist()) + sum(st.joint_vel.tolist())
+    )
+
+
 class TerrainEnv:
     """Single biped on a single heightfield; episodes run at the control rate."""
 
@@ -326,7 +341,9 @@ class TerrainEnv:
         self._history = deque([o0.copy() for _ in range(self.cfg.history_len)], maxlen=self.cfg.history_len)
         scan0 = self._scan()
         self._scans = deque([scan0.copy() for _ in range(4)], maxlen=4)
-        return self._assemble(o0)
+        self._bundle = self._assemble(o0)
+        self._distance = self.state.x - self.spawn_x
+        return self._bundle
 
     def step(self, action: np.ndarray) -> StepResult:
         if self._done:
@@ -342,6 +359,10 @@ class TerrainEnv:
             raise ValueError("action outside configured bound")
 
         st = self.state
+        # once per step: a non-finite value on entry need not raise below
+        # (a joint stop clamps an infinite joint angle)
+        if not _state_is_finite(st):
+            return self._diverged()
         dr = self.dr
         model = self.model
         apply_push(st, self.push, self.rng)
@@ -354,15 +375,23 @@ class TerrainEnv:
         qd_before = st.joint_vel.copy()
         torque_acc = np.zeros(N_JOINTS)
         target = action_targets(model, applied)
-        for _ in range(substeps):
-            tau = pd_torques(
-                model, st, applied, dr.kp_scale, dr.kd_scale, dr.motor_strength, target=target
-            )
-            substep(
-                model, st, tau, self.terrain, dt_sub, dr.friction, dr.restitution,
-                self._ep_dr_mass, dr.com_shift, dr.link_mass_scale,
-            )
-            torque_acc += tau
+        # no check per substep: a state that turns non-finite inside the loop
+        # makes the physics raise (int(nan) in a cell lookup, math.cos(inf))
+        # or leaves z non-finite for _check_termination
+        try:
+            for _ in range(substeps):
+                tau = pd_torques(
+                    model, st, applied, dr.kp_scale, dr.kd_scale, dr.motor_strength, target=target
+                )
+                substep(
+                    model, st, tau, self.terrain, dt_sub, dr.friction, dr.restitution,
+                    self._ep_dr_mass, dr.com_shift, dr.link_mass_scale,
+                )
+                torque_acc += tau
+        except (ArithmeticError, ValueError):
+            if _state_is_finite(st):
+                raise
+            return self._diverged()
         st.joint_torque = torque_acc / substeps
         st.joint_acc = (st.joint_vel - qd_before) / self.cfg.dt
 
@@ -373,16 +402,33 @@ class TerrainEnv:
         self.step_count += 1
 
         termination = self._check_termination()
+        if termination == "diverged":
+            return self._diverged()
         self._done = termination != "none"
 
         o_t = build_o_t(st, self.commands, self.last_action, out=self._o_t)
         self._history.append(o_t.copy())
         self._scans.append(self._scan())
-        bundle = self._assemble(o_t)
+        self._bundle = bundle = self._assemble(o_t)
+        self._distance = distance = self.state.x - self.spawn_x
         return StepResult(
             bundle=bundle,
             termination=termination,
-            distance=self.state.x - self.spawn_x,
+            distance=distance,
+            terrain_level=self.terrain.difficulty,
+        )
+
+    def _diverged(self) -> StepResult:
+        """End the episode on a non-finite state.
+
+        The state is left as it is; the result carries the last finite
+        observation and the distance reported before this step.
+        """
+        self._done = True
+        return StepResult(
+            bundle=self._bundle.copy(),
+            termination="diverged",
+            distance=self._distance,
             terrain_level=self.terrain.difficulty,
         )
 
@@ -453,4 +499,4 @@ class TerrainEnv:
                 return "fall"
         if not terrain.is_void(st.x) and st.z - self.model.base_half_height < terrain.height_at(st.x):
             return "collision"
-        return "fall" if not math.isfinite(st.z) else "none"
+        return "diverged" if not math.isfinite(st.z) else "none"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,8 +149,8 @@ class GradientTape:
 
     net_ref: DenseNet
     x: np.ndarray  # [B, in]
-    pre: list[np.ndarray] = field(default_factory=list)  # s_l, [B, out_l]
-    post: list[np.ndarray] = field(default_factory=list)  # z_l = act(s_l)
+    pre: list[np.ndarray]  # s_l, [B, out_l]
+    post: list[np.ndarray]  # z_l = act(s_l)
     single: bool = False
 
 
@@ -201,17 +201,19 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
 def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, GradientTape]:
     """Evaluate the network and cache everything backward needs."""
     xb, single = _as_batch(x, net.input_dim, "input")
-    if not np.all(np.isfinite(xb)):
+    if not np.isfinite(xb).all():
         raise ValueError("non-finite network input")
-    tape = GradientTape(net_ref=net, x=xb, single=single)
+    pre, post = [], []
     z = xb
     for layer in net.layers:
-        s = z @ layer.weight.T + layer.bias
+        # the matmul result is a fresh array, so the bias is added in place
+        s = z @ layer.weight.T
+        s += layer.bias
         z = _act(layer.activation, s)
-        tape.pre.append(s)
-        tape.post.append(z)
+        pre.append(s)
+        post.append(z)
     y = z[0] if single else z
-    return y, tape
+    return y, GradientTape(net, xb, pre, post, single)
 
 
 def _check_tape(net: DenseNet, tape: GradientTape) -> None:
@@ -297,7 +299,7 @@ def net_directional_param_grads(
 def softmax(w: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis (max-subtraction)."""
     w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("non-finite softmax input")
     shifted = w - w.max(axis=-1, keepdims=True)
     e = np.exp(shifted)

@@ -16,14 +16,13 @@ actor path never sees a privileged array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .biped import BipedModel, N_JOINTS
 from .env import DR_RANGES, EnvConfig, ObservationBundle, obs_dims
 from .nets import (
-    DenseNet,
     GradientTape,
     NetGrads,
     decode_array,
@@ -34,7 +33,6 @@ from .nets import (
     net_from_dict,
     net_to_dict,
     softmax,
-    zero_grads,
 )
 
 POLICY_FORMAT_VERSION = 1
@@ -91,7 +89,12 @@ class PolicyArch:
 
 @dataclass
 class ObservationNormalizer:
-    """Fixed per-block shift/scale applied before any network input."""
+    """Fixed per-block shift/scale applied before any network input.
+
+    The privileged extras end with ``[o_t, history]``, both normalized like
+    ``o``, so the tail of ``e_shift``/``e_scale`` is ``o_shift``/``o_scale``
+    tiled over the history; :meth:`norm_hist` reads it from there.
+    """
 
     o_shift: np.ndarray
     o_scale: np.ndarray
@@ -106,8 +109,9 @@ class ObservationNormalizer:
         return (o - self.o_shift) * self.o_scale
 
     def norm_hist(self, hist):
-        H = hist.shape[-1] // self.o_shift.shape[0]
-        return (hist - np.tile(self.o_shift, H)) * np.tile(self.o_scale, H)
+        # views of the tail of e's shift/scale: no copy, nothing that can go stale
+        k = self.e_shift.shape[0] - hist.shape[-1]
+        return (hist - self.e_shift[k:]) * self.e_scale[k:]
 
     def norm_scan(self, scans):
         return (scans - self.scan_shift) * self.scan_scale
@@ -166,6 +170,13 @@ def build_normalizer(model: BipedModel, env_cfg: EnvConfig) -> ObservationNormal
 
 @dataclass
 class BundleBatch:
+    """Observation bundles as ``[B, d]`` arrays, one per block.
+
+    A batch is read-only: a batch of one bundle holds ``[1, d]`` views of
+    that bundle's arrays, so writing into the batch would write into the
+    bundle.
+    """
+
     o: np.ndarray
     hist: np.ndarray
     scans: np.ndarray
@@ -174,6 +185,9 @@ class BundleBatch:
 
     @classmethod
     def stack(cls, bundles: list[ObservationBundle]) -> "BundleBatch":
+        if len(bundles) == 1:
+            (b,) = bundles
+            return cls(b.o[None], b.hist[None], b.scans[None], b.m[None], b.e[None])
         return cls(
             o=np.stack([b.o for b in bundles]),
             hist=np.stack([b.hist for b in bundles]),
@@ -194,6 +208,7 @@ class ResidualCache:
     expert_outs: list[np.ndarray]
     gate_tape: GradientTape
     weights: np.ndarray  # [B, N_e]
+    z: np.ndarray  # [B, out], the gate-weighted sum of the expert outputs
 
 
 class ResidualModule:
@@ -245,7 +260,7 @@ class ResidualModule:
         z = np.zeros_like(outs[0])
         for i, y in enumerate(outs):
             z += w[:, i : i + 1] * y
-        cache = ResidualCache(res_in, tapes, outs, gate_tape, w)
+        cache = ResidualCache(res_in, tapes, outs, gate_tape, w, z)
         return z, w, cache
 
     def backward(self, cache: ResidualCache, d_z: np.ndarray) -> tuple[dict, np.ndarray]:
@@ -428,15 +443,11 @@ class ActorCritic:
         gate_w = None
         if cache.residual is not None:
             gate_w = cache.residual.weights[0]
-            z_p = sum(
-                cache.residual.weights[0, i] * cache.residual.expert_outs[i][0]
-                for i in range(len(cache.residual.expert_outs))
-            )
-        std = np.exp(self.log_std)
+            z_p = cache.residual.z[0]
         if deterministic or rng is None:
             action = mean.copy()
         else:
-            action = mean + std * rng.standard_normal(N_JOINTS)
+            action = mean + np.exp(self.log_std) * rng.standard_normal(N_JOINTS)
         logp = gaussian_log_prob(action, mean, self.log_std)
         return ActResult(action, logp, mean, cache.z_o[0], z_p, gate_w)
 
@@ -543,7 +554,8 @@ class ActorCritic:
 def gaussian_log_prob(action: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> float:
     std = np.exp(log_std)
     z = (action - mean) / std
-    return float(-0.5 * np.sum(z * z) - np.sum(log_std) - 0.5 * len(mean) * LOG_2PI)
+    # the sum methods: np.sum's reduction without its dispatch overhead
+    return float(-0.5 * (z * z).sum() - log_std.sum() - 0.5 * len(mean) * LOG_2PI)
 
 
 def gaussian_log_prob_batch(

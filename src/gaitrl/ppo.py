@@ -10,13 +10,12 @@ parameters and optimizer states.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import AdamState, adam_step, clip_grad_norm
+from .nets import AdamState, adam_step, clip_grad_norm, net_backward
 from .policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
-from .nets import net_backward
 
 log = logging.getLogger(__name__)
 

@@ -26,14 +26,14 @@ from .amp import (
     make_discriminators,
     style_reward,
 )
-from .biped import N_JOINTS, BipedModel
+from .biped import N_JOINTS
 from .config import RunConfig, config_hash, config_to_dict
-from .env import CommandState, DRConfig, TerrainEnv, one_hot, sample_dr
+from .env import CommandState, TerrainEnv, one_hot, sample_dr
 from .nets import AdamState, net_from_dict, net_to_dict
 from .policy import ActorCritic, BundleBatch, PolicyMode, gaussian_log_prob_batch
-from .ppo import PPOConfig, RolloutBuffer, make_optimizers, ppo_update
-from .refmotion import WINDOW_LEN, default_clip_set, reference_windows, window_stream
-from .rewards import gait_rewards, locomotion_rewards, total_reward
+from .ppo import RolloutBuffer, make_optimizers, ppo_update
+from .refmotion import WINDOW_LEN, default_clip_set, reference_windows
+from .rewards import RewardBreakdown, gait_rewards, locomotion_rewards, total_reward
 from .terrain import generate_terrain
 
 log = logging.getLogger(__name__)
@@ -317,8 +317,21 @@ class Trainer:
         self.iteration = resume["iteration"] if resume is not None else 0
         self.metrics_path = os.path.join(out_dir, "metrics.jsonl") if out_dir else None
         if self.metrics_path:
-            open(self.metrics_path, "w").close()
+            self._start_metrics(resume is not None)
         self._low_tracking_streak = 0
+
+    def _start_metrics(self, resuming: bool) -> None:
+        """Start ``metrics.jsonl``: empty for a fresh run; on resume, the lines
+        up to the checkpoint's iteration, kept byte for byte."""
+        kept = []
+        if resuming and os.path.exists(self.metrics_path):
+            with open(self.metrics_path) as f:
+                for line in f:
+                    if json.loads(line)["iteration"] > self.iteration:
+                        break
+                    kept.append(line)
+        with open(self.metrics_path, "w") as f:
+            f.writelines(kept)
 
     # -- rollout ----------------------------------------------------------------
 
@@ -353,31 +366,36 @@ class Trainer:
                 res = w.env.step(a_t)
                 st = w.env.state
 
-                loco = locomotion_rewards(
-                    st, w.env.commands, a_t, w.a_prev, w.a_prev2, cfg.env.dt,
-                    cfg.rewards, cfg.model,
-                )
-                style_raw = 0.0
-                if self.stage >= 2:
-                    w.frames.append(st.joint_pos.copy())
-                    w.frame_segments.append(w.segment_id)
-                    if len(w.frames) == WINDOW_LEN:
-                        window = np.concatenate(list(w.frames))
-                        style_raw = style_reward(window, w.gait, self.discs)
-                        gid = int(np.argmax(w.gait))
-                        per_gait_style[gid] += style_raw
-                        per_gait_count[gid] += 1
-                        if len(set(w.frame_segments)) == 1:
-                            self.policy_windows.add(gid, window[None, :])
-                    gait_bd = gait_rewards(st, w.gait, cfg.rewards)
+                if res.termination == "diverged":
+                    # the state is non-finite: the step scores zero on every
+                    # term (an empty breakdown) and adds no style window
+                    log.warning("env %d diverged at step %d; episode ended", i, t)
+                    bd = RewardBreakdown()
                 else:
-                    gait_bd = gait_rewards(st, np.zeros(cfg.env.n_gaits), cfg.rewards)
-                bd = total_reward(loco, style_raw, gait_bd, self.stage, cfg.rewards)
+                    loco = locomotion_rewards(
+                        st, w.env.commands, a_t, w.a_prev, w.a_prev2, cfg.env.dt,
+                        cfg.rewards, cfg.model,
+                    )
+                    style_raw = 0.0
+                    if self.stage >= 2:
+                        w.frames.append(st.joint_pos.copy())
+                        w.frame_segments.append(w.segment_id)
+                        if len(w.frames) == WINDOW_LEN:
+                            window = np.concatenate(list(w.frames))
+                            style_raw = style_reward(window, w.gait, self.discs)
+                            gid = int(np.argmax(w.gait))
+                            per_gait_style[gid] += style_raw
+                            per_gait_count[gid] += 1
+                            style_sum += style_raw
+                            style_count += 1
+                            if len(set(w.frame_segments)) == 1:
+                                self.policy_windows.add(gid, window[None, :])
+                        gait_bd = gait_rewards(st, w.gait, cfg.rewards)
+                    else:
+                        gait_bd = gait_rewards(st, np.zeros(cfg.env.n_gaits), cfg.rewards)
+                    bd = total_reward(loco, style_raw, gait_bd, self.stage, cfg.rewards)
                 reward = max(bd.total, 0.0) if cfg.rewards.only_positive_total else bd.total
                 track_sum += bd.weighted.get("track_lin_vel", 0.0)
-                if self.stage >= 2 and len(w.frames) == WINDOW_LEN:
-                    style_sum += style_raw
-                    style_count += 1
                 total_sum += reward
 
                 if res.termination == "timeout":

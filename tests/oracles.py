@@ -322,3 +322,144 @@ def ref_locomotion_total(raw, cfg):
         if cfg.enabled.get(name, True):
             total += cfg.weights.get(name, 0.0) * value
     return total
+
+
+# -- reference batch-of-one policy inference -------------------------------------
+#
+# The array formulation the library's batch-of-one path replaced: np.stack
+# copies for the batch, np.tile for the history shift/scale on every call,
+# ``z @ W.T + b``, np.all(np.isfinite(...)), and the gate-weighted expert sum
+# redone in Python for z'.  tests/test_inference_oracle.py holds the library
+# to these bit for bit.  Network weights are read straight from the layers.
+
+NORMALIZER_FIELDS = (
+    "o_shift", "o_scale", "scan_shift", "scan_scale", "m_shift", "m_scale", "e_shift", "e_scale",
+)
+
+
+def ref_stack(bundles) -> dict:
+    return {k: np.stack([getattr(b, k) for b in bundles]) for k in ("o", "hist", "scans", "m", "e")}
+
+
+def _ref_act(name, s):
+    if name == "tanh":
+        return np.tanh(s)
+    if name == "relu":
+        return np.maximum(s, 0.0)
+    if name == "elu":
+        return np.where(s > 0.0, s, np.expm1(np.minimum(s, 0.0)))
+    if name == "identity":
+        return s
+    raise ValueError(name)
+
+
+def ref_net_forward(net, x):
+    xb = np.asarray(x, dtype=np.float64)
+    single = xb.ndim == 1
+    if single:
+        xb = xb[None, :]
+    if not np.all(np.isfinite(xb)):
+        raise ValueError("non-finite network input")
+    z = xb
+    for layer in net.layers:
+        z = _ref_act(layer.activation, z @ layer.weight.T + layer.bias)
+    return z[0] if single else z
+
+
+def ref_softmax(w):
+    w = np.asarray(w, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite softmax input")
+    shifted = w - w.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def ref_encode_features(policy, batch: dict):
+    nz = policy.normalizer
+    H = batch["hist"].shape[-1] // nz.o_shift.shape[0]
+    hist = (batch["hist"] - np.tile(nz.o_shift, H)) * np.tile(nz.o_scale, H)
+    f_d = ref_net_forward(policy.scan_enc, (batch["scans"] - nz.scan_shift) * nz.scan_scale)
+    f_h = ref_net_forward(policy.hist_enc, hist)
+    return np.concatenate([(batch["o"] - nz.o_shift) * nz.o_scale, f_d, f_h], axis=1)
+
+
+def ref_residual_forward(residual, feats, gait):
+    """(z', gate weights, expert outputs) over [feats, gait]."""
+    res_in = np.concatenate([feats, gait], axis=1)
+    outs = [ref_net_forward(net, res_in) for net in residual.experts]
+    w = ref_softmax(ref_net_forward(residual.gate, res_in))
+    z = np.zeros_like(outs[0])
+    for i, y in enumerate(outs):
+        z += w[:, i : i + 1] * y
+    return z, w, outs
+
+
+def ref_actor_mean(policy, batch: dict, gait):
+    """(mean, z_o, (gate weights, expert outputs) or None)."""
+    feats = ref_encode_features(policy, batch)
+    z_o = ref_net_forward(policy.trunk, feats)
+    if policy.mode.stage >= 2 and policy.residual is not None:
+        if gait is None:
+            raise ValueError("stage-2 policy needs a gait command")
+        gait = np.atleast_2d(gait)
+        z_p, w, outs = ref_residual_forward(policy.residual, feats, gait)
+        if policy.mode.residual_fusion == "latent":
+            mean = ref_net_forward(policy.head, z_o + z_p)
+        else:
+            mean = ref_net_forward(policy.head, z_o) + z_p
+        return mean, z_o, (w, outs)
+    return ref_net_forward(policy.head, z_o), z_o, None
+
+
+def ref_gaussian_log_prob(action, mean, log_std) -> float:
+    std = np.exp(log_std)
+    z = (action - mean) / std
+    return float(-0.5 * np.sum(z * z) - np.sum(log_std) - 0.5 * len(mean) * math.log(2.0 * math.pi))
+
+
+def ref_act(policy, bundle, gait=None, rng=None, deterministic=False):
+    """(action, log_prob, mean, z_o, z_prime, gate_w), as ActResult holds them."""
+    mean, z_o, res = ref_actor_mean(
+        policy, ref_stack([bundle]), None if gait is None else gait[None, :]
+    )
+    mean = mean[0]
+    z_p = gate_w = None
+    if res is not None:
+        w, outs = res
+        gate_w = w[0]
+        z_p = sum(w[0, i] * outs[i][0] for i in range(len(outs)))
+    std = np.exp(policy.log_std)
+    if deterministic or rng is None:
+        action = mean.copy()
+    else:
+        action = mean + std * rng.standard_normal(len(mean))
+    logp = ref_gaussian_log_prob(action, mean, policy.log_std)
+    return action, logp, mean, z_o[0], z_p, gate_w
+
+
+def ref_controller_act(policy, gait, bundle, commands):
+    """PolicyController.act: deterministic action clipped with np.clip."""
+    if policy.mode.stage >= 2 and gait is None:
+        gait = commands.gait
+    action = ref_act(policy, bundle, gait, deterministic=True)[0]
+    bound = policy.model.action_bound
+    return np.clip(action, -bound, bound)
+
+
+def ref_residual_latents(policy, samples):
+    """(z' rows, gate-weight rows, gait labels, terrain labels)."""
+    zs, ws, gl, tl = [], [], [], []
+    for bundle, gait, terrain_label in samples:
+        feats = ref_encode_features(policy, ref_stack([bundle]))
+        z_p, w, _ = ref_residual_forward(policy.residual, feats, np.atleast_2d(gait))
+        zs.append(z_p[0])
+        ws.append(w[0])
+        gl.append(int(np.argmax(gait)))
+        tl.append(terrain_label)
+    return np.array(zs), np.array(ws), np.array(gl, dtype=int), tl
+
+
+def ref_normalizer_dict(normalizer, encode_array) -> dict:
+    """The normalizer's eight arrays, encoded in declaration order."""
+    return {k: encode_array(getattr(normalizer, k)) for k in NORMALIZER_FIELDS}

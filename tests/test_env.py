@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gaitrl.env as env_module
 from gaitrl.biped import N_JOINTS, BipedModel
 from gaitrl.controllers import ScriptedWalker
 from gaitrl.env import (
@@ -10,6 +13,7 @@ from gaitrl.env import (
     CommandState,
     DRConfig,
     EnvConfig,
+    TERMINATIONS,
     PushSchedule,
     TerrainEnv,
     apply_push,
@@ -328,3 +332,94 @@ class TestObservationAssembly:
         hist = res.bundle.hist.reshape(env.cfg.history_len, d_o)
         np.testing.assert_array_equal(hist[-1], seen[-1])
         np.testing.assert_array_equal(hist[-2], seen[-2])
+
+
+# -- divergence: a non-finite state ends its episode ----------------------------
+
+SCALARS = ("x", "z", "pitch", "vx", "vz", "pitch_rate", "yaw_rate", "heading", "y_offset", "time")
+COMPONENTS = [*SCALARS, *((name, j) for name in ("joint_pos", "joint_vel") for j in range(N_JOINTS))]
+
+
+def poke(state, component, value):
+    if isinstance(component, tuple):
+        name, j = component
+        getattr(state, name)[j] = value
+    else:
+        setattr(state, component, value)
+
+
+def bundle_is_finite(bundle) -> bool:
+    return all(np.isfinite(getattr(bundle, k)).all() for k in ("o", "hist", "scans", "m", "e"))
+
+
+class TestDivergence:
+    def walk(self, kind="gap", steps=5, seed=0):
+        env = TerrainEnv(BipedModel(), EnvConfig(), seed=seed)
+        env.reset(generate_terrain(kind, 0.5, seed=seed), DRConfig.identity(), CommandState(v_cmd=0.5))
+        res = None
+        for _ in range(steps):
+            res = env.step(np.full(N_JOINTS, 0.1))
+        return env, res
+
+    def test_nan_velocity_ends_the_episode_as_diverged(self):
+        assert "diverged" in TERMINATIONS
+        env, last = self.walk()
+        env.state.vx = math.nan
+        res = env.step(np.zeros(N_JOINTS))
+        assert res.termination == "diverged" and res.done
+        assert res.distance == last.distance
+        assert bundle_is_finite(res.bundle)
+        for k in ("o", "hist", "scans", "m", "e"):
+            np.testing.assert_array_equal(getattr(res.bundle, k), getattr(last.bundle, k))
+        with pytest.raises(RuntimeError):
+            env.step(np.zeros(N_JOINTS))
+
+    def test_state_turning_non_finite_inside_a_step_diverges(self, monkeypatch):
+        env, last = self.walk()
+        calls = []
+
+        def blow_up(model, state, *args):
+            substep(model, state, *args)
+            calls.append(1)
+            if len(calls) == 2:
+                state.pitch_rate = math.inf
+
+        substep = env_module.substep
+        monkeypatch.setattr(env_module, "substep", blow_up)
+        res = env.step(np.zeros(N_JOINTS))
+        assert res.termination == "diverged"
+        assert res.distance == last.distance
+        assert len(calls) == 3  # math.cos(inf) raised in the fourth substep
+
+    def test_error_on_a_finite_state_still_raises(self, monkeypatch):
+        env, _ = self.walk()
+
+        def broken(*args):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(env_module, "substep", broken)
+        with pytest.raises(ZeroDivisionError):
+            env.step(np.zeros(N_JOINTS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    component=st.sampled_from(COMPONENTS),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    kind=st.sampled_from(["flat", "rough", "gap", "step", "stair"]),
+    steps=st.integers(min_value=0, max_value=6),
+)
+def test_any_non_finite_state_component_diverges_instead_of_raising(component, value, kind, steps):
+    env = TerrainEnv(BipedModel(), EnvConfig(), seed=1)
+    env.reset(generate_terrain(kind, 0.5, seed=2), DRConfig.identity(), CommandState(v_cmd=0.5))
+    distance = 0.0
+    for _ in range(steps):
+        res = env.step(np.full(N_JOINTS, 0.2))
+        distance = res.distance
+        if res.done:
+            return
+    poke(env.state, component, value)
+    res = env.step(np.zeros(N_JOINTS))
+    assert res.termination == "diverged"
+    assert res.distance == distance and math.isfinite(res.distance)
+    assert bundle_is_finite(res.bundle)

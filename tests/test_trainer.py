@@ -1,9 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+import gaitrl.trainer as trainer_mod
 from gaitrl.config import RunConfig, config_from_dict, config_to_dict
 from gaitrl.trainer import (
     CurriculumState,
@@ -262,3 +264,68 @@ class TestCheckpointRoundTrip:
         trainer, _ = train_stage1(cfg, seed=1, iterations=3)
         for w in trainer.workers:
             assert 0.0 <= w.curr.difficulty <= 1.0
+
+
+class TestResume:
+    def test_resume_keeps_the_metrics_history(self, tmp_path):
+        cfg = tiny_cfg(**{"train.checkpoint_every": 2})
+        out = tmp_path / "run"
+        train_stage1(cfg, seed=4, out_dir=str(out), iterations=2)
+        first = (out / "metrics.jsonl").read_bytes()
+        resume = load_checkpoint(out / "checkpoint_000002.json")
+        Trainer(tiny_cfg(), seed=4, stage=1, out_dir=str(out), resume=resume).run(2)
+        lines = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        assert len(lines) == 4
+        assert b"".join(lines[:2]) == first
+        assert [json.loads(line)["iteration"] for line in lines] == [1, 2, 3, 4]
+
+    def test_resume_from_an_earlier_checkpoint_drops_the_later_lines(self, tmp_path):
+        cfg = tiny_cfg(**{"train.checkpoint_every": 1})
+        out = tmp_path / "run"
+        train_stage1(cfg, seed=4, out_dir=str(out), iterations=3)
+        first = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        resume = load_checkpoint(out / "checkpoint_000001.json")
+        Trainer(tiny_cfg(), seed=4, stage=1, out_dir=str(out), resume=resume).run(1)
+        lines = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        assert lines[0] == first[0]
+        assert [json.loads(line)["iteration"] for line in lines] == [1, 2]
+
+    def test_fresh_run_starts_an_empty_file(self, tmp_path):
+        (tmp_path / "metrics.jsonl").write_text('{"iteration": 9}\n')
+        train_stage1(tiny_cfg(), seed=4, out_dir=str(tmp_path), iterations=1)
+        lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["iteration"] for line in lines] == [1]
+
+
+class TestDivergingEnv:
+    ROWS = ("o", "hist", "scans", "m", "e", "gait", "actions", "log_probs", "values",
+            "rewards", "dones", "r_l", "r_s", "r_g")
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_diverging_env_ends_only_its_own_episode(self, monkeypatch, stage):
+        over = {"mode.one_stage": True} if stage == 2 else {}
+        buffers = []
+        update = trainer_mod.ppo_update
+
+        def keep_buffer(policy, buffer, *args):
+            buffers.append(buffer)
+            return update(policy, buffer, *args)
+
+        monkeypatch.setattr(trainer_mod, "ppo_update", keep_buffer)
+        poked, plain = (Trainer(tiny_cfg(**over), seed=5, stage=stage) for _ in range(2))
+        poked.run(1)
+        plain.run(1)
+        poked.workers[1].env.state.vx = math.nan
+        entry = poked.run(1)[0]
+        plain.run(1)
+
+        assert not entry.get("nan_aborted")
+        assert all(math.isfinite(v) for v in entry.values() if isinstance(v, (int, float)))
+        got, want = buffers[2], buffers[3]
+        assert got.dones[0, 1] == 1.0 and got.rewards[0, 1] == 0.0
+        others = [i for i in range(poked.cfg.ppo.n_envs) if i != 1]
+        for name in self.ROWS:
+            a, b = getattr(got, name)[:, others], getattr(want, name)[:, others]
+            assert a.tobytes() == b.tobytes(), name
+        # the diverged env started a new episode and kept stepping
+        assert np.isfinite(got.o[1:, 1]).all() and got.dones[1:, 1].sum() < got.horizon - 1
