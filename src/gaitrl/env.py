@@ -359,8 +359,10 @@ class TerrainEnv:
             raise ValueError("action outside configured bound")
 
         st = self.state
-        # once per step: a non-finite value on entry need not raise below
-        # (a joint stop clamps an infinite joint angle)
+        # a state the previous step left is finite (checked after its
+        # substeps); this catches one set from outside (a caller writing
+        # env.state), whose non-finite value need not raise or survive below:
+        # a joint stop clamps an infinite joint angle back to its limit
         if not _state_is_finite(st):
             return self._diverged()
         dr = self.dr
@@ -376,8 +378,8 @@ class TerrainEnv:
         torque_acc = np.zeros(N_JOINTS)
         target = action_targets(model, applied)
         # no check per substep: a state that turns non-finite inside the loop
-        # makes the physics raise (int(nan) in a cell lookup, math.cos(inf))
-        # or leaves z non-finite for _check_termination
+        # either makes the physics raise (int(nan) in a cell lookup,
+        # math.cos(inf)) or is caught by the check after the loop
         try:
             for _ in range(substeps):
                 tau = pd_torques(
@@ -392,6 +394,8 @@ class TerrainEnv:
             if _state_is_finite(st):
                 raise
             return self._diverged()
+        if not _state_is_finite(st):
+            return self._diverged()
         st.joint_torque = torque_acc / substeps
         st.joint_acc = (st.joint_vel - qd_before) / self.cfg.dt
 
@@ -402,8 +406,6 @@ class TerrainEnv:
         self.step_count += 1
 
         termination = self._check_termination()
-        if termination == "diverged":
-            return self._diverged()
         self._done = termination != "none"
 
         o_t = build_o_t(st, self.commands, self.last_action, out=self._o_t)
@@ -499,4 +501,4 @@ class TerrainEnv:
                 return "fall"
         if not terrain.is_void(st.x) and st.z - self.model.base_half_height < terrain.height_at(st.x):
             return "collision"
-        return "diverged" if not math.isfinite(st.z) else "none"
+        return "none"

@@ -322,12 +322,21 @@ class Trainer:
 
     def _start_metrics(self, resuming: bool) -> None:
         """Start ``metrics.jsonl``: empty for a fresh run; on resume, the lines
-        up to the checkpoint's iteration, kept byte for byte."""
+        up to the checkpoint's iteration, kept byte for byte.
+
+        The lines after the checkpoint's iteration were appended after it was
+        saved, so a crash can leave a partial last line; keeping stops at the
+        first line that is not a whole JSON record.
+        """
         kept = []
         if resuming and os.path.exists(self.metrics_path):
             with open(self.metrics_path) as f:
                 for line in f:
-                    if json.loads(line)["iteration"] > self.iteration:
+                    try:
+                        iteration = json.loads(line)["iteration"]
+                    except (ValueError, KeyError, TypeError):
+                        break
+                    if not line.endswith("\n") or iteration > self.iteration:
                         break
                     kept.append(line)
         with open(self.metrics_path, "w") as f:

@@ -391,6 +391,29 @@ class TestDivergence:
         assert res.distance == last.distance
         assert len(calls) == 3  # math.cos(inf) raised in the fourth substep
 
+    @pytest.mark.parametrize(("component", "value"), [("pitch_rate", math.inf), ("vx", math.nan)])
+    def test_state_turning_non_finite_in_the_last_substep_diverges(
+        self, monkeypatch, component, value
+    ):
+        # the last substep raises nothing, so the check after the loop must
+        # keep the state out of _check_termination and build_o_t
+        env, last = self.walk()
+        calls = []
+
+        def blow_up_last(model, state, *args):
+            substep(model, state, *args)
+            calls.append(1)
+            if len(calls) == env.cfg.substeps:
+                setattr(state, component, value)
+
+        substep = env_module.substep
+        monkeypatch.setattr(env_module, "substep", blow_up_last)
+        res = env.step(np.zeros(N_JOINTS))
+        assert len(calls) == env.cfg.substeps
+        assert res.termination == "diverged" and res.done
+        assert res.distance == last.distance
+        assert bundle_is_finite(res.bundle)
+
     def test_error_on_a_finite_state_still_raises(self, monkeypatch):
         env, _ = self.walk()
 

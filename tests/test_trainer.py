@@ -290,6 +290,19 @@ class TestResume:
         assert lines[0] == first[0]
         assert [json.loads(line)["iteration"] for line in lines] == [1, 2]
 
+    def test_resume_drops_a_truncated_trailing_line(self, tmp_path):
+        cfg = tiny_cfg(**{"train.checkpoint_every": 2})
+        out = tmp_path / "run"
+        train_stage1(cfg, seed=4, out_dir=str(out), iterations=3)
+        lines = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        # a crash while writing line 3 leaves part of it
+        (out / "metrics.jsonl").write_bytes(b"".join(lines[:2]) + lines[2][:20])
+        resume = load_checkpoint(out / "checkpoint_000002.json")
+        Trainer(tiny_cfg(), seed=4, stage=1, out_dir=str(out), resume=resume).run(1)
+        kept = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        assert kept[:2] == lines[:2]
+        assert [json.loads(line)["iteration"] for line in kept] == [1, 2, 3]
+
     def test_fresh_run_starts_an_empty_file(self, tmp_path):
         (tmp_path / "metrics.jsonl").write_text('{"iteration": 9}\n')
         train_stage1(tiny_cfg(), seed=4, out_dir=str(tmp_path), iterations=1)
