@@ -10,6 +10,7 @@ report numbers are exactly recomputable.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -126,6 +127,35 @@ class PolicyController:
         return np.minimum(np.maximum(res.action, -bound), bound)
 
 
+def eval_episode(controller, terrain, model: BipedModel, env_cfg: EnvConfig, *,
+                 v_cmd: float, gait_id: int | None, max_episode_s: float, seed: int):
+    """One evaluation episode, a control step at a time.
+
+    Evaluation runs without external pushes (those are a training-time
+    disturbance) and with identity domain randomization.  Yields
+    ``(env, bundle, action, result)`` per step, where ``bundle`` is the
+    observation ``action`` was chosen from and ``env`` is past the step; ends
+    after the step that ends the episode, and a caller may stop earlier.
+    """
+    cfg = EnvConfig(
+        **{**env_cfg.__dict__, "max_episode_s": max_episode_s, "push_vel_max": 0.0}
+    )
+    env = TerrainEnv(model, cfg, seed=seed)
+    gait = one_hot(gait_id, cfg.n_gaits) if gait_id is not None else np.zeros(cfg.n_gaits)
+    bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=v_cmd, gait=gait))
+    while True:
+        action = controller.act(bundle, env.commands, env.state)
+        res = env.step(action)
+        yield env, bundle, action, res
+        if res.done:
+            return
+        bundle = res.bundle
+
+
+def _finite_or_none(v: float):
+    return v if math.isfinite(v) else None
+
+
 def run_trial(
     controller,
     terrain,
@@ -140,47 +170,44 @@ def run_trial(
     trace_file=None,
     reward_cfg: RewardConfig | None = None,
 ) -> dict:
-    """One evaluation episode; returns the trial summary.
+    """One evaluation episode (see :func:`eval_episode`); returns the trial summary.
 
-    Trials run without external pushes (those are a training-time
-    disturbance) and with identity domain randomization.  The trace scores
-    its reward terms with ``reward_cfg`` (the default ``RewardConfig()``
-    when omitted).
+    The trace scores its reward terms with ``reward_cfg`` (the default
+    ``RewardConfig()`` when omitted).  A step that ends ``"diverged"`` is
+    scored zero on every term, as the trainer scores it, and its non-finite
+    state fields are written as ``null``, so every trace line is strict JSON.
     """
-    cfg_ep = EnvConfig(
-        **{**env_cfg.__dict__, "max_episode_s": timeout_s, "push_vel_max": 0.0}
-    )
-    env = TerrainEnv(model, cfg_ep, seed=seed)
-    gait = one_hot(gait_id, cfg_ep.n_gaits) if gait_id is not None else np.zeros(cfg_ep.n_gaits)
-    bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=v_cmd, gait=gait))
     reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
     a_prev = np.zeros(N_JOINTS)
     a_prev2 = np.zeros(N_JOINTS)
     distance = 0.0
     success = False
-    termination = "timeout"
-    steps = 0
-    while True:
-        action = controller.act(bundle, env.commands, env.state)
-        res = env.step(action)
-        steps += 1
+    episode = eval_episode(
+        controller, terrain, model, env_cfg,
+        v_cmd=v_cmd, gait_id=gait_id, max_episode_s=timeout_s, seed=seed,
+    )
+    # the episode ends on a terminating step, so the loop ends on one or on the goal
+    for steps, (env, _, action, res) in enumerate(episode, 1):
         distance = max(res.distance, distance)
         if trace_file is not None:
-            bd = locomotion_rewards(
-                env.state, env.commands, action, a_prev, a_prev2, cfg_ep.dt,
-                reward_cfg, model,
-            )
+            st = env.state
+            if res.termination == "diverged":
+                rewards = {}
+            else:
+                rewards = locomotion_rewards(
+                    st, env.commands, action, a_prev, a_prev2, env.cfg.dt, reward_cfg, model
+                ).weighted
             trace_file.write(
                 json.dumps(
                     {
                         "step": steps,
-                        "t": round(env.state.time, 6),
-                        "x": env.state.x,
-                        "z": env.state.z,
-                        "pitch": env.state.pitch,
-                        "vx": env.state.vx,
+                        "t": _finite_or_none(round(st.time, 6)),
+                        "x": _finite_or_none(st.x),
+                        "z": _finite_or_none(st.z),
+                        "pitch": _finite_or_none(st.pitch),
+                        "vx": _finite_or_none(st.vx),
                         "action": [round(float(a), 6) for a in action],
-                        "rewards": {k: v for k, v in bd.weighted.items()},
+                        "rewards": rewards,
                         "distance": res.distance,
                         "termination": res.termination,
                     },
@@ -192,16 +219,11 @@ def run_trial(
             a_prev = action
         if res.distance >= goal_m:
             success = True
-            termination = "goal"
             break
-        if res.done:
-            termination = res.termination
-            break
-        bundle = res.bundle
     return {
         "success": success,
         "distance": min(max(distance, 0.0), goal_m),
-        "termination": termination,
+        "termination": "goal" if success else res.termination,
         "steps": steps,
         "seed": seed,
     }
@@ -223,7 +245,6 @@ def run_benchmark(
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     for obstacle, mode in suite.cells:
-        trace_path = None
         trace_file = None
         if out_dir:
             trace_path = os.path.join(out_dir, f"trace_{method}_{obstacle}_{mode}.jsonl")
@@ -325,29 +346,27 @@ def measure_gait_attribute(
     ``attribute``: "squat_height" (mean base height above the lower foot) or
     "knee_lift" (mean per-cycle swing-knee apex above local ground).
     """
+    if attribute not in ("squat_height", "knee_lift"):
+        raise ValueError(f"unknown gait attribute: {attribute!r}")
     controller = PolicyController(policy, gait_id=gait_id)
     per_rollout = []
     for k in range(n_rollouts):
-        env_cfg = EnvConfig(**{**cfg.env.__dict__, "max_episode_s": rollout_s})
-        env = TerrainEnv(cfg.model, env_cfg, seed=seed + k)
         terrain = generate_terrain(
             terrain_kind, 0.0, seed=seed + k,
             track_length=cfg.terrain.track_length,
             cell_size=cfg.terrain.cell_size,
         )
-        bundle = env.reset(
-            terrain, DRConfig.identity(),
-            CommandState(v_cmd=0.4, gait=one_hot(gait_id, env_cfg.n_gaits)),
-        )
         values = []
         apex = 0.0
         prev_max = 0.0
-        while True:
-            res = env.step(controller.act(bundle, env.commands, env.state))
+        for env, _, _, _ in eval_episode(
+            controller, terrain, cfg.model, cfg.env,
+            v_cmd=0.4, gait_id=gait_id, max_episode_s=rollout_s, seed=seed + k,
+        ):
             st = env.state
             if attribute == "squat_height":
                 values.append(st.z - min(st.foot_pos[0, 1], st.foot_pos[1, 1]))
-            elif attribute == "knee_lift":
+            else:
                 cur = float(np.max(st.knee_heights))
                 # record apexes: local maxima of the swing knee height
                 if cur < prev_max - 1e-3 and prev_max > 0.0:
@@ -355,11 +374,6 @@ def measure_gait_attribute(
                     apex = 0.0
                 apex = max(apex, cur)
                 prev_max = cur
-            else:
-                raise ValueError(f"unknown gait attribute: {attribute!r}")
-            if res.done:
-                break
-            bundle = res.bundle
         if values:
             per_rollout.append(float(np.mean(values)))
     if not per_rollout:
@@ -494,21 +508,16 @@ def collect_latent_samples(
     samples = []
     for kind in terrain_kinds:
         for gid in range(cfg.env.n_gaits):
-            env = TerrainEnv(cfg.model, cfg.env, seed=seed)
             terrain = generate_terrain(
                 kind, 0.3, seed=seed,
                 track_length=cfg.terrain.track_length,
                 cell_size=cfg.terrain.cell_size,
             )
             gait = one_hot(gid, cfg.env.n_gaits)
-            bundle = env.reset(
-                terrain, DRConfig.identity(), CommandState(v_cmd=0.5, gait=gait)
+            episode = eval_episode(
+                PolicyController(policy, gait_id=gid), terrain, cfg.model, cfg.env,
+                v_cmd=0.5, gait_id=gid, max_episode_s=cfg.env.max_episode_s, seed=seed,
             )
-            controller = PolicyController(policy, gait_id=gid)
-            for _ in range(steps_per_combo):
+            for _, (_, bundle, _, _) in zip(range(steps_per_combo), episode):
                 samples.append((bundle.copy(), gait.copy(), kind))
-                res = env.step(controller.act(bundle, env.commands, env.state))
-                if res.done:
-                    break
-                bundle = res.bundle
     return samples

@@ -123,25 +123,6 @@ def leg_points(
     return (kx, kz), (ax, az), (fx, fz)
 
 
-def leg_jacobian(model: BipedModel, pitch: float, q: np.ndarray) -> np.ndarray:
-    """d(foot xz)/d(hip, knee, ankle); column 0 doubles as d/d(pitch)."""
-    a1 = pitch + q[0]
-    a2 = a1 + q[1]
-    a3 = a2 + q[2]
-    c1, s1 = math.cos(a1), math.sin(a1)
-    c2, s2 = math.cos(a2), math.sin(a2)
-    c3, s3 = math.cos(a3), math.sin(a3)
-    l1, l2, l3 = model.thigh_len, model.shin_len, model.foot_len
-    j = np.empty((2, 3))
-    j[0, 2] = l3 * c3
-    j[1, 2] = l3 * s3
-    j[0, 1] = l2 * c2 + j[0, 2]
-    j[1, 1] = l2 * s2 + j[1, 2]
-    j[0, 0] = l1 * c1 + j[0, 1]
-    j[1, 0] = l1 * s1 + j[1, 1]
-    return j
-
-
 @dataclass
 class BipedState:
     """Full mutable simulation state plus per-control-step derived quantities."""

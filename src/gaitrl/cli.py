@@ -26,6 +26,7 @@ from .bench import (
 from .config import (
     RunConfig,
     apply_ablation,
+    config_from_dict,
     config_hash,
     config_to_dict,
     load_config,
@@ -33,6 +34,7 @@ from .config import (
 from .policy import LatentTable, export_residual_latents
 from .refmotion import GAIT_NAMES, gen_reference_clip
 from .trainer import (
+    Trainer,
     TrainingDiverged,
     load_checkpoint,
     policy_from_checkpoint,
@@ -57,11 +59,6 @@ def _common_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory")
     p.add_argument("--ablation", choices=ABLATIONS)
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force sequential, fully reproducible execution (always on; accepted for compatibility)",
-    )
 
 
 def build_parser() -> _Parser:
@@ -131,6 +128,25 @@ def _load_ckpt(path: str) -> dict:
         raise UsageError(f"invalid checkpoint {path}: {e}")
 
 
+def _eval_config(args, doc: dict) -> RunConfig:
+    """The config an evaluation of checkpoint ``doc`` runs under.
+
+    Without ``--config``, the config the checkpoint was trained with (with
+    ``--ablation`` applied).  With it, ``--config``, provided its ``model``
+    and ``env`` sections, which the policy and the env are built from, are
+    the checkpoint's.
+    """
+    ck_cfg = config_from_dict(doc["config"])
+    if not args.config:
+        return apply_ablation(ck_cfg, args.ablation)
+    cfg = _load_run_config(args)
+    mine, theirs = config_to_dict(cfg), config_to_dict(ck_cfg)
+    for section in ("model", "env"):
+        if mine[section] != theirs[section]:
+            raise UsageError(f"--config: its {section} section differs from the checkpoint's")
+    return cfg
+
+
 def _need_out(args) -> str:
     if not args.out:
         raise UsageError("this command needs --out")
@@ -163,8 +179,6 @@ def cmd_train_stage1(args) -> int:
     if args.checkpoint and args.resume:
         raise UsageError("--checkpoint (warm start) and --resume are mutually exclusive")
     if args.resume:
-        from .trainer import Trainer
-
         trainer = Trainer(cfg, args.seed, stage=1, out_dir=out, resume=_load_ckpt(args.resume))
         history = trainer.run(args.iterations)
     else:
@@ -199,12 +213,10 @@ def cmd_train_stage2(args) -> int:
 
 
 def cmd_eval_bench(args) -> int:
-    cfg = _load_run_config(args)
     out = _need_out(args)
     doc = _load_ckpt(args.checkpoint)
+    cfg = _eval_config(args, doc)
     policy = policy_from_checkpoint(doc, cfg)
-    if args.ablation == "blind":
-        cfg.env.blind = True
     gait_id = args.gait
     if gait_id is None and policy.mode.stage >= 2:
         gait_id = 0
@@ -223,9 +235,9 @@ def cmd_eval_bench(args) -> int:
 
 
 def cmd_export_latents(args) -> int:
-    cfg = _load_run_config(args)
     out = _need_out(args)
     doc = _load_ckpt(args.checkpoint)
+    cfg = _eval_config(args, doc)
     policy = policy_from_checkpoint(doc, cfg)
     if policy.mode.stage < 2:
         raise UsageError("export-latents needs a stage-2 checkpoint")
@@ -277,17 +289,16 @@ def cmd_analyze_latents(args) -> int:
 
 
 def cmd_gait_modulation(args) -> int:
-    cfg = _load_run_config(args)
     entries = []
     for path in args.checkpoint:
         doc = _load_ckpt(path)
-        from .config import config_from_dict
-
-        ck_cfg = config_from_dict(doc["config"])
-        policy = policy_from_checkpoint(doc, ck_cfg)
+        cfg = _eval_config(args, doc)
+        # the target column is what each checkpoint was trained for
+        cfg.rewards = config_from_dict(doc["config"]).rewards
+        policy = policy_from_checkpoint(doc, cfg)
         if policy.mode.stage < 2:
             raise UsageError(f"gait-modulation needs stage-2 checkpoints: {path}")
-        entries.append((policy, ck_cfg, os.path.basename(path)))
+        entries.append((policy, cfg, os.path.basename(path)))
     gait_id = 2 if args.attribute == "squat_height" else 1
     rows = run_gait_modulation(
         entries, gait_id, args.attribute, n_rollouts=args.rollouts, seed=args.seed

@@ -167,12 +167,6 @@ class NetGrads:
         for b, ob in zip(self.biases, other.biases):
             b += scale * ob
 
-    def scale_(self, c: float) -> None:
-        for w in self.weights:
-            w *= c
-        for b in self.biases:
-            b *= c
-
     def params(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):

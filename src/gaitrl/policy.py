@@ -196,10 +196,6 @@ class BundleBatch:
             e=np.stack([b.e for b in bundles]),
         )
 
-    @classmethod
-    def from_single(cls, b: ObservationBundle) -> "BundleBatch":
-        return cls.stack([b])
-
 
 @dataclass
 class ResidualCache:
@@ -436,7 +432,7 @@ class ActorCritic:
         rng: np.random.Generator | None = None,
         deterministic: bool = False,
     ) -> ActResult:
-        batch = BundleBatch.from_single(bundle)
+        batch = BundleBatch.stack([bundle])
         mean, cache = self.actor_mean(batch, None if gait is None else gait[None, :])
         mean = mean[0]
         z_p = None
@@ -583,7 +579,7 @@ def export_residual_latents(policy: ActorCritic, samples) -> LatentTable:
         raise ValueError("latent export needs a stage-2 policy with a residual module")
     zs, ws, gl, tl = [], [], [], []
     for bundle, gait, terrain_label in samples:
-        batch = BundleBatch.from_single(bundle)
+        batch = BundleBatch.stack([bundle])
         feats, _, _ = policy.encode_features(batch)
         z_p, w, _ = policy.residual.forward(feats, np.atleast_2d(gait))
         zs.append(z_p[0])

@@ -89,17 +89,6 @@ def implied_base_height(frame: np.ndarray, model: BipedModel) -> float:
     return drop
 
 
-def swing_knee_height(frame: np.ndarray, model: BipedModel) -> float:
-    """Height of the higher knee above ground for a grounded frame."""
-    base = implied_base_height(frame, model)
-    best = -np.inf
-    for side in (0, 1):
-        hip = frame[3 * side]
-        knee_z = base - model.thigh_len * math.cos(hip)
-        best = max(best, knee_z)
-    return best
-
-
 def _hump(phase: float) -> float:
     # one-sided squared sinusoid: swing shaping, exactly zero half the cycle
     s = math.sin(phase)

@@ -147,12 +147,14 @@ class Heightfield:
             return cls.from_json_dict(json.load(f))
 
 
-def _blank(track_length: float, cell_size: float) -> Heightfield:
+def _blank(track_length: float, cell_size: float, kind: str, difficulty: float) -> Heightfield:
     n = int(round(track_length / cell_size))
     return Heightfield(
         cell_size=cell_size,
         heights=np.zeros(n),
         void=np.zeros(n, dtype=bool),
+        kind=kind,
+        difficulty=difficulty,
     )
 
 
@@ -160,13 +162,62 @@ def _lerp(lo: float, hi: float, t: float) -> float:
     return lo + (hi - lo) * t
 
 
-def _carve_gap(hf: Heightfield, x_start: float, width: float, surface: float) -> None:
-    i0 = hf.cell_at(x_start)
-    n = max(1, int(round(width / hf.cell_size)))
-    i1 = min(i0 + n, hf.n_cells)
-    hf.heights[i0:i1] = surface + VOID_DEPTH
-    hf.void[i0:i1] = True
-    hf.obstacles.append(Obstacle("gap", width, i0, i1, surface))
+def _fill(hf: Heightfield, x: float, length: float, level: float) -> tuple[int, int]:
+    """Set the cells from ``x`` through ``x + length`` to ``level``; returns their range."""
+    i0 = hf.cell_at(x)
+    i1 = min(hf.cell_at(x + length) + 1, hf.n_cells)
+    hf.heights[i0:i1] = level
+    return i0, i1
+
+
+def _lay_out(hf: Heightfield, kind: str, rng: np.random.Generator, size,
+             gap_spacing_hi: float, track_length: float, start_clear: float) -> None:
+    """Lay gap, step or stair obstacles along ``hf`` from ``start_clear`` on.
+
+    ``size()`` gives the gap width, step height or stair rise of each
+    obstacle just before it is placed, so a sampler that draws from ``rng``
+    draws ahead of that obstacle's spacing.  Gaps are ``uniform(1.2,
+    gap_spacing_hi)`` apart.
+    """
+    x = start_clear
+    level = 0.0
+    if kind == "gap":
+        while True:
+            width = size()
+            if x + width + 1.0 >= track_length:
+                return
+            i0 = hf.cell_at(x)
+            n = max(1, int(round(width / hf.cell_size)))
+            i1 = min(i0 + n, hf.n_cells)
+            hf.heights[i0:i1] = VOID_DEPTH  # cut from level ground
+            hf.void[i0:i1] = True
+            hf.obstacles.append(Obstacle("gap", width, i0, i1, 0.0))
+            x += width + rng.uniform(1.2, gap_spacing_hi)
+
+    if kind == "step":
+        up = True
+        while x + 1.0 < track_length:
+            height = size()
+            level = level + height if up else max(level - height, 0.0)
+            up = not up
+            run = rng.uniform(1.0, 1.8)
+            hf.obstacles.append(Obstacle("step", height, *_fill(hf, x, run, level), level))
+            x += run
+        return
+
+    # stair: flights of rising steps with landings between
+    run = 0.30
+    while x + run + 1.5 < track_length:
+        for _ in range(int(rng.integers(3, 6))):
+            if x + run + 1.5 >= track_length:
+                break
+            rise = size()
+            level += rise
+            hf.obstacles.append(Obstacle("stair", rise, *_fill(hf, x, run, level), level))
+            x += run
+        landing = rng.uniform(1.0, 2.0)
+        _fill(hf, x, landing, level)
+        x += landing
 
 
 def generate_terrain(
@@ -189,9 +240,7 @@ def generate_terrain(
     rng = np.random.default_rng(
         np.random.SeedSequence([TERRAIN_KINDS.index(kind), seed & 0xFFFFFFFF])
     )
-    hf = _blank(track_length, cell_size)
-    hf.kind = kind
-    hf.difficulty = float(difficulty)
+    hf = _blank(track_length, cell_size, kind, float(difficulty))
 
     if kind == "flat":
         return hf
@@ -203,51 +252,9 @@ def generate_terrain(
         hf.obstacles.append(Obstacle("rough", amp, n0, hf.n_cells, 0.0))
         return hf
 
-    if kind == "gap":
-        width = _lerp(*GAP_RANGE, difficulty)
-        x = start_clear
-        while x + width + 1.0 < track_length:
-            _carve_gap(hf, x, width, 0.0)
-            x += width + rng.uniform(1.2, 2.2)
-        return hf
-
-    if kind == "step":
-        height = _lerp(*STEP_RANGE, difficulty)
-        x = start_clear
-        level = 0.0
-        up = True
-        while x + 1.0 < track_length:
-            level = level + height if up else max(level - height, 0.0)
-            up = not up
-            i0 = hf.cell_at(x)
-            run = rng.uniform(1.0, 1.8)
-            i1 = min(hf.cell_at(x + run) + 1, hf.n_cells)
-            hf.heights[i0:i1] = level
-            hf.obstacles.append(Obstacle("step", height, i0, i1, level))
-            x += run
-        return hf
-
-    # stair: flights of rising steps with landings between
-    rise = _lerp(*STAIR_RANGE, difficulty)
-    run = 0.30
-    x = start_clear
-    level = 0.0
-    while x + run + 1.5 < track_length:
-        flight = int(rng.integers(3, 6))
-        for _ in range(flight):
-            if x + run + 1.5 >= track_length:
-                break
-            level += rise
-            i0 = hf.cell_at(x)
-            i1 = min(hf.cell_at(x + run) + 1, hf.n_cells)
-            hf.heights[i0:i1] = level
-            hf.obstacles.append(Obstacle("stair", rise, i0, i1, level))
-            x += run
-        landing = rng.uniform(1.0, 2.0)
-        i0 = hf.cell_at(x)
-        i1 = min(hf.cell_at(x + landing) + 1, hf.n_cells)
-        hf.heights[i0:i1] = level
-        x += landing
+    ranges = {"gap": GAP_RANGE, "step": STEP_RANGE, "stair": STAIR_RANGE}
+    value = _lerp(*ranges[kind], difficulty)
+    _lay_out(hf, kind, rng, lambda: value, 2.2, track_length, start_clear)
     return hf
 
 
@@ -270,54 +277,6 @@ def build_benchmark_track(
             [0xBE, TERRAIN_KINDS.index(obstacle), 0 if mode == "easy" else 1, seed & 0xFFFFFFFF]
         )
     )
-    hf = _blank(track_length, cell_size)
-    hf.kind = obstacle
-    hf.difficulty = 1.0 if mode == "hard" else 0.5
-
-    if obstacle == "gap":
-        x = start_clear
-        while True:
-            width = rng.uniform(lo, hi)
-            if x + width + 1.0 >= track_length:
-                break
-            _carve_gap(hf, x, width, 0.0)
-            x += width + rng.uniform(1.2, 2.0)
-        return hf
-
-    if obstacle == "step":
-        x = start_clear
-        level = 0.0
-        up = True
-        while x + 1.0 < track_length:
-            height = rng.uniform(lo, hi)
-            level = level + height if up else max(level - height, 0.0)
-            up = not up
-            run = rng.uniform(1.0, 1.8)
-            i0 = hf.cell_at(x)
-            i1 = min(hf.cell_at(x + run) + 1, hf.n_cells)
-            hf.heights[i0:i1] = level
-            hf.obstacles.append(Obstacle("step", height, i0, i1, level))
-            x += run
-        return hf
-
-    x = start_clear
-    level = 0.0
-    run = 0.30
-    while x + run + 1.5 < track_length:
-        flight = int(rng.integers(3, 6))
-        for _ in range(flight):
-            if x + run + 1.5 >= track_length:
-                break
-            rise = rng.uniform(lo, hi)
-            level += rise
-            i0 = hf.cell_at(x)
-            i1 = min(hf.cell_at(x + run) + 1, hf.n_cells)
-            hf.heights[i0:i1] = level
-            hf.obstacles.append(Obstacle("stair", rise, i0, i1, level))
-            x += run
-        landing = rng.uniform(1.0, 2.0)
-        i0 = hf.cell_at(x)
-        i1 = min(hf.cell_at(x + landing) + 1, hf.n_cells)
-        hf.heights[i0:i1] = level
-        x += landing
+    hf = _blank(track_length, cell_size, obstacle, 1.0 if mode == "hard" else 0.5)
+    _lay_out(hf, obstacle, rng, lambda: rng.uniform(lo, hi), 2.0, track_length, start_clear)
     return hf

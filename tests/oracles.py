@@ -7,9 +7,26 @@ backward paths, so the two routes stay independent.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
+
+from gaitrl.bench import PolicyController
+from gaitrl.biped import N_JOINTS
+from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
+from gaitrl.rewards import RewardConfig, locomotion_rewards
+from gaitrl.terrain import (
+    BENCH_RANGES,
+    GAP_RANGE,
+    ROUGH_RANGE,
+    STAIR_RANGE,
+    STEP_RANGE,
+    TERRAIN_KINDS,
+    VOID_DEPTH,
+    Heightfield,
+    Obstacle,
+)
 
 
 def central_diff_params(f, params: list[np.ndarray], step: float = 1e-5) -> list[np.ndarray]:
@@ -463,3 +480,282 @@ def ref_residual_latents(policy, samples):
 def ref_normalizer_dict(normalizer, encode_array) -> dict:
     """The normalizer's eight arrays, encoded in declaration order."""
     return {k: encode_array(getattr(normalizer, k)) for k in NORMALIZER_FIELDS}
+
+
+# -- terrain layout and evaluation episodes as they were written out per use ----
+#
+# ``generate_terrain`` and ``build_benchmark_track`` each carried their own
+# gap/step/stair layout, and ``run_trial``, ``measure_gait_attribute`` and
+# ``collect_latent_samples`` each built their own env and ran their own
+# episode loop.  tests/test_layout_oracle.py holds the shared layout routine
+# and the shared episode generator to these byte for byte.
+
+
+def _ref_blank(track_length, cell_size):
+    n = int(round(track_length / cell_size))
+    return Heightfield(cell_size=cell_size, heights=np.zeros(n), void=np.zeros(n, dtype=bool))
+
+
+def _ref_lerp(lo, hi, t):
+    return lo + (hi - lo) * t
+
+
+def _ref_carve_gap(hf, x_start, width, surface):
+    i0 = hf.cell_at(x_start)
+    n = max(1, int(round(width / hf.cell_size)))
+    i1 = min(i0 + n, hf.n_cells)
+    hf.heights[i0:i1] = surface + VOID_DEPTH
+    hf.void[i0:i1] = True
+    hf.obstacles.append(Obstacle("gap", width, i0, i1, surface))
+
+
+def ref_generate_terrain(kind, difficulty, seed, track_length=14.0, cell_size=0.05,
+                         start_clear=2.0):
+    if kind not in TERRAIN_KINDS:
+        raise ValueError(f"unknown terrain kind: {kind!r}")
+    if not 0.0 <= difficulty <= 1.0:
+        raise ValueError("difficulty must be in [0, 1]")
+    rng = np.random.default_rng(
+        np.random.SeedSequence([TERRAIN_KINDS.index(kind), seed & 0xFFFFFFFF])
+    )
+    hf = _ref_blank(track_length, cell_size)
+    hf.kind = kind
+    hf.difficulty = float(difficulty)
+    if kind == "flat":
+        return hf
+    if kind == "rough":
+        amp = _ref_lerp(*ROUGH_RANGE, difficulty)
+        n0 = hf.cell_at(start_clear)
+        hf.heights[n0:] = rng.uniform(-amp, amp, size=hf.n_cells - n0)
+        hf.obstacles.append(Obstacle("rough", amp, n0, hf.n_cells, 0.0))
+        return hf
+    if kind == "gap":
+        width = _ref_lerp(*GAP_RANGE, difficulty)
+        x = start_clear
+        while x + width + 1.0 < track_length:
+            _ref_carve_gap(hf, x, width, 0.0)
+            x += width + rng.uniform(1.2, 2.2)
+        return hf
+    if kind == "step":
+        height = _ref_lerp(*STEP_RANGE, difficulty)
+        x = start_clear
+        level = 0.0
+        up = True
+        while x + 1.0 < track_length:
+            level = level + height if up else max(level - height, 0.0)
+            up = not up
+            i0 = hf.cell_at(x)
+            run = rng.uniform(1.0, 1.8)
+            i1 = min(hf.cell_at(x + run) + 1, hf.n_cells)
+            hf.heights[i0:i1] = level
+            hf.obstacles.append(Obstacle("step", height, i0, i1, level))
+            x += run
+        return hf
+    rise = _ref_lerp(*STAIR_RANGE, difficulty)
+    run = 0.30
+    x = start_clear
+    level = 0.0
+    while x + run + 1.5 < track_length:
+        flight = int(rng.integers(3, 6))
+        for _ in range(flight):
+            if x + run + 1.5 >= track_length:
+                break
+            level += rise
+            i0 = hf.cell_at(x)
+            i1 = min(hf.cell_at(x + run) + 1, hf.n_cells)
+            hf.heights[i0:i1] = level
+            hf.obstacles.append(Obstacle("stair", rise, i0, i1, level))
+            x += run
+        landing = rng.uniform(1.0, 2.0)
+        i0 = hf.cell_at(x)
+        i1 = min(hf.cell_at(x + landing) + 1, hf.n_cells)
+        hf.heights[i0:i1] = level
+        x += landing
+    return hf
+
+
+def ref_build_benchmark_track(obstacle, mode, seed, track_length=14.0, cell_size=0.05,
+                              start_clear=2.0):
+    if obstacle not in ("gap", "step", "stair"):
+        raise ValueError(f"unknown benchmark obstacle: {obstacle!r}")
+    if mode not in ("easy", "hard"):
+        raise ValueError(f"unknown benchmark mode: {mode!r}")
+    lo, hi = BENCH_RANGES[(obstacle, mode)]
+    rng = np.random.default_rng(
+        np.random.SeedSequence(
+            [0xBE, TERRAIN_KINDS.index(obstacle), 0 if mode == "easy" else 1, seed & 0xFFFFFFFF]
+        )
+    )
+    hf = _ref_blank(track_length, cell_size)
+    hf.kind = obstacle
+    hf.difficulty = 1.0 if mode == "hard" else 0.5
+    if obstacle == "gap":
+        x = start_clear
+        while True:
+            width = rng.uniform(lo, hi)
+            if x + width + 1.0 >= track_length:
+                break
+            _ref_carve_gap(hf, x, width, 0.0)
+            x += width + rng.uniform(1.2, 2.0)
+        return hf
+    if obstacle == "step":
+        x = start_clear
+        level = 0.0
+        up = True
+        while x + 1.0 < track_length:
+            height = rng.uniform(lo, hi)
+            level = level + height if up else max(level - height, 0.0)
+            up = not up
+            run = rng.uniform(1.0, 1.8)
+            i0 = hf.cell_at(x)
+            i1 = min(hf.cell_at(x + run) + 1, hf.n_cells)
+            hf.heights[i0:i1] = level
+            hf.obstacles.append(Obstacle("step", height, i0, i1, level))
+            x += run
+        return hf
+    x = start_clear
+    level = 0.0
+    run = 0.30
+    while x + run + 1.5 < track_length:
+        flight = int(rng.integers(3, 6))
+        for _ in range(flight):
+            if x + run + 1.5 >= track_length:
+                break
+            rise = rng.uniform(lo, hi)
+            level += rise
+            i0 = hf.cell_at(x)
+            i1 = min(hf.cell_at(x + run) + 1, hf.n_cells)
+            hf.heights[i0:i1] = level
+            hf.obstacles.append(Obstacle("stair", rise, i0, i1, level))
+            x += run
+        landing = rng.uniform(1.0, 2.0)
+        i0 = hf.cell_at(x)
+        i1 = min(hf.cell_at(x + landing) + 1, hf.n_cells)
+        hf.heights[i0:i1] = level
+        x += landing
+    return hf
+
+
+def ref_run_trial(controller, terrain, model, env_cfg, *, v_cmd=0.6, gait_id=None,
+                  timeout_s=40.0, goal_m=14.0, seed=0, trace_file=None, reward_cfg=None):
+    cfg_ep = EnvConfig(**{**env_cfg.__dict__, "max_episode_s": timeout_s, "push_vel_max": 0.0})
+    env = TerrainEnv(model, cfg_ep, seed=seed)
+    gait = one_hot(gait_id, cfg_ep.n_gaits) if gait_id is not None else np.zeros(cfg_ep.n_gaits)
+    bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=v_cmd, gait=gait))
+    reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
+    a_prev = np.zeros(N_JOINTS)
+    a_prev2 = np.zeros(N_JOINTS)
+    distance = 0.0
+    success = False
+    termination = "timeout"
+    steps = 0
+    while True:
+        action = controller.act(bundle, env.commands, env.state)
+        res = env.step(action)
+        steps += 1
+        distance = max(res.distance, distance)
+        if trace_file is not None:
+            bd = locomotion_rewards(
+                env.state, env.commands, action, a_prev, a_prev2, cfg_ep.dt, reward_cfg, model,
+            )
+            trace_file.write(
+                json.dumps(
+                    {
+                        "step": steps,
+                        "t": round(env.state.time, 6),
+                        "x": env.state.x,
+                        "z": env.state.z,
+                        "pitch": env.state.pitch,
+                        "vx": env.state.vx,
+                        "action": [round(float(a), 6) for a in action],
+                        "rewards": {k: v for k, v in bd.weighted.items()},
+                        "distance": res.distance,
+                        "termination": res.termination,
+                    },
+                    sort_keys=True,
+                )
+                + "\n"
+            )
+            a_prev2 = a_prev
+            a_prev = action
+        if res.distance >= goal_m:
+            success = True
+            termination = "goal"
+            break
+        if res.done:
+            termination = res.termination
+            break
+        bundle = res.bundle
+    return {
+        "success": success,
+        "distance": min(max(distance, 0.0), goal_m),
+        "termination": termination,
+        "steps": steps,
+        "seed": seed,
+    }
+
+
+def ref_measure_gait_attribute(policy, cfg, gait_id, attribute, n_rollouts=10, rollout_s=6.0,
+                               seed=0, terrain_kind="flat"):
+    """Keeps ``cfg.env``'s pushes, as the per-use loop did."""
+    controller = PolicyController(policy, gait_id=gait_id)
+    per_rollout = []
+    for k in range(n_rollouts):
+        env_cfg = EnvConfig(**{**cfg.env.__dict__, "max_episode_s": rollout_s})
+        env = TerrainEnv(cfg.model, env_cfg, seed=seed + k)
+        terrain = ref_generate_terrain(
+            terrain_kind, 0.0, seed=seed + k,
+            track_length=cfg.terrain.track_length, cell_size=cfg.terrain.cell_size,
+        )
+        bundle = env.reset(
+            terrain, DRConfig.identity(),
+            CommandState(v_cmd=0.4, gait=one_hot(gait_id, env_cfg.n_gaits)),
+        )
+        values = []
+        apex = 0.0
+        prev_max = 0.0
+        while True:
+            res = env.step(controller.act(bundle, env.commands, env.state))
+            st = env.state
+            if attribute == "squat_height":
+                values.append(st.z - min(st.foot_pos[0, 1], st.foot_pos[1, 1]))
+            elif attribute == "knee_lift":
+                cur = float(np.max(st.knee_heights))
+                if cur < prev_max - 1e-3 and prev_max > 0.0:
+                    values.append(apex)
+                    apex = 0.0
+                apex = max(apex, cur)
+                prev_max = cur
+            else:
+                raise ValueError(f"unknown gait attribute: {attribute!r}")
+            if res.done:
+                break
+            bundle = res.bundle
+        if values:
+            per_rollout.append(float(np.mean(values)))
+    if not per_rollout:
+        raise RuntimeError("no usable rollouts for gait measurement")
+    return float(np.mean(per_rollout)), float(np.std(per_rollout))
+
+
+def ref_collect_latent_samples(policy, cfg, terrain_kinds=("flat", "gap", "step"),
+                               steps_per_combo=40, seed=0):
+    """Keeps ``cfg.env``'s pushes, as the per-use loop did."""
+    samples = []
+    for kind in terrain_kinds:
+        for gid in range(cfg.env.n_gaits):
+            env = TerrainEnv(cfg.model, cfg.env, seed=seed)
+            terrain = ref_generate_terrain(
+                kind, 0.3, seed=seed,
+                track_length=cfg.terrain.track_length, cell_size=cfg.terrain.cell_size,
+            )
+            gait = one_hot(gid, cfg.env.n_gaits)
+            bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=0.5, gait=gait))
+            controller = PolicyController(policy, gait_id=gid)
+            for _ in range(steps_per_combo):
+                samples.append((bundle.copy(), gait.copy(), kind))
+                res = env.step(controller.act(bundle, env.commands, env.state))
+                if res.done:
+                    break
+                bundle = res.bundle
+    return samples

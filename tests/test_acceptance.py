@@ -7,12 +7,7 @@ finishes in seconds.  Budgets and tolerances are fixed here, not tuned at
 call time.
 """
 
-import json
-import math
-import os
-
 import numpy as np
-import pytest
 
 from gaitrl.amp import (
     WindowBuffer,
@@ -32,7 +27,7 @@ from gaitrl.bench import (
 from gaitrl.biped import N_JOINTS, BipedModel
 from gaitrl.config import RunConfig, config_from_dict, config_to_dict
 from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
-from gaitrl.nets import AdamState, make_net, net_backward, net_forward, softmax
+from gaitrl.nets import AdamState, net_backward, net_forward
 from gaitrl.policy import (
     ActorCritic,
     BundleBatch,
@@ -41,16 +36,15 @@ from gaitrl.policy import (
     ResidualModule,
     gaussian_log_prob_batch,
 )
-from gaitrl.ppo import PPOConfig, compute_gae, ppo_loss_and_grads
+from gaitrl.ppo import PPOConfig, ppo_loss_and_grads
 from gaitrl.rewards import RewardConfig, gait_rewards, locomotion_rewards
 from gaitrl.terrain import (
     GAP_RANGE,
     STAIR_RANGE,
     STEP_RANGE,
-    build_benchmark_track,
     generate_terrain,
 )
-from gaitrl.trainer import Trainer, train_stage1, train_stage2
+from gaitrl.trainer import train_stage1
 
 from oracles import central_diff_params, rel_err
 from test_rewards import dual_locomotion, random_inputs, random_state

@@ -11,7 +11,7 @@ from gaitrl.amp import (
     style_reward,
     style_reward_value,
 )
-from gaitrl.nets import AdamState, DenseNet, Layer, net_forward
+from gaitrl.nets import AdamState, DenseNet, Layer
 
 from oracles import central_diff_params, rel_err
 

@@ -7,17 +7,21 @@ from gaitrl.bench import (
     BenchmarkReport,
     BenchmarkSuite,
     analyze_latents,
+    measure_gait_attribute,
     pca_2d,
     recompute_cell_from_trace,
     run_benchmark,
     run_trial,
     silhouette_score,
 )
-from gaitrl.biped import N_JOINTS, BipedModel
+from gaitrl.biped import N_JOINTS
 from gaitrl.config import RunConfig
 from gaitrl.controllers import ConstantController, ScriptedWalker
 from gaitrl.policy import LatentTable
 from gaitrl.terrain import generate_terrain
+
+from oracles import ref_measure_gait_attribute
+from test_inference_oracle import make_policy
 
 
 def small_cfg():
@@ -59,6 +63,64 @@ class TestTraceRewards:
             assert "collision" not in r["rewards"]
             assert 0.0 < r["rewards"]["track_lin_vel"] <= 7.0
         assert max(r["rewards"]["track_lin_vel"] for r in steps) > 2.0
+
+
+class PoisonAtStep:
+    """ScriptedWalker that sets ``state.vx = nan`` as it acts for step ``k`` of each trial."""
+
+    def __init__(self, model, k, dt):
+        self.walker = ScriptedWalker(model)
+        self.t_poison = (k - 1) * dt
+
+    def act(self, bundle, commands, state):
+        action = self.walker.act(bundle, commands, state)
+        if abs(state.time - self.t_poison) < 1e-9:
+            state.vx = float("nan")
+        return action
+
+
+def strict_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+class TestDivergedTrace:
+    def test_trace_of_a_diverged_step_is_strict_json(self, tmp_path):
+        cfg = small_cfg()
+        suite = BenchmarkSuite(cells=(("gap", "easy"),), trials=2, seed_base=0)
+        controller = PoisonAtStep(cfg.model, 10, cfg.env.dt)
+        report = run_benchmark(controller, cfg, suite, method="nan", out_dir=str(tmp_path))
+        trace = tmp_path / "trace_nan_gap_easy.jsonl"
+        with open(trace) as f:
+            records = [json.loads(line, parse_constant=strict_constant) for line in f]
+        diverged = [r for r in records if r.get("termination") == "diverged" and "step" in r]
+        assert [r["step"] for r in diverged] == [10, 10]
+        for r in diverged:
+            assert r["rewards"] == {}
+            assert r["vx"] is None
+            assert all(isinstance(r[k], float) for k in ("t", "x", "z", "pitch", "distance"))
+        ends = [r for r in records if "trial_end" in r]
+        assert [r["termination"] for r in ends] == ["diverged", "diverged"]
+        succ, dist = recompute_cell_from_trace(trace, goal_m=suite.goal_m)
+        cell = report.cell("gap", "easy")
+        assert succ == cell.success_rate
+        assert dist == cell.mean_distance
+
+
+class TestPushFreeEvaluation:
+    def test_squat_measure_does_not_depend_on_push_strength(self):
+        policy = make_policy(2)
+        measured, kept_pushes = [], []
+        for push_vel_max in (0.0, 0.5):
+            cfg = small_cfg()
+            cfg.env.push_interval_s = 0.1
+            cfg.env.push_vel_max = push_vel_max
+            measured.append(measure_gait_attribute(policy, cfg, 2, "squat_height", n_rollouts=3))
+            kept_pushes.append(
+                ref_measure_gait_attribute(policy, cfg, 2, "squat_height", n_rollouts=3)
+            )
+        # with the training-time pushes kept, the pushes do reach these rollouts
+        assert kept_pushes[0] != kept_pushes[1]
+        assert measured[0] == measured[1] == kept_pushes[0]
 
 
 class TestRunBenchmark:

@@ -1,15 +1,14 @@
+import dataclasses
 import json
 import os
 
-import numpy as np
 import pytest
 
 from gaitrl.cli import cli
-from gaitrl.config import RunConfig, config_to_dict, save_config
+from gaitrl.config import RunConfig, config_from_dict, config_hash, save_config
 
 
-@pytest.fixture
-def tiny_config(tmp_path):
+def tiny_cfg(**over) -> RunConfig:
     cfg = RunConfig()
     cfg.terrain.kinds = ("flat",)
     cfg.train.dr_enabled = False
@@ -30,8 +29,16 @@ def tiny_config(tmp_path):
     cfg.amp.disc_hidden = (10,)
     cfg.curriculum.enabled = False
     cfg.bench.trials = 2
+    for key, value in over.items():
+        section, name = key.split(".")
+        setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{name: value}))
+    return cfg
+
+
+@pytest.fixture
+def tiny_config(tmp_path):
     path = tmp_path / "config.json"
-    save_config(cfg, path)
+    save_config(tiny_cfg(), path)
     return str(path)
 
 
@@ -150,3 +157,107 @@ class TestPipeline:
         assert rc == 0
         report = json.loads((lat / "latent_report.json").read_text())
         assert report["n_samples"] > 0
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The tiny config, a stage-1 and a stage-2 checkpoint trained under it."""
+    root = tmp_path_factory.mktemp("trained")
+    path = str(root / "config.json")
+    save_config(tiny_cfg(), path)
+    s1, s2 = root / "s1", root / "s2"
+    assert cli(["train-stage1", "--config", path, "--seed", "0", "--out", str(s1)]) == 0
+    assert cli(["train-stage2", "--config", path, "--seed", "0",
+                "--checkpoint", str(s1 / "checkpoint_final.json"), "--out", str(s2)]) == 0
+    return path, str(s1 / "checkpoint_final.json"), str(s2 / "checkpoint_final.json")
+
+
+EVAL_COMMANDS = {
+    "eval-bench": ["--trials", "1"],
+    "export-latents": [],
+    "gait-modulation": ["--rollouts", "1"],
+}
+
+
+class TestEvaluationConfig:
+    def test_eval_bench_defaults_to_the_checkpoints_config(self, trained, tmp_path):
+        config, _, ckpt = trained
+        reports = []
+        for name, flags in (("own", []), ("given", ["--config", config])):
+            out = tmp_path / name
+            assert cli(["eval-bench", *flags, "--seed", "7", "--checkpoint", ckpt,
+                        "--out", str(out), "--trials", "1"]) == 0
+            reports.append((out / "report_policy.json").read_bytes())
+        assert reports[0] == reports[1]
+        with open(ckpt) as f:
+            stamped = config_from_dict(json.load(f)["config"])
+        report_hash = json.loads(reports[0])["config_hash"]
+        assert report_hash == config_hash(stamped) != config_hash(RunConfig())
+
+    def test_export_latents_defaults_to_the_checkpoints_config(self, trained, tmp_path):
+        config, _, ckpt = trained
+        tables = []
+        for name, flags in (("own", []), ("given", ["--config", config])):
+            out = tmp_path / name
+            assert cli(["export-latents", *flags, "--seed", "1", "--checkpoint", ckpt,
+                        "--out", str(out)]) == 0
+            tables.append((out / "latents.json").read_bytes())
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("command", sorted(EVAL_COMMANDS))
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "base_mass", 11.5),
+        ("env", "max_episode_s", 3.0),
+    ])
+    def test_config_of_another_model_or_env_is_a_usage_error(
+        self, trained, tmp_path, capsys, command, section, key, value
+    ):
+        _, _, ckpt = trained
+        other = tmp_path / "other.json"
+        save_config(tiny_cfg(**{f"{section}.{key}": value}), other)
+        rc = cli([command, "--config", str(other), "--checkpoint", ckpt,
+                  "--out", str(tmp_path / "out"), *EVAL_COMMANDS[command]])
+        assert rc == 1
+        assert f"its {section} section differs from the checkpoint's" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+    def test_config_differing_outside_model_and_env_is_used(self, trained, tmp_path):
+        _, _, ckpt = trained
+        other = tmp_path / "other.json"
+        save_config(tiny_cfg(**{"bench.timeout_s": 0.06}), other)
+        out = tmp_path / "out"
+        assert cli(["eval-bench", "--config", str(other), "--checkpoint", ckpt,
+                    "--out", str(out), "--trials", "1"]) == 0
+        ends = [
+            json.loads(line)
+            for trace in out.glob("trace_*.jsonl")
+            for line in trace.read_text().splitlines()
+            if "trial_end" in line
+        ]
+        assert len(ends) == 6
+        assert all(e["steps"] <= 3 for e in ends)
+
+
+class TestGaitModulation:
+    def test_table_from_the_tiny_config(self, trained, tmp_path, capsys):
+        config, _, ckpt = trained
+        outs = []
+        for name, flags in (("own", []), ("given", ["--config", config])):
+            out = tmp_path / name
+            assert cli(["gait-modulation", *flags, "--checkpoint", ckpt, "--rollouts", "2",
+                        "--out", str(out)]) == 0
+            outs.append((out / "gait_modulation.json").read_bytes())
+        assert outs[0] == outs[1]
+        doc = json.loads(outs[0])
+        (row,) = doc["rows"]
+        assert row["label"] == "checkpoint_final.json"
+        assert row["attribute"] == "squat_height"
+        assert row["target"] == tiny_cfg().rewards.squat_height_target
+        assert row["rollouts"] == 2
+        assert 0.0 < row["achieved_mean"] < 2.0 and row["achieved_std"] >= 0.0
+        assert "checkpoint_final.json" in capsys.readouterr().out
+
+    def test_stage1_checkpoint_is_a_usage_error(self, trained, capsys):
+        _, s1, _ = trained
+        assert cli(["gait-modulation", "--checkpoint", s1]) == 1
+        assert "stage-2" in capsys.readouterr().err

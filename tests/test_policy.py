@@ -13,7 +13,6 @@ from gaitrl.policy import (
     PolicyMode,
     ResidualModule,
     export_residual_latents,
-    gaussian_log_prob,
 )
 from gaitrl.terrain import generate_terrain
 

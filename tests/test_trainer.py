@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from gaitrl.trainer import (
     Trainer,
     load_checkpoint,
     policy_from_checkpoint,
-    save_checkpoint,
     train_stage1,
     train_stage2,
     update_curriculum,
