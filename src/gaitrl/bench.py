@@ -13,10 +13,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .biped import BipedModel, N_JOINTS
+from .codec import encode, write_json
 from .config import RunConfig, config_hash
 from .env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from .policy import ActorCritic
@@ -53,41 +55,15 @@ class CellResult:
 
 @dataclass
 class BenchmarkReport:
+    format_version: ClassVar[int] = REPORT_FORMAT_VERSION
     method: str
     gait: str
-    cells: list
+    cells: list[CellResult]
     config_hash: str = ""
-    format_version: int = REPORT_FORMAT_VERSION
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "method": self.method,
-            "gait": self.gait,
-            "config_hash": self.config_hash,
-            "cells": [
-                {
-                    "obstacle": c.obstacle,
-                    "mode": c.mode,
-                    "success_rate": c.success_rate,
-                    "mean_distance": c.mean_distance,
-                    "trials": c.trials,
-                    "seeds": c.seeds,
-                }
-                for c in self.cells
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BenchmarkReport":
-        if d.get("format_version") != REPORT_FORMAT_VERSION:
-            raise ValueError(f"unsupported report version: {d.get('format_version')}")
-        return cls(
-            method=d["method"],
-            gait=d["gait"],
-            config_hash=d.get("config_hash", ""),
-            cells=[CellResult(**c) for c in d["cells"]],
-        )
+        """The report document, as ``report_<method>.json`` holds it."""
+        return encode(self)
 
     def cell(self, obstacle: str, mode: str) -> CellResult:
         for c in self.cells:
@@ -306,8 +282,7 @@ def run_benchmark(
         method=method, gait=gait_name, cells=cells, config_hash=config_hash(cfg)
     )
     if out_dir:
-        with open(os.path.join(out_dir, f"report_{method}.json"), "w") as f:
-            json.dump(report.to_json_dict(), f, sort_keys=True, indent=2)
+        write_json(os.path.join(out_dir, f"report_{method}.json"), report, indent=2)
         with open(os.path.join(out_dir, f"report_{method}.txt"), "w") as f:
             f.write(report.text_table() + "\n")
     return report
@@ -355,6 +330,7 @@ def measure_gait_attribute(
             terrain_kind, 0.0, seed=seed + k,
             track_length=cfg.terrain.track_length,
             cell_size=cfg.terrain.cell_size,
+            start_clear=cfg.terrain.start_clear,
         )
         values = []
         apex = 0.0
@@ -417,21 +393,12 @@ def run_gait_modulation(
 
 @dataclass
 class LatentReport:
+    format_version: ClassVar[int] = 1
     coords: np.ndarray  # [N, 2] deterministic linear projection
     silhouette: float | None
     degenerate: bool
-    gate_usage: dict  # gait label -> mean gate weights
+    gate_usage: dict[str, np.ndarray]  # gait label -> mean gate weights
     n_samples: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "coords": [[float(a), float(b)] for a, b in self.coords],
-            "silhouette": self.silhouette,
-            "degenerate": self.degenerate,
-            "gate_usage": {k: [float(x) for x in v] for k, v in self.gate_usage.items()},
-            "n_samples": self.n_samples,
-        }
 
 
 def pca_2d(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,6 +479,7 @@ def collect_latent_samples(
                 kind, 0.3, seed=seed,
                 track_length=cfg.terrain.track_length,
                 cell_size=cfg.terrain.cell_size,
+                start_clear=cfg.terrain.start_clear,
             )
             gait = one_hot(gid, cfg.env.n_gaits)
             episode = eval_episode(

@@ -23,10 +23,10 @@ from .bench import (
     run_benchmark,
     run_gait_modulation,
 )
+from .codec import read_json, write_json
 from .config import (
     RunConfig,
     apply_ablation,
-    config_from_dict,
     config_hash,
     config_to_dict,
     load_config,
@@ -34,6 +34,7 @@ from .config import (
 from .policy import LatentTable, export_residual_latents
 from .refmotion import GAIT_NAMES, gen_reference_clip
 from .trainer import (
+    Checkpoint,
     Trainer,
     TrainingDiverged,
     load_checkpoint,
@@ -112,31 +113,31 @@ def _load_run_config(args) -> RunConfig:
             raise UsageError(f"config file not found: {args.config}")
         try:
             cfg = load_config(args.config)
-        except (json.JSONDecodeError, ValueError) as e:
+        except ValueError as e:
             raise UsageError(f"invalid config {args.config}: {e}")
     else:
         cfg = RunConfig()
     return apply_ablation(cfg, getattr(args, "ablation", None))
 
 
-def _load_ckpt(path: str) -> dict:
+def _load_ckpt(path: str) -> Checkpoint:
     if not os.path.exists(path):
         raise UsageError(f"checkpoint not found: {path}")
     try:
         return load_checkpoint(path)
-    except (json.JSONDecodeError, ValueError, KeyError) as e:
+    except ValueError as e:
         raise UsageError(f"invalid checkpoint {path}: {e}")
 
 
-def _eval_config(args, doc: dict) -> RunConfig:
-    """The config an evaluation of checkpoint ``doc`` runs under.
+def _eval_config(args, ckpt: Checkpoint) -> RunConfig:
+    """The config an evaluation of checkpoint ``ckpt`` runs under.
 
     Without ``--config``, the config the checkpoint was trained with (with
     ``--ablation`` applied).  With it, ``--config``, provided its ``model``
     and ``env`` sections, which the policy and the env are built from, are
     the checkpoint's.
     """
-    ck_cfg = config_from_dict(doc["config"])
+    ck_cfg = ckpt.config
     if not args.config:
         return apply_ablation(ck_cfg, args.ablation)
     cfg = _load_run_config(args)
@@ -167,7 +168,7 @@ def cmd_gen_refs(args) -> int:
     for name in ("walk", "run", "high_knees", "squat"):
         clip = gen_reference_clip(name, cfg.gaits.clip_params, cfg.gaits.clip_seed, cfg.model)
         path = os.path.join(out, f"clip_{name}.json")
-        clip.save(path)
+        write_json(path, clip)
         print(f"{name}: gait_id={clip.gait_id} frames={len(clip.frames)} "
               f"duration={clip.duration:.2f}s -> {path}")
     return 0
@@ -214,9 +215,9 @@ def cmd_train_stage2(args) -> int:
 
 def cmd_eval_bench(args) -> int:
     out = _need_out(args)
-    doc = _load_ckpt(args.checkpoint)
-    cfg = _eval_config(args, doc)
-    policy = policy_from_checkpoint(doc, cfg)
+    ckpt = _load_ckpt(args.checkpoint)
+    cfg = _eval_config(args, ckpt)
+    policy = policy_from_checkpoint(ckpt, cfg)
     gait_id = args.gait
     if gait_id is None and policy.mode.stage >= 2:
         gait_id = 0
@@ -236,26 +237,15 @@ def cmd_eval_bench(args) -> int:
 
 def cmd_export_latents(args) -> int:
     out = _need_out(args)
-    doc = _load_ckpt(args.checkpoint)
-    cfg = _eval_config(args, doc)
-    policy = policy_from_checkpoint(doc, cfg)
+    ckpt = _load_ckpt(args.checkpoint)
+    cfg = _eval_config(args, ckpt)
+    policy = policy_from_checkpoint(ckpt, cfg)
     if policy.mode.stage < 2:
         raise UsageError("export-latents needs a stage-2 checkpoint")
     samples = collect_latent_samples(policy, cfg, seed=args.seed)
     table = export_residual_latents(policy, samples)
     path = os.path.join(out, "latents.json")
-    with open(path, "w") as f:
-        json.dump(
-            {
-                "format_version": 1,
-                "z_prime": table.z_prime.tolist(),
-                "gate_w": table.gate_w.tolist(),
-                "gait_labels": table.gait_labels.tolist(),
-                "terrain_labels": table.terrain_labels,
-            },
-            f,
-            sort_keys=True,
-        )
+    write_json(path, table)
     print(f"exported {len(table.gait_labels)} latent rows -> {path}")
     return 0
 
@@ -263,21 +253,14 @@ def cmd_export_latents(args) -> int:
 def cmd_analyze_latents(args) -> int:
     if not os.path.exists(args.latents):
         raise UsageError(f"latents file not found: {args.latents}")
-    with open(args.latents) as f:
-        d = json.load(f)
-    if d.get("format_version") != 1:
-        raise UsageError("unsupported latents file version")
-    table = LatentTable(
-        z_prime=np.array(d["z_prime"]),
-        gate_w=np.array(d["gate_w"]),
-        gait_labels=np.array(d["gait_labels"]),
-        terrain_labels=d["terrain_labels"],
-    )
+    try:
+        table = read_json(LatentTable, args.latents)
+    except ValueError as e:
+        raise UsageError(f"invalid latents {args.latents}: {e}")
     report = analyze_latents(table)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "latent_report.json"), "w") as f:
-            json.dump(report.to_json_dict(), f, sort_keys=True)
+        write_json(os.path.join(args.out, "latent_report.json"), report)
     if report.degenerate:
         print("latents degenerate (all identical); silhouette undefined")
     else:
@@ -291,11 +274,11 @@ def cmd_analyze_latents(args) -> int:
 def cmd_gait_modulation(args) -> int:
     entries = []
     for path in args.checkpoint:
-        doc = _load_ckpt(path)
-        cfg = _eval_config(args, doc)
+        ckpt = _load_ckpt(path)
+        cfg = _eval_config(args, ckpt)
         # the target column is what each checkpoint was trained for
-        cfg.rewards = config_from_dict(doc["config"]).rewards
-        policy = policy_from_checkpoint(doc, cfg)
+        cfg.rewards = ckpt.config.rewards
+        policy = policy_from_checkpoint(ckpt, cfg)
         if policy.mode.stage < 2:
             raise UsageError(f"gait-modulation needs stage-2 checkpoints: {path}")
         entries.append((policy, cfg, os.path.basename(path)))

@@ -8,12 +8,13 @@ is stamped into reports and checkpoints.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .biped import BipedModel
+from .codec import decode, encode, write_json
 from .env import EnvConfig
 from .policy import PolicyArch, PolicyMode
 from .ppo import PPOConfig
@@ -84,6 +85,7 @@ class TrainConfig:
 
 @dataclass
 class RunConfig:
+    format_version: ClassVar[int] = CONFIG_FORMAT_VERSION
     model: BipedModel = field(default_factory=BipedModel)
     env: EnvConfig = field(default_factory=EnvConfig)
     terrain: TerrainConfig = field(default_factory=TerrainConfig)
@@ -99,65 +101,14 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
-_SECTIONS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-
-def _to_jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, tuple):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    return obj
-
-
-def _fill_dataclass(cls, data: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
-    defaults = cls()
-    kwargs = {}
-    for name, f in fields.items():
-        if name not in data:
-            kwargs[name] = getattr(defaults, name)
-            continue
-        value = data[name]
-        current = getattr(defaults, name)
-        if dataclasses.is_dataclass(current) and isinstance(value, dict):
-            kwargs[name] = _fill_dataclass(type(current), value, f"{path}.{name}")
-        elif isinstance(current, dict):
-            kwargs[name] = {**current, **value}  # partial dicts override defaults
-        elif isinstance(current, tuple):
-            kwargs[name] = tuple(
-                tuple(v) if isinstance(v, list) else v for v in value
-            )
-        else:
-            kwargs[name] = value
-    return cls(**kwargs)
-
-
 def config_to_dict(cfg: RunConfig) -> dict:
-    d = _to_jsonable(cfg)
-    d["format_version"] = CONFIG_FORMAT_VERSION
-    return d
+    return encode(cfg)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    data = dict(data)
-    version = data.pop("format_version", CONFIG_FORMAT_VERSION)
-    if version != CONFIG_FORMAT_VERSION:
-        raise ValueError(f"unsupported config version: {version}")
-    unknown = set(data) - set(_SECTIONS)
-    if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    kwargs = {}
-    for name in _SECTIONS:
-        section = data.get(name, {})
-        default = getattr(RunConfig(), name)
-        kwargs[name] = _fill_dataclass(type(default), section, name)
-    return RunConfig(**kwargs)
+    """The config ``data`` describes; a key it leaves out (``format_version``
+    too) takes its default, and a partial dict merges into the default one."""
+    return decode(RunConfig, {"format_version": CONFIG_FORMAT_VERSION, **data})
 
 
 def canonical_json(cfg: RunConfig) -> str:
@@ -174,8 +125,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
+    write_json(path, cfg, indent=2)
 
 
 def apply_ablation(cfg: RunConfig, ablation: str | None) -> RunConfig:

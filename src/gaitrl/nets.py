@@ -12,15 +12,17 @@ batch are summed.
 
 from __future__ import annotations
 
-import base64
 import math
 from dataclasses import dataclass
+from typing import NewType
 
 import numpy as np
 
 ACTIVATIONS = ("tanh", "relu", "elu", "identity")
 
-NET_FORMAT_VERSION = 1
+# The annotation of float64 state that the codec stores packed (the base64 of
+# its little-endian bytes, bit-exact) rather than as nested lists.
+PackedArray = NewType("PackedArray", np.ndarray)
 
 
 def _act(name: str, s: np.ndarray) -> np.ndarray:
@@ -300,8 +302,17 @@ def softmax(w: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+@dataclass(init=False, eq=False)
 class AdamState:
     """Bias-corrected Adam over an arbitrary list of parameter arrays."""
+
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    step_count: int
+    m: list[PackedArray]
+    v: list[PackedArray]
 
     def __init__(
         self,
@@ -320,29 +331,6 @@ class AdamState:
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-
-    def state_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "step_count": self.step_count,
-            "m": [encode_array(a) for a in self.m],
-            "v": [encode_array(a) for a in self.v],
-        }
-
-    @classmethod
-    def from_state_dict(cls, d: dict) -> "AdamState":
-        obj = cls.__new__(cls)
-        obj.lr = d["lr"]
-        obj.beta1 = d["beta1"]
-        obj.beta2 = d["beta2"]
-        obj.eps = d["eps"]
-        obj.step_count = d["step_count"]
-        obj.m = [decode_array(a) for a in d["m"]]
-        obj.v = [decode_array(a) for a in d["v"]]
-        return obj
 
 
 def adam_step(
@@ -379,67 +367,3 @@ def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
         for g in grads:
             g *= scale
     return total
-
-
-# --- serialization ---------------------------------------------------------
-#
-# A network is stored as a JSON shape manifest plus one flat float64 array in
-# declared layer order (W0 row-major, b0, W1, b1, ...).  Raw little-endian
-# bytes are used so round-trips are bit-exact.
-
-
-def net_manifest(net: DenseNet) -> dict:
-    return {
-        "format_version": NET_FORMAT_VERSION,
-        "layers": [
-            {
-                "in": int(l.weight.shape[1]),
-                "out": int(l.weight.shape[0]),
-                "activation": l.activation,
-            }
-            for l in net.layers
-        ],
-    }
-
-
-def net_to_flat(net: DenseNet) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in net.params()]).astype(np.float64)
-
-
-def net_from_manifest(manifest: dict, flat: np.ndarray) -> DenseNet:
-    if manifest.get("format_version") != NET_FORMAT_VERSION:
-        raise ValueError(f"unsupported net manifest version: {manifest.get('format_version')}")
-    flat = np.asarray(flat, dtype=np.float64)
-    layers = []
-    pos = 0
-    for spec in manifest["layers"]:
-        n_in, n_out = spec["in"], spec["out"]
-        w = flat[pos : pos + n_out * n_in].reshape(n_out, n_in).copy()
-        pos += n_out * n_in
-        b = flat[pos : pos + n_out].copy()
-        pos += n_out
-        layers.append(Layer(w, b, spec["activation"]))
-    if pos != flat.size:
-        raise ValueError(f"flat array has {flat.size} values, manifest expects {pos}")
-    return DenseNet(layers)
-
-
-def encode_array(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    return {
-        "shape": list(a.shape),
-        "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii"),
-    }
-
-
-def decode_array(d: dict) -> np.ndarray:
-    raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"]).copy()
-
-
-def net_to_dict(net: DenseNet) -> dict:
-    return {"manifest": net_manifest(net), "flat": encode_array(net_to_flat(net))}
-
-
-def net_from_dict(d: dict) -> DenseNet:
-    return net_from_manifest(d["manifest"], decode_array(d["flat"]))

@@ -16,22 +16,22 @@ actor path never sees a privileged array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from .biped import BipedModel, N_JOINTS
+from .codec import encode
 from .env import DR_RANGES, EnvConfig, ObservationBundle, obs_dims
 from .nets import (
+    DenseNet,
     GradientTape,
     NetGrads,
-    decode_array,
-    encode_array,
+    PackedArray,
     make_net,
     net_backward,
     net_forward,
-    net_from_dict,
-    net_to_dict,
     softmax,
 )
 
@@ -46,18 +46,6 @@ class PolicyMode:
     residual_fusion: str = "latent"  # or "action"
     one_stage: bool = False
     n_experts: int = 3
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "residual_fusion": self.residual_fusion,
-            "one_stage": self.one_stage,
-            "n_experts": self.n_experts,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicyMode":
-        return cls(**d)
 
 
 @dataclass
@@ -75,17 +63,6 @@ class PolicyArch:
     log_std_min: float = -4.0
     log_std_max: float = 1.0
 
-    def to_dict(self) -> dict:
-        return {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in self.__dict__.items()
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicyArch":
-        kw = {k: (tuple(v) if isinstance(v, list) else v) for k, v in d.items()}
-        return cls(**kw)
-
 
 @dataclass
 class ObservationNormalizer:
@@ -96,14 +73,14 @@ class ObservationNormalizer:
     tiled over the history; :meth:`norm_hist` reads it from there.
     """
 
-    o_shift: np.ndarray
-    o_scale: np.ndarray
-    scan_shift: np.ndarray
-    scan_scale: np.ndarray
-    m_shift: np.ndarray
-    m_scale: np.ndarray
-    e_shift: np.ndarray
-    e_scale: np.ndarray
+    o_shift: PackedArray
+    o_scale: PackedArray
+    scan_shift: PackedArray
+    scan_scale: PackedArray
+    m_shift: PackedArray
+    m_scale: PackedArray
+    e_shift: PackedArray
+    e_scale: PackedArray
 
     def norm_o(self, o):
         return (o - self.o_shift) * self.o_scale
@@ -121,13 +98,6 @@ class ObservationNormalizer:
 
     def norm_e(self, e):
         return (e - self.e_shift) * self.e_scale
-
-    def to_dict(self) -> dict:
-        return {k: encode_array(v) for k, v in self.__dict__.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObservationNormalizer":
-        return cls(**{k: decode_array(v) for k, v in d.items()})
 
 
 def build_normalizer(model: BipedModel, env_cfg: EnvConfig) -> ObservationNormalizer:
@@ -207,8 +177,15 @@ class ResidualCache:
     z: np.ndarray  # [B, out], the gate-weighted sum of the expert outputs
 
 
+@dataclass(init=False, eq=False)
 class ResidualModule:
     """Mixture of experts over [actor features, gait command]."""
+
+    feat_dim: int
+    gait_dim: int
+    out_dim: int
+    experts: list[DenseNet]
+    gate: DenseNet
 
     def __init__(
         self,
@@ -281,24 +258,31 @@ class ResidualModule:
         # input layout is [feats, gait]; the gait slice carries no gradient out
         return grads, d_in[:, : self.feat_dim]
 
-    def to_dict(self) -> dict:
-        return {
-            "feat_dim": self.feat_dim,
-            "gait_dim": self.gait_dim,
-            "out_dim": self.out_dim,
-            "experts": [net_to_dict(n) for n in self.experts],
-            "gate": net_to_dict(self.gate),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResidualModule":
-        obj = cls.__new__(cls)
-        obj.feat_dim = d["feat_dim"]
-        obj.gait_dim = d["gait_dim"]
-        obj.out_dim = d["out_dim"]
-        obj.experts = [net_from_dict(e) for e in d["experts"]]
-        obj.gate = net_from_dict(d["gate"])
-        return obj
+@dataclass
+class PolicyNets:
+    scan_enc: DenseNet
+    hist_enc: DenseNet
+    trunk: DenseNet
+    head: DenseNet
+    critic: DenseNet
+
+
+NET_NAMES = tuple(f.name for f in fields(PolicyNets))
+ACTOR_NET_NAMES = ("scan_enc", "hist_enc", "trunk", "head")
+
+
+@dataclass
+class PolicyState:
+    """What a policy saves: a checkpoint's ``policy`` document."""
+
+    format_version: ClassVar[int] = POLICY_FORMAT_VERSION
+    arch: PolicyArch
+    mode: PolicyMode
+    nets: PolicyNets
+    log_std: PackedArray
+    normalizer: ObservationNormalizer
+    residual: ResidualModule | None = None
 
 
 @dataclass
@@ -492,59 +476,42 @@ class ActorCritic:
 
     # -- persistence -----------------------------------------------------------
 
+    def state(self) -> PolicyState:
+        """The policy's arrays as they are (no copy), for the codec."""
+        return PolicyState(
+            arch=self.arch,
+            mode=self.mode,
+            nets=PolicyNets(**{name: getattr(self, name) for name in NET_NAMES}),
+            log_std=self.log_std,
+            normalizer=self.normalizer,
+            residual=self.residual,
+        )
+
     def to_dict(self) -> dict:
-        d = {
-            "format_version": POLICY_FORMAT_VERSION,
-            "arch": self.arch.to_dict(),
-            "mode": self.mode.to_dict(),
-            "nets": {
-                "scan_enc": net_to_dict(self.scan_enc),
-                "hist_enc": net_to_dict(self.hist_enc),
-                "trunk": net_to_dict(self.trunk),
-                "head": net_to_dict(self.head),
-                "critic": net_to_dict(self.critic),
-            },
-            "log_std": encode_array(self.log_std),
-            "normalizer": self.normalizer.to_dict(),
-        }
-        if self.residual is not None:
-            d["residual"] = self.residual.to_dict()
-        return d
+        """The policy document, as a checkpoint stores it."""
+        return encode(self.state())
 
     @classmethod
-    def from_dict(
-        cls, d: dict, model: BipedModel, env_cfg: EnvConfig
-    ) -> "ActorCritic":
-        if d.get("format_version") != POLICY_FORMAT_VERSION:
-            raise ValueError(f"unsupported policy version: {d.get('format_version')}")
-        arch = PolicyArch.from_dict(d["arch"])
-        mode = PolicyMode.from_dict(d["mode"])
-        obj = cls(model, env_cfg, arch, mode, seed=0)
-        obj.scan_enc = net_from_dict(d["nets"]["scan_enc"])
-        obj.hist_enc = net_from_dict(d["nets"]["hist_enc"])
-        obj.trunk = net_from_dict(d["nets"]["trunk"])
-        obj.head = net_from_dict(d["nets"]["head"])
-        obj.critic = net_from_dict(d["nets"]["critic"])
-        obj.log_std = decode_array(d["log_std"])
-        obj.normalizer = ObservationNormalizer.from_dict(d["normalizer"])
-        obj.residual = ResidualModule.from_dict(d["residual"]) if "residual" in d else None
+    def from_state(cls, state: PolicyState, model: BipedModel, env_cfg: EnvConfig) -> "ActorCritic":
+        """A policy that takes over ``state``'s arrays."""
+        obj = cls(model, env_cfg, state.arch, state.mode, seed=0)
+        obj._adopt(state, NET_NAMES)
+        obj.residual = state.residual
         return obj
 
-    def load_stage1_weights(self, d: dict) -> None:
-        """Adopt a stage-1 checkpoint's actor into this (stage-2) policy."""
-        if d.get("format_version") != POLICY_FORMAT_VERSION:
-            raise ValueError("unsupported policy version")
-        src_arch = PolicyArch.from_dict(d["arch"])
-        if src_arch.d_z != self.arch.d_z:
+    def load_stage1_weights(self, state: PolicyState) -> None:
+        """Take over a stage-1 policy's actor: encoders, trunk, head, log_std, normalizer."""
+        if state.arch.d_z != self.arch.d_z:
             raise ValueError(
-                f"latent width mismatch: checkpoint d_z={src_arch.d_z}, model d_z={self.arch.d_z}"
+                f"latent width mismatch: checkpoint d_z={state.arch.d_z}, model d_z={self.arch.d_z}"
             )
-        self.scan_enc = net_from_dict(d["nets"]["scan_enc"])
-        self.hist_enc = net_from_dict(d["nets"]["hist_enc"])
-        self.trunk = net_from_dict(d["nets"]["trunk"])
-        self.head = net_from_dict(d["nets"]["head"])
-        self.log_std = decode_array(d["log_std"])
-        self.normalizer = ObservationNormalizer.from_dict(d["normalizer"])
+        self._adopt(state, ACTOR_NET_NAMES)
+
+    def _adopt(self, state: PolicyState, names: tuple) -> None:
+        for name in names:
+            setattr(self, name, getattr(state.nets, name))
+        self.log_std = state.log_std
+        self.normalizer = state.normalizer
 
 
 def gaussian_log_prob(action: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> float:
@@ -564,6 +531,9 @@ def gaussian_log_prob_batch(
 
 @dataclass
 class LatentTable:
+    """Residual latents with their labels: what ``latents.json`` holds."""
+
+    format_version: ClassVar[int] = 1
     z_prime: np.ndarray  # [N, d]
     gate_w: np.ndarray  # [N, n_experts]
     gait_labels: np.ndarray  # [N] int

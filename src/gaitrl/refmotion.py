@@ -10,9 +10,9 @@ Walk and run share gait id 0; a single style model covers both speeds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,43 +41,18 @@ class ClipParams:
 
 @dataclass
 class ReferenceClip:
+    format_version: ClassVar[int] = CLIP_FORMAT_VERSION
     gait_id: int
     frames: np.ndarray  # [T, n_joints] rad
     frame_rate: float
     name: str = ""
 
+    def __post_init__(self):
+        self.frames = np.asarray(self.frames, dtype=np.float64)
+
     @property
     def duration(self) -> float:
         return len(self.frames) / self.frame_rate
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": CLIP_FORMAT_VERSION,
-            "gait_id": self.gait_id,
-            "frame_rate": self.frame_rate,
-            "name": self.name,
-            "frames": [[float(v) for v in row] for row in self.frames],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ReferenceClip":
-        if d.get("format_version") != CLIP_FORMAT_VERSION:
-            raise ValueError(f"unsupported clip version: {d.get('format_version')}")
-        return cls(
-            gait_id=d["gait_id"],
-            frames=np.array(d["frames"], dtype=np.float64),
-            frame_rate=d["frame_rate"],
-            name=d.get("name", ""),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "ReferenceClip":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
 
 
 def implied_base_height(frame: np.ndarray, model: BipedModel) -> float:

@@ -6,8 +6,8 @@ Gap cells are flagged as void; a foot descending into one ends the episode.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,6 +54,7 @@ class Heightfield:
     array would leave the views reading the old one.
     """
 
+    format_version: ClassVar[int] = HEIGHTFIELD_FORMAT_VERSION
     cell_size: float
     heights: np.ndarray  # [n_cells] elevation (m)
     void: np.ndarray  # [n_cells] bool, true inside gaps
@@ -62,6 +63,9 @@ class Heightfield:
     difficulty: float = 0.0
 
     def __post_init__(self):
+        # a no-op for arrays of these dtypes, so the views below see the caller's
+        self.heights = np.asarray(self.heights, dtype=np.float64)
+        self.void = np.asarray(self.void, dtype=bool)
         # hot-path lookup constants; cell COUNT is fixed after construction
         self._inv_cell = 1.0 / self.cell_size
         self._last = len(self.heights) - 1
@@ -103,48 +107,6 @@ class Heightfield:
             if ob.start <= i < ob.end:
                 return ob.surface
         return 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": HEIGHTFIELD_FORMAT_VERSION,
-            "cell_size": self.cell_size,
-            "heights": [float(h) for h in self.heights],
-            "void": [bool(v) for v in self.void],
-            "obstacles": [
-                {
-                    "kind": o.kind,
-                    "value": o.value,
-                    "start": o.start,
-                    "end": o.end,
-                    "surface": o.surface,
-                }
-                for o in self.obstacles
-            ],
-            "kind": self.kind,
-            "difficulty": self.difficulty,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Heightfield":
-        if d.get("format_version") != HEIGHTFIELD_FORMAT_VERSION:
-            raise ValueError(f"unsupported heightfield version: {d.get('format_version')}")
-        return cls(
-            cell_size=d["cell_size"],
-            heights=np.array(d["heights"], dtype=np.float64),
-            void=np.array(d["void"], dtype=bool),
-            obstacles=[Obstacle(**o) for o in d["obstacles"]],
-            kind=d["kind"],
-            difficulty=d["difficulty"],
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "Heightfield":
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
 
 
 def _blank(track_length: float, cell_size: float, kind: str, difficulty: float) -> Heightfield:

@@ -15,7 +15,8 @@ import json
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,10 +28,11 @@ from .amp import (
     style_reward,
 )
 from .biped import N_JOINTS
-from .config import RunConfig, config_hash, config_to_dict
+from .codec import decode, read_json, write_json
+from .config import RunConfig, config_hash
 from .env import CommandState, TerrainEnv, one_hot, sample_dr
-from .nets import AdamState, net_from_dict, net_to_dict
-from .policy import ActorCritic, BundleBatch, PolicyMode, gaussian_log_prob_batch
+from .nets import AdamState
+from .policy import ActorCritic, BundleBatch, PolicyMode, PolicyState, gaussian_log_prob_batch
 from .ppo import RolloutBuffer, make_optimizers, ppo_update
 from .refmotion import WINDOW_LEN, default_clip_set, reference_windows
 from .rewards import RewardBreakdown, gait_rewards, locomotion_rewards, total_reward
@@ -175,48 +177,37 @@ class EnvWorker:
 # -- checkpointing ---------------------------------------------------------------
 
 
-def save_checkpoint(path, *, stage, iteration, cfg, policy, opts, discs=None,
-                    disc_opts=None, curriculum=None) -> None:
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "stage": stage,
-        "iteration": iteration,
-        "config_hash": config_hash(cfg),
-        "config": config_to_dict(cfg),
-        "policy": policy.to_dict(),
-        "optimizers": {k: v.state_dict() for k, v in opts.items()},
-    }
-    if discs is not None:
-        doc["discriminators"] = {
-            "alpha_gp": discs.alpha_gp,
-            "nets": [net_to_dict(n) for n in discs.nets],
-        }
-        doc["disc_optimizers"] = [o.state_dict() for o in (disc_opts or [])]
-    if curriculum is not None:
-        doc["curriculum"] = [
-            {"kind": c.kind, "difficulty": c.difficulty,
-             "promotions": c.promotions, "demotions": c.demotions}
-            for c in curriculum
-        ]
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
+@dataclass
+class Checkpoint:
+    """A training run's state: what ``checkpoint_*.json`` holds."""
+
+    format_version: ClassVar[int] = CHECKPOINT_FORMAT_VERSION
+    stage: int
+    iteration: int
+    config_hash: str
+    config: RunConfig
+    policy: PolicyState
+    optimizers: dict[str, AdamState] = field(default_factory=dict)
+    discriminators: DiscriminatorSet | None = None
+    disc_optimizers: list[AdamState] | None = None
+    curriculum: list[CurriculumState] | None = None
 
 
-def load_checkpoint(path) -> dict:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {doc.get('format_version')}")
-    return doc
+def load_checkpoint(path) -> Checkpoint:
+    return read_json(Checkpoint, path)
 
 
-def policy_from_checkpoint(doc: dict, cfg: RunConfig) -> ActorCritic:
-    return ActorCritic.from_dict(doc["policy"], cfg.model, cfg.env)
+def policy_from_checkpoint(ckpt: Checkpoint, cfg: RunConfig) -> ActorCritic:
+    return ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
 
 
-def discriminators_from_checkpoint(doc: dict) -> DiscriminatorSet:
-    d = doc["discriminators"]
-    return DiscriminatorSet(nets=[net_from_dict(n) for n in d["nets"]], alpha_gp=d["alpha_gp"])
+def _stage1_policy(stage1_checkpoint) -> PolicyState:
+    """The policy of a stage-1 ``Checkpoint``, or of a mapping that holds a
+    policy document under ``"policy"`` (``{"policy": policy.to_dict()}``)."""
+    if isinstance(stage1_checkpoint, Checkpoint):
+        # the run trains the policy's arrays in place
+        return copy.deepcopy(stage1_checkpoint.policy)
+    return decode(PolicyState, stage1_checkpoint["policy"], "policy")
 
 
 # -- the training loop ------------------------------------------------------------
@@ -229,11 +220,13 @@ class Trainer:
         seed: int,
         stage: int,
         out_dir: str | None = None,
-        stage1_checkpoint: dict | None = None,
-        resume: dict | None = None,
+        stage1_checkpoint: Checkpoint | dict | None = None,
+        resume: Checkpoint | None = None,
     ):
-        # a private copy: the blind switch below must not reach the caller
+        # private copies: the blind switch below must not reach the caller,
+        # and the run trains a resumed checkpoint's arrays in place
         cfg = copy.deepcopy(cfg)
+        resume = copy.deepcopy(resume)
         cfg.env.blind = cfg.train.blind or cfg.env.blind
         self.cfg = cfg
         self.seed = seed
@@ -247,10 +240,8 @@ class Trainer:
         self.train_rng = np.random.default_rng(self.train_ss)
         self.amp_rng = np.random.default_rng(amp_ss)
 
-        if resume is not None and resume.get("stage") != stage:
-            raise ValueError(
-                f"cannot resume a stage-{resume.get('stage')} checkpoint at stage {stage}"
-            )
+        if resume is not None and resume.stage != stage:
+            raise ValueError(f"cannot resume a stage-{resume.stage} checkpoint at stage {stage}")
 
         mode = PolicyMode(
             stage=stage,
@@ -259,24 +250,26 @@ class Trainer:
             n_experts=cfg.mode.n_experts,
         )
         if resume is not None:
-            self.policy = ActorCritic.from_dict(resume["policy"], cfg.model, cfg.env)
+            self.policy = ActorCritic.from_state(resume.policy, cfg.model, cfg.env)
         elif stage == 1 and stage1_checkpoint is not None:
             # warm start: adopt the whole stage-1 policy, fresh everything else
-            self.policy = ActorCritic.from_dict(stage1_checkpoint["policy"], cfg.model, cfg.env)
+            self.policy = ActorCritic.from_state(
+                _stage1_policy(stage1_checkpoint), cfg.model, cfg.env
+            )
         else:
             self.policy = ActorCritic(
                 cfg.model, cfg.env, cfg.arch, mode, seed=int(init_ss.generate_state(1)[0])
             )
             if stage >= 2 and stage1_checkpoint is not None:
-                self.policy.load_stage1_weights(stage1_checkpoint["policy"])
+                self.policy.load_stage1_weights(_stage1_policy(stage1_checkpoint))
             elif stage >= 2 and not mode.one_stage:
                 raise ValueError("stage 2 needs a stage-1 checkpoint unless one_stage is set")
 
         self.opts = make_optimizers(self.policy, cfg.ppo)
         if resume is not None:
-            for name, state in resume.get("optimizers", {}).items():
+            for name, state in resume.optimizers.items():
                 if name in self.opts:
-                    self.opts[name] = AdamState.from_state_dict(state)
+                    self.opts[name] = state
 
         self.discs = None
         self.disc_opts = None
@@ -284,11 +277,9 @@ class Trainer:
         self.policy_windows = None
         if stage >= 2:
             window_dim = WINDOW_LEN * N_JOINTS
-            if resume is not None and "discriminators" in resume:
-                self.discs = discriminators_from_checkpoint(resume)
-                self.disc_opts = [
-                    AdamState.from_state_dict(s) for s in resume.get("disc_optimizers", [])
-                ]
+            if resume is not None and resume.discriminators is not None:
+                self.discs = resume.discriminators
+                self.disc_opts = resume.disc_optimizers or []
             else:
                 self.discs = make_discriminators(
                     cfg.env.n_gaits,
@@ -309,12 +300,12 @@ class Trainer:
             EnvWorker(i, cfg, stage, env_seeds[i]) for i in range(cfg.ppo.n_envs)
         ]
         if resume is not None:
-            for w, c in zip(self.workers, resume.get("curriculum", [])):
-                w.curr = CurriculumState(**c)
+            for w, c in zip(self.workers, resume.curriculum or []):
+                w.curr = c
         for w in self.workers:
             w.begin_episode()
 
-        self.iteration = resume["iteration"] if resume is not None else 0
+        self.iteration = resume.iteration if resume is not None else 0
         self.metrics_path = os.path.join(out_dir, "metrics.jsonl") if out_dir else None
         if self.metrics_path:
             self._start_metrics(resume is not None)
@@ -490,9 +481,10 @@ class Trainer:
 
             self._divergence_guard(entry)
             if self.out_dir and self.iteration % cfg.train.checkpoint_every == 0:
-                self.save(os.path.join(self.out_dir, f"checkpoint_{self.iteration:06d}.json"))
+                write_json(os.path.join(self.out_dir, f"checkpoint_{self.iteration:06d}.json"),
+                           self.checkpoint())
         if self.out_dir:
-            self.save(os.path.join(self.out_dir, "checkpoint_final.json"))
+            write_json(os.path.join(self.out_dir, "checkpoint_final.json"), self.checkpoint())
         return history
 
     def _divergence_guard(self, entry: dict) -> None:
@@ -510,29 +502,30 @@ class Trainer:
                 f"{self._low_tracking_streak} iterations at iteration {self.iteration}"
             )
 
-    def save(self, path) -> None:
-        save_checkpoint(
-            path,
+    def checkpoint(self) -> Checkpoint:
+        """The run's state as it is (no copy), for the codec."""
+        return Checkpoint(
             stage=self.stage,
             iteration=self.iteration,
-            cfg=self.cfg,
-            policy=self.policy,
-            opts=self.opts,
-            discs=self.discs,
-            disc_opts=self.disc_opts,
+            config_hash=config_hash(self.cfg),
+            config=self.cfg,
+            policy=self.policy.state(),
+            optimizers=self.opts,
+            discriminators=self.discs,
+            disc_optimizers=self.disc_opts,
             curriculum=[w.curr for w in self.workers],
         )
 
 
 def train_stage1(cfg: RunConfig, seed: int, out_dir: str | None = None,
                  iterations: int | None = None,
-                 warm_start: dict | None = None) -> tuple[Trainer, list[dict]]:
+                 warm_start: Checkpoint | None = None) -> tuple[Trainer, list[dict]]:
     trainer = Trainer(cfg, seed, stage=1, out_dir=out_dir, stage1_checkpoint=warm_start)
     history = trainer.run(iterations)
     return trainer, history
 
 
-def train_stage2(cfg: RunConfig, stage1_checkpoint: dict | None, seed: int,
+def train_stage2(cfg: RunConfig, stage1_checkpoint: Checkpoint | dict | None, seed: int,
                  out_dir: str | None = None, iterations: int | None = None) -> tuple[Trainer, list[dict]]:
     if stage1_checkpoint is not None and cfg.mode.one_stage:
         raise ValueError("one_stage training must not load a stage-1 checkpoint")

@@ -7,14 +7,29 @@ backward paths, so the two routes stay independent.
 
 from __future__ import annotations
 
+import base64
+import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 
-from gaitrl.bench import PolicyController
+from gaitrl.amp import DiscriminatorSet
+from gaitrl.bench import BenchmarkReport, CellResult, PolicyController
 from gaitrl.biped import N_JOINTS
+from gaitrl.config import RunConfig
 from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
+from gaitrl.nets import AdamState, DenseNet, Layer
+from gaitrl.policy import (
+    ActorCritic,
+    LatentTable,
+    ObservationNormalizer,
+    PolicyArch,
+    PolicyMode,
+    ResidualModule,
+)
+from gaitrl.refmotion import ReferenceClip
 from gaitrl.rewards import RewardConfig, locomotion_rewards
 from gaitrl.terrain import (
     BENCH_RANGES,
@@ -477,9 +492,9 @@ def ref_residual_latents(policy, samples):
     return np.array(zs), np.array(ws), np.array(gl, dtype=int), tl
 
 
-def ref_normalizer_dict(normalizer, encode_array) -> dict:
+def ref_normalizer_dict(normalizer) -> dict:
     """The normalizer's eight arrays, encoded in declaration order."""
-    return {k: encode_array(getattr(normalizer, k)) for k in NORMALIZER_FIELDS}
+    return {k: ref_encode_array(getattr(normalizer, k)) for k in NORMALIZER_FIELDS}
 
 
 # -- terrain layout and evaluation episodes as they were written out per use ----
@@ -759,3 +774,333 @@ def ref_collect_latent_samples(policy, cfg, terrain_kinds=("flat", "gap", "step"
                     break
                 bundle = res.bundle
     return samples
+
+
+# -- the hand-written serializers gaitrl.codec replaced ---------------------------
+#
+# Every document had its own writer and reader, class by class: checkpoints
+# (policy, Adam states, discriminators, curriculum), run configs,
+# heightfields, reference clips, benchmark and latent reports, and the CLI's
+# latents.json.  tests/test_codec_oracle.py holds the codec to these byte for
+# byte, and its decoding to their readers bit for bit.
+
+
+def ref_encode_array(a):
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return {
+        "shape": list(a.shape),
+        "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii"),
+    }
+
+
+def ref_decode_array(d):
+    raw = base64.b64decode(d["data"])
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"]).copy()
+
+
+def ref_net_to_dict(net) -> dict:
+    manifest = {
+        "format_version": 1,
+        "layers": [
+            {"in": int(l.weight.shape[1]), "out": int(l.weight.shape[0]), "activation": l.activation}
+            for l in net.layers
+        ],
+    }
+    flat = np.concatenate([p.ravel() for p in net.params()]).astype(np.float64)
+    return {"manifest": manifest, "flat": ref_encode_array(flat)}
+
+
+def ref_net_from_dict(d):
+    manifest = d["manifest"]
+    if manifest.get("format_version") != 1:
+        raise ValueError(f"unsupported net manifest version: {manifest.get('format_version')}")
+    flat = ref_decode_array(d["flat"])
+    layers = []
+    pos = 0
+    for spec in manifest["layers"]:
+        n_in, n_out = spec["in"], spec["out"]
+        w = flat[pos : pos + n_out * n_in].reshape(n_out, n_in).copy()
+        pos += n_out * n_in
+        b = flat[pos : pos + n_out].copy()
+        pos += n_out
+        layers.append(Layer(w, b, spec["activation"]))
+    if pos != flat.size:
+        raise ValueError(f"flat array has {flat.size} values, manifest expects {pos}")
+    return DenseNet(layers)
+
+
+def ref_adam_state_dict(o) -> dict:
+    return {
+        "lr": o.lr, "beta1": o.beta1, "beta2": o.beta2, "eps": o.eps,
+        "step_count": o.step_count,
+        "m": [ref_encode_array(a) for a in o.m],
+        "v": [ref_encode_array(a) for a in o.v],
+    }
+
+
+def ref_adam_from_state_dict(d):
+    obj = AdamState.__new__(AdamState)
+    obj.lr = d["lr"]
+    obj.beta1 = d["beta1"]
+    obj.beta2 = d["beta2"]
+    obj.eps = d["eps"]
+    obj.step_count = d["step_count"]
+    obj.m = [ref_decode_array(a) for a in d["m"]]
+    obj.v = [ref_decode_array(a) for a in d["v"]]
+    return obj
+
+
+def ref_residual_to_dict(res) -> dict:
+    return {
+        "feat_dim": res.feat_dim,
+        "gait_dim": res.gait_dim,
+        "out_dim": res.out_dim,
+        "experts": [ref_net_to_dict(n) for n in res.experts],
+        "gate": ref_net_to_dict(res.gate),
+    }
+
+
+def ref_residual_from_dict(d):
+    obj = ResidualModule.__new__(ResidualModule)
+    obj.feat_dim = d["feat_dim"]
+    obj.gait_dim = d["gait_dim"]
+    obj.out_dim = d["out_dim"]
+    obj.experts = [ref_net_from_dict(e) for e in d["experts"]]
+    obj.gate = ref_net_from_dict(d["gate"])
+    return obj
+
+
+def ref_policy_to_dict(policy) -> dict:
+    d = {
+        "format_version": 1,
+        "arch": {k: (list(v) if isinstance(v, tuple) else v) for k, v in policy.arch.__dict__.items()},
+        "mode": {
+            "stage": policy.mode.stage,
+            "residual_fusion": policy.mode.residual_fusion,
+            "one_stage": policy.mode.one_stage,
+            "n_experts": policy.mode.n_experts,
+        },
+        "nets": {name: ref_net_to_dict(getattr(policy, name))
+                 for name in ("scan_enc", "hist_enc", "trunk", "head", "critic")},
+        "log_std": ref_encode_array(policy.log_std),
+        "normalizer": ref_normalizer_dict(policy.normalizer),
+    }
+    if policy.residual is not None:
+        d["residual"] = ref_residual_to_dict(policy.residual)
+    return d
+
+
+def ref_policy_from_dict(d, model, env_cfg):
+    if d.get("format_version") != 1:
+        raise ValueError(f"unsupported policy version: {d.get('format_version')}")
+    arch = PolicyArch(**{k: (tuple(v) if isinstance(v, list) else v) for k, v in d["arch"].items()})
+    obj = ActorCritic(model, env_cfg, arch, PolicyMode(**d["mode"]), seed=0)
+    for name in ("scan_enc", "hist_enc", "trunk", "head", "critic"):
+        setattr(obj, name, ref_net_from_dict(d["nets"][name]))
+    obj.log_std = ref_decode_array(d["log_std"])
+    obj.normalizer = ObservationNormalizer(
+        **{k: ref_decode_array(v) for k, v in d["normalizer"].items()}
+    )
+    obj.residual = ref_residual_from_dict(d["residual"]) if "residual" in d else None
+    return obj
+
+
+def _ref_to_jsonable(obj):
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _ref_to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [_ref_to_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _ref_to_jsonable(v) for k, v in obj.items()}
+    return obj
+
+
+def _ref_fill_dataclass(cls, data, path):
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
+    defaults = cls()
+    kwargs = {}
+    for name in fields:
+        if name not in data:
+            kwargs[name] = getattr(defaults, name)
+            continue
+        value = data[name]
+        current = getattr(defaults, name)
+        if dataclasses.is_dataclass(current) and isinstance(value, dict):
+            kwargs[name] = _ref_fill_dataclass(type(current), value, f"{path}.{name}")
+        elif isinstance(current, dict):
+            kwargs[name] = {**current, **value}
+        elif isinstance(current, tuple):
+            kwargs[name] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        else:
+            kwargs[name] = value
+    return cls(**kwargs)
+
+
+def ref_config_to_dict(cfg) -> dict:
+    d = _ref_to_jsonable(cfg)
+    d["format_version"] = 1
+    return d
+
+
+def ref_config_from_dict(data):
+    data = dict(data)
+    version = data.pop("format_version", 1)
+    if version != 1:
+        raise ValueError(f"unsupported config version: {version}")
+    sections = {f.name for f in dataclasses.fields(RunConfig)}
+    unknown = set(data) - sections
+    if unknown:
+        raise ValueError(f"unknown config sections: {sorted(unknown)}")
+    kwargs = {}
+    for name in sections:
+        default = getattr(RunConfig(), name)
+        kwargs[name] = _ref_fill_dataclass(type(default), data.get(name, {}), name)
+    return RunConfig(**kwargs)
+
+
+def ref_config_hash(cfg) -> str:
+    canonical = json.dumps(ref_config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def ref_checkpoint_doc(*, stage, iteration, cfg, policy, opts, discs=None, disc_opts=None,
+                       curriculum=None) -> dict:
+    """What ``save_checkpoint`` wrote, before ``json.dump(doc, f, sort_keys=True)``."""
+    doc = {
+        "format_version": 1,
+        "stage": stage,
+        "iteration": iteration,
+        "config_hash": ref_config_hash(cfg),
+        "config": ref_config_to_dict(cfg),
+        "policy": ref_policy_to_dict(policy),
+        "optimizers": {k: ref_adam_state_dict(v) for k, v in opts.items()},
+    }
+    if discs is not None:
+        doc["discriminators"] = {
+            "alpha_gp": discs.alpha_gp,
+            "nets": [ref_net_to_dict(n) for n in discs.nets],
+        }
+        doc["disc_optimizers"] = [ref_adam_state_dict(o) for o in (disc_opts or [])]
+    if curriculum is not None:
+        doc["curriculum"] = [
+            {"kind": c.kind, "difficulty": c.difficulty,
+             "promotions": c.promotions, "demotions": c.demotions}
+            for c in curriculum
+        ]
+    return doc
+
+
+def ref_discriminators_from_doc(doc):
+    d = doc["discriminators"]
+    return DiscriminatorSet(nets=[ref_net_from_dict(n) for n in d["nets"]], alpha_gp=d["alpha_gp"])
+
+
+def ref_heightfield_to_json_dict(hf) -> dict:
+    return {
+        "format_version": 1,
+        "cell_size": hf.cell_size,
+        "heights": [float(h) for h in hf.heights],
+        "void": [bool(v) for v in hf.void],
+        "obstacles": [
+            {"kind": o.kind, "value": o.value, "start": o.start, "end": o.end, "surface": o.surface}
+            for o in hf.obstacles
+        ],
+        "kind": hf.kind,
+        "difficulty": hf.difficulty,
+    }
+
+
+def ref_heightfield_from_json_dict(d):
+    if d.get("format_version") != 1:
+        raise ValueError(f"unsupported heightfield version: {d.get('format_version')}")
+    return Heightfield(
+        cell_size=d["cell_size"],
+        heights=np.array(d["heights"], dtype=np.float64),
+        void=np.array(d["void"], dtype=bool),
+        obstacles=[Obstacle(**o) for o in d["obstacles"]],
+        kind=d["kind"],
+        difficulty=d["difficulty"],
+    )
+
+
+def ref_clip_to_json_dict(clip) -> dict:
+    return {
+        "format_version": 1,
+        "gait_id": clip.gait_id,
+        "frame_rate": clip.frame_rate,
+        "name": clip.name,
+        "frames": [[float(v) for v in row] for row in clip.frames],
+    }
+
+
+def ref_clip_from_json_dict(d):
+    if d.get("format_version") != 1:
+        raise ValueError(f"unsupported clip version: {d.get('format_version')}")
+    return ReferenceClip(
+        gait_id=d["gait_id"],
+        frames=np.array(d["frames"], dtype=np.float64),
+        frame_rate=d["frame_rate"],
+        name=d.get("name", ""),
+    )
+
+
+def ref_report_to_json_dict(report) -> dict:
+    return {
+        "format_version": 1,
+        "method": report.method,
+        "gait": report.gait,
+        "config_hash": report.config_hash,
+        "cells": [
+            {"obstacle": c.obstacle, "mode": c.mode, "success_rate": c.success_rate,
+             "mean_distance": c.mean_distance, "trials": c.trials, "seeds": c.seeds}
+            for c in report.cells
+        ],
+    }
+
+
+def ref_report_from_json_dict(d):
+    if d.get("format_version") != 1:
+        raise ValueError(f"unsupported report version: {d.get('format_version')}")
+    return BenchmarkReport(
+        method=d["method"],
+        gait=d["gait"],
+        config_hash=d.get("config_hash", ""),
+        cells=[CellResult(**c) for c in d["cells"]],
+    )
+
+
+def ref_latent_report_to_json_dict(report) -> dict:
+    return {
+        "format_version": 1,
+        "coords": [[float(a), float(b)] for a, b in report.coords],
+        "silhouette": report.silhouette,
+        "degenerate": report.degenerate,
+        "gate_usage": {k: [float(x) for x in v] for k, v in report.gate_usage.items()},
+        "n_samples": report.n_samples,
+    }
+
+
+def ref_latents_doc(table) -> dict:
+    """What ``export-latents`` wrote to latents.json."""
+    return {
+        "format_version": 1,
+        "z_prime": table.z_prime.tolist(),
+        "gate_w": table.gate_w.tolist(),
+        "gait_labels": table.gait_labels.tolist(),
+        "terrain_labels": table.terrain_labels,
+    }
+
+
+def ref_latent_table(d):
+    """What ``analyze-latents`` read from latents.json."""
+    if d.get("format_version") != 1:
+        raise ValueError("unsupported latents file version")
+    return LatentTable(
+        z_prime=np.array(d["z_prime"]),
+        gate_w=np.array(d["gate_w"]),
+        gait_labels=np.array(d["gait_labels"]),
+        terrain_labels=d["terrain_labels"],
+    )

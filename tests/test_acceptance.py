@@ -25,6 +25,7 @@ from gaitrl.bench import (
     run_benchmark,
 )
 from gaitrl.biped import N_JOINTS, BipedModel
+from gaitrl.codec import decode
 from gaitrl.config import RunConfig, config_from_dict, config_to_dict
 from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from gaitrl.nets import AdamState, net_backward, net_forward
@@ -33,6 +34,7 @@ from gaitrl.policy import (
     BundleBatch,
     PolicyArch,
     PolicyMode,
+    PolicyState,
     ResidualModule,
     gaussian_log_prob_batch,
 )
@@ -273,7 +275,7 @@ class TestCriterion4ZeroResidual:
     def test_criterion_4(self):
         pol1 = ActorCritic(MODEL, SMALL_ENV, SMALL_ARCH, PolicyMode(stage=1), seed=7)
         pol2 = ActorCritic(MODEL, SMALL_ENV, SMALL_ARCH, PolicyMode(stage=2), seed=8)
-        pol2.load_stage1_weights(pol1.to_dict())
+        pol2.load_stage1_weights(decode(PolicyState, pol1.to_dict()))
         rng = np.random.default_rng(9)
         bundles = []
         for k in range(4):

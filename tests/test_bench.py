@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import gaitrl.bench as bench
 from gaitrl.bench import (
     BenchmarkReport,
     BenchmarkSuite,
     analyze_latents,
+    collect_latent_samples,
     measure_gait_attribute,
     pca_2d,
     recompute_cell_from_trace,
@@ -15,6 +17,7 @@ from gaitrl.bench import (
     silhouette_score,
 )
 from gaitrl.biped import N_JOINTS
+from gaitrl.codec import decode
 from gaitrl.config import RunConfig
 from gaitrl.controllers import ConstantController, ScriptedWalker
 from gaitrl.policy import LatentTable
@@ -123,6 +126,26 @@ class TestPushFreeEvaluation:
         assert measured[0] == measured[1] == kept_pushes[0]
 
 
+class TestStartClear:
+    def test_latent_export_and_gait_measurement_lay_tracks_from_start_clear(self, monkeypatch):
+        cfg = small_cfg()
+        cfg.terrain.start_clear = 0.8
+        tracks = []
+
+        def recording(*args, **kwargs):
+            tracks.append(generate_terrain(*args, **kwargs))
+            return tracks[-1]
+
+        monkeypatch.setattr(bench, "generate_terrain", recording)
+        policy = make_policy(2)
+        collect_latent_samples(policy, cfg, terrain_kinds=("gap",), steps_per_combo=1)
+        measure_gait_attribute(policy, cfg, 2, "squat_height", n_rollouts=1, rollout_s=0.1,
+                               terrain_kind="gap")
+        assert len(tracks) == cfg.env.n_gaits + 1
+        for hf in tracks:
+            assert hf.obstacles[0].start == hf.cell_at(0.8)
+
+
 class TestRunBenchmark:
     def test_flat_suite_degenerate_scores(self, tmp_path):
         cfg = small_cfg()
@@ -177,7 +200,7 @@ class TestRunBenchmark:
         report = run_benchmark(ScriptedWalker(cfg.model), cfg, suite, method="walker",
                                out_dir=str(tmp_path))
         with open(tmp_path / "report_walker.json") as f:
-            back = BenchmarkReport.from_json_dict(json.load(f))
+            back = decode(BenchmarkReport, json.load(f))
         assert back.cell("flat", "easy").success_rate == report.cell("flat", "easy").success_rate
         assert back.config_hash == report.config_hash
         assert "Succ." in report.text_table()

@@ -261,3 +261,41 @@ class TestGaitModulation:
         _, s1, _ = trained
         assert cli(["gait-modulation", "--checkpoint", s1]) == 1
         assert "stage-2" in capsys.readouterr().err
+
+
+def _drop(doc: dict, dotted: str) -> None:
+    *parents, key = dotted.split(".")
+    for p in parents:
+        doc = doc[p]
+    del doc[key]
+
+
+class TestMalformedInputs:
+    """A malformed input file is a usage error that names the field."""
+
+    @pytest.mark.parametrize("change,field", [
+        (lambda doc: _drop(doc, "policy.nets.trunk"), "policy.nets.trunk: missing"),
+        (lambda doc: doc["policy"]["mode"].update(bogus=1),
+         "policy.mode: unknown keys ['bogus']"),
+        (lambda doc: _drop(doc, "config"), "config: missing"),
+    ], ids=["no-trunk", "unknown-mode-key", "no-config"])
+    def test_malformed_checkpoint_exits_1(self, trained, tmp_path, capsys, change, field):
+        _, _, ckpt = trained
+        with open(ckpt) as f:
+            doc = json.load(f)
+        change(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli(["eval-bench", "--checkpoint", str(bad), "--out", str(tmp_path / "out"),
+                  "--trials", "1"])
+        assert rc == 1
+        assert f"usage error: invalid checkpoint {bad}: {field}" in capsys.readouterr().err
+
+    def test_latents_without_gate_weights_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "latents.json"
+        bad.write_text(json.dumps({
+            "format_version": 1, "z_prime": [[0.0, 1.0]], "gait_labels": [0],
+            "terrain_labels": ["flat"],
+        }))
+        assert cli(["analyze-latents", "--latents", str(bad)]) == 1
+        assert f"usage error: invalid latents {bad}: gate_w: missing" in capsys.readouterr().err

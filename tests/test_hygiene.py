@@ -1,9 +1,13 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene, by stdlib ``ast`` walks.
 
-A stdlib ``ast`` walk over the package and the tests (``__init__.py`` files
-are exempt: their imports are re-exports).  A name counts as used when it is
-read anywhere in the module, including as the root of an attribute chain
-(``np`` in ``np.zeros``) or inside a quoted annotation.
+No module imports a name it never uses: a walk over the package and the
+tests (``__init__.py`` files are exempt: their imports are re-exports).  A
+name counts as used when it is read anywhere in the module, including as the
+root of an attribute chain (``np`` in ``np.zeros``) or inside a quoted
+annotation.
+
+Files are written and read through ``gaitrl.codec`` alone: no class in the
+package outside it has a method named like a hand-written serializer.
 """
 
 from __future__ import annotations
@@ -80,3 +84,42 @@ def test_the_check_flags_an_unused_import(tmp_path):
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+SERIALIZER_NAMES = {
+    "to_dict", "from_dict", "state_dict", "from_state_dict",
+    "to_json_dict", "from_json_dict", "save", "load",
+}
+# perfbench/ calls these two, so they stay, each a call into the codec
+SERIALIZER_EXEMPT = {"ActorCritic.to_dict", "BenchmarkReport.to_json_dict"}
+
+
+def serializer_methods(tree: ast.Module) -> list[str]:
+    """``Class.method`` for each method named like a hand-written serializer."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name in SERIALIZER_NAMES
+        and f"{node.name}.{item.name}" not in SERIALIZER_EXEMPT
+    ]
+
+
+def test_the_check_flags_a_serializer_method():
+    tree = ast.parse(
+        "class Clip:\n    def save(self, path): ...\n    def duration(self): ...\n"
+        "class ActorCritic:\n    def to_dict(self): ...\n"
+    )
+    assert serializer_methods(tree) == ["Clip.save"]
+
+
+def test_one_serializer():
+    found = [
+        f"{path.name}: {method}"
+        for path in FILES
+        if path.parent.name == "gaitrl" and path.name != "codec.py"
+        for method in serializer_methods(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []

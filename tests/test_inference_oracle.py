@@ -26,7 +26,7 @@ from gaitrl.env import (
     obs_dims,
     one_hot,
 )
-from gaitrl.nets import encode_array
+from gaitrl.codec import decode, encode
 from gaitrl.policy import (
     ActorCritic,
     BundleBatch,
@@ -233,10 +233,10 @@ def test_non_finite_input_raises_the_same_error(field_name):
 def test_normalizer_to_dict_bytes_unchanged():
     pol = make_policy(2)
     nz = pol.normalizer
-    expected = json.dumps(ref_normalizer_dict(nz, encode_array))
-    assert json.dumps(nz.to_dict()) == expected
-    loaded = ObservationNormalizer.from_dict(nz.to_dict())
-    assert json.dumps(loaded.to_dict()) == expected
+    expected = json.dumps(ref_normalizer_dict(nz))
+    assert json.dumps(encode(nz)) == expected
+    loaded = decode(ObservationNormalizer, encode(nz))
+    assert json.dumps(encode(loaded)) == expected
     # the loaded normalizer normalizes the history exactly as the built one
     _, bundles = env_bundles()
     batch = BundleBatch.stack(bundles)

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaitrl.codec import decode, encode
 from gaitrl.nets import (
     AdamState,
     DenseNet,
     Layer,
+    PackedArray,
     adam_step,
     make_net,
     net_backward,
     net_directional_param_grads,
     net_forward,
-    net_from_dict,
-    net_to_dict,
     softmax,
 )
 
@@ -290,19 +290,18 @@ class TestSerialization:
         # deliberately awkward values
         net.layers[0].weight[0, 0] = np.nextafter(1.0, 2.0)
         net.layers[1].bias[1] = -0.0
-        restored = net_from_dict(net_to_dict(net))
+        restored = decode(DenseNet, encode(net))
         for a, b in zip(net.params(), restored.params()):
             assert a.shape == b.shape
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        doc = net_to_dict(net)
+        doc = encode(net)
         assert doc["manifest"]["layers"][0]["activation"] == "elu"
 
     def test_wrong_length_rejected(self):
         rng = np.random.default_rng(13)
         net = make_net([3, 2], rng)
-        doc = net_to_dict(net)
-        from gaitrl.nets import decode_array, net_from_manifest
-
-        flat = decode_array(doc["flat"])
+        doc = encode(net)
+        flat = decode(PackedArray, doc["flat"])
+        doc["flat"] = encode(flat[:-1], PackedArray)
         with pytest.raises(ValueError):
-            net_from_manifest(doc["manifest"], flat[:-1])
+            decode(DenseNet, doc)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaitrl.biped import N_JOINTS, BipedModel
+from gaitrl.codec import decode
 from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from gaitrl.nets import softmax
 from gaitrl.policy import (
@@ -11,6 +12,7 @@ from gaitrl.policy import (
     BundleBatch,
     PolicyArch,
     PolicyMode,
+    PolicyState,
     ResidualModule,
     export_residual_latents,
 )
@@ -158,7 +160,7 @@ class TestAct:
     def test_zero_init_residual_matches_stage1_bitwise(self):
         pol1 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=7)
         pol2 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=7)
-        pol2.load_stage1_weights(pol1.to_dict())
+        pol2.load_stage1_weights(decode(PolicyState, pol1.to_dict()))
         for bundle in make_bundles(20, seed=3):
             a1 = pol1.act(bundle, deterministic=True)
             a2 = pol2.act(bundle, one_hot(2, 3), deterministic=True)
@@ -303,7 +305,7 @@ class TestPersistence:
         rng = np.random.default_rng(1)
         for net in [*pol.residual.experts, pol.residual.gate]:
             net.layers[-1].weight[:] = rng.normal(0, 0.2, net.layers[-1].weight.shape)
-        back = ActorCritic.from_dict(pol.to_dict(), MODEL, EnvConfig())
+        back = ActorCritic.from_state(decode(PolicyState, pol.to_dict()), MODEL, EnvConfig())
         for bundle in make_bundles(5, seed=4):
             a = pol.act(bundle, one_hot(0, 3), deterministic=True)
             b = back.act(bundle, one_hot(0, 3), deterministic=True)
@@ -314,4 +316,4 @@ class TestPersistence:
         other = PolicyArch(**{**SMALL.__dict__, "d_z": 16})
         pol2 = ActorCritic(MODEL, EnvConfig(), other, PolicyMode(stage=2), seed=0)
         with pytest.raises(ValueError):
-            pol2.load_stage1_weights(pol1.to_dict())
+            pol2.load_stage1_weights(decode(PolicyState, pol1.to_dict()))

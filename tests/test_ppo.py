@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaitrl.biped import N_JOINTS, BipedModel
+from gaitrl.codec import encode
 from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from gaitrl.policy import ActorCritic, BundleBatch, PolicyArch, PolicyMode, gaussian_log_prob_batch
 from gaitrl.ppo import (
@@ -201,11 +202,11 @@ class TestPPOUpdate:
         B = buf.horizon * buf.n_envs
         last = int(np.random.default_rng(0).permutation(B)[-1])
         buf.actions[last // buf.n_envs, last % buf.n_envs, 0] = np.nan
-        before = {k: o.state_dict() for k, o in opts.items()}
+        before = {k: encode(o) for k, o in opts.items()}
         metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0))
         assert metrics.get("nan_aborted") is True
         for k, o in opts.items():
-            assert o.state_dict() == before[k], k
+            assert encode(o) == before[k], k
 
     def test_freeze_mask_respected(self):
         policy = ActorCritic(MODEL, TINY_ENV, TINY, PolicyMode(stage=1), seed=8)

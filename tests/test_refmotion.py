@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaitrl.biped import BipedModel
+from gaitrl.codec import read_json, write_json
 from gaitrl.refmotion import (
     ClipParams,
     ReferenceClip,
@@ -110,8 +111,8 @@ class TestClipIO:
     def test_json_round_trip(self, tmp_path):
         clip = gen_reference_clip("squat", seed=2)
         p = tmp_path / "squat.json"
-        clip.save(p)
-        back = ReferenceClip.load(p)
+        write_json(p, clip)
+        back = read_json(ReferenceClip, p)
         np.testing.assert_array_equal(clip.frames, back.frames)
         assert back.gait_id == clip.gait_id
         assert back.frame_rate == clip.frame_rate

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gaitrl.codec import decode, encode, read_json, write_json
 from gaitrl.terrain import (
     BENCH_RANGES,
     GAP_RANGE,
@@ -104,8 +105,8 @@ class TestSerialization:
     def test_json_round_trip(self, tmp_path):
         hf = generate_terrain("gap", 0.5, seed=17)
         path = tmp_path / "track.json"
-        hf.save(path)
-        back = Heightfield.load(path)
+        write_json(path, hf)
+        back = read_json(Heightfield, path)
         np.testing.assert_array_equal(hf.heights, back.heights)
         np.testing.assert_array_equal(hf.void, back.void)
         assert len(back.obstacles) == len(hf.obstacles)
@@ -113,7 +114,7 @@ class TestSerialization:
 
     def test_version_check(self, tmp_path):
         hf = generate_terrain("flat", 0.0, seed=0)
-        d = hf.to_json_dict()
+        d = encode(hf)
         d["format_version"] = 99
         with pytest.raises(ValueError):
-            Heightfield.from_json_dict(d)
+            decode(Heightfield, d)

@@ -243,16 +243,17 @@ class TestCheckpointRoundTrip:
         cfg.curriculum.enabled = True
         cfg.terrain.kinds = ("gap",)
         trainer, _ = train_stage1(cfg, seed=0, out_dir=str(tmp_path), iterations=1)
-        doc = load_checkpoint(tmp_path / "checkpoint_final.json")
-        assert doc["stage"] == 1
-        assert doc["iteration"] == 1
-        assert len(doc["curriculum"]) == cfg.ppo.n_envs
-        pol = policy_from_checkpoint(doc, cfg)
+        ckpt = load_checkpoint(tmp_path / "checkpoint_final.json")
+        assert ckpt.stage == 1
+        assert ckpt.iteration == 1
+        assert ckpt.curriculum == [w.curr for w in trainer.workers]
+        assert len(ckpt.curriculum) == cfg.ppo.n_envs
+        pol = policy_from_checkpoint(ckpt, cfg)
         for a, b in zip(pol.trunk.params(), trainer.policy.trunk.params()):
             np.testing.assert_array_equal(a, b)
         from gaitrl.config import config_hash
 
-        assert doc["config_hash"] == config_hash(cfg)
+        assert ckpt.config_hash == config_hash(cfg)
 
     def test_curriculum_difficulty_stays_in_bounds_during_training(self, tmp_path):
         cfg = tiny_cfg()
