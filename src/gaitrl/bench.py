@@ -17,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .biped import BipedModel, N_JOINTS
+from .biped import BipedModel
 from .codec import encode, write_json
 from .config import RunConfig, config_hash
 from .env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
@@ -154,8 +154,6 @@ def run_trial(
     state fields are written as ``null``, so every trace line is strict JSON.
     """
     reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
-    a_prev = np.zeros(N_JOINTS)
-    a_prev2 = np.zeros(N_JOINTS)
     distance = 0.0
     success = False
     episode = eval_episode(
@@ -171,7 +169,8 @@ def run_trial(
                 rewards = {}
             else:
                 rewards = locomotion_rewards(
-                    st, env.commands, action, a_prev, a_prev2, env.cfg.dt, reward_cfg, model
+                    st, env.commands, env.last_action, env.prev_action, env.prev2_action,
+                    env.cfg.dt, reward_cfg, model,
                 ).weighted
             trace_file.write(
                 json.dumps(
@@ -191,8 +190,6 @@ def run_trial(
                 )
                 + "\n"
             )
-            a_prev2 = a_prev
-            a_prev = action
         if res.distance >= goal_m:
             success = True
             break

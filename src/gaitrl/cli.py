@@ -55,11 +55,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common_flags(p):
-    p.add_argument("--config", help="path to a JSON run config")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--ablation", choices=ABLATIONS)
+COMMON_FLAGS = {
+    "--config": {"help": "path to a JSON run config"},
+    "--seed": {"type": int, "default": 0},
+    "--out": {"help": "output directory"},
+    "--ablation": {"choices": ABLATIONS},
+}
+
+
+def _common_flags(p, *flags):
+    """Add the named common flags (all four when none are named)."""
+    for flag in flags or COMMON_FLAGS:
+        p.add_argument(flag, **COMMON_FLAGS[flag])
 
 
 def build_parser() -> _Parser:
@@ -67,10 +74,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inspect-config", help="resolve, validate and print a config")
-    _common_flags(p)
+    _common_flags(p, "--config", "--ablation")
 
     p = sub.add_parser("gen-refs", help="generate the reference motion clips")
-    _common_flags(p)
+    _common_flags(p, "--config", "--out")
 
     p = sub.add_parser("train-stage1", help="train the base locomotion policy")
     _common_flags(p)
@@ -95,7 +102,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
 
     p = sub.add_parser("analyze-latents", help="project and score an exported latent table")
-    _common_flags(p)
+    _common_flags(p, "--out")
     p.add_argument("--latents", required=True, help="latents JSON from export-latents")
 
     p = sub.add_parser("gait-modulation", help="achieved-vs-target gait feature table")

@@ -28,6 +28,9 @@ The rules:
   required; a dict field with a default merges what is read into it;
 - a field whose default is None is written only when it is set;
 - an unknown key is an error;
+- a field annotated ``int``, ``float``, ``str`` or ``bool`` takes only a
+  JSON value of that kind; an int where ``float`` is annotated is kept as
+  read (so a config's hash does not move), and a bool is not a number;
 - a dataclass declared ``init=False`` is filled field by field, without
   calling its ``__init__``.
 
@@ -105,6 +108,9 @@ def decode(tp, data, path: str = ""):
     if origin is dict:
         entries = _expect(data, dict, path)
         return {k: decode(args[1] if args else None, v, _at(path, k)) for k, v in entries.items()}
+    if tp in _SCALAR_KINDS:
+        if not isinstance(data, _SCALAR_KINDS[tp]) or (tp is not bool and isinstance(data, bool)):
+            raise _error(path, f"expected {tp.__name__}, got {type(data).__name__}")
     return data  # a scalar, or a value the annotation leaves untyped
 
 
@@ -121,6 +127,9 @@ def read_json(cls, path):
 
 
 # -- internals -------------------------------------------------------------------
+
+# the JSON values each scalar annotation takes (a bool only where bool is annotated)
+_SCALAR_KINDS = {int: int, float: (int, float), str: str, bool: bool}
 
 
 @functools.cache

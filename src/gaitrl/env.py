@@ -2,8 +2,11 @@
 
 Owns an episode: spawn, PD actuation with domain-randomized dynamics,
 height-scan exteroception, privileged sensing for the critic, periodic
-pushes, and termination.  Reward evaluation lives in :mod:`gaitrl.rewards`;
-the env fills everything rewards need into the state it exposes.
+pushes, and termination.  It also holds the episode's per-step state: the
+observation the next action is chosen from, the commands (velocity and
+gait) and the last three actions.  Reward evaluation lives in
+:mod:`gaitrl.rewards`; the env fills everything rewards need into the state
+it exposes.
 """
 
 from __future__ import annotations
@@ -99,9 +102,6 @@ class CommandState:
     def __post_init__(self):
         self.gait = np.asarray(self.gait, dtype=np.float64)
 
-    def gait_id(self) -> int:
-        return int(np.argmax(self.gait)) if self.gait.any() else -1
-
     def copy(self) -> "CommandState":
         return CommandState(self.v_cmd, self.w_cmd, self.gait.copy())
 
@@ -173,9 +173,7 @@ class ObservationBundle:
 class StepResult:
     bundle: ObservationBundle
     termination: str = "none"
-    rewards: object = None  # RewardBreakdown, filled by the caller
     distance: float = 0.0
-    terrain_level: float = 0.0
 
     @property
     def done(self) -> bool:
@@ -257,7 +255,13 @@ def _state_is_finite(st: BipedState) -> bool:
 
 
 class TerrainEnv:
-    """Single biped on a single heightfield; episodes run at the control rate."""
+    """Single biped on a single heightfield; episodes run at the control rate.
+
+    The env holds the episode's observation (``bundle``: what the next
+    action is chosen from), its ``commands`` and its last three actions
+    (``last_action``, ``prev_action``, ``prev2_action``; zeros after
+    ``reset``).
+    """
 
     def __init__(self, model: BipedModel | None = None, cfg: EnvConfig | None = None, seed: int = 0):
         self.model = model or BipedModel()
@@ -271,12 +275,14 @@ class TerrainEnv:
         self.dr = DRConfig.identity()
         self.commands = CommandState(gait=np.zeros(self.cfg.n_gaits))
         self.state = BipedState()
+        self.bundle: ObservationBundle | None = None
         self.spawn_x = self.cfg.spawn_x
         self._history: deque = deque(maxlen=self.cfg.history_len)
         self._scans: deque = deque(maxlen=4)
         self._action_queue: deque = deque(maxlen=3)
         self.last_action = np.zeros(N_JOINTS)
         self.prev_action = np.zeros(N_JOINTS)
+        self.prev2_action = np.zeros(N_JOINTS)
         self.push = PushSchedule()
         self.step_count = 0
         self._done = True
@@ -325,6 +331,7 @@ class TerrainEnv:
 
         self.last_action = np.zeros(N_JOINTS)
         self.prev_action = np.zeros(N_JOINTS)
+        self.prev2_action = np.zeros(N_JOINTS)
         self._action_queue = deque(
             [np.zeros(N_JOINTS)] * (self._action_delay + 1), maxlen=self._action_delay + 1
         )
@@ -341,9 +348,9 @@ class TerrainEnv:
         self._history = deque([o0.copy() for _ in range(self.cfg.history_len)], maxlen=self.cfg.history_len)
         scan0 = self._scan()
         self._scans = deque([scan0.copy() for _ in range(4)], maxlen=4)
-        self._bundle = self._assemble(o0)
+        self.bundle = self._assemble(o0)
         self._distance = self.state.x - self.spawn_x
-        return self._bundle
+        return self.bundle
 
     def step(self, action: np.ndarray) -> StepResult:
         if self._done:
@@ -401,6 +408,7 @@ class TerrainEnv:
 
         knee_l, knee_r = st.knee_heights.tolist()
         st.n_collisions = (knee_l < 0.0) + (knee_r < 0.0)
+        self.prev2_action = self.prev_action
         self.prev_action = self.last_action
         self.last_action = action.copy()
         self.step_count += 1
@@ -411,14 +419,9 @@ class TerrainEnv:
         o_t = build_o_t(st, self.commands, self.last_action, out=self._o_t)
         self._history.append(o_t.copy())
         self._scans.append(self._scan())
-        self._bundle = bundle = self._assemble(o_t)
+        self.bundle = bundle = self._assemble(o_t)
         self._distance = distance = self.state.x - self.spawn_x
-        return StepResult(
-            bundle=bundle,
-            termination=termination,
-            distance=distance,
-            terrain_level=self.terrain.difficulty,
-        )
+        return StepResult(bundle=bundle, termination=termination, distance=distance)
 
     def _diverged(self) -> StepResult:
         """End the episode on a non-finite state.
@@ -428,10 +431,7 @@ class TerrainEnv:
         """
         self._done = True
         return StepResult(
-            bundle=self._bundle.copy(),
-            termination="diverged",
-            distance=self._distance,
-            terrain_level=self.terrain.difficulty,
+            bundle=self.bundle.copy(), termination="diverged", distance=self._distance
         )
 
     # -- sensing ------------------------------------------------------------

@@ -297,12 +297,10 @@ class ActResult:
 
 @dataclass
 class ActorCache:
-    batch: BundleBatch
     scan_tape: GradientTape
     hist_tape: GradientTape
     trunk_tape: GradientTape
     head_tape: GradientTape
-    feats: np.ndarray
     z_o: np.ndarray
     residual: ResidualCache | None
     mean: np.ndarray
@@ -320,7 +318,6 @@ class ActorCritic:
         seed: int = 0,
     ):
         self.model = model
-        self.env_cfg = env_cfg
         self.arch = arch
         self.mode = mode
         self.dims = obs_dims(env_cfg)
@@ -405,9 +402,7 @@ class ActorCritic:
                 mean = mean + a_p
         else:
             mean, head_tape = net_forward(self.head, z_o)
-        return mean, ActorCache(
-            batch, scan_tape, hist_tape, trunk_tape, head_tape, feats, z_o, res_cache, mean
-        )
+        return mean, ActorCache(scan_tape, hist_tape, trunk_tape, head_tape, z_o, res_cache, mean)
 
     def act(
         self,

@@ -245,7 +245,6 @@ def ppo_update(
     adv_n = (adv - adv.mean()) / (adv_std + 1e-8)
 
     snap = _snapshot(policy, opts)
-    stage2 = policy.mode.stage >= 2
     stats = {"policy_loss": [], "value_loss": [], "entropy": [], "approx_kl": [], "clip_frac": []}
 
     for _ in range(cfg.epochs):
@@ -256,9 +255,8 @@ def ppo_update(
                 o=obs.o[idx], hist=obs.hist[idx], scans=obs.scans[idx],
                 m=obs.m[idx], e=obs.e[idx],
             )
-            g = gaits[idx] if stage2 else None
             loss, grad_lists, piece = ppo_loss_and_grads(
-                policy, mb, g, actions[idx], adv_n[idx], returns[idx], old_logp[idx], cfg
+                policy, mb, gaits[idx], actions[idx], adv_n[idx], returns[idx], old_logp[idx], cfg
             )
 
             finite = np.isfinite(loss) and all(

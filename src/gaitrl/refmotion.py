@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .biped import N_JOINTS, BipedModel, leg_points
+from .biped import N_JOINTS, BipedModel
 
 CLIP_FORMAT_VERSION = 1
 
@@ -53,15 +53,6 @@ class ReferenceClip:
     @property
     def duration(self) -> float:
         return len(self.frames) / self.frame_rate
-
-
-def implied_base_height(frame: np.ndarray, model: BipedModel) -> float:
-    """Base-above-ground height if the lowest foot of this frame touches down."""
-    drop = -np.inf
-    for side in (0, 1):
-        _, _, (fx, fz) = leg_points(model, 0.0, 0.0, 0.0, frame[3 * side : 3 * side + 3])
-        drop = max(drop, -fz)
-    return drop
 
 
 def _hump(phase: float) -> float:

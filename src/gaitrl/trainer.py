@@ -105,6 +105,11 @@ class GaitScheduler:
 
 
 class EnvWorker:
+    """One env of the rollout, and what training adds to it: the worker's
+    rng (terrain, DR, commands, exploration noise), its terrain curriculum,
+    the gait schedule and the frames the AMP style windows are cut from.
+    The episode's own state (observation, commands, actions) is the env's."""
+
     def __init__(self, index: int, cfg: RunConfig, stage: int, seed_seq: np.random.SeedSequence):
         self.index = index
         self.cfg = cfg
@@ -119,14 +124,10 @@ class EnvWorker:
         self.scheduler = GaitScheduler(
             cfg.gaits.period_s, cfg.gaits.distribution, cfg.gaits.transitions, cfg.env.n_gaits
         )
-        self.bundle = None
-        self.gait = np.zeros(cfg.env.n_gaits)
         self.frames: deque = deque(maxlen=WINDOW_LEN)
-        self.frame_segments: deque = deque(maxlen=WINDOW_LEN)
-        self.segment_id = 0
-        self.a_prev = np.zeros(N_JOINTS)
-        self.a_prev2 = np.zeros(N_JOINTS)
-        self.episodes = 0
+        # frames since the episode began or the gait was last drawn; a style
+        # window joins the policy buffer only if all its frames follow that
+        self.frames_in_segment = 0
 
     def begin_episode(self) -> None:
         terrain = generate_terrain(
@@ -146,27 +147,19 @@ class EnvWorker:
             gait=np.zeros(self.cfg.env.n_gaits),
         )
         self.scheduler.segment = -1
-        self.bundle = self.env.reset(terrain, dr, commands)
         if self.stage >= 2:
-            self.gait, _ = self.scheduler.command_at(0.0, self.rng)
-            self.env.commands.gait = self.gait.copy()
-        else:
-            self.gait = np.zeros(self.cfg.env.n_gaits)
+            commands.gait, _ = self.scheduler.command_at(0.0, self.rng)
+        self.env.reset(terrain, dr, commands)
         self.frames.clear()
-        self.frame_segments.clear()
-        self.segment_id += 1
-        self.a_prev = np.zeros(N_JOINTS)
-        self.a_prev2 = np.zeros(N_JOINTS)
-        self.episodes += 1
+        self.frames_in_segment = 0
 
     def maybe_resample_gait(self) -> None:
         if self.stage < 2:
             return
         gait, changed = self.scheduler.command_at(self.env.state.time, self.rng)
         if changed:
-            self.gait = gait
-            self.env.commands.gait = gait.copy()
-            self.segment_id += 1
+            self.env.commands.gait = gait
+            self.frames_in_segment = 0
 
     def finish_episode(self, distance: float) -> None:
         frac = max(distance, 0.0) / self.cfg.terrain.track_length
@@ -350,8 +343,8 @@ class Trainer:
         for t in range(cfg.ppo.horizon):
             for w in self.workers:
                 w.maybe_resample_gait()
-            batch = BundleBatch.stack([w.bundle for w in self.workers])
-            gaits = np.stack([w.gait for w in self.workers]) if self.stage >= 2 else None
+            batch = BundleBatch.stack([w.env.bundle for w in self.workers])
+            gaits = np.stack([w.env.commands.gait for w in self.workers])
             means, _ = pol.actor_mean(batch, gaits)
             values, _ = pol.critic_value(batch.m, batch.e, gaits)
             noise = np.stack([w.rng.standard_normal(N_JOINTS) for w in self.workers])
@@ -361,10 +354,12 @@ class Trainer:
             logps = gaussian_log_prob_batch(actions, means, pol.log_std)
 
             for i, w in enumerate(self.workers):
+                env = w.env
                 a_t = actions[i]
-                pre_bundle = w.bundle
-                res = w.env.step(a_t)
-                st = w.env.state
+                gait = env.commands.gait
+                pre_bundle = env.bundle
+                res = env.step(a_t)
+                st = env.state
 
                 if res.termination == "diverged":
                     # the state is non-finite: the step scores zero on every
@@ -373,53 +368,44 @@ class Trainer:
                     bd = RewardBreakdown()
                 else:
                     loco = locomotion_rewards(
-                        st, w.env.commands, a_t, w.a_prev, w.a_prev2, cfg.env.dt,
-                        cfg.rewards, cfg.model,
+                        st, env.commands, env.last_action, env.prev_action, env.prev2_action,
+                        cfg.env.dt, cfg.rewards, cfg.model,
                     )
                     style_raw = 0.0
                     if self.stage >= 2:
                         w.frames.append(st.joint_pos.copy())
-                        w.frame_segments.append(w.segment_id)
+                        w.frames_in_segment += 1
                         if len(w.frames) == WINDOW_LEN:
                             window = np.concatenate(list(w.frames))
-                            style_raw = style_reward(window, w.gait, self.discs)
-                            gid = int(np.argmax(w.gait))
+                            style_raw = style_reward(window, gait, self.discs)
+                            gid = int(np.argmax(gait))
                             per_gait_style[gid] += style_raw
                             per_gait_count[gid] += 1
                             style_sum += style_raw
                             style_count += 1
-                            if len(set(w.frame_segments)) == 1:
+                            if w.frames_in_segment >= WINDOW_LEN:
                                 self.policy_windows.add(gid, window[None, :])
-                        gait_bd = gait_rewards(st, w.gait, cfg.rewards)
-                    else:
-                        gait_bd = gait_rewards(st, np.zeros(cfg.env.n_gaits), cfg.rewards)
+                    gait_bd = gait_rewards(st, gait, cfg.rewards)
                     bd = total_reward(loco, style_raw, gait_bd, self.stage, cfg.rewards)
                 reward = max(bd.total, 0.0) if cfg.rewards.only_positive_total else bd.total
                 track_sum += bd.weighted.get("track_lin_vel", 0.0)
                 total_sum += reward
 
                 if res.termination == "timeout":
-                    v_term, _ = pol.critic_value(
-                        res.bundle.m, res.bundle.e,
-                        w.gait[None, :] if self.stage >= 2 else None,
-                    )
+                    v_term, _ = pol.critic_value(res.bundle.m, res.bundle.e, gait[None, :])
                     reward += cfg.ppo.gamma * float(v_term[0])
 
                 buffer.add_step(
-                    t, i, pre_bundle, w.gait, a_t, float(logps[i]), float(values[i]),
+                    t, i, pre_bundle, gait, a_t, float(logps[i]), float(values[i]),
                     reward, res.done, bd,
                 )
-                w.a_prev2 = w.a_prev
-                w.a_prev = a_t
                 if res.done:
                     ep_distances.append(res.distance)
                     w.finish_episode(res.distance)
                     w.begin_episode()
-                else:
-                    w.bundle = res.bundle
 
-        batch = BundleBatch.stack([w.bundle for w in self.workers])
-        gaits = np.stack([w.gait for w in self.workers]) if self.stage >= 2 else None
+        batch = BundleBatch.stack([w.env.bundle for w in self.workers])
+        gaits = np.stack([w.env.commands.gait for w in self.workers])
         values, _ = self.policy.critic_value(batch.m, batch.e, gaits)
         buffer.values[cfg.ppo.horizon] = values
         buffer.mark_filled()
@@ -460,20 +446,17 @@ class Trainer:
             ppo_stats = ppo_update(self.policy, buffer, cfg.ppo, self.opts, self.train_rng)
             self.iteration += 1
 
-            entry = {"iteration": self.iteration, **roll_stats, **ppo_stats}
-            if self.stage >= 2:
-                entry["r_s_mean"] = float(np.mean(buffer.r_s))
-                entry["r_g_mean"] = float(np.mean(buffer.r_g))
-                entry["r_l_mean"] = float(np.mean(buffer.r_l))
-                for k, v in amp_stats.items():
-                    if isinstance(v, dict) and not v.get("skipped"):
-                        entry[f"{k}_mean_real"] = v["mean_real"]
-                        entry[f"{k}_mean_fake"] = v["mean_fake"]
-                        entry[f"{k}_loss"] = v["loss"]
-            else:
-                entry["r_s_mean"] = 0.0
-                entry["r_g_mean"] = 0.0
-                entry["r_l_mean"] = float(np.mean(buffer.r_l))
+            entry = {
+                "iteration": self.iteration, **roll_stats, **ppo_stats,
+                "r_s_mean": float(np.mean(buffer.r_s)),
+                "r_g_mean": float(np.mean(buffer.r_g)),
+                "r_l_mean": float(np.mean(buffer.r_l)),
+            }
+            for k, v in amp_stats.items():
+                if isinstance(v, dict) and not v.get("skipped"):
+                    entry[f"{k}_mean_real"] = v["mean_real"]
+                    entry[f"{k}_mean_fake"] = v["mean_fake"]
+                    entry[f"{k}_loss"] = v["loss"]
             history.append(entry)
             if self.metrics_path:
                 with open(self.metrics_path, "a") as f:

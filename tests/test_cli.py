@@ -68,6 +68,30 @@ class TestUsage:
         assert cli(["inspect-config", "--config", str(bad)]) == 1
         assert "gamme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag", [
+        ("analyze-latents", "--config"), ("analyze-latents", "--seed"),
+        ("analyze-latents", "--ablation"), ("inspect-config", "--seed"),
+        ("inspect-config", "--out"), ("gen-refs", "--seed"), ("gen-refs", "--ablation"),
+    ])
+    def test_a_flag_the_command_does_not_read_exits_1(
+        self, tiny_config, tmp_path, capsys, command, flag
+    ):
+        latents = tmp_path / "latents.json"
+        latents.write_text(json.dumps({
+            "format_version": 1, "z_prime": [[0.0, 1.0], [1.0, 0.0]],
+            "gate_w": [[0.5, 0.5], [0.5, 0.5]], "gait_labels": [0, 1],
+            "terrain_labels": ["flat", "flat"],
+        }))
+        argv = {
+            "analyze-latents": ["analyze-latents", "--latents", str(latents)],
+            "inspect-config": ["inspect-config"],
+            "gen-refs": ["gen-refs", "--out", str(tmp_path / "refs")],
+        }[command]
+        value = {"--config": tiny_config, "--seed": "1", "--ablation": "blind",
+                 "--out": str(tmp_path / "out")}[flag]
+        assert cli([*argv, flag, value]) == 1
+        assert f"usage error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_gen_refs(self, tiny_config, tmp_path, capsys):
@@ -290,6 +314,19 @@ class TestMalformedInputs:
                   "--trials", "1"])
         assert rc == 1
         assert f"usage error: invalid checkpoint {bad}: {field}" in capsys.readouterr().err
+
+    def test_checkpoint_with_a_string_for_an_int_exits_1(self, trained, tmp_path, capsys):
+        _, _, ckpt = trained
+        with open(ckpt) as f:
+            doc = json.load(f)
+        doc["policy"]["arch"]["d_z"] = "8"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli(["eval-bench", "--checkpoint", str(bad), "--out", str(tmp_path / "out"),
+                  "--trials", "1"])
+        assert rc == 1
+        assert (f"usage error: invalid checkpoint {bad}: policy.arch.d_z: expected int, got str"
+                in capsys.readouterr().err)
 
     def test_latents_without_gate_weights_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "latents.json"

@@ -211,6 +211,25 @@ def test_config_rejects_what_the_old_code_rejected(data):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("data,error", [
+    ({"ppo": {"lr": "0.1"}}, "ppo.lr: expected float, got str"),
+    ({"ppo": {"lr": True}}, "ppo.lr: expected float, got bool"),
+    ({"ppo": {"epochs": 4.0}}, "ppo.epochs: expected int, got float"),
+    ({"ppo": {"epochs": False}}, "ppo.epochs: expected int, got bool"),
+    ({"curriculum": {"enabled": 1}}, "curriculum.enabled: expected bool, got int"),
+    ({"mode": {"residual_fusion": 2}}, "mode.residual_fusion: expected str, got int"),
+])
+def test_a_scalar_of_the_wrong_kind_names_its_field(data, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        config_from_dict(data)
+
+
+def test_an_int_for_a_float_is_kept_as_read():
+    cfg = config_from_dict({"ppo": {"lr": 1}})
+    assert type(cfg.ppo.lr) is int
+    assert config_to_dict(cfg)["ppo"]["lr"] == 1
+
+
 # -- heightfields and reference clips -----------------------------------------------------
 
 

@@ -8,6 +8,12 @@ annotation.
 
 Files are written and read through ``gaitrl.codec`` alone: no class in the
 package outside it has a method named like a hand-written serializer.
+
+No state is kept that nothing reads: every attribute a class of the package
+sets (``self.<name> = ...``) and every dataclass field is read, as
+``.<name>`` or ``getattr(x, "<name>")``, somewhere in the package, the tests
+or the benchmark harness.  The check goes by name alone, so a name read
+anywhere counts for every class.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+READERS = sorted(p for d in ("src/gaitrl", "tests", "perfbench") for p in (ROOT / d).glob("*.py"))
 FILES = sorted(
     p
     for d in (ROOT / "src" / "gaitrl", ROOT / "tests")
@@ -123,3 +130,78 @@ def test_one_serializer():
         for method in serializer_methods(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def stored_attributes(tree: ast.Module) -> list[str]:
+    """``Class.name`` for each dataclass field and each ``self.<name> =`` in a class."""
+    found = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        names = []
+        if _is_dataclass(cls):
+            names += [
+                item.target.id
+                for item in cls.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.unparse(item.annotation)
+            ]
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"):
+                        names.append(t.attr)
+        found += [f"{cls.name}.{name}" for name in dict.fromkeys(names)]
+    return found
+
+
+def read_attributes(tree: ast.Module) -> set[str]:
+    """Names read as ``.<name>`` or as ``getattr(x, "<name>")``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+    return read
+
+
+def test_the_check_flags_state_nothing_reads():
+    tree = ast.parse(
+        "@dataclass\nclass Result:\n    kept: int\n    dropped: int = 0\n"
+        "    version: ClassVar[int] = 1\n"
+        "class Env:\n    def __init__(self):\n        self.a, self.b = 0, 1\n"
+        "        self.c: int = 2\n        self.c += 1\n"
+        "    def f(self, r):\n        return r.kept + self.a + getattr(self, 'b')\n"
+    )
+    read = read_attributes(tree)
+    assert [a for a in stored_attributes(tree) if a.split(".")[1] not in read] == [
+        "Result.dropped", "Env.c",
+    ]
+
+
+def test_no_state_that_nothing_reads():
+    read = set().union(*(read_attributes(ast.parse(p.read_text())) for p in READERS))
+    unread = [
+        f"{path.name}: {attr}"
+        for path in READERS
+        if path.parent.name == "gaitrl"
+        for attr in stored_attributes(ast.parse(path.read_text(), filename=str(path)))
+        if attr.split(".", 1)[1] not in read
+    ]
+    assert unread == []

@@ -8,7 +8,6 @@ from gaitrl.refmotion import (
     ReferenceClip,
     default_clip_set,
     gen_reference_clip,
-    implied_base_height,
     reference_windows,
     window_stream,
 )
@@ -80,7 +79,7 @@ class TestClipGeneration:
     def test_implied_base_height_helper_agrees_with_oracle(self):
         clip = gen_reference_clip("walk")
         for frame in clip.frames[::7]:
-            ours = implied_base_height(frame, MODEL)
+            ours = MODEL.standing_height(frame)
             oracle = standing_drop(frame, MODEL.thigh_len, MODEL.shin_len, MODEL.foot_len)
             assert ours == pytest.approx(oracle, abs=1e-12)
 

@@ -54,7 +54,7 @@ class TestTrainerConfig:
         assert config_to_dict(cfg) == before
         assert cfg.env.blind is False
         assert trainer.cfg.env.blind is True
-        assert not trainer.workers[0].bundle.scans.any()
+        assert not trainer.workers[0].env.bundle.scans.any()
 
 
 class TestCurriculum:
@@ -206,6 +206,18 @@ class TestStage2:
         assert trainer.policy_windows.size(1) > 0
         assert trainer.policy_windows.size(0) == 0
         assert trainer.policy_windows.size(2) == 0
+
+    @pytest.mark.parametrize("period_s,windows", [(0.08, False), (0.1, True)])
+    def test_style_windows_never_span_a_gait_redraw(self, period_s, windows):
+        # the gait is redrawn every 4 (0.08 s) or 5 (0.1 s) control steps; a
+        # style window spans 5 frames, so only the 5-step period has windows
+        # of a single gait for the discriminators to learn from
+        cfg = tiny_cfg(**{"mode.one_stage": True, "gaits.period_s": period_s})
+        trainer = Trainer(cfg, seed=3, stage=2)
+        hist = trainer.run(2)
+        assert all(h["mean_style"] > 0 for h in hist)
+        sizes = [trainer.policy_windows.size(g) for g in range(cfg.env.n_gaits)]
+        assert (sum(sizes) > 0) == windows
 
     def test_one_stage_skips_checkpoint(self):
         cfg = tiny_cfg()
