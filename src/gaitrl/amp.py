@@ -41,10 +41,6 @@ class DiscriminatorSet:
     def n_gaits(self) -> int:
         return len(self.nets)
 
-    @property
-    def window_dim(self) -> int:
-        return self.nets[0].input_dim
-
 
 def make_discriminators(
     n_gaits: int,

@@ -42,14 +42,14 @@ class BipedModel:
     base_half_height: float = 0.12
     joint_inertia: float = 0.12
     joint_damping: float = 1.5
-    kp: tuple = (220.0, 220.0, 60.0) * 2  # hip, knee, ankle
-    kd: tuple = (6.0, 6.0, 2.0) * 2
-    torque_limit: tuple = (120.0, 120.0, 45.0) * 2
+    kp: tuple[float, ...] = (220.0, 220.0, 60.0) * 2  # hip, knee, ankle
+    kd: tuple[float, ...] = (6.0, 6.0, 2.0) * 2
+    torque_limit: tuple[float, ...] = (120.0, 120.0, 45.0) * 2
     action_scale: float = 0.25  # rad of joint target per unit action
     action_bound: float = 4.0
-    nominal_pose: tuple = (0.35, -0.7, 0.35, 0.35, -0.7, 0.35)
-    joint_lower: tuple = (-1.6, -2.4, -1.2, -1.6, -2.4, -1.2)
-    joint_upper: tuple = (1.6, -0.02, 1.2, 1.6, -0.02, 1.2)
+    nominal_pose: tuple[float, ...] = (0.35, -0.7, 0.35, 0.35, -0.7, 0.35)
+    joint_lower: tuple[float, ...] = (-1.6, -2.4, -1.2, -1.6, -2.4, -1.2)
+    joint_upper: tuple[float, ...] = (1.6, -0.02, 1.2, 1.6, -0.02, 1.2)
     joint_vel_limit: float = 20.0
     gravity: float = 9.81
     # spring-damper normal contact, anchored-spring (stick/slip) friction;

@@ -63,6 +63,13 @@ COMMON_FLAGS = {
 }
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _common_flags(p, *flags):
     """Add the named common flags (all four when none are named)."""
     for flag in flags or COMMON_FLAGS:
@@ -81,20 +88,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-stage1", help="train the base locomotion policy")
     _common_flags(p)
-    p.add_argument("--iterations", type=int, help="override ppo.iterations")
+    p.add_argument("--iterations", type=positive_int, help="override ppo.iterations")
     p.add_argument("--checkpoint", help="optional stage-1 checkpoint to warm-start from")
     p.add_argument("--resume", help="resume a stage-1 checkpoint (optimizers + curriculum)")
 
     p = sub.add_parser("train-stage2", help="train the residual-expert stage")
     _common_flags(p)
     p.add_argument("--checkpoint", help="stage-1 checkpoint (omit only with --ablation more-os)")
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--iterations", type=positive_int)
 
     p = sub.add_parser("eval-bench", help="run the traversal benchmark")
     _common_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--gait", type=int, help="fixed gait id for stage-2 policies")
-    p.add_argument("--trials", type=int, help="override bench.trials")
+    p.add_argument("--trials", type=positive_int, help="override bench.trials")
     p.add_argument("--method", default="policy", help="method label in the report")
 
     p = sub.add_parser("export-latents", help="dump residual latents from rollouts")
@@ -110,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", action="append", required=True,
                    help="stage-2 checkpoint; repeat for several targets")
     p.add_argument("--attribute", choices=("squat_height", "knee_lift"), default="squat_height")
-    p.add_argument("--rollouts", type=int, default=10)
+    p.add_argument("--rollouts", type=positive_int, default=10)
     return parser
 
 
@@ -226,10 +233,12 @@ def cmd_eval_bench(args) -> int:
     cfg = _eval_config(args, ckpt)
     policy = policy_from_checkpoint(ckpt, cfg)
     gait_id = args.gait
+    if gait_id is not None and not 0 <= gait_id < policy.arch.n_gaits:
+        raise UsageError(f"--gait must be in [0, {policy.arch.n_gaits}), got {gait_id}")
     if gait_id is None and policy.mode.stage >= 2:
         gait_id = 0
     suite = BenchmarkSuite(
-        trials=args.trials if args.trials else cfg.bench.trials,
+        trials=args.trials or cfg.bench.trials,
         seed_base=args.seed,
         timeout_s=cfg.bench.timeout_s,
         goal_m=cfg.bench.goal_m,

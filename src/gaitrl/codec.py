@@ -31,6 +31,10 @@ The rules:
 - a field annotated ``int``, ``float``, ``str`` or ``bool`` takes only a
   JSON value of that kind; an int where ``float`` is annotated is kept as
   read (so a config's hash does not move), and a bool is not a number;
+- a tuple field is annotated with its element types, ``tuple[int, ...]``
+  or ``tuple[float, float]``, and each element follows the scalar rule
+  above (``arch.critic_hidden[0]: expected int, got str``); a fixed-length
+  tuple takes exactly that many values;
 - a dataclass declared ``init=False`` is filled field by field, without
   calling its ``__init__``.
 
@@ -102,9 +106,13 @@ def decode(tp, data, path: str = ""):
     if origin is list:
         items = _expect(data, list, path)
         return [decode(args[0] if args else None, v, f"{path}[{i}]") for i, v in enumerate(items)]
-    if origin is tuple:  # nested lists become tuples too, as the config always read them
+    if origin is tuple:
         items = _expect(data, list, path)
-        return tuple(tuple(v) if isinstance(v, list) else v for v in items)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise _error(path, f"expected {len(args)} values, got {len(items)}")
+        return tuple(decode(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(args, items)))
     if origin is dict:
         entries = _expect(data, dict, path)
         return {k: decode(args[1] if args else None, v, _at(path, k)) for k, v in entries.items()}

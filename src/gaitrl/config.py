@@ -26,7 +26,7 @@ CONFIG_FORMAT_VERSION = 1
 
 @dataclass
 class TerrainConfig:
-    kinds: tuple = ("flat", "rough", "gap", "step", "stair")
+    kinds: tuple[str, ...] = ("flat", "rough", "gap", "step", "stair")
     track_length: float = 14.0
     cell_size: float = 0.05
     start_clear: float = 2.0
@@ -34,14 +34,14 @@ class TerrainConfig:
 
 @dataclass
 class CommandConfig:
-    v_range: tuple = (0.2, 1.0)
-    w_range: tuple = (-0.5, 0.5)
+    v_range: tuple[float, float] = (0.2, 1.0)
+    w_range: tuple[float, float] = (-0.5, 0.5)
 
 
 @dataclass
 class AmpConfig:
     alpha_gp: float = 10.0
-    disc_hidden: tuple = (64, 32)
+    disc_hidden: tuple[int, ...] = (64, 32)
     disc_lr: float = 3e-4
     buffer_size: int = 4096
     batch_size: int = 256
@@ -51,7 +51,7 @@ class AmpConfig:
 @dataclass
 class GaitConfig:
     period_s: float = 4.0
-    distribution: tuple = (1 / 3, 1 / 3, 1 / 3)
+    distribution: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
     transitions: bool = True
     clip_params: ClipParams = field(default_factory=ClipParams)
     clip_seed: int = 0

@@ -108,11 +108,6 @@ class DenseNet:
             out.append(layer.bias)
         return out
 
-    def copy(self) -> "DenseNet":
-        return DenseNet(
-            [Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
-
 
 def make_net(
     dims: list[int],

@@ -52,12 +52,12 @@ class PolicyMode:
 class PolicyArch:
     d_f: int = 32  # encoder feature width
     d_z: int = 64  # actor latent width
-    encoder_hidden: tuple = (64,)
-    trunk_hidden: tuple = (128,)
-    head_hidden: tuple = ()
-    expert_hidden: tuple = (64,)
-    gate_hidden: tuple = (32,)
-    critic_hidden: tuple = (256, 128)
+    encoder_hidden: tuple[int, ...] = (64,)
+    trunk_hidden: tuple[int, ...] = (128,)
+    head_hidden: tuple[int, ...] = ()
+    expert_hidden: tuple[int, ...] = (64,)
+    gate_hidden: tuple[int, ...] = (32,)
+    critic_hidden: tuple[int, ...] = (256, 128)
     n_gaits: int = 3
     log_std_init: float = 0.0
     log_std_min: float = -4.0
@@ -303,7 +303,6 @@ class ActorCache:
     head_tape: GradientTape
     z_o: np.ndarray
     residual: ResidualCache | None
-    mean: np.ndarray
 
 
 class ActorCritic:
@@ -402,7 +401,7 @@ class ActorCritic:
                 mean = mean + a_p
         else:
             mean, head_tape = net_forward(self.head, z_o)
-        return mean, ActorCache(scan_tape, hist_tape, trunk_tape, head_tape, z_o, res_cache, mean)
+        return mean, ActorCache(scan_tape, hist_tape, trunk_tape, head_tape, z_o, res_cache)
 
     def act(
         self,
@@ -423,7 +422,7 @@ class ActorCritic:
             action = mean.copy()
         else:
             action = mean + np.exp(self.log_std) * rng.standard_normal(N_JOINTS)
-        logp = gaussian_log_prob(action, mean, self.log_std)
+        logp = float(gaussian_log_prob_batch(action[None], mean[None], self.log_std)[0])
         return ActResult(action, logp, mean, cache.z_o[0], z_p, gate_w)
 
     def critic_value(
@@ -509,19 +508,13 @@ class ActorCritic:
         self.normalizer = state.normalizer
 
 
-def gaussian_log_prob(action: np.ndarray, mean: np.ndarray, log_std: np.ndarray) -> float:
-    std = np.exp(log_std)
-    z = (action - mean) / std
-    # the sum methods: np.sum's reduction without its dispatch overhead
-    return float(-0.5 * (z * z).sum() - log_std.sum() - 0.5 * len(mean) * LOG_2PI)
-
-
 def gaussian_log_prob_batch(
     actions: np.ndarray, means: np.ndarray, log_std: np.ndarray
 ) -> np.ndarray:
     std = np.exp(log_std)
     z = (actions - means) / std
-    return -0.5 * np.sum(z * z, axis=1) - np.sum(log_std) - 0.5 * actions.shape[1] * LOG_2PI
+    # the sum methods: np.sum's reduction without its dispatch overhead
+    return -0.5 * (z * z).sum(axis=1) - log_std.sum() - 0.5 * actions.shape[1] * LOG_2PI
 
 
 @dataclass

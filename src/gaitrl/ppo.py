@@ -37,27 +37,32 @@ class PPOConfig:
     horizon: int = 64
     n_envs: int = 64
     iterations: int = 300
-    freeze: tuple = ()
+    freeze: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
         if self.clip <= 0.0:
             raise ValueError("clip must be positive")
+        if self.iterations < 1:
+            raise ValueError("iterations must be positive")
 
 
 class RolloutBuffer:
-    """Fixed-horizon on-policy storage for a batch of environments."""
+    """Fixed-horizon on-policy storage for a batch of environments.
+
+    One row per control step, copied from the batch the policy acted on
+    (``obs``, a ``BundleBatch`` of ``[T, N, d]`` arrays) and from what the
+    step returned; ``values`` has one bootstrap row beyond the horizon.
+    """
 
     def __init__(self, horizon: int, n_envs: int, dims: dict, n_gaits: int, n_joints: int):
         T, N = horizon, n_envs
         self.horizon = horizon
         self.n_envs = n_envs
-        self.o = np.zeros((T, N, dims["d_o"]))
-        self.hist = np.zeros((T, N, dims["d_hist"]))
-        self.scans = np.zeros((T, N, dims["d_scan"]))
-        self.m = np.zeros((T, N, dims["d_m"]))
-        self.e = np.zeros((T, N, dims["d_e"]))
+        self.obs = BundleBatch(
+            *(np.zeros((T, N, dims[d])) for d in ("d_o", "d_hist", "d_scan", "d_m", "d_e"))
+        )
         self.gait = np.zeros((T, N, n_gaits))
         self.actions = np.zeros((T, N, n_joints))
         self.log_probs = np.zeros((T, N))
@@ -69,25 +74,21 @@ class RolloutBuffer:
         self.r_g = np.zeros((T, N))
         self.filled = 0
 
-    def add_step(self, t, env_i, bundle, gait, action, log_prob, value, reward, done, breakdown=None):
-        self.o[t, env_i] = bundle.o
-        self.hist[t, env_i] = bundle.hist
-        self.scans[t, env_i] = bundle.scans
-        self.m[t, env_i] = bundle.m
-        self.e[t, env_i] = bundle.e
-        self.gait[t, env_i] = gait
-        self.actions[t, env_i] = action
-        self.log_probs[t, env_i] = log_prob
-        self.values[t, env_i] = value
-        self.rewards[t, env_i] = reward
-        self.dones[t, env_i] = float(done)
-        if breakdown is not None:
-            self.r_l[t, env_i] = breakdown.r_l
-            self.r_s[t, env_i] = breakdown.r_s
-            self.r_g[t, env_i] = breakdown.r_g
-
-    def mark_filled(self):
-        self.filled = self.horizon * self.n_envs
+    def add_step(self, t, batch, gaits, actions, log_probs, values, rewards, dones, breakdowns=None):
+        """Row ``t``: ``[N, ...]`` arrays and per-env lists, in env order."""
+        for name, rows in vars(self.obs).items():
+            rows[t] = getattr(batch, name)
+        self.gait[t] = gaits
+        self.actions[t] = actions
+        self.log_probs[t] = log_probs
+        self.values[t] = values
+        self.rewards[t] = rewards
+        self.dones[t] = dones
+        if breakdowns is not None:
+            self.r_l[t] = [bd.r_l for bd in breakdowns]
+            self.r_s[t] = [bd.r_s for bd in breakdowns]
+            self.r_g[t] = [bd.r_g for bd in breakdowns]
+        self.filled = (t + 1) * self.n_envs
 
 
 def compute_gae(
@@ -156,7 +157,7 @@ def _restore(policy: ActorCritic, opts: dict[str, AdamState], snap: tuple) -> No
 def ppo_loss_and_grads(
     policy: ActorCritic,
     mb: BundleBatch,
-    gaits: np.ndarray | None,
+    gaits: np.ndarray,
     actions: np.ndarray,
     adv: np.ndarray,
     returns: np.ndarray,
@@ -230,10 +231,7 @@ def ppo_update(
     T, N = buffer.horizon, buffer.n_envs
     B = T * N
     flat = lambda a: a.reshape(B, *a.shape[2:])
-    obs = BundleBatch(
-        o=flat(buffer.o), hist=flat(buffer.hist), scans=flat(buffer.scans),
-        m=flat(buffer.m), e=flat(buffer.e),
-    )
+    obs = {name: flat(rows) for name, rows in vars(buffer.obs).items()}
     gaits = flat(buffer.gait)
     actions = flat(buffer.actions)
     old_logp = buffer.log_probs.reshape(B)
@@ -251,10 +249,7 @@ def ppo_update(
         perm = rng.permutation(B)
         for start in range(0, B, cfg.minibatch):
             idx = perm[start : start + cfg.minibatch]
-            mb = BundleBatch(
-                o=obs.o[idx], hist=obs.hist[idx], scans=obs.scans[idx],
-                m=obs.m[idx], e=obs.e[idx],
-            )
+            mb = BundleBatch(**{name: rows[idx] for name, rows in obs.items()})
             loss, grad_lists, piece = ppo_loss_and_grads(
                 policy, mb, gaits[idx], actions[idx], adv_n[idx], returns[idx], old_logp[idx], cfg
             )

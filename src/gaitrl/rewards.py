@@ -81,7 +81,7 @@ class RewardConfig:
     joint_vel_soft: float = 12.0  # rad/s
     torque_soft_frac: float = 0.9
     literal_signs: bool = False
-    posture_joints: tuple = (2, 5)  # ankles stand in for the arm-deviation row
+    posture_joints: tuple[int, ...] = (2, 5)  # ankles stand in for the arm-deviation row
 
     def weight(self, name: str) -> float:
         return self.weights.get(name, 0.0)

@@ -353,12 +353,11 @@ class Trainer:
             )
             logps = gaussian_log_prob_batch(actions, means, pol.log_std)
 
+            rewards, dones, breakdowns = [], [], []
             for i, w in enumerate(self.workers):
                 env = w.env
-                a_t = actions[i]
                 gait = env.commands.gait
-                pre_bundle = env.bundle
-                res = env.step(a_t)
+                res = env.step(actions[i])
                 st = env.state
 
                 if res.termination == "diverged":
@@ -395,20 +394,19 @@ class Trainer:
                     v_term, _ = pol.critic_value(res.bundle.m, res.bundle.e, gait[None, :])
                     reward += cfg.ppo.gamma * float(v_term[0])
 
-                buffer.add_step(
-                    t, i, pre_bundle, gait, a_t, float(logps[i]), float(values[i]),
-                    reward, res.done, bd,
-                )
+                rewards.append(reward)
+                dones.append(res.done)
+                breakdowns.append(bd)
                 if res.done:
                     ep_distances.append(res.distance)
                     w.finish_episode(res.distance)
                     w.begin_episode()
+            buffer.add_step(t, batch, gaits, actions, logps, values, rewards, dones, breakdowns)
 
         batch = BundleBatch.stack([w.env.bundle for w in self.workers])
         gaits = np.stack([w.env.commands.gait for w in self.workers])
         values, _ = self.policy.critic_value(batch.m, batch.e, gaits)
         buffer.values[cfg.ppo.horizon] = values
-        buffer.mark_filled()
 
         steps = cfg.ppo.horizon * cfg.ppo.n_envs
         stats = {

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from gaitrl.cli import cli
-from gaitrl.config import RunConfig, config_from_dict, config_hash, save_config
+from gaitrl.config import RunConfig, config_from_dict, config_hash, config_to_dict, save_config
 
 
 def tiny_cfg(**over) -> RunConfig:
@@ -91,6 +91,34 @@ class TestUsage:
                  "--out": str(tmp_path / "out")}[flag]
         assert cli([*argv, flag, value]) == 1
         assert f"usage error: unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["train-stage1", "--iterations", "0"], "argument --iterations: must be a positive"),
+        (["train-stage1", "--iterations", "-1"], "argument --iterations: must be a positive"),
+        (["train-stage2", "--ablation", "more-os", "--iterations", "0"],
+         "argument --iterations: must be a positive"),
+        (["train-stage1", "--config", "{zero}"], "ppo: iterations must be positive"),
+        (["inspect-config", "--config", "{zero}"], "ppo: iterations must be positive"),
+        (["eval-bench", "--checkpoint", "{s2}", "--trials", "0"],
+         "argument --trials: must be a positive"),
+        (["eval-bench", "--checkpoint", "{s2}", "--trials", "-2"],
+         "argument --trials: must be a positive"),
+        (["gait-modulation", "--checkpoint", "{s2}", "--rollouts", "0"],
+         "argument --rollouts: must be a positive"),
+        (["eval-bench", "--checkpoint", "{s2}", "--gait", "-1"], "--gait must be in [0, 3)"),
+        (["eval-bench", "--checkpoint", "{s2}", "--gait", "5"], "--gait must be in [0, 3)"),
+    ])
+    def test_a_count_or_gait_out_of_range_exits_1(self, trained, tmp_path, capsys, argv, message):
+        doc = config_to_dict(tiny_cfg())
+        doc["ppo"]["iterations"] = 0
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps(doc))
+        paths = {"{zero}": str(zero), "{s2}": trained[2]}
+        out = tmp_path / "out"
+        out_flag = [] if argv[0] == "inspect-config" else ["--out", str(out)]
+        assert cli([paths.get(a, a) for a in argv] + out_flag) == 1
+        assert message in capsys.readouterr().err.split("usage error: ", 1)[1]
+        assert not out.exists() or not os.listdir(out)
 
 
 class TestPipeline:
@@ -326,6 +354,16 @@ class TestMalformedInputs:
                   "--trials", "1"])
         assert rc == 1
         assert (f"usage error: invalid checkpoint {bad}: policy.arch.d_z: expected int, got str"
+                in capsys.readouterr().err)
+
+    def test_config_with_a_string_in_a_tuple_exits_1(self, tmp_path, capsys):
+        doc = config_to_dict(tiny_cfg())
+        doc["arch"]["critic_hidden"] = ["12"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli(["train-stage1", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert (f"usage error: invalid config {bad}: arch.critic_hidden[0]: expected int, got str"
                 in capsys.readouterr().err)
 
     def test_latents_without_gate_weights_exit_1(self, tmp_path, capsys):

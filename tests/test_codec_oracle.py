@@ -218,6 +218,12 @@ def test_config_rejects_what_the_old_code_rejected(data):
     ({"ppo": {"epochs": False}}, "ppo.epochs: expected int, got bool"),
     ({"curriculum": {"enabled": 1}}, "curriculum.enabled: expected bool, got int"),
     ({"mode": {"residual_fusion": 2}}, "mode.residual_fusion: expected str, got int"),
+    ({"arch": {"critic_hidden": ["12"]}}, r"arch.critic_hidden\[0\]: expected int, got str"),
+    ({"terrain": {"kinds": ["flat", 1]}}, r"terrain.kinds\[1\]: expected str, got int"),
+    ({"gaits": {"distribution": [0.5, True]}},
+     r"gaits.distribution\[1\]: expected float, got bool"),
+    ({"commands": {"v_range": [0.2]}}, "commands.v_range: expected 2 values, got 1"),
+    ({"commands": {"w_range": [-0.5, "0.5"]}}, r"commands.w_range\[1\]: expected float, got str"),
 ])
 def test_a_scalar_of_the_wrong_kind_names_its_field(data, error):
     with pytest.raises(ValueError, match=f"^{error}$"):

@@ -12,8 +12,10 @@ package outside it has a method named like a hand-written serializer.
 No state is kept that nothing reads: every attribute a class of the package
 sets (``self.<name> = ...``) and every dataclass field is read, as
 ``.<name>`` or ``getattr(x, "<name>")``, somewhere in the package, the tests
-or the benchmark harness.  The check goes by name alone, so a name read
-anywhere counts for every class.
+or the benchmark harness.  Nor is code kept that nothing calls: every
+method and property a class of the package defines (dunders excepted) is
+read the same way.  The checks go by name alone, so a name read anywhere
+counts for every class.
 """
 
 from __future__ import annotations
@@ -195,13 +197,57 @@ def test_the_check_flags_state_nothing_reads():
     ]
 
 
+def names_read() -> set[str]:
+    """Every name read as an attribute in the package, the tests or the harness."""
+    return set().union(*(read_attributes(ast.parse(p.read_text())) for p in READERS))
+
+
 def test_no_state_that_nothing_reads():
-    read = set().union(*(read_attributes(ast.parse(p.read_text())) for p in READERS))
+    read = names_read()
     unread = [
         f"{path.name}: {attr}"
         for path in READERS
         if path.parent.name == "gaitrl"
         for attr in stored_attributes(ast.parse(path.read_text(), filename=str(path)))
         if attr.split(".", 1)[1] not in read
+    ]
+    assert unread == []
+
+
+def defined_methods(tree: ast.Module) -> list[str]:
+    """``Class.name`` for each method and property a class defines, dunders excepted."""
+    found = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        names = [
+            item.name
+            for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))
+        ]
+        found += [f"{cls.name}.{name}" for name in dict.fromkeys(names)]
+    return found
+
+
+def test_the_check_flags_a_method_nothing_reads():
+    tree = ast.parse(
+        "class Net:\n    def __init__(self): ...\n    def forward(self, x): ...\n"
+        "    def copy(self): ...\n    @property\n    def width(self): ...\n"
+        "    @property\n    def depth(self): ...\n"
+        "def run(net):\n    return net.forward(1) + getattr(net, 'width')\n"
+    )
+    read = read_attributes(tree)
+    assert [m for m in defined_methods(tree) if m.split(".")[1] not in read] == [
+        "Net.copy", "Net.depth",
+    ]
+
+
+def test_no_method_that_nothing_reads():
+    read = names_read()
+    unread = [
+        f"{path.name}: {method}"
+        for path in READERS
+        if path.parent.name == "gaitrl"
+        for method in defined_methods(ast.parse(path.read_text(), filename=str(path)))
+        if method.split(".", 1)[1] not in read
     ]
     assert unread == []

@@ -146,17 +146,18 @@ class TestPPOUpdate:
         buf = RolloutBuffer(T, N, policy.dims, 3, N_JOINTS)
         bundles = collect_bundles(T * N, seed=seed)
         rng = np.random.default_rng(seed)
-        k = 0
         for t in range(T):
-            for i in range(N):
-                b = bundles[k]
-                k += 1
-                r = policy.act(b, deterministic=False, rng=rng)
-                v, _ = policy.critic_value(b.m, b.e)
-                buf.add_step(t, i, b, one_hot(0, 3), r.action, r.log_prob, v[0],
-                             reward=float(rng.normal()), done=False)
+            row = bundles[t * N : (t + 1) * N]
+            acts, rewards = [], []
+            for b in row:
+                acts.append(policy.act(b, deterministic=False, rng=rng))
+                rewards.append(float(rng.normal()))
+            batch = BundleBatch.stack(row)
+            values, _ = policy.critic_value(batch.m, batch.e)
+            buf.add_step(t, batch, np.stack([one_hot(0, 3)] * N),
+                         np.stack([r.action for r in acts]), [r.log_prob for r in acts],
+                         values, rewards, [False] * N)
         buf.values[T] = 0.0
-        buf.mark_filled()
         return buf
 
     def test_update_changes_parameters(self):

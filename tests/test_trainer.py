@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import gaitrl.trainer as trainer_mod
+from gaitrl.biped import N_JOINTS
 from gaitrl.config import RunConfig, config_from_dict, config_to_dict
+from gaitrl.policy import BundleBatch, gaussian_log_prob_batch
+from gaitrl.ppo import RolloutBuffer
 from gaitrl.trainer import (
     CurriculumState,
     GaitScheduler,
@@ -169,6 +172,27 @@ class TestStage1:
         cfg = tiny_cfg()
         _, h2 = train_stage1(cfg, seed=2, iterations=1)
         assert h1[0]["mean_total_reward"] != h2[0]["mean_total_reward"]
+
+
+class TestRollout:
+    def test_each_buffer_row_is_the_batch_the_policy_acted_on(self):
+        # re-scoring a stored row gives its stored log-probs and values bit
+        # for bit; a row that holds another step's observation does not
+        cfg = tiny_cfg(**{"mode.one_stage": True})
+        trainer = Trainer(cfg, seed=3, stage=2)
+        pol = trainer.policy
+        T, N = cfg.ppo.horizon, cfg.ppo.n_envs
+        buffer = RolloutBuffer(T, N, pol.dims, cfg.env.n_gaits, N_JOINTS)
+        trainer.collect_rollout(buffer)
+        assert buffer.filled == T * N
+        assert buffer.gait.any()
+        for t in range(T):
+            row = BundleBatch(**{name: rows[t] for name, rows in vars(buffer.obs).items()})
+            means, _ = pol.actor_mean(row, buffer.gait[t])
+            logps = gaussian_log_prob_batch(buffer.actions[t], means, pol.log_std)
+            assert logps.tobytes() == buffer.log_probs[t].tobytes(), t
+            values, _ = pol.critic_value(row.m, row.e, buffer.gait[t])
+            assert values.tobytes() == buffer.values[t].tobytes(), t
 
 
 class TestStage2:
@@ -349,7 +373,8 @@ class TestDivergingEnv:
         assert got.dones[0, 1] == 1.0 and got.rewards[0, 1] == 0.0
         others = [i for i in range(poked.cfg.ppo.n_envs) if i != 1]
         for name in self.ROWS:
-            a, b = getattr(got, name)[:, others], getattr(want, name)[:, others]
+            a, b = (getattr(buf.obs if hasattr(buf.obs, name) else buf, name)[:, others]
+                    for buf in (got, want))
             assert a.tobytes() == b.tobytes(), name
         # the diverged env started a new episode and kept stepping
-        assert np.isfinite(got.o[1:, 1]).all() and got.dones[1:, 1].sum() < got.horizon - 1
+        assert np.isfinite(got.obs.o[1:, 1]).all() and got.dones[1:, 1].sum() < got.horizon - 1
