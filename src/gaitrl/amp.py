@@ -58,7 +58,7 @@ def make_discriminators(
 
 def disc_scores(net: DenseNet, windows: np.ndarray) -> np.ndarray:
     y, _ = net_forward(net, windows)
-    return y[:, 0] if y.ndim == 2 else np.array([y[0]])
+    return y[:, 0]
 
 
 def discriminator_loss(
@@ -68,8 +68,6 @@ def discriminator_loss(
     alpha_gp: float,
 ) -> tuple[float, NetGrads, dict]:
     """LSGAN loss with reference-sample gradient penalty, plus its gradients."""
-    real = np.atleast_2d(np.asarray(real, dtype=np.float64))
-    fake = np.atleast_2d(np.asarray(fake, dtype=np.float64))
     if real.shape[0] == 0 or fake.shape[0] == 0:
         raise ValueError("empty discriminator batch")
     n_r, n_f = real.shape[0], fake.shape[0]
@@ -132,7 +130,7 @@ def style_reward(
     if gait.shape != (discs.n_gaits,):
         raise ValueError("gait command length does not match discriminator count")
     i = int(np.argmax(gait))
-    score = float(disc_scores(discs.nets[i], np.atleast_2d(window))[0])
+    score = float(disc_scores(discs.nets[i], window[None, :])[0])
     return style_reward_value(score)
 
 
@@ -154,7 +152,6 @@ class WindowBuffer:
         self._next = [0] * n_gaits  # ring row the next window goes to
 
     def add(self, gait_id: int, windows: np.ndarray) -> None:
-        windows = np.atleast_2d(windows)
         n = windows.shape[0]
         if n == 0:
             return

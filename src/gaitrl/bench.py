@@ -95,7 +95,7 @@ class PolicyController:
 
     def act(self, bundle, commands, state):
         gait = self.gait
-        if self.policy.mode.stage >= 2 and gait is None:
+        if self.policy.residual is not None and gait is None:
             gait = commands.gait
         res = self.policy.act(bundle, gait, deterministic=True)
         bound = self.policy.model.action_bound

@@ -175,15 +175,12 @@ def action_targets(model: BipedModel, action: np.ndarray) -> np.ndarray:
 def pd_torques(
     model: BipedModel,
     state: BipedState,
-    action: np.ndarray,
+    target: np.ndarray,
     kp_scale: float,
     kd_scale: float,
     motor_strength: float,
-    target: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Target-position PD control: torque toward scaled action + nominal pose."""
-    if target is None:
-        target = action_targets(model, action)
+    """Target-position PD control: torque toward ``target`` (see :func:`action_targets`)."""
     tau = []
     for kp, kd, lim, tgt, q, qd in zip(
         model._kp_f, model._kd_f, model._tlim_f,
@@ -268,8 +265,7 @@ def substep(
     dn = model.contact_dn * (1.0 - 0.85 * restitution)
     kn, kt, ct = model.contact_kn, model.contact_kt, model.contact_ct
     damp_ramp, force_cap = model.contact_damp_ramp, model.contact_force_cap
-    if terrain is not None:
-        heights, void, cell_at = terrain.height_view, terrain.void_view, terrain.cell_at
+    heights, void, cell_at = terrain.height_view, terrain.void_view, terrain.cell_at
     anchor_on = state.anchor_on
     anchor_x = state.anchor_x
     on = anchor_on.tolist()
@@ -307,53 +303,50 @@ def substep(
 
         in_contact = False
         force_x = force_z = 0.0
-        if terrain is None:
-            state.knee_heights[side] = kz - 0.0
-        else:
-            state.knee_heights[side] = kz - heights[cell_at(kx)]
-            side_on = on[side]
-            side_x = ax[side]
-            rate_sum = pr + qd1 + qd2 + qd3
-            # heel and toe of the flat foot; the segment is horizontal at a3 = 0
-            for pt, sgn in ((0, -1.0), (1, 1.0)):
-                px = fx + sgn * fh * c3
-                pz = fz + sgn * fh * s3
-                i = cell_at(px)
-                fcz = 0.0
-                if not void[i]:
-                    pen = heights[i] - pz
-                    if not pen <= 0.0:
-                        # the heel/toe offset swings with every angle in the chain
-                        vpx = vfx - sgn * fh * s3 * rate_sum
-                        vpz = vfz + sgn * fh * c3 * rate_sum
-                        ramp = min(pen / damp_ramp, 1.0)
-                        fcz = kn * pen - dn * ramp * vpz
-                if fcz <= 0.0:
-                    # void cell, no penetration, or the damper pulls: no contact
-                    if side_on[pt]:
-                        side_on[pt] = False
-                        anchor_on[side, pt] = False
-                    continue
-                fcz = min(fcz, force_cap)
-                # anchored tangential spring: stick until the friction cone slips
-                if not side_on[pt]:
-                    side_on[pt] = True
-                    anchor_on[side, pt] = True
-                    side_x[pt] = anchor_x[side, pt] = px
-                fcx = -kt * (px - side_x[pt]) - ct * vpx
-                cap = friction * fcz
-                if fcx > cap:
-                    fcx = cap
-                    side_x[pt] = anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
-                elif fcx < -cap:
-                    fcx = -cap
-                    side_x[pt] = anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
-                in_contact = True
-                force_x += fcx
-                force_z += fcz
-                f_x += fcx
-                f_z += fcz
-                torque += (px - com_x) * fcz - (pz - com_z) * fcx
+        state.knee_heights[side] = kz - heights[cell_at(kx)]
+        side_on = on[side]
+        side_x = ax[side]
+        rate_sum = pr + qd1 + qd2 + qd3
+        # heel and toe of the flat foot; the segment is horizontal at a3 = 0
+        for pt, sgn in ((0, -1.0), (1, 1.0)):
+            px = fx + sgn * fh * c3
+            pz = fz + sgn * fh * s3
+            i = cell_at(px)
+            fcz = 0.0
+            if not void[i]:
+                pen = heights[i] - pz
+                if not pen <= 0.0:
+                    # the heel/toe offset swings with every angle in the chain
+                    vpx = vfx - sgn * fh * s3 * rate_sum
+                    vpz = vfz + sgn * fh * c3 * rate_sum
+                    ramp = min(pen / damp_ramp, 1.0)
+                    fcz = kn * pen - dn * ramp * vpz
+            if fcz <= 0.0:
+                # void cell, no penetration, or the damper pulls: no contact
+                if side_on[pt]:
+                    side_on[pt] = False
+                    anchor_on[side, pt] = False
+                continue
+            fcz = min(fcz, force_cap)
+            # anchored tangential spring: stick until the friction cone slips
+            if not side_on[pt]:
+                side_on[pt] = True
+                anchor_on[side, pt] = True
+                side_x[pt] = anchor_x[side, pt] = px
+            fcx = -kt * (px - side_x[pt]) - ct * vpx
+            cap = friction * fcz
+            if fcx > cap:
+                fcx = cap
+                side_x[pt] = anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
+            elif fcx < -cap:
+                fcx = -cap
+                side_x[pt] = anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
+            in_contact = True
+            force_x += fcx
+            force_z += fcz
+            f_x += fcx
+            f_z += fcz
+            torque += (px - com_x) * fcz - (pz - com_z) * fcx
         contact[side] = state.contact[side] = in_contact
         state.contact_force[side, 0] = force_x
         state.contact_force[side, 1] = force_z

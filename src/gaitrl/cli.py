@@ -191,6 +191,8 @@ def cmd_gen_refs(args) -> int:
 def cmd_train_stage1(args) -> int:
     cfg = _load_run_config(args)
     out = _need_out(args)
+    if cfg.mode.one_stage:
+        raise UsageError("mode.one_stage (--ablation more-os) trains stage 2 only; use train-stage2")
     if args.checkpoint and args.resume:
         raise UsageError("--checkpoint (warm start) and --resume are mutually exclusive")
     if args.resume:

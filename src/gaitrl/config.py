@@ -18,8 +18,9 @@ from .codec import decode, encode, write_json
 from .env import EnvConfig
 from .policy import PolicyArch, PolicyMode
 from .ppo import PPOConfig
-from .refmotion import ClipParams
+from .refmotion import N_GAITS, ClipParams
 from .rewards import RewardConfig
+from .terrain import TERRAIN_KINDS
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -30,6 +31,15 @@ class TerrainConfig:
     track_length: float = 14.0
     cell_size: float = 0.05
     start_clear: float = 2.0
+
+    def __post_init__(self):
+        if not self.kinds:
+            raise ValueError("kinds must name at least one terrain kind")
+        for i, kind in enumerate(self.kinds):
+            if kind not in TERRAIN_KINDS:
+                raise ValueError(
+                    f"kinds[{i}]: unknown terrain kind {kind!r}, not one of {TERRAIN_KINDS}"
+                )
 
 
 @dataclass
@@ -56,6 +66,10 @@ class GaitConfig:
     clip_params: ClipParams = field(default_factory=ClipParams)
     clip_seed: int = 0
 
+    def __post_init__(self):
+        if not self.period_s > 0.0:
+            raise ValueError("period_s must be positive")
+
 
 @dataclass
 class CurriculumConfig:
@@ -72,6 +86,10 @@ class BenchConfig:
     timeout_s: float = 40.0
     goal_m: float = 14.0
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
+
 
 @dataclass
 class TrainConfig:
@@ -81,6 +99,10 @@ class TrainConfig:
     divergence_floor: float = 0.2  # of the max tracking term
     divergence_patience: int = 80
     divergence_warmup: int = 120
+
+    def __post_init__(self):
+        if self.checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be positive")
 
 
 @dataclass
@@ -99,6 +121,19 @@ class RunConfig:
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+
+    def __post_init__(self):
+        # one gait count across sections, within the reference gaits
+        n = self.env.n_gaits
+        if not 1 <= n <= N_GAITS:
+            raise ValueError(f"env.n_gaits must be in [1, {N_GAITS}] (the reference gaits), got {n}")
+        if self.arch.n_gaits != n:
+            raise ValueError(f"arch.n_gaits is {self.arch.n_gaits}, but env.n_gaits is {n}")
+        if len(self.gaits.distribution) != n:
+            raise ValueError(
+                f"gaits.distribution has {len(self.gaits.distribution)} values, "
+                f"but env.n_gaits is {n}"
+            )
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -131,6 +131,11 @@ class EnvConfig:
     blind: bool = False
     n_gaits: int = 3
 
+    def __post_init__(self):
+        for name in ("substeps", "history_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+
     def scan_offsets(self) -> np.ndarray:
         return np.linspace(0.0, self.scan_lookahead, self.scan_points)
 
@@ -201,14 +206,12 @@ def build_o_t(
     state: BipedState,
     commands: CommandState,
     last_action: np.ndarray,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Proprioceptive observation in the fixed layout [w, g, c_v, q, qd, a_prev].
 
-    Written into ``out`` when given (one assignment), else into a new vector.
+    Written into ``out`` (one assignment), which is returned.
     """
-    if out is None:
-        out = np.empty(2 + 2 + 2 + 3 * N_JOINTS)
     out[:] = [
         state.pitch_rate, state.yaw_rate,
         -math.sin(state.pitch), -math.cos(state.pitch),  # projected gravity
@@ -290,22 +293,13 @@ class TerrainEnv:
     # -- episode control ----------------------------------------------------
 
     def reset(
-        self,
-        terrain: Heightfield,
-        dr: DRConfig | None = None,
-        commands: CommandState | None = None,
-        seed: int | None = None,
+        self, terrain: Heightfield, dr: DRConfig, commands: CommandState
     ) -> ObservationBundle:
-        if seed is not None:
-            self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.terrain = terrain
-        self.dr = dr or DRConfig.identity()
+        self.dr = dr
         # the DR draw is fixed for the episode; the critic sees it every step
         self._dr_vec = self.dr.as_vector()
-        if commands is not None:
-            self.commands = commands.copy()
-        else:
-            self.commands = CommandState(gait=np.zeros(self.cfg.n_gaits))
+        self.commands = commands.copy()
 
         q0 = np.clip(
             self.dr.init_joint_scale * self.model.nominal(),
@@ -389,9 +383,7 @@ class TerrainEnv:
         # math.cos(inf)) or is caught by the check after the loop
         try:
             for _ in range(substeps):
-                tau = pd_torques(
-                    model, st, applied, dr.kp_scale, dr.kd_scale, dr.motor_strength, target=target
-                )
+                tau = pd_torques(model, st, target, dr.kp_scale, dr.kd_scale, dr.motor_strength)
                 substep(
                     model, st, tau, self.terrain, dt_sub, dr.friction, dr.restitution,
                     self._ep_dr_mass, dr.com_shift, dr.link_mass_scale,

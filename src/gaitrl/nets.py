@@ -6,8 +6,8 @@ Gradients are derived by hand for this fixed topology and certified against
 central finite differences in the test suite, which keeps the substrate free
 of any autodiff framework.
 
-Inputs may be single vectors ``[d]`` or batches ``[B, d]``; gradients over a
-batch are summed.
+Inputs are batches ``[B, d]``: a single sample is a batch of one, ``x[None]``.
+Parameter gradients over a batch are summed.
 """
 
 from __future__ import annotations
@@ -18,48 +18,25 @@ from typing import NewType
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu", "elu", "identity")
+ACTIVATIONS = ("tanh", "identity")
 
 # The annotation of float64 state that the codec stores packed (the base64 of
 # its little-endian bytes, bit-exact) rather than as nested lists.
 PackedArray = NewType("PackedArray", np.ndarray)
 
 
+# ``Layer`` admits only the ACTIVATIONS, so anything but "tanh" is the identity
 def _act(name: str, s: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(s)
-    if name == "relu":
-        return np.maximum(s, 0.0)
-    if name == "elu":
-        return np.where(s > 0.0, s, np.expm1(np.minimum(s, 0.0)))
-    if name == "identity":
-        return s
-    raise ValueError(f"unknown activation: {name!r}")
+    return np.tanh(s) if name == "tanh" else s
 
 
 def _act_deriv(name: str, s: np.ndarray, z: np.ndarray) -> np.ndarray:
     # z is the already-computed activation output for s
-    if name == "tanh":
-        return 1.0 - z * z
-    if name == "relu":
-        return (s > 0.0).astype(s.dtype)
-    if name == "elu":
-        return np.where(s > 0.0, 1.0, z + 1.0)
-    if name == "identity":
-        return np.ones_like(s)
-    raise ValueError(f"unknown activation: {name!r}")
+    return 1.0 - z * z if name == "tanh" else np.ones_like(s)
 
 
 def _act_deriv2(name: str, s: np.ndarray, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return -2.0 * z * (1.0 - z * z)
-    if name == "relu":
-        return np.zeros_like(s)
-    if name == "elu":
-        return np.where(s > 0.0, 0.0, z + 1.0)
-    if name == "identity":
-        return np.zeros_like(s)
-    raise ValueError(f"unknown activation: {name!r}")
+    return -2.0 * z * (1.0 - z * z) if name == "tanh" else np.zeros_like(s)
 
 
 @dataclass
@@ -148,7 +125,6 @@ class GradientTape:
     x: np.ndarray  # [B, in]
     pre: list[np.ndarray]  # s_l, [B, out_l]
     post: list[np.ndarray]  # z_l = act(s_l)
-    single: bool = False
 
 
 @dataclass
@@ -179,19 +155,16 @@ def zero_grads(net: DenseNet) -> NetGrads:
     )
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"{what} has shape {x.shape}, expected [*, {dim}]")
-    return x, single
+    return x
 
 
 def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, GradientTape]:
     """Evaluate the network and cache everything backward needs."""
-    xb, single = _as_batch(x, net.input_dim, "input")
+    xb = _as_batch(x, net.input_dim, "input")
     if not np.isfinite(xb).all():
         raise ValueError("non-finite network input")
     pre, post = [], []
@@ -203,8 +176,7 @@ def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, GradientTape]
         z = _act(layer.activation, s)
         pre.append(s)
         post.append(z)
-    y = z[0] if single else z
-    return y, GradientTape(net, xb, pre, post, single)
+    return z, GradientTape(net, xb, pre, post)
 
 
 def _check_tape(net: DenseNet, tape: GradientTape) -> None:
@@ -224,7 +196,7 @@ def net_backward(
     shape.
     """
     _check_tape(net, tape)
-    g, single = _as_batch(grad_out, net.output_dim, "grad_out")
+    g = _as_batch(grad_out, net.output_dim, "grad_out")
     if g.shape[0] != tape.x.shape[0]:
         raise ValueError("grad_out batch size does not match the forward call")
     grads = zero_grads(net)
@@ -235,8 +207,7 @@ def net_backward(
         grads.weights[k] += gs.T @ zin
         grads.biases[k] += gs.sum(axis=0)
         g = gs @ layer.weight
-    grad_input = g[0] if (single and tape.single) else g
-    return grads, grad_input
+    return grads, g
 
 
 def net_directional_param_grads(
@@ -250,8 +221,8 @@ def net_directional_param_grads(
     the returned parameter grads are summed over the batch.
     """
     _check_tape(net, tape)
-    vb, _ = _as_batch(v, net.input_dim, "tangent")
-    gb, _ = _as_batch(grad_out, net.output_dim, "grad_out")
+    vb = _as_batch(v, net.input_dim, "tangent")
+    gb = _as_batch(grad_out, net.output_dim, "grad_out")
     n_layers = len(net.layers)
 
     # Forward tangent sweep: s_dot_l = W_l z_dot_{l-1}; z_dot_l = act'(s_l) * s_dot_l.

@@ -39,6 +39,8 @@ POLICY_FORMAT_VERSION = 1
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+RESIDUAL_FUSIONS = ("latent", "action")
+
 
 @dataclass
 class PolicyMode:
@@ -46,6 +48,12 @@ class PolicyMode:
     residual_fusion: str = "latent"  # or "action"
     one_stage: bool = False
     n_experts: int = 3
+
+    def __post_init__(self):
+        if self.residual_fusion not in RESIDUAL_FUSIONS:
+            raise ValueError(
+                f"residual_fusion must be one of {RESIDUAL_FUSIONS}, got {self.residual_fusion!r}"
+            )
 
 
 @dataclass
@@ -330,9 +338,12 @@ class ActorCritic:
         self.trunk = make_net([self.feat_dim, *arch.trunk_hidden, arch.d_z], rng, hidden_activation="tanh", output_activation="tanh")
         self.head = make_net([arch.d_z, *arch.head_hidden, N_JOINTS], rng, out_gain=0.01)
         self.log_std = np.full(N_JOINTS, float(arch.log_std_init))
+        # stage 2 only; every stage-dependent path asks whether it is attached
         self.residual: ResidualModule | None = None
-        if mode.stage >= 2 or mode.one_stage:
-            self.attach_residual(rng)
+        if mode.stage >= 2:
+            self.residual = ResidualModule(
+                mode.n_experts, self.feat_dim, arch.n_gaits, self.residual_out_dim(), arch, rng
+            )
         self.critic = make_net(
             [self.critic_input_dim(), *arch.critic_hidden, 1], rng, hidden_activation="tanh"
         )
@@ -340,21 +351,11 @@ class ActorCritic:
     # -- structure -----------------------------------------------------------
 
     def critic_input_dim(self) -> int:
-        extra = self.arch.n_gaits if self.mode.stage >= 2 else 0
+        extra = self.arch.n_gaits if self.residual is not None else 0
         return self.dims["d_m"] + self.dims["d_e"] + extra
 
     def residual_out_dim(self) -> int:
         return self.arch.d_z if self.mode.residual_fusion == "latent" else N_JOINTS
-
-    def attach_residual(self, rng: np.random.Generator) -> None:
-        self.residual = ResidualModule(
-            self.mode.n_experts,
-            self.feat_dim,
-            self.arch.n_gaits,
-            self.residual_out_dim(),
-            self.arch,
-            rng,
-        )
 
     def components(self) -> dict[str, list[np.ndarray]]:
         """Parameter lists keyed by component name, for per-component optimizers."""
@@ -366,7 +367,7 @@ class ActorCritic:
             "log_std": [self.log_std],
             "critic": self.critic.params(),
         }
-        if self.residual is not None and self.mode.stage >= 2:
+        if self.residual is not None:
             for i, e in enumerate(self.residual.experts):
                 out[f"expert_{i}"] = e.params()
             out["gate"] = self.residual.gate.params()
@@ -386,11 +387,9 @@ class ActorCritic:
         feats, scan_tape, hist_tape = self.encode_features(batch)
         z_o, trunk_tape = net_forward(self.trunk, feats)
         res_cache = None
-        use_res = self.mode.stage >= 2 and self.residual is not None
-        if use_res:
+        if self.residual is not None:
             if gait is None:
                 raise ValueError("stage-2 policy needs a gait command")
-            gait = np.atleast_2d(gait)
             if self.mode.residual_fusion == "latent":
                 z_p, _, res_cache = self.residual.forward(feats, gait)
                 z = z_o + z_p
@@ -428,13 +427,11 @@ class ActorCritic:
     def critic_value(
         self, m: np.ndarray, e: np.ndarray, gait: np.ndarray | None = None
     ) -> tuple[np.ndarray, GradientTape]:
-        m = np.atleast_2d(m)
-        e = np.atleast_2d(e)
         parts = [self.normalizer.norm_m(m), self.normalizer.norm_e(e)]
-        if self.mode.stage >= 2:
+        if self.residual is not None:
             if gait is None:
                 raise ValueError("stage-2 critic needs the gait command")
-            parts.append(np.atleast_2d(gait))
+            parts.append(gait)
         x = np.concatenate(parts, axis=1)
         if x.shape[1] != self.critic.input_dim:
             raise ValueError(
@@ -488,6 +485,10 @@ class ActorCritic:
     @classmethod
     def from_state(cls, state: PolicyState, model: BipedModel, env_cfg: EnvConfig) -> "ActorCritic":
         """A policy that takes over ``state``'s arrays."""
+        if state.mode.stage >= 2 and state.residual is None:
+            raise ValueError("policy.residual: missing; a stage-2 policy has a residual module")
+        if state.mode.stage < 2 and state.residual is not None:
+            raise ValueError("policy.residual: a stage-1 policy has no residual module")
         obj = cls(model, env_cfg, state.arch, state.mode, seed=0)
         obj._adopt(state, NET_NAMES)
         obj.residual = state.residual
@@ -533,13 +534,13 @@ def export_residual_latents(policy: ActorCritic, samples) -> LatentTable:
 
     ``samples`` yields (bundle, gait_onehot, terrain_label).
     """
-    if policy.mode.stage < 2 or policy.residual is None:
+    if policy.residual is None:
         raise ValueError("latent export needs a stage-2 policy with a residual module")
     zs, ws, gl, tl = [], [], [], []
     for bundle, gait, terrain_label in samples:
         batch = BundleBatch.stack([bundle])
         feats, _, _ = policy.encode_features(batch)
-        z_p, w, _ = policy.residual.forward(feats, np.atleast_2d(gait))
+        z_p, w, _ = policy.residual.forward(feats, gait[None, :])
         zs.append(z_p[0])
         ws.append(w[0])
         gl.append(int(np.argmax(gait)))

@@ -44,8 +44,9 @@ class PPOConfig:
             raise ValueError("gamma must be in [0, 1)")
         if self.clip <= 0.0:
             raise ValueError("clip must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
+        for name in ("epochs", "minibatch", "horizon", "n_envs", "iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 class RolloutBuffer:
@@ -105,9 +106,6 @@ def compute_gae(
     are folded into the reward by the caller).  Normalization happens inside
     the PPO update, not here.
     """
-    rewards = np.atleast_2d(np.asarray(rewards, dtype=np.float64))
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    dones = np.atleast_2d(np.asarray(dones, dtype=np.float64))
     T = rewards.shape[0]
     if values.shape[0] != T + 1:
         raise ValueError("values must carry one bootstrap row beyond the horizon")

@@ -251,21 +251,17 @@ def total_reward(
     loco: RewardBreakdown,
     style_raw: float,
     gait_bd: RewardBreakdown,
-    stage: int,
     cfg: RewardConfig,
 ) -> RewardBreakdown:
-    """Compose the stage-masked total; per-term logging is preserved."""
+    """Compose the total; per-term logging is preserved.  At stage 1 the caller
+    passes ``style_raw = 0.0`` and an all-zero command's gait terms: both add 0.0."""
     bd = RewardBreakdown()
     bd.merge(loco)
+    bd.merge(gait_bd)
+    bd.raw["style"] = style_raw
+    bd.weighted["style"] = cfg.style_weight * style_raw
     bd.r_l = loco.r_l
-    if stage >= 2:
-        bd.merge(gait_bd)
-        bd.r_g = gait_bd.r_g
-        bd.raw["style"] = style_raw
-        bd.weighted["style"] = cfg.style_weight * style_raw
-        bd.r_s = bd.weighted["style"]
-    else:
-        bd.r_s = 0.0
-        bd.r_g = 0.0
+    bd.r_s = bd.weighted["style"]
+    bd.r_g = gait_bd.r_g
     bd.total = bd.r_l + bd.r_s + bd.r_g
     return bd

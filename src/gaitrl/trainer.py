@@ -235,6 +235,8 @@ class Trainer:
 
         if resume is not None and resume.stage != stage:
             raise ValueError(f"cannot resume a stage-{resume.stage} checkpoint at stage {stage}")
+        if stage < 2 and cfg.mode.one_stage:
+            raise ValueError("mode.one_stage trains stage 2 from scratch; it has no stage 1")
 
         mode = PolicyMode(
             stage=stage,
@@ -384,14 +386,15 @@ class Trainer:
                             style_count += 1
                             if w.frames_in_segment >= WINDOW_LEN:
                                 self.policy_windows.add(gid, window[None, :])
+                    # at stage 1 style_raw is 0.0 and the gait all zero: both add 0.0
                     gait_bd = gait_rewards(st, gait, cfg.rewards)
-                    bd = total_reward(loco, style_raw, gait_bd, self.stage, cfg.rewards)
+                    bd = total_reward(loco, style_raw, gait_bd, cfg.rewards)
                 reward = max(bd.total, 0.0) if cfg.rewards.only_positive_total else bd.total
                 track_sum += bd.weighted.get("track_lin_vel", 0.0)
                 total_sum += reward
 
                 if res.termination == "timeout":
-                    v_term, _ = pol.critic_value(res.bundle.m, res.bundle.e, gait[None, :])
+                    v_term, _ = pol.critic_value(res.bundle.m[None], res.bundle.e[None], gait[None, :])
                     reward += cfg.ppo.gamma * float(v_term[0])
 
                 rewards.append(reward)

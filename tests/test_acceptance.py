@@ -124,10 +124,10 @@ class TestCriterion1Gradients:
         b = sample_bundles(1, seed=4)[0]
 
         def critic_scalar():
-            v, _ = pol.critic_value(b.m, b.e)
+            v, _ = pol.critic_value(b.m[None], b.e[None])
             return float(v[0])
 
-        v, tape = pol.critic_value(b.m, b.e)
+        v, tape = pol.critic_value(b.m[None], b.e[None])
         cg, _ = net_backward(pol.critic, tape, np.ones((1, 1)))
         fd = central_diff_params(critic_scalar, pol.critic.params())
         for a, fdg in zip(cg.params(), fd):

@@ -120,6 +120,58 @@ class TestUsage:
         assert message in capsys.readouterr().err.split("usage error: ", 1)[1]
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("change,message", [
+        pytest.param({"ppo": {k: 0}}, f"ppo: {k} must be positive", id=f"ppo.{k}")
+        for k in ("minibatch", "horizon", "n_envs", "epochs")
+    ] + [
+        pytest.param({"train": {"checkpoint_every": 0}},
+                     "train: checkpoint_every must be positive", id="train.checkpoint_every"),
+        pytest.param({"gaits": {"period_s": 0.0}}, "gaits: period_s must be positive",
+                     id="gaits.period_s"),
+        pytest.param({"bench": {"trials": 0}}, "bench: trials must be positive", id="bench.trials"),
+        pytest.param({"env": {"substeps": 0}}, "env: substeps must be positive", id="env.substeps"),
+        pytest.param({"env": {"history_len": 0}}, "env: history_len must be positive",
+                     id="env.history_len"),
+        pytest.param({"terrain": {"kinds": ["flat", "flta"]}},
+                     "terrain: kinds[1]: unknown terrain kind 'flta'", id="terrain.kinds"),
+        pytest.param({"terrain": {"kinds": []}},
+                     "terrain: kinds must name at least one terrain kind", id="terrain.kinds-empty"),
+        pytest.param({"mode": {"residual_fusion": "Latent"}},
+                     "mode: residual_fusion must be one of ('latent', 'action'), got 'Latent'",
+                     id="mode.residual_fusion"),
+        pytest.param({"arch": {"n_gaits": 2}}, "arch.n_gaits is 2, but env.n_gaits is 3",
+                     id="arch.n_gaits"),
+        pytest.param({"gaits": {"distribution": [0.5, 0.5]}},
+                     "gaits.distribution has 2 values, but env.n_gaits is 3",
+                     id="gaits.distribution"),
+        pytest.param({"arch": {"n_gaits": 4}, "env": {"n_gaits": 4},
+                      "gaits": {"distribution": [0.25] * 4}},
+                     "env.n_gaits must be in [1, 3] (the reference gaits), got 4",
+                     id="env.n_gaits"),
+    ])
+    def test_a_config_the_pipeline_cannot_run_exits_1(self, tmp_path, capsys, change, message):
+        doc = config_to_dict(tiny_cfg())
+        for section, values in change.items():
+            doc[section].update(values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli(["inspect-config", "--config", str(bad)]) == 1
+        assert f"usage error: invalid config {bad}: {message}" in capsys.readouterr().err
+
+    def test_one_stage_at_stage_1_exits_1(self, tiny_config, tmp_path, capsys):
+        doc = config_to_dict(tiny_cfg())
+        doc["mode"]["one_stage"] = True
+        flagged = tmp_path / "one_stage.json"
+        flagged.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for config in (["--config", tiny_config, "--ablation", "more-os"],
+                       ["--config", str(flagged)]):
+            assert cli(["train-stage1", *config, "--out", str(out)]) == 1
+            assert "usage error: mode.one_stage (--ablation more-os) trains stage 2 only" in (
+                capsys.readouterr().err
+            )
+        assert not os.listdir(out)
+
 
 class TestPipeline:
     def test_gen_refs(self, tiny_config, tmp_path, capsys):

@@ -300,7 +300,9 @@ class TestObservationAssembly:
 
     def test_stationary_nominal_blocks(self, model, flat):
         env = fresh_env(model, flat)
-        o = build_o_t(env.state, env.commands, np.zeros(N_JOINTS))
+        out = np.empty(obs_dims(env.cfg)["d_o"])
+        o = build_o_t(env.state, env.commands, np.zeros(N_JOINTS), out)
+        assert o is out
         np.testing.assert_array_equal(o[0:2], 0.0)  # angular block
         np.testing.assert_allclose(o[2:4], [0.0, -1.0], atol=1e-12)  # gravity
         np.testing.assert_array_equal(o[4:6], 0.0)  # commands

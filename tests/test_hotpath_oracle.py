@@ -98,11 +98,9 @@ class TestPhysicsOracle:
             st_ = random_state(rng, generate_terrain("flat", 0.0, seed=0))
             dr = random_dr(rng)
             action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
-            args = (MODEL, st_, action, dr.kp_scale, dr.kd_scale, dr.motor_strength)
-            tau = pd_torques(*args)
-            assert_same_array(tau, ref_pd_torques(*args))
-            target = action_targets(MODEL, action)
-            assert_same_array(pd_torques(*args, target=target), ref_pd_torques(*args, target=target))
+            gains = (dr.kp_scale, dr.kd_scale, dr.motor_strength)
+            tau = pd_torques(MODEL, st_, action_targets(MODEL, action), *gains)
+            assert_same_array(tau, ref_pd_torques(MODEL, st_, action, *gains))
             saturated += int(np.any(np.abs(tau) == MODEL._tlim))
         assert saturated > 0
 
@@ -117,8 +115,9 @@ class TestPhysicsOracle:
                 dr = random_dr(rng)
                 mass = (MODEL.base_mass + dr.payload) * dr.link_mass_scale
                 action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
+                target = action_targets(MODEL, action)
                 for _ in range(12):
-                    tau = pd_torques(MODEL, new, action, dr.kp_scale, dr.kd_scale, dr.motor_strength)
+                    tau = pd_torques(MODEL, new, target, dr.kp_scale, dr.kd_scale, dr.motor_strength)
                     tau_ref = ref_pd_torques(
                         MODEL, ref, action, dr.kp_scale, dr.kd_scale, dr.motor_strength
                     )
@@ -138,16 +137,6 @@ class TestPhysicsOracle:
                     seen["slip"] += int(np.any(held & (anchors_before[1] != ref.anchor_x)))
                     seen["void"] += int(any(terrain.is_void(fx) for fx in ref.foot_pos[:, 0]))
         assert all(seen.values()), seen
-
-    def test_substep_without_terrain_matches_reference(self):
-        rng = np.random.default_rng(2)
-        new = random_state(rng, generate_terrain("flat", 0.0, seed=0))
-        ref = new.copy()
-        tau = rng.uniform(-100.0, 100.0, N_JOINTS)
-        for _ in range(20):
-            substep(MODEL, new, tau, None, 0.005, 1.0, 0.0, 12.0, 0.01)
-            ref_substep(MODEL, ref, tau, None, 0.005, 1.0, 0.0, 12.0, 0.01)
-            assert_same_state(new, ref)
 
 
 class TestRewardOracle:
@@ -183,11 +172,16 @@ class TestRewardOracle:
             assert_same_rewards(bd, ref_locomotion_raw(st_, cmd, a_t, a_p, a_pp, cfg, MODEL), cfg)
 
 
+def ref_pd_torques_to_target(model, state, target, kp_scale, kd_scale, motor_strength):
+    """The reference torques, called the way TerrainEnv.step calls pd_torques."""
+    return ref_pd_torques(model, state, None, kp_scale, kd_scale, motor_strength, target=target)
+
+
 @contextlib.contextmanager
 def reference_physics():
     """Run TerrainEnv.step with the numpy reference pd_torques and substep."""
     saved = env_module.pd_torques, env_module.substep
-    env_module.pd_torques, env_module.substep = ref_pd_torques, ref_substep
+    env_module.pd_torques, env_module.substep = ref_pd_torques_to_target, ref_substep
     try:
         yield
     finally:

@@ -16,6 +16,10 @@ or the benchmark harness.  Nor is code kept that nothing calls: every
 method and property a class of the package defines (dunders excepted) is
 read the same way.  The checks go by name alone, so a name read anywhere
 counts for every class.
+
+Networks take ``[B, d]`` batches and nothing else: no module of the package
+names numpy's ``atleast_*`` shape coercions.  A caller that holds a single
+sample passes a batch of one (``x[None]``).
 """
 
 from __future__ import annotations
@@ -251,3 +255,35 @@ def test_no_method_that_nothing_reads():
         if method.split(".", 1)[1] not in read
     ]
     assert unread == []
+
+
+SHAPE_COERCIONS = {"atleast_1d", "atleast_2d", "atleast_3d"}
+# the field that holds the name, for each node kind that can name a coercion
+NAME_FIELDS = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}
+
+
+def shape_coercions(tree: ast.Module) -> list[int]:
+    """The lines that name one of numpy's ``atleast_*`` shape coercions."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if type(node) in NAME_FIELDS and getattr(node, NAME_FIELDS[type(node)]) in SHAPE_COERCIONS
+    )
+
+
+def test_the_check_flags_a_shape_coercion():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import atleast_1d as one\n"
+        "x = np.atleast_2d(y)\nz = y[None, :]\nw = np.asarray(y)\n"
+    )
+    assert shape_coercions(tree) == [2, 3]
+
+
+def test_no_shape_coercions():
+    found = [
+        f"{path.name}:{line}"
+        for path in FILES
+        if path.parent.name == "gaitrl"
+        for line in shape_coercions(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []

@@ -30,12 +30,12 @@ class TestForward:
     def test_zero_weights_returns_bias(self):
         b = np.array([0.3, -1.2])
         net = DenseNet([Layer(np.zeros((2, 3)), b, "identity")])
-        y, _ = net_forward(net, np.array([5.0, -2.0, 9.0]))
-        np.testing.assert_array_equal(y, b)
+        y, _ = net_forward(net, np.array([[5.0, -2.0, 9.0]]))
+        np.testing.assert_array_equal(y[0], b)
 
     def test_identity_layer(self):
         net = DenseNet([Layer(np.eye(4), np.zeros(4), "identity")])
-        x = np.array([1.0, -2.0, 0.5, 3.0])
+        x = np.array([[1.0, -2.0, 0.5, 3.0]])
         y, _ = net_forward(net, x)
         np.testing.assert_array_equal(y, x)
 
@@ -43,24 +43,24 @@ class TestForward:
         rng = np.random.default_rng(0)
         net = random_net(rng)
         x = rng.normal(size=4)
-        y, _ = net_forward(net, x)
+        y, _ = net_forward(net, x[None])
         expected = mlp_eval([(l.weight, l.bias, l.activation) for l in net.layers], x)
-        assert rel_err(y, expected) <= 1e-12
+        assert rel_err(y[0], expected) <= 1e-12
 
     def test_batched_matches_rowwise(self):
         # gemm vs gemv may differ in the last ulp, so not array_equal
         rng = np.random.default_rng(1)
-        net = random_net(rng, act="elu")
+        net = random_net(rng)
         xs = rng.normal(size=(6, 4))
         yb, _ = net_forward(net, xs)
         for i in range(6):
-            yi, _ = net_forward(net, xs[i])
-            np.testing.assert_allclose(yb[i], yi, rtol=1e-13, atol=1e-15)
+            yi, _ = net_forward(net, xs[i : i + 1])
+            np.testing.assert_allclose(yb[i], yi[0], rtol=1e-13, atol=1e-15)
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         net = random_net(rng)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         y1, _ = net_forward(net, x)
         y2, _ = net_forward(net, x)
         np.testing.assert_array_equal(y1, y2)
@@ -69,15 +69,29 @@ class TestForward:
         rng = np.random.default_rng(3)
         net = random_net(rng)
         with pytest.raises(ValueError):
-            net_forward(net, np.zeros(5))
+            net_forward(net, np.zeros((1, 5)))
+
+    def test_a_single_vector_is_not_a_batch(self):
+        rng = np.random.default_rng(3)
+        net = random_net(rng)
+        with pytest.raises(ValueError, match=r"expected \[\*, 4\]"):
+            net_forward(net, np.zeros(4))
+        _, tape = net_forward(net, np.zeros((1, 4)))
+        with pytest.raises(ValueError, match=r"expected \[\*, 3\]"):
+            net_backward(net, tape, np.zeros(3))
+
+    def test_only_tanh_and_identity_layers(self):
+        for act in ("relu", "elu"):
+            with pytest.raises(ValueError, match="unknown activation"):
+                Layer(np.zeros((2, 3)), np.zeros(2), act)
 
 
 class TestBackward:
     def test_zero_cotangent_gives_zero_grads(self):
         rng = np.random.default_rng(4)
         net = random_net(rng)
-        _, tape = net_forward(net, rng.normal(size=4))
-        grads, gx = net_backward(net, tape, np.zeros(3))
+        _, tape = net_forward(net, rng.normal(size=(1, 4)))
+        grads, gx = net_backward(net, tape, np.zeros((1, 3)))
         for g in grads.params():
             assert np.all(g == 0.0)
         assert np.all(gx == 0.0)
@@ -88,22 +102,22 @@ class TestBackward:
         net = DenseNet([Layer(w, np.zeros(3), "identity")])
         x = rng.normal(size=4)
         g = rng.normal(size=3)
-        _, tape = net_forward(net, x)
-        grads, gx = net_backward(net, tape, g)
+        _, tape = net_forward(net, x[None])
+        grads, gx = net_backward(net, tape, g[None])
         np.testing.assert_allclose(grads.weights[0], np.outer(g, x), rtol=1e-15)
         np.testing.assert_allclose(grads.biases[0], g, rtol=1e-15)
-        np.testing.assert_allclose(gx, w.T @ g, rtol=1e-14)
+        np.testing.assert_allclose(gx[0], w.T @ g, rtol=1e-14)
 
-    @pytest.mark.parametrize("act", ["tanh", "elu", "relu"])
+    @pytest.mark.parametrize("act", ["tanh", "identity"])
     def test_param_grads_match_finite_differences(self, act):
         rng = np.random.default_rng(6)
         net = random_net(rng, dims=[3, 6, 4, 2], act=act)
-        x = rng.normal(size=3)
-        gout = rng.normal(size=2)
+        x = rng.normal(size=(1, 3))
+        gout = rng.normal(size=(1, 2))
 
         def scalar():
             y, _ = net_forward(net, x)
-            return float(gout @ y)
+            return float(np.sum(gout * y))
 
         _, tape = net_forward(net, x)
         grads, gx = net_backward(net, tape, gout)
@@ -120,14 +134,14 @@ class TestBackward:
         for trial in range(100):
             dims = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(2, 4)))]
             dims = [int(rng.integers(2, 5))] + dims
-            act = ["tanh", "elu"][trial % 2]
+            act = ["tanh", "identity"][trial % 2]
             net = make_net(dims, rng, hidden_activation=act)
-            x = rng.normal(size=dims[0])
-            gout = rng.normal(size=dims[-1])
+            x = rng.normal(size=(1, dims[0]))
+            gout = rng.normal(size=(1, dims[-1]))
 
             def scalar():
                 y, _ = net_forward(net, x)
-                return float(gout @ y)
+                return float(np.sum(gout * y))
 
             _, tape = net_forward(net, x)
             grads, _ = net_backward(net, tape, gout)
@@ -145,9 +159,9 @@ class TestBackward:
         grads, gx = net_backward(net, tape, gs)
         acc = None
         for i in range(5):
-            _, ti = net_forward(net, xs[i])
-            gi, gxi = net_backward(net, ti, gs[i])
-            np.testing.assert_allclose(gx[i], gxi, rtol=1e-12)
+            _, ti = net_forward(net, xs[i : i + 1])
+            gi, gxi = net_backward(net, ti, gs[i : i + 1])
+            np.testing.assert_allclose(gx[i], gxi[0], rtol=1e-12)
             if acc is None:
                 acc = gi
             else:
@@ -158,9 +172,9 @@ class TestBackward:
     def test_foreign_tape_rejected(self):
         rng = np.random.default_rng(9)
         n1, n2 = random_net(rng), random_net(rng)
-        _, tape = net_forward(n1, rng.normal(size=4))
+        _, tape = net_forward(n1, rng.normal(size=(1, 4)))
         with pytest.raises(ValueError):
-            net_backward(n2, tape, np.zeros(3))
+            net_backward(n2, tape, np.zeros((1, 3)))
 
 
 class TestDirectionalParamGrads:
@@ -168,17 +182,17 @@ class TestDirectionalParamGrads:
         # grads of h = v . grad_x(f) for fixed v equal d/dtheta of that dot product
         rng = np.random.default_rng(10)
         net = make_net([4, 8, 5, 1], rng, hidden_activation="tanh")
-        x = rng.normal(size=4)
-        v = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
+        v = rng.normal(size=(1, 4))
 
         def h_of_params():
             _, tape = net_forward(net, x)
-            _, gx = net_backward(net, tape, np.ones(1))
-            return float(v @ gx)
+            _, gx = net_backward(net, tape, np.ones((1, 1)))
+            return float(np.sum(v * gx))
 
         _, tape = net_forward(net, x)
-        h, grads = net_directional_param_grads(net, tape, v, np.ones(1))
-        assert abs(h - h_of_params()) <= 1e-10
+        h, grads = net_directional_param_grads(net, tape, v, np.ones((1, 1)))
+        assert abs(h[0] - h_of_params()) <= 1e-10
         fd = central_diff_params(h_of_params, net.params())
         for analytic, numeric in zip(grads.params(), fd):
             assert rel_err(analytic, numeric, floor=1e-6) <= 1e-4
@@ -192,9 +206,9 @@ class TestDirectionalParamGrads:
         hb, gb = net_directional_param_grads(net, tape, vs, np.ones((4, 1)))
         acc = None
         for i in range(4):
-            _, ti = net_forward(net, xs[i])
-            hi, gi = net_directional_param_grads(net, ti, vs[i], np.ones(1))
-            assert abs(hb[i] - hi) <= 1e-12
+            _, ti = net_forward(net, xs[i : i + 1])
+            hi, gi = net_directional_param_grads(net, ti, vs[i : i + 1], np.ones((1, 1)))
+            assert abs(hb[i] - hi[0]) <= 1e-12
             if acc is None:
                 acc = gi
             else:
@@ -286,7 +300,7 @@ class TestSoftmax:
 class TestSerialization:
     def test_bit_exact_round_trip(self):
         rng = np.random.default_rng(12)
-        net = make_net([5, 9, 4], rng, hidden_activation="elu")
+        net = make_net([5, 9, 4], rng)
         # deliberately awkward values
         net.layers[0].weight[0, 0] = np.nextafter(1.0, 2.0)
         net.layers[1].bias[1] = -0.0
@@ -295,7 +309,7 @@ class TestSerialization:
             assert a.shape == b.shape
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         doc = encode(net)
-        assert doc["manifest"]["layers"][0]["activation"] == "elu"
+        assert [l["activation"] for l in doc["manifest"]["layers"]] == ["tanh", "identity"]
 
     def test_wrong_length_rejected(self):
         rng = np.random.default_rng(13)

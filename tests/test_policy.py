@@ -199,6 +199,28 @@ class TestAct:
         assert r.action.shape == (N_JOINTS,)
 
 
+class TestStages:
+    def test_the_residual_is_a_stage_2_part(self):
+        # one_stage changes nothing at stage 1: no residual, and the same
+        # initial weights (the residual drew from the init rng before the critic)
+        plain = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=4)
+        flagged = ActorCritic(
+            MODEL, EnvConfig(), SMALL, PolicyMode(stage=1, one_stage=True), seed=4
+        )
+        assert plain.residual is None and flagged.residual is None
+        assert "gate" not in flagged.components()
+        for a, b in zip(plain.critic.params(), flagged.critic.params()):
+            assert a.tobytes() == b.tobytes()
+        stage2 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=4)
+        assert stage2.residual is not None and "gate" in stage2.components()
+        assert stage2.critic.input_dim == plain.critic.input_dim + SMALL.n_gaits
+
+    @pytest.mark.parametrize("fusion", ["Latent", "actions", ""])
+    def test_an_unknown_residual_fusion_is_rejected(self, fusion):
+        with pytest.raises(ValueError, match="residual_fusion must be one of"):
+            PolicyMode(stage=2, residual_fusion=fusion)
+
+
 class TestCritic:
     def test_zero_weight_critic_returns_bias(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0)
@@ -206,13 +228,13 @@ class TestCritic:
             l.weight[:] = 0.0
         pol.critic.layers[-1].bias[:] = -2.5
         b = make_bundles(1)[0]
-        v, _ = pol.critic_value(b.m, b.e)
+        v, _ = pol.critic_value(b.m[None], b.e[None])
         assert v[0] == pytest.approx(-2.5)
 
     def test_values_finite_on_benchmark_observations(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=1)
         for bundle in make_bundles(10, seed=9):
-            v, _ = pol.critic_value(bundle.m, bundle.e, one_hot(1, 3))
+            v, _ = pol.critic_value(bundle.m[None], bundle.e[None], one_hot(1, 3)[None])
             assert np.all(np.isfinite(v))
 
     def test_value_input_gradient_matches_finite_differences(self):
@@ -222,18 +244,18 @@ class TestCritic:
 
         x = np.concatenate(
             [pol.normalizer.norm_m(b.m), pol.normalizer.norm_e(b.e)]
-        )
+        )[None]
 
         def scalar():
             from gaitrl.nets import net_forward
 
             y, _ = net_forward(pol.critic, x)
-            return float(y[0])
+            return float(y[0, 0])
 
         from gaitrl.nets import net_forward
 
         _, tape = net_forward(pol.critic, x)
-        _, gx = net_backward(pol.critic, tape, np.ones(1))
+        _, gx = net_backward(pol.critic, tape, np.ones((1, 1)))
         fd = central_diff_params(scalar, [x])[0]
         assert rel_err(gx, fd, floor=1e-6) <= 1e-4
 
@@ -241,7 +263,7 @@ class TestCritic:
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0)
         b = make_bundles(1)[0]
         with pytest.raises(ValueError):
-            pol.critic_value(b.m, b.e, None)
+            pol.critic_value(b.m[None], b.e[None], None)
 
 
 class TestEndToEndGradients:
@@ -310,6 +332,14 @@ class TestPersistence:
             a = pol.act(bundle, one_hot(0, 3), deterministic=True)
             b = back.act(bundle, one_hot(0, 3), deterministic=True)
             np.testing.assert_array_equal(a.action, b.action)
+
+    def test_a_residual_at_the_wrong_stage_is_rejected(self):
+        s1 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0).state()
+        s2 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0).state()
+        s1.residual, s2.residual = s2.residual, None
+        for state in (s1, s2):
+            with pytest.raises(ValueError, match=r"^policy\.residual: "):
+                ActorCritic.from_state(state, MODEL, EnvConfig())
 
     def test_dz_mismatch_rejected_on_stage1_load(self):
         pol1 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0)

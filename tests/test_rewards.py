@@ -231,22 +231,23 @@ class TestRoutingAndSigns:
 
 
 class TestTotal:
-    def test_stage1_masks_style_and_gait(self):
+    def test_stage1_inputs_add_exactly_zero(self):
+        # stage 1 passes no style score and an all-zero gait command
         rng = np.random.default_rng(12)
-        st, cmd, a, ap, app = random_inputs(rng)
-        loco = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
-        gait = gait_rewards(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
-        bd = total_reward(loco, style_raw=0.9, gait_bd=gait, stage=1, cfg=CFG)
-        assert bd.r_s == 0.0
-        assert bd.r_g == 0.0
-        assert bd.total == pytest.approx(loco.r_l)
+        for _ in range(50):
+            st, cmd, a, ap, app = random_inputs(rng)
+            loco = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
+            bd = total_reward(loco, 0.0, gait_rewards(st, np.zeros(3), CFG), CFG)
+            assert math.copysign(1.0, bd.r_s) == math.copysign(1.0, bd.r_g) == 1.0
+            assert bd.r_s == bd.r_g == 0.0
+            assert bd.total == loco.r_l + 0.0
 
     def test_stage2_includes_all_components(self):
         rng = np.random.default_rng(13)
         st, cmd, a, ap, app = random_inputs(rng)
         loco = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
         gait = gait_rewards(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
-        bd = total_reward(loco, style_raw=0.8, gait_bd=gait, stage=2, cfg=CFG)
+        bd = total_reward(loco, style_raw=0.8, gait_bd=gait, cfg=CFG)
         assert bd.r_s == pytest.approx(5.0 * 0.8)
         assert bd.total == pytest.approx(bd.r_l + bd.r_s + bd.r_g)
 
@@ -258,7 +259,7 @@ class TestTotal:
         st.joint_pos = MODEL.nominal()
         loco = locomotion_rewards(st, cmd, zero, zero, zero, 0.02, CFG, MODEL)
         gait = gait_rewards(st, np.zeros(3), CFG)
-        bd = total_reward(loco, 0.0, gait, stage=2, cfg=CFG)
+        bd = total_reward(loco, 0.0, gait, cfg=CFG)
         # tracking terms are 1.0 * 2 each at zero error; remove them for the zero check
         residual = bd.total - bd.weighted["track_lin_vel"] - bd.weighted["track_ang_vel"]
         assert residual == pytest.approx(0.0, abs=1e-12)
@@ -270,7 +271,7 @@ class TestTotal:
             loco = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
             gait = gait_rewards(st, one_hot(int(rng.integers(0, 3)), 3), CFG)
             style = float(rng.uniform(0, 1))
-            bd = total_reward(loco, style, gait, stage=2, cfg=CFG)
+            bd = total_reward(loco, style, gait, cfg=CFG)
             assert bd.total == pytest.approx(sum(bd.weighted.values()), abs=1e-12)
 
 

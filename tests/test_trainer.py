@@ -59,6 +59,10 @@ class TestTrainerConfig:
         assert trainer.cfg.env.blind is True
         assert not trainer.workers[0].env.bundle.scans.any()
 
+    def test_one_stage_has_no_stage_1(self):
+        with pytest.raises(ValueError, match="one_stage"):
+            Trainer(tiny_cfg(**{"mode.one_stage": True}), seed=0, stage=1)
+
 
 class TestCurriculum:
     CFG = RunConfig().curriculum
@@ -193,6 +197,20 @@ class TestRollout:
             assert logps.tobytes() == buffer.log_probs[t].tobytes(), t
             values, _ = pol.critic_value(row.m, row.e, buffer.gait[t])
             assert values.tobytes() == buffer.values[t].tobytes(), t
+
+    def test_every_stage1_row_scores_no_style_and_no_gait_terms(self):
+        # not just on average: a gait term can take either sign, so a mean of
+        # 0.0 would not show that each row is 0.0 (bytes: +0.0, not -0.0)
+        cfg = tiny_cfg()
+        trainer = Trainer(cfg, seed=3, stage=1)
+        T, N = cfg.ppo.horizon, cfg.ppo.n_envs
+        buffer = RolloutBuffer(T, N, trainer.policy.dims, cfg.env.n_gaits, N_JOINTS)
+        trainer.collect_rollout(buffer)
+        assert buffer.filled == T * N
+        zeros = np.zeros((T, N)).tobytes()
+        assert buffer.r_s.tobytes() == zeros
+        assert buffer.r_g.tobytes() == zeros
+        assert buffer.r_l.all()
 
 
 class TestStage2:
