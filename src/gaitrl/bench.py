@@ -9,6 +9,7 @@ report numbers are exactly recomputable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -85,22 +86,24 @@ class BenchmarkReport:
 
 
 class PolicyController:
-    """Deterministic-evaluation wrapper around a trained policy."""
+    """Deterministic-evaluation wrapper around a trained policy.
+
+    With ``gait_id``, the policy sees that gait command in place of the
+    observation's own; without it, the observation's.
+    """
 
     def __init__(self, policy: ActorCritic, gait_id: int | None = None):
         self.policy = policy
-        self.gait_id = gait_id
         n = policy.arch.n_gaits
         self.gait = one_hot(gait_id, n) if gait_id is not None else None
 
     def act(self, bundle, commands, state):
-        gait = self.gait
-        if self.policy.residual is not None and gait is None:
-            gait = commands.gait
-        res = self.policy.act(bundle, gait, deterministic=True)
+        if self.gait is not None:
+            bundle = dataclasses.replace(bundle, gait=self.gait)
+        action = self.policy.act(bundle)
         bound = self.policy.model.action_bound
         # np.clip as two ufuncs: same values (NaN included), less call overhead
-        return np.minimum(np.maximum(res.action, -bound), bound)
+        return np.minimum(np.maximum(action, -bound), bound)
 
 
 def eval_episode(controller, terrain, model: BipedModel, env_cfg: EnvConfig, *,
@@ -170,7 +173,7 @@ def run_trial(
             else:
                 rewards = locomotion_rewards(
                     st, env.commands, env.last_action, env.prev_action, env.prev2_action,
-                    env.cfg.dt, reward_cfg, model,
+                    reward_cfg, model,
                 ).weighted
             trace_file.write(
                 json.dumps(
@@ -468,7 +471,8 @@ def collect_latent_samples(
     steps_per_combo: int = 40,
     seed: int = 0,
 ):
-    """Rollout samples (bundle, gait, terrain label) across gaits and terrains."""
+    """Rollout samples (bundle, terrain label) across gaits and terrains; each
+    bundle holds the gait command it was collected under."""
     samples = []
     for kind in terrain_kinds:
         for gid in range(cfg.env.n_gaits):
@@ -478,11 +482,10 @@ def collect_latent_samples(
                 cell_size=cfg.terrain.cell_size,
                 start_clear=cfg.terrain.start_clear,
             )
-            gait = one_hot(gid, cfg.env.n_gaits)
             episode = eval_episode(
                 PolicyController(policy, gait_id=gid), terrain, cfg.model, cfg.env,
                 v_cmd=0.5, gait_id=gid, max_episode_s=cfg.env.max_episode_s, seed=seed,
             )
             for _, (_, bundle, _, _) in zip(range(steps_per_combo), episode):
-                samples.append((bundle.copy(), gait.copy(), kind))
+                samples.append((bundle.copy(), kind))
     return samples

@@ -33,6 +33,7 @@ from .config import (
 )
 from .policy import LatentTable, export_residual_latents
 from .refmotion import GAIT_NAMES, gen_reference_clip
+from .rewards import GAIT_HIGH_KNEES, GAIT_SQUAT
 from .trainer import (
     Checkpoint,
     Trainer,
@@ -300,7 +301,7 @@ def cmd_gait_modulation(args) -> int:
         if policy.mode.stage < 2:
             raise UsageError(f"gait-modulation needs stage-2 checkpoints: {path}")
         entries.append((policy, cfg, os.path.basename(path)))
-    gait_id = 2 if args.attribute == "squat_height" else 1
+    gait_id = GAIT_SQUAT if args.attribute == "squat_height" else GAIT_HIGH_KNEES
     rows = run_gait_modulation(
         entries, gait_id, args.attribute, n_rollouts=args.rollouts, seed=args.seed
     )

@@ -4,7 +4,10 @@ Owns an episode: spawn, PD actuation with domain-randomized dynamics,
 height-scan exteroception, privileged sensing for the critic, periodic
 pushes, and termination.  It also holds the episode's per-step state: the
 observation the next action is chosen from, the commands (velocity and
-gait) and the last three actions.  Reward evaluation lives in
+gait) and the last three actions.  The gait command is a block of the
+observation (``ObservationBundle.gait``), so the policy reads everything it
+acts on from one bundle; :meth:`TerrainEnv.set_gait` changes the command
+and the current observation's block together.  Reward evaluation lives in
 :mod:`gaitrl.rewards`; the env fills everything rewards need into the state
 it exposes.
 """
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,8 +30,6 @@ from .biped import (
     substep,
 )
 from .terrain import Heightfield
-
-OBS_LAYOUT_VERSION = 1
 
 # "diverged": the state went non-finite (NaN or inf).  That step returns the
 # last finite observation and the pre-step distance, and ends the episode.
@@ -73,7 +74,7 @@ class DRConfig:
     def action_delay_steps(self, dt: float) -> int:
         return int(round(self.action_delay_ms / (dt * 1000.0)))
 
-    def scan_delay_steps(self, dt: float) -> int:
+    def scan_delay_steps(self) -> int:
         # sub-control-step sensor latency rounds to a 0-or-1-step delay
         return int(round(self.scan_delay_ms / DR_RANGES["scan_delay_ms"][1]))
 
@@ -144,19 +145,19 @@ class EnvConfig:
 
 
 def obs_dims(cfg: EnvConfig) -> dict:
-    """Dimension bookkeeping for the fixed, versioned observation layout."""
+    """Dimension bookkeeping for the fixed observation layout."""
     d_o = 2 + 2 + 2 + 3 * N_JOINTS  # [omega, gravity, velocity cmd, q, qd, last action]
     d_hist = cfg.history_len * d_o
     d_scan = 2 * cfg.scan_points
     d_m = cfg.elev_points
     d_e = 2 * 2 + 2 + 2 + len(DR_FIELDS) + d_o + d_hist  # feet, contacts, true vel, dr, o, hist
     return {
-        "layout_version": OBS_LAYOUT_VERSION,
         "d_o": d_o,
         "d_hist": d_hist,
         "d_scan": d_scan,
         "d_m": d_m,
         "d_e": d_e,
+        "d_gait": cfg.n_gaits,
     }
 
 
@@ -167,10 +168,12 @@ class ObservationBundle:
     scans: np.ndarray  # [2 * K], previous scan then current
     m: np.ndarray  # [M] privileged elevation, critic only
     e: np.ndarray  # [d_e] privileged extras, critic only
+    gait: np.ndarray  # [n_gaits] one-hot gait command, all zero when none is given
 
     def copy(self) -> "ObservationBundle":
         return ObservationBundle(
-            self.o.copy(), self.hist.copy(), self.scans.copy(), self.m.copy(), self.e.copy()
+            self.o.copy(), self.hist.copy(), self.scans.copy(), self.m.copy(), self.e.copy(),
+            self.gait.copy(),
         )
 
 
@@ -320,7 +323,7 @@ class TerrainEnv:
         self.state = st
         self._ep_dr_mass = (self.model.base_mass + self.dr.payload) * self.dr.link_mass_scale
         self._scan_bias = self.dr.scan_bias * (1.0 if self.rng.random() < 0.5 else -1.0)
-        self._scan_delay = self.dr.scan_delay_steps(self.cfg.dt)
+        self._scan_delay = self.dr.scan_delay_steps()
         self._action_delay = self.dr.action_delay_steps(self.cfg.dt)
 
         self.last_action = np.zeros(N_JOINTS)
@@ -415,6 +418,11 @@ class TerrainEnv:
         self._distance = distance = self.state.x - self.spawn_x
         return StepResult(bundle=bundle, termination=termination, distance=distance)
 
+    def set_gait(self, gait: np.ndarray) -> None:
+        """Hold ``gait`` from now on, and show it in the current observation."""
+        self.commands.gait = gait
+        self.bundle = replace(self.bundle, gait=gait.copy())
+
     def _diverged(self) -> StepResult:
         """End the episode on a non-finite state.
 
@@ -466,7 +474,9 @@ class TerrainEnv:
                 hist,
             ]
         )
-        return ObservationBundle(o=o_t.copy(), hist=hist, scans=scans, m=m, e=e)
+        return ObservationBundle(
+            o=o_t.copy(), hist=hist, scans=scans, m=m, e=e, gait=self.commands.gait.copy()
+        )
 
     def _refresh_foot_state(self) -> None:
         st = self.state

@@ -11,6 +11,10 @@ the policy is bit-for-bit the stage-1 policy.
 The critic reads only privileged inputs (elevation map + extras, plus the
 gait command in stage 2) and never shares parameters with the actor; the
 actor path never sees a privileged array.
+
+Every network input comes from one ``BundleBatch``: the gait command is its
+``gait`` block, as it is a block of the env's observation, so the forward
+passes take the batch and nothing else.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ class PolicyMode:
             raise ValueError(
                 f"residual_fusion must be one of {RESIDUAL_FUSIONS}, got {self.residual_fusion!r}"
             )
+        if self.n_experts < 1:
+            raise ValueError("n_experts must be positive")
 
 
 @dataclass
@@ -160,18 +166,20 @@ class BundleBatch:
     scans: np.ndarray
     m: np.ndarray
     e: np.ndarray
+    gait: np.ndarray
 
     @classmethod
     def stack(cls, bundles: list[ObservationBundle]) -> "BundleBatch":
         if len(bundles) == 1:
             (b,) = bundles
-            return cls(b.o[None], b.hist[None], b.scans[None], b.m[None], b.e[None])
+            return cls(b.o[None], b.hist[None], b.scans[None], b.m[None], b.e[None], b.gait[None])
         return cls(
             o=np.stack([b.o for b in bundles]),
             hist=np.stack([b.hist for b in bundles]),
             scans=np.stack([b.scans for b in bundles]),
             m=np.stack([b.m for b in bundles]),
             e=np.stack([b.e for b in bundles]),
+            gait=np.stack([b.gait for b in bundles]),
         )
 
 
@@ -292,15 +300,12 @@ class PolicyState:
     normalizer: ObservationNormalizer
     residual: ResidualModule | None = None
 
-
-@dataclass
-class ActResult:
-    action: np.ndarray
-    log_prob: float
-    mean: np.ndarray
-    z_o: np.ndarray
-    z_prime: np.ndarray | None
-    gate_w: np.ndarray | None
+    def __post_init__(self):
+        # the residual exists at stage 2 only
+        if self.mode.stage >= 2 and self.residual is None:
+            raise ValueError("residual: missing; a stage-2 policy has a residual module")
+        if self.mode.stage < 2 and self.residual is not None:
+            raise ValueError("residual: a stage-1 policy has no residual module")
 
 
 @dataclass
@@ -383,55 +388,32 @@ class ActorCritic:
         feats = np.concatenate([nz.norm_o(batch.o), f_d, f_h], axis=1)
         return feats, scan_tape, hist_tape
 
-    def actor_mean(self, batch: BundleBatch, gait: np.ndarray | None) -> tuple[np.ndarray, ActorCache]:
+    def actor_mean(self, batch: BundleBatch) -> tuple[np.ndarray, ActorCache]:
         feats, scan_tape, hist_tape = self.encode_features(batch)
         z_o, trunk_tape = net_forward(self.trunk, feats)
         res_cache = None
         if self.residual is not None:
-            if gait is None:
-                raise ValueError("stage-2 policy needs a gait command")
             if self.mode.residual_fusion == "latent":
-                z_p, _, res_cache = self.residual.forward(feats, gait)
+                z_p, _, res_cache = self.residual.forward(feats, batch.gait)
                 z = z_o + z_p
                 mean, head_tape = net_forward(self.head, z)
             else:
                 mean, head_tape = net_forward(self.head, z_o)
-                a_p, _, res_cache = self.residual.forward(feats, gait)
+                a_p, _, res_cache = self.residual.forward(feats, batch.gait)
                 mean = mean + a_p
         else:
             mean, head_tape = net_forward(self.head, z_o)
         return mean, ActorCache(scan_tape, hist_tape, trunk_tape, head_tape, z_o, res_cache)
 
-    def act(
-        self,
-        bundle: ObservationBundle,
-        gait: np.ndarray | None = None,
-        rng: np.random.Generator | None = None,
-        deterministic: bool = False,
-    ) -> ActResult:
-        batch = BundleBatch.stack([bundle])
-        mean, cache = self.actor_mean(batch, None if gait is None else gait[None, :])
-        mean = mean[0]
-        z_p = None
-        gate_w = None
-        if cache.residual is not None:
-            gate_w = cache.residual.weights[0]
-            z_p = cache.residual.z[0]
-        if deterministic or rng is None:
-            action = mean.copy()
-        else:
-            action = mean + np.exp(self.log_std) * rng.standard_normal(N_JOINTS)
-        logp = float(gaussian_log_prob_batch(action[None], mean[None], self.log_std)[0])
-        return ActResult(action, logp, mean, cache.z_o[0], z_p, gate_w)
+    def act(self, bundle: ObservationBundle) -> np.ndarray:
+        """The deterministic action for one observation: the action mean."""
+        mean, _ = self.actor_mean(BundleBatch.stack([bundle]))
+        return mean[0]
 
-    def critic_value(
-        self, m: np.ndarray, e: np.ndarray, gait: np.ndarray | None = None
-    ) -> tuple[np.ndarray, GradientTape]:
-        parts = [self.normalizer.norm_m(m), self.normalizer.norm_e(e)]
+    def critic_value(self, batch: BundleBatch) -> tuple[np.ndarray, GradientTape]:
+        parts = [self.normalizer.norm_m(batch.m), self.normalizer.norm_e(batch.e)]
         if self.residual is not None:
-            if gait is None:
-                raise ValueError("stage-2 critic needs the gait command")
-            parts.append(gait)
+            parts.append(batch.gait)
         x = np.concatenate(parts, axis=1)
         if x.shape[1] != self.critic.input_dim:
             raise ValueError(
@@ -485,10 +467,6 @@ class ActorCritic:
     @classmethod
     def from_state(cls, state: PolicyState, model: BipedModel, env_cfg: EnvConfig) -> "ActorCritic":
         """A policy that takes over ``state``'s arrays."""
-        if state.mode.stage >= 2 and state.residual is None:
-            raise ValueError("policy.residual: missing; a stage-2 policy has a residual module")
-        if state.mode.stage < 2 and state.residual is not None:
-            raise ValueError("policy.residual: a stage-1 policy has no residual module")
         obj = cls(model, env_cfg, state.arch, state.mode, seed=0)
         obj._adopt(state, NET_NAMES)
         obj.residual = state.residual
@@ -532,18 +510,19 @@ class LatentTable:
 def export_residual_latents(policy: ActorCritic, samples) -> LatentTable:
     """One row per sample: residual latent, gate weights, gait and terrain labels.
 
-    ``samples`` yields (bundle, gait_onehot, terrain_label).
+    ``samples`` yields (bundle, terrain_label); the gait label is the
+    bundle's gait command.
     """
     if policy.residual is None:
         raise ValueError("latent export needs a stage-2 policy with a residual module")
     zs, ws, gl, tl = [], [], [], []
-    for bundle, gait, terrain_label in samples:
+    for bundle, terrain_label in samples:
         batch = BundleBatch.stack([bundle])
         feats, _, _ = policy.encode_features(batch)
-        z_p, w, _ = policy.residual.forward(feats, gait[None, :])
+        z_p, w, _ = policy.residual.forward(feats, batch.gait)
         zs.append(z_p[0])
         ws.append(w[0])
-        gl.append(int(np.argmax(gait)))
+        gl.append(int(np.argmax(bundle.gait)))
         tl.append(terrain_label)
     return LatentTable(
         z_prime=np.array(zs) if zs else np.zeros((0, policy.residual_out_dim())),

@@ -53,18 +53,17 @@ class RolloutBuffer:
     """Fixed-horizon on-policy storage for a batch of environments.
 
     One row per control step, copied from the batch the policy acted on
-    (``obs``, a ``BundleBatch`` of ``[T, N, d]`` arrays) and from what the
-    step returned; ``values`` has one bootstrap row beyond the horizon.
+    (``obs``, a ``BundleBatch`` of ``[T, N, d]`` arrays, the gait command
+    among its blocks) and from what the step returned; ``values`` has one
+    bootstrap row beyond the horizon.
     """
 
-    def __init__(self, horizon: int, n_envs: int, dims: dict, n_gaits: int, n_joints: int):
+    def __init__(self, horizon: int, n_envs: int, dims: dict, n_joints: int):
         T, N = horizon, n_envs
         self.horizon = horizon
         self.n_envs = n_envs
-        self.obs = BundleBatch(
-            *(np.zeros((T, N, dims[d])) for d in ("d_o", "d_hist", "d_scan", "d_m", "d_e"))
-        )
-        self.gait = np.zeros((T, N, n_gaits))
+        blocks = ("d_o", "d_hist", "d_scan", "d_m", "d_e", "d_gait")
+        self.obs = BundleBatch(*(np.zeros((T, N, dims[d])) for d in blocks))
         self.actions = np.zeros((T, N, n_joints))
         self.log_probs = np.zeros((T, N))
         self.values = np.zeros((T + 1, N))
@@ -75,11 +74,10 @@ class RolloutBuffer:
         self.r_g = np.zeros((T, N))
         self.filled = 0
 
-    def add_step(self, t, batch, gaits, actions, log_probs, values, rewards, dones, breakdowns=None):
+    def add_step(self, t, batch, actions, log_probs, values, rewards, dones, breakdowns=None):
         """Row ``t``: ``[N, ...]`` arrays and per-env lists, in env order."""
         for name, rows in vars(self.obs).items():
             rows[t] = getattr(batch, name)
-        self.gait[t] = gaits
         self.actions[t] = actions
         self.log_probs[t] = log_probs
         self.values[t] = values
@@ -155,7 +153,6 @@ def _restore(policy: ActorCritic, opts: dict[str, AdamState], snap: tuple) -> No
 def ppo_loss_and_grads(
     policy: ActorCritic,
     mb: BundleBatch,
-    gaits: np.ndarray,
     actions: np.ndarray,
     adv: np.ndarray,
     returns: np.ndarray,
@@ -167,7 +164,7 @@ def ppo_loss_and_grads(
     The advantages are used as given (normalization is the caller's step).
     """
     nb = actions.shape[0]
-    mean, cache = policy.actor_mean(mb, gaits)
+    mean, cache = policy.actor_mean(mb)
     log_std = policy.log_std
     std2 = np.exp(2.0 * log_std)
     lp_new = gaussian_log_prob_batch(actions, mean, log_std)
@@ -189,7 +186,7 @@ def ppo_loss_and_grads(
     d_logstd = (dl_dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
     d_logstd -= cfg.entropy_coef  # entropy bonus, per dimension
 
-    v, vtape = policy.critic_value(mb.m, mb.e, gaits)
+    v, vtape = policy.critic_value(mb)
     v_err = v - returns
     value_loss = cfg.value_coef * float(np.mean(v_err**2))
     d_v = (2.0 * cfg.value_coef * v_err / nb)[:, None]
@@ -230,7 +227,6 @@ def ppo_update(
     B = T * N
     flat = lambda a: a.reshape(B, *a.shape[2:])
     obs = {name: flat(rows) for name, rows in vars(buffer.obs).items()}
-    gaits = flat(buffer.gait)
     actions = flat(buffer.actions)
     old_logp = buffer.log_probs.reshape(B)
 
@@ -249,7 +245,7 @@ def ppo_update(
             idx = perm[start : start + cfg.minibatch]
             mb = BundleBatch(**{name: rows[idx] for name, rows in obs.items()})
             loss, grad_lists, piece = ppo_loss_and_grads(
-                policy, mb, gaits[idx], actions[idx], adv_n[idx], returns[idx], old_logp[idx], cfg
+                policy, mb, actions[idx], adv_n[idx], returns[idx], old_logp[idx], cfg
             )
 
             finite = np.isfinite(loss) and all(

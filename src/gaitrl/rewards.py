@@ -55,9 +55,6 @@ DEFAULT_WEIGHTS = {
 
 STYLE_WEIGHT = 5.0
 
-LOCOMOTION_TERMS = tuple(k for k in DEFAULT_WEIGHTS if k not in ("knee_height", "squat_height"))
-GAIT_TERMS = ("knee_height", "squat_height")
-
 
 @dataclass
 class RewardConfig:
@@ -119,7 +116,6 @@ def locomotion_rewards(
     a_t: np.ndarray,
     a_prev: np.ndarray,
     a_prev2: np.ndarray,
-    dt: float,
     cfg: RewardConfig,
     model,
 ) -> RewardBreakdown:

@@ -4,8 +4,11 @@ Stage 1 learns terrain locomotion from locomotion rewards alone.  Stage 2
 attaches the residual mixture of experts to a stage-1 checkpoint, turns on
 the per-gait discriminators and gait-routed rewards, and trains everything
 together (base parts at the base learning rate, residual parts at their
-own).  Everything is single-threaded and keyed off one run seed, so a
-(config, seed) pair reproduces checkpoints and metrics byte for byte.
+own).  The gait schedule writes each env's command through
+``TerrainEnv.set_gait``, so the command reaches the policy, the critic and
+the rollout buffer as the observation's gait block.  Everything is
+single-threaded and keyed off one run seed, so a (config, seed) pair
+reproduces checkpoints and metrics byte for byte.
 """
 
 from __future__ import annotations
@@ -158,7 +161,7 @@ class EnvWorker:
             return
         gait, changed = self.scheduler.command_at(self.env.state.time, self.rng)
         if changed:
-            self.env.commands.gait = gait
+            self.env.set_gait(gait)
             self.frames_in_segment = 0
 
     def finish_episode(self, distance: float) -> None:
@@ -346,9 +349,8 @@ class Trainer:
             for w in self.workers:
                 w.maybe_resample_gait()
             batch = BundleBatch.stack([w.env.bundle for w in self.workers])
-            gaits = np.stack([w.env.commands.gait for w in self.workers])
-            means, _ = pol.actor_mean(batch, gaits)
-            values, _ = pol.critic_value(batch.m, batch.e, gaits)
+            means, _ = pol.actor_mean(batch)
+            values, _ = pol.critic_value(batch)
             noise = np.stack([w.rng.standard_normal(N_JOINTS) for w in self.workers])
             actions = np.clip(
                 means + std * noise, -cfg.model.action_bound, cfg.model.action_bound
@@ -370,7 +372,7 @@ class Trainer:
                 else:
                     loco = locomotion_rewards(
                         st, env.commands, env.last_action, env.prev_action, env.prev2_action,
-                        cfg.env.dt, cfg.rewards, cfg.model,
+                        cfg.rewards, cfg.model,
                     )
                     style_raw = 0.0
                     if self.stage >= 2:
@@ -394,7 +396,7 @@ class Trainer:
                 total_sum += reward
 
                 if res.termination == "timeout":
-                    v_term, _ = pol.critic_value(res.bundle.m[None], res.bundle.e[None], gait[None, :])
+                    v_term, _ = pol.critic_value(BundleBatch.stack([res.bundle]))
                     reward += cfg.ppo.gamma * float(v_term[0])
 
                 rewards.append(reward)
@@ -404,11 +406,9 @@ class Trainer:
                     ep_distances.append(res.distance)
                     w.finish_episode(res.distance)
                     w.begin_episode()
-            buffer.add_step(t, batch, gaits, actions, logps, values, rewards, dones, breakdowns)
+            buffer.add_step(t, batch, actions, logps, values, rewards, dones, breakdowns)
 
-        batch = BundleBatch.stack([w.env.bundle for w in self.workers])
-        gaits = np.stack([w.env.commands.gait for w in self.workers])
-        values, _ = self.policy.critic_value(batch.m, batch.e, gaits)
+        values, _ = pol.critic_value(BundleBatch.stack([w.env.bundle for w in self.workers]))
         buffer.values[cfg.ppo.horizon] = values
 
         steps = cfg.ppo.horizon * cfg.ppo.n_envs
@@ -434,9 +434,7 @@ class Trainer:
         iterations = iterations if iterations is not None else cfg.ppo.iterations
         history = []
         for _ in range(iterations):
-            buffer = RolloutBuffer(
-                cfg.ppo.horizon, cfg.ppo.n_envs, self.policy.dims, cfg.env.n_gaits, N_JOINTS
-            )
+            buffer = RolloutBuffer(cfg.ppo.horizon, cfg.ppo.n_envs, self.policy.dims, N_JOINTS)
             roll_stats = self.collect_rollout(buffer)
             amp_stats = {}
             if self.stage >= 2:

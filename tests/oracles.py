@@ -671,7 +671,7 @@ def ref_run_trial(controller, terrain, model, env_cfg, *, v_cmd=0.6, gait_id=Non
         distance = max(res.distance, distance)
         if trace_file is not None:
             bd = locomotion_rewards(
-                env.state, env.commands, action, a_prev, a_prev2, cfg_ep.dt, reward_cfg, model,
+                env.state, env.commands, action, a_prev, a_prev2, reward_cfg, model,
             )
             trace_file.write(
                 json.dumps(

@@ -128,6 +128,13 @@ class TestUsage:
                      "train: checkpoint_every must be positive", id="train.checkpoint_every"),
         pytest.param({"gaits": {"period_s": 0.0}}, "gaits: period_s must be positive",
                      id="gaits.period_s"),
+        pytest.param({"gaits": {"distribution": [0, 0, 0]}},
+                     "gaits: distribution must have a positive sum", id="gaits.distribution-zero"),
+        pytest.param({"gaits": {"distribution": [-1, 1, 1]}},
+                     "gaits: distribution must have no negative entry",
+                     id="gaits.distribution-negative"),
+        pytest.param({"mode": {"n_experts": 0}}, "mode: n_experts must be positive",
+                     id="mode.n_experts"),
         pytest.param({"bench": {"trials": 0}}, "bench: trials must be positive", id="bench.trials"),
         pytest.param({"env": {"substeps": 0}}, "env: substeps must be positive", id="env.substeps"),
         pytest.param({"env": {"history_len": 0}}, "env: history_len must be positive",
@@ -382,7 +389,9 @@ class TestMalformedInputs:
         (lambda doc: doc["policy"]["mode"].update(bogus=1),
          "policy.mode: unknown keys ['bogus']"),
         (lambda doc: _drop(doc, "config"), "config: missing"),
-    ], ids=["no-trunk", "unknown-mode-key", "no-config"])
+        (lambda doc: _drop(doc, "policy.residual"),
+         "policy: residual: missing; a stage-2 policy has a residual module"),
+    ], ids=["no-trunk", "unknown-mode-key", "no-config", "stage-2-without-residual"])
     def test_malformed_checkpoint_exits_1(self, trained, tmp_path, capsys, change, field):
         _, _, ckpt = trained
         with open(ckpt) as f:

@@ -220,7 +220,7 @@ class TestHeightScan:
         hf = generate_terrain("flat", 0.0, seed=0)
         env = TerrainEnv(model, EnvConfig(), seed=0)
         env.reset(hf, DRConfig(scan_delay_ms=8.0), CommandState(gait=np.zeros(3)))
-        assert env.dr.scan_delay_steps(env.cfg.dt) == 1
+        assert env.dr.scan_delay_steps() == 1
         k = env.cfg.scan_points
         # lift the robot: current scan changes immediately, delivered scan lags a step
         env.state.z += 0.5

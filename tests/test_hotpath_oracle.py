@@ -168,7 +168,7 @@ class TestRewardOracle:
                 gait=one_hot(trial % 3, 3),
             )
             a_t, a_p, a_pp = (rng.uniform(-4.0, 4.0, N_JOINTS) for _ in range(3))
-            bd = locomotion_rewards(st_, cmd, a_t, a_p, a_pp, 0.02, cfg, MODEL)
+            bd = locomotion_rewards(st_, cmd, a_t, a_p, a_pp, cfg, MODEL)
             assert_same_rewards(bd, ref_locomotion_raw(st_, cmd, a_t, a_p, a_pp, cfg, MODEL), cfg)
 
 
@@ -226,7 +226,7 @@ def test_env_trajectory_matches_reference_for_any_dr_and_bounded_actions(
         assert res.termination == res_ref.termination
         for name in ("o", "hist", "scans", "m", "e"):
             assert_same_array(getattr(res.bundle, name), getattr(res_ref.bundle, name), name)
-        bd = locomotion_rewards(new.state, new.commands, a, a_p, a_pp, 0.02, cfg, MODEL)
+        bd = locomotion_rewards(new.state, new.commands, a, a_p, a_pp, cfg, MODEL)
         assert_same_rewards(
             bd, ref_locomotion_raw(ref.state, ref.commands, a, a_p, a_pp, cfg, MODEL), cfg
         )

@@ -20,6 +20,13 @@ counts for every class.
 Networks take ``[B, d]`` batches and nothing else: no module of the package
 names numpy's ``atleast_*`` shape coercions.  A caller that holds a single
 sample passes a batch of one (``x[None]``).
+
+No module-level name is kept that nothing reads: every constant, function
+and class a module of the package binds at its top level (dunders excepted)
+is read somewhere in the package, the tests or the benchmark harness, by
+name, as an attribute or through an import.  And no function of the package
+takes a parameter it never reads (``self`` and ``cls`` excepted), apart from
+the exemptions listed with their reasons in ``PARAMETERS_EXEMPT``.
 """
 
 from __future__ import annotations
@@ -53,7 +60,10 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 
 
 def used_names(tree: ast.Module) -> set[str]:
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    """Names read (not only bound) anywhere in the module."""
+    used = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+    }
     annotations = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
@@ -287,3 +297,120 @@ def test_no_shape_coercions():
         for line in shape_coercions(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def module_names(tree: ast.Module) -> dict[str, int]:
+    """Each name the module binds at its top level -> its line: assignments,
+    functions and classes (dunders excepted)."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(t, ast.Name):
+                        names[t.id] = node.lineno
+    return {k: v for k, v in names.items() if not (k.startswith("__") and k.endswith("__"))}
+
+
+def module_names_read(tree: ast.Module) -> set[str]:
+    """Names read by name, as an attribute, or imported from a module."""
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return used_names(tree) | read_attributes(tree) | imported
+
+
+def test_the_check_flags_a_module_name_nothing_reads():
+    tree = ast.parse(
+        "import os\nfrom json import dumps as d\nLIMIT = 3\nUNUSED, PAIR = 1, 2\n"
+        "_cache: dict = {}\n__version__ = '1'\n"
+        "def helper(): ...\ndef dead(): ...\nclass Kept: ...\n"
+        "def run():\n    return helper() + LIMIT + PAIR + len(os.sep) + Kept.x\n"
+        "print(run(), d)\n"
+    )
+    read = module_names_read(tree)
+    assert [n for n in module_names(tree) if n not in read] == ["UNUSED", "_cache", "dead"]
+    # a name imported from a module counts as read there
+    assert "dumps" in read
+
+
+def test_no_module_name_that_nothing_reads():
+    read = set().union(*(module_names_read(ast.parse(p.read_text())) for p in READERS))
+    unread = [
+        f"{path.name}:{line}: {name}"
+        for path in READERS
+        if path.parent.name == "gaitrl"
+        for name, line in module_names(ast.parse(path.read_text(), filename=str(path))).items()
+        if name not in read
+    ]
+    assert unread == []
+
+
+# Parameters that stay although their function does not read them, each
+# keyed by the function's signature, with the reason.
+PARAMETERS_EXEMPT = {
+    # the controller protocol (gaitrl.controllers): the benchmark passes a
+    # controller all three, and each controller reads what it needs
+    "act(self, bundle, commands, state)": {"bundle", "commands", "state"},
+    # perfbench passes it; the next change to the benchmark drops it in both
+    # places (ROADMAP, item 1)
+    "recompute_cell_from_trace(trace_path, goal_m)": {"goal_m"},
+}
+
+
+def unread_parameters(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """``(line, signature, parameter)`` for each parameter of a function or
+    lambda that its body never reads (``self`` and ``cls`` excepted)."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+        params = [p for p in params if p is not None]
+        signature = f"{getattr(fn, 'name', 'lambda')}({', '.join(p.arg for p in params)})"
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        found += [
+            (fn.lineno, signature, p.arg)
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls")
+        ]
+    return found
+
+
+def test_the_check_flags_a_parameter_nothing_reads():
+    tree = ast.parse(
+        "def f(a, b, *args, c=1, **kw):\n    return a + kw['x']\n"
+        "class C:\n    def m(self, x, y):\n        def inner():\n            return x\n"
+        "        y = 2\n        return inner\n"
+        "g = lambda u, v: u\n"
+    )
+    assert [(sig, p) for _, sig, p in unread_parameters(tree)] == [
+        ("f(a, b, args, c, kw)", "b"),
+        ("f(a, b, args, c, kw)", "args"),
+        ("f(a, b, args, c, kw)", "c"),
+        ("m(self, x, y)", "y"),
+        ("lambda(u, v)", "v"),
+    ]
+
+
+def test_no_parameter_that_its_function_never_reads():
+    unread = [
+        f"{path.name}:{line}: {signature}: {param}"
+        for path in READERS
+        if path.parent.name == "gaitrl"
+        for line, signature, param in unread_parameters(ast.parse(path.read_text()))
+        if param not in PARAMETERS_EXEMPT.get(signature, ())
+    ]
+    assert unread == []

@@ -8,6 +8,7 @@ must still give exactly the bytes of the reference in tests/oracles.py.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -34,6 +35,7 @@ from gaitrl.policy import (
     PolicyArch,
     PolicyMode,
     export_residual_latents,
+    gaussian_log_prob_batch,
 )
 from gaitrl.terrain import generate_terrain
 
@@ -93,7 +95,8 @@ def random_bundle(seed: int, scale: float) -> ObservationBundle:
     rng = np.random.default_rng(seed)
     dims = obs_dims(ENV_CFG)
     return ObservationBundle(
-        *(scale * rng.standard_normal(dims[d]) for d in ("d_o", "d_hist", "d_scan", "d_m", "d_e"))
+        *(scale * rng.standard_normal(dims[d]) for d in ("d_o", "d_hist", "d_scan", "d_m", "d_e")),
+        gait=np.zeros(dims["d_gait"]),
     )
 
 
@@ -104,14 +107,28 @@ def same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_act_matches(pol, bundle, gait, rng_seed=None):
-    rng_new = None if rng_seed is None else np.random.default_rng(rng_seed)
-    rng_ref = None if rng_seed is None else np.random.default_rng(rng_seed)
-    new = pol.act(bundle, gait, rng=rng_new, deterministic=rng_seed is None)
-    ref = ref_act(pol, bundle, gait, rng=rng_ref, deterministic=rng_seed is None)
-    got = (new.action, new.log_prob, new.mean, new.z_o, new.z_prime, new.gate_w)
-    for name, a, b in zip(("action", "log_prob", "mean", "z_o", "z_prime", "gate_w"), got, ref):
+def assert_act_matches(pol, bundle, gait):
+    """``act`` and the batch-of-one forward pass give the reference's bytes;
+    the reference reads ``gait`` beside the bundle, the policy in it."""
+    if gait is not None:
+        bundle = dataclasses.replace(bundle, gait=gait)
+    ref_action, _, *ref = ref_act(pol, bundle, gait, deterministic=True)
+    assert same(pol.act(bundle), ref_action), "action"
+    mean, cache = pol.actor_mean(BundleBatch.stack([bundle]))
+    z_prime = gate_w = None
+    if cache.residual is not None:
+        z_prime, gate_w = cache.residual.z[0], cache.residual.weights[0]
+    got = (mean[0], cache.z_o[0], z_prime, gate_w)
+    for name, a, b in zip(("mean", "z_o", "z_prime", "gate_w"), got, ref):
         assert same(a, b), name
+
+
+def assert_log_prob_matches(pol, bundle, gait, rng_seed):
+    """The log-density of a sampled action: ``gaussian_log_prob_batch`` on a
+    batch of one gives ``ref_gaussian_log_prob``'s bytes."""
+    action, logp, mean, *_ = ref_act(pol, bundle, gait, rng=np.random.default_rng(rng_seed))
+    got = gaussian_log_prob_batch(action[None], mean[None], pol.log_std)[0]
+    assert same(float(got), logp)
 
 
 @pytest.mark.parametrize("rng_seed", [None, 5])
@@ -119,7 +136,9 @@ def test_stage1_act_matches_reference(rng_seed):
     pol = make_policy(1)
     _, bundles = env_bundles()
     for b in bundles:
-        assert_act_matches(pol, b, None, rng_seed)
+        assert_act_matches(pol, b, None)
+        if rng_seed is not None:
+            assert_log_prob_matches(pol, b, None, rng_seed)
 
 
 @pytest.mark.parametrize("fusion,n_experts,gait_id", STAGE2)
@@ -129,7 +148,7 @@ def test_stage2_act_matches_reference(fusion, n_experts, gait_id):
     gait = one_hot(gait_id, ARCH.n_gaits)
     for b in bundles:
         assert_act_matches(pol, b, gait)
-        assert_act_matches(pol, b, gait, rng_seed=gait_id)
+        assert_log_prob_matches(pol, b, gait, rng_seed=gait_id)
 
 
 @pytest.mark.parametrize("fusion", ["latent", "action"])
@@ -151,7 +170,7 @@ def test_controller_clips_like_np_clip():
     pol.head.layers[-1].bias[:] = [9.0, -9.0, 0.0, np.nan, 4.0, -4.0]
     pol.head.layers[-1].weight[:] = 0.0
     env, (b, *_) = env_bundles(1)
-    with np.errstate(invalid="ignore"):  # the NaN row's log-probability
+    with np.errstate(invalid="ignore"):  # the reference's log-probability of the NaN row
         got = PolicyController(pol).act(b, env.commands, env.state)
         assert same(got, ref_controller_act(pol, None, b, env.commands))
     assert np.isnan(got[3])
@@ -165,7 +184,9 @@ def test_export_residual_latents_matches_reference(fusion, n_experts):
     samples = [
         (b, one_hot(i % ARCH.n_gaits, ARCH.n_gaits), f"kind{i % 2}") for i, b in enumerate(bundles)
     ]
-    table = export_residual_latents(pol, samples)
+    table = export_residual_latents(
+        pol, [(dataclasses.replace(b, gait=gait), kind) for b, gait, kind in samples]
+    )
     z, w, gaits, kinds = ref_residual_latents(pol, samples)
     assert same(table.z_prime, z)
     assert same(table.gate_w, w)
@@ -178,8 +199,12 @@ def test_batched_actor_mean_matches_reference(stage):
     # the training path: a stacked batch of several bundles
     pol = make_policy(stage, seed=2)
     _, bundles = env_bundles()
-    gaits = np.stack([one_hot(i % 3, 3) for i in range(len(bundles))]) if stage == 2 else None
-    mean, cache = pol.actor_mean(BundleBatch.stack(bundles), gaits)
+    batch = BundleBatch.stack(bundles)
+    gaits = None
+    if stage == 2:
+        gaits = np.stack([one_hot(i % 3, 3) for i in range(len(bundles))])
+        batch = dataclasses.replace(batch, gait=gaits)
+    mean, cache = pol.actor_mean(batch)
     ref_mean, ref_z_o, res = ref_actor_mean(pol, ref_stack(bundles), gaits)
     assert same(mean, ref_mean)
     assert same(cache.z_o, ref_z_o)
@@ -202,7 +227,7 @@ def test_act_matches_reference_on_any_finite_bundle(seed, scale, gait_id, fusion
     bundle = random_bundle(seed, scale)
     gait = one_hot(gait_id, ARCH.n_gaits)
     assert_act_matches(pol, bundle, gait)
-    assert_act_matches(pol, bundle, gait, rng_seed=seed)
+    assert_log_prob_matches(pol, bundle, gait, rng_seed=seed)
 
 
 def test_act_leaves_the_bundle_unchanged():
@@ -210,11 +235,11 @@ def test_act_leaves_the_bundle_unchanged():
     _, bundles = env_bundles()
     for b in bundles:
         before = b.copy()
-        res = pol.act(b, one_hot(1, 3), rng=np.random.default_rng(0))
-        for name in ("o", "hist", "scans", "m", "e"):
+        action = pol.act(b)
+        for name in ("o", "hist", "scans", "m", "e", "gait"):
             assert same(getattr(b, name), getattr(before, name)), name
-        # the result owns its action: writing it leaves the bundle alone
-        res.action[:] = 123.0
+        # the action is the policy's own array: writing it leaves the bundle alone
+        action[:] = 123.0
         assert same(b.o, before.o)
 
 
@@ -225,7 +250,7 @@ def test_non_finite_input_raises_the_same_error(field_name):
     getattr(b, field_name)[0] = np.nan
     gait = one_hot(0, 3)
     with pytest.raises(ValueError, match="^non-finite network input$"):
-        pol.act(b, gait)
+        pol.act(dataclasses.replace(b, gait=gait))
     with pytest.raises(ValueError, match="^non-finite network input$"):
         ref_act(pol, b, gait)
 

@@ -174,10 +174,11 @@ class TestEpisodes:
         new = collect_latent_samples(policy, cfg, seed=3)
         ref = ref_collect_latent_samples(policy, cfg, seed=3)
         assert len(new) == len(ref) > 0
-        for (b, g, k), (rb, rg, rk) in zip(new, ref):
-            for name in ("o", "hist", "scans", "m", "e"):
+        for (b, k), (rb, rg, rk) in zip(new, ref):
+            for name in ("o", "hist", "scans", "m", "e", "gait"):
                 assert getattr(b, name).tobytes() == getattr(rb, name).tobytes(), name
-            assert g.tobytes() == rg.tobytes() and k == rk
+            # the gait each sample was collected under is its bundle's block
+            assert b.gait.tobytes() == rg.tobytes() and k == rk
 
     def test_latent_samples_stop_at_the_step_budget_or_the_episode_end(self):
         policy = make_policy(2)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gaitrl.biped import N_JOINTS, BipedModel
-from gaitrl.codec import decode
+from gaitrl.codec import decode, encode
 from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from gaitrl.nets import softmax
 from gaitrl.policy import (
@@ -15,6 +16,7 @@ from gaitrl.policy import (
     PolicyState,
     ResidualModule,
     export_residual_latents,
+    gaussian_log_prob_batch,
 )
 from gaitrl.terrain import generate_terrain
 
@@ -71,13 +73,12 @@ class TestEncodeFeatures:
 
     def test_privilege_separation_on_actor_path(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0)
-        bundle = make_bundles(1)[0]
-        g = one_hot(1, 3)
-        a1 = pol.act(bundle, g, deterministic=True)
+        bundle = dataclasses.replace(make_bundles(1)[0], gait=one_hot(1, 3))
+        a1 = pol.act(bundle)
         bundle.m[:] = 123.0
         bundle.e[:] = -55.0
-        a2 = pol.act(bundle, g, deterministic=True)
-        np.testing.assert_array_equal(a1.action, a2.action)
+        a2 = pol.act(bundle)
+        np.testing.assert_array_equal(a1, a2)
 
 
 class TestResidualForward:
@@ -162,41 +163,37 @@ class TestAct:
         pol2 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=7)
         pol2.load_stage1_weights(decode(PolicyState, pol1.to_dict()))
         for bundle in make_bundles(20, seed=3):
-            a1 = pol1.act(bundle, deterministic=True)
-            a2 = pol2.act(bundle, one_hot(2, 3), deterministic=True)
-            np.testing.assert_array_equal(a1.action, a2.action)
-            assert np.all(a2.z_prime == 0.0)
+            gaited = dataclasses.replace(bundle, gait=one_hot(2, 3))
+            a1 = pol1.act(bundle)
+            a2 = pol2.act(gaited)
+            np.testing.assert_array_equal(a1, a2)
+            _, cache = pol2.actor_mean(BundleBatch.stack([gaited]))
+            assert np.all(cache.residual.z == 0.0)
 
     def test_deterministic_mode_returns_mean(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0)
         bundle = make_bundles(1)[0]
-        r = pol.act(bundle, deterministic=True)
-        np.testing.assert_array_equal(r.action, r.mean)
+        mean, _ = pol.actor_mean(BundleBatch.stack([bundle]))
+        np.testing.assert_array_equal(pol.act(bundle), mean[0])
 
     def test_log_prob_matches_closed_form(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0)
         pol.log_std[:] = np.linspace(-1.0, 0.5, N_JOINTS)
-        bundle = make_bundles(1)[0]
-        rng = np.random.default_rng(5)
-        r = pol.act(bundle, rng=rng)
+        mean = pol.act(make_bundles(1)[0])
         std = np.exp(pol.log_std)
-        ref = -0.5 * np.sum(((r.action - r.mean) / std) ** 2)
+        action = mean + std * np.random.default_rng(5).standard_normal(N_JOINTS)
+        logp = gaussian_log_prob_batch(action[None], mean[None], pol.log_std)[0]
+        ref = -0.5 * np.sum(((action - mean) / std) ** 2)
         ref -= np.sum(pol.log_std) + 0.5 * N_JOINTS * math.log(2 * math.pi)
-        assert r.log_prob == pytest.approx(ref, abs=1e-12)
-
-    def test_stage2_without_gait_raises(self):
-        pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0)
-        with pytest.raises(ValueError):
-            pol.act(make_bundles(1)[0], gait=None, deterministic=True)
+        assert logp == pytest.approx(ref, abs=1e-12)
 
     def test_action_fusion_mode(self):
         pol = ActorCritic(
             MODEL, EnvConfig(), SMALL, PolicyMode(stage=2, residual_fusion="action"), seed=0
         )
         assert pol.residual.out_dim == N_JOINTS
-        bundle = make_bundles(1)[0]
-        r = pol.act(bundle, one_hot(0, 3), deterministic=True)
-        assert r.action.shape == (N_JOINTS,)
+        bundle = dataclasses.replace(make_bundles(1)[0], gait=one_hot(0, 3))
+        assert pol.act(bundle).shape == (N_JOINTS,)
 
 
 class TestStages:
@@ -227,14 +224,14 @@ class TestCritic:
         for l in pol.critic.layers:
             l.weight[:] = 0.0
         pol.critic.layers[-1].bias[:] = -2.5
-        b = make_bundles(1)[0]
-        v, _ = pol.critic_value(b.m[None], b.e[None])
+        v, _ = pol.critic_value(BundleBatch.stack(make_bundles(1)))
         assert v[0] == pytest.approx(-2.5)
 
     def test_values_finite_on_benchmark_observations(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=1)
         for bundle in make_bundles(10, seed=9):
-            v, _ = pol.critic_value(bundle.m[None], bundle.e[None], one_hot(1, 3)[None])
+            batch = BundleBatch.stack([dataclasses.replace(bundle, gait=one_hot(1, 3))])
+            v, _ = pol.critic_value(batch)
             assert np.all(np.isfinite(v))
 
     def test_value_input_gradient_matches_finite_differences(self):
@@ -261,9 +258,9 @@ class TestCritic:
 
     def test_stage_layout_mismatch_raises(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0)
-        b = make_bundles(1)[0]
-        with pytest.raises(ValueError):
-            pol.critic_value(b.m[None], b.e[None], None)
+        batch = BundleBatch.stack(make_bundles(1))
+        with pytest.raises(ValueError, match="critic input layout mismatch"):
+            pol.critic_value(dataclasses.replace(batch, gait=np.zeros((1, 2))))
 
 
 class TestEndToEndGradients:
@@ -278,15 +275,16 @@ class TestEndToEndGradients:
         for net in [*pol.residual.experts, pol.residual.gate]:
             net.layers[-1].weight[:] = rng.normal(0, 0.3, net.layers[-1].weight.shape)
         bundles = make_bundles(3, seed=1, cfg=cfg)
-        batch = BundleBatch.stack(bundles)
-        gait = np.tile(one_hot(1, 3), (len(bundles), 1))
+        batch = dataclasses.replace(
+            BundleBatch.stack(bundles), gait=np.tile(one_hot(1, 3), (len(bundles), 1))
+        )
         gout = rng.normal(size=(len(bundles), N_JOINTS))
 
         def scalar():
-            mean, _ = pol.actor_mean(batch, gait)
+            mean, _ = pol.actor_mean(batch)
             return float(np.sum(gout * mean))
 
-        mean, cache = pol.actor_mean(batch, gait)
+        mean, cache = pol.actor_mean(batch)
         grads = pol.actor_backward(cache, gout)
         comps = pol.components()
         for name, grad in grads.items():
@@ -307,7 +305,9 @@ class TestLatentExport:
     def test_rows_and_invariants(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0)
         bundles = make_bundles(6, seed=2)
-        samples = [(b, one_hot(i % 3, 3), "flat") for i, b in enumerate(bundles)]
+        samples = [
+            (dataclasses.replace(b, gait=one_hot(i % 3, 3)), "flat") for i, b in enumerate(bundles)
+        ]
         table = export_residual_latents(pol, samples)
         assert table.z_prime.shape == (len(bundles), SMALL.d_z)
         assert table.gate_w.shape == (len(bundles), 3)
@@ -329,17 +329,22 @@ class TestPersistence:
             net.layers[-1].weight[:] = rng.normal(0, 0.2, net.layers[-1].weight.shape)
         back = ActorCritic.from_state(decode(PolicyState, pol.to_dict()), MODEL, EnvConfig())
         for bundle in make_bundles(5, seed=4):
-            a = pol.act(bundle, one_hot(0, 3), deterministic=True)
-            b = back.act(bundle, one_hot(0, 3), deterministic=True)
-            np.testing.assert_array_equal(a.action, b.action)
+            bundle = dataclasses.replace(bundle, gait=one_hot(0, 3))
+            np.testing.assert_array_equal(pol.act(bundle), back.act(bundle))
 
     def test_a_residual_at_the_wrong_stage_is_rejected(self):
         s1 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0).state()
         s2 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0).state()
-        s1.residual, s2.residual = s2.residual, None
-        for state in (s1, s2):
-            with pytest.raises(ValueError, match=r"^policy\.residual: "):
-                ActorCritic.from_state(state, MODEL, EnvConfig())
+        for state, residual in ((s1, s2.residual), (s2, None)):
+            with pytest.raises(ValueError, match=r"^residual: "):
+                dataclasses.replace(state, residual=residual)
+            # a document with the same fault is rejected where it is read
+            doc = encode(state)
+            doc.pop("residual", None)
+            if residual is not None:
+                doc["residual"] = encode(residual)
+            with pytest.raises(ValueError, match=r"^policy: residual: "):
+                decode(PolicyState, doc, "policy")
 
     def test_dz_mismatch_rejected_on_stage1_load(self):
         pol1 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0)

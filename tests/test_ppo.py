@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,31 +89,33 @@ def prepared_batch(policy, n=6, seed=0, stage2=False):
     bundles = collect_bundles(n, seed=seed)
     mb = BundleBatch.stack(bundles)
     rng = np.random.default_rng(seed + 1)
-    gaits = np.stack([one_hot(int(rng.integers(0, 3)), 3) for _ in range(n)]) if stage2 else None
-    mean, _ = policy.actor_mean(mb, gaits)
+    if stage2:
+        gaits = np.stack([one_hot(int(rng.integers(0, 3)), 3) for _ in range(n)])
+        mb = dataclasses.replace(mb, gait=gaits)
+    mean, _ = policy.actor_mean(mb)
     actions = mean + np.exp(policy.log_std) * rng.standard_normal((n, N_JOINTS))
     old_logp = gaussian_log_prob_batch(actions, mean, policy.log_std)
     adv = rng.normal(size=n)
     returns = rng.normal(size=n)
-    return mb, gaits, actions, adv, returns, old_logp
+    return mb, actions, adv, returns, old_logp
 
 
 class TestPPOLoss:
     def test_unchanged_params_give_ratio_one_and_equal_surrogates(self):
         policy = ActorCritic(MODEL, TINY_ENV, TINY, PolicyMode(stage=1), seed=0)
-        mb, g, a, adv, ret, lp = prepared_batch(policy)
-        _, _, stats = ppo_loss_and_grads(policy, mb, g, a, adv, ret, lp, PPOConfig())
+        mb, a, adv, ret, lp = prepared_batch(policy)
+        _, _, stats = ppo_loss_and_grads(policy, mb, a, adv, ret, lp, PPOConfig())
         np.testing.assert_allclose(stats["surr1"], stats["surr2"], atol=1e-9)
         assert stats["approx_kl"] == pytest.approx(0.0, abs=1e-9)
 
     def test_clipped_region_kills_policy_gradient(self):
         policy = ActorCritic(MODEL, TINY_ENV, TINY, PolicyMode(stage=1), seed=1)
         cfg = PPOConfig(clip=0.2, entropy_coef=0.0, value_coef=0.0)
-        mb, g, a, adv, ret, lp = prepared_batch(policy, n=1, seed=2)
+        mb, a, adv, ret, lp = prepared_batch(policy, n=1, seed=2)
         adv = np.array([1.5])
         # fake an old log-prob that puts the ratio at 1 + 2*clip
         lp_shifted = lp - np.log(1.0 + 2 * cfg.clip)
-        _, grads, stats = ppo_loss_and_grads(policy, mb, g, a, adv, ret, lp_shifted, cfg)
+        _, grads, stats = ppo_loss_and_grads(policy, mb, a, adv, ret, lp_shifted, cfg)
         assert stats["surr2"][0] < stats["surr1"][0]
         for name in ("trunk", "head", "scan_enc", "hist_enc"):
             assert all(np.all(ga == 0.0) for ga in grads[name]), name
@@ -125,15 +129,15 @@ class TestPPOLoss:
             for net in [*policy.residual.experts, policy.residual.gate]:
                 net.layers[-1].weight[:] = rng.normal(0, 0.3, net.layers[-1].weight.shape)
         cfg = PPOConfig(clip=0.2, entropy_coef=0.01, value_coef=0.7)
-        mb, g, a, adv, ret, lp = prepared_batch(policy, n=5, seed=4, stage2=stage2)
+        mb, a, adv, ret, lp = prepared_batch(policy, n=5, seed=4, stage2=stage2)
         # nudge old logp so both surrogate branches appear in the batch
         lp = lp + rng.uniform(-0.1, 0.1, size=lp.shape)
 
         def scalar():
-            loss, _, _ = ppo_loss_and_grads(policy, mb, g, a, adv, ret, lp, cfg)
+            loss, _, _ = ppo_loss_and_grads(policy, mb, a, adv, ret, lp, cfg)
             return loss
 
-        _, grads, _ = ppo_loss_and_grads(policy, mb, g, a, adv, ret, lp, cfg)
+        _, grads, _ = ppo_loss_and_grads(policy, mb, a, adv, ret, lp, cfg)
         comps = policy.components()
         for name, gl in grads.items():
             fd = central_diff_params(scalar, comps[name])
@@ -143,20 +147,22 @@ class TestPPOLoss:
 
 class TestPPOUpdate:
     def make_buffer(self, policy, T=4, N=3, seed=0):
-        buf = RolloutBuffer(T, N, policy.dims, 3, N_JOINTS)
+        buf = RolloutBuffer(T, N, policy.dims, N_JOINTS)
         bundles = collect_bundles(T * N, seed=seed)
         rng = np.random.default_rng(seed)
+        std = np.exp(policy.log_std)
         for t in range(T):
             row = bundles[t * N : (t + 1) * N]
-            acts, rewards = [], []
+            actions, logps, rewards = [], [], []
             for b in row:
-                acts.append(policy.act(b, deterministic=False, rng=rng))
+                mean = policy.act(b)
+                action = mean + std * rng.standard_normal(N_JOINTS)
+                actions.append(action)
+                logps.append(gaussian_log_prob_batch(action[None], mean[None], policy.log_std)[0])
                 rewards.append(float(rng.normal()))
             batch = BundleBatch.stack(row)
-            values, _ = policy.critic_value(batch.m, batch.e)
-            buf.add_step(t, batch, np.stack([one_hot(0, 3)] * N),
-                         np.stack([r.action for r in acts]), [r.log_prob for r in acts],
-                         values, rewards, [False] * N)
+            values, _ = policy.critic_value(batch)
+            buf.add_step(t, batch, np.stack(actions), logps, values, rewards, [False] * N)
         buf.values[T] = 0.0
         return buf
 
@@ -174,7 +180,7 @@ class TestPPOUpdate:
         policy = ActorCritic(MODEL, TINY_ENV, TINY, PolicyMode(stage=1), seed=6)
         cfg = PPOConfig()
         opts = make_optimizers(policy, cfg)
-        buf = RolloutBuffer(4, 2, policy.dims, 3, N_JOINTS)
+        buf = RolloutBuffer(4, 2, policy.dims, N_JOINTS)
         before = [p.copy() for p in policy.trunk.params()]
         metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0))
         assert metrics.get("skipped") is True

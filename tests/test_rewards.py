@@ -116,20 +116,20 @@ class TestClosedForm:
         rng = np.random.default_rng(0)
         st, cmd, a, ap, app = random_inputs(rng)
         cmd.v_cmd = st.vx
-        bd = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
+        bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
         assert bd.weighted["track_lin_vel"] == pytest.approx(2.0, abs=1e-12)
 
     def test_quarter_squared_error_tracking_value(self):
         rng = np.random.default_rng(1)
         st, cmd, a, ap, app = random_inputs(rng)
         cmd.v_cmd = st.vx + 0.5  # err^2 = 0.25
-        bd = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
+        bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
         assert bd.weighted["track_lin_vel"] == pytest.approx(2.0 * math.exp(-1.0), abs=1e-12)
 
     def test_constant_actions_zero_rate_and_smoothness(self):
         rng = np.random.default_rng(2)
         st, cmd, a, _, _ = random_inputs(rng)
-        bd = locomotion_rewards(st, cmd, a, a.copy(), a.copy(), 0.02, CFG, MODEL)
+        bd = locomotion_rewards(st, cmd, a, a.copy(), a.copy(), CFG, MODEL)
         assert bd.raw["action_rate"] == 0.0
         assert bd.raw["action_smoothness"] == 0.0
 
@@ -161,7 +161,7 @@ class TestDualImplementation:
         rng = np.random.default_rng(42)
         for _ in range(1000):
             st, cmd, a, ap, app = random_inputs(rng)
-            bd = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
+            bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
             expect = dual_locomotion(st, cmd, a, ap, app, CFG, MODEL)
             for name, val in expect.items():
                 assert bd.raw[name] == pytest.approx(val, abs=1e-12), name
@@ -170,7 +170,7 @@ class TestDualImplementation:
         rng = np.random.default_rng(6)
         cfg = RewardConfig(literal_signs=True)
         st, cmd, a, ap, app = random_inputs(rng)
-        bd = locomotion_rewards(st, cmd, a, ap, app, 0.02, cfg, MODEL)
+        bd = locomotion_rewards(st, cmd, a, ap, app, cfg, MODEL)
         sep = abs(st.foot_pos[0, 0] - st.foot_pos[1, 0])
         assert bd.raw["feet_distance"] == pytest.approx(sep - cfg.d_min_feet, abs=1e-15)
 
@@ -190,7 +190,7 @@ class TestRoutingAndSigns:
         values = []
         for g in range(3):
             c = CommandState(v_cmd=cmd.v_cmd, w_cmd=cmd.w_cmd, gait=one_hot(g, 3))
-            bd = locomotion_rewards(st, c, a, ap, app, 0.02, CFG, MODEL)
+            bd = locomotion_rewards(st, c, a, ap, app, CFG, MODEL)
             values.append(bd.weighted)
         assert values[0] == values[1] == values[2]
 
@@ -209,7 +209,7 @@ class TestRoutingAndSigns:
         rng = np.random.default_rng(10)
         for _ in range(200):
             st, cmd, a, ap, app = random_inputs(rng)
-            bd = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
+            bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
             assert 0.0 < bd.weighted["track_lin_vel"] <= 2.0
             assert 0.0 < bd.weighted["track_ang_vel"] <= 2.0
             gb = gait_rewards(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
@@ -220,7 +220,7 @@ class TestRoutingAndSigns:
         rng = np.random.default_rng(11)
         for _ in range(300):
             st, cmd, a, ap, app = random_inputs(rng)
-            bd = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
+            bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
             for name, w in bd.weighted.items():
                 if name in bonus:
                     assert w >= 0.0, name
@@ -236,7 +236,7 @@ class TestTotal:
         rng = np.random.default_rng(12)
         for _ in range(50):
             st, cmd, a, ap, app = random_inputs(rng)
-            loco = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
+            loco = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
             bd = total_reward(loco, 0.0, gait_rewards(st, np.zeros(3), CFG), CFG)
             assert math.copysign(1.0, bd.r_s) == math.copysign(1.0, bd.r_g) == 1.0
             assert bd.r_s == bd.r_g == 0.0
@@ -245,7 +245,7 @@ class TestTotal:
     def test_stage2_includes_all_components(self):
         rng = np.random.default_rng(13)
         st, cmd, a, ap, app = random_inputs(rng)
-        loco = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
+        loco = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
         gait = gait_rewards(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
         bd = total_reward(loco, style_raw=0.8, gait_bd=gait, cfg=CFG)
         assert bd.r_s == pytest.approx(5.0 * 0.8)
@@ -257,7 +257,7 @@ class TestTotal:
         cmd = CommandState(gait=np.zeros(3))
         zero = np.zeros(N_JOINTS)
         st.joint_pos = MODEL.nominal()
-        loco = locomotion_rewards(st, cmd, zero, zero, zero, 0.02, CFG, MODEL)
+        loco = locomotion_rewards(st, cmd, zero, zero, zero, CFG, MODEL)
         gait = gait_rewards(st, np.zeros(3), CFG)
         bd = total_reward(loco, 0.0, gait, cfg=CFG)
         # tracking terms are 1.0 * 2 each at zero error; remove them for the zero check
@@ -268,7 +268,7 @@ class TestTotal:
         rng = np.random.default_rng(14)
         for _ in range(100):
             st, cmd, a, ap, app = random_inputs(rng)
-            loco = locomotion_rewards(st, cmd, a, ap, app, 0.02, CFG, MODEL)
+            loco = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
             gait = gait_rewards(st, one_hot(int(rng.integers(0, 3)), 3), CFG)
             style = float(rng.uniform(0, 1))
             bd = total_reward(loco, style, gait, cfg=CFG)
@@ -282,12 +282,12 @@ class TestLimitConfig:
         st.joint_pos = MODEL.upper() - 0.05  # inside the hard limits, near the top
         st.joint_torque = np.array(MODEL.torque_limit) * 0.8
         cfg = RewardConfig()
-        first = locomotion_rewards(st, cmd, a, ap, app, 0.02, cfg, MODEL)
+        first = locomotion_rewards(st, cmd, a, ap, app, cfg, MODEL)
         cfg.soft_limit_frac = 0.5
         cfg.torque_soft_frac = 0.5
-        changed = locomotion_rewards(st, cmd, a, ap, app, 0.02, cfg, MODEL)
+        changed = locomotion_rewards(st, cmd, a, ap, app, cfg, MODEL)
         fresh = locomotion_rewards(
-            st, cmd, a, ap, app, 0.02,
+            st, cmd, a, ap, app,
             RewardConfig(soft_limit_frac=0.5, torque_soft_frac=0.5), MODEL,
         )
         for name in ("joint_pos_limits", "torque_limits"):

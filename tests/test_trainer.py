@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 import gaitrl.trainer as trainer_mod
 from gaitrl.biped import N_JOINTS
 from gaitrl.config import RunConfig, config_from_dict, config_to_dict
+from gaitrl.env import TerrainEnv
 from gaitrl.policy import BundleBatch, gaussian_log_prob_batch
 from gaitrl.ppo import RolloutBuffer
 from gaitrl.trainer import (
@@ -186,17 +188,38 @@ class TestRollout:
         trainer = Trainer(cfg, seed=3, stage=2)
         pol = trainer.policy
         T, N = cfg.ppo.horizon, cfg.ppo.n_envs
-        buffer = RolloutBuffer(T, N, pol.dims, cfg.env.n_gaits, N_JOINTS)
+        buffer = RolloutBuffer(T, N, pol.dims, N_JOINTS)
         trainer.collect_rollout(buffer)
         assert buffer.filled == T * N
-        assert buffer.gait.any()
+        assert buffer.obs.gait.any()
         for t in range(T):
             row = BundleBatch(**{name: rows[t] for name, rows in vars(buffer.obs).items()})
-            means, _ = pol.actor_mean(row, buffer.gait[t])
+            means, _ = pol.actor_mean(row)
             logps = gaussian_log_prob_batch(buffer.actions[t], means, pol.log_std)
             assert logps.tobytes() == buffer.log_probs[t].tobytes(), t
-            values, _ = pol.critic_value(row.m, row.e, buffer.gait[t])
+            values, _ = pol.critic_value(row)
             assert values.tobytes() == buffer.values[t].tobytes(), t
+
+    def test_a_gait_resample_reaches_the_observation(self, monkeypatch):
+        # a gait period of three control steps: commands change mid-episode,
+        # and every row must hold the command its env acted under
+        cfg = tiny_cfg(**{"mode.one_stage": True, "gaits.period_s": 0.06})
+        trainer = Trainer(cfg, seed=3, stage=2)
+        held = []
+        step = TerrainEnv.step
+
+        def recording_step(env, action):
+            held.append(env.commands.gait.copy())
+            return step(env, action)
+
+        monkeypatch.setattr(TerrainEnv, "step", recording_step)
+        T, N = cfg.ppo.horizon, cfg.ppo.n_envs
+        buffer = RolloutBuffer(T, N, trainer.policy.dims, N_JOINTS)
+        trainer.collect_rollout(buffer)
+        held = np.array(held).reshape(T, N, cfg.env.n_gaits)
+        resampled = (held[1:] != held[:-1]).any(axis=2) & (buffer.dones[:-1] == 0.0)
+        assert resampled.any()
+        assert buffer.obs.gait.tobytes() == held.tobytes()
 
     def test_every_stage1_row_scores_no_style_and_no_gait_terms(self):
         # not just on average: a gait term can take either sign, so a mean of
@@ -204,7 +227,7 @@ class TestRollout:
         cfg = tiny_cfg()
         trainer = Trainer(cfg, seed=3, stage=1)
         T, N = cfg.ppo.horizon, cfg.ppo.n_envs
-        buffer = RolloutBuffer(T, N, trainer.policy.dims, cfg.env.n_gaits, N_JOINTS)
+        buffer = RolloutBuffer(T, N, trainer.policy.dims, N_JOINTS)
         trainer.collect_rollout(buffer)
         assert buffer.filled == T * N
         zeros = np.zeros((T, N)).tobytes()
@@ -234,9 +257,9 @@ class TestStage2:
         rng = np.random.default_rng(0)
         for _ in range(25):
             res = env.step(rng.uniform(-0.3, 0.3, 6))
-            a1 = pol1.act(res.bundle, deterministic=True)
-            a2 = pol2.act(res.bundle, one_hot(int(rng.integers(0, 3)), 3), deterministic=True)
-            np.testing.assert_array_equal(a1.action, a2.action)
+            a1 = pol1.act(res.bundle)
+            a2 = pol2.act(dataclasses.replace(res.bundle, gait=one_hot(int(rng.integers(0, 3)), 3)))
+            np.testing.assert_array_equal(a1, a2)
             if res.done:
                 break
 
