@@ -31,18 +31,10 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .policy import LatentTable, export_residual_latents
+from .policy import ActorCritic, LatentTable, export_residual_latents
 from .refmotion import GAIT_NAMES, gen_reference_clip
 from .rewards import GAIT_HIGH_KNEES, GAIT_SQUAT
-from .trainer import (
-    Checkpoint,
-    Trainer,
-    TrainingDiverged,
-    load_checkpoint,
-    policy_from_checkpoint,
-    train_stage1,
-    train_stage2,
-)
+from .trainer import Checkpoint, Trainer, TrainingDiverged, load_checkpoint
 
 ABLATIONS = ("more2", "more3", "more4", "more-a", "more-os", "blind")
 
@@ -135,13 +127,19 @@ def _load_run_config(args) -> RunConfig:
     return apply_ablation(cfg, getattr(args, "ablation", None))
 
 
-def _load_ckpt(path: str) -> Checkpoint:
+def _load_ckpt(path: str, stage: int | None = None) -> Checkpoint:
+    """The checkpoint at ``path``; at ``stage``, when the command needs one."""
     if not os.path.exists(path):
         raise UsageError(f"checkpoint not found: {path}")
     try:
-        return load_checkpoint(path)
+        ckpt = load_checkpoint(path)
     except ValueError as e:
         raise UsageError(f"invalid checkpoint {path}: {e}")
+    if stage is not None and ckpt.stage != stage:
+        raise UsageError(
+            f"{path} is a stage-{ckpt.stage} checkpoint; this command needs a stage-{stage} one"
+        )
+    return ckpt
 
 
 def _eval_config(args, ckpt: Checkpoint) -> RunConfig:
@@ -196,14 +194,10 @@ def cmd_train_stage1(args) -> int:
         raise UsageError("mode.one_stage (--ablation more-os) trains stage 2 only; use train-stage2")
     if args.checkpoint and args.resume:
         raise UsageError("--checkpoint (warm start) and --resume are mutually exclusive")
-    if args.resume:
-        trainer = Trainer(cfg, args.seed, stage=1, out_dir=out, resume=_load_ckpt(args.resume))
-        history = trainer.run(args.iterations)
-    else:
-        warm = _load_ckpt(args.checkpoint) if args.checkpoint else None
-        _, history = train_stage1(
-            cfg, args.seed, out_dir=out, iterations=args.iterations, warm_start=warm
-        )
+    resume = _load_ckpt(args.resume, stage=1) if args.resume else None
+    warm = _load_ckpt(args.checkpoint, stage=1) if args.checkpoint else None
+    trainer = Trainer(cfg, args.seed, stage=1, out_dir=out, stage1_checkpoint=warm, resume=resume)
+    history = trainer.run(args.iterations)
     last = history[-1]
     print(f"stage 1 done: {last['iteration']} iterations, "
           f"mean tracking reward {last['mean_track']:.3f}")
@@ -221,8 +215,9 @@ def cmd_train_stage2(args) -> int:
     else:
         if not args.checkpoint:
             raise UsageError("train-stage2 needs --checkpoint (or --ablation more-os)")
-        ckpt = _load_ckpt(args.checkpoint)
-    _, history = train_stage2(cfg, ckpt, args.seed, out_dir=out, iterations=args.iterations)
+        ckpt = _load_ckpt(args.checkpoint, stage=1)
+    trainer = Trainer(cfg, args.seed, stage=2, out_dir=out, stage1_checkpoint=ckpt)
+    history = trainer.run(args.iterations)
     last = history[-1]
     print(f"stage 2 done: {last['iteration']} iterations, "
           f"mean style reward {last['mean_style']:.3f}")
@@ -234,7 +229,7 @@ def cmd_eval_bench(args) -> int:
     out = _need_out(args)
     ckpt = _load_ckpt(args.checkpoint)
     cfg = _eval_config(args, ckpt)
-    policy = policy_from_checkpoint(ckpt, cfg)
+    policy = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
     gait_id = args.gait
     if gait_id is not None and not 0 <= gait_id < policy.arch.n_gaits:
         raise UsageError(f"--gait must be in [0, {policy.arch.n_gaits}), got {gait_id}")
@@ -256,11 +251,9 @@ def cmd_eval_bench(args) -> int:
 
 def cmd_export_latents(args) -> int:
     out = _need_out(args)
-    ckpt = _load_ckpt(args.checkpoint)
+    ckpt = _load_ckpt(args.checkpoint, stage=2)
     cfg = _eval_config(args, ckpt)
-    policy = policy_from_checkpoint(ckpt, cfg)
-    if policy.mode.stage < 2:
-        raise UsageError("export-latents needs a stage-2 checkpoint")
+    policy = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
     samples = collect_latent_samples(policy, cfg, seed=args.seed)
     table = export_residual_latents(policy, samples)
     path = os.path.join(out, "latents.json")
@@ -293,13 +286,11 @@ def cmd_analyze_latents(args) -> int:
 def cmd_gait_modulation(args) -> int:
     entries = []
     for path in args.checkpoint:
-        ckpt = _load_ckpt(path)
+        ckpt = _load_ckpt(path, stage=2)
         cfg = _eval_config(args, ckpt)
         # the target column is what each checkpoint was trained for
         cfg.rewards = ckpt.config.rewards
-        policy = policy_from_checkpoint(ckpt, cfg)
-        if policy.mode.stage < 2:
-            raise UsageError(f"gait-modulation needs stage-2 checkpoints: {path}")
+        policy = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
         entries.append((policy, cfg, os.path.basename(path)))
     gait_id = GAIT_SQUAT if args.attribute == "squat_height" else GAIT_HIGH_KNEES
     rows = run_gait_modulation(

@@ -128,6 +128,8 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        if self.mode.stage != 1:  # the training command sets a run's stage
+            raise ValueError(f"mode.stage is {self.mode.stage}; the training command sets the stage")
         # one gait count across sections, within the reference gaits
         n = self.env.n_gaits
         if not 1 <= n <= N_GAITS:

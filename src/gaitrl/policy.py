@@ -20,7 +20,7 @@ passes take the batch and nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -285,7 +285,6 @@ class PolicyNets:
 
 
 NET_NAMES = tuple(f.name for f in fields(PolicyNets))
-ACTOR_NET_NAMES = ("scan_enc", "hist_enc", "trunk", "head")
 
 
 @dataclass
@@ -329,38 +328,63 @@ class ActorCritic:
         mode: PolicyMode,
         seed: int = 0,
     ):
-        self.model = model
-        self.arch = arch
-        self.mode = mode
-        self.dims = obs_dims(env_cfg)
-        self.normalizer = build_normalizer(model, env_cfg)
+        """A fresh policy, its networks drawn from ``seed``."""
+        dims = obs_dims(env_cfg)
         rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0xAC]))
-
-        d_o, d_scan, d_hist = self.dims["d_o"], self.dims["d_scan"], self.dims["d_hist"]
-        self.scan_enc = make_net([d_scan, *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
-        self.hist_enc = make_net([d_hist, *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
-        self.feat_dim = d_o + 2 * arch.d_f
-        self.trunk = make_net([self.feat_dim, *arch.trunk_hidden, arch.d_z], rng, hidden_activation="tanh", output_activation="tanh")
-        self.head = make_net([arch.d_z, *arch.head_hidden, N_JOINTS], rng, out_gain=0.01)
-        self.log_std = np.full(N_JOINTS, float(arch.log_std_init))
-        # stage 2 only; every stage-dependent path asks whether it is attached
-        self.residual: ResidualModule | None = None
+        feat_dim = dims["d_o"] + 2 * arch.d_f
+        # the four actor nets draw first, so a stage-2 actor starts from the
+        # same weights as a stage-1 actor of the same seed; the residual's and
+        # the critic's weights follow in the same stream
+        scan_enc = make_net([dims["d_scan"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
+        hist_enc = make_net([dims["d_hist"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
+        trunk = make_net([feat_dim, *arch.trunk_hidden, arch.d_z], rng, hidden_activation="tanh", output_activation="tanh")
+        head = make_net([arch.d_z, *arch.head_hidden, N_JOINTS], rng, out_gain=0.01)
+        residual = None
+        critic_in = dims["d_m"] + dims["d_e"]
         if mode.stage >= 2:
-            self.residual = ResidualModule(
-                mode.n_experts, self.feat_dim, arch.n_gaits, self.residual_out_dim(), arch, rng
+            res_out = arch.d_z if mode.residual_fusion == "latent" else N_JOINTS
+            residual = ResidualModule(mode.n_experts, feat_dim, arch.n_gaits, res_out, arch, rng)
+            critic_in += arch.n_gaits  # the critic reads the gait command at stage 2
+        critic = make_net([critic_in, *arch.critic_hidden, 1], rng, hidden_activation="tanh")
+        nets = PolicyNets(scan_enc, hist_enc, trunk, head, critic)
+        log_std = np.full(N_JOINTS, float(arch.log_std_init))
+        state = PolicyState(arch, mode, nets, log_std, build_normalizer(model, env_cfg), residual)
+        self._adopt(state, model, dims)
+
+    def _adopt(self, state: PolicyState, model: BipedModel, dims: dict) -> None:
+        """Take over ``state`` as it is (no copy): arch, mode and every array."""
+        self.model = model
+        self.dims = dims
+        self.arch = state.arch
+        self.mode = state.mode
+        for name in NET_NAMES:
+            setattr(self, name, getattr(state.nets, name))
+        self.log_std = state.log_std
+        self.normalizer = state.normalizer
+        # stage 2 only; every stage-dependent path asks whether it is attached
+        self.residual = state.residual
+
+    @classmethod
+    def from_state(cls, state: PolicyState, model: BipedModel, env_cfg: EnvConfig) -> "ActorCritic":
+        """A policy that takes over ``state``'s arrays; it builds no network."""
+        policy = cls.__new__(cls)
+        policy._adopt(state, model, obs_dims(env_cfg))
+        return policy
+
+    def load_stage1_weights(self, state: PolicyState) -> None:
+        """Take over a stage-1 policy's actor: encoders, trunk, head, log_std,
+        normalizer.  The critic and the residual stay this policy's."""
+        if state.arch.d_z != self.arch.d_z:
+            raise ValueError(
+                f"latent width mismatch: checkpoint d_z={state.arch.d_z}, model d_z={self.arch.d_z}"
             )
-        self.critic = make_net(
-            [self.critic_input_dim(), *arch.critic_hidden, 1], rng, hidden_activation="tanh"
+        nets = replace(state.nets, critic=self.critic)
+        mine = replace(
+            self.state(), nets=nets, log_std=state.log_std, normalizer=state.normalizer
         )
+        self._adopt(mine, self.model, self.dims)
 
     # -- structure -----------------------------------------------------------
-
-    def critic_input_dim(self) -> int:
-        extra = self.arch.n_gaits if self.residual is not None else 0
-        return self.dims["d_m"] + self.dims["d_e"] + extra
-
-    def residual_out_dim(self) -> int:
-        return self.arch.d_z if self.mode.residual_fusion == "latent" else N_JOINTS
 
     def components(self) -> dict[str, list[np.ndarray]]:
         """Parameter lists keyed by component name, for per-component optimizers."""
@@ -464,28 +488,6 @@ class ActorCritic:
         """The policy document, as a checkpoint stores it."""
         return encode(self.state())
 
-    @classmethod
-    def from_state(cls, state: PolicyState, model: BipedModel, env_cfg: EnvConfig) -> "ActorCritic":
-        """A policy that takes over ``state``'s arrays."""
-        obj = cls(model, env_cfg, state.arch, state.mode, seed=0)
-        obj._adopt(state, NET_NAMES)
-        obj.residual = state.residual
-        return obj
-
-    def load_stage1_weights(self, state: PolicyState) -> None:
-        """Take over a stage-1 policy's actor: encoders, trunk, head, log_std, normalizer."""
-        if state.arch.d_z != self.arch.d_z:
-            raise ValueError(
-                f"latent width mismatch: checkpoint d_z={state.arch.d_z}, model d_z={self.arch.d_z}"
-            )
-        self._adopt(state, ACTOR_NET_NAMES)
-
-    def _adopt(self, state: PolicyState, names: tuple) -> None:
-        for name in names:
-            setattr(self, name, getattr(state.nets, name))
-        self.log_std = state.log_std
-        self.normalizer = state.normalizer
-
 
 def gaussian_log_prob_batch(
     actions: np.ndarray, means: np.ndarray, log_std: np.ndarray
@@ -525,7 +527,7 @@ def export_residual_latents(policy: ActorCritic, samples) -> LatentTable:
         gl.append(int(np.argmax(bundle.gait)))
         tl.append(terrain_label)
     return LatentTable(
-        z_prime=np.array(zs) if zs else np.zeros((0, policy.residual_out_dim())),
+        z_prime=np.array(zs) if zs else np.zeros((0, policy.residual.out_dim)),
         gate_w=np.array(ws) if ws else np.zeros((0, policy.mode.n_experts)),
         gait_labels=np.array(gl, dtype=int),
         terrain_labels=tl,

@@ -1,14 +1,19 @@
 """Two-stage training: rollouts, curriculum, gait scheduling, checkpoints.
 
 Stage 1 learns terrain locomotion from locomotion rewards alone.  Stage 2
-attaches the residual mixture of experts to a stage-1 checkpoint, turns on
-the per-gait discriminators and gait-routed rewards, and trains everything
+attaches the residual mixture of experts to a stage-1 policy, turns on the
+per-gait discriminators and gait-routed rewards, and trains everything
 together (base parts at the base learning rate, residual parts at their
 own).  The gait schedule writes each env's command through
 ``TerrainEnv.set_gait``, so the command reaches the policy, the critic and
-the rollout buffer as the observation's gait block.  Everything is
-single-threaded and keyed off one run seed, so a (config, seed) pair
-reproduces checkpoints and metrics byte for byte.
+the rollout buffer as the observation's gait block.
+
+A run is ``Trainer(...).run()``, and ``Trainer.__init__`` alone decides what
+it starts from: a resume takes a checkpoint at the run's stage; a warm start
+(stage 1) takes a stage-1 policy whole, and stage 2 takes its actor; a
+``mode.one_stage`` run has no stage 1 and starts from a fresh policy.
+Everything is single-threaded and keyed off one run seed, so a (config,
+seed) pair reproduces checkpoints and metrics byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import json
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -35,7 +40,7 @@ from .codec import decode, read_json, write_json
 from .config import RunConfig, config_hash
 from .env import CommandState, TerrainEnv, one_hot, sample_dr
 from .nets import AdamState
-from .policy import ActorCritic, BundleBatch, PolicyMode, PolicyState, gaussian_log_prob_batch
+from .policy import ActorCritic, BundleBatch, PolicyState, gaussian_log_prob_batch
 from .ppo import RolloutBuffer, make_optimizers, ppo_update
 from .refmotion import WINDOW_LEN, default_clip_set, reference_windows
 from .rewards import RewardBreakdown, gait_rewards, locomotion_rewards, total_reward
@@ -188,18 +193,26 @@ class Checkpoint:
     disc_optimizers: list[AdamState] | None = None
     curriculum: list[CurriculumState] | None = None
 
+    def __post_init__(self):
+        # the stage's policy, and the discriminators at stage 2 only
+        if self.policy.mode.stage != self.stage:
+            raise ValueError(f"policy: a stage-{self.policy.mode.stage} policy at stage {self.stage}")
+        if self.stage < 2:
+            if self.discriminators is not None or self.disc_optimizers is not None:
+                raise ValueError("discriminators: a stage-1 checkpoint has none")
+        elif self.discriminators is None:
+            raise ValueError("discriminators: missing; a stage-2 checkpoint has discriminators")
+        elif len(self.disc_optimizers or ()) != self.discriminators.n_gaits:
+            raise ValueError("disc_optimizers: a stage-2 checkpoint has one per discriminator")
+
 
 def load_checkpoint(path) -> Checkpoint:
     return read_json(Checkpoint, path)
 
 
-def policy_from_checkpoint(ckpt: Checkpoint, cfg: RunConfig) -> ActorCritic:
-    return ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
-
-
 def _stage1_policy(stage1_checkpoint) -> PolicyState:
-    """The policy of a stage-1 ``Checkpoint``, or of a mapping that holds a
-    policy document under ``"policy"`` (``{"policy": policy.to_dict()}``)."""
+    """The policy of a ``Checkpoint``, or of a mapping that holds a policy
+    document under ``"policy"`` (``{"policy": policy.to_dict()}``)."""
     if isinstance(stage1_checkpoint, Checkpoint):
         # the run trains the policy's arrays in place
         return copy.deepcopy(stage1_checkpoint.policy)
@@ -236,32 +249,33 @@ class Trainer:
         self.train_rng = np.random.default_rng(self.train_ss)
         self.amp_rng = np.random.default_rng(amp_ss)
 
+        # what the run starts from (the module docstring lists the cases)
+        stage1 = _stage1_policy(stage1_checkpoint) if stage1_checkpoint is not None else None
+        if resume is not None and stage1 is not None:
+            raise ValueError("resume and stage1_checkpoint are exclusive")
         if resume is not None and resume.stage != stage:
             raise ValueError(f"cannot resume a stage-{resume.stage} checkpoint at stage {stage}")
-        if stage < 2 and cfg.mode.one_stage:
+        if stage1 is not None and stage1.mode.stage != 1:
+            raise ValueError(
+                f"stage1_checkpoint: a stage-{stage1.mode.stage} policy, not a stage-1 one"
+            )
+        if cfg.mode.one_stage and (stage < 2 or stage1 is not None):
             raise ValueError("mode.one_stage trains stage 2 from scratch; it has no stage 1")
+        if stage >= 2 and resume is None and stage1 is None and not cfg.mode.one_stage:
+            raise ValueError("stage 2 needs a stage-1 checkpoint unless one_stage is set")
 
-        mode = PolicyMode(
-            stage=stage,
-            residual_fusion=cfg.mode.residual_fusion,
-            one_stage=cfg.mode.one_stage,
-            n_experts=cfg.mode.n_experts,
-        )
         if resume is not None:
             self.policy = ActorCritic.from_state(resume.policy, cfg.model, cfg.env)
-        elif stage == 1 and stage1_checkpoint is not None:
+        elif stage == 1 and stage1 is not None:
             # warm start: adopt the whole stage-1 policy, fresh everything else
-            self.policy = ActorCritic.from_state(
-                _stage1_policy(stage1_checkpoint), cfg.model, cfg.env
-            )
+            self.policy = ActorCritic.from_state(stage1, cfg.model, cfg.env)
         else:
+            mode = replace(cfg.mode, stage=stage)
             self.policy = ActorCritic(
                 cfg.model, cfg.env, cfg.arch, mode, seed=int(init_ss.generate_state(1)[0])
             )
-            if stage >= 2 and stage1_checkpoint is not None:
-                self.policy.load_stage1_weights(_stage1_policy(stage1_checkpoint))
-            elif stage >= 2 and not mode.one_stage:
-                raise ValueError("stage 2 needs a stage-1 checkpoint unless one_stage is set")
+            if stage1 is not None:
+                self.policy.load_stage1_weights(stage1)
 
         self.opts = make_optimizers(self.policy, cfg.ppo)
         if resume is not None:
@@ -275,9 +289,9 @@ class Trainer:
         self.policy_windows = None
         if stage >= 2:
             window_dim = WINDOW_LEN * N_JOINTS
-            if resume is not None and resume.discriminators is not None:
+            if resume is not None:
                 self.discs = resume.discriminators
-                self.disc_opts = resume.disc_optimizers or []
+                self.disc_opts = resume.disc_optimizers
             else:
                 self.discs = make_discriminators(
                     cfg.env.n_gaits,
@@ -498,19 +512,3 @@ class Trainer:
             curriculum=[w.curr for w in self.workers],
         )
 
-
-def train_stage1(cfg: RunConfig, seed: int, out_dir: str | None = None,
-                 iterations: int | None = None,
-                 warm_start: Checkpoint | None = None) -> tuple[Trainer, list[dict]]:
-    trainer = Trainer(cfg, seed, stage=1, out_dir=out_dir, stage1_checkpoint=warm_start)
-    history = trainer.run(iterations)
-    return trainer, history
-
-
-def train_stage2(cfg: RunConfig, stage1_checkpoint: Checkpoint | dict | None, seed: int,
-                 out_dir: str | None = None, iterations: int | None = None) -> tuple[Trainer, list[dict]]:
-    if stage1_checkpoint is not None and cfg.mode.one_stage:
-        raise ValueError("one_stage training must not load a stage-1 checkpoint")
-    trainer = Trainer(cfg, seed, stage=2, out_dir=out_dir, stage1_checkpoint=stage1_checkpoint)
-    history = trainer.run(iterations)
-    return trainer, history

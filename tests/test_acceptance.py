@@ -48,7 +48,7 @@ from gaitrl.terrain import (
     STEP_RANGE,
     generate_terrain,
 )
-from gaitrl.trainer import train_stage1
+from gaitrl.trainer import Trainer
 
 from oracles import central_diff_params, rel_err
 from test_rewards import dual_locomotion, random_inputs, random_state
@@ -340,7 +340,7 @@ class TestCriterion8DeterminismAudit:
         for d in ("a", "b"):
             out = tmp_path / d
             cfg = config_from_dict(cfg_dict)
-            train_stage1(cfg, seed=5, out_dir=str(out), iterations=2)
+            Trainer(cfg, seed=5, stage=1, out_dir=str(out)).run(2)
             blobs.append(
                 (
                     (out / "metrics.jsonl").read_bytes(),
@@ -352,11 +352,11 @@ class TestCriterion8DeterminismAudit:
             details.append("training not byte-identical")
 
         # byte-identical benchmark reports + trace audit
-        from gaitrl.trainer import load_checkpoint, policy_from_checkpoint
+        from gaitrl.trainer import load_checkpoint
 
         cfg = config_from_dict(cfg_dict)
         doc = load_checkpoint(tmp_path / "a" / "checkpoint_final.json")
-        policy = policy_from_checkpoint(doc, cfg)
+        policy = ActorCritic.from_state(doc.policy, cfg.model, cfg.env)
         suite = BenchmarkSuite(cells=(("gap", "easy"), ("flat", "easy")), trials=3, seed_base=2)
         reports = []
         for d in ("ra", "rb"):
@@ -379,7 +379,8 @@ class TestCriterion8DeterminismAudit:
         cfg = config_from_dict(cfg_dict)
         cfg.terrain.kinds = ("gap", "step", "stair")
         cfg.curriculum.enabled = True
-        trainer, _ = train_stage1(cfg, seed=6, iterations=3)
+        trainer = Trainer(cfg, seed=6, stage=1)
+        trainer.run(3)
         for w in trainer.workers:
             if not 0.0 <= w.curr.difficulty <= 1.0:
                 ok = False

@@ -136,6 +136,8 @@ class TestUsage:
         pytest.param({"mode": {"n_experts": 0}}, "mode: n_experts must be positive",
                      id="mode.n_experts"),
         pytest.param({"bench": {"trials": 0}}, "bench: trials must be positive", id="bench.trials"),
+        pytest.param({"mode": {"stage": 2}},
+                     "mode.stage is 2; the training command sets the stage", id="mode.stage"),
         pytest.param({"env": {"substeps": 0}}, "env: substeps must be positive", id="env.substeps"),
         pytest.param({"env": {"history_len": 0}}, "env: history_len must be positive",
                      id="env.history_len"),
@@ -349,6 +351,24 @@ class TestEvaluationConfig:
         assert all(e["steps"] <= 3 for e in ends)
 
 
+@pytest.mark.parametrize("argv,needs", [
+    (["train-stage1", "--checkpoint", "{s2}"], 1),
+    (["train-stage1", "--resume", "{s2}"], 1),
+    (["train-stage2", "--checkpoint", "{s2}"], 1),
+    (["export-latents", "--checkpoint", "{s1}"], 2),
+    (["gait-modulation", "--checkpoint", "{s1}"], 2),
+], ids=["warm-start", "resume", "stage-2", "export-latents", "gait-modulation"])
+def test_a_checkpoint_at_the_wrong_stage_exits_1(trained, tmp_path, capsys, argv, needs):
+    config, s1, s2 = trained
+    paths = {"{s1}": s1, "{s2}": s2}
+    out = tmp_path / "out"
+    argv = [paths.get(a, a) for a in argv]
+    assert cli([*argv, "--config", config, "--out", str(out)]) == 1
+    assert (f"usage error: {argv[2]} is a stage-{3 - needs} checkpoint; "
+            f"this command needs a stage-{needs} one") in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
 class TestGaitModulation:
     def test_table_from_the_tiny_config(self, trained, tmp_path, capsys):
         config, _, ckpt = trained
@@ -391,7 +411,16 @@ class TestMalformedInputs:
         (lambda doc: _drop(doc, "config"), "config: missing"),
         (lambda doc: _drop(doc, "policy.residual"),
          "policy: residual: missing; a stage-2 policy has a residual module"),
-    ], ids=["no-trunk", "unknown-mode-key", "no-config", "stage-2-without-residual"])
+        (lambda doc: doc.update(stage=1), "policy: a stage-2 policy at stage 1"),
+        (lambda doc: _drop(doc, "discriminators"),
+         "discriminators: missing; a stage-2 checkpoint has discriminators"),
+        (lambda doc: _drop(doc, "disc_optimizers"),
+         "disc_optimizers: a stage-2 checkpoint has one per discriminator"),
+        (lambda doc: doc["disc_optimizers"].pop(),
+         "disc_optimizers: a stage-2 checkpoint has one per discriminator"),
+    ], ids=["no-trunk", "unknown-mode-key", "no-config", "stage-2-without-residual",
+            "stage-2-policy-at-stage-1", "no-discriminators", "no-disc-optimizers",
+            "too-few-disc-optimizers"])
     def test_malformed_checkpoint_exits_1(self, trained, tmp_path, capsys, change, field):
         _, _, ckpt = trained
         with open(ckpt) as f:
@@ -403,6 +432,20 @@ class TestMalformedInputs:
                   "--trials", "1"])
         assert rc == 1
         assert f"usage error: invalid checkpoint {bad}: {field}" in capsys.readouterr().err
+
+    def test_stage1_checkpoint_with_discriminators_exits_1(self, trained, tmp_path, capsys):
+        _, s1, s2 = trained
+        with open(s1) as f:
+            doc = json.load(f)
+        with open(s2) as f:
+            doc["discriminators"] = json.load(f)["discriminators"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli(["eval-bench", "--checkpoint", str(bad), "--out", str(tmp_path / "out"),
+                  "--trials", "1"])
+        assert rc == 1
+        assert (f"usage error: invalid checkpoint {bad}: discriminators: a stage-1 checkpoint "
+                "has none") in capsys.readouterr().err
 
     def test_checkpoint_with_a_string_for_an_int_exits_1(self, trained, tmp_path, capsys):
         _, _, ckpt = trained

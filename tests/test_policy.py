@@ -296,9 +296,9 @@ class TestEndToEndGradients:
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0)
         # the stage-1 actor has no residual module and no gait input anywhere
         assert pol.residual is None
-        assert pol.trunk.input_dim == pol.feat_dim
+        assert pol.trunk.input_dim == pol.dims["d_o"] + 2 * SMALL.d_f
         assert pol.head.input_dim == SMALL.d_z
-        assert pol.critic_input_dim() == pol.dims["d_m"] + pol.dims["d_e"]
+        assert pol.critic.input_dim == pol.dims["d_m"] + pol.dims["d_e"]
 
 
 class TestLatentExport:
@@ -331,6 +331,18 @@ class TestPersistence:
         for bundle in make_bundles(5, seed=4):
             bundle = dataclasses.replace(bundle, gait=one_hot(0, 3))
             np.testing.assert_array_equal(pol.act(bundle), back.act(bundle))
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_from_state_builds_no_network(self, monkeypatch, stage):
+        pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=stage), seed=3)
+        state = decode(PolicyState, pol.to_dict())
+
+        def no_net(*args, **kwargs):
+            raise AssertionError("from_state drew a network")
+
+        monkeypatch.setattr("gaitrl.policy.make_net", no_net)
+        back = ActorCritic.from_state(state, MODEL, EnvConfig())
+        assert back.to_dict() == encode(state)
 
     def test_a_residual_at_the_wrong_stage_is_rejected(self):
         s1 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0).state()

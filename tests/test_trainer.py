@@ -9,16 +9,13 @@ import gaitrl.trainer as trainer_mod
 from gaitrl.biped import N_JOINTS
 from gaitrl.config import RunConfig, config_from_dict, config_to_dict
 from gaitrl.env import TerrainEnv
-from gaitrl.policy import BundleBatch, gaussian_log_prob_batch
+from gaitrl.policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
 from gaitrl.ppo import RolloutBuffer
 from gaitrl.trainer import (
     CurriculumState,
     GaitScheduler,
     Trainer,
     load_checkpoint,
-    policy_from_checkpoint,
-    train_stage1,
-    train_stage2,
     update_curriculum,
 )
 
@@ -147,7 +144,8 @@ class TestGaitScheduler:
 class TestStage1:
     def test_runs_and_logs_without_style_terms(self, tmp_path):
         cfg = tiny_cfg()
-        trainer, hist = train_stage1(cfg, seed=0, out_dir=str(tmp_path), iterations=2)
+        trainer = Trainer(cfg, seed=0, stage=1, out_dir=str(tmp_path))
+        hist = trainer.run(2)
         assert len(hist) == 2
         for h in hist:
             assert h["r_s_mean"] == 0.0
@@ -163,7 +161,7 @@ class TestStage1:
         for run in ("a", "b"):
             out = tmp_path / run
             cfg = config_from_dict(cfg_dict)
-            train_stage1(cfg, seed=7, out_dir=str(out), iterations=2)
+            Trainer(cfg, seed=7, stage=1, out_dir=str(out)).run(2)
             outs.append(out)
         m1 = (outs[0] / "metrics.jsonl").read_bytes()
         m2 = (outs[1] / "metrics.jsonl").read_bytes()
@@ -174,9 +172,9 @@ class TestStage1:
 
     def test_different_seed_differs(self, tmp_path):
         cfg = tiny_cfg()
-        _, h1 = train_stage1(cfg, seed=1, iterations=1)
+        h1 = Trainer(cfg, seed=1, stage=1).run(1)
         cfg = tiny_cfg()
-        _, h2 = train_stage1(cfg, seed=2, iterations=1)
+        h2 = Trainer(cfg, seed=2, stage=1).run(1)
         assert h1[0]["mean_total_reward"] != h2[0]["mean_total_reward"]
 
 
@@ -239,7 +237,7 @@ class TestRollout:
 class TestStage2:
     def stage1_ckpt(self, tmp_path):
         cfg = tiny_cfg()
-        trainer, _ = train_stage1(cfg, seed=0, out_dir=str(tmp_path / "s1"), iterations=1)
+        Trainer(cfg, seed=0, stage=1, out_dir=str(tmp_path / "s1")).run(1)
         return load_checkpoint(tmp_path / "s1" / "checkpoint_final.json")
 
     def test_iteration_zero_matches_stage1_actions(self, tmp_path):
@@ -248,7 +246,7 @@ class TestStage2:
 
         ckpt = self.stage1_ckpt(tmp_path)
         cfg = tiny_cfg()
-        pol1 = policy_from_checkpoint(ckpt, cfg)
+        pol1 = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
         trainer2 = Trainer(cfg, seed=3, stage=2, stage1_checkpoint=ckpt)
         pol2 = trainer2.policy
         env = TerrainEnv(cfg.model, cfg.env, seed=5)
@@ -266,7 +264,8 @@ class TestStage2:
     def test_fixed_gait_routes_style_to_single_discriminator(self, tmp_path):
         ckpt = self.stage1_ckpt(tmp_path)
         cfg = tiny_cfg(**{"gaits.distribution": (0.0, 1.0, 0.0)})
-        trainer, hist = train_stage2(cfg, ckpt, seed=4, iterations=2)
+        trainer = Trainer(cfg, seed=4, stage=2, stage1_checkpoint=ckpt)
+        trainer.run(2)
         # only the commanded gait's buffer collects policy windows
         assert trainer.policy_windows.size(1) > 0
         assert trainer.policy_windows.size(0) == 0
@@ -287,15 +286,33 @@ class TestStage2:
     def test_one_stage_skips_checkpoint(self):
         cfg = tiny_cfg()
         cfg.mode.one_stage = True
-        trainer, hist = train_stage2(cfg, None, seed=5, iterations=1)
+        hist = Trainer(cfg, seed=5, stage=2).run(1)
         assert len(hist) == 1
         with pytest.raises(ValueError):
-            train_stage2(cfg, {"policy": {}}, seed=5, iterations=1)
+            Trainer(cfg, seed=5, stage=2, stage1_checkpoint={"policy": {}}).run(1)
+
+    def test_one_stage_takes_no_stage1_checkpoint(self, tmp_path):
+        ckpt = self.stage1_ckpt(tmp_path)
+        cfg = tiny_cfg(**{"mode.one_stage": True})
+        with pytest.raises(ValueError, match="one_stage"):
+            Trainer(cfg, seed=5, stage=2, stage1_checkpoint=ckpt)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_a_stage2_policy_is_no_stage1_checkpoint(self, stage):
+        # the mapping form skips the checkpoint's own stage check
+        s2 = Trainer(tiny_cfg(**{"mode.one_stage": True}), seed=5, stage=2).policy.to_dict()
+        with pytest.raises(ValueError, match="^stage1_checkpoint: a stage-2 policy"):
+            Trainer(tiny_cfg(), seed=0, stage=stage, stage1_checkpoint={"policy": s2})
+
+    def test_resume_and_stage1_checkpoint_are_exclusive(self, tmp_path):
+        ckpt = self.stage1_ckpt(tmp_path)
+        with pytest.raises(ValueError, match="exclusive"):
+            Trainer(tiny_cfg(), seed=0, stage=1, stage1_checkpoint=ckpt, resume=ckpt)
 
     def test_stage2_without_checkpoint_rejected(self):
         cfg = tiny_cfg()
         with pytest.raises(ValueError):
-            train_stage2(cfg, None, seed=0, iterations=1)
+            Trainer(cfg, seed=0, stage=2).run(1)
 
     def test_dz_mismatch_rejected(self, tmp_path):
         ckpt = self.stage1_ckpt(tmp_path)
@@ -307,7 +324,7 @@ class TestStage2:
     def test_metrics_include_style_and_gait_components(self, tmp_path):
         ckpt = self.stage1_ckpt(tmp_path)
         cfg = tiny_cfg()
-        _, hist = train_stage2(cfg, ckpt, seed=6, iterations=2)
+        hist = Trainer(cfg, seed=6, stage=2, stage1_checkpoint=ckpt).run(2)
         h = hist[-1]
         assert "mean_style" in h
         assert "style_gait0" in h
@@ -319,13 +336,14 @@ class TestCheckpointRoundTrip:
         cfg = tiny_cfg()
         cfg.curriculum.enabled = True
         cfg.terrain.kinds = ("gap",)
-        trainer, _ = train_stage1(cfg, seed=0, out_dir=str(tmp_path), iterations=1)
+        trainer = Trainer(cfg, seed=0, stage=1, out_dir=str(tmp_path))
+        trainer.run(1)
         ckpt = load_checkpoint(tmp_path / "checkpoint_final.json")
         assert ckpt.stage == 1
         assert ckpt.iteration == 1
         assert ckpt.curriculum == [w.curr for w in trainer.workers]
         assert len(ckpt.curriculum) == cfg.ppo.n_envs
-        pol = policy_from_checkpoint(ckpt, cfg)
+        pol = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
         for a, b in zip(pol.trunk.params(), trainer.policy.trunk.params()):
             np.testing.assert_array_equal(a, b)
         from gaitrl.config import config_hash
@@ -337,7 +355,8 @@ class TestCheckpointRoundTrip:
         cfg.curriculum.enabled = True
         cfg.curriculum.init_difficulty = 0.0
         cfg.terrain.kinds = ("gap", "step")
-        trainer, _ = train_stage1(cfg, seed=1, iterations=3)
+        trainer = Trainer(cfg, seed=1, stage=1)
+        trainer.run(3)
         for w in trainer.workers:
             assert 0.0 <= w.curr.difficulty <= 1.0
 
@@ -346,7 +365,7 @@ class TestResume:
     def test_resume_keeps_the_metrics_history(self, tmp_path):
         cfg = tiny_cfg(**{"train.checkpoint_every": 2})
         out = tmp_path / "run"
-        train_stage1(cfg, seed=4, out_dir=str(out), iterations=2)
+        Trainer(cfg, seed=4, stage=1, out_dir=str(out)).run(2)
         first = (out / "metrics.jsonl").read_bytes()
         resume = load_checkpoint(out / "checkpoint_000002.json")
         Trainer(tiny_cfg(), seed=4, stage=1, out_dir=str(out), resume=resume).run(2)
@@ -358,7 +377,7 @@ class TestResume:
     def test_resume_from_an_earlier_checkpoint_drops_the_later_lines(self, tmp_path):
         cfg = tiny_cfg(**{"train.checkpoint_every": 1})
         out = tmp_path / "run"
-        train_stage1(cfg, seed=4, out_dir=str(out), iterations=3)
+        Trainer(cfg, seed=4, stage=1, out_dir=str(out)).run(3)
         first = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
         resume = load_checkpoint(out / "checkpoint_000001.json")
         Trainer(tiny_cfg(), seed=4, stage=1, out_dir=str(out), resume=resume).run(1)
@@ -369,7 +388,7 @@ class TestResume:
     def test_resume_drops_a_truncated_trailing_line(self, tmp_path):
         cfg = tiny_cfg(**{"train.checkpoint_every": 2})
         out = tmp_path / "run"
-        train_stage1(cfg, seed=4, out_dir=str(out), iterations=3)
+        Trainer(cfg, seed=4, stage=1, out_dir=str(out)).run(3)
         lines = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
         # a crash while writing line 3 leaves part of it
         (out / "metrics.jsonl").write_bytes(b"".join(lines[:2]) + lines[2][:20])
@@ -381,7 +400,7 @@ class TestResume:
 
     def test_fresh_run_starts_an_empty_file(self, tmp_path):
         (tmp_path / "metrics.jsonl").write_text('{"iteration": 9}\n')
-        train_stage1(tiny_cfg(), seed=4, out_dir=str(tmp_path), iterations=1)
+        Trainer(tiny_cfg(), seed=4, stage=1, out_dir=str(tmp_path)).run(1)
         lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
         assert [json.loads(line)["iteration"] for line in lines] == [1]
 
