@@ -97,7 +97,7 @@ class PolicyController:
         n = policy.arch.n_gaits
         self.gait = one_hot(gait_id, n) if gait_id is not None else None
 
-    def act(self, bundle, commands, state):
+    def act(self, bundle, state):
         if self.gait is not None:
             bundle = dataclasses.replace(bundle, gait=self.gait)
         action = self.policy.act(bundle)
@@ -123,7 +123,7 @@ def eval_episode(controller, terrain, model: BipedModel, env_cfg: EnvConfig, *,
     gait = one_hot(gait_id, cfg.n_gaits) if gait_id is not None else np.zeros(cfg.n_gaits)
     bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=v_cmd, gait=gait))
     while True:
-        action = controller.act(bundle, env.commands, env.state)
+        action = controller.act(bundle, env.state)
         res = env.step(action)
         yield env, bundle, action, res
         if res.done:

@@ -3,7 +3,8 @@
 Subcommands cover the full pipeline: reference-clip generation, both
 training stages, the traversal benchmark, gait-modulation evaluation, and
 residual-latent export/analysis.  Exit codes: 0 success, 1 usage error
-(bad flags, missing/invalid input files), 2 runtime failure.
+(bad flags, missing/invalid input files, a run that cannot start), 2
+runtime failure (a run that started and failed).
 """
 
 from __future__ import annotations
@@ -187,42 +188,33 @@ def cmd_gen_refs(args) -> int:
     return 0
 
 
-def cmd_train_stage1(args) -> int:
+def _train(args, stage: int) -> int:
+    """A training command.  ``Trainer`` decides what the run may start from
+    (``--checkpoint``, a stage-1 checkpoint, or ``--resume``); a run it
+    refuses to set up is a usage error, a failure once it runs is not."""
     cfg = _load_run_config(args)
     out = _need_out(args)
-    if cfg.mode.one_stage:
-        raise UsageError("mode.one_stage (--ablation more-os) trains stage 2 only; use train-stage2")
-    if args.checkpoint and args.resume:
-        raise UsageError("--checkpoint (warm start) and --resume are mutually exclusive")
-    resume = _load_ckpt(args.resume, stage=1) if args.resume else None
-    warm = _load_ckpt(args.checkpoint, stage=1) if args.checkpoint else None
-    trainer = Trainer(cfg, args.seed, stage=1, out_dir=out, stage1_checkpoint=warm, resume=resume)
-    history = trainer.run(args.iterations)
-    last = history[-1]
-    print(f"stage 1 done: {last['iteration']} iterations, "
-          f"mean tracking reward {last['mean_track']:.3f}")
+    warm = _load_ckpt(args.checkpoint) if args.checkpoint else None
+    resume = _load_ckpt(args.resume) if getattr(args, "resume", None) else None
+    try:
+        trainer = Trainer(cfg, args.seed, stage=stage, out_dir=out,
+                          stage1_checkpoint=warm, resume=resume)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+    last = trainer.run(args.iterations)[-1]
+    what, key = ("tracking", "mean_track") if stage == 1 else ("style", "mean_style")
+    print(f"stage {stage} done: {last['iteration']} iterations, "
+          f"mean {what} reward {last[key]:.3f}")
     print(f"checkpoint: {os.path.join(out, 'checkpoint_final.json')}")
     return 0
+
+
+def cmd_train_stage1(args) -> int:
+    return _train(args, stage=1)
 
 
 def cmd_train_stage2(args) -> int:
-    cfg = _load_run_config(args)
-    out = _need_out(args)
-    ckpt = None
-    if cfg.mode.one_stage:
-        if args.checkpoint:
-            raise UsageError("--ablation more-os trains from scratch; drop --checkpoint")
-    else:
-        if not args.checkpoint:
-            raise UsageError("train-stage2 needs --checkpoint (or --ablation more-os)")
-        ckpt = _load_ckpt(args.checkpoint, stage=1)
-    trainer = Trainer(cfg, args.seed, stage=2, out_dir=out, stage1_checkpoint=ckpt)
-    history = trainer.run(args.iterations)
-    last = history[-1]
-    print(f"stage 2 done: {last['iteration']} iterations, "
-          f"mean style reward {last['mean_style']:.3f}")
-    print(f"checkpoint: {os.path.join(out, 'checkpoint_final.json')}")
-    return 0
+    return _train(args, stage=2)
 
 
 def cmd_eval_bench(args) -> int:

@@ -1,6 +1,7 @@
 """Benchmark controller protocol plus a scripted reference walker.
 
-A controller is anything with ``act(bundle, commands, state) -> action``.
+A controller is anything with ``act(bundle, state) -> action``; the
+bundle carries the commands (the gait command is its ``gait`` block).
 Learned policies must ignore ``state`` (it is raw simulator state, passed so
 scripted test controllers can close a loop without a trained checkpoint);
 the privilege-separation guarantees are asserted on the policy wrapper, not
@@ -43,7 +44,7 @@ class ScriptedWalker:
         self.k_vel = k_vel
         self.v_target = v_target
 
-    def act(self, bundle, commands, state) -> np.ndarray:
+    def act(self, bundle, state) -> np.ndarray:
         st = state
         phi = 2.0 * math.pi * self.freq * st.time
         v_tgt = min(self.v_target, 0.2 + 0.3 * st.time)  # ramp in from standstill
@@ -69,5 +70,5 @@ class ConstantController:
     def __init__(self, action: np.ndarray):
         self.action = np.asarray(action, dtype=np.float64)
 
-    def act(self, bundle, commands, state) -> np.ndarray:
+    def act(self, bundle, state) -> np.ndarray:
         return self.action

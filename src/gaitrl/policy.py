@@ -373,11 +373,8 @@ class ActorCritic:
 
     def load_stage1_weights(self, state: PolicyState) -> None:
         """Take over a stage-1 policy's actor: encoders, trunk, head, log_std,
-        normalizer.  The critic and the residual stay this policy's."""
-        if state.arch.d_z != self.arch.d_z:
-            raise ValueError(
-                f"latent width mismatch: checkpoint d_z={state.arch.d_z}, model d_z={self.arch.d_z}"
-            )
+        normalizer.  The critic and the residual stay this policy's.  The
+        caller checks that ``state`` has this policy's arch."""
         nets = replace(state.nets, critic=self.critic)
         mine = replace(
             self.state(), nets=nets, log_std=state.log_std, normalizer=state.normalizer
@@ -438,12 +435,7 @@ class ActorCritic:
         parts = [self.normalizer.norm_m(batch.m), self.normalizer.norm_e(batch.e)]
         if self.residual is not None:
             parts.append(batch.gait)
-        x = np.concatenate(parts, axis=1)
-        if x.shape[1] != self.critic.input_dim:
-            raise ValueError(
-                f"critic input layout mismatch: got {x.shape[1]}, expected {self.critic.input_dim}"
-            )
-        v, tape = net_forward(self.critic, x)
+        v, tape = net_forward(self.critic, np.concatenate(parts, axis=1))
         return v[:, 0], tape
 
     # -- backward ------------------------------------------------------------

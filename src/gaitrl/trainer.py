@@ -11,7 +11,10 @@ the rollout buffer as the observation's gait block.
 A run is ``Trainer(...).run()``, and ``Trainer.__init__`` alone decides what
 it starts from: a resume takes a checkpoint at the run's stage; a warm start
 (stage 1) takes a stage-1 policy whole, and stage 2 takes its actor; a
-``mode.one_stage`` run has no stage 1 and starts from a fresh policy.
+``mode.one_stage`` run has no stage 1 and starts from a fresh policy.  A
+policy taken whole must have the run's arch and mode (``cfg.mode`` at the
+run's stage) and an actor the run's arch, so a checkpoint's config describes
+its policy; a ``ValueError`` names the first field that differs.
 Everything is single-threaded and keyed off one run seed, so a (config,
 seed) pair reproduces checkpoints and metrics byte for byte.
 """
@@ -23,7 +26,7 @@ import json
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -85,12 +88,12 @@ def update_curriculum(state: CurriculumState, traversal_frac: float, cfg) -> Cur
 class GaitScheduler:
     """Hold a one-hot gait command for a fixed period, then redraw."""
 
-    def __init__(self, period_s: float, distribution, transitions: bool = True, n_gaits: int = 3):
+    def __init__(self, period_s: float, distribution, transitions: bool = True):
         self.period_s = period_s
         self.distribution = np.asarray(distribution, dtype=np.float64)
         self.distribution = self.distribution / self.distribution.sum()
         self.transitions = transitions
-        self.n_gaits = n_gaits
+        self.n_gaits = len(self.distribution)
         self.segment = -1
         self.current = 0
 
@@ -130,7 +133,7 @@ class EnvWorker:
             kind=kinds[index % len(kinds)], difficulty=cfg.curriculum.init_difficulty
         )
         self.scheduler = GaitScheduler(
-            cfg.gaits.period_s, cfg.gaits.distribution, cfg.gaits.transitions, cfg.env.n_gaits
+            cfg.gaits.period_s, cfg.gaits.distribution, cfg.gaits.transitions
         )
         self.frames: deque = deque(maxlen=WINDOW_LEN)
         # frames since the episode began or the gait was last drawn; a style
@@ -219,6 +222,18 @@ def _stage1_policy(stage1_checkpoint) -> PolicyState:
     return decode(PolicyState, stage1_checkpoint["policy"], "policy")
 
 
+def _check_fits(policy: PolicyState, **run) -> None:
+    """Raise a ``ValueError`` naming the first field in which ``policy``
+    differs from the run in one of the sections given (``mode=``, ``arch=``)."""
+    for section, described in run.items():
+        for f in fields(described):
+            theirs, mine = getattr(getattr(policy, section), f.name), getattr(described, f.name)
+            if theirs != mine:
+                raise ValueError(
+                    f"{section}.{f.name}: the checkpoint's policy has {theirs}, the run {mine}"
+                )
+
+
 # -- the training loop ------------------------------------------------------------
 
 
@@ -253,8 +268,6 @@ class Trainer:
         stage1 = _stage1_policy(stage1_checkpoint) if stage1_checkpoint is not None else None
         if resume is not None and stage1 is not None:
             raise ValueError("resume and stage1_checkpoint are exclusive")
-        if resume is not None and resume.stage != stage:
-            raise ValueError(f"cannot resume a stage-{resume.stage} checkpoint at stage {stage}")
         if stage1 is not None and stage1.mode.stage != 1:
             raise ValueError(
                 f"stage1_checkpoint: a stage-{stage1.mode.stage} policy, not a stage-1 one"
@@ -264,17 +277,18 @@ class Trainer:
         if stage >= 2 and resume is None and stage1 is None and not cfg.mode.one_stage:
             raise ValueError("stage 2 needs a stage-1 checkpoint unless one_stage is set")
 
-        if resume is not None:
-            self.policy = ActorCritic.from_state(resume.policy, cfg.model, cfg.env)
-        elif stage == 1 and stage1 is not None:
-            # warm start: adopt the whole stage-1 policy, fresh everything else
-            self.policy = ActorCritic.from_state(stage1, cfg.model, cfg.env)
+        mode = replace(cfg.mode, stage=stage)
+        taken = resume.policy if resume is not None else stage1 if stage == 1 else None
+        if taken is not None:
+            # a resume or a warm start adopts the whole policy
+            _check_fits(taken, mode=mode, arch=cfg.arch)
+            self.policy = ActorCritic.from_state(taken, cfg.model, cfg.env)
         else:
-            mode = replace(cfg.mode, stage=stage)
             self.policy = ActorCritic(
                 cfg.model, cfg.env, cfg.arch, mode, seed=int(init_ss.generate_state(1)[0])
             )
-            if stage1 is not None:
+            if stage1 is not None:  # stage 2 takes the actor only
+                _check_fits(stage1, arch=cfg.arch)
                 self.policy.load_stage1_weights(stage1)
 
         self.opts = make_optimizers(self.policy, cfg.ppo)

@@ -665,7 +665,7 @@ def ref_run_trial(controller, terrain, model, env_cfg, *, v_cmd=0.6, gait_id=Non
     termination = "timeout"
     steps = 0
     while True:
-        action = controller.act(bundle, env.commands, env.state)
+        action = controller.act(bundle, env.state)
         res = env.step(action)
         steps += 1
         distance = max(res.distance, distance)
@@ -730,7 +730,7 @@ def ref_measure_gait_attribute(policy, cfg, gait_id, attribute, n_rollouts=10, r
         apex = 0.0
         prev_max = 0.0
         while True:
-            res = env.step(controller.act(bundle, env.commands, env.state))
+            res = env.step(controller.act(bundle, env.state))
             st = env.state
             if attribute == "squat_height":
                 values.append(st.z - min(st.foot_pos[0, 1], st.foot_pos[1, 1]))
@@ -769,7 +769,7 @@ def ref_collect_latent_samples(policy, cfg, terrain_kinds=("flat", "gap", "step"
             controller = PolicyController(policy, gait_id=gid)
             for _ in range(steps_per_combo):
                 samples.append((bundle.copy(), gait.copy(), kind))
-                res = env.step(controller.act(bundle, env.commands, env.state))
+                res = env.step(controller.act(bundle, env.state))
                 if res.done:
                     break
                 bundle = res.bundle

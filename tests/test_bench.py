@@ -75,8 +75,8 @@ class PoisonAtStep:
         self.walker = ScriptedWalker(model)
         self.t_poison = (k - 1) * dt
 
-    def act(self, bundle, commands, state):
-        action = self.walker.act(bundle, commands, state)
+    def act(self, bundle, state):
+        action = self.walker.act(bundle, state)
         if abs(state.time - self.t_poison) < 1e-9:
             state.vx = float("nan")
         return action

@@ -176,9 +176,8 @@ class TestUsage:
         for config in (["--config", tiny_config, "--ablation", "more-os"],
                        ["--config", str(flagged)]):
             assert cli(["train-stage1", *config, "--out", str(out)]) == 1
-            assert "usage error: mode.one_stage (--ablation more-os) trains stage 2 only" in (
-                capsys.readouterr().err
-            )
+            assert ("usage error: mode.one_stage trains stage 2 from scratch; it has no stage 1\n"
+                    in capsys.readouterr().err)
         assert not os.listdir(out)
 
 
@@ -351,22 +350,52 @@ class TestEvaluationConfig:
         assert all(e["steps"] <= 3 for e in ends)
 
 
-@pytest.mark.parametrize("argv,needs", [
-    (["train-stage1", "--checkpoint", "{s2}"], 1),
-    (["train-stage1", "--resume", "{s2}"], 1),
-    (["train-stage2", "--checkpoint", "{s2}"], 1),
-    (["export-latents", "--checkpoint", "{s1}"], 2),
-    (["gait-modulation", "--checkpoint", "{s1}"], 2),
+# the training commands leave the stage rule to Trainer, which names the
+# policy's stage; the evaluation commands check the checkpoint's stage
+NOT_STAGE_1 = "stage1_checkpoint: a stage-2 policy, not a stage-1 one"
+NOT_STAGE_2 = "{path} is a stage-1 checkpoint; this command needs a stage-2 one"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train-stage1", "--checkpoint", "{s2}"], NOT_STAGE_1),
+    (["train-stage1", "--resume", "{s2}"], "mode.stage: the checkpoint's policy has 2, the run 1"),
+    (["train-stage2", "--checkpoint", "{s2}"], NOT_STAGE_1),
+    (["export-latents", "--checkpoint", "{s1}"], NOT_STAGE_2),
+    (["gait-modulation", "--checkpoint", "{s1}"], NOT_STAGE_2),
 ], ids=["warm-start", "resume", "stage-2", "export-latents", "gait-modulation"])
-def test_a_checkpoint_at_the_wrong_stage_exits_1(trained, tmp_path, capsys, argv, needs):
+def test_a_checkpoint_at_the_wrong_stage_exits_1(trained, tmp_path, capsys, argv, message):
     config, s1, s2 = trained
     paths = {"{s1}": s1, "{s2}": s2}
     out = tmp_path / "out"
     argv = [paths.get(a, a) for a in argv]
     assert cli([*argv, "--config", config, "--out", str(out)]) == 1
-    assert (f"usage error: {argv[2]} is a stage-{3 - needs} checkpoint; "
-            f"this command needs a stage-{needs} one") in capsys.readouterr().err
+    assert f"usage error: {message.format(path=argv[2])}\n" in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
+
+
+D_F_4 = "arch.d_f: the checkpoint's policy has 6, the run 4"
+
+
+@pytest.mark.parametrize("argv,change,message", [
+    (["train-stage1", "--checkpoint"], {"arch.d_f": 4}, D_F_4),
+    (["train-stage1", "--resume"], {"arch.d_f": 4}, D_F_4),
+    (["train-stage1", "--ablation", "more4", "--checkpoint"], {},
+     "mode.n_experts: the checkpoint's policy has 3, the run 4"),
+    (["train-stage2", "--checkpoint"], {"arch.d_f": 4}, D_F_4),
+    (["train-stage2", "--checkpoint"], {"arch.d_z": 16},
+     "arch.d_z: the checkpoint's policy has 8, the run 16"),
+], ids=["warm-start-d_f", "resume-d_f", "warm-start-more4", "stage-2-d_f", "stage-2-d_z"])
+def test_a_policy_that_does_not_fit_the_run_exits_1(
+    trained, tmp_path, capsys, argv, change, message
+):
+    # the stage-1 checkpoint was trained at d_f 6, d_z 8 and 3 experts
+    _, s1, _ = trained
+    config = tmp_path / "config.json"
+    save_config(tiny_cfg(**change), config)
+    out = tmp_path / "out"
+    assert cli([*argv, s1, "--config", str(config), "--out", str(out)]) == 1
+    assert f"usage error: {message}\n" in capsys.readouterr().err
+    assert not os.listdir(out)
 
 
 class TestGaitModulation:

@@ -111,7 +111,7 @@ class TestStep:
         walker = ScriptedWalker(model)
         last = None
         for _ in range(2000):
-            last = env.step(walker.act(None, env.commands, env.state))
+            last = env.step(walker.act(None, env.state))
             if last.done:
                 break
         assert last.termination == "fall"

@@ -355,8 +355,8 @@ def test_no_module_name_that_nothing_reads():
 # keyed by the function's signature, with the reason.
 PARAMETERS_EXEMPT = {
     # the controller protocol (gaitrl.controllers): the benchmark passes a
-    # controller all three, and each controller reads what it needs
-    "act(self, bundle, commands, state)": {"bundle", "commands", "state"},
+    # controller both, and each controller reads what it needs
+    "act(self, bundle, state)": {"bundle", "state"},
     # perfbench passes it; the next change to the benchmark drops it in both
     # places (ROADMAP, item 1)
     "recompute_cell_from_trace(trace_path, goal_m)": {"goal_m"},

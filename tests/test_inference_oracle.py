@@ -160,7 +160,7 @@ def test_controller_act_matches_reference(fusion, gait_id):
     for b in bundles:
         gait = controller.gait
         assert same(
-            controller.act(b, env.commands, env.state),
+            controller.act(b, env.state),
             ref_controller_act(pol, gait, b, env.commands),
         )
 
@@ -171,7 +171,7 @@ def test_controller_clips_like_np_clip():
     pol.head.layers[-1].weight[:] = 0.0
     env, (b, *_) = env_bundles(1)
     with np.errstate(invalid="ignore"):  # the reference's log-probability of the NaN row
-        got = PolicyController(pol).act(b, env.commands, env.state)
+        got = PolicyController(pol).act(b, env.state)
         assert same(got, ref_controller_act(pol, None, b, env.commands))
     assert np.isnan(got[3])
     assert got[[0, 1, 2, 4, 5]].tolist() == [4.0, -4.0, 0.0, 4.0, -4.0]

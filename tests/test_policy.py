@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gaitrl.biped import N_JOINTS, BipedModel
 from gaitrl.codec import decode, encode
+from gaitrl.config import RunConfig
 from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from gaitrl.nets import softmax
 from gaitrl.policy import (
@@ -19,6 +21,7 @@ from gaitrl.policy import (
     gaussian_log_prob_batch,
 )
 from gaitrl.terrain import generate_terrain
+from gaitrl.trainer import Trainer
 
 from oracles import central_diff_params, rel_err
 
@@ -259,7 +262,10 @@ class TestCritic:
     def test_stage_layout_mismatch_raises(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0)
         batch = BundleBatch.stack(make_bundles(1))
-        with pytest.raises(ValueError, match="critic input layout mismatch"):
+        # net_forward checks every network's input width, the critic's too
+        n = pol.critic.input_dim
+        message = re.escape(f"input has shape (1, {n - 1}), expected [*, {n}]")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             pol.critic_value(dataclasses.replace(batch, gait=np.zeros((1, 2))))
 
 
@@ -359,8 +365,12 @@ class TestPersistence:
                 decode(PolicyState, doc, "policy")
 
     def test_dz_mismatch_rejected_on_stage1_load(self):
+        # load_stage1_weights trusts its caller; the one caller, a stage-2
+        # Trainer, compares the stage-1 policy's arch with the run's first
         pol1 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=0)
-        other = PolicyArch(**{**SMALL.__dict__, "d_z": 16})
-        pol2 = ActorCritic(MODEL, EnvConfig(), other, PolicyMode(stage=2), seed=0)
-        with pytest.raises(ValueError):
-            pol2.load_stage1_weights(decode(PolicyState, pol1.to_dict()))
+        cfg = RunConfig()
+        cfg.arch = PolicyArch(**{**SMALL.__dict__, "d_z": 16})
+        with pytest.raises(
+            ValueError, match=r"^arch\.d_z: the checkpoint's policy has 8, the run 16$"
+        ):
+            Trainer(cfg, seed=0, stage=2, stage1_checkpoint={"policy": pol1.to_dict()})

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import gaitrl.trainer as trainer_mod
 from gaitrl.biped import N_JOINTS
+from gaitrl.codec import encode
 from gaitrl.config import RunConfig, config_from_dict, config_to_dict
 from gaitrl.env import TerrainEnv
 from gaitrl.policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
@@ -318,8 +320,12 @@ class TestStage2:
         ckpt = self.stage1_ckpt(tmp_path)
         cfg = tiny_cfg()
         cfg.arch.d_z = 16
-        with pytest.raises(ValueError):
-            Trainer(cfg, seed=0, stage=2, stage1_checkpoint=ckpt)
+        # a checkpoint, and the mapping form that is decoded on the way in
+        for stage1 in (ckpt, {"policy": encode(ckpt.policy)}):
+            with pytest.raises(
+                ValueError, match=r"^arch\.d_z: the checkpoint's policy has 8, the run 16$"
+            ):
+                Trainer(cfg, seed=0, stage=2, stage1_checkpoint=stage1)
 
     def test_metrics_include_style_and_gait_components(self, tmp_path):
         ckpt = self.stage1_ckpt(tmp_path)
@@ -329,6 +335,32 @@ class TestStage2:
         assert "mean_style" in h
         assert "style_gait0" in h
         assert "r_s_mean" in h and "r_g_mean" in h
+
+    @pytest.mark.parametrize("start", ["warm-start", "resume", "stage-2"])
+    def test_a_checkpoint_describes_its_policy_once(self, tmp_path, start):
+        # a stage-1 checkpoint at d_f 6 and 3 experts, taken over under its own
+        # config and under two others: a run the trainer sets up writes a
+        # checkpoint whose config has the policy's arch and mode
+        ckpt = self.stage1_ckpt(tmp_path)
+        stage = 2 if start == "stage-2" else 1
+        taken = {"resume": ckpt} if start == "resume" else {"stage1_checkpoint": ckpt}
+        started = []
+        for change in ({}, {"arch.d_f": 4}, {"mode.n_experts": 4}):
+            out = tmp_path / start / ("-".join(change) or "same")
+            try:
+                trainer = Trainer(
+                    tiny_cfg(**change), seed=1, stage=stage, out_dir=str(out), **taken
+                )
+            except ValueError:
+                assert not os.listdir(out)
+                continue
+            trainer.run(1)
+            written = load_checkpoint(out / "checkpoint_final.json")
+            assert written.config.arch == written.policy.arch
+            assert dataclasses.replace(written.config.mode, stage=stage) == written.policy.mode
+            started.append(change)
+        # stage 2 takes the actor only, so the expert count is the run's to choose
+        assert started == ([{}, {"mode.n_experts": 4}] if start == "stage-2" else [{}])
 
 
 class TestCheckpointRoundTrip:
