@@ -94,8 +94,7 @@ class PolicyController:
 
     def __init__(self, policy: ActorCritic, gait_id: int | None = None):
         self.policy = policy
-        n = policy.arch.n_gaits
-        self.gait = one_hot(gait_id, n) if gait_id is not None else None
+        self.gait = one_hot(gait_id, policy.dims["d_gait"]) if gait_id is not None else None
 
     def act(self, bundle, state):
         if self.gait is not None:
@@ -233,18 +232,9 @@ def run_benchmark(
             seeds.append(seed)
             if obstacle == "flat":
                 # degenerate cell used to audit the harness arithmetic
-                terrain = generate_terrain(
-                    "flat", 0.0, seed,
-                    track_length=cfg.terrain.track_length,
-                    cell_size=cfg.terrain.cell_size,
-                )
+                terrain = generate_terrain("flat", 0.0, seed, cfg.terrain)
             else:
-                terrain = build_benchmark_track(
-                    obstacle, mode, seed,
-                    track_length=cfg.terrain.track_length,
-                    cell_size=cfg.terrain.cell_size,
-                    start_clear=cfg.terrain.start_clear,
-                )
+                terrain = build_benchmark_track(obstacle, mode, seed, cfg.terrain)
             if trace_file is not None:
                 trace_file.write(
                     json.dumps(
@@ -326,12 +316,7 @@ def measure_gait_attribute(
     controller = PolicyController(policy, gait_id=gait_id)
     per_rollout = []
     for k in range(n_rollouts):
-        terrain = generate_terrain(
-            terrain_kind, 0.0, seed=seed + k,
-            track_length=cfg.terrain.track_length,
-            cell_size=cfg.terrain.cell_size,
-            start_clear=cfg.terrain.start_clear,
-        )
+        terrain = generate_terrain(terrain_kind, 0.0, seed + k, cfg.terrain)
         values = []
         apex = 0.0
         prev_max = 0.0
@@ -476,12 +461,7 @@ def collect_latent_samples(
     samples = []
     for kind in terrain_kinds:
         for gid in range(cfg.env.n_gaits):
-            terrain = generate_terrain(
-                kind, 0.3, seed=seed,
-                track_length=cfg.terrain.track_length,
-                cell_size=cfg.terrain.cell_size,
-                start_clear=cfg.terrain.start_clear,
-            )
+            terrain = generate_terrain(kind, 0.3, seed, cfg.terrain)
             episode = eval_episode(
                 PolicyController(policy, gait_id=gid), terrain, cfg.model, cfg.env,
                 v_cmd=0.5, gait_id=gid, max_episode_s=cfg.env.max_episode_s, seed=seed,

@@ -5,6 +5,10 @@ training stages, the traversal benchmark, gait-modulation evaluation, and
 residual-latent export/analysis.  Exit codes: 0 success, 1 usage error
 (bad flags, missing/invalid input files, a run that cannot start), 2
 runtime failure (a run that started and failed).
+
+A command that evaluates a checkpoint or resumes its run (``--resume``) runs
+under the checkpoint's config unless ``--config`` is given, and a resume's
+config must be its checkpoint's.
 """
 
 from __future__ import annotations
@@ -115,7 +119,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args, ckpt: Checkpoint | None = None) -> RunConfig:
+    """``--config``, or else ``ckpt``'s config or the default; ``--ablation`` applied."""
     if args.config:
         if not os.path.exists(args.config):
             raise UsageError(f"config file not found: {args.config}")
@@ -124,7 +129,7 @@ def _load_run_config(args) -> RunConfig:
         except ValueError as e:
             raise UsageError(f"invalid config {args.config}: {e}")
     else:
-        cfg = RunConfig()
+        cfg = ckpt.config if ckpt is not None else RunConfig()
     return apply_ablation(cfg, getattr(args, "ablation", None))
 
 
@@ -144,21 +149,15 @@ def _load_ckpt(path: str, stage: int | None = None) -> Checkpoint:
 
 
 def _eval_config(args, ckpt: Checkpoint) -> RunConfig:
-    """The config an evaluation of checkpoint ``ckpt`` runs under.
-
-    Without ``--config``, the config the checkpoint was trained with (with
-    ``--ablation`` applied).  With it, ``--config``, provided its ``model``
-    and ``env`` sections, which the policy and the env are built from, are
-    the checkpoint's.
-    """
-    ck_cfg = ckpt.config
-    if not args.config:
-        return apply_ablation(ck_cfg, args.ablation)
-    cfg = _load_run_config(args)
-    mine, theirs = config_to_dict(cfg), config_to_dict(ck_cfg)
-    for section in ("model", "env"):
-        if mine[section] != theirs[section]:
-            raise UsageError(f"--config: its {section} section differs from the checkpoint's")
+    """The config an evaluation of ``ckpt`` runs under: a ``--config`` must
+    have the checkpoint's ``model`` and ``env`` sections, which the policy and
+    the env are built from."""
+    cfg = _load_run_config(args, ckpt)
+    if args.config:
+        mine, theirs = config_to_dict(cfg), config_to_dict(ckpt.config)
+        for section in ("model", "env"):
+            if mine[section] != theirs[section]:
+                raise UsageError(f"--config: its {section} section differs from the checkpoint's")
     return cfg
 
 
@@ -191,11 +190,12 @@ def cmd_gen_refs(args) -> int:
 def _train(args, stage: int) -> int:
     """A training command.  ``Trainer`` decides what the run may start from
     (``--checkpoint``, a stage-1 checkpoint, or ``--resume``); a run it
-    refuses to set up is a usage error, a failure once it runs is not."""
-    cfg = _load_run_config(args)
+    refuses to set up is a usage error, a failure once it runs is not.  A
+    resume without ``--config`` runs under the checkpoint's config."""
+    resume = _load_ckpt(args.resume) if getattr(args, "resume", None) else None
+    cfg = _load_run_config(args, resume)
     out = _need_out(args)
     warm = _load_ckpt(args.checkpoint) if args.checkpoint else None
-    resume = _load_ckpt(args.resume) if getattr(args, "resume", None) else None
     try:
         trainer = Trainer(cfg, args.seed, stage=stage, out_dir=out,
                           stage1_checkpoint=warm, resume=resume)
@@ -223,8 +223,9 @@ def cmd_eval_bench(args) -> int:
     cfg = _eval_config(args, ckpt)
     policy = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
     gait_id = args.gait
-    if gait_id is not None and not 0 <= gait_id < policy.arch.n_gaits:
-        raise UsageError(f"--gait must be in [0, {policy.arch.n_gaits}), got {gait_id}")
+    n_gaits = policy.dims["d_gait"]
+    if gait_id is not None and not 0 <= gait_id < n_gaits:
+        raise UsageError(f"--gait must be in [0, {n_gaits}), got {gait_id}")
     if gait_id is None and policy.mode.stage >= 2:
         gait_id = 0
     suite = BenchmarkSuite(

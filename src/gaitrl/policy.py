@@ -72,7 +72,6 @@ class PolicyArch:
     expert_hidden: tuple[int, ...] = (64,)
     gate_hidden: tuple[int, ...] = (32,)
     critic_hidden: tuple[int, ...] = (256, 128)
-    n_gaits: int = 3
     log_std_init: float = 0.0
     log_std_min: float = -4.0
     log_std_max: float = 1.0
@@ -307,6 +306,15 @@ class PolicyState:
             raise ValueError("residual: a stage-1 policy has no residual module")
 
 
+def _input_widths(dims: dict, arch: PolicyArch, mode: PolicyMode) -> dict[str, int]:
+    """Each net's input width over observation blocks of widths ``dims``, by its
+    place in a ``PolicyState``; ``residual`` is the stage-2 experts' and gate's,
+    which read the gait command, as the critic does at stage 2."""
+    feat, gait = dims["d_o"] + 2 * arch.d_f, dims["d_gait"] if mode.stage >= 2 else 0
+    return {"nets.scan_enc": dims["d_scan"], "nets.hist_enc": dims["d_hist"], "nets.trunk": feat,
+            "residual": feat + gait, "nets.critic": dims["d_m"] + dims["d_e"] + gait}
+
+
 @dataclass
 class ActorCache:
     scan_tape: GradientTape
@@ -331,28 +339,34 @@ class ActorCritic:
         """A fresh policy, its networks drawn from ``seed``."""
         dims = obs_dims(env_cfg)
         rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0xAC]))
-        feat_dim = dims["d_o"] + 2 * arch.d_f
+        widths = _input_widths(dims, arch, mode)
         # the four actor nets draw first, so a stage-2 actor starts from the
         # same weights as a stage-1 actor of the same seed; the residual's and
         # the critic's weights follow in the same stream
-        scan_enc = make_net([dims["d_scan"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
-        hist_enc = make_net([dims["d_hist"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
-        trunk = make_net([feat_dim, *arch.trunk_hidden, arch.d_z], rng, hidden_activation="tanh", output_activation="tanh")
+        scan_enc = make_net([widths["nets.scan_enc"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
+        hist_enc = make_net([widths["nets.hist_enc"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
+        trunk = make_net([widths["nets.trunk"], *arch.trunk_hidden, arch.d_z], rng, hidden_activation="tanh", output_activation="tanh")
         head = make_net([arch.d_z, *arch.head_hidden, N_JOINTS], rng, out_gain=0.01)
         residual = None
-        critic_in = dims["d_m"] + dims["d_e"]
         if mode.stage >= 2:
             res_out = arch.d_z if mode.residual_fusion == "latent" else N_JOINTS
-            residual = ResidualModule(mode.n_experts, feat_dim, arch.n_gaits, res_out, arch, rng)
-            critic_in += arch.n_gaits  # the critic reads the gait command at stage 2
-        critic = make_net([critic_in, *arch.critic_hidden, 1], rng, hidden_activation="tanh")
+            residual = ResidualModule(mode.n_experts, widths["nets.trunk"], dims["d_gait"], res_out, arch, rng)
+        critic = make_net([widths["nets.critic"], *arch.critic_hidden, 1], rng, hidden_activation="tanh")
         nets = PolicyNets(scan_enc, hist_enc, trunk, head, critic)
         log_std = np.full(N_JOINTS, float(arch.log_std_init))
         state = PolicyState(arch, mode, nets, log_std, build_normalizer(model, env_cfg), residual)
         self._adopt(state, model, dims)
 
     def _adopt(self, state: PolicyState, model: BipedModel, dims: dict) -> None:
-        """Take over ``state`` as it is (no copy): arch, mode and every array."""
+        """Take over ``state`` as it is (no copy): arch, mode and every array.  A
+        ``ValueError`` names the first net that does not read ``dims``' widths."""
+        widths = _input_widths(dims, state.arch, state.mode)
+        nets = [(f"nets.{n}", getattr(state.nets, n)) for n in ("scan_enc", "hist_enc", "trunk", "critic")]
+        if state.residual is not None:  # its experts and its gate read one input
+            nets += [("residual", net) for net in (*state.residual.experts, state.residual.gate)]
+        for name, net in nets:
+            if net.input_dim != widths[name]:
+                raise ValueError(f"{name}: the policy has {net.input_dim} inputs, the run {widths[name]}")
         self.model = model
         self.dims = dims
         self.arch = state.arch

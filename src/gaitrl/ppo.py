@@ -72,9 +72,8 @@ class RolloutBuffer:
         self.r_l = np.zeros((T, N))
         self.r_s = np.zeros((T, N))
         self.r_g = np.zeros((T, N))
-        self.filled = 0
 
-    def add_step(self, t, batch, actions, log_probs, values, rewards, dones, breakdowns=None):
+    def add_step(self, t, batch, actions, log_probs, values, rewards, dones, breakdowns):
         """Row ``t``: ``[N, ...]`` arrays and per-env lists, in env order."""
         for name, rows in vars(self.obs).items():
             rows[t] = getattr(batch, name)
@@ -83,11 +82,9 @@ class RolloutBuffer:
         self.values[t] = values
         self.rewards[t] = rewards
         self.dones[t] = dones
-        if breakdowns is not None:
-            self.r_l[t] = [bd.r_l for bd in breakdowns]
-            self.r_s[t] = [bd.r_s for bd in breakdowns]
-            self.r_g[t] = [bd.r_g for bd in breakdowns]
-        self.filled = (t + 1) * self.n_envs
+        self.r_l[t] = [bd.r_l for bd in breakdowns]
+        self.r_s[t] = [bd.r_s for bd in breakdowns]
+        self.r_g[t] = [bd.r_g for bd in breakdowns]
 
 
 def compute_gae(
@@ -218,11 +215,8 @@ def ppo_update(
     opts: dict[str, AdamState],
     rng: np.random.Generator,
 ) -> dict:
-    """Epochs of minibatched clipped-surrogate updates over the buffer."""
-    if buffer.filled == 0:
-        log.warning("ppo_update called with an empty buffer; skipping")
-        return {"skipped": True}
-
+    """Epochs of minibatched clipped-surrogate updates over the buffer, every
+    row of which the rollout has written."""
     T, N = buffer.horizon, buffer.n_envs
     B = T * N
     flat = lambda a: a.reshape(B, *a.shape[2:])

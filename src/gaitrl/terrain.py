@@ -35,6 +35,25 @@ HEIGHTFIELD_FORMAT_VERSION = 1
 
 
 @dataclass
+class TerrainConfig:
+    """A run's ``terrain`` section: curriculum kinds and the tracks' geometry."""
+
+    kinds: tuple[str, ...] = ("flat", "rough", "gap", "step", "stair")
+    track_length: float = 14.0
+    cell_size: float = 0.05
+    start_clear: float = 2.0
+
+    def __post_init__(self):
+        if not self.kinds:
+            raise ValueError("kinds must name at least one terrain kind")
+        for i, kind in enumerate(self.kinds):
+            if kind not in TERRAIN_KINDS:
+                raise ValueError(
+                    f"kinds[{i}]: unknown terrain kind {kind!r}, not one of {TERRAIN_KINDS}"
+                )
+
+
+@dataclass
 class Obstacle:
     kind: str
     value: float  # gap width / step height / stair rise (m)
@@ -109,10 +128,10 @@ class Heightfield:
         return 0.0
 
 
-def _blank(track_length: float, cell_size: float, kind: str, difficulty: float) -> Heightfield:
-    n = int(round(track_length / cell_size))
+def _blank(terrain: TerrainConfig, kind: str, difficulty: float) -> Heightfield:
+    n = int(round(terrain.track_length / terrain.cell_size))
     return Heightfield(
-        cell_size=cell_size,
+        cell_size=terrain.cell_size,
         heights=np.zeros(n),
         void=np.zeros(n, dtype=bool),
         kind=kind,
@@ -133,15 +152,16 @@ def _fill(hf: Heightfield, x: float, length: float, level: float) -> tuple[int, 
 
 
 def _lay_out(hf: Heightfield, kind: str, rng: np.random.Generator, size,
-             gap_spacing_hi: float, track_length: float, start_clear: float) -> None:
-    """Lay gap, step or stair obstacles along ``hf`` from ``start_clear`` on.
+             gap_spacing_hi: float, terrain: TerrainConfig) -> None:
+    """Lay gap, step or stair obstacles along ``hf`` from ``terrain.start_clear``
+    to ``terrain.track_length``.
 
     ``size()`` gives the gap width, step height or stair rise of each
     obstacle just before it is placed, so a sampler that draws from ``rng``
     draws ahead of that obstacle's spacing.  Gaps are ``uniform(1.2,
     gap_spacing_hi)`` apart.
     """
-    x = start_clear
+    track_length, x = terrain.track_length, terrain.start_clear
     level = 0.0
     if kind == "gap":
         while True:
@@ -183,14 +203,10 @@ def _lay_out(hf: Heightfield, kind: str, rng: np.random.Generator, size,
 
 
 def generate_terrain(
-    kind: str,
-    difficulty: float,
-    seed: int,
-    track_length: float = 14.0,
-    cell_size: float = 0.05,
-    start_clear: float = 2.0,
+    kind: str, difficulty: float, seed: int, terrain: TerrainConfig = TerrainConfig()
 ) -> Heightfield:
-    """Curriculum terrain with obstacle size interpolated linearly by difficulty.
+    """Curriculum terrain with obstacle size interpolated linearly by difficulty,
+    laid out on ``terrain``'s geometry.
 
     Placement/spacing is randomized by seed; the obstacle parameter itself is a
     pure function of difficulty so the curriculum level is exactly auditable.
@@ -202,33 +218,29 @@ def generate_terrain(
     rng = np.random.default_rng(
         np.random.SeedSequence([TERRAIN_KINDS.index(kind), seed & 0xFFFFFFFF])
     )
-    hf = _blank(track_length, cell_size, kind, float(difficulty))
+    hf = _blank(terrain, kind, float(difficulty))
 
     if kind == "flat":
         return hf
 
     if kind == "rough":
         amp = _lerp(*ROUGH_RANGE, difficulty)
-        n0 = hf.cell_at(start_clear)
+        n0 = hf.cell_at(terrain.start_clear)
         hf.heights[n0:] = rng.uniform(-amp, amp, size=hf.n_cells - n0)
         hf.obstacles.append(Obstacle("rough", amp, n0, hf.n_cells, 0.0))
         return hf
 
     ranges = {"gap": GAP_RANGE, "step": STEP_RANGE, "stair": STAIR_RANGE}
     value = _lerp(*ranges[kind], difficulty)
-    _lay_out(hf, kind, rng, lambda: value, 2.2, track_length, start_clear)
+    _lay_out(hf, kind, rng, lambda: value, 2.2, terrain)
     return hf
 
 
 def build_benchmark_track(
-    obstacle: str,
-    mode: str,
-    seed: int,
-    track_length: float = 14.0,
-    cell_size: float = 0.05,
-    start_clear: float = 2.0,
+    obstacle: str, mode: str, seed: int, terrain: TerrainConfig = TerrainConfig()
 ) -> Heightfield:
-    """Evaluation track: one obstacle type, parameters sampled per instance."""
+    """Evaluation track on ``terrain``'s geometry: one obstacle type,
+    parameters sampled per instance."""
     if obstacle not in ("gap", "step", "stair"):
         raise ValueError(f"unknown benchmark obstacle: {obstacle!r}")
     if mode not in ("easy", "hard"):
@@ -239,6 +251,6 @@ def build_benchmark_track(
             [0xBE, TERRAIN_KINDS.index(obstacle), 0 if mode == "easy" else 1, seed & 0xFFFFFFFF]
         )
     )
-    hf = _blank(track_length, cell_size, obstacle, 1.0 if mode == "hard" else 0.5)
-    _lay_out(hf, obstacle, rng, lambda: rng.uniform(lo, hi), 2.0, track_length, start_clear)
+    hf = _blank(terrain, obstacle, 1.0 if mode == "hard" else 0.5)
+    _lay_out(hf, obstacle, rng, lambda: rng.uniform(lo, hi), 2.0, terrain)
     return hf

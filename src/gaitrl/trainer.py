@@ -9,12 +9,14 @@ own).  The gait schedule writes each env's command through
 the rollout buffer as the observation's gait block.
 
 A run is ``Trainer(...).run()``, and ``Trainer.__init__`` alone decides what
-it starts from: a resume takes a checkpoint at the run's stage; a warm start
-(stage 1) takes a stage-1 policy whole, and stage 2 takes its actor; a
-``mode.one_stage`` run has no stage 1 and starts from a fresh policy.  A
-policy taken whole must have the run's arch and mode (``cfg.mode`` at the
-run's stage) and an actor the run's arch, so a checkpoint's config describes
-its policy; a ``ValueError`` names the first field that differs.
+it starts from: a resume takes a checkpoint at the run's stage and runs
+under that checkpoint's config; a warm start (stage 1) takes a stage-1
+policy whole, and stage 2 takes its actor; a ``mode.one_stage`` run has no
+stage 1 and starts from a fresh policy.  A policy taken whole must have the
+run's arch and mode (``cfg.mode`` at the run's stage), an actor the run's
+arch, and every net the run's observation widths, so a checkpoint's config
+describes its policy; a ``ValueError`` names the first field that differs.
+The run writes nothing into its config.
 Everything is single-threaded and keyed off one run seed, so a (config,
 seed) pair reproduces checkpoints and metrics byte for byte.
 """
@@ -26,7 +28,7 @@ import json
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -144,10 +146,8 @@ class EnvWorker:
         terrain = generate_terrain(
             self.curr.kind,
             self.curr.difficulty if self.cfg.curriculum.enabled else 0.0,
-            seed=int(self.rng.integers(2**31)),
-            track_length=self.cfg.terrain.track_length,
-            cell_size=self.cfg.terrain.cell_size,
-            start_clear=self.cfg.terrain.start_clear,
+            int(self.rng.integers(2**31)),
+            self.cfg.terrain,
         )
         dr = sample_dr(self.rng, enabled=self.cfg.train.dr_enabled)
         v_lo, v_hi = self.cfg.commands.v_range
@@ -222,16 +222,16 @@ def _stage1_policy(stage1_checkpoint) -> PolicyState:
     return decode(PolicyState, stage1_checkpoint["policy"], "policy")
 
 
-def _check_fits(policy: PolicyState, **run) -> None:
-    """Raise a ``ValueError`` naming the first field in which ``policy``
-    differs from the run in one of the sections given (``mode=``, ``arch=``)."""
-    for section, described in run.items():
-        for f in fields(described):
-            theirs, mine = getattr(getattr(policy, section), f.name), getattr(described, f.name)
-            if theirs != mine:
-                raise ValueError(
-                    f"{section}.{f.name}: the checkpoint's policy has {theirs}, the run {mine}"
-                )
+def _check_fits(what: str, theirs, mine, path: str = "") -> None:
+    """Raise a ``ValueError`` naming the first field (under ``path``, nested
+    sections field by field) in which ``theirs``, the checkpoint's ``what``,
+    differs from the run's ``mine``, a dataclass of the same type."""
+    for f in fields(mine):
+        a, b = getattr(theirs, f.name), getattr(mine, f.name)
+        if is_dataclass(b):
+            _check_fits(what, a, b, f"{path}{f.name}.")
+        elif a != b:
+            raise ValueError(f"{path}{f.name}: the checkpoint's {what} has {a}, the run {b}")
 
 
 # -- the training loop ------------------------------------------------------------
@@ -247,11 +247,7 @@ class Trainer:
         stage1_checkpoint: Checkpoint | dict | None = None,
         resume: Checkpoint | None = None,
     ):
-        # private copies: the blind switch below must not reach the caller,
-        # and the run trains a resumed checkpoint's arrays in place
-        cfg = copy.deepcopy(cfg)
-        resume = copy.deepcopy(resume)
-        cfg.env.blind = cfg.train.blind or cfg.env.blind
+        resume = copy.deepcopy(resume)  # the run trains its arrays in place
         self.cfg = cfg
         self.seed = seed
         self.stage = stage
@@ -281,14 +277,17 @@ class Trainer:
         taken = resume.policy if resume is not None else stage1 if stage == 1 else None
         if taken is not None:
             # a resume or a warm start adopts the whole policy
-            _check_fits(taken, mode=mode, arch=cfg.arch)
+            _check_fits("policy", taken.mode, mode, "mode.")
+            _check_fits("policy", taken.arch, cfg.arch, "arch.")
+            if resume is not None:
+                _check_fits("config", resume.config, cfg)
             self.policy = ActorCritic.from_state(taken, cfg.model, cfg.env)
         else:
             self.policy = ActorCritic(
                 cfg.model, cfg.env, cfg.arch, mode, seed=int(init_ss.generate_state(1)[0])
             )
             if stage1 is not None:  # stage 2 takes the actor only
-                _check_fits(stage1, arch=cfg.arch)
+                _check_fits("policy", stage1.arch, cfg.arch, "arch.")
                 self.policy.load_stage1_weights(stage1)
 
         self.opts = make_optimizers(self.policy, cfg.ppo)

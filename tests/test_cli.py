@@ -148,13 +148,14 @@ class TestUsage:
         pytest.param({"mode": {"residual_fusion": "Latent"}},
                      "mode: residual_fusion must be one of ('latent', 'action'), got 'Latent'",
                      id="mode.residual_fusion"),
-        pytest.param({"arch": {"n_gaits": 2}}, "arch.n_gaits is 2, but env.n_gaits is 3",
+        pytest.param({"arch": {"n_gaits": 3}}, "arch: unknown keys ['n_gaits']",
                      id="arch.n_gaits"),
+        pytest.param({"train": {"blind": False}}, "train: unknown keys ['blind']",
+                     id="train.blind"),
         pytest.param({"gaits": {"distribution": [0.5, 0.5]}},
                      "gaits.distribution has 2 values, but env.n_gaits is 3",
                      id="gaits.distribution"),
-        pytest.param({"arch": {"n_gaits": 4}, "env": {"n_gaits": 4},
-                      "gaits": {"distribution": [0.25] * 4}},
+        pytest.param({"env": {"n_gaits": 4}, "gaits": {"distribution": [0.25] * 4}},
                      "env.n_gaits must be in [1, 3] (the reference gaits), got 4",
                      id="env.n_gaits"),
     ])
@@ -374,6 +375,8 @@ def test_a_checkpoint_at_the_wrong_stage_exits_1(trained, tmp_path, capsys, argv
 
 
 D_F_4 = "arch.d_f: the checkpoint's policy has 6, the run 4"
+# the default history of 6 observations of 24 values, and a history of 2
+HISTORY_2 = "nets.hist_enc: the policy has 120 inputs, the run 48"
 
 
 @pytest.mark.parametrize("argv,change,message", [
@@ -384,11 +387,17 @@ D_F_4 = "arch.d_f: the checkpoint's policy has 6, the run 4"
     (["train-stage2", "--checkpoint"], {"arch.d_f": 4}, D_F_4),
     (["train-stage2", "--checkpoint"], {"arch.d_z": 16},
      "arch.d_z: the checkpoint's policy has 8, the run 16"),
-], ids=["warm-start-d_f", "resume-d_f", "warm-start-more4", "stage-2-d_f", "stage-2-d_z"])
+    (["train-stage1", "--resume"], {"ppo.lr": 0.01},
+     "ppo.lr: the checkpoint's config has 0.0003, the run 0.01"),
+    (["train-stage1", "--checkpoint"], {"env.history_len": 2}, HISTORY_2),
+    (["train-stage2", "--checkpoint"], {"env.history_len": 2}, HISTORY_2),
+], ids=["warm-start-d_f", "resume-d_f", "warm-start-more4", "stage-2-d_f", "stage-2-d_z",
+        "resume-ppo.lr", "warm-start-history_len", "stage-2-history_len"])
 def test_a_policy_that_does_not_fit_the_run_exits_1(
     trained, tmp_path, capsys, argv, change, message
 ):
-    # the stage-1 checkpoint was trained at d_f 6, d_z 8 and 3 experts
+    # the stage-1 checkpoint was trained under tiny_cfg(): d_f 6, d_z 8,
+    # 3 experts, lr 3e-4 and the default history length
     _, s1, _ = trained
     config = tmp_path / "config.json"
     save_config(tiny_cfg(**change), config)
@@ -396,6 +405,20 @@ def test_a_policy_that_does_not_fit_the_run_exits_1(
     assert cli([*argv, s1, "--config", str(config), "--out", str(out)]) == 1
     assert f"usage error: {message}\n" in capsys.readouterr().err
     assert not os.listdir(out)
+
+
+def test_a_resume_without_config_runs_under_the_checkpoints_config(trained, tmp_path):
+    # the checkpoint was trained under tiny_cfg(), not the default config
+    _, s1, _ = trained
+    out = tmp_path / "out"
+    assert cli(["train-stage1", "--resume", s1, "--iterations", "1", "--out", str(out)]) == 0
+    with open(s1) as f:
+        resumed = json.load(f)
+    with open(out / "checkpoint_final.json") as f:
+        written = json.load(f)
+    assert written["config"] == resumed["config"] != config_to_dict(RunConfig())
+    assert written["config_hash"] == resumed["config_hash"]
+    assert written["iteration"] == resumed["iteration"] + 1
 
 
 class TestGaitModulation:

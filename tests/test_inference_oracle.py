@@ -56,7 +56,7 @@ STAGE2 = [
     (fusion, n_experts, gait_id)
     for fusion in ("latent", "action")
     for n_experts in (2, 3, 4)
-    for gait_id in range(ARCH.n_gaits)
+    for gait_id in range(ENV_CFG.n_gaits)
 ]
 
 
@@ -145,7 +145,7 @@ def test_stage1_act_matches_reference(rng_seed):
 def test_stage2_act_matches_reference(fusion, n_experts, gait_id):
     pol = make_policy(2, fusion, n_experts, seed=n_experts)
     _, bundles = env_bundles(seed=gait_id)
-    gait = one_hot(gait_id, ARCH.n_gaits)
+    gait = one_hot(gait_id, ENV_CFG.n_gaits)
     for b in bundles:
         assert_act_matches(pol, b, gait)
         assert_log_prob_matches(pol, b, gait, rng_seed=gait_id)
@@ -182,7 +182,7 @@ def test_export_residual_latents_matches_reference(fusion, n_experts):
     pol = make_policy(2, fusion, n_experts, seed=7)
     _, bundles = env_bundles(seed=3)
     samples = [
-        (b, one_hot(i % ARCH.n_gaits, ARCH.n_gaits), f"kind{i % 2}") for i, b in enumerate(bundles)
+        (b, one_hot(i % ENV_CFG.n_gaits, ENV_CFG.n_gaits), f"kind{i % 2}") for i, b in enumerate(bundles)
     ]
     table = export_residual_latents(
         pol, [(dataclasses.replace(b, gait=gait), kind) for b, gait, kind in samples]
@@ -225,7 +225,7 @@ POLICIES = {fusion: make_policy(2, fusion, 3, seed=11) for fusion in ("latent", 
 def test_act_matches_reference_on_any_finite_bundle(seed, scale, gait_id, fusion):
     pol = POLICIES[fusion]
     bundle = random_bundle(seed, scale)
-    gait = one_hot(gait_id, ARCH.n_gaits)
+    gait = one_hot(gait_id, ENV_CFG.n_gaits)
     assert_act_matches(pol, bundle, gait)
     assert_log_prob_matches(pol, bundle, gait, rng_seed=seed)
 

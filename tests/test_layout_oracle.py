@@ -26,7 +26,13 @@ from gaitrl.bench import (
 )
 from gaitrl.config import RunConfig
 from gaitrl.controllers import ScriptedWalker
-from gaitrl.terrain import BENCH_RANGES, TERRAIN_KINDS, build_benchmark_track, generate_terrain
+from gaitrl.terrain import (
+    BENCH_RANGES,
+    TERRAIN_KINDS,
+    TerrainConfig,
+    build_benchmark_track,
+    generate_terrain,
+)
 
 from oracles import (
     ref_build_benchmark_track,
@@ -48,6 +54,20 @@ def bits(v) -> bytes:
     return struct.pack("<d", float(v))
 
 
+def geometry(track_length, cell_size, start_clear) -> TerrainConfig:
+    return TerrainConfig(track_length=track_length, cell_size=cell_size, start_clear=start_clear)
+
+
+def on_section(ref):
+    """``ref`` (a reference generator, which takes the geometry as three
+    numbers) called the way the pipeline calls a generator: with a ``terrain``
+    section."""
+    def call(name, variant, seed, terrain):
+        return ref(name, variant, seed, terrain.track_length, terrain.cell_size,
+                   terrain.start_clear)
+    return call
+
+
 def track_bytes(hf) -> tuple:
     obstacles = [(o.kind, bits(o.value), o.start, o.end, bits(o.surface)) for o in hf.obstacles]
     return (
@@ -59,22 +79,22 @@ def track_bytes(hf) -> tuple:
 class TestLayout:
     @pytest.mark.parametrize("kind", TERRAIN_KINDS)
     def test_curriculum_tracks(self, kind):
-        for track_length, cell_size, start_clear in GEOMETRIES:
+        for geom in GEOMETRIES:
             for difficulty in DIFFICULTIES:
                 for seed in (*range(20), 2**32 + 5, -3):
-                    args = (kind, difficulty, seed, track_length, cell_size, start_clear)
-                    assert track_bytes(generate_terrain(*args)) == track_bytes(
-                        ref_generate_terrain(*args)
-                    ), args
+                    args = (kind, difficulty, seed)
+                    assert track_bytes(generate_terrain(*args, geometry(*geom))) == track_bytes(
+                        ref_generate_terrain(*args, *geom)
+                    ), (args, geom)
 
     @pytest.mark.parametrize("obstacle,mode", CELLS)
     def test_benchmark_tracks(self, obstacle, mode):
-        for track_length, cell_size, start_clear in GEOMETRIES:
+        for geom in GEOMETRIES:
             for seed in (*range(60), 2**32 + 5, -3):
-                args = (obstacle, mode, seed, track_length, cell_size, start_clear)
-                assert track_bytes(build_benchmark_track(*args)) == track_bytes(
-                    ref_build_benchmark_track(*args)
-                ), args
+                args = (obstacle, mode, seed)
+                assert track_bytes(build_benchmark_track(*args, geometry(*geom))) == track_bytes(
+                    ref_build_benchmark_track(*args, *geom)
+                ), (args, geom)
 
     def test_default_geometry_lays_obstacles(self):
         # the comparisons above are not vacuous: every obstacle kind appears
@@ -94,13 +114,12 @@ class TestLayout:
     )
     def test_any_geometry(self, kind, difficulty, seed, track_length, cell_size, start_clear,
                           mode):
-        args = (difficulty, seed, track_length, cell_size, start_clear)
-        assert track_bytes(generate_terrain(kind, *args)) == track_bytes(
-            ref_generate_terrain(kind, *args)
+        geom = (track_length, cell_size, start_clear)
+        assert track_bytes(generate_terrain(kind, difficulty, seed, geometry(*geom))) == (
+            track_bytes(ref_generate_terrain(kind, difficulty, seed, *geom))
         )
-        args = (kind, mode, seed, track_length, cell_size, start_clear)
-        assert track_bytes(build_benchmark_track(*args)) == track_bytes(
-            ref_build_benchmark_track(*args)
+        assert track_bytes(build_benchmark_track(kind, mode, seed, geometry(*geom))) == (
+            track_bytes(ref_build_benchmark_track(kind, mode, seed, *geom))
         )
 
     def test_validation_errors_are_unchanged(self):
@@ -136,8 +155,8 @@ class TestEpisodes:
                       out_dir=str(tmp_path / "new"))
         with monkeypatch.context() as m:
             m.setattr(bench, "run_trial", ref_run_trial)
-            m.setattr(bench, "build_benchmark_track", ref_build_benchmark_track)
-            m.setattr(bench, "generate_terrain", ref_generate_terrain)
+            m.setattr(bench, "build_benchmark_track", on_section(ref_build_benchmark_track))
+            m.setattr(bench, "generate_terrain", on_section(ref_generate_terrain))
             run_benchmark(controller, cfg, self.SUITE, method=method, gait_id=gait_id,
                           out_dir=str(tmp_path / "ref"))
         new, ref = output_tree(tmp_path / "new"), output_tree(tmp_path / "ref")

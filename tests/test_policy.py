@@ -213,7 +213,7 @@ class TestStages:
             assert a.tobytes() == b.tobytes()
         stage2 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=4)
         assert stage2.residual is not None and "gate" in stage2.components()
-        assert stage2.critic.input_dim == plain.critic.input_dim + SMALL.n_gaits
+        assert stage2.critic.input_dim == plain.critic.input_dim + EnvConfig().n_gaits
 
     @pytest.mark.parametrize("fusion", ["Latent", "actions", ""])
     def test_an_unknown_residual_fusion_is_rejected(self, fusion):

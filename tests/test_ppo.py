@@ -15,6 +15,7 @@ from gaitrl.ppo import (
     ppo_loss_and_grads,
     ppo_update,
 )
+from gaitrl.rewards import RewardBreakdown
 from gaitrl.terrain import generate_terrain
 
 from oracles import central_diff_params, discounted_advantages, rel_err
@@ -162,7 +163,8 @@ class TestPPOUpdate:
                 rewards.append(float(rng.normal()))
             batch = BundleBatch.stack(row)
             values, _ = policy.critic_value(batch)
-            buf.add_step(t, batch, np.stack(actions), logps, values, rewards, [False] * N)
+            buf.add_step(t, batch, np.stack(actions), logps, values, rewards, [False] * N,
+                         [RewardBreakdown()] * N)
         buf.values[T] = 0.0
         return buf
 
@@ -175,17 +177,6 @@ class TestPPOUpdate:
         metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0))
         assert "policy_loss" in metrics
         assert any(not np.array_equal(a, b) for a, b in zip(before, policy.trunk.params()))
-
-    def test_empty_buffer_skips_without_touching_params(self):
-        policy = ActorCritic(MODEL, TINY_ENV, TINY, PolicyMode(stage=1), seed=6)
-        cfg = PPOConfig()
-        opts = make_optimizers(policy, cfg)
-        buf = RolloutBuffer(4, 2, policy.dims, N_JOINTS)
-        before = [p.copy() for p in policy.trunk.params()]
-        metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0))
-        assert metrics.get("skipped") is True
-        for a, b in zip(before, policy.trunk.params()):
-            np.testing.assert_array_equal(a, b)
 
     def test_nan_reward_aborts_and_restores(self):
         policy = ActorCritic(MODEL, TINY_ENV, TINY, PolicyMode(stage=1), seed=7)

@@ -8,8 +8,9 @@ import pytest
 
 import gaitrl.trainer as trainer_mod
 from gaitrl.biped import N_JOINTS
+from gaitrl.cli import ABLATIONS, cli
 from gaitrl.codec import encode
-from gaitrl.config import RunConfig, config_from_dict, config_to_dict
+from gaitrl.config import RunConfig, config_from_dict, config_hash, config_to_dict, save_config
 from gaitrl.env import TerrainEnv
 from gaitrl.policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
 from gaitrl.ppo import RolloutBuffer
@@ -52,13 +53,20 @@ def tiny_cfg(**over):
 
 class TestTrainerConfig:
     def test_trainer_leaves_the_callers_config_unchanged(self):
-        cfg = tiny_cfg(**{"train.blind": True})
+        # env.blind is the one blind switch: the run reads no scan, and writes
+        # nothing into the config it is given
+        cfg = tiny_cfg(**{"env.blind": True})
         before = config_to_dict(cfg)
         trainer = Trainer(cfg, seed=0, stage=1)
+        T, N = cfg.ppo.horizon, cfg.ppo.n_envs
+        buffer = RolloutBuffer(T, N, trainer.policy.dims, N_JOINTS)
+        trainer.collect_rollout(buffer)
+        trainer.run(1)
         assert config_to_dict(cfg) == before
-        assert cfg.env.blind is False
-        assert trainer.cfg.env.blind is True
-        assert not trainer.workers[0].env.bundle.scans.any()
+        assert not buffer.obs.scans.any()
+        assert not any(w.env.bundle.scans.any() for w in trainer.workers)
+        seeing = Trainer(tiny_cfg(), seed=0, stage=1)
+        assert all(w.env.bundle.scans.any() for w in seeing.workers)
 
     def test_one_stage_has_no_stage_1(self):
         with pytest.raises(ValueError, match="one_stage"):
@@ -180,6 +188,24 @@ class TestStage1:
         assert h1[0]["mean_total_reward"] != h2[0]["mean_total_reward"]
 
 
+def buffer_arrays(buffer: RolloutBuffer) -> dict:
+    """Every array of ``buffer``, by name."""
+    return {**vars(buffer.obs),
+            **{name: v for name, v in vars(buffer).items() if isinstance(v, np.ndarray)}}
+
+
+def nan_filled(buffer: RolloutBuffer) -> RolloutBuffer:
+    """``buffer`` with every entry NaN, so that a row a rollout leaves unwritten shows."""
+    for rows in buffer_arrays(buffer).values():
+        rows.fill(np.nan)
+    return buffer
+
+
+def assert_every_row_written(buffer: RolloutBuffer) -> None:
+    for name, rows in buffer_arrays(buffer).items():
+        assert np.isfinite(rows).all(), name
+
+
 class TestRollout:
     def test_each_buffer_row_is_the_batch_the_policy_acted_on(self):
         # re-scoring a stored row gives its stored log-probs and values bit
@@ -188,9 +214,9 @@ class TestRollout:
         trainer = Trainer(cfg, seed=3, stage=2)
         pol = trainer.policy
         T, N = cfg.ppo.horizon, cfg.ppo.n_envs
-        buffer = RolloutBuffer(T, N, pol.dims, N_JOINTS)
+        buffer = nan_filled(RolloutBuffer(T, N, pol.dims, N_JOINTS))
         trainer.collect_rollout(buffer)
-        assert buffer.filled == T * N
+        assert_every_row_written(buffer)
         assert buffer.obs.gait.any()
         for t in range(T):
             row = BundleBatch(**{name: rows[t] for name, rows in vars(buffer.obs).items()})
@@ -227,9 +253,9 @@ class TestRollout:
         cfg = tiny_cfg()
         trainer = Trainer(cfg, seed=3, stage=1)
         T, N = cfg.ppo.horizon, cfg.ppo.n_envs
-        buffer = RolloutBuffer(T, N, trainer.policy.dims, N_JOINTS)
+        buffer = nan_filled(RolloutBuffer(T, N, trainer.policy.dims, N_JOINTS))
         trainer.collect_rollout(buffer)
-        assert buffer.filled == T * N
+        assert_every_row_written(buffer)
         zeros = np.zeros((T, N)).tobytes()
         assert buffer.r_s.tobytes() == zeros
         assert buffer.r_g.tobytes() == zeros
@@ -378,9 +404,28 @@ class TestCheckpointRoundTrip:
         pol = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
         for a, b in zip(pol.trunk.params(), trainer.policy.trunk.params()):
             np.testing.assert_array_equal(a, b)
-        from gaitrl.config import config_hash
-
         assert ckpt.config_hash == config_hash(cfg)
+
+    @pytest.mark.parametrize("ablation", ["plain", *ABLATIONS])
+    def test_the_checkpoint_hash_is_the_one_inspect_config_prints(self, tmp_path, capsys,
+                                                                    ablation):
+        # the run writes the config it is given: its checkpoint carries that
+        # config and its hash, for the plain run and for every ablation
+        config = tmp_path / "config.json"
+        save_config(tiny_cfg(), config)
+        flags = ["--config", str(config)]
+        if ablation != "plain":
+            flags += ["--ablation", ablation]
+        train = "train-stage2" if ablation == "more-os" else "train-stage1"
+        out = tmp_path / "run"
+        assert cli([train, *flags, "--iterations", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli(["inspect-config", *flags]) == 0
+        printed = capsys.readouterr().out
+        ckpt = load_checkpoint(out / "checkpoint_final.json")
+        assert printed.endswith(f"\nconfig_hash: {ckpt.config_hash}\n")
+        assert ckpt.config_hash == config_hash(ckpt.config)
+        assert config_to_dict(ckpt.config) == json.loads(printed.rsplit("config_hash:", 1)[0])
 
     def test_curriculum_difficulty_stays_in_bounds_during_training(self, tmp_path):
         cfg = tiny_cfg()
@@ -400,7 +445,7 @@ class TestResume:
         Trainer(cfg, seed=4, stage=1, out_dir=str(out)).run(2)
         first = (out / "metrics.jsonl").read_bytes()
         resume = load_checkpoint(out / "checkpoint_000002.json")
-        Trainer(tiny_cfg(), seed=4, stage=1, out_dir=str(out), resume=resume).run(2)
+        Trainer(cfg, seed=4, stage=1, out_dir=str(out), resume=resume).run(2)
         lines = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
         assert len(lines) == 4
         assert b"".join(lines[:2]) == first
@@ -412,7 +457,7 @@ class TestResume:
         Trainer(cfg, seed=4, stage=1, out_dir=str(out)).run(3)
         first = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
         resume = load_checkpoint(out / "checkpoint_000001.json")
-        Trainer(tiny_cfg(), seed=4, stage=1, out_dir=str(out), resume=resume).run(1)
+        Trainer(cfg, seed=4, stage=1, out_dir=str(out), resume=resume).run(1)
         lines = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
         assert lines[0] == first[0]
         assert [json.loads(line)["iteration"] for line in lines] == [1, 2]
@@ -425,7 +470,7 @@ class TestResume:
         # a crash while writing line 3 leaves part of it
         (out / "metrics.jsonl").write_bytes(b"".join(lines[:2]) + lines[2][:20])
         resume = load_checkpoint(out / "checkpoint_000002.json")
-        Trainer(tiny_cfg(), seed=4, stage=1, out_dir=str(out), resume=resume).run(1)
+        Trainer(cfg, seed=4, stage=1, out_dir=str(out), resume=resume).run(1)
         kept = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
         assert kept[:2] == lines[:2]
         assert [json.loads(line)["iteration"] for line in kept] == [1, 2, 3]
