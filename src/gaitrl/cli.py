@@ -8,7 +8,9 @@ runtime failure (a run that started and failed).
 
 A command that evaluates a checkpoint or resumes its run (``--resume``) runs
 under the checkpoint's config unless ``--config`` is given, and a resume's
-config must be its checkpoint's.
+config must be its checkpoint's.  Evaluation takes no ``--ablation``: an
+ablation changes the env or the policy's mode, which the checkpoint fixes, so
+an ablation is evaluated from a checkpoint trained under it.
 """
 
 from __future__ import annotations
@@ -96,14 +98,14 @@ def build_parser() -> _Parser:
     p.add_argument("--iterations", type=positive_int)
 
     p = sub.add_parser("eval-bench", help="run the traversal benchmark")
-    _common_flags(p)
+    _common_flags(p, "--config", "--seed", "--out")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--gait", type=int, help="fixed gait id for stage-2 policies")
     p.add_argument("--trials", type=positive_int, help="override bench.trials")
     p.add_argument("--method", default="policy", help="method label in the report")
 
     p = sub.add_parser("export-latents", help="dump residual latents from rollouts")
-    _common_flags(p)
+    _common_flags(p, "--config", "--seed", "--out")
     p.add_argument("--checkpoint", required=True)
 
     p = sub.add_parser("analyze-latents", help="project and score an exported latent table")
@@ -111,7 +113,7 @@ def build_parser() -> _Parser:
     p.add_argument("--latents", required=True, help="latents JSON from export-latents")
 
     p = sub.add_parser("gait-modulation", help="achieved-vs-target gait feature table")
-    _common_flags(p)
+    _common_flags(p, "--config", "--seed", "--out")
     p.add_argument("--checkpoint", action="append", required=True,
                    help="stage-2 checkpoint; repeat for several targets")
     p.add_argument("--attribute", choices=("squat_height", "knee_lift"), default="squat_height")
@@ -148,17 +150,22 @@ def _load_ckpt(path: str, stage: int | None = None) -> Checkpoint:
     return ckpt
 
 
-def _eval_config(args, ckpt: Checkpoint) -> RunConfig:
-    """The config an evaluation of ``ckpt`` runs under: a ``--config`` must
-    have the checkpoint's ``model`` and ``env`` sections, which the policy and
-    the env are built from."""
+def _eval_policy(args, path: str, stage: int | None = None) -> tuple[Checkpoint, RunConfig, ActorCritic]:
+    """The checkpoint at ``path``, the config its evaluation runs under and its
+    policy.  A ``--config`` must have the checkpoint's ``model`` and ``env``
+    sections, which the policy and the env are built from, and a policy whose
+    nets do not read that env's observation widths is an invalid checkpoint."""
+    ckpt = _load_ckpt(path, stage)
     cfg = _load_run_config(args, ckpt)
     if args.config:
         mine, theirs = config_to_dict(cfg), config_to_dict(ckpt.config)
         for section in ("model", "env"):
             if mine[section] != theirs[section]:
                 raise UsageError(f"--config: its {section} section differs from the checkpoint's")
-    return cfg
+    try:
+        return ckpt, cfg, ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
+    except ValueError as e:
+        raise UsageError(f"invalid checkpoint {path}: {e}")
 
 
 def _need_out(args) -> str:
@@ -219,9 +226,7 @@ def cmd_train_stage2(args) -> int:
 
 def cmd_eval_bench(args) -> int:
     out = _need_out(args)
-    ckpt = _load_ckpt(args.checkpoint)
-    cfg = _eval_config(args, ckpt)
-    policy = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
+    _, cfg, policy = _eval_policy(args, args.checkpoint)
     gait_id = args.gait
     n_gaits = policy.dims["d_gait"]
     if gait_id is not None and not 0 <= gait_id < n_gaits:
@@ -244,9 +249,7 @@ def cmd_eval_bench(args) -> int:
 
 def cmd_export_latents(args) -> int:
     out = _need_out(args)
-    ckpt = _load_ckpt(args.checkpoint, stage=2)
-    cfg = _eval_config(args, ckpt)
-    policy = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
+    _, cfg, policy = _eval_policy(args, args.checkpoint, stage=2)
     samples = collect_latent_samples(policy, cfg, seed=args.seed)
     table = export_residual_latents(policy, samples)
     path = os.path.join(out, "latents.json")
@@ -279,11 +282,9 @@ def cmd_analyze_latents(args) -> int:
 def cmd_gait_modulation(args) -> int:
     entries = []
     for path in args.checkpoint:
-        ckpt = _load_ckpt(path, stage=2)
-        cfg = _eval_config(args, ckpt)
+        ckpt, cfg, policy = _eval_policy(args, path, stage=2)
         # the target column is what each checkpoint was trained for
         cfg.rewards = ckpt.config.rewards
-        policy = ActorCritic.from_state(ckpt.policy, cfg.model, cfg.env)
         entries.append((policy, cfg, os.path.basename(path)))
     gait_id = GAIT_SQUAT if args.attribute == "squat_height" else GAIT_HIGH_KNEES
     rows = run_gait_modulation(

@@ -8,8 +8,9 @@ it back, both driven by the dataclass's fields and their annotations
   ``config.RunConfig``, no arrays;
 - checkpoint (``checkpoint_*.json``): ``trainer.Checkpoint``.  Every network
   is a ``DenseNet`` (a layer manifest plus its parameters as one packed flat
-  array); the normalizer, ``log_std`` and the Adam moments are
-  ``PackedArray``: base64 of the little-endian float64 bytes, bit-exact;
+  array); ``log_std`` and the Adam moments are ``PackedArray``: base64 of the
+  little-endian float64 bytes, bit-exact.  The observation normalizer is not
+  stored: ``policy.build_normalizer`` rebuilds it from ``model`` and ``env``;
 - heightfield: ``terrain.Heightfield``, heights and void as nested lists;
 - reference clip (``clip_*.json``): ``refmotion.ReferenceClip``, frames as
   nested lists;

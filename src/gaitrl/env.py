@@ -7,7 +7,11 @@ observation the next action is chosen from, the commands (velocity and
 gait) and the last three actions.  The gait command is a block of the
 observation (``ObservationBundle.gait``), so the policy reads everything it
 acts on from one bundle; :meth:`TerrainEnv.set_gait` changes the command
-and the current observation's block together.  Reward evaluation lives in
+and the current observation's block together.  Each quantity sits in one
+block: the privileged extras ``e`` hold only what the actor never sees (the
+feet relative to the base, the contacts, the true base velocity and the DR
+draw in ``DR_FIELDS`` order), and the critic reads ``o`` and the history
+from their own blocks.  Reward evaluation lives in
 :mod:`gaitrl.rewards`; the env fills everything rewards need into the state
 it exposes.
 """
@@ -150,7 +154,7 @@ def obs_dims(cfg: EnvConfig) -> dict:
     d_hist = cfg.history_len * d_o
     d_scan = 2 * cfg.scan_points
     d_m = cfg.elev_points
-    d_e = 2 * 2 + 2 + 2 + len(DR_FIELDS) + d_o + d_hist  # feet, contacts, true vel, dr, o, hist
+    d_e = 2 * 2 + 2 + 2 + len(DR_FIELDS)  # feet, contacts, true velocity, DR
     return {
         "d_o": d_o,
         "d_hist": d_hist,
@@ -464,15 +468,10 @@ class TerrainEnv:
         st = self.state
         (lx, lz), (rx, rz) = st.foot_pos.tolist()
         left, right = st.contact.tolist()
-        # [feet relative to the base, contacts, true velocity], DR, o_t, history
+        # [feet relative to the base, contacts, true velocity], DR
         e = np.concatenate(
-            [
-                [lx - st.x, lz - st.z, rx - st.x, rz - st.z,
-                 float(left), float(right), st.vx, st.vz],
-                self._dr_vec,
-                o_t,
-                hist,
-            ]
+            [[lx - st.x, lz - st.z, rx - st.x, rz - st.z, float(left), float(right), st.vx, st.vz],
+             self._dr_vec]
         )
         return ObservationBundle(
             o=o_t.copy(), hist=hist, scans=scans, m=m, e=e, gait=self.commands.gait.copy()

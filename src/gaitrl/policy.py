@@ -8,9 +8,10 @@ gait command]``) produces ``z'`` which is added to ``z_o`` before the head
 Expert and gate output layers are zero-initialized, so at stage-2 attachment
 the policy is bit-for-bit the stage-1 policy.
 
-The critic reads only privileged inputs (elevation map + extras, plus the
-gait command in stage 2) and never shares parameters with the actor; the
-actor path never sees a privileged array.
+The critic reads ``[m, e, o, hist]``: the privileged blocks (elevation map
+and extras) and the actor's proprioception and its history, each from its
+own block, plus the gait command in stage 2.  It never shares parameters
+with the actor; the actor path never sees a privileged array.
 
 Every network input comes from one ``BundleBatch``: the gait command is its
 ``gait`` block, as it is a block of the env's observation, so the forward
@@ -81,27 +82,27 @@ class PolicyArch:
 class ObservationNormalizer:
     """Fixed per-block shift/scale applied before any network input.
 
-    The privileged extras end with ``[o_t, history]``, both normalized like
-    ``o``, so the tail of ``e_shift``/``e_scale`` is ``o_shift``/``o_scale``
-    tiled over the history; :meth:`norm_hist` reads it from there.
+    ``build_normalizer`` derives it from the model and the env config, so a
+    policy document does not store it.  Each history row is an ``o`` and is
+    normalized like one.
     """
 
-    o_shift: PackedArray
-    o_scale: PackedArray
-    scan_shift: PackedArray
-    scan_scale: PackedArray
-    m_shift: PackedArray
-    m_scale: PackedArray
-    e_shift: PackedArray
-    e_scale: PackedArray
+    o_shift: np.ndarray
+    o_scale: np.ndarray
+    scan_shift: np.ndarray
+    scan_scale: np.ndarray
+    m_shift: np.ndarray
+    m_scale: np.ndarray
+    e_shift: np.ndarray
+    e_scale: np.ndarray
 
     def norm_o(self, o):
         return (o - self.o_shift) * self.o_scale
 
     def norm_hist(self, hist):
-        # views of the tail of e's shift/scale: no copy, nothing that can go stale
-        k = self.e_shift.shape[0] - hist.shape[-1]
-        return (hist - self.e_shift[k:]) * self.e_scale[k:]
+        # o's shift/scale broadcast over a [B, H, d_o] view of the rows
+        rows = hist.reshape(len(hist), -1, len(self.o_shift))
+        return ((rows - self.o_shift) * self.o_scale).reshape(hist.shape)
 
     def norm_scan(self, scans):
         return (scans - self.scan_shift) * self.scan_scale
@@ -136,16 +137,9 @@ def build_normalizer(model: BipedModel, env_cfg: EnvConfig) -> ObservationNormal
     e_shift[3] = -H
     dr_lo = np.array([lo for lo, _ in DR_RANGES.values()])
     dr_hi = np.array([hi for _, hi in DR_RANGES.values()])
-    k0 = 8  # feet(4) + contacts(2) + velocity(2)
-    nd = len(DR_RANGES)
-    e_shift[k0 : k0 + nd] = 0.5 * (dr_lo + dr_hi)
-    e_scale[k0 : k0 + nd] = 2.0 / np.maximum(dr_hi - dr_lo, 1e-9)
-    d_o = dims["d_o"]
-    e_shift[k0 + nd : k0 + nd + d_o] = o_shift
-    e_scale[k0 + nd : k0 + nd + d_o] = o_scale
-    Hn = env_cfg.history_len
-    e_shift[k0 + nd + d_o :] = np.tile(o_shift, Hn)
-    e_scale[k0 + nd + d_o :] = np.tile(o_scale, Hn)
+    k0 = 8  # feet(4) + contacts(2) + velocity(2), then the DR draw
+    e_shift[k0:] = 0.5 * (dr_lo + dr_hi)
+    e_scale[k0:] = 2.0 / np.maximum(dr_hi - dr_lo, 1e-9)
     return ObservationNormalizer(
         o_shift, o_scale, scan_shift, scan_scale, m_shift, m_scale, e_shift, e_scale
     )
@@ -295,7 +289,6 @@ class PolicyState:
     mode: PolicyMode
     nets: PolicyNets
     log_std: PackedArray
-    normalizer: ObservationNormalizer
     residual: ResidualModule | None = None
 
     def __post_init__(self):
@@ -312,7 +305,8 @@ def _input_widths(dims: dict, arch: PolicyArch, mode: PolicyMode) -> dict[str, i
     which read the gait command, as the critic does at stage 2."""
     feat, gait = dims["d_o"] + 2 * arch.d_f, dims["d_gait"] if mode.stage >= 2 else 0
     return {"nets.scan_enc": dims["d_scan"], "nets.hist_enc": dims["d_hist"], "nets.trunk": feat,
-            "residual": feat + gait, "nets.critic": dims["d_m"] + dims["d_e"] + gait}
+            "residual": feat + gait,
+            "nets.critic": dims["d_m"] + dims["d_e"] + dims["d_o"] + dims["d_hist"] + gait}
 
 
 @dataclass
@@ -326,7 +320,7 @@ class ActorCache:
 
 
 class ActorCritic:
-    """All learnable pieces plus the fixed observation normalizer."""
+    """All learnable pieces plus the fixed observation normalizer, built from the model and env."""
 
     def __init__(
         self,
@@ -354,8 +348,8 @@ class ActorCritic:
         critic = make_net([widths["nets.critic"], *arch.critic_hidden, 1], rng, hidden_activation="tanh")
         nets = PolicyNets(scan_enc, hist_enc, trunk, head, critic)
         log_std = np.full(N_JOINTS, float(arch.log_std_init))
-        state = PolicyState(arch, mode, nets, log_std, build_normalizer(model, env_cfg), residual)
-        self._adopt(state, model, dims)
+        self._adopt(PolicyState(arch, mode, nets, log_std, residual), model, dims)
+        self.normalizer = build_normalizer(model, env_cfg)
 
     def _adopt(self, state: PolicyState, model: BipedModel, dims: dict) -> None:
         """Take over ``state`` as it is (no copy): arch, mode and every array.  A
@@ -374,7 +368,6 @@ class ActorCritic:
         for name in NET_NAMES:
             setattr(self, name, getattr(state.nets, name))
         self.log_std = state.log_std
-        self.normalizer = state.normalizer
         # stage 2 only; every stage-dependent path asks whether it is attached
         self.residual = state.residual
 
@@ -383,17 +376,15 @@ class ActorCritic:
         """A policy that takes over ``state``'s arrays; it builds no network."""
         policy = cls.__new__(cls)
         policy._adopt(state, model, obs_dims(env_cfg))
+        policy.normalizer = build_normalizer(model, env_cfg)
         return policy
 
     def load_stage1_weights(self, state: PolicyState) -> None:
-        """Take over a stage-1 policy's actor: encoders, trunk, head, log_std,
-        normalizer.  The critic and the residual stay this policy's.  The
+        """Take over a stage-1 policy's actor: encoders, trunk, head, log_std.
+        The critic, the residual and the normalizer stay this policy's.  The
         caller checks that ``state`` has this policy's arch."""
         nets = replace(state.nets, critic=self.critic)
-        mine = replace(
-            self.state(), nets=nets, log_std=state.log_std, normalizer=state.normalizer
-        )
-        self._adopt(mine, self.model, self.dims)
+        self._adopt(replace(self.state(), nets=nets, log_std=state.log_std), self.model, self.dims)
 
     # -- structure -----------------------------------------------------------
 
@@ -446,7 +437,8 @@ class ActorCritic:
         return mean[0]
 
     def critic_value(self, batch: BundleBatch) -> tuple[np.ndarray, GradientTape]:
-        parts = [self.normalizer.norm_m(batch.m), self.normalizer.norm_e(batch.e)]
+        nz = self.normalizer
+        parts = [nz.norm_m(batch.m), nz.norm_e(batch.e), nz.norm_o(batch.o), nz.norm_hist(batch.hist)]
         if self.residual is not None:
             parts.append(batch.gait)
         v, tape = net_forward(self.critic, np.concatenate(parts, axis=1))
@@ -486,7 +478,6 @@ class ActorCritic:
             mode=self.mode,
             nets=PolicyNets(**{name: getattr(self, name) for name in NET_NAMES}),
             log_std=self.log_std,
-            normalizer=self.normalizer,
             residual=self.residual,
         )
 

@@ -24,7 +24,6 @@ from gaitrl.nets import AdamState, DenseNet, Layer
 from gaitrl.policy import (
     ActorCritic,
     LatentTable,
-    ObservationNormalizer,
     PolicyArch,
     PolicyMode,
     ResidualModule,
@@ -361,12 +360,10 @@ def ref_locomotion_total(raw, cfg):
 # The array formulation the library's batch-of-one path replaced: np.stack
 # copies for the batch, np.tile for the history shift/scale on every call,
 # ``z @ W.T + b``, np.all(np.isfinite(...)), and the gate-weighted expert sum
-# redone in Python for z'.  tests/test_inference_oracle.py holds the library
-# to these bit for bit.  Network weights are read straight from the layers.
-
-NORMALIZER_FIELDS = (
-    "o_shift", "o_scale", "scan_shift", "scan_scale", "m_shift", "m_scale", "e_shift", "e_scale",
-)
+# redone in Python for z'; and the critic's input as one privileged row that
+# copied ``o`` and the history.  tests/test_inference_oracle.py holds the
+# library to these bit for bit.  Network weights are read straight from the
+# layers.
 
 
 def ref_stack(bundles) -> dict:
@@ -444,6 +441,22 @@ def ref_actor_mean(policy, batch: dict, gait):
     return ref_net_forward(policy.head, z_o), z_o, None
 
 
+def ref_critic_value(policy, batch: dict, gait=None):
+    """The critic's values as they were computed while ``e`` ended with copies
+    of ``o`` and the history: one privileged row ``[e, o, hist]`` normalized
+    with ``e_shift`` and ``o_shift`` tiled over the copies, then ``gait`` at
+    stage 2."""
+    nz = policy.normalizer
+    copies = 1 + batch["hist"].shape[-1] // nz.o_shift.shape[0]
+    e = np.concatenate([batch["e"], batch["o"], batch["hist"]], axis=1)
+    e_shift = np.concatenate([nz.e_shift, np.tile(nz.o_shift, copies)])
+    e_scale = np.concatenate([nz.e_scale, np.tile(nz.o_scale, copies)])
+    parts = [(batch["m"] - nz.m_shift) * nz.m_scale, (e - e_shift) * e_scale]
+    if gait is not None:
+        parts.append(np.atleast_2d(gait))
+    return ref_net_forward(policy.critic, np.concatenate(parts, axis=1))[:, 0]
+
+
 def ref_gaussian_log_prob(action, mean, log_std) -> float:
     std = np.exp(log_std)
     z = (action - mean) / std
@@ -490,11 +503,6 @@ def ref_residual_latents(policy, samples):
         gl.append(int(np.argmax(gait)))
         tl.append(terrain_label)
     return np.array(zs), np.array(ws), np.array(gl, dtype=int), tl
-
-
-def ref_normalizer_dict(normalizer) -> dict:
-    """The normalizer's eight arrays, encoded in declaration order."""
-    return {k: ref_encode_array(getattr(normalizer, k)) for k in NORMALIZER_FIELDS}
 
 
 # -- terrain layout and evaluation episodes as they were written out per use ----
@@ -883,7 +891,6 @@ def ref_policy_to_dict(policy) -> dict:
         "nets": {name: ref_net_to_dict(getattr(policy, name))
                  for name in ("scan_enc", "hist_enc", "trunk", "head", "critic")},
         "log_std": ref_encode_array(policy.log_std),
-        "normalizer": ref_normalizer_dict(policy.normalizer),
     }
     if policy.residual is not None:
         d["residual"] = ref_residual_to_dict(policy.residual)
@@ -898,9 +905,6 @@ def ref_policy_from_dict(d, model, env_cfg):
     for name in ("scan_enc", "hist_enc", "trunk", "head", "critic"):
         setattr(obj, name, ref_net_from_dict(d["nets"][name]))
     obj.log_std = ref_decode_array(d["log_std"])
-    obj.normalizer = ObservationNormalizer(
-        **{k: ref_decode_array(v) for k, v in d["normalizer"].items()}
-    )
     obj.residual = ref_residual_from_dict(d["residual"]) if "residual" in d else None
     return obj
 

@@ -72,6 +72,9 @@ class TestUsage:
         ("analyze-latents", "--config"), ("analyze-latents", "--seed"),
         ("analyze-latents", "--ablation"), ("inspect-config", "--seed"),
         ("inspect-config", "--out"), ("gen-refs", "--seed"), ("gen-refs", "--ablation"),
+        # evaluation runs under the checkpoint's env and mode, which an ablation changes
+        ("eval-bench", "--ablation"), ("export-latents", "--ablation"),
+        ("gait-modulation", "--ablation"),
     ])
     def test_a_flag_the_command_does_not_read_exits_1(
         self, tiny_config, tmp_path, capsys, command, flag
@@ -86,6 +89,9 @@ class TestUsage:
             "analyze-latents": ["analyze-latents", "--latents", str(latents)],
             "inspect-config": ["inspect-config"],
             "gen-refs": ["gen-refs", "--out", str(tmp_path / "refs")],
+            **{name: [name, "--checkpoint", str(tmp_path / "checkpoint.json"),
+                      "--out", str(tmp_path / "eval")]
+               for name in ("eval-bench", "export-latents", "gait-modulation")},
         }[command]
         value = {"--config": tiny_config, "--seed": "1", "--ablation": "blind",
                  "--out": str(tmp_path / "out")}[flag]
@@ -290,6 +296,8 @@ EVAL_COMMANDS = {
     "export-latents": [],
     "gait-modulation": ["--rollouts", "1"],
 }
+# the default history of 5 observations of 24 values, and a history of 2
+HISTORY_2 = "nets.hist_enc: the policy has 120 inputs, the run 48"
 
 
 class TestEvaluationConfig:
@@ -334,6 +342,22 @@ class TestEvaluationConfig:
         assert f"its {section} section differs from the checkpoint's" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
+    @pytest.mark.parametrize("command", sorted(EVAL_COMMANDS))
+    def test_a_policy_that_does_not_read_its_own_config_exits_1(
+        self, trained, tmp_path, capsys, command
+    ):
+        _, _, ckpt = trained
+        with open(ckpt) as f:
+            doc = json.load(f)
+        doc["config"]["env"]["history_len"] = 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli([command, "--checkpoint", str(bad), "--out", str(out),
+                    *EVAL_COMMANDS[command]]) == 1
+        assert f"usage error: invalid checkpoint {bad}: {HISTORY_2}\n" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
     def test_config_differing_outside_model_and_env_is_used(self, trained, tmp_path):
         _, _, ckpt = trained
         other = tmp_path / "other.json"
@@ -375,8 +399,6 @@ def test_a_checkpoint_at_the_wrong_stage_exits_1(trained, tmp_path, capsys, argv
 
 
 D_F_4 = "arch.d_f: the checkpoint's policy has 6, the run 4"
-# the default history of 6 observations of 24 values, and a history of 2
-HISTORY_2 = "nets.hist_enc: the policy has 120 inputs, the run 48"
 
 
 @pytest.mark.parametrize("argv,change,message", [
@@ -484,6 +506,33 @@ class TestMalformedInputs:
                   "--trials", "1"])
         assert rc == 1
         assert f"usage error: invalid checkpoint {bad}: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,stage", [
+        (["eval-bench", "--trials", "1"], 2),
+        (["export-latents"], 2),
+        (["gait-modulation", "--rollouts", "1"], 2),
+        (["train-stage1", "--resume"], 1),
+        (["train-stage1", "--checkpoint"], 1),
+        (["train-stage2", "--checkpoint"], 1),
+    ], ids=["eval-bench", "export-latents", "gait-modulation", "resume", "warm-start", "stage-2"])
+    def test_a_checkpoint_that_stores_its_normalizer_exits_1(
+        self, trained, tmp_path, capsys, argv, stage
+    ):
+        # the format before the normalizer was rebuilt from the config: no
+        # migration, the strict loader names the key
+        config, s1, s2 = trained
+        with open({1: s1, 2: s2}[stage]) as f:
+            doc = json.load(f)
+        doc["policy"]["normalizer"] = {"o_shift": {"shape": [1], "data": "AAAAAAAAAAA="}}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        if argv[0] in EVAL_COMMANDS:
+            argv = [*argv, "--checkpoint"]
+        out = tmp_path / "out"
+        assert cli([*argv, str(old), "--config", config, "--out", str(out)]) == 1
+        assert (f"usage error: invalid checkpoint {old}: policy: unknown keys ['normalizer']\n"
+                in capsys.readouterr().err)
+        assert not out.exists() or not os.listdir(out)
 
     def test_stage1_checkpoint_with_discriminators_exits_1(self, trained, tmp_path, capsys):
         _, s1, s2 = trained

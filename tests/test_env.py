@@ -297,6 +297,8 @@ class TestObservationAssembly:
         assert b.scans.shape == (dims["d_scan"],)
         assert b.m.shape == (dims["d_m"],)
         assert b.e.shape == (dims["d_e"],)
+        # feet (4), contacts (2), true velocity (2) and the DR draw: no copy of o or hist
+        assert dims["d_e"] == 4 + 2 + 2 + len(DR_RANGES) == 21
 
     def test_stationary_nominal_blocks(self, model, flat):
         env = fresh_env(model, flat)
@@ -323,6 +325,43 @@ class TestObservationAssembly:
         np.testing.assert_array_equal(b.o, o)
         np.testing.assert_array_equal(b.hist, hist)
         np.testing.assert_array_equal(b.scans, scans)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        history_len=st.integers(min_value=1, max_value=8),
+        scan_points=st.integers(min_value=1, max_value=24),
+        elev_points=st.integers(min_value=1, max_value=16),
+        blind=st.booleans(),
+        dr_enabled=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_each_block_has_its_width_and_e_holds_what_the_actor_never_sees(
+        self, history_len, scan_points, elev_points, blind, dr_enabled, seed
+    ):
+        cfg = EnvConfig(history_len=history_len, scan_points=scan_points,
+                        elev_points=elev_points, blind=blind)
+        dims = obs_dims(cfg)
+        rng = np.random.default_rng(seed)
+        dr = sample_dr(rng, dr_enabled)
+        env = TerrainEnv(BipedModel(), cfg, seed=seed)
+
+        def assert_layout(bundle):
+            for block, d in (("o", "d_o"), ("hist", "d_hist"), ("scans", "d_scan"),
+                             ("m", "d_m"), ("e", "d_e"), ("gait", "d_gait")):
+                assert getattr(bundle, block).shape == (dims[d],), block
+            s = env.state
+            (lx, lz), (rx, rz) = s.foot_pos.tolist()
+            privileged = [lx - s.x, lz - s.z, rx - s.x, rz - s.z, *s.contact.astype(float), s.vx, s.vz]
+            assert bundle.e[:8].tolist() == privileged
+            assert bundle.e[8:].tolist() == dr.as_vector().tolist()
+
+        assert_layout(env.reset(generate_terrain("rough", 0.5, seed=seed), dr,
+                                CommandState(v_cmd=0.5, gait=one_hot(seed % 3, 3))))
+        for _ in range(4):
+            res = env.step(rng.uniform(-1.0, 1.0, N_JOINTS))
+            assert_layout(res.bundle)
+            if res.done:
+                break
 
     def test_history_holds_past_observations(self, model, flat):
         env = fresh_env(model, flat)

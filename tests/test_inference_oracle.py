@@ -1,15 +1,16 @@
 """The batch-of-one inference path against its array reference, bit for bit.
 
 ``ActorCritic.act``, ``PolicyController.act`` and ``export_residual_latents``
-take views instead of stacked copies, slice the history normalizer instead of
-tiling it, add biases in place and read z' from the residual's own sum; each
-must still give exactly the bytes of the reference in tests/oracles.py.
+take views instead of stacked copies, broadcast ``o``'s normalizer over the
+history rows instead of tiling it, add biases in place and read z' from the
+residual's own sum; ``ActorCritic.critic_value`` reads ``o`` and the history
+from their own blocks instead of from copies in ``e``.  Each must still give
+exactly the bytes of the reference in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -27,11 +28,9 @@ from gaitrl.env import (
     obs_dims,
     one_hot,
 )
-from gaitrl.codec import decode, encode
 from gaitrl.policy import (
     ActorCritic,
     BundleBatch,
-    ObservationNormalizer,
     PolicyArch,
     PolicyMode,
     export_residual_latents,
@@ -43,7 +42,7 @@ from oracles import (
     ref_act,
     ref_actor_mean,
     ref_controller_act,
-    ref_normalizer_dict,
+    ref_critic_value,
     ref_residual_latents,
     ref_stack,
 )
@@ -255,14 +254,13 @@ def test_non_finite_input_raises_the_same_error(field_name):
         ref_act(pol, b, gait)
 
 
-def test_normalizer_to_dict_bytes_unchanged():
-    pol = make_policy(2)
-    nz = pol.normalizer
-    expected = json.dumps(ref_normalizer_dict(nz))
-    assert json.dumps(encode(nz)) == expected
-    loaded = decode(ObservationNormalizer, encode(nz))
-    assert json.dumps(encode(loaded)) == expected
-    # the loaded normalizer normalizes the history exactly as the built one
+@pytest.mark.parametrize("stage", [1, 2])
+def test_critic_value_matches_the_copied_privileged_row(stage):
+    pol = make_policy(stage, seed=stage)
+    gait = one_hot(1, ENV_CFG.n_gaits)
     _, bundles = env_bundles()
-    batch = BundleBatch.stack(bundles)
-    assert same(loaded.norm_hist(batch.hist), nz.norm_hist(batch.hist))
+    bundles = [dataclasses.replace(b, gait=gait) for b in (*bundles, random_bundle(3, 10.0))]
+    for rows in ([bundles[0]], [bundles[-1]], bundles):
+        ref_gait = np.tile(gait, (len(rows), 1)) if stage >= 2 else None
+        v, _ = pol.critic_value(BundleBatch.stack(rows))
+        assert same(v, ref_critic_value(pol, ref_stack(rows), ref_gait))

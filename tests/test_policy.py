@@ -242,8 +242,9 @@ class TestCritic:
         b = make_bundles(1)[0]
         from gaitrl.nets import net_backward
 
+        nz = pol.normalizer
         x = np.concatenate(
-            [pol.normalizer.norm_m(b.m), pol.normalizer.norm_e(b.e)]
+            [nz.norm_m(b.m), nz.norm_e(b.e), nz.norm_o(b.o), nz.norm_hist(b.hist[None])[0]]
         )[None]
 
         def scalar():
@@ -304,7 +305,8 @@ class TestEndToEndGradients:
         assert pol.residual is None
         assert pol.trunk.input_dim == pol.dims["d_o"] + 2 * SMALL.d_f
         assert pol.head.input_dim == SMALL.d_z
-        assert pol.critic.input_dim == pol.dims["d_m"] + pol.dims["d_e"]
+        dims = pol.dims
+        assert pol.critic.input_dim == dims["d_m"] + dims["d_e"] + dims["d_o"] + dims["d_hist"]
 
 
 class TestLatentExport:
