@@ -32,6 +32,7 @@ from .bench import (
 )
 from .codec import read_json, write_json
 from .config import (
+    ABLATIONS,
     RunConfig,
     apply_ablation,
     config_hash,
@@ -39,11 +40,8 @@ from .config import (
     load_config,
 )
 from .policy import ActorCritic, LatentTable, export_residual_latents
-from .refmotion import GAIT_NAMES, gen_reference_clip
-from .rewards import GAIT_HIGH_KNEES, GAIT_SQUAT
+from .refmotion import GAIT_HIGH_KNEES, GAIT_NAMES, GAIT_SQUAT, gen_reference_clip
 from .trainer import Checkpoint, Trainer, TrainingDiverged, load_checkpoint
-
-ABLATIONS = ("more2", "more3", "more4", "more-a", "more-os", "blind")
 
 
 class UsageError(Exception):

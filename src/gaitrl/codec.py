@@ -36,6 +36,8 @@ The rules:
   or ``tuple[float, float]``, and each element follows the scalar rule
   above (``arch.critic_hidden[0]: expected int, got str``); a fixed-length
   tuple takes exactly that many values;
+- a dict field's values follow the scalar rule too (``dict[str, float]``:
+  ``rewards.weights.joint_vel: expected float, got str``);
 - a dataclass declared ``init=False`` is filled field by field, without
   calling its ``__init__``.
 

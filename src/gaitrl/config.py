@@ -46,7 +46,6 @@ class AmpConfig:
 class GaitConfig:
     period_s: float = 4.0
     distribution: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
-    transitions: bool = True
     clip_params: ClipParams = field(default_factory=ClipParams)
     clip_seed: int = 0
 
@@ -151,23 +150,24 @@ def save_config(cfg: RunConfig, path) -> None:
     write_json(path, cfg, indent=2)
 
 
+# each documented ablation and its edit: a partial config merged section by section
+ABLATIONS = {
+    "more2": {"mode": {"n_experts": 2}},
+    "more3": {"mode": {"n_experts": 3}},
+    "more4": {"mode": {"n_experts": 4}},
+    "more-a": {"mode": {"residual_fusion": "action"}},
+    "more-os": {"mode": {"one_stage": True}},
+    "blind": {"env": {"blind": True}},
+}
+
+
 def apply_ablation(cfg: RunConfig, ablation: str | None) -> RunConfig:
-    """The documented ablation switches; anything else is untouched."""
+    """A copy of ``cfg`` with ``ablation``'s edit; ``cfg`` itself when there is none."""
     if not ablation:
         return cfg
-    cfg = config_from_dict(config_to_dict(cfg))  # deep copy through the schema
-    if ablation == "more2":
-        cfg.mode.n_experts = 2
-    elif ablation == "more3":
-        cfg.mode.n_experts = 3
-    elif ablation == "more4":
-        cfg.mode.n_experts = 4
-    elif ablation == "more-a":
-        cfg.mode.residual_fusion = "action"
-    elif ablation == "more-os":
-        cfg.mode.one_stage = True
-    elif ablation == "blind":
-        cfg.env.blind = True
-    else:
+    if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation: {ablation!r}")
-    return cfg
+    doc = config_to_dict(cfg)
+    for section, values in ABLATIONS[ablation].items():
+        doc[section].update(values)
+    return config_from_dict(doc)

@@ -294,7 +294,6 @@ class TerrainEnv:
         self.prev_action = np.zeros(N_JOINTS)
         self.prev2_action = np.zeros(N_JOINTS)
         self.push = PushSchedule()
-        self.step_count = 0
         self._done = True
 
     # -- episode control ----------------------------------------------------
@@ -341,7 +340,6 @@ class TerrainEnv:
             vel_max=self.cfg.push_vel_max,
             next_time=self.cfg.push_interval_s,
         )
-        self.step_count = 0
         self._done = False
 
         self._refresh_foot_state()
@@ -410,7 +408,6 @@ class TerrainEnv:
         self.prev2_action = self.prev_action
         self.prev_action = self.last_action
         self.last_action = action.copy()
-        self.step_count += 1
 
         termination = self._check_termination()
         self._done = termination != "none"

@@ -134,11 +134,11 @@ class NetGrads:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def add_(self, other: "NetGrads", scale: float = 1.0) -> None:
+    def add_(self, other: "NetGrads") -> None:
         for w, ow in zip(self.weights, other.weights):
-            w += scale * ow
+            w += ow
         for b, ob in zip(self.biases, other.biases):
-            b += scale * ob
+            b += ob
 
     def params(self) -> list[np.ndarray]:
         out = []

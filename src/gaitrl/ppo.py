@@ -2,9 +2,10 @@
 
 The update differentiates the clipped objective by hand: the per-sample
 cotangent on the action mean and log-std follows from the diagonal-Gaussian
-log-density, and flows through the policy's own backward pass.  A NaN in the
-loss or any gradient aborts the iteration and restores the pre-update
-parameters and optimizer states.
+log-density, and flows through the policy's own backward pass.  Every
+component of the policy steps on every minibatch, each with its own Adam
+state.  A NaN in the loss or any gradient aborts the iteration and restores
+the pre-update parameters and optimizer states.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class PPOConfig:
     horizon: int = 64
     n_envs: int = 64
     iterations: int = 300
-    freeze: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
@@ -255,8 +255,6 @@ def ppo_update(
 
             comps = policy.components()
             for name, gl in grad_lists.items():
-                if name in cfg.freeze or name not in opts:
-                    continue
                 clip_grad_norm(gl, cfg.max_grad_norm)
                 adam_step(comps[name], gl, opts[name])
             np.clip(

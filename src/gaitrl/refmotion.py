@@ -20,9 +20,11 @@ from .biped import N_JOINTS, BipedModel
 
 CLIP_FORMAT_VERSION = 1
 
-GAIT_IDS = {"walk": 0, "run": 0, "high_knees": 1, "squat": 2}
-GAIT_NAMES = ("walk_run", "high_knees", "squat")
-N_GAITS = 3
+GAIT_WALK_RUN, GAIT_HIGH_KNEES, GAIT_SQUAT = 0, 1, 2
+GAIT_IDS = {"walk": GAIT_WALK_RUN, "run": GAIT_WALK_RUN, "high_knees": GAIT_HIGH_KNEES,
+            "squat": GAIT_SQUAT}
+GAIT_NAMES = ("walk_run", "high_knees", "squat")  # indexed by gait id
+N_GAITS = len(GAIT_NAMES)
 
 WINDOW_LEN = 5
 

@@ -1,17 +1,17 @@
 """Reward terms: locomotion set, gait-command-gated set, and composition.
 
 Each term returns its raw (unweighted) value; weights live in the config so
-logs can carry both.  Stage 1 enables only the locomotion set; stage 2 adds
-the adversarial style reward (computed in :mod:`gaitrl.amp`) and the gait
-terms, both routed by the active gait command.
+logs can carry both, and a weight of 0 turns a term off.  Stage 1 enables
+only the locomotion set; stage 2 adds the adversarial style reward (computed
+in :mod:`gaitrl.amp`) and the gait terms, both routed by the active gait
+command.
 
 Two rows are published with literal positive weights on error/spread
 expressions (squat height, feet distance).  Applied literally they pay the
-agent for being wrong, so the default evaluates them with the evident
-penalty/bonus intent; ``literal_signs=True`` switches to the published
-reading.  Termination-style rows with no planar quantity (lateral foot
-spread uses fore/aft separation, posture deviation uses the ankles instead
-of arms) are evaluated on the documented stand-ins and can be masked off.
+agent for being wrong, so they are evaluated with the evident penalty/bonus
+intent.  Rows with no planar quantity are evaluated on documented stand-ins:
+lateral foot spread uses fore/aft separation, and posture deviation uses the
+ankles (``POSTURE_JOINTS``) instead of the arms.
 """
 
 from __future__ import annotations
@@ -23,10 +23,7 @@ import numpy as np
 
 from .biped import BipedState
 from .env import CommandState
-
-GAIT_WALK_RUN = 0
-GAIT_HIGH_KNEES = 1
-GAIT_SQUAT = 2
+from .refmotion import GAIT_HIGH_KNEES, GAIT_SQUAT
 
 DEFAULT_WEIGHTS = {
     "track_lin_vel": 2.0,
@@ -55,11 +52,12 @@ DEFAULT_WEIGHTS = {
 
 STYLE_WEIGHT = 5.0
 
+POSTURE_JOINTS = (2, 5)  # the ankles stand in for the arm-deviation row
+
 
 @dataclass
 class RewardConfig:
-    weights: dict = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
-    enabled: dict = field(default_factory=dict)  # per-term mask, default all on
+    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
     style_weight: float = STYLE_WEIGHT
     tracking_sigma: float = 0.25
     gait_sigma: float = 0.25
@@ -77,14 +75,14 @@ class RewardConfig:
     soft_limit_frac: float = 0.9
     joint_vel_soft: float = 12.0  # rad/s
     torque_soft_frac: float = 0.9
-    literal_signs: bool = False
-    posture_joints: tuple[int, ...] = (2, 5)  # ankles stand in for the arm-deviation row
+
+    def __post_init__(self):
+        for name in self.weights:
+            if name not in DEFAULT_WEIGHTS:
+                raise ValueError(f"weights.{name}: unknown reward term")
 
     def weight(self, name: str) -> float:
         return self.weights.get(name, 0.0)
-
-    def is_enabled(self, name: str) -> bool:
-        return self.enabled.get(name, True)
 
 
 @dataclass
@@ -95,10 +93,6 @@ class RewardBreakdown:
     r_s: float = 0.0
     r_g: float = 0.0
     total: float = 0.0
-
-    def merge(self, other: "RewardBreakdown") -> None:
-        self.raw.update(other.raw)
-        self.weighted.update(other.weighted)
 
 
 # -- locomotion terms ---------------------------------------------------------
@@ -154,7 +148,7 @@ def locomotion_rewards(
         over_t = abs_t - tlim * tfrac
         torque_lim += over_t if over_t > 0.0 or over_t != over_t else 0.0
     posture = 0.0
-    for j in cfg.posture_joints:
+    for j in POSTURE_JOINTS:
         posture += abs(jp[j] - model._nominal_f[j])
     verr = commands.v_cmd - st.vx
     werr = commands.w_cmd - st.yaw_rate
@@ -181,9 +175,7 @@ def locomotion_rewards(
         "joint_pos_limits": pos_lim,
         "joint_vel_limits": vel_lim,
         "torque_limits": torque_lim,
-        "feet_distance": (sep - cfg.d_min_feet)
-        if cfg.literal_signs
-        else -max(cfg.d_min_feet - sep, 0.0),
+        "feet_distance": -max(cfg.d_min_feet - sep, 0.0),
         "feet_slippage": slip,
         "feet_force": float(
             max(f_lz - cfg.f_min_force, 0.0) + max(f_rz - cfg.f_min_force, 0.0)
@@ -196,19 +188,14 @@ def locomotion_rewards(
         "cheat": float(abs(st.heading) > cfg.heading_limit),
         "y_offset": abs(st.y_offset),
     }
-    bd = RewardBreakdown()
     weights = cfg.weights
-    enabled = cfg.enabled
+    weighted = {}
     total = 0.0
     for name, value in raw.items():
-        if not enabled.get(name, True):
-            continue
-        bd.raw[name] = value
         wv = weights.get(name, 0.0) * value
-        bd.weighted[name] = wv
+        weighted[name] = wv
         total += wv
-    bd.r_l = total
-    return bd
+    return RewardBreakdown(raw=raw, weighted=weighted, r_l=total)
 
 
 # -- gait terms ---------------------------------------------------------------
@@ -223,18 +210,17 @@ def gait_rewards(
     active = g.index(max(g)) if any(g) else -1  # np.argmax: the first maximum
 
     knee = 0.0
-    if active == GAIT_HIGH_KNEES and cfg.is_enabled("knee_height"):
+    if active == GAIT_HIGH_KNEES:
         err = abs(cfg.knee_lift_target - float(np.max(state.knee_heights)))
         knee = float(np.exp(-err / cfg.gait_sigma))
     bd.raw["knee_height"] = knee
     bd.weighted["knee_height"] = cfg.weight("knee_height") * knee
 
     squat = 0.0
-    if active == GAIT_SQUAT and cfg.is_enabled("squat_height"):
+    if active == GAIT_SQUAT:
         base_height = state.z - min(state.foot_pos[0, 1], state.foot_pos[1, 1])
-        squat = (cfg.squat_height_target - base_height) ** 2
-        if not cfg.literal_signs:
-            squat = -squat  # published +2.0 on a squared error reads as a penalty
+        # published +2.0 on a squared error reads as a penalty
+        squat = -((cfg.squat_height_target - base_height) ** 2)
     bd.raw["squat_height"] = squat
     bd.weighted["squat_height"] = cfg.weight("squat_height") * squat
 
@@ -251,13 +237,12 @@ def total_reward(
 ) -> RewardBreakdown:
     """Compose the total; per-term logging is preserved.  At stage 1 the caller
     passes ``style_raw = 0.0`` and an all-zero command's gait terms: both add 0.0."""
-    bd = RewardBreakdown()
-    bd.merge(loco)
-    bd.merge(gait_bd)
-    bd.raw["style"] = style_raw
-    bd.weighted["style"] = cfg.style_weight * style_raw
-    bd.r_l = loco.r_l
-    bd.r_s = bd.weighted["style"]
-    bd.r_g = gait_bd.r_g
-    bd.total = bd.r_l + bd.r_s + bd.r_g
-    return bd
+    r_s = cfg.style_weight * style_raw
+    return RewardBreakdown(
+        raw={**loco.raw, **gait_bd.raw, "style": style_raw},
+        weighted={**loco.weighted, **gait_bd.weighted, "style": r_s},
+        r_l=loco.r_l,
+        r_s=r_s,
+        r_g=gait_bd.r_g,
+        total=loco.r_l + r_s + gait_bd.r_g,
+    )

@@ -4,7 +4,8 @@ Stage 1 learns terrain locomotion from locomotion rewards alone.  Stage 2
 attaches the residual mixture of experts to a stage-1 policy, turns on the
 per-gait discriminators and gait-routed rewards, and trains everything
 together (base parts at the base learning rate, residual parts at their
-own).  The gait schedule writes each env's command through
+own).  The gait schedule draws each env's command anew at every period, so
+stage 2 learns to switch gaits; it writes the command through
 ``TerrainEnv.set_gait``, so the command reaches the policy, the critic and
 the rollout buffer as the observation's gait block.
 
@@ -90,11 +91,10 @@ def update_curriculum(state: CurriculumState, traversal_frac: float, cfg) -> Cur
 class GaitScheduler:
     """Hold a one-hot gait command for a fixed period, then redraw."""
 
-    def __init__(self, period_s: float, distribution, transitions: bool = True):
+    def __init__(self, period_s: float, distribution):
         self.period_s = period_s
         self.distribution = np.asarray(distribution, dtype=np.float64)
         self.distribution = self.distribution / self.distribution.sum()
-        self.transitions = transitions
         self.n_gaits = len(self.distribution)
         self.segment = -1
         self.current = 0
@@ -103,13 +103,12 @@ class GaitScheduler:
         return int(rng.choice(self.n_gaits, p=self.distribution))
 
     def command_at(self, time: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-        """One-hot command for this instant; second value flags a resample."""
+        """One-hot command for this instant, drawn anew as each period begins;
+        the second value flags a draw."""
         seg = int(time / self.period_s + 1e-9)
-        changed = False
-        if seg != self.segment:
-            if self.segment < 0 or self.transitions:
-                self.current = self.draw(rng)
-                changed = True
+        changed = seg != self.segment
+        if changed:
+            self.current = self.draw(rng)
             self.segment = seg
         return one_hot(self.current, self.n_gaits), changed
 
@@ -134,9 +133,7 @@ class EnvWorker:
         self.curr = CurriculumState(
             kind=kinds[index % len(kinds)], difficulty=cfg.curriculum.init_difficulty
         )
-        self.scheduler = GaitScheduler(
-            cfg.gaits.period_s, cfg.gaits.distribution, cfg.gaits.transitions
-        )
+        self.scheduler = GaitScheduler(cfg.gaits.period_s, cfg.gaits.distribution)
         self.frames: deque = deque(maxlen=WINDOW_LEN)
         # frames since the episode began or the gait was last drawn; a style
         # window joins the policy buffer only if all its frames follow that

@@ -325,13 +325,11 @@ def ref_locomotion_raw(state, commands, a_t, a_prev, a_prev2, cfg, model):
         "ang_vel_pitch": st.pitch_rate * st.pitch_rate,
         "joint_power": float(np.sum(abs_jt * abs_jv)),
         "feet_stumble": stumble,
-        "posture_deviation": float(sum(abs(jp[j] - nominal[j]) for j in cfg.posture_joints)),
+        "posture_deviation": float(sum(abs(jp[j] - nominal[j]) for j in (2, 5))),  # the ankles
         "joint_pos_limits": float(out.sum()),
         "joint_vel_limits": float(np.maximum(abs_jv - cfg.joint_vel_soft, 0.0).sum()),
         "torque_limits": float(np.maximum(abs_jt - tmax, 0.0).sum()),
-        "feet_distance": (sep - cfg.d_min_feet)
-        if cfg.literal_signs
-        else -max(cfg.d_min_feet - sep, 0.0),
+        "feet_distance": -max(cfg.d_min_feet - sep, 0.0),
         "feet_slippage": slip,
         "feet_force": float(
             max(f[0, 1] - cfg.f_min_force, 0.0) + max(f[1, 1] - cfg.f_min_force, 0.0)
@@ -347,11 +345,10 @@ def ref_locomotion_raw(state, commands, a_t, a_prev, a_prev2, cfg, model):
 
 
 def ref_locomotion_total(raw, cfg):
-    """Weighted sum of the enabled raw terms, accumulated in key order."""
+    """Weighted sum of the raw terms, accumulated in key order."""
     total = 0.0
     for name, value in raw.items():
-        if cfg.enabled.get(name, True):
-            total += cfg.weights.get(name, 0.0) * value
+        total += cfg.weights.get(name, 0.0) * value
     return total
 
 

@@ -54,8 +54,7 @@ class TestRunTrial:
 class TestTraceRewards:
     def test_trace_scores_rewards_with_the_runs_reward_config(self, tmp_path):
         cfg = small_cfg()
-        cfg.rewards.enabled = {"collision": False}
-        cfg.rewards.weights = {**cfg.rewards.weights, "track_lin_vel": 7.0}
+        cfg.rewards.weights = {**cfg.rewards.weights, "collision": 0.0, "track_lin_vel": 7.0}
         suite = BenchmarkSuite(cells=(("flat", "easy"),), trials=1, timeout_s=0.2)
         run_benchmark(ScriptedWalker(cfg.model), cfg, suite, method="walker",
                       out_dir=str(tmp_path))
@@ -63,7 +62,7 @@ class TestTraceRewards:
             steps = [r for r in map(json.loads, f) if "step" in r]
         assert steps
         for r in steps:
-            assert "collision" not in r["rewards"]
+            assert repr(r["rewards"]["collision"]) == "0.0"  # zero weight, +0.0
             assert 0.0 < r["rewards"]["track_lin_vel"] <= 7.0
         assert max(r["rewards"]["track_lin_vel"] for r in steps) > 2.0
 

@@ -158,6 +158,24 @@ class TestUsage:
                      id="arch.n_gaits"),
         pytest.param({"train": {"blind": False}}, "train: unknown keys ['blind']",
                      id="train.blind"),
+    ] + [
+        # switches that no run set: the old format is refused by name
+        pytest.param({section: {key: value}}, f"{section}: unknown keys ['{key}']",
+                     id=f"{section}.{key}")
+        for section, key, value in (
+            ("rewards", "enabled", {}),
+            ("rewards", "literal_signs", False),
+            ("rewards", "posture_joints", [2, 5]),
+            ("ppo", "freeze", []),
+            ("gaits", "transitions", True),
+        )
+    ] + [
+        pytest.param({"rewards": {"weights": {"track_lin_ve": 3.0}}},
+                     "rewards: weights.track_lin_ve: unknown reward term",
+                     id="rewards.weights-unknown-term"),
+        pytest.param({"rewards": {"weights": {"track_lin_vel": "2"}}},
+                     "rewards.weights.track_lin_vel: expected float, got str",
+                     id="rewards.weights-not-a-number"),
         pytest.param({"gaits": {"distribution": [0.5, 0.5]}},
                      "gaits.distribution has 2 values, but env.n_gaits is 3",
                      id="gaits.distribution"),
@@ -492,9 +510,10 @@ class TestMalformedInputs:
          "disc_optimizers: a stage-2 checkpoint has one per discriminator"),
         (lambda doc: doc["disc_optimizers"].pop(),
          "disc_optimizers: a stage-2 checkpoint has one per discriminator"),
+        (lambda doc: doc["config"]["ppo"].update(freeze=[]), "config.ppo: unknown keys ['freeze']"),
     ], ids=["no-trunk", "unknown-mode-key", "no-config", "stage-2-without-residual",
             "stage-2-policy-at-stage-1", "no-discriminators", "no-disc-optimizers",
-            "too-few-disc-optimizers"])
+            "too-few-disc-optimizers", "config-with-a-dropped-key"])
     def test_malformed_checkpoint_exits_1(self, trained, tmp_path, capsys, change, field):
         _, _, ckpt = trained
         with open(ckpt) as f:

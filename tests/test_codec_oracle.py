@@ -186,8 +186,8 @@ def test_policy_document_is_the_old_one(trainers, name):
 
 PARTIAL_CONFIGS = [
     {},
-    {"format_version": 1, "ppo": {"freeze": ["trunk", "scan_enc"], "lr": 1}},
-    {"rewards": {"weights": {"track_lin_vel": 2.5}, "enabled": {"posture": False}}},
+    {"format_version": 1, "terrain": {"kinds": ["stair", "flat"]}, "ppo": {"lr": 1}},
+    {"rewards": {"weights": {"track_lin_vel": 2.5, "collision": 0}}},
     {"arch": {"encoder_hidden": [8, 4]}, "gaits": {"clip_params": {"n_cycles": 2}}},
     {"terrain": {"kinds": ["gap"], "start_clear": 0.8}, "model": {"kp": [1, 2, 3, 4, 5, 6]}},
 ]

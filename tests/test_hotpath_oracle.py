@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import gaitrl.env as env_module
 from gaitrl.biped import N_JOINTS, BipedModel, BipedState, action_targets, pd_torques, substep
 from gaitrl.env import DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
-from gaitrl.rewards import RewardConfig, locomotion_rewards
+from gaitrl.rewards import DEFAULT_WEIGHTS, RewardConfig, locomotion_rewards
 from gaitrl.terrain import TERRAIN_KINDS, generate_terrain
 
 from oracles import (
@@ -55,11 +55,18 @@ def assert_same_state(a: BipedState, b: BipedState) -> None:
 
 
 def assert_same_rewards(bd, raw_ref, cfg):
-    assert list(bd.raw) == [k for k in raw_ref if cfg.enabled.get(k, True)]
+    assert list(bd.raw) == list(raw_ref) == list(bd.weighted)
     for k, v in bd.raw.items():
         assert bits(v) == bits(raw_ref[k]), k
         assert bits(bd.weighted[k]) == bits(cfg.weights.get(k, 0.0) * raw_ref[k]), k
     assert bits(bd.r_l) == bits(ref_locomotion_total(raw_ref, cfg))
+
+
+def random_weights(rng) -> dict:
+    """A weight for every term: about a quarter of them 0 (the term off), the
+    rest of either sign."""
+    return {k: 0.0 if rng.random() < 0.25 else float(rng.uniform(-20.0, 20.0))
+            for k in DEFAULT_WEIGHTS}
 
 
 def random_dr(rng) -> DRConfig:
@@ -160,8 +167,7 @@ class TestRewardOracle:
             cfg = RewardConfig(
                 soft_limit_frac=float(rng.uniform(0.5, 1.0)),
                 torque_soft_frac=float(rng.uniform(0.5, 1.0)),
-                literal_signs=bool(trial % 2),
-                enabled={"stuck": False} if trial % 3 == 0 else {},
+                weights=random_weights(rng),
             )
             cmd = CommandState(
                 v_cmd=float(rng.uniform(-0.5, 1.2)), w_cmd=float(rng.uniform(-0.6, 0.6)),

@@ -5,15 +5,8 @@ import pytest
 
 from gaitrl.biped import N_JOINTS, BipedModel, BipedState
 from gaitrl.env import CommandState, one_hot
-from gaitrl.rewards import (
-    GAIT_HIGH_KNEES,
-    GAIT_SQUAT,
-    GAIT_WALK_RUN,
-    RewardConfig,
-    gait_rewards,
-    locomotion_rewards,
-    total_reward,
-)
+from gaitrl.refmotion import GAIT_HIGH_KNEES, GAIT_SQUAT, GAIT_WALK_RUN
+from gaitrl.rewards import RewardConfig, gait_rewards, locomotion_rewards, total_reward
 
 MODEL = BipedModel()
 CFG = RewardConfig()
@@ -75,7 +68,7 @@ def dual_locomotion(st, cmd, a_t, a_p, a_pp, cfg, model):
         )
     )
     out["posture_deviation"] = sum(
-        abs(st.joint_pos[j] - model.nominal()[j]) for j in cfg.posture_joints
+        abs(st.joint_pos[j] - model.nominal()[j]) for j in (2, 5)  # the ankles
     )
     lo, hi = model.lower(), model.upper()
     total = 0.0
@@ -93,9 +86,7 @@ def dual_locomotion(st, cmd, a_t, a_p, a_pp, cfg, model):
         max(0.0, abs(t) - m) for t, m in zip(st.joint_torque, tmax)
     )
     sep = abs(st.foot_pos[0, 0] - st.foot_pos[1, 0])
-    out["feet_distance"] = (sep - cfg.d_min_feet) if cfg.literal_signs else -max(
-        0.0, cfg.d_min_feet - sep
-    )
+    out["feet_distance"] = -max(0.0, cfg.d_min_feet - sep)
     out["feet_slippage"] = sum(
         math.hypot(*st.foot_vel[i]) * float(st.contact[i]) for i in range(2)
     )
@@ -165,22 +156,6 @@ class TestDualImplementation:
             expect = dual_locomotion(st, cmd, a, ap, app, CFG, MODEL)
             for name, val in expect.items():
                 assert bd.raw[name] == pytest.approx(val, abs=1e-12), name
-
-    def test_literal_mode_feet_distance(self):
-        rng = np.random.default_rng(6)
-        cfg = RewardConfig(literal_signs=True)
-        st, cmd, a, ap, app = random_inputs(rng)
-        bd = locomotion_rewards(st, cmd, a, ap, app, cfg, MODEL)
-        sep = abs(st.foot_pos[0, 0] - st.foot_pos[1, 0])
-        assert bd.raw["feet_distance"] == pytest.approx(sep - cfg.d_min_feet, abs=1e-15)
-
-    def test_literal_mode_squat_sign(self):
-        rng = np.random.default_rng(7)
-        st = random_state(rng)
-        lit = gait_rewards(st, one_hot(GAIT_SQUAT, 3), RewardConfig(literal_signs=True))
-        intent = gait_rewards(st, one_hot(GAIT_SQUAT, 3), RewardConfig())
-        assert lit.raw["squat_height"] >= 0.0
-        assert intent.raw["squat_height"] == pytest.approx(-lit.raw["squat_height"])
 
 
 class TestRoutingAndSigns:

@@ -8,9 +8,16 @@ import pytest
 
 import gaitrl.trainer as trainer_mod
 from gaitrl.biped import N_JOINTS
-from gaitrl.cli import ABLATIONS, cli
+from gaitrl.cli import cli
 from gaitrl.codec import encode
-from gaitrl.config import RunConfig, config_from_dict, config_hash, config_to_dict, save_config
+from gaitrl.config import (
+    ABLATIONS,
+    RunConfig,
+    config_from_dict,
+    config_hash,
+    config_to_dict,
+    save_config,
+)
 from gaitrl.env import TerrainEnv
 from gaitrl.policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
 from gaitrl.ppo import RolloutBuffer
@@ -141,14 +148,6 @@ class TestGaitScheduler:
             freq = np.mean(draws == g)
             sigma = np.sqrt(probs[g] * (1 - probs[g]) / n)
             assert abs(freq - probs[g]) < 3 * sigma
-
-    def test_transitions_disabled_holds_first_draw(self):
-        sched = GaitScheduler(period_s=0.5, distribution=(1 / 3, 1 / 3, 1 / 3), transitions=False)
-        rng = np.random.default_rng(3)
-        first, _ = sched.command_at(0.0, rng)
-        for t in np.arange(0.0, 10.0, 0.02):
-            cmd, changed = sched.command_at(float(t), rng)
-            np.testing.assert_array_equal(cmd, first)
 
 
 class TestStage1:
