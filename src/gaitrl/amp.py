@@ -26,7 +26,6 @@ from .nets import (
     net_backward,
     net_directional_param_grads,
     net_forward,
-    zero_grads,
 )
 
 log = logging.getLogger(__name__)
@@ -72,18 +71,15 @@ def discriminator_loss(
         raise ValueError("empty discriminator batch")
     n_r, n_f = real.shape[0], fake.shape[0]
 
-    grads = zero_grads(net)
-
     y_r, tape_r = net_forward(net, real)
     y_r = y_r[:, 0]
     loss_real = float(np.mean((y_r - 1.0) ** 2))
-    g_r, _ = net_backward(net, tape_r, (2.0 * (y_r - 1.0) / n_r)[:, None])
-    grads.add_(g_r)
+    grads, _ = net_backward(net, tape_r, (2.0 * (y_r - 1.0) / n_r)[:, None], input_grad=False)
 
     y_f, tape_f = net_forward(net, fake)
     y_f = y_f[:, 0]
     loss_fake = float(np.mean((y_f + 1.0) ** 2))
-    g_f, _ = net_backward(net, tape_f, (2.0 * (y_f + 1.0) / n_f)[:, None])
+    g_f, _ = net_backward(net, tape_f, (2.0 * (y_f + 1.0) / n_f)[:, None], input_grad=False)
     grads.add_(g_f)
 
     penalty = 0.0

@@ -26,7 +26,7 @@ The rules:
 - a class with a ``format_version`` class variable writes it, and decoding
   rejects any other value;
 - a missing key takes the field's default, and a field without one is
-  required; a dict field with a default merges what is read into it;
+  required;
 - a field whose default is None is written only when it is set;
 - an unknown key is an error;
 - a field annotated ``int``, ``float``, ``str`` or ``bool`` takes only a
@@ -208,10 +208,7 @@ def _decode_dataclass(cls, data, path: str):
             if values[name] is dataclasses.MISSING:
                 raise _error(_at(path, name), "missing")
             continue
-        value = decode(hints[name], data[name], _at(path, name))
-        if isinstance(value, dict) and isinstance(default := _default(f), dict):
-            value = {**default, **value}
-        values[name] = value
+        values[name] = decode(hints[name], data[name], _at(path, name))
     if not cls.__dataclass_params__.init:
         obj = cls.__new__(cls)
         obj.__dict__.update(values)

@@ -129,7 +129,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def config_from_dict(data: dict) -> RunConfig:
     """The config ``data`` describes; a key it leaves out (``format_version``
-    too) takes its default, and a partial dict merges into the default one."""
+    too) takes its default, and ``RewardConfig`` completes a partial
+    ``rewards.weights`` table."""
     return decode(RunConfig, {"format_version": CONFIG_FORMAT_VERSION, **data})
 
 

@@ -8,6 +8,12 @@ of any autodiff framework.
 
 Inputs are batches ``[B, d]``: a single sample is a batch of one, ``x[None]``.
 Parameter gradients over a batch are summed.
+
+A forward call's tape holds the input and each layer's output, and no
+pre-activation: every derivative the backward rules read is a function of the
+output (tanh' = 1 - z²), so tanh runs in place on the fresh matmul result.
+``net_backward`` computes the input's cotangent, the layer-0 ``gs @ W``, only
+when the caller asks for it (``input_grad``).
 """
 
 from __future__ import annotations
@@ -25,18 +31,25 @@ ACTIVATIONS = ("tanh", "identity")
 PackedArray = NewType("PackedArray", np.ndarray)
 
 
-# ``Layer`` admits only the ACTIVATIONS, so anything but "tanh" is the identity
-def _act(name: str, s: np.ndarray) -> np.ndarray:
-    return np.tanh(s) if name == "tanh" else s
+# ``Layer`` admits only the ACTIVATIONS, so anything but "tanh" is the identity;
+# both derivatives read the layer's output z alone
+def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
+    return 1.0 - z * z if name == "tanh" else np.ones_like(z)
 
 
-def _act_deriv(name: str, s: np.ndarray, z: np.ndarray) -> np.ndarray:
-    # z is the already-computed activation output for s
-    return 1.0 - z * z if name == "tanh" else np.ones_like(s)
+def _act_deriv2(name: str, z: np.ndarray) -> np.ndarray:
+    return -2.0 * z * (1.0 - z * z) if name == "tanh" else np.zeros_like(z)
 
 
-def _act_deriv2(name: str, s: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return -2.0 * z * (1.0 - z * z) if name == "tanh" else np.zeros_like(s)
+def _through_act(name: str, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The cotangent on a layer's pre-activation from ``g``, the one on its
+    output ``z``: ``g * act'(z)``, in one fresh C-ordered array."""
+    if name != "tanh":
+        return g.copy()  # the identity's derivative is 1
+    gs = z * z
+    np.subtract(1.0, gs, out=gs)
+    gs *= g
+    return gs
 
 
 @dataclass
@@ -119,17 +132,17 @@ def make_net(
 
 @dataclass
 class GradientTape:
-    """Per-layer caches from one forward call, consumed by the backward calls."""
+    """What one forward call leaves for the backward calls: the input and each
+    layer's output, nothing else (the last output is the array returned)."""
 
     net_ref: DenseNet
     x: np.ndarray  # [B, in]
-    pre: list[np.ndarray]  # s_l, [B, out_l]
-    post: list[np.ndarray]  # z_l = act(s_l)
+    post: list[np.ndarray]  # z_l = act(s_l), [B, out_l]
 
 
 @dataclass
 class NetGrads:
-    """Parameter-shaped gradient accumulators mirroring a DenseNet."""
+    """Parameter-shaped gradients mirroring a DenseNet; ``add_`` accumulates."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -148,13 +161,6 @@ class NetGrads:
         return out
 
 
-def zero_grads(net: DenseNet) -> NetGrads:
-    return NetGrads(
-        weights=[np.zeros_like(l.weight) for l in net.layers],
-        biases=[np.zeros_like(l.bias) for l in net.layers],
-    )
-
-
 def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != dim:
@@ -163,51 +169,53 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, GradientTape]:
-    """Evaluate the network and cache everything backward needs."""
+    """Evaluate the network; the tape keeps the input and each layer's output."""
     xb = _as_batch(x, net.input_dim, "input")
     if not np.isfinite(xb).all():
         raise ValueError("non-finite network input")
-    pre, post = [], []
+    post = []
     z = xb
     for layer in net.layers:
-        # the matmul result is a fresh array, so the bias is added in place
-        s = z @ layer.weight.T
-        s += layer.bias
-        z = _act(layer.activation, s)
-        pre.append(s)
+        # the matmul result is a fresh array: the bias and tanh go in place
+        z = z @ layer.weight.T
+        z += layer.bias
+        if layer.activation == "tanh":
+            np.tanh(z, out=z)
         post.append(z)
-    return z, GradientTape(net, xb, pre, post)
+    return z, GradientTape(net, xb, post)
 
 
 def _check_tape(net: DenseNet, tape: GradientTape) -> None:
     if tape.net_ref is not net:
         raise ValueError("tape was produced by a different network")
-    if len(tape.pre) != len(net.layers):
+    if len(tape.post) != len(net.layers):
         raise ValueError("tape does not match network depth")
 
 
 def net_backward(
-    net: DenseNet, tape: GradientTape, grad_out: np.ndarray
-) -> tuple[NetGrads, np.ndarray]:
+    net: DenseNet, tape: GradientTape, grad_out: np.ndarray, *, input_grad: bool = True
+) -> tuple[NetGrads, np.ndarray | None]:
     """Reverse-mode gradients of <grad_out, y> w.r.t. parameters and input.
 
     Batched ``grad_out`` rows are treated as independent cotangents; parameter
     gradients are summed over the batch and ``grad_input`` keeps the batch
-    shape.
+    shape.  With ``input_grad`` false the layer-0 ``gs @ W`` is skipped and
+    ``grad_input`` is None; the parameter gradients have the same bits.
     """
     _check_tape(net, tape)
     g = _as_batch(grad_out, net.output_dim, "grad_out")
     if g.shape[0] != tape.x.shape[0]:
         raise ValueError("grad_out batch size does not match the forward call")
-    grads = zero_grads(net)
-    for k in range(len(net.layers) - 1, -1, -1):
+    n_layers = len(net.layers)
+    weights, biases = [None] * n_layers, [None] * n_layers
+    for k in range(n_layers - 1, -1, -1):
         layer = net.layers[k]
-        gs = g * _act_deriv(layer.activation, tape.pre[k], tape.post[k])
+        g = _through_act(layer.activation, tape.post[k], g)
         zin = tape.x if k == 0 else tape.post[k - 1]
-        grads.weights[k] += gs.T @ zin
-        grads.biases[k] += gs.sum(axis=0)
-        g = gs @ layer.weight
-    return grads, g
+        weights[k] = g.T @ zin
+        biases[k] = g.sum(axis=0)
+        g = g @ layer.weight if k > 0 or input_grad else None
+    return NetGrads(weights, biases), g
 
 
 def net_directional_param_grads(
@@ -232,7 +240,7 @@ def net_directional_param_grads(
     zd = vb
     for k, layer in enumerate(net.layers):
         sd = zd @ layer.weight.T
-        d1 = _act_deriv(layer.activation, tape.pre[k], tape.post[k])
+        d1 = _act_deriv(layer.activation, tape.post[k])
         zd = d1 * sd
         s_dot.append(sd)
         z_dot.append(zd)
@@ -240,22 +248,22 @@ def net_directional_param_grads(
     h = np.einsum("bo,bo->b", gb, z_dot[-1])
 
     # Reverse sweep over the joint primal/tangent graph.
-    grads = zero_grads(net)
+    weights, biases = [None] * n_layers, [None] * n_layers
     g_zdot = gb  # cotangent of z_dot_l
     g_z = np.zeros_like(gb)  # cotangent of z_l (primal)
     for k in range(n_layers - 1, -1, -1):
         layer = net.layers[k]
-        d2 = _act_deriv2(layer.activation, tape.pre[k], tape.post[k])
+        d2 = _act_deriv2(layer.activation, tape.post[k])
         g_sdot = derivs[k] * g_zdot
         # s_l feeds act'(s_l) in the tangent chain and act(s_l) in the primal one
         g_s = d2 * s_dot[k] * g_zdot + derivs[k] * g_z
         zin = tape.x if k == 0 else tape.post[k - 1]
         zdin = vb if k == 0 else z_dot[k - 1]
-        grads.weights[k] += g_sdot.T @ zdin + g_s.T @ zin
-        grads.biases[k] += g_s.sum(axis=0)
+        weights[k] = g_sdot.T @ zdin + g_s.T @ zin
+        biases[k] = g_s.sum(axis=0)
         g_zdot = g_sdot @ layer.weight
         g_z = g_s @ layer.weight
-    return h, grads
+    return h, NetGrads(weights, biases)
 
 
 def softmax(w: np.ndarray) -> np.ndarray:
@@ -304,7 +312,11 @@ def adam_step(
 ) -> None:
     """Standard bias-corrected Adam update, in place.
 
-    A NaN/Inf gradient raises before any parameter or moment is touched.
+    Each parameter's temporaries are two scratch arrays, written in place in
+    the order of ``m = β1·m + (1-β1)·g``, ``v = β2·v + ((1-β2)·g)·g`` and
+    ``p -= (lr·(m/c1)) / (sqrt(v/c2) + eps)``, so every value keeps the bits
+    of that expression.  A NaN/Inf gradient raises before any parameter or
+    moment is touched.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params/grads/state lengths differ")
@@ -318,11 +330,20 @@ def adam_step(
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        s = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += s
+        np.multiply(g, 1.0 - state.beta2, out=s)
+        s *= g
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        v += s
+        den = np.divide(v, c2)
+        np.sqrt(den, out=den)
+        den += state.eps
+        np.divide(m, c1, out=s)
+        s *= state.lr
+        s /= den
+        p -= s
 
 
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:

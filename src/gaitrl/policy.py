@@ -107,11 +107,24 @@ class ObservationNormalizer:
     def norm_scan(self, scans):
         return (scans - self.scan_shift) * self.scan_scale
 
-    def norm_m(self, m):
-        return (m - self.m_shift) * self.m_scale
-
-    def norm_e(self, e):
-        return (e - self.e_shift) * self.e_scale
+    def critic_input(self, batch: BundleBatch, gait: bool) -> np.ndarray:
+        """``[m, e, o, hist]`` normalized, plus the raw ``gait`` block if asked,
+        written once into one ``[B, d]`` array.  Each block is subtracted, then
+        scaled, in place in its columns: ``(x - shift) * scale``, bit for bit."""
+        blocks = [(batch.m, self.m_shift, self.m_scale), (batch.e, self.e_shift, self.e_scale),
+                  (batch.o, self.o_shift, self.o_scale), (batch.hist, self.o_shift, self.o_scale)]
+        B, col = len(batch.o), 0
+        d_gait = batch.gait.shape[1] if gait else 0
+        x = np.empty((B, sum(rows.shape[1] for rows, _, _ in blocks) + d_gait))
+        for rows, shift, scale in blocks:
+            # a [B, w/d, d] view of the block's columns: history rows are o's
+            out = x[:, col : col + rows.shape[1]].reshape(B, -1, len(shift))
+            np.subtract(rows.reshape(out.shape), shift, out=out)
+            out *= scale
+            col += rows.shape[1]
+        if gait:
+            x[:, col:] = batch.gait
+        return x
 
 
 def build_normalizer(model: BipedModel, env_cfg: EnvConfig) -> ObservationNormalizer:
@@ -437,11 +450,8 @@ class ActorCritic:
         return mean[0]
 
     def critic_value(self, batch: BundleBatch) -> tuple[np.ndarray, GradientTape]:
-        nz = self.normalizer
-        parts = [nz.norm_m(batch.m), nz.norm_e(batch.e), nz.norm_o(batch.o), nz.norm_hist(batch.hist)]
-        if self.residual is not None:
-            parts.append(batch.gait)
-        v, tape = net_forward(self.critic, np.concatenate(parts, axis=1))
+        x = self.normalizer.critic_input(batch, gait=self.residual is not None)
+        v, tape = net_forward(self.critic, x)
         return v[:, 0], tape
 
     # -- backward ------------------------------------------------------------
@@ -460,12 +470,15 @@ class ActorCritic:
         g_trunk, d_feats = net_backward(self.trunk, cache.trunk_tape, g_z)
         grads["trunk"] = g_trunk
         if d_feats_extra is not None:
-            d_feats = d_feats + d_feats_extra
+            d_feats += d_feats_extra
         d_o = self.dims["d_o"]
         d_f = self.arch.d_f
-        g_scan, _ = net_backward(self.scan_enc, cache.scan_tape, d_feats[:, d_o : d_o + d_f])
+        # the encoders read observations: no gradient flows past their inputs
+        g_scan, _ = net_backward(self.scan_enc, cache.scan_tape, d_feats[:, d_o : d_o + d_f],
+                                 input_grad=False)
         grads["scan_enc"] = g_scan
-        g_hist, _ = net_backward(self.hist_enc, cache.hist_tape, d_feats[:, d_o + d_f :])
+        g_hist, _ = net_backward(self.hist_enc, cache.hist_tape, d_feats[:, d_o + d_f :],
+                                 input_grad=False)
         grads["hist_enc"] = g_hist
         return grads
 

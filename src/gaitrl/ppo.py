@@ -6,6 +6,11 @@ log-density, and flows through the policy's own backward pass.  Every
 component of the policy steps on every minibatch, each with its own Adam
 state.  A NaN in the loss or any gradient aborts the iteration and restores
 the pre-update parameters and optimizer states.
+
+On each minibatch the actor's forward and backward passes run first and its
+tapes are dropped; only then do the critic's forward and backward passes
+run, so the tapes of one network at a time are alive.  The critic's input
+gradient is not computed: nothing reads it.
 """
 
 from __future__ import annotations
@@ -183,15 +188,16 @@ def ppo_loss_and_grads(
     d_logstd = (dl_dlogp[:, None] * (z * z - 1.0)).sum(axis=0)
     d_logstd -= cfg.entropy_coef  # entropy bonus, per dimension
 
+    grads = policy.actor_backward(cache, d_mean)
+    del cache
+
     v, vtape = policy.critic_value(mb)
     v_err = v - returns
     value_loss = cfg.value_coef * float(np.mean(v_err**2))
     d_v = (2.0 * cfg.value_coef * v_err / nb)[:, None]
+    cg, _ = net_backward(policy.critic, vtape, d_v, input_grad=False)
 
     loss = policy_loss + value_loss - cfg.entropy_coef * entropy
-
-    grads = policy.actor_backward(cache, d_mean)
-    cg, _ = net_backward(policy.critic, vtape, d_v)
     grad_lists = {name: g.params() for name, g in grads.items()}
     grad_lists["critic"] = cg.params()
     grad_lists["log_std"] = [d_logstd]
@@ -264,6 +270,7 @@ def ppo_update(
 
             for k in ("policy_loss", "value_loss", "entropy", "approx_kl", "clip_frac"):
                 stats[k].append(piece[k])
+            del grad_lists  # not alive through the next minibatch's passes
 
     out = {k: float(np.mean(v)) for k, v in stats.items()}
     out["adv_std"] = float(adv_std)

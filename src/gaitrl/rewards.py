@@ -57,7 +57,7 @@ POSTURE_JOINTS = (2, 5)  # the ankles stand in for the arm-deviation row
 
 @dataclass
 class RewardConfig:
-    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
+    weights: dict[str, float] = field(default_factory=dict)
     style_weight: float = STYLE_WEIGHT
     tracking_sigma: float = 0.25
     gait_sigma: float = 0.25
@@ -80,9 +80,10 @@ class RewardConfig:
         for name in self.weights:
             if name not in DEFAULT_WEIGHTS:
                 raise ValueError(f"weights.{name}: unknown reward term")
+        self.weights = {**DEFAULT_WEIGHTS, **self.weights}
 
     def weight(self, name: str) -> float:
-        return self.weights.get(name, 0.0)
+        return self.weights[name]
 
 
 @dataclass
@@ -192,7 +193,7 @@ def locomotion_rewards(
     weighted = {}
     total = 0.0
     for name, value in raw.items():
-        wv = weights.get(name, 0.0) * value
+        wv = weights[name] * value
         weighted[name] = wv
         total += wv
     return RewardBreakdown(raw=raw, weighted=weighted, r_l=total)

@@ -457,7 +457,7 @@ class Trainer:
         cfg = self.cfg
         iterations = iterations if iterations is not None else cfg.ppo.iterations
         history = []
-        for _ in range(iterations):
+        for i in range(iterations):
             buffer = RolloutBuffer(cfg.ppo.horizon, cfg.ppo.n_envs, self.policy.dims, N_JOINTS)
             roll_stats = self.collect_rollout(buffer)
             amp_stats = {}
@@ -486,7 +486,8 @@ class Trainer:
                     f.write(json.dumps(entry, sort_keys=True) + "\n")
 
             self._divergence_guard(entry)
-            if self.out_dir and self.iteration % cfg.train.checkpoint_every == 0:
+            # the run's last iteration is written once, as checkpoint_final.json
+            if self.out_dir and i < iterations - 1 and self.iteration % cfg.train.checkpoint_every == 0:
                 write_json(os.path.join(self.out_dir, f"checkpoint_{self.iteration:06d}.json"),
                            self.checkpoint())
         if self.out_dir:

@@ -502,6 +502,54 @@ def ref_residual_latents(policy, samples):
     return np.array(zs), np.array(ws), np.array(gl, dtype=int), tl
 
 
+# -- the update's kernels as they were written before they worked in place ------
+#
+# ``net_backward`` while its tape kept each layer's pre-activation ``s`` next
+# to its output ``z``, and ``adam_step`` as one expression per moment and one
+# for the step.  tests/test_nets.py holds the library to these bit for bit.
+
+
+def ref_net_backward(net, x, grad_out):
+    """(weight grads, bias grads, input grad) of <grad_out, net(x)>: the
+    derivative ``1 - z*z`` for tanh and ``np.ones_like(s)`` for the identity,
+    multiplied into the cotangent, then ``gs.T @ zin``, ``gs.sum(axis=0)`` and
+    ``gs @ W`` at every layer."""
+    pre, post, z = [], [], x
+    for layer in net.layers:
+        s = z @ layer.weight.T + layer.bias
+        z = _ref_act(layer.activation, s)
+        pre.append(s)
+        post.append(z)
+    weights, biases = [None] * len(net.layers), [None] * len(net.layers)
+    g = grad_out
+    for k in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[k]
+        if layer.activation == "tanh":
+            deriv = 1.0 - post[k] * post[k]
+        else:
+            deriv = np.ones_like(pre[k])
+        gs = g * deriv
+        zin = x if k == 0 else post[k - 1]
+        weights[k] = gs.T @ zin
+        biases[k] = gs.sum(axis=0)
+        g = gs @ layer.weight
+    return weights, biases, g
+
+
+def ref_adam_step(params, grads, state) -> None:
+    """Bias-corrected Adam, in place, each update one numpy expression."""
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - state.beta1**t
+    c2 = 1.0 - state.beta2**t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
 # -- terrain layout and evaluation episodes as they were written out per use ----
 #
 # ``generate_terrain`` and ``build_benchmark_track`` each carried their own

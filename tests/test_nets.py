@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaitrl.amp import make_discriminators
+from gaitrl.biped import BipedModel
 from gaitrl.codec import decode, encode
+from gaitrl.env import EnvConfig
 from gaitrl.nets import (
     AdamState,
     DenseNet,
@@ -16,8 +19,13 @@ from gaitrl.nets import (
     net_forward,
     softmax,
 )
+from gaitrl.policy import NET_NAMES, ActorCritic, PolicyArch, PolicyMode
 
-from oracles import central_diff_params, mlp_eval, rel_err
+from oracles import central_diff_params, mlp_eval, ref_adam_step, ref_net_backward, rel_err
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
 def random_net(rng, dims=None, act="tanh"):
@@ -177,6 +185,55 @@ class TestBackward:
             net_backward(n2, tape, np.zeros((1, 3)))
 
 
+def nets_an_update_trains() -> dict:
+    """Every net of a default stage-2 policy, by component name, and one
+    discriminator; the residual's zero output layers get weights."""
+    policy = ActorCritic(BipedModel(), EnvConfig(), PolicyArch(), PolicyMode(stage=2), seed=3)
+    rng = np.random.default_rng(14)
+    nets = {name: getattr(policy, name) for name in NET_NAMES}
+    nets.update({f"expert_{i}": e for i, e in enumerate(policy.residual.experts)})
+    nets["gate"] = policy.residual.gate
+    for name in ("expert_0", "expert_1", "expert_2", "gate"):
+        layer = nets[name].layers[-1]
+        layer.weight[:] = rng.normal(0.0, 0.3, layer.weight.shape)
+    nets["disc"] = make_discriminators(1, 30, rng).nets[0]
+    return nets
+
+
+NETS = nets_an_update_trains()
+
+
+class TestBitwiseBackward:
+    """net_backward against the expression it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_skipping_the_input_gradient_keeps_every_parameter_gradient(self, name):
+        net = NETS[name]
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(37, net.input_dim))
+        # a scalar head's cotangent is a [B, 1] view of a vector, as callers pass it
+        g = rng.normal(size=37)[:, None] if net.output_dim == 1 else rng.normal(
+            size=(37, net.output_dim))
+        _, tape = net_forward(net, x)
+        full, gx = net_backward(net, tape, g)
+        params_only, none = net_backward(net, tape, g, input_grad=False)
+        ref_w, ref_b, ref_gx = ref_net_backward(net, x, g)
+        assert none is None
+        assert bits(gx) == bits(ref_gx)
+        for k in range(len(net.layers)):
+            for got in (full, params_only):
+                assert bits(got.weights[k]) == bits(ref_w[k]), (name, k)
+                assert bits(got.biases[k]) == bits(ref_b[k]), (name, k)
+
+    def test_the_tape_holds_the_input_and_each_layer_output(self):
+        net = NETS["critic"]
+        x = np.random.default_rng(16).normal(size=(5, net.input_dim))
+        y, tape = net_forward(net, x)
+        assert list(vars(tape)) == ["net_ref", "x", "post"]
+        assert tape.x is x and tape.post[-1] is y
+        assert [z.shape for z in tape.post] == [(5, l.weight.shape[0]) for l in net.layers]
+
+
 class TestDirectionalParamGrads:
     def test_matches_finite_differences_of_input_grad_norm(self):
         # grads of h = v . grad_x(f) for fixed v equal d/dtheta of that dot product
@@ -268,6 +325,38 @@ class TestAdam:
             adam_step(p, [np.array([np.nan, 0.0])], st_)
         np.testing.assert_array_equal(p[0], snapshot)
         np.testing.assert_array_equal(st_.m[0], m_snap)
+
+
+_GRAD_FLOATS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+def _draw_arrays(data, shapes) -> list[np.ndarray]:
+    return [np.array(data.draw(st.lists(_GRAD_FLOATS, min_size=n * m, max_size=n * m)))
+            .reshape(n, m) for n, m in shapes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_adam_step_matches_the_expression_bit_for_bit(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    shapes = [(1, n), (2, n)]
+    ours = _draw_arrays(data, shapes)
+    ref = [p.copy() for p in ours]
+    lr = data.draw(st.sampled_from([3e-4, 1e-3, 0.5]), label="lr")
+    s_ours, s_ref = AdamState(ours, lr=lr), AdamState(ref, lr=lr)
+    s_ours.step_count = s_ref.step_count = data.draw(st.integers(0, 10**6), label="t0")
+    with np.errstate(all="ignore"):  # a huge gradient may overflow its square
+        for _ in range(data.draw(st.integers(1, 8), label="steps")):
+            grads = _draw_arrays(data, shapes)
+            adam_step(ours, grads, s_ours)
+            ref_adam_step(ref, grads, s_ref)
+            assert s_ours.step_count == s_ref.step_count
+            for a, b in zip(ours + s_ours.m + s_ours.v, ref + s_ref.m + s_ref.v):
+                assert bits(a) == bits(b)
 
 
 class TestSoftmax:

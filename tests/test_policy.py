@@ -242,10 +242,7 @@ class TestCritic:
         b = make_bundles(1)[0]
         from gaitrl.nets import net_backward
 
-        nz = pol.normalizer
-        x = np.concatenate(
-            [nz.norm_m(b.m), nz.norm_e(b.e), nz.norm_o(b.o), nz.norm_hist(b.hist[None])[0]]
-        )[None]
+        x = pol.normalizer.critic_input(BundleBatch.stack([b]), gait=False)
 
         def scalar():
             from gaitrl.nets import net_forward

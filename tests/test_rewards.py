@@ -6,7 +6,14 @@ import pytest
 from gaitrl.biped import N_JOINTS, BipedModel, BipedState
 from gaitrl.env import CommandState, one_hot
 from gaitrl.refmotion import GAIT_HIGH_KNEES, GAIT_SQUAT, GAIT_WALK_RUN
-from gaitrl.rewards import RewardConfig, gait_rewards, locomotion_rewards, total_reward
+from gaitrl.config import config_from_dict
+from gaitrl.rewards import (
+    DEFAULT_WEIGHTS,
+    RewardConfig,
+    gait_rewards,
+    locomotion_rewards,
+    total_reward,
+)
 
 MODEL = BipedModel()
 CFG = RewardConfig()
@@ -269,3 +276,13 @@ class TestLimitConfig:
             assert changed.raw[name] == fresh.raw[name]
             assert changed.raw[name] > first.raw[name]
         assert not [k for k in vars(cfg) if k.startswith("_")]
+
+
+class TestWeightTable:
+    def test_a_partial_table_keeps_the_other_default_weights(self):
+        # built in code as the config decoder builds it: one table, one meaning
+        cfg = RewardConfig(weights={"track_lin_vel": 1.0})
+        assert cfg.weight("track_lin_vel") == 1.0
+        assert cfg.weight("collision") == -15.0
+        assert cfg.weights == {**DEFAULT_WEIGHTS, "track_lin_vel": 1.0}
+        assert config_from_dict({"rewards": {"weights": {"track_lin_vel": 1.0}}}).rewards == cfg

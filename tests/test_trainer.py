@@ -164,6 +164,16 @@ class TestStage1:
         assert json.loads(lines[0])["iteration"] == 1
         assert (tmp_path / "checkpoint_final.json").exists()
 
+    def test_each_iteration_is_written_once(self, tmp_path):
+        # the last iteration is a multiple of checkpoint_every, and its
+        # checkpoint is checkpoint_final.json alone
+        cfg = tiny_cfg(**{"train.checkpoint_every": 1})
+        Trainer(cfg, seed=0, stage=1, out_dir=str(tmp_path)).run(3)
+        written = sorted(p.name for p in tmp_path.glob("checkpoint_*.json"))
+        assert written == ["checkpoint_000001.json", "checkpoint_000002.json",
+                           "checkpoint_final.json"]
+        assert load_checkpoint(tmp_path / "checkpoint_final.json").iteration == 3
+
     def test_same_seed_identical_metrics_and_checkpoints(self, tmp_path):
         cfg_dict = config_to_dict(tiny_cfg())
         outs = []
@@ -443,7 +453,7 @@ class TestResume:
         out = tmp_path / "run"
         Trainer(cfg, seed=4, stage=1, out_dir=str(out)).run(2)
         first = (out / "metrics.jsonl").read_bytes()
-        resume = load_checkpoint(out / "checkpoint_000002.json")
+        resume = load_checkpoint(out / "checkpoint_final.json")
         Trainer(cfg, seed=4, stage=1, out_dir=str(out), resume=resume).run(2)
         lines = (out / "metrics.jsonl").read_bytes().splitlines(keepends=True)
         assert len(lines) == 4
