@@ -86,7 +86,7 @@ def discriminator_loss(
     grad_norm_mean = 0.0
     if alpha_gp > 0.0:
         # per-row input gradients of the scalar head, one batched call
-        _, u = net_backward(net, tape_r, np.ones((n_r, 1)))
+        _, u = net_backward(net, tape_r, np.ones((n_r, 1)), param_grads=False)
         norms = np.sqrt(np.sum(u * u, axis=1))
         grad_norm_mean = float(np.mean(norms))
         penalty = 0.5 * alpha_gp * grad_norm_mean

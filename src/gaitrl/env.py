@@ -14,6 +14,18 @@ draw in ``DR_FIELDS`` order), and the critic reads ``o`` and the history
 from their own blocks.  Reward evaluation lives in
 :mod:`gaitrl.rewards`; the env fills everything rewards need into the state
 it exposes.
+
+The history rule.  Within an episode, step by step (the reset observation
+is its first row):
+
+- a row's history ``hist`` is the episode's last H ``o`` rows, oldest
+  first, with the first one repeated until H have passed;
+- a row's previous scan (the first half of ``scans``) is the row before's
+  current scan, or its own current scan at an episode's first row;
+- in a rollout, an episode starts on the row after a done row.
+
+So ``o`` and the current scan are all that is new at a step; the rollout
+buffer stores only those and rebuilds the rest by this rule.
 """
 
 from __future__ import annotations

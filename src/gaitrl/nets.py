@@ -193,14 +193,21 @@ def _check_tape(net: DenseNet, tape: GradientTape) -> None:
 
 
 def net_backward(
-    net: DenseNet, tape: GradientTape, grad_out: np.ndarray, *, input_grad: bool = True
-) -> tuple[NetGrads, np.ndarray | None]:
+    net: DenseNet,
+    tape: GradientTape,
+    grad_out: np.ndarray,
+    *,
+    input_grad: bool = True,
+    param_grads: bool = True,
+) -> tuple[NetGrads | None, np.ndarray | None]:
     """Reverse-mode gradients of <grad_out, y> w.r.t. parameters and input.
 
     Batched ``grad_out`` rows are treated as independent cotangents; parameter
     gradients are summed over the batch and ``grad_input`` keeps the batch
     shape.  With ``input_grad`` false the layer-0 ``gs @ W`` is skipped and
-    ``grad_input`` is None; the parameter gradients have the same bits.
+    ``grad_input`` is None; the parameter gradients have the same bits.  With
+    ``param_grads`` false no layer's ``gs.T @ z`` or bias sum is formed and
+    the gradients are None; ``grad_input`` has the same bits.
     """
     _check_tape(net, tape)
     g = _as_batch(grad_out, net.output_dim, "grad_out")
@@ -211,11 +218,11 @@ def net_backward(
     for k in range(n_layers - 1, -1, -1):
         layer = net.layers[k]
         g = _through_act(layer.activation, tape.post[k], g)
-        zin = tape.x if k == 0 else tape.post[k - 1]
-        weights[k] = g.T @ zin
-        biases[k] = g.sum(axis=0)
+        if param_grads:
+            weights[k] = g.T @ (tape.x if k == 0 else tape.post[k - 1])
+            biases[k] = g.sum(axis=0)
         g = g @ layer.weight if k > 0 or input_grad else None
-    return NetGrads(weights, biases), g
+    return (NetGrads(weights, biases) if param_grads else None), g
 
 
 def net_directional_param_grads(

@@ -54,21 +54,37 @@ class PPOConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class RolloutBuffer:
     """Fixed-horizon on-policy storage for a batch of environments.
 
-    One row per control step, copied from the batch the policy acted on
-    (``obs``, a ``BundleBatch`` of ``[T, N, d]`` arrays, the gait command
-    among its blocks) and from what the step returned; ``values`` has one
-    bootstrap row beyond the horizon.
+    One row per control step, from the batch the policy acted on and from
+    what the step returned; ``values`` has one bootstrap row beyond the
+    horizon.  A row stores only what is new at its step: ``o``, the current
+    scan (``scan``), ``m``, ``e`` and the gait command.  :meth:`batch`
+    rebuilds each row's history and previous scan from earlier rows by the
+    rule the :mod:`gaitrl.env` docstring states, so ``o`` starts with the
+    H - 1 history rows, and ``scan`` with the previous scan, that the
+    rollout's first row starts from: row ``t`` is ``o[t + H - 1]`` and
+    ``scan[t + 1]``.  ``start`` holds the row each row's episode starts at,
+    or -H for an episode that began before the rollout (its first rows are
+    already repeated in the lead rows).
     """
 
     def __init__(self, horizon: int, n_envs: int, dims: dict, n_joints: int):
         T, N = horizon, n_envs
         self.horizon = horizon
         self.n_envs = n_envs
-        blocks = ("d_o", "d_hist", "d_scan", "d_m", "d_e", "d_gait")
-        self.obs = BundleBatch(*(np.zeros((T, N, dims[d])) for d in blocks))
+        self.history_len = H = dims["d_hist"] // dims["d_o"]
+        self.o = np.zeros((H - 1 + T, N, dims["d_o"]))
+        self.scan = np.zeros((1 + T, N, dims["d_scan"] // 2))
+        self.m = np.zeros((T, N, dims["d_m"]))
+        self.e = np.zeros((T, N, dims["d_e"]))
+        self.gait = np.zeros((T, N, dims["d_gait"]))
+        self.start = np.full((T, N), -H)
         self.actions = np.zeros((T, N, n_joints))
         self.log_probs = np.zeros((T, N))
         self.values = np.zeros((T + 1, N))
@@ -78,10 +94,62 @@ class RolloutBuffer:
         self.r_s = np.zeros((T, N))
         self.r_g = np.zeros((T, N))
 
+    def batch(self, rows: np.ndarray) -> BundleBatch:
+        """The batch the policy acted on at ``rows``, flat indices ``t * N + n``.
+
+        ``hist`` and ``scans`` are the last H ``o`` rows and the last two
+        current scans of each row's episode, oldest first: each source row
+        is clamped at the episode's start.
+        """
+        N, H = self.n_envs, self.history_len
+        t, n = np.divmod(rows, N)
+        s = self.start[t, n][:, None]
+        flat = lambda a: a.reshape(-1, a.shape[2])
+
+        def window(steps: np.ndarray, lead: int, width: int) -> np.ndarray:
+            src = np.maximum(t[:, None] + np.arange(1 - width, 1), s)
+            return np.take(flat(steps), (src + lead) * N + n[:, None], axis=0).reshape(len(rows), -1)
+
+        return BundleBatch(
+            o=np.take(flat(self.o), rows + (H - 1) * N, axis=0),
+            hist=window(self.o, H - 1, H),
+            scans=window(self.scan, 1, 2),
+            m=np.take(flat(self.m), rows, axis=0),
+            e=np.take(flat(self.e), rows, axis=0),
+            gait=np.take(flat(self.gait), rows, axis=0),
+        )
+
     def add_step(self, t, batch, actions, log_probs, values, rewards, dones, breakdowns):
-        """Row ``t``: ``[N, ...]`` arrays and per-env lists, in env order."""
-        for name, rows in vars(self.obs).items():
-            rows[t] = getattr(batch, name)
+        """Row ``t``: ``[N, ...]`` arrays and per-env lists, in env order; rows
+        are added in order from ``t = 0``.  A ``ValueError`` refuses a batch
+        whose history or previous scan does not follow from the row before by
+        the history rule, so that :meth:`batch` rebuilds every row bit for bit.
+        """
+        N, H = self.n_envs, self.history_len
+        d_o, K = self.o.shape[2], self.scan.shape[2]
+        o, hist, scans = batch.o, batch.hist, batch.scans
+        if t == 0:  # the history and scan the rollout's first row starts from
+            tail, prev = hist[:, :-d_o], scans[:, :K]
+        else:
+            new = self.dones[t - 1] != 0.0
+            tail = self._tail  # the row before's history, but its oldest o
+            tail.reshape(N, H - 1, d_o)[new] = o[new, None]
+            prev = np.where(new[:, None], scans[:, K:], self.scan[t])
+        if not (_same_bits(hist[:, :-d_o], tail) and _same_bits(hist[:, -d_o:], o)
+                and _same_bits(scans[:, :K], prev)):
+            raise ValueError(f"row {t}: a history or previous scan that is not the "
+                             "episode's earlier rows")
+        self._tail = hist[:, d_o:].copy()
+        if t == 0:
+            self.o[: H - 1] = tail.reshape(N, H - 1, d_o).swapaxes(0, 1)
+            self.scan[0] = prev
+        else:
+            self.start[t] = np.where(new, t, self.start[t - 1])
+        self.o[t + H - 1] = o
+        self.scan[t + 1] = scans[:, K:]
+        self.m[t] = batch.m
+        self.e[t] = batch.e
+        self.gait[t] = batch.gait
         self.actions[t] = actions
         self.log_probs[t] = log_probs
         self.values[t] = values
@@ -223,11 +291,8 @@ def ppo_update(
 ) -> dict:
     """Epochs of minibatched clipped-surrogate updates over the buffer, every
     row of which the rollout has written."""
-    T, N = buffer.horizon, buffer.n_envs
-    B = T * N
-    flat = lambda a: a.reshape(B, *a.shape[2:])
-    obs = {name: flat(rows) for name, rows in vars(buffer.obs).items()}
-    actions = flat(buffer.actions)
+    B = buffer.horizon * buffer.n_envs
+    actions = buffer.actions.reshape(B, -1)
     old_logp = buffer.log_probs.reshape(B)
 
     adv, returns = compute_gae(buffer.rewards, buffer.values, buffer.dones, cfg.gamma, cfg.lam)
@@ -243,7 +308,7 @@ def ppo_update(
         perm = rng.permutation(B)
         for start in range(0, B, cfg.minibatch):
             idx = perm[start : start + cfg.minibatch]
-            mb = BundleBatch(**{name: rows[idx] for name, rows in obs.items()})
+            mb = buffer.batch(idx)
             loss, grad_lists, piece = ppo_loss_and_grads(
                 policy, mb, actions[idx], adv_n[idx], returns[idx], old_logp[idx], cfg
             )

@@ -25,6 +25,7 @@ seed) pair reproduces checkpoints and metrics byte for byte.
 from __future__ import annotations
 
 import copy
+import ctypes
 import json
 import logging
 import os
@@ -233,6 +234,29 @@ def _check_fits(what: str, theirs, mine, path: str = "") -> None:
 
 # -- the training loop ------------------------------------------------------------
 
+# glibc's mallopt parameter numbers (malloc.h)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory() -> None:
+    """Have the C allocator keep the memory a PPO update frees for the next
+    minibatch, instead of handing it back to the OS and faulting it in again.
+
+    By default glibc maps each block over 128 KiB afresh and trims a free
+    heap top over 128 KiB; it raises both thresholds only when a large
+    mapped block is freed.  An update allocates and frees several MB per
+    minibatch, and below an 8 MiB trim threshold a default stage-1 update
+    took about 50,000 page faults (200 MB touched anew) instead of none.
+    Fixed thresholds keep that from depending on which arrays the process
+    happened to free before.  Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(M_MMAP_THRESHOLD, 4 << 20)
+        libc.mallopt(M_TRIM_THRESHOLD, 16 << 20)
+    except (AttributeError, OSError, TypeError):
+        pass
+
 
 class Trainer:
     def __init__(
@@ -245,6 +269,7 @@ class Trainer:
         resume: Checkpoint | None = None,
     ):
         resume = copy.deepcopy(resume)  # the run trains its arrays in place
+        keep_freed_memory()
         self.cfg = cfg
         self.seed = seed
         self.stage = stage

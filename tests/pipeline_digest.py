@@ -1,6 +1,6 @@
 """Run the whole CLI pipeline on a tiny config and print a digest of what it wrote.
 
-    PYTHONPATH=src python tests/pipeline_digest.py OUT_DIR
+    PYTHONPATH=src python tests/pipeline_digest.py OUT_DIR [--expect FILE]
 
 The pipeline generates the reference clips, trains stage 1 (plain, warm
 started, resumed and blind) and stage 2 (plain, action-space residual and
@@ -11,11 +11,21 @@ than an episode, so most code paths run in a few seconds each.
 
 Each command runs in this process with ``OUT_DIR`` as the working directory
 and relative paths, so the output does not depend on where ``OUT_DIR`` is.
-Its stdout and stderr go to ``logs/``.  The script prints one ``exit CODE
+Its stdout and stderr go to ``logs/``.  The script prints a ``#`` line
+that names the numpy, OpenBLAS and Python it ran on, one ``exit CODE
 COMMAND`` line per command, then one ``SHA256 PATH`` line per file under
 ``OUT_DIR``.  Run it against two checkouts (through ``PYTHONPATH``) and
 ``diff`` the printouts: the same lines mean the same exit codes and the same
 bytes in every file, logs included.
+
+``--expect FILE`` compares the printout with the one in ``FILE`` instead of
+printing it: it prints only the lines that differ (``- `` expected, ``+ ``
+written), and exits 1 on any difference; a difference on another stack than
+``FILE``'s ``#`` line says so on stderr.  ``tests/pipeline_digest.expected``
+is the committed printout.  A change that moves an output rewrites it in its
+own diff::
+
+    PYTHONPATH=src python tests/pipeline_digest.py OUT_DIR > tests/pipeline_digest.expected
 
 pytest does not collect this file: its name does not start with ``test_``.
 """
@@ -28,8 +38,12 @@ import hashlib
 import io
 import json
 import os
+import platform
 import shutil
+import sys
 from pathlib import Path
+
+import numpy as np
 
 from gaitrl.cli import cli
 
@@ -116,15 +130,43 @@ def digests(out: Path) -> list[str]:
     ]
 
 
+def stack() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"# numpy {np.__version__}, {blas['name']} {blas['version']}, "
+            f"Python {platform.python_version()}")
+
+
+def differing(expected: list[str], written: list[str]) -> list[str]:
+    """``- `` each expected line not written, then ``+ `` each written line
+    not expected; every line names its command or file once."""
+    kept, new = set(expected), set(written)
+    return ([f"- {x}" for x in expected if x not in new]
+            + [f"+ {x}" for x in written if x not in kept])
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="a directory that does not exist yet")
-    out = Path(parser.parse_args().out).resolve()
+    parser.add_argument("--expect", metavar="FILE",
+                        help="print only the lines that differ from FILE's")
+    args = parser.parse_args()
+    text = Path(args.expect).read_text().splitlines() if args.expect else None
+    out = Path(args.out).resolve()
     if out.exists():
         parser.error(f"{out} exists")
     out.mkdir(parents=True)
     os.chdir(out)
-    print("\n".join(run_pipeline() + digests(out)))
+    lines = run_pipeline() + digests(out)
+    if text is None:
+        print("\n".join([stack(), *lines]))
+        return
+    diff = differing([x for x in text if not x.startswith("#")], lines)
+    if diff:
+        print("\n".join(diff))
+        if stack() not in text:
+            print(f"{args.expect} was written on another stack; this is {stack()[2:]}",
+                  file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -225,6 +225,18 @@ class TestBitwiseBackward:
                 assert bits(got.weights[k]) == bits(ref_w[k]), (name, k)
                 assert bits(got.biases[k]) == bits(ref_b[k]), (name, k)
 
+    @pytest.mark.parametrize("name", sorted(NETS))
+    def test_skipping_the_parameter_gradients_keeps_the_input_gradient(self, name):
+        # the discriminator's gradient penalty asks for the input gradient alone
+        net = NETS[name]
+        x = np.random.default_rng(17).normal(size=(37, net.input_dim))
+        g = np.ones((37, net.output_dim))
+        _, tape = net_forward(net, x)
+        _, gx = net_backward(net, tape, g)
+        none, u = net_backward(net, tape, g, param_grads=False)
+        assert none is None
+        assert bits(u) == bits(gx) == bits(ref_net_backward(net, x, g)[2])
+
     def test_the_tape_holds_the_input_and_each_layer_output(self):
         net = NETS["critic"]
         x = np.random.default_rng(16).normal(size=(5, net.input_dim))

@@ -6,7 +6,7 @@ import pytest
 
 from gaitrl.biped import N_JOINTS, BipedModel
 from gaitrl.codec import encode
-from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
+from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, obs_dims, one_hot
 from gaitrl.policy import ActorCritic, BundleBatch, PolicyArch, PolicyMode, gaussian_log_prob_batch
 from gaitrl.ppo import (
     PPOConfig,
@@ -18,6 +18,7 @@ from gaitrl.ppo import (
 )
 from gaitrl.rewards import RewardBreakdown
 from gaitrl.terrain import generate_terrain
+from gaitrl.trainer import keep_freed_memory
 
 from oracles import central_diff_params, discounted_advantages, rel_err
 
@@ -149,22 +150,29 @@ class TestPPOLoss:
 
 class TestPPOUpdate:
     def make_buffer(self, policy, T=4, N=3, seed=0):
+        """A buffer that a rollout of ``policy`` on N envs fills, with random rewards."""
+        terrain = generate_terrain("rough", 0.4, seed=seed)
+        reset = lambda env: env.reset(
+            terrain, DRConfig.identity(), CommandState(v_cmd=0.4, gait=one_hot(0, 3))
+        )
+        envs = [TerrainEnv(MODEL, TINY_ENV, seed=seed + i) for i in range(N)]
+        for env in envs:
+            reset(env)
         buf = RolloutBuffer(T, N, policy.dims, N_JOINTS)
-        bundles = collect_bundles(T * N, seed=seed)
         rng = np.random.default_rng(seed)
         std = np.exp(policy.log_std)
         for t in range(T):
-            row = bundles[t * N : (t + 1) * N]
-            actions, logps, rewards = [], [], []
-            for b in row:
-                mean = policy.act(b)
-                action = mean + std * rng.standard_normal(N_JOINTS)
-                actions.append(action)
-                logps.append(gaussian_log_prob_batch(action[None], mean[None], policy.log_std)[0])
-                rewards.append(float(rng.normal()))
-            batch = BundleBatch.stack(row)
+            batch = BundleBatch.stack([env.bundle for env in envs])
+            means, _ = policy.actor_mean(batch)
             values, _ = policy.critic_value(batch)
-            buf.add_step(t, batch, np.stack(actions), logps, values, rewards, [False] * N,
+            actions = np.clip(means + std * rng.standard_normal(means.shape),
+                              -MODEL.action_bound, MODEL.action_bound)
+            logps = gaussian_log_prob_batch(actions, means, policy.log_std)
+            dones = [env.step(a).done for env, a in zip(envs, actions)]
+            for env, done in zip(envs, dones):
+                if done:
+                    reset(env)
+            buf.add_step(t, batch, actions, logps, values, rng.normal(size=N), dones,
                          [RewardBreakdown()] * N)
         buf.values[T] = 0.0
         return buf
@@ -226,16 +234,21 @@ class TestPPOUpdate:
 UPDATE_PEAK_BUDGET_MB = 10.5
 
 
-def test_the_update_working_set_stays_in_its_budget():
-    cfg = PPOConfig(epochs=1)
+def default_update(cfg):
+    """A default stage-1 policy, its optimizers and a default buffer of random rows."""
     policy = ActorCritic(MODEL, EnvConfig(), PolicyArch(), PolicyMode(stage=1), seed=0)
     buf = RolloutBuffer(cfg.horizon, cfg.n_envs, policy.dims, N_JOINTS)
     rng = np.random.default_rng(0)
-    for rows in (*vars(buf.obs).values(), buf.actions, buf.values, buf.rewards):
+    for rows in (buf.o, buf.scan, buf.m, buf.e, buf.gait, buf.actions, buf.values, buf.rewards):
         rows[:] = rng.normal(size=rows.shape)
     buf.log_probs[:] = rng.normal(-5.0, 1.0, size=buf.log_probs.shape)
     buf.dones[:] = rng.random(buf.dones.shape) < 0.05
-    opts = make_optimizers(policy, cfg)
+    return policy, buf, make_optimizers(policy, cfg)
+
+
+def test_the_update_working_set_stays_in_its_budget():
+    cfg = PPOConfig(epochs=1)
+    policy, buf, opts = default_update(cfg)
     tracemalloc.start()
     try:
         stats = ppo_update(policy, buf, cfg, opts, np.random.default_rng(1))
@@ -244,3 +257,37 @@ def test_the_update_working_set_stays_in_its_budget():
         tracemalloc.stop()
     assert "nan_aborted" not in stats
     assert peak / 1e6 <= UPDATE_PEAK_BUDGET_MB
+
+
+# A default buffer (64 envs x 64 steps) allocates 2.97 MB: each row stores
+# ``o``, the current scan, ``m``, ``e`` and the gait command once, and the
+# history and the previous scan are rebuilt from earlier rows.  Copying both
+# into every row took 7.34 MB.
+BUFFER_BUDGET_MB = 3.1
+
+
+def test_a_default_buffer_stays_in_its_budget():
+    tracemalloc.start()
+    try:
+        buf = RolloutBuffer(64, 64, obs_dims(EnvConfig()), N_JOINTS)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held / 1e6 <= BUFFER_BUDGET_MB
+
+
+# With the allocator's thresholds left to follow what the process freed
+# before, one default stage-1 epoch took about 12,000 page faults: the
+# minibatches' temporaries went back to the OS and were faulted in again.
+UPDATE_FAULT_BUDGET = 2000
+
+
+def test_an_update_reuses_the_memory_it_frees():
+    resource = pytest.importorskip("resource")
+    cfg = PPOConfig(epochs=1)
+    policy, buf, opts = default_update(cfg)
+    keep_freed_memory()
+    ppo_update(policy, buf, cfg, opts, np.random.default_rng(1))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ppo_update(policy, buf, cfg, opts, np.random.default_rng(2))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= UPDATE_FAULT_BUDGET

@@ -21,6 +21,7 @@ from gaitrl.config import (
 from gaitrl.env import TerrainEnv
 from gaitrl.policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
 from gaitrl.ppo import RolloutBuffer
+from gaitrl.rewards import RewardBreakdown
 from gaitrl.trainer import (
     CurriculumState,
     GaitScheduler,
@@ -70,7 +71,7 @@ class TestTrainerConfig:
         trainer.collect_rollout(buffer)
         trainer.run(1)
         assert config_to_dict(cfg) == before
-        assert not buffer.obs.scans.any()
+        assert not buffer.batch(np.arange(T * N)).scans.any()
         assert not any(w.env.bundle.scans.any() for w in trainer.workers)
         seeing = Trainer(tiny_cfg(), seed=0, stage=1)
         assert all(w.env.bundle.scans.any() for w in seeing.workers)
@@ -198,9 +199,9 @@ class TestStage1:
 
 
 def buffer_arrays(buffer: RolloutBuffer) -> dict:
-    """Every array of ``buffer``, by name."""
-    return {**vars(buffer.obs),
-            **{name: v for name, v in vars(buffer).items() if isinstance(v, np.ndarray)}}
+    """Every float array of ``buffer``, by name."""
+    return {name: v for name, v in vars(buffer).items()
+            if isinstance(v, np.ndarray) and v.dtype.kind == "f"}
 
 
 def nan_filled(buffer: RolloutBuffer) -> RolloutBuffer:
@@ -226,14 +227,62 @@ class TestRollout:
         buffer = nan_filled(RolloutBuffer(T, N, pol.dims, N_JOINTS))
         trainer.collect_rollout(buffer)
         assert_every_row_written(buffer)
-        assert buffer.obs.gait.any()
+        assert buffer.gait.any()
         for t in range(T):
-            row = BundleBatch(**{name: rows[t] for name, rows in vars(buffer.obs).items()})
+            row = buffer.batch(np.arange(t * N, (t + 1) * N))
             means, _ = pol.actor_mean(row)
             logps = gaussian_log_prob_batch(buffer.actions[t], means, pol.log_std)
             assert logps.tobytes() == buffer.log_probs[t].tobytes(), t
             values, _ = pol.critic_value(row)
             assert values.tobytes() == buffer.values[t].tobytes(), t
+
+    def test_the_buffer_rebuilds_every_batch_the_policy_acted_on(self, monkeypatch):
+        # short episodes, scan delays of 0 and 1 steps, a gait period of three
+        # control steps and one diverging env: every row the buffer rebuilds
+        # is the batch the actor read, bit for bit
+        cfg = tiny_cfg(**{"mode.one_stage": True, "env.max_episode_s": 0.2,
+                          "train.dr_enabled": True, "gaits.period_s": 0.06})
+        trainer = Trainer(cfg, seed=3, stage=2)
+        T, N = cfg.ppo.horizon, cfg.ppo.n_envs
+        seen = []
+        actor_mean = ActorCritic.actor_mean
+
+        def recording_actor_mean(policy, batch):
+            seen.append(BundleBatch(**{k: v.copy() for k, v in vars(batch).items()}))
+            return actor_mean(policy, batch)
+
+        monkeypatch.setattr(ActorCritic, "actor_mean", recording_actor_mean)
+        delays = set()
+        for rollout in range(3):
+            if rollout == 2:
+                trainer.workers[1].env.state.vx = math.nan
+            seen.clear()
+            buffer = RolloutBuffer(T, N, trainer.policy.dims, N_JOINTS)
+            trainer.collect_rollout(buffer)
+            delays |= {w.env._scan_delay for w in trainer.workers}
+            assert buffer.dones.sum() >= N
+            rebuilt = buffer.batch(np.arange(T * N))
+            for t, acted in enumerate(seen):
+                for name, rows in vars(acted).items():
+                    got = getattr(rebuilt, name)[t * N : (t + 1) * N]
+                    assert got.tobytes() == rows.tobytes(), (rollout, t, name)
+        assert delays == {0, 1}
+        assert buffer.dones[0, 1] == 1.0  # the poisoned env diverged at once
+
+        # a batch with one history float or one previous-scan float edited is refused
+        d_o, K = buffer.o.shape[2], buffer.scan.shape[2]
+        for t, (block, col) in enumerate((("hist", 0), ("hist", d_o), ("scans", K - 1))):
+            fresh = RolloutBuffer(T, N, trainer.policy.dims, N_JOINTS)
+            for s in range(t + 1):
+                fresh.add_step(s, seen[s], buffer.actions[s], buffer.log_probs[s],
+                               buffer.values[s], buffer.rewards[s], buffer.dones[s],
+                               [RewardBreakdown()] * N)
+            edited = BundleBatch(**{k: v.copy() for k, v in vars(seen[t + 1]).items()})
+            getattr(edited, block)[2, col] += 1e-9
+            with pytest.raises(ValueError, match="history or previous scan"):
+                fresh.add_step(t + 1, edited, buffer.actions[t + 1], buffer.log_probs[t + 1],
+                               buffer.values[t + 1], buffer.rewards[t + 1],
+                               buffer.dones[t + 1], [RewardBreakdown()] * N)
 
     def test_a_gait_resample_reaches_the_observation(self, monkeypatch):
         # a gait period of three control steps: commands change mid-episode,
@@ -254,7 +303,7 @@ class TestRollout:
         held = np.array(held).reshape(T, N, cfg.env.n_gaits)
         resampled = (held[1:] != held[:-1]).any(axis=2) & (buffer.dones[:-1] == 0.0)
         assert resampled.any()
-        assert buffer.obs.gait.tobytes() == held.tobytes()
+        assert buffer.batch(np.arange(T * N)).gait.tobytes() == held.tobytes()
 
     def test_every_stage1_row_scores_no_style_and_no_gait_terms(self):
         # not just on average: a gait term can take either sign, so a mean of
@@ -492,8 +541,7 @@ class TestResume:
 
 
 class TestDivergingEnv:
-    ROWS = ("o", "hist", "scans", "m", "e", "gait", "actions", "log_probs", "values",
-            "rewards", "dones", "r_l", "r_s", "r_g")
+    ROWS = ("actions", "log_probs", "values", "rewards", "dones", "r_l", "r_s", "r_g")
 
     @pytest.mark.parametrize("stage", [1, 2])
     def test_diverging_env_ends_only_its_own_episode(self, monkeypatch, stage):
@@ -517,10 +565,15 @@ class TestDivergingEnv:
         assert all(math.isfinite(v) for v in entry.values() if isinstance(v, (int, float)))
         got, want = buffers[2], buffers[3]
         assert got.dones[0, 1] == 1.0 and got.rewards[0, 1] == 0.0
-        others = [i for i in range(poked.cfg.ppo.n_envs) if i != 1]
+        T, N = got.horizon, got.n_envs
+        others = [i for i in range(N) if i != 1]
+        got_obs, want_obs = (buf.batch(np.arange(T * N)) for buf in (got, want))
         for name in self.ROWS:
-            a, b = (getattr(buf.obs if hasattr(buf.obs, name) else buf, name)[:, others]
-                    for buf in (got, want))
+            a, b = (getattr(buf, name)[:, others] for buf in (got, want))
+            assert a.tobytes() == b.tobytes(), name
+        for name, rows in vars(got_obs).items():
+            a, b = (r.reshape(T, N, -1)[:, others] for r in (rows, getattr(want_obs, name)))
             assert a.tobytes() == b.tobytes(), name
         # the diverged env started a new episode and kept stepping
-        assert np.isfinite(got.obs.o[1:, 1]).all() and got.dones[1:, 1].sum() < got.horizon - 1
+        assert np.isfinite(got_obs.o.reshape(T, N, -1)[1:, 1]).all()
+        assert got.dones[1:, 1].sum() < got.horizon - 1
