@@ -9,7 +9,6 @@ report numbers are exactly recomputable.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -98,7 +97,7 @@ class PolicyController:
 
     def act(self, bundle, state):
         if self.gait is not None:
-            bundle = dataclasses.replace(bundle, gait=self.gait)
+            bundle = bundle.with_gait(self.gait)
         action = self.policy.act(bundle)
         bound = self.policy.model.action_bound
         # np.clip as two ufuncs: same values (NaN included), less call overhead
@@ -467,5 +466,5 @@ def collect_latent_samples(
                 v_cmd=0.5, gait_id=gid, max_episode_s=cfg.env.max_episode_s, seed=seed,
             )
             for _, (_, bundle, _, _) in zip(range(steps_per_combo), episode):
-                samples.append((bundle.copy(), kind))
+                samples.append((bundle, kind))
     return samples

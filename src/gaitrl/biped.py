@@ -68,6 +68,13 @@ class BipedModel:
     yaw_gain: float = 0.35
 
     def __post_init__(self):
+        # each is a length, a divisor or a bound the physics reads
+        for name in ("thigh_len", "shin_len", "base_mass", "base_inertia", "joint_inertia",
+                     "action_bound", "contact_damp_ramp", "contact_kt", "yaw_inertia"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not self.foot_len >= 0.0:
+            raise ValueError("foot_len must be non-negative")
         # frozen dataclass: stash read-only array views of the tuple fields,
         # and the same values as float tuples (name + "_f") for the scalar
         # per-env hot path

@@ -9,8 +9,8 @@ it back, both driven by the dataclass's fields and their annotations
 - checkpoint (``checkpoint_*.json``): ``trainer.Checkpoint``.  Every network
   is a ``DenseNet`` (a layer manifest plus its parameters as one packed flat
   array); ``log_std`` and the Adam moments are ``PackedArray``: base64 of the
-  little-endian float64 bytes, bit-exact.  The observation normalizer is not
-  stored: ``policy.build_normalizer`` rebuilds it from ``model`` and ``env``;
+  little-endian float64 bytes, bit-exact.  No observation normalizer is
+  stored: the env writes normalized rows (``env.obs_scaling``);
 - heightfield: ``terrain.Heightfield``, heights and void as nested lists;
 - reference clip (``clip_*.json``): ``refmotion.ReferenceClip``, frames as
   nested lists;

@@ -41,6 +41,11 @@ class AmpConfig:
     batch_size: int = 256
     updates_per_iter: int = 1
 
+    def __post_init__(self):
+        for name in ("disc_lr", "buffer_size", "batch_size"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+
 
 @dataclass
 class GaitConfig:

@@ -4,16 +4,28 @@ Owns an episode: spawn, PD actuation with domain-randomized dynamics,
 height-scan exteroception, privileged sensing for the critic, periodic
 pushes, and termination.  It also holds the episode's per-step state: the
 observation the next action is chosen from, the commands (velocity and
-gait) and the last three actions.  The gait command is a block of the
-observation (``ObservationBundle.gait``), so the policy reads everything it
-acts on from one bundle; :meth:`TerrainEnv.set_gait` changes the command
-and the current observation's block together.  Each quantity sits in one
-block: the privileged extras ``e`` hold only what the actor never sees (the
-feet relative to the base, the contacts, the true base velocity and the DR
-draw in ``DR_FIELDS`` order), and the critic reads ``o`` and the history
-from their own blocks.  Reward evaluation lives in
+gait) and the last three actions.  Reward evaluation lives in
 :mod:`gaitrl.rewards`; the env fills everything rewards need into the state
 it exposes.
+
+The observation row.  Each control step the env writes one float64 row
+(``ObservationBundle.row``), its blocks in ``BLOCKS`` order:
+
+- ``m``: the privileged elevation map, heights around the base (m);
+- ``e``: the privileged extras, what the actor never sees: the feet (m),
+  the contacts (0/1), the true base velocity (m/s), the DR draw;
+- ``o``: proprioception: pitch and yaw rates (rad/s), projected gravity,
+  the velocity commands, q (rad), qd (rad/s) and the last action;
+- ``hist``: the last H ``o`` rows, oldest first;
+- ``gait``: the one-hot gait command, all zero when none is given;
+- ``scans``: the previous and the current forward height scan (m).
+
+Heights and feet are relative to the base.  The env keeps the raw
+quantities and writes each column once as ``(raw - shift) * scale``
+(:func:`obs_scaling`; the gait command is not scaled), so no network
+normalizes.  The critic's blocks come first, in the column order its
+weights were trained on, so its input, ``[m, e, o, hist]`` plus ``gait`` at
+stage 2, is a prefix of the row: a view.
 
 The history rule.  Within an episode, step by step (the reset observation
 is its first row):
@@ -25,14 +37,15 @@ is its first row):
 - in a rollout, an episode starts on the row after a done row.
 
 So ``o`` and the current scan are all that is new at a step; the rollout
-buffer stores only those and rebuilds the rest by this rule.
+buffer stores only those, normalized, and rebuilds the rest by this rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +82,8 @@ DR_RANGES = {
 }
 
 DR_FIELDS = tuple(DR_RANGES.keys())
+# e's columns before the DR draw: feet relative to the base (4), contacts (2), true velocity (2)
+N_EXTRAS = 8
 
 
 @dataclass
@@ -149,8 +164,8 @@ class EnvConfig:
     n_gaits: int = 3
 
     def __post_init__(self):
-        for name in ("substeps", "history_len"):
-            if getattr(self, name) < 1:
+        for name in ("dt", "substeps", "history_len", "scan_points", "elev_points"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     def scan_offsets(self) -> np.ndarray:
@@ -161,36 +176,82 @@ class EnvConfig:
 
 
 def obs_dims(cfg: EnvConfig) -> dict:
-    """Dimension bookkeeping for the fixed observation layout."""
+    """Each block's width, keyed ``"d_" + block`` (the two scans are ``d_scan``)."""
     d_o = 2 + 2 + 2 + 3 * N_JOINTS  # [omega, gravity, velocity cmd, q, qd, last action]
-    d_hist = cfg.history_len * d_o
-    d_scan = 2 * cfg.scan_points
-    d_m = cfg.elev_points
-    d_e = 2 * 2 + 2 + 2 + len(DR_FIELDS)  # feet, contacts, true velocity, DR
     return {
         "d_o": d_o,
-        "d_hist": d_hist,
-        "d_scan": d_scan,
-        "d_m": d_m,
-        "d_e": d_e,
+        "d_hist": cfg.history_len * d_o,
+        "d_scan": 2 * cfg.scan_points,
+        "d_m": cfg.elev_points,
+        "d_e": N_EXTRAS + len(DR_FIELDS),
         "d_gait": cfg.n_gaits,
     }
 
 
-@dataclass
-class ObservationBundle:
-    o: np.ndarray  # [d_o]
-    hist: np.ndarray  # [H * d_o], oldest first
-    scans: np.ndarray  # [2 * K], previous scan then current
-    m: np.ndarray  # [M] privileged elevation, critic only
-    e: np.ndarray  # [d_e] privileged extras, critic only
-    gait: np.ndarray  # [n_gaits] one-hot gait command, all zero when none is given
+# the row's blocks in row order, each with its ``obs_dims`` width key
+BLOCKS = (("m", "d_m"), ("e", "d_e"), ("o", "d_o"), ("hist", "d_hist"), ("gait", "d_gait"),
+          ("scans", "d_scan"))
 
-    def copy(self) -> "ObservationBundle":
-        return ObservationBundle(
-            self.o.copy(), self.hist.copy(), self.scans.copy(), self.m.copy(), self.e.copy(),
-            self.gait.copy(),
-        )
+
+def obs_slices(dims: dict) -> dict[str, slice]:
+    """Each block's columns in the row; they tile it in ``BLOCKS`` order."""
+    out, col = {}, 0
+    for name, key in BLOCKS:
+        out[name] = slice(col, col + dims[key])
+        col += dims[key]
+    return out
+
+
+@functools.lru_cache(maxsize=8)  # the envs of a run share one pair
+def obs_scaling(model: BipedModel, widths: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's ``(shift, scale)``, read-only: the row holds ``(raw - shift) * scale``.
+    ``widths`` is ``tuple(obs_dims(cfg).items())``."""
+    dims = dict(widths)
+    sl = obs_slices(dims)
+    shift, scale = np.zeros(sl["scans"].stop), np.ones(sl["scans"].stop)
+    nj, H = N_JOINTS, model.standing_height()
+    o_shift, o_scale = shift[sl["o"]], scale[sl["o"]]
+    o_scale[0:2] = 0.25  # angular rates
+    o_shift[6 : 6 + nj] = model.nominal()
+    o_scale[6 + nj : 6 + 2 * nj] = 0.05  # joint velocities
+    o_scale[6 + 2 * nj :] = 0.25  # previous action
+    for a in (shift, scale):  # each history row is an o
+        a[sl["hist"]] = np.tile(a[sl["o"]], dims["d_hist"] // dims["d_o"])
+    for name in ("m", "scans"):  # heights relative to the base sit around -H
+        shift[sl[name]] = -H
+        scale[sl[name]] = 2.0
+    e_shift, e_scale = shift[sl["e"]], scale[sl["e"]]
+    e_shift[1] = e_shift[3] = -H  # the feet's vertical offsets
+    lo, hi = np.array(list(DR_RANGES.values())).T
+    e_shift[N_EXTRAS:] = 0.5 * (lo + hi)
+    e_scale[N_EXTRAS:] = 2.0 / np.maximum(hi - lo, 1e-9)
+    shift.flags.writeable = scale.flags.writeable = False
+    return shift, scale
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationBundle:
+    """One observation row, normalized and read-only; each block is a view of
+    its columns (``slices``, from :func:`obs_slices`)."""
+
+    row: np.ndarray  # [d]
+    slices: dict[str, slice]
+
+    def __post_init__(self):
+        self.row.flags.writeable = False
+
+    m = property(lambda self: self.row[self.slices["m"]])  # privileged elevation, critic only
+    e = property(lambda self: self.row[self.slices["e"]])  # privileged extras, critic only
+    o = property(lambda self: self.row[self.slices["o"]])
+    hist = property(lambda self: self.row[self.slices["hist"]])  # H rows of o, oldest first
+    gait = property(lambda self: self.row[self.slices["gait"]])  # one-hot, all zero when none
+    scans = property(lambda self: self.row[self.slices["scans"]])  # previous scan, then current
+
+    def with_gait(self, gait: np.ndarray) -> "ObservationBundle":
+        """A copy that shows ``gait`` as the command (its block is not scaled)."""
+        row = self.row.copy()
+        row[self.slices["gait"]] = gait
+        return ObservationBundle(row, self.slices)
 
 
 @dataclass
@@ -290,7 +351,11 @@ class TerrainEnv:
         self.cfg = cfg or EnvConfig()
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.dims = obs_dims(self.cfg)
-        self._o_t = np.empty(self.dims["d_o"])
+        self.slices = obs_slices(self.dims)
+        self._shift, self._scale = obs_scaling(self.model, tuple(self.dims.items()))
+        # the raw row _assemble normalizes; o_t is written in place
+        self._raw = np.empty(len(self._shift))
+        self._o_t = self._raw[self.slices["o"]]
         self._scan_offsets = self.cfg.scan_offsets()
         self._elev_offsets = self.cfg.elev_offsets()
         self.terrain: Heightfield | None = None
@@ -316,7 +381,7 @@ class TerrainEnv:
         self.terrain = terrain
         self.dr = dr
         # the DR draw is fixed for the episode; the critic sees it every step
-        self._dr_vec = self.dr.as_vector()
+        self._raw[self.slices["e"]][N_EXTRAS:] = self.dr.as_vector()
         self.commands = commands.copy()
 
         q0 = np.clip(
@@ -359,7 +424,7 @@ class TerrainEnv:
         self._history = deque([o0.copy() for _ in range(self.cfg.history_len)], maxlen=self.cfg.history_len)
         scan0 = self._scan()
         self._scans = deque([scan0.copy() for _ in range(4)], maxlen=4)
-        self.bundle = self._assemble(o0)
+        self.bundle = self._assemble()
         self._distance = self.state.x - self.spawn_x
         return self.bundle
 
@@ -427,14 +492,14 @@ class TerrainEnv:
         o_t = build_o_t(st, self.commands, self.last_action, out=self._o_t)
         self._history.append(o_t.copy())
         self._scans.append(self._scan())
-        self.bundle = bundle = self._assemble(o_t)
+        self.bundle = bundle = self._assemble()
         self._distance = distance = self.state.x - self.spawn_x
         return StepResult(bundle=bundle, termination=termination, distance=distance)
 
     def set_gait(self, gait: np.ndarray) -> None:
         """Hold ``gait`` from now on, and show it in the current observation."""
         self.commands.gait = gait
-        self.bundle = replace(self.bundle, gait=gait.copy())
+        self.bundle = self.bundle.with_gait(gait)
 
     def _diverged(self) -> StepResult:
         """End the episode on a non-finite state.
@@ -443,9 +508,7 @@ class TerrainEnv:
         observation and the distance reported before this step.
         """
         self._done = True
-        return StepResult(
-            bundle=self.bundle.copy(), termination="diverged", distance=self._distance
-        )
+        return StepResult(bundle=self.bundle, termination="diverged", distance=self._distance)
 
     # -- sensing ------------------------------------------------------------
 
@@ -463,28 +526,25 @@ class TerrainEnv:
             rng=self.rng,
         )
 
-    def _elevation_map(self) -> np.ndarray:
-        return self.terrain.heights_at(self.state.x + self._elev_offsets) - self.state.z
-
-    def _assemble(self, o_t: np.ndarray) -> ObservationBundle:
+    def _assemble(self) -> ObservationBundle:
+        """The observation row of the raw quantities, ``o_t`` already in place."""
+        raw, sl, st = self._raw, self.slices, self.state
         # scans delivered with the per-episode sensor delay: (S_{t-1-d}, S_{t-d})
         d = self._scan_delay
         cur = self._scans[-1 - d]
         prev = self._scans[-2 - d] if len(self._scans) >= 2 + d else cur
-        scans = np.concatenate([prev, cur])
-        hist = np.concatenate(self._history)
-        m = self._elevation_map()
-        st = self.state
+        np.concatenate([prev, cur], out=raw[sl["scans"]])
+        np.concatenate(self._history, out=raw[sl["hist"]])
+        np.subtract(self.terrain.heights_at(st.x + self._elev_offsets), st.z, out=raw[sl["m"]])
         (lx, lz), (rx, rz) = st.foot_pos.tolist()
-        left, right = st.contact.tolist()
-        # [feet relative to the base, contacts, true velocity], DR
-        e = np.concatenate(
-            [[lx - st.x, lz - st.z, rx - st.x, rz - st.z, float(left), float(right), st.vx, st.vz],
-             self._dr_vec]
-        )
-        return ObservationBundle(
-            o=o_t.copy(), hist=hist, scans=scans, m=m, e=e, gait=self.commands.gait.copy()
-        )
+        # [feet relative to the base, contacts, true velocity]; the DR draw follows
+        raw[sl["e"].start : sl["e"].start + N_EXTRAS] = [
+            lx - st.x, lz - st.z, rx - st.x, rz - st.z, *st.contact.tolist(), st.vx, st.vz
+        ]
+        raw[sl["gait"]] = self.commands.gait
+        row = np.subtract(raw, self._shift)
+        row *= self._scale
+        return ObservationBundle(row, sl)
 
     def _refresh_foot_state(self) -> None:
         st = self.state

@@ -8,14 +8,14 @@ gait command]``) produces ``z'`` which is added to ``z_o`` before the head
 Expert and gate output layers are zero-initialized, so at stage-2 attachment
 the policy is bit-for-bit the stage-1 policy.
 
-The critic reads ``[m, e, o, hist]``: the privileged blocks (elevation map
-and extras) and the actor's proprioception and its history, each from its
-own block, plus the gait command in stage 2.  It never shares parameters
-with the actor; the actor path never sees a privileged array.
+The critic reads a prefix of the observation row: ``[m, e, o, hist]``, the
+privileged blocks (elevation map and extras) and the actor's proprioception
+and its history, plus the gait command at stage 2.  It never shares
+parameters with the actor; the actor path never sees a privileged column.
 
-Every network input comes from one ``BundleBatch``: the gait command is its
-``gait`` block, as it is a block of the env's observation, so the forward
-passes take the batch and nothing else.
+Every network input is a view of one ``BundleBatch``, rows the env wrote
+already normalized (see :mod:`gaitrl.env`): the gait command is its ``gait``
+block, so the forward passes take the batch and nothing else.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .biped import BipedModel, N_JOINTS
 from .codec import encode
-from .env import DR_RANGES, EnvConfig, ObservationBundle, obs_dims
+from .env import EnvConfig, ObservationBundle, obs_dims
 from .nets import (
     DenseNet,
     GradientTape,
@@ -77,116 +77,36 @@ class PolicyArch:
     log_std_min: float = -4.0
     log_std_max: float = 1.0
 
-
-@dataclass
-class ObservationNormalizer:
-    """Fixed per-block shift/scale applied before any network input.
-
-    ``build_normalizer`` derives it from the model and the env config, so a
-    policy document does not store it.  Each history row is an ``o`` and is
-    normalized like one.
-    """
-
-    o_shift: np.ndarray
-    o_scale: np.ndarray
-    scan_shift: np.ndarray
-    scan_scale: np.ndarray
-    m_shift: np.ndarray
-    m_scale: np.ndarray
-    e_shift: np.ndarray
-    e_scale: np.ndarray
-
-    def norm_o(self, o):
-        return (o - self.o_shift) * self.o_scale
-
-    def norm_hist(self, hist):
-        # o's shift/scale broadcast over a [B, H, d_o] view of the rows
-        rows = hist.reshape(len(hist), -1, len(self.o_shift))
-        return ((rows - self.o_shift) * self.o_scale).reshape(hist.shape)
-
-    def norm_scan(self, scans):
-        return (scans - self.scan_shift) * self.scan_scale
-
-    def critic_input(self, batch: BundleBatch, gait: bool) -> np.ndarray:
-        """``[m, e, o, hist]`` normalized, plus the raw ``gait`` block if asked,
-        written once into one ``[B, d]`` array.  Each block is subtracted, then
-        scaled, in place in its columns: ``(x - shift) * scale``, bit for bit."""
-        blocks = [(batch.m, self.m_shift, self.m_scale), (batch.e, self.e_shift, self.e_scale),
-                  (batch.o, self.o_shift, self.o_scale), (batch.hist, self.o_shift, self.o_scale)]
-        B, col = len(batch.o), 0
-        d_gait = batch.gait.shape[1] if gait else 0
-        x = np.empty((B, sum(rows.shape[1] for rows, _, _ in blocks) + d_gait))
-        for rows, shift, scale in blocks:
-            # a [B, w/d, d] view of the block's columns: history rows are o's
-            out = x[:, col : col + rows.shape[1]].reshape(B, -1, len(shift))
-            np.subtract(rows.reshape(out.shape), shift, out=out)
-            out *= scale
-            col += rows.shape[1]
-        if gait:
-            x[:, col:] = batch.gait
-        return x
+    def __post_init__(self):
+        for name in ("d_f", "d_z"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
-def build_normalizer(model: BipedModel, env_cfg: EnvConfig) -> ObservationNormalizer:
-    dims = obs_dims(env_cfg)
-    nj = N_JOINTS
-    o_shift = np.zeros(dims["d_o"])
-    o_scale = np.ones(dims["d_o"])
-    o_scale[0:2] = 0.25  # angular rates
-    o_shift[6 : 6 + nj] = model.nominal()
-    o_scale[6 + nj : 6 + 2 * nj] = 0.05  # joint velocities
-    o_scale[6 + 2 * nj :] = 0.25  # previous action
-
-    H = model.standing_height()
-    scan_shift = np.full(dims["d_scan"], -H)
-    scan_scale = np.full(dims["d_scan"], 2.0)
-    m_shift = np.full(dims["d_m"], -H)
-    m_scale = np.full(dims["d_m"], 2.0)
-
-    e_shift = np.zeros(dims["d_e"])
-    e_scale = np.ones(dims["d_e"])
-    # feet offsets sit around (-0, -H); recentre the vertical components
-    e_shift[1] = -H
-    e_shift[3] = -H
-    dr_lo = np.array([lo for lo, _ in DR_RANGES.values()])
-    dr_hi = np.array([hi for _, hi in DR_RANGES.values()])
-    k0 = 8  # feet(4) + contacts(2) + velocity(2), then the DR draw
-    e_shift[k0:] = 0.5 * (dr_lo + dr_hi)
-    e_scale[k0:] = 2.0 / np.maximum(dr_hi - dr_lo, 1e-9)
-    return ObservationNormalizer(
-        o_shift, o_scale, scan_shift, scan_scale, m_shift, m_scale, e_shift, e_scale
-    )
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BundleBatch:
-    """Observation bundles as ``[B, d]`` arrays, one per block.
+    """Observation rows as one read-only ``[B, d]`` array; each block is a
+    ``[B, w]`` view of its columns.  A batch of one bundle is a ``[1, d]``
+    view of that bundle's row."""
 
-    A batch is read-only: a batch of one bundle holds ``[1, d]`` views of
-    that bundle's arrays, so writing into the batch would write into the
-    bundle.
-    """
+    rows: np.ndarray
+    slices: dict[str, slice]
 
-    o: np.ndarray
-    hist: np.ndarray
-    scans: np.ndarray
-    m: np.ndarray
-    e: np.ndarray
-    gait: np.ndarray
+    def __post_init__(self):
+        self.rows.flags.writeable = False
+
+    m = property(lambda self: self.rows[:, self.slices["m"]])
+    e = property(lambda self: self.rows[:, self.slices["e"]])
+    o = property(lambda self: self.rows[:, self.slices["o"]])
+    hist = property(lambda self: self.rows[:, self.slices["hist"]])
+    gait = property(lambda self: self.rows[:, self.slices["gait"]])
+    scans = property(lambda self: self.rows[:, self.slices["scans"]])
 
     @classmethod
     def stack(cls, bundles: list[ObservationBundle]) -> "BundleBatch":
         if len(bundles) == 1:
-            (b,) = bundles
-            return cls(b.o[None], b.hist[None], b.scans[None], b.m[None], b.e[None], b.gait[None])
-        return cls(
-            o=np.stack([b.o for b in bundles]),
-            hist=np.stack([b.hist for b in bundles]),
-            scans=np.stack([b.scans for b in bundles]),
-            m=np.stack([b.m for b in bundles]),
-            e=np.stack([b.e for b in bundles]),
-            gait=np.stack([b.gait for b in bundles]),
-        )
+            return cls(bundles[0].row[None], bundles[0].slices)
+        return cls(np.stack([b.row for b in bundles]), bundles[0].slices)
 
 
 @dataclass
@@ -333,7 +253,7 @@ class ActorCache:
 
 
 class ActorCritic:
-    """All learnable pieces plus the fixed observation normalizer, built from the model and env."""
+    """All learnable pieces, built for the model and the env's observation widths."""
 
     def __init__(
         self,
@@ -362,7 +282,6 @@ class ActorCritic:
         nets = PolicyNets(scan_enc, hist_enc, trunk, head, critic)
         log_std = np.full(N_JOINTS, float(arch.log_std_init))
         self._adopt(PolicyState(arch, mode, nets, log_std, residual), model, dims)
-        self.normalizer = build_normalizer(model, env_cfg)
 
     def _adopt(self, state: PolicyState, model: BipedModel, dims: dict) -> None:
         """Take over ``state`` as it is (no copy): arch, mode and every array.  A
@@ -389,13 +308,11 @@ class ActorCritic:
         """A policy that takes over ``state``'s arrays; it builds no network."""
         policy = cls.__new__(cls)
         policy._adopt(state, model, obs_dims(env_cfg))
-        policy.normalizer = build_normalizer(model, env_cfg)
         return policy
 
     def load_stage1_weights(self, state: PolicyState) -> None:
-        """Take over a stage-1 policy's actor: encoders, trunk, head, log_std.
-        The critic, the residual and the normalizer stay this policy's.  The
-        caller checks that ``state`` has this policy's arch."""
+        """Take over a stage-1 policy's actor: encoders, trunk, head, log_std;
+        the critic and the residual stay.  The caller checks ``state``'s arch."""
         nets = replace(state.nets, critic=self.critic)
         self._adopt(replace(self.state(), nets=nets, log_std=state.log_std), self.model, self.dims)
 
@@ -420,11 +337,10 @@ class ActorCritic:
     # -- forward -------------------------------------------------------------
 
     def encode_features(self, batch: BundleBatch) -> tuple[np.ndarray, GradientTape, GradientTape]:
-        """f = concat(o, scan feature, history feature), normalized, fixed order."""
-        nz = self.normalizer
-        f_d, scan_tape = net_forward(self.scan_enc, nz.norm_scan(batch.scans))
-        f_h, hist_tape = net_forward(self.hist_enc, nz.norm_hist(batch.hist))
-        feats = np.concatenate([nz.norm_o(batch.o), f_d, f_h], axis=1)
+        """f = concat(o, scan feature, history feature), fixed order."""
+        f_d, scan_tape = net_forward(self.scan_enc, batch.scans)
+        f_h, hist_tape = net_forward(self.hist_enc, batch.hist)
+        feats = np.concatenate([batch.o, f_d, f_h], axis=1)
         return feats, scan_tape, hist_tape
 
     def actor_mean(self, batch: BundleBatch) -> tuple[np.ndarray, ActorCache]:
@@ -450,8 +366,10 @@ class ActorCritic:
         return mean[0]
 
     def critic_value(self, batch: BundleBatch) -> tuple[np.ndarray, GradientTape]:
-        x = self.normalizer.critic_input(batch, gait=self.residual is not None)
-        v, tape = net_forward(self.critic, x)
+        """Values from a prefix of the rows, a view: ``[m, e, o, hist]``, and
+        ``gait`` at stage 2."""
+        end = batch.slices["gait" if self.residual is not None else "hist"].stop
+        v, tape = net_forward(self.critic, batch.rows[:, :end])
         return v[:, 0], tape
 
     # -- backward ------------------------------------------------------------

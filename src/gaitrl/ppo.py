@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .env import obs_slices
 from .nets import AdamState, adam_step, clip_grad_norm, net_backward
 from .policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
 
@@ -47,8 +48,9 @@ class PPOConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
-        if self.clip <= 0.0:
-            raise ValueError("clip must be positive")
+        for name in ("clip", "lr", "lr_residual"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         for name in ("epochs", "minibatch", "horizon", "n_envs", "iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -63,15 +65,15 @@ class RolloutBuffer:
 
     One row per control step, from the batch the policy acted on and from
     what the step returned; ``values`` has one bootstrap row beyond the
-    horizon.  A row stores only what is new at its step: ``o``, the current
-    scan (``scan``), ``m``, ``e`` and the gait command.  :meth:`batch`
-    rebuilds each row's history and previous scan from earlier rows by the
-    rule the :mod:`gaitrl.env` docstring states, so ``o`` starts with the
-    H - 1 history rows, and ``scan`` with the previous scan, that the
-    rollout's first row starts from: row ``t`` is ``o[t + H - 1]`` and
-    ``scan[t + 1]``.  ``start`` holds the row each row's episode starts at,
-    or -H for an episode that began before the rollout (its first rows are
-    already repeated in the lead rows).
+    horizon.  A row stores only what is new at its step, normalized as the
+    env wrote it: ``o``, the current scan (``scan``), ``m``, ``e`` and the
+    gait command.  :meth:`batch` rebuilds each row's history and previous
+    scan from earlier rows by the rule the :mod:`gaitrl.env` docstring
+    states, so ``o`` starts with the H - 1 history rows, and ``scan`` with
+    the previous scan, that the rollout's first row starts from: row ``t``
+    is ``o[t + H - 1]`` and ``scan[t + 1]``.  ``start`` holds the row each
+    row's episode starts at, or -H for an episode that began before the
+    rollout (its first rows are already repeated in the lead rows).
     """
 
     def __init__(self, horizon: int, n_envs: int, dims: dict, n_joints: int):
@@ -79,6 +81,7 @@ class RolloutBuffer:
         self.horizon = horizon
         self.n_envs = n_envs
         self.history_len = H = dims["d_hist"] // dims["d_o"]
+        self.slices = obs_slices(dims)
         self.o = np.zeros((H - 1 + T, N, dims["d_o"]))
         self.scan = np.zeros((1 + T, N, dims["d_scan"] // 2))
         self.m = np.zeros((T, N, dims["d_m"]))
@@ -95,13 +98,13 @@ class RolloutBuffer:
         self.r_g = np.zeros((T, N))
 
     def batch(self, rows: np.ndarray) -> BundleBatch:
-        """The batch the policy acted on at ``rows``, flat indices ``t * N + n``.
+        """The rows the policy acted on at ``rows``, flat indices ``t * N + n``.
 
         ``hist`` and ``scans`` are the last H ``o`` rows and the last two
         current scans of each row's episode, oldest first: each source row
         is clamped at the episode's start.
         """
-        N, H = self.n_envs, self.history_len
+        N, H, sl = self.n_envs, self.history_len, self.slices
         t, n = np.divmod(rows, N)
         s = self.start[t, n][:, None]
         flat = lambda a: a.reshape(-1, a.shape[2])
@@ -110,14 +113,13 @@ class RolloutBuffer:
             src = np.maximum(t[:, None] + np.arange(1 - width, 1), s)
             return np.take(flat(steps), (src + lead) * N + n[:, None], axis=0).reshape(len(rows), -1)
 
-        return BundleBatch(
-            o=np.take(flat(self.o), rows + (H - 1) * N, axis=0),
-            hist=window(self.o, H - 1, H),
-            scans=window(self.scan, 1, 2),
-            m=np.take(flat(self.m), rows, axis=0),
-            e=np.take(flat(self.e), rows, axis=0),
-            gait=np.take(flat(self.gait), rows, axis=0),
-        )
+        out = np.empty((len(rows), sl["scans"].stop))
+        for name in ("m", "e", "gait"):
+            out[:, sl[name]] = np.take(flat(getattr(self, name)), rows, axis=0)
+        out[:, sl["o"]] = np.take(flat(self.o), rows + (H - 1) * N, axis=0)
+        out[:, sl["hist"]] = window(self.o, H - 1, H)
+        out[:, sl["scans"]] = window(self.scan, 1, 2)
+        return BundleBatch(out, sl)
 
     def add_step(self, t, batch, actions, log_probs, values, rewards, dones, breakdowns):
         """Row ``t``: ``[N, ...]`` arrays and per-env lists, in env order; rows
@@ -147,9 +149,8 @@ class RolloutBuffer:
             self.start[t] = np.where(new, t, self.start[t - 1])
         self.o[t + H - 1] = o
         self.scan[t + 1] = scans[:, K:]
-        self.m[t] = batch.m
-        self.e[t] = batch.e
-        self.gait[t] = batch.gait
+        for name in ("m", "e", "gait"):
+            getattr(self, name)[t] = getattr(batch, name)
         self.actions[t] = actions
         self.log_probs[t] = log_probs
         self.values[t] = values

@@ -77,6 +77,9 @@ class RewardConfig:
     torque_soft_frac: float = 0.9
 
     def __post_init__(self):
+        for name in ("tracking_sigma", "gait_sigma"):  # the kernels divide by them
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         for name in self.weights:
             if name not in DEFAULT_WEIGHTS:
                 raise ValueError(f"weights.{name}: unknown reward term")

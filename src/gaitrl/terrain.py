@@ -44,6 +44,11 @@ class TerrainConfig:
     start_clear: float = 2.0
 
     def __post_init__(self):
+        for name in ("track_length", "cell_size"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if int(round(self.track_length / self.cell_size)) < 1:
+            raise ValueError("track_length must hold at least one cell_size cell")
         if not self.kinds:
             raise ValueError("kinds must name at least one terrain kind")
         for i, kind in enumerate(self.kinds):

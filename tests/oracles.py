@@ -19,7 +19,7 @@ from gaitrl.amp import DiscriminatorSet
 from gaitrl.bench import BenchmarkReport, CellResult, PolicyController
 from gaitrl.biped import N_JOINTS
 from gaitrl.config import RunConfig
-from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
+from gaitrl.env import DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from gaitrl.nets import AdamState, DenseNet, Layer
 from gaitrl.policy import (
     ActorCritic,
@@ -363,6 +363,40 @@ def ref_locomotion_total(raw, cfg):
 # layers.
 
 
+def ref_normalizer(model, env_cfg) -> dict:
+    """Each block's ``(shift, scale)`` with the constants the policy applied
+    before the env wrote normalized rows; a history row is an ``o``."""
+    nj, d_o = N_JOINTS, 6 + 3 * N_JOINTS
+    o_shift, o_scale = np.zeros(d_o), np.ones(d_o)
+    o_scale[0:2] = 0.25  # angular rates
+    o_shift[6 : 6 + nj] = model.nominal()
+    o_scale[6 + nj : 6 + 2 * nj] = 0.05  # joint velocities
+    o_scale[6 + 2 * nj :] = 0.25  # previous action
+    H = model.standing_height()
+    e_shift, e_scale = np.zeros(8 + len(DR_RANGES)), np.ones(8 + len(DR_RANGES))
+    e_shift[1] = -H
+    e_shift[3] = -H
+    dr_lo = np.array([lo for lo, _ in DR_RANGES.values()])
+    dr_hi = np.array([hi for _, hi in DR_RANGES.values()])
+    e_shift[8:] = 0.5 * (dr_lo + dr_hi)
+    e_scale[8:] = 2.0 / np.maximum(dr_hi - dr_lo, 1e-9)
+    K, M = env_cfg.scan_points, env_cfg.elev_points
+    return {"o": (o_shift, o_scale), "scans": (np.full(2 * K, -H), np.full(2 * K, 2.0)),
+            "m": (np.full(M, -H), np.full(M, 2.0)), "e": (e_shift, e_scale)}
+
+
+def ref_normalize(model, env_cfg, block: str, raw: np.ndarray) -> np.ndarray:
+    """``(raw - shift) * scale`` for one block; history rows take ``o``'s
+    shift and scale, broadcast over an ``[H, d_o]`` view, and ``gait`` none."""
+    if block == "gait":
+        return np.array(raw, dtype=np.float64)
+    if block == "hist":
+        shift, scale = ref_normalizer(model, env_cfg)["o"]
+        return ((raw.reshape(-1, len(shift)) - shift) * scale).reshape(raw.shape)
+    shift, scale = ref_normalizer(model, env_cfg)[block]
+    return (raw - shift) * scale
+
+
 def ref_stack(bundles) -> dict:
     return {k: np.stack([getattr(b, k) for b in bundles]) for k in ("o", "hist", "scans", "m", "e")}
 
@@ -402,12 +436,10 @@ def ref_softmax(w):
 
 
 def ref_encode_features(policy, batch: dict):
-    nz = policy.normalizer
-    H = batch["hist"].shape[-1] // nz.o_shift.shape[0]
-    hist = (batch["hist"] - np.tile(nz.o_shift, H)) * np.tile(nz.o_scale, H)
-    f_d = ref_net_forward(policy.scan_enc, (batch["scans"] - nz.scan_shift) * nz.scan_scale)
-    f_h = ref_net_forward(policy.hist_enc, hist)
-    return np.concatenate([(batch["o"] - nz.o_shift) * nz.o_scale, f_d, f_h], axis=1)
+    """Over the normalized blocks, each a contiguous array."""
+    f_d = ref_net_forward(policy.scan_enc, batch["scans"])
+    f_h = ref_net_forward(policy.hist_enc, batch["hist"])
+    return np.concatenate([batch["o"], f_d, f_h], axis=1)
 
 
 def ref_residual_forward(residual, feats, gait):
@@ -439,16 +471,9 @@ def ref_actor_mean(policy, batch: dict, gait):
 
 
 def ref_critic_value(policy, batch: dict, gait=None):
-    """The critic's values as they were computed while ``e`` ended with copies
-    of ``o`` and the history: one privileged row ``[e, o, hist]`` normalized
-    with ``e_shift`` and ``o_shift`` tiled over the copies, then ``gait`` at
-    stage 2."""
-    nz = policy.normalizer
-    copies = 1 + batch["hist"].shape[-1] // nz.o_shift.shape[0]
-    e = np.concatenate([batch["e"], batch["o"], batch["hist"]], axis=1)
-    e_shift = np.concatenate([nz.e_shift, np.tile(nz.o_shift, copies)])
-    e_scale = np.concatenate([nz.e_scale, np.tile(nz.o_scale, copies)])
-    parts = [(batch["m"] - nz.m_shift) * nz.m_scale, (e - e_shift) * e_scale]
+    """The critic's values over one contiguous input ``[m, e, o, hist]`` of
+    the normalized blocks, then ``gait`` at stage 2."""
+    parts = [batch["m"], batch["e"], batch["o"], batch["hist"]]
     if gait is not None:
         parts.append(np.atleast_2d(gait))
     return ref_net_forward(policy.critic, np.concatenate(parts, axis=1))[:, 0]
@@ -821,7 +846,7 @@ def ref_collect_latent_samples(policy, cfg, terrain_kinds=("flat", "gap", "step"
             bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=0.5, gait=gait))
             controller = PolicyController(policy, gait_id=gid)
             for _ in range(steps_per_combo):
-                samples.append((bundle.copy(), gait.copy(), kind))
+                samples.append((bundle, gait.copy(), kind))
                 res = env.step(controller.act(bundle, env.state))
                 if res.done:
                     break

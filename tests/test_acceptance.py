@@ -7,7 +7,6 @@ finishes in seconds.  Budgets and tolerances are fixed here, not tuned at
 call time.
 """
 
-import dataclasses
 
 import numpy as np
 
@@ -105,9 +104,7 @@ class TestCriterion1Gradients:
             for net in [*pol.residual.experts, pol.residual.gate]:
                 net.layers[-1].weight[:] = rng.normal(0, 0.3, net.layers[-1].weight.shape)
             bundles = sample_bundles(3, seed=2)
-            batch = dataclasses.replace(
-                BundleBatch.stack(bundles), gait=np.tile(one_hot(1, 3), (3, 1))
-            )
+            batch = BundleBatch.stack([b.with_gait(one_hot(1, 3)) for b in bundles])
             gout = rng.normal(size=(3, N_JOINTS))
 
             def actor_scalar():
@@ -157,7 +154,7 @@ class TestCriterion1Gradients:
             netn.layers[-1].weight[:] = rng.normal(0, 0.3, netn.layers[-1].weight.shape)
         bundles = sample_bundles(5, seed=6)
         gaits = np.stack([one_hot(int(rng.integers(0, 3)), 3) for _ in range(5)])
-        mb = dataclasses.replace(BundleBatch.stack(bundles), gait=gaits)
+        mb = BundleBatch.stack([b.with_gait(g) for b, g in zip(bundles, gaits)])
         mean, _ = pol2.actor_mean(mb)
         actions = mean + np.exp(pol2.log_std) * rng.standard_normal((5, N_JOINTS))
         lp_old = gaussian_log_prob_batch(actions, mean, pol2.log_std)
@@ -286,7 +283,7 @@ class TestCriterion4ZeroResidual:
         mismatches = 0
         for b in bundles:
             a1 = pol1.act(b)
-            a2 = pol2.act(dataclasses.replace(b, gait=one_hot(int(rng.integers(0, 3)), 3)))
+            a2 = pol2.act(b.with_gait(one_hot(int(rng.integers(0, 3)), 3)))
             if not np.array_equal(a1, a2):
                 mismatches += 1
         report(

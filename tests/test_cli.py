@@ -182,6 +182,41 @@ class TestUsage:
         pytest.param({"env": {"n_gaits": 4}, "gaits": {"distribution": [0.25] * 4}},
                      "env.n_gaits must be in [1, 3] (the reference gaits), got 4",
                      id="env.n_gaits"),
+    ] + [
+        # each passed inspect-config and then crashed the first training iteration
+        pytest.param({section: {key: value}}, f"{section}: {key} must be {what}",
+                     id=f"{section}.{key}={value}")
+        for section, key, value, what in (
+            ("env", "dt", 0.0, "positive"),
+            ("env", "dt", -0.02, "positive"),
+            ("env", "scan_points", 0, "positive"),
+            ("env", "elev_points", 0, "positive"),
+            ("terrain", "cell_size", 0.0, "positive"),
+            ("terrain", "track_length", 0.0, "positive"),
+            ("model", "joint_inertia", 0.0, "positive"),
+            ("model", "base_inertia", 0.0, "positive"),
+            ("model", "yaw_inertia", 0.0, "positive"),
+            ("model", "contact_kt", 0.0, "positive"),
+            ("model", "contact_damp_ramp", 0.0, "positive"),
+            ("model", "base_mass", 0.0, "positive"),
+            ("model", "thigh_len", 0.0, "positive"),
+            ("model", "shin_len", 0.0, "positive"),
+            ("model", "action_bound", -1.0, "positive"),
+            ("model", "foot_len", -1.0, "non-negative"),
+            ("amp", "batch_size", 0, "positive"),
+            ("amp", "buffer_size", 0, "positive"),
+            ("amp", "disc_lr", 0.0, "positive"),
+            ("ppo", "lr", 0.0, "positive"),
+            ("ppo", "lr_residual", 0.0, "positive"),
+            ("rewards", "tracking_sigma", 0.0, "positive"),
+            ("rewards", "gait_sigma", 0.0, "positive"),
+            ("arch", "d_f", -1, "non-negative"),
+            ("arch", "d_z", -1, "non-negative"),
+        )
+    ] + [
+        pytest.param({"terrain": {"track_length": 0.02}},
+                     "terrain: track_length must hold at least one cell_size cell",
+                     id="terrain.track_length-under-one-cell"),
     ])
     def test_a_config_the_pipeline_cannot_run_exits_1(self, tmp_path, capsys, change, message):
         doc = config_to_dict(tiny_cfg())

@@ -9,21 +9,27 @@ import gaitrl.env as env_module
 from gaitrl.biped import N_JOINTS, BipedModel
 from gaitrl.controllers import ScriptedWalker
 from gaitrl.env import (
+    BLOCKS,
     DR_RANGES,
     CommandState,
     DRConfig,
     EnvConfig,
     TERMINATIONS,
+    ObservationBundle,
     PushSchedule,
     TerrainEnv,
     apply_push,
     build_o_t,
     obs_dims,
+    obs_slices,
     one_hot,
     sample_dr,
     sample_height_scan,
 )
+from gaitrl.policy import PolicyArch, PolicyMode, _input_widths
 from gaitrl.terrain import generate_terrain
+
+from oracles import ref_normalize
 
 
 @pytest.fixture
@@ -214,7 +220,8 @@ class TestHeightScan:
     def test_blind_mode_zeroes_scan(self, model, flat):
         env = TerrainEnv(model, EnvConfig(blind=True), seed=0)
         b = env.reset(flat, DRConfig.identity(), CommandState(gait=np.zeros(3)))
-        np.testing.assert_array_equal(b.scans, 0.0)
+        zeros = np.zeros(env.dims["d_scan"])
+        assert b.scans.tobytes() == ref_normalize(model, env.cfg, "scans", zeros).tobytes()
 
     def test_scan_delay_one_step(self, model):
         hf = generate_terrain("flat", 0.0, seed=0)
@@ -225,9 +232,11 @@ class TestHeightScan:
         # lift the robot: current scan changes immediately, delivered scan lags a step
         env.state.z += 0.5
         r1 = env.step(np.zeros(N_JOINTS))
-        delivered_now = r1.bundle.scans[k:]
-        fresh = env._scans[-1]
-        assert not np.allclose(delivered_now, fresh)
+        delivered_now = r1.bundle.scans
+        fresh, lagged = env._scans[-1], env._scans[-2]
+        assert not np.allclose(fresh, lagged)
+        expected = ref_normalize(model, env.cfg, "scans", np.concatenate([env._scans[-3], lagged]))
+        assert delivered_now.tobytes() == expected.tobytes()
 
 
 class TestPush:
@@ -316,15 +325,18 @@ class TestObservationAssembly:
         assert np.allclose(b.m, b.m[0])
 
     def test_privileged_fields_absent_from_actor_inputs(self, model, flat):
-        # mutating m/e must leave the actor-visible arrays untouched
+        # other m/e columns must leave the actor-visible blocks untouched
         env = fresh_env(model, flat)
         b = env.step(np.zeros(N_JOINTS)).bundle
-        o, hist, scans = b.o.copy(), b.hist.copy(), b.scans.copy()
-        b.m[:] = 99.0
-        b.e[:] = -99.0
-        np.testing.assert_array_equal(b.o, o)
-        np.testing.assert_array_equal(b.hist, hist)
-        np.testing.assert_array_equal(b.scans, scans)
+        with pytest.raises(ValueError):  # a bundle is read-only
+            b.m[:] = 99.0
+        row = b.row.copy()
+        row[b.slices["m"]] = 99.0
+        row[b.slices["e"]] = -99.0
+        c = ObservationBundle(row, b.slices)
+        np.testing.assert_array_equal(c.o, b.o)
+        np.testing.assert_array_equal(c.hist, b.hist)
+        np.testing.assert_array_equal(c.scans, b.scans)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -352,8 +364,8 @@ class TestObservationAssembly:
             s = env.state
             (lx, lz), (rx, rz) = s.foot_pos.tolist()
             privileged = [lx - s.x, lz - s.z, rx - s.x, rz - s.z, *s.contact.astype(float), s.vx, s.vz]
-            assert bundle.e[:8].tolist() == privileged
-            assert bundle.e[8:].tolist() == dr.as_vector().tolist()
+            raw_e = np.concatenate([privileged, dr.as_vector()])
+            assert bundle.e.tobytes() == ref_normalize(env.model, cfg, "e", raw_e).tobytes()
 
         assert_layout(env.reset(generate_terrain("rough", 0.5, seed=seed), dr,
                                 CommandState(v_cmd=0.5, gait=one_hot(seed % 3, 3))))
@@ -362,6 +374,61 @@ class TestObservationAssembly:
             assert_layout(res.bundle)
             if res.done:
                 break
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        history_len=st.integers(min_value=1, max_value=8),
+        scan_points=st.integers(min_value=1, max_value=24),
+        elev_points=st.integers(min_value=1, max_value=16),
+        n_gaits=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_the_row_is_the_normalized_blocks_and_the_critic_reads_a_prefix(
+        self, history_len, scan_points, elev_points, n_gaits, seed
+    ):
+        cfg = EnvConfig(history_len=history_len, scan_points=scan_points,
+                        elev_points=elev_points, n_gaits=n_gaits)
+        dims = obs_dims(cfg)
+        sl = obs_slices(dims)
+        # the blocks tile the row in BLOCKS order, with no gap or overlap
+        col = 0
+        for name, key in BLOCKS:
+            assert (sl[name].start, sl[name].stop) == (col, col + dims[key]), name
+            col = sl[name].stop
+        for stage, last in ((1, "hist"), (2, "gait")):
+            widths = _input_widths(dims, PolicyArch(), PolicyMode(stage=stage))
+            assert widths["nets.critic"] == sl[last].stop, stage
+
+        model = BipedModel()
+        env = TerrainEnv(model, cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        dr = sample_dr(rng)
+        terrain = generate_terrain("rough", 0.5, seed=seed)
+        bundle = env.reset(terrain, dr, CommandState(v_cmd=0.5, gait=one_hot(seed % n_gaits, n_gaits)))
+        seen, last_action = [], np.zeros(N_JOINTS)
+        for _ in range(history_len + 2):
+            s = env.state
+            o = build_o_t(s, env.commands, last_action, np.empty(dims["d_o"]))
+            seen = seen + [o] if seen else [o] * history_len
+            d = env.dr.scan_delay_steps()
+            (lx, lz), (rx, rz) = s.foot_pos.tolist()
+            raw = {
+                "m": terrain.heights_at(s.x + cfg.elev_offsets()) - s.z,
+                "e": np.concatenate([[lx - s.x, lz - s.z, rx - s.x, rz - s.z,
+                                      *s.contact.astype(float), s.vx, s.vz], dr.as_vector()]),
+                "o": o,
+                "hist": np.concatenate(seen[-history_len:]),
+                "gait": env.commands.gait,
+                "scans": np.concatenate([env._scans[-2 - d], env._scans[-1 - d]]),
+            }
+            for name, _ in BLOCKS:
+                expected = ref_normalize(model, cfg, name, raw[name])
+                assert getattr(bundle, name).tobytes() == expected.tobytes(), name
+            last_action = rng.uniform(-1.0, 1.0, N_JOINTS)
+            res = env.step(last_action)
+            if res.done:
+                break
+            bundle = res.bundle
 
     def test_history_holds_past_observations(self, model, flat):
         env = fresh_env(model, flat)

@@ -1,16 +1,14 @@
 """The batch-of-one inference path against its array reference, bit for bit.
 
 ``ActorCritic.act``, ``PolicyController.act`` and ``export_residual_latents``
-take views instead of stacked copies, broadcast ``o``'s normalizer over the
-history rows instead of tiling it, add biases in place and read z' from the
-residual's own sum; ``ActorCritic.critic_value`` reads ``o`` and the history
-from their own blocks instead of from copies in ``e``.  Each must still give
-exactly the bytes of the reference in tests/oracles.py.
+take views of the env's normalized row instead of stacked copies, add biases
+in place and read z' from the residual's own sum; ``ActorCritic.critic_value``
+reads a prefix of the rows, a strided view, instead of a contiguous
+``[m, e, o, hist]`` copy.  Each must still give exactly the bytes of the
+reference in tests/oracles.py, which reads contiguous copies of the blocks.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -26,6 +24,7 @@ from gaitrl.env import (
     ObservationBundle,
     TerrainEnv,
     obs_dims,
+    obs_slices,
     one_hot,
 )
 from gaitrl.policy import (
@@ -90,13 +89,14 @@ def env_bundles(n: int = 6, seed: int = 0):
     return env, bundles
 
 
+SLICES = obs_slices(obs_dims(ENV_CFG))
+
+
 def random_bundle(seed: int, scale: float) -> ObservationBundle:
-    rng = np.random.default_rng(seed)
-    dims = obs_dims(ENV_CFG)
-    return ObservationBundle(
-        *(scale * rng.standard_normal(dims[d]) for d in ("d_o", "d_hist", "d_scan", "d_m", "d_e")),
-        gait=np.zeros(dims["d_gait"]),
-    )
+    """A normalized row of random blocks, with no gait command."""
+    row = scale * np.random.default_rng(seed).standard_normal(SLICES["scans"].stop)
+    row[SLICES["gait"]] = 0.0
+    return ObservationBundle(row, SLICES)
 
 
 def same(a, b) -> bool:
@@ -110,7 +110,7 @@ def assert_act_matches(pol, bundle, gait):
     """``act`` and the batch-of-one forward pass give the reference's bytes;
     the reference reads ``gait`` beside the bundle, the policy in it."""
     if gait is not None:
-        bundle = dataclasses.replace(bundle, gait=gait)
+        bundle = bundle.with_gait(gait)
     ref_action, _, *ref = ref_act(pol, bundle, gait, deterministic=True)
     assert same(pol.act(bundle), ref_action), "action"
     mean, cache = pol.actor_mean(BundleBatch.stack([bundle]))
@@ -184,7 +184,7 @@ def test_export_residual_latents_matches_reference(fusion, n_experts):
         (b, one_hot(i % ENV_CFG.n_gaits, ENV_CFG.n_gaits), f"kind{i % 2}") for i, b in enumerate(bundles)
     ]
     table = export_residual_latents(
-        pol, [(dataclasses.replace(b, gait=gait), kind) for b, gait, kind in samples]
+        pol, [(b.with_gait(gait), kind) for b, gait, kind in samples]
     )
     z, w, gaits, kinds = ref_residual_latents(pol, samples)
     assert same(table.z_prime, z)
@@ -198,11 +198,11 @@ def test_batched_actor_mean_matches_reference(stage):
     # the training path: a stacked batch of several bundles
     pol = make_policy(stage, seed=2)
     _, bundles = env_bundles()
-    batch = BundleBatch.stack(bundles)
     gaits = None
     if stage == 2:
         gaits = np.stack([one_hot(i % 3, 3) for i in range(len(bundles))])
-        batch = dataclasses.replace(batch, gait=gaits)
+        bundles = [b.with_gait(g) for b, g in zip(bundles, gaits)]
+    batch = BundleBatch.stack(bundles)
     mean, cache = pol.actor_mean(batch)
     ref_mean, ref_z_o, res = ref_actor_mean(pol, ref_stack(bundles), gaits)
     assert same(mean, ref_mean)
@@ -233,23 +233,24 @@ def test_act_leaves_the_bundle_unchanged():
     pol = make_policy(2)
     _, bundles = env_bundles()
     for b in bundles:
-        before = b.copy()
+        before = b.row.copy()
         action = pol.act(b)
-        for name in ("o", "hist", "scans", "m", "e", "gait"):
-            assert same(getattr(b, name), getattr(before, name)), name
+        assert same(b.row, before)
         # the action is the policy's own array: writing it leaves the bundle alone
         action[:] = 123.0
-        assert same(b.o, before.o)
+        assert same(b.row, before)
 
 
 @pytest.mark.parametrize("field_name", ["o", "hist", "scans"])
 def test_non_finite_input_raises_the_same_error(field_name):
     pol = make_policy(2)
     _, (b, *_) = env_bundles(1)
-    getattr(b, field_name)[0] = np.nan
+    row = b.row.copy()
+    row[b.slices[field_name].start] = np.nan
+    b = ObservationBundle(row, b.slices)
     gait = one_hot(0, 3)
     with pytest.raises(ValueError, match="^non-finite network input$"):
-        pol.act(dataclasses.replace(b, gait=gait))
+        pol.act(b.with_gait(gait))
     with pytest.raises(ValueError, match="^non-finite network input$"):
         ref_act(pol, b, gait)
 
@@ -259,7 +260,7 @@ def test_critic_value_matches_the_copied_privileged_row(stage):
     pol = make_policy(stage, seed=stage)
     gait = one_hot(1, ENV_CFG.n_gaits)
     _, bundles = env_bundles()
-    bundles = [dataclasses.replace(b, gait=gait) for b in (*bundles, random_bundle(3, 10.0))]
+    bundles = [b.with_gait(gait) for b in (*bundles, random_bundle(3, 10.0))]
     for rows in ([bundles[0]], [bundles[-1]], bundles):
         ref_gait = np.tile(gait, (len(rows), 1)) if stage >= 2 else None
         v, _ = pol.critic_value(BundleBatch.stack(rows))

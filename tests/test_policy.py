@@ -8,7 +8,16 @@ import pytest
 from gaitrl.biped import N_JOINTS, BipedModel
 from gaitrl.codec import decode, encode
 from gaitrl.config import RunConfig
-from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
+from gaitrl.env import (
+    CommandState,
+    DRConfig,
+    EnvConfig,
+    ObservationBundle,
+    TerrainEnv,
+    obs_dims,
+    obs_slices,
+    one_hot,
+)
 from gaitrl.nets import softmax
 from gaitrl.policy import (
     ActorCritic,
@@ -76,11 +85,12 @@ class TestEncodeFeatures:
 
     def test_privilege_separation_on_actor_path(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0)
-        bundle = dataclasses.replace(make_bundles(1)[0], gait=one_hot(1, 3))
+        bundle = make_bundles(1)[0].with_gait(one_hot(1, 3))
         a1 = pol.act(bundle)
-        bundle.m[:] = 123.0
-        bundle.e[:] = -55.0
-        a2 = pol.act(bundle)
+        row = bundle.row.copy()
+        row[bundle.slices["m"]] = 123.0
+        row[bundle.slices["e"]] = -55.0
+        a2 = pol.act(ObservationBundle(row, bundle.slices))
         np.testing.assert_array_equal(a1, a2)
 
 
@@ -166,7 +176,7 @@ class TestAct:
         pol2 = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=7)
         pol2.load_stage1_weights(decode(PolicyState, pol1.to_dict()))
         for bundle in make_bundles(20, seed=3):
-            gaited = dataclasses.replace(bundle, gait=one_hot(2, 3))
+            gaited = bundle.with_gait(one_hot(2, 3))
             a1 = pol1.act(bundle)
             a2 = pol2.act(gaited)
             np.testing.assert_array_equal(a1, a2)
@@ -195,7 +205,7 @@ class TestAct:
             MODEL, EnvConfig(), SMALL, PolicyMode(stage=2, residual_fusion="action"), seed=0
         )
         assert pol.residual.out_dim == N_JOINTS
-        bundle = dataclasses.replace(make_bundles(1)[0], gait=one_hot(0, 3))
+        bundle = make_bundles(1)[0].with_gait(one_hot(0, 3))
         assert pol.act(bundle).shape == (N_JOINTS,)
 
 
@@ -233,7 +243,7 @@ class TestCritic:
     def test_values_finite_on_benchmark_observations(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=1)
         for bundle in make_bundles(10, seed=9):
-            batch = BundleBatch.stack([dataclasses.replace(bundle, gait=one_hot(1, 3))])
+            batch = BundleBatch.stack([bundle.with_gait(one_hot(1, 3))])
             v, _ = pol.critic_value(batch)
             assert np.all(np.isfinite(v))
 
@@ -242,7 +252,7 @@ class TestCritic:
         b = make_bundles(1)[0]
         from gaitrl.nets import net_backward
 
-        x = pol.normalizer.critic_input(BundleBatch.stack([b]), gait=False)
+        x = BundleBatch.stack([b]).rows[:, : pol.critic.input_dim].copy()
 
         def scalar():
             from gaitrl.nets import net_forward
@@ -259,12 +269,15 @@ class TestCritic:
 
     def test_stage_layout_mismatch_raises(self):
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0)
-        batch = BundleBatch.stack(make_bundles(1))
+        b = make_bundles(1)[0]
+        # a row of two gaits: the critic reads up to the batch's gait block, and
         # net_forward checks every network's input width, the critic's too
+        row = np.delete(b.row, b.slices["gait"].stop - 1)
+        batch = BundleBatch.stack([ObservationBundle(row, obs_slices(obs_dims(EnvConfig(n_gaits=2))))])
         n = pol.critic.input_dim
         message = re.escape(f"input has shape (1, {n - 1}), expected [*, {n}]")
         with pytest.raises(ValueError, match=f"^{message}$"):
-            pol.critic_value(dataclasses.replace(batch, gait=np.zeros((1, 2))))
+            pol.critic_value(batch)
 
 
 class TestEndToEndGradients:
@@ -279,9 +292,7 @@ class TestEndToEndGradients:
         for net in [*pol.residual.experts, pol.residual.gate]:
             net.layers[-1].weight[:] = rng.normal(0, 0.3, net.layers[-1].weight.shape)
         bundles = make_bundles(3, seed=1, cfg=cfg)
-        batch = dataclasses.replace(
-            BundleBatch.stack(bundles), gait=np.tile(one_hot(1, 3), (len(bundles), 1))
-        )
+        batch = BundleBatch.stack([b.with_gait(one_hot(1, 3)) for b in bundles])
         gout = rng.normal(size=(len(bundles), N_JOINTS))
 
         def scalar():
@@ -311,7 +322,7 @@ class TestLatentExport:
         pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=2), seed=0)
         bundles = make_bundles(6, seed=2)
         samples = [
-            (dataclasses.replace(b, gait=one_hot(i % 3, 3)), "flat") for i, b in enumerate(bundles)
+            (b.with_gait(one_hot(i % 3, 3)), "flat") for i, b in enumerate(bundles)
         ]
         table = export_residual_latents(pol, samples)
         assert table.z_prime.shape == (len(bundles), SMALL.d_z)
@@ -334,7 +345,7 @@ class TestPersistence:
             net.layers[-1].weight[:] = rng.normal(0, 0.2, net.layers[-1].weight.shape)
         back = ActorCritic.from_state(decode(PolicyState, pol.to_dict()), MODEL, EnvConfig())
         for bundle in make_bundles(5, seed=4):
-            bundle = dataclasses.replace(bundle, gait=one_hot(0, 3))
+            bundle = bundle.with_gait(one_hot(0, 3))
             np.testing.assert_array_equal(pol.act(bundle), back.act(bundle))
 
     @pytest.mark.parametrize("stage", [1, 2])

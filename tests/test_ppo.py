@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -90,11 +89,10 @@ class TestComputeGAE:
 
 def prepared_batch(policy, n=6, seed=0, stage2=False):
     bundles = collect_bundles(n, seed=seed)
-    mb = BundleBatch.stack(bundles)
     rng = np.random.default_rng(seed + 1)
     if stage2:
-        gaits = np.stack([one_hot(int(rng.integers(0, 3)), 3) for _ in range(n)])
-        mb = dataclasses.replace(mb, gait=gaits)
+        bundles = [b.with_gait(one_hot(int(rng.integers(0, 3)), 3)) for b in bundles]
+    mb = BundleBatch.stack(bundles)
     mean, _ = policy.actor_mean(mb)
     actions = mean + np.exp(policy.log_std) * rng.standard_normal((n, N_JOINTS))
     old_logp = gaussian_log_prob_batch(actions, mean, policy.log_std)

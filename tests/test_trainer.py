@@ -30,6 +30,8 @@ from gaitrl.trainer import (
     update_curriculum,
 )
 
+from oracles import ref_normalize
+
 
 def tiny_cfg(**over):
     cfg = RunConfig()
@@ -71,10 +73,12 @@ class TestTrainerConfig:
         trainer.collect_rollout(buffer)
         trainer.run(1)
         assert config_to_dict(cfg) == before
-        assert not buffer.batch(np.arange(T * N)).scans.any()
-        assert not any(w.env.bundle.scans.any() for w in trainer.workers)
+        # every scan the policy reads is the normalized zero scan
+        blind = ref_normalize(cfg.model, cfg.env, "scans", np.zeros(2 * cfg.env.scan_points))
+        assert (buffer.batch(np.arange(T * N)).scans == blind).all()
+        assert all((w.env.bundle.scans == blind).all() for w in trainer.workers)
         seeing = Trainer(tiny_cfg(), seed=0, stage=1)
-        assert all(w.env.bundle.scans.any() for w in seeing.workers)
+        assert all((w.env.bundle.scans != blind).any() for w in seeing.workers)
 
     def test_one_stage_has_no_stage_1(self):
         with pytest.raises(ValueError, match="one_stage"):
@@ -248,7 +252,7 @@ class TestRollout:
         actor_mean = ActorCritic.actor_mean
 
         def recording_actor_mean(policy, batch):
-            seen.append(BundleBatch(**{k: v.copy() for k, v in vars(batch).items()}))
+            seen.append(BundleBatch(batch.rows.copy(), batch.slices))
             return actor_mean(policy, batch)
 
         monkeypatch.setattr(ActorCritic, "actor_mean", recording_actor_mean)
@@ -263,22 +267,23 @@ class TestRollout:
             assert buffer.dones.sum() >= N
             rebuilt = buffer.batch(np.arange(T * N))
             for t, acted in enumerate(seen):
-                for name, rows in vars(acted).items():
-                    got = getattr(rebuilt, name)[t * N : (t + 1) * N]
-                    assert got.tobytes() == rows.tobytes(), (rollout, t, name)
+                got = rebuilt.rows[t * N : (t + 1) * N]
+                assert got.tobytes() == acted.rows.tobytes(), (rollout, t)
         assert delays == {0, 1}
         assert buffer.dones[0, 1] == 1.0  # the poisoned env diverged at once
 
         # a batch with one history float or one previous-scan float edited is refused
         d_o, K = buffer.o.shape[2], buffer.scan.shape[2]
+        rows_slices = seen[0].slices
         for t, (block, col) in enumerate((("hist", 0), ("hist", d_o), ("scans", K - 1))):
             fresh = RolloutBuffer(T, N, trainer.policy.dims, N_JOINTS)
             for s in range(t + 1):
                 fresh.add_step(s, seen[s], buffer.actions[s], buffer.log_probs[s],
                                buffer.values[s], buffer.rewards[s], buffer.dones[s],
                                [RewardBreakdown()] * N)
-            edited = BundleBatch(**{k: v.copy() for k, v in vars(seen[t + 1]).items()})
-            getattr(edited, block)[2, col] += 1e-9
+            rows = seen[t + 1].rows.copy()
+            rows[2, rows_slices[block].start + col] += 1e-9
+            edited = BundleBatch(rows, rows_slices)
             with pytest.raises(ValueError, match="history or previous scan"):
                 fresh.add_step(t + 1, edited, buffer.actions[t + 1], buffer.log_probs[t + 1],
                                buffer.values[t + 1], buffer.rewards[t + 1],
@@ -342,7 +347,7 @@ class TestStage2:
         for _ in range(25):
             res = env.step(rng.uniform(-0.3, 0.3, 6))
             a1 = pol1.act(res.bundle)
-            a2 = pol2.act(dataclasses.replace(res.bundle, gait=one_hot(int(rng.integers(0, 3)), 3)))
+            a2 = pol2.act(res.bundle.with_gait(one_hot(int(rng.integers(0, 3)), 3)))
             np.testing.assert_array_equal(a1, a2)
             if res.done:
                 break
@@ -571,9 +576,8 @@ class TestDivergingEnv:
         for name in self.ROWS:
             a, b = (getattr(buf, name)[:, others] for buf in (got, want))
             assert a.tobytes() == b.tobytes(), name
-        for name, rows in vars(got_obs).items():
-            a, b = (r.reshape(T, N, -1)[:, others] for r in (rows, getattr(want_obs, name)))
-            assert a.tobytes() == b.tobytes(), name
+        a, b = (obs.rows.reshape(T, N, -1)[:, others] for obs in (got_obs, want_obs))
+        assert a.tobytes() == b.tobytes()
         # the diverged env started a new episode and kept stepping
         assert np.isfinite(got_obs.o.reshape(T, N, -1)[1:, 1]).all()
         assert got.dones[1:, 1].sum() < got.horizon - 1
