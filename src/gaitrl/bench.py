@@ -119,7 +119,7 @@ def eval_episode(controller, terrain, model: BipedModel, env_cfg: EnvConfig, *,
     )
     env = TerrainEnv(model, cfg, seed=seed)
     gait = one_hot(gait_id, cfg.n_gaits) if gait_id is not None else np.zeros(cfg.n_gaits)
-    bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=v_cmd, gait=gait))
+    bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait))
     while True:
         action = controller.act(bundle, env.state)
         res = env.step(action)
@@ -133,13 +133,15 @@ def _finite_or_none(v: float):
     return v if math.isfinite(v) else None
 
 
+TRIAL_V_CMD = 0.6  # m/s, the forward velocity command of every benchmark trial
+
+
 def run_trial(
     controller,
     terrain,
     model: BipedModel,
     env_cfg: EnvConfig,
     *,
-    v_cmd: float = 0.6,
     gait_id: int | None = None,
     timeout_s: float = 40.0,
     goal_m: float = 14.0,
@@ -147,7 +149,8 @@ def run_trial(
     trace_file=None,
     reward_cfg: RewardConfig | None = None,
 ) -> dict:
-    """One evaluation episode (see :func:`eval_episode`); returns the trial summary.
+    """One evaluation episode (see :func:`eval_episode`) at the velocity
+    command ``TRIAL_V_CMD``; returns the trial summary.
 
     The trace scores its reward terms with ``reward_cfg`` (the default
     ``RewardConfig()`` when omitted).  A step that ends ``"diverged"`` is
@@ -159,7 +162,7 @@ def run_trial(
     success = False
     episode = eval_episode(
         controller, terrain, model, env_cfg,
-        v_cmd=v_cmd, gait_id=gait_id, max_episode_s=timeout_s, seed=seed,
+        v_cmd=TRIAL_V_CMD, gait_id=gait_id, max_episode_s=timeout_s, seed=seed,
     )
     # the episode ends on a terminating step, so the loop ends on one or on the goal
     for steps, (env, _, action, res) in enumerate(episode, 1):

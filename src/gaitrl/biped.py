@@ -33,6 +33,10 @@ RIGHT = 1
 
 @dataclass(frozen=True)
 class BipedModel:
+    """The robot's parameters, and nothing derived from them: the physics
+    reads the tuple fields as they are, and ``nominal``, ``lower`` and
+    ``upper`` build a fresh array on each call."""
+
     thigh_len: float = 0.42
     shin_len: float = 0.42
     foot_len: float = 0.05
@@ -75,30 +79,15 @@ class BipedModel:
                 raise ValueError(f"{name} must be positive")
         if not self.foot_len >= 0.0:
             raise ValueError("foot_len must be non-negative")
-        # frozen dataclass: stash read-only array views of the tuple fields,
-        # and the same values as float tuples (name + "_f") for the scalar
-        # per-env hot path
-        for name, src in (
-            ("_nominal", self.nominal_pose),
-            ("_lower", self.joint_lower),
-            ("_upper", self.joint_upper),
-            ("_kp", self.kp),
-            ("_kd", self.kd),
-            ("_tlim", self.torque_limit),
-        ):
-            arr = np.array(src, dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-            object.__setattr__(self, name + "_f", tuple(arr.tolist()))
 
     def nominal(self) -> np.ndarray:
-        return self._nominal.copy()
+        return np.array(self.nominal_pose, dtype=np.float64)
 
     def lower(self) -> np.ndarray:
-        return self._lower.copy()
+        return np.array(self.joint_lower, dtype=np.float64)
 
     def upper(self) -> np.ndarray:
-        return self._upper.copy()
+        return np.array(self.joint_upper, dtype=np.float64)
 
     def standing_height(self, pose: np.ndarray | None = None) -> float:
         """Base-to-ground distance when the lowest foot touches down."""
@@ -176,7 +165,7 @@ class BipedState:
 
 def action_targets(model: BipedModel, action: np.ndarray) -> np.ndarray:
     """Joint-position targets for one action (constant across the substeps)."""
-    return model.action_scale * action + model._nominal
+    return model.action_scale * action + model.nominal_pose
 
 
 def pd_torques(
@@ -190,7 +179,7 @@ def pd_torques(
     """Target-position PD control: torque toward ``target`` (see :func:`action_targets`)."""
     tau = []
     for kp, kd, lim, tgt, q, qd in zip(
-        model._kp_f, model._kd_f, model._tlim_f,
+        model.kp, model.kd, model.torque_limit,
         target.tolist(), state.joint_pos.tolist(), state.joint_vel.tolist(),
     ):
         t = (kp * kp_scale * (tgt - q) - kd * kd_scale * qd) * motor_strength
@@ -240,7 +229,7 @@ def substep(
     tq = tau.tolist()
     damping, inertia = model.joint_damping, model.joint_inertia
     vlim = model.joint_vel_limit
-    lower, upper = model._lower_f, model._upper_f
+    lower, upper = model.joint_lower, model.joint_upper
     at_stop = False
     for j in range(N_JOINTS):
         v = _clip(qd[j] + dt * ((tq[j] - damping * qd[j]) / inertia), -vlim, vlim)

@@ -57,7 +57,8 @@ class GaitConfig:
     def __post_init__(self):
         if not self.period_s > 0.0:
             raise ValueError("period_s must be positive")
-        # the scheduler draws gaits with probabilities distribution / sum
+        # each rollout worker (trainer.EnvWorker) draws gaits with
+        # probabilities distribution / sum
         if any(not p >= 0.0 for p in self.distribution):
             raise ValueError("distribution must have no negative entry")
         if not sum(self.distribution) > 0.0:

@@ -25,39 +25,29 @@ class ScriptedWalker:
     as a known-good locomotor and as the physics sanity baseline.
     """
 
-    def __init__(
-        self,
-        model: BipedModel | None = None,
-        freq: float = 1.7,
-        hip_amp: float = 0.45,
-        knee_amp: float = 1.0,
-        k_pitch: float = 1.2,
-        k_vel: float = 0.4,
-        v_target: float = 0.6,
-    ):
+    # the gains: stride frequency (Hz), hip and knee amplitudes (rad), pitch
+    # and speed feedback, and the target speed (m/s)
+    FREQ, HIP_AMP, KNEE_AMP = 1.7, 0.45, 1.0
+    K_PITCH, K_VEL, V_TARGET = 1.2, 0.4, 0.6
+
+    def __init__(self, model: BipedModel | None = None):
         self.model = model or BipedModel()
         self.nominal = self.model.nominal()
-        self.freq = freq
-        self.hip_amp = hip_amp
-        self.knee_amp = knee_amp
-        self.k_pitch = k_pitch
-        self.k_vel = k_vel
-        self.v_target = v_target
 
     def act(self, bundle, state) -> np.ndarray:
         st = state
-        phi = 2.0 * math.pi * self.freq * st.time
-        v_tgt = min(self.v_target, 0.2 + 0.3 * st.time)  # ramp in from standstill
-        corr = min(max(self.k_vel * (st.vx - v_tgt), -0.25), 0.25) - self.k_pitch * st.pitch
+        phi = 2.0 * math.pi * self.FREQ * st.time
+        v_tgt = min(self.V_TARGET, 0.2 + 0.3 * st.time)  # ramp in from standstill
+        corr = min(max(self.K_VEL * (st.vx - v_tgt), -0.25), 0.25) - self.K_PITCH * st.pitch
         tgt = self.nominal.copy()
         for side, ph in ((0, 0.0), (1, math.pi)):
             s = math.sin(phi + ph)
             lift = max(0.0, math.sin(phi + ph + 0.4)) ** 2
             swing = lift > 0.05
-            tgt[3 * side + 0] = self.nominal[0] + self.hip_amp * s + (
-                corr if swing else -0.3 * self.k_pitch * st.pitch
+            tgt[3 * side + 0] = self.nominal[0] + self.HIP_AMP * s + (
+                corr if swing else -0.3 * self.K_PITCH * st.pitch
             )
-            tgt[3 * side + 1] = self.nominal[1] - self.knee_amp * lift
+            tgt[3 * side + 1] = self.nominal[1] - self.KNEE_AMP * lift
             # keep the foot segment level against body pitch
             tgt[3 * side + 2] = -(tgt[3 * side + 0] + tgt[3 * side + 1]) - st.pitch
         a = (tgt - self.nominal) / self.model.action_scale

@@ -27,6 +27,12 @@ normalizes.  The critic's blocks come first, in the column order its
 weights were trained on, so its input, ``[m, e, o, hist]`` plus ``gait`` at
 stage 2, is a prefix of the row: a view.
 
+The episode's memory lives where the row reads it.  The raw row's ``hist``
+block is the history itself: each step shifts it in place by one ``o`` and
+writes the new ``o`` last.  The scan queue holds the last ``2 + d`` current
+scans, where ``d`` is the episode's scan delay in control steps, and the
+row's ``scans`` are its first two, ``(S_{t-1-d}, S_{t-d})``.
+
 The history rule.  Within an episode, step by step (the reset observation
 is its first row):
 
@@ -112,15 +118,11 @@ class DRConfig:
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, f) for f in DR_FIELDS], dtype=np.float64)
 
-    @classmethod
-    def identity(cls) -> "DRConfig":
-        return cls()
-
 
 def sample_dr(rng: np.random.Generator, enabled: bool = True) -> DRConfig:
     """Uniform draw of every dynamic parameter inside its table range."""
     if not enabled:
-        return DRConfig.identity()
+        return DRConfig()
     vals = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in DR_RANGES.items()}
     return DRConfig(**vals)
 
@@ -265,23 +267,6 @@ class StepResult:
         return self.termination != "none"
 
 
-@dataclass
-class PushSchedule:
-    interval_s: float = 8.0
-    vel_max: float = 0.5
-    next_time: float = 8.0
-
-
-def apply_push(state: BipedState, schedule: PushSchedule, rng: np.random.Generator) -> float:
-    """Horizontal velocity impulse whenever episode time reaches the schedule."""
-    if state.time < schedule.next_time - 1e-9:
-        return 0.0
-    impulse = float(rng.uniform(-schedule.vel_max, schedule.vel_max))
-    state.vx += impulse
-    schedule.next_time += schedule.interval_s
-    return impulse
-
-
 def build_o_t(
     state: BipedState,
     commands: CommandState,
@@ -353,24 +338,20 @@ class TerrainEnv:
         self.dims = obs_dims(self.cfg)
         self.slices = obs_slices(self.dims)
         self._shift, self._scale = obs_scaling(self.model, tuple(self.dims.items()))
-        # the raw row _assemble normalizes; o_t is written in place
+        # the raw row _assemble normalizes; o_t and the history are written in place
         self._raw = np.empty(len(self._shift))
         self._o_t = self._raw[self.slices["o"]]
+        self._hist = self._raw[self.slices["hist"]]
         self._scan_offsets = self.cfg.scan_offsets()
         self._elev_offsets = self.cfg.elev_offsets()
         self.terrain: Heightfield | None = None
-        self.dr = DRConfig.identity()
+        self.dr = DRConfig()
         self.commands = CommandState(gait=np.zeros(self.cfg.n_gaits))
         self.state = BipedState()
         self.bundle: ObservationBundle | None = None
-        self.spawn_x = self.cfg.spawn_x
-        self._history: deque = deque(maxlen=self.cfg.history_len)
-        self._scans: deque = deque(maxlen=4)
-        self._action_queue: deque = deque(maxlen=3)
         self.last_action = np.zeros(N_JOINTS)
         self.prev_action = np.zeros(N_JOINTS)
         self.prev2_action = np.zeros(N_JOINTS)
-        self.push = PushSchedule()
         self._done = True
 
     # -- episode control ----------------------------------------------------
@@ -390,7 +371,7 @@ class TerrainEnv:
             self.model.upper(),
         )
         st = BipedState(joint_pos=q0.copy())
-        st.x = self.spawn_x
+        st.x = self.cfg.spawn_x
         # drop the base until the lowest foot touches the local ground
         base_z = -np.inf
         for side in (0, 1):
@@ -403,29 +384,23 @@ class TerrainEnv:
         self.state = st
         self._ep_dr_mass = (self.model.base_mass + self.dr.payload) * self.dr.link_mass_scale
         self._scan_bias = self.dr.scan_bias * (1.0 if self.rng.random() < 0.5 else -1.0)
-        self._scan_delay = self.dr.scan_delay_steps()
-        self._action_delay = self.dr.action_delay_steps(self.cfg.dt)
 
         self.last_action = np.zeros(N_JOINTS)
         self.prev_action = np.zeros(N_JOINTS)
         self.prev2_action = np.zeros(N_JOINTS)
-        self._action_queue = deque(
-            [np.zeros(N_JOINTS)] * (self._action_delay + 1), maxlen=self._action_delay + 1
-        )
-        self.push = PushSchedule(
-            interval_s=self.cfg.push_interval_s,
-            vel_max=self.cfg.push_vel_max,
-            next_time=self.cfg.push_interval_s,
-        )
+        n = self.dr.action_delay_steps(self.cfg.dt) + 1
+        self._action_queue = deque([np.zeros(N_JOINTS)] * n, maxlen=n)
+        self._next_push = self.cfg.push_interval_s
         self._done = False
 
         self._refresh_foot_state()
         o0 = build_o_t(self.state, self.commands, self.last_action, out=self._o_t)
-        self._history = deque([o0.copy() for _ in range(self.cfg.history_len)], maxlen=self.cfg.history_len)
+        self._hist.reshape(-1, self.dims["d_o"])[:] = o0
         scan0 = self._scan()
-        self._scans = deque([scan0.copy() for _ in range(4)], maxlen=4)
+        n = 2 + self.dr.scan_delay_steps()
+        self._scans = deque([scan0] * n, maxlen=n)
         self.bundle = self._assemble()
-        self._distance = self.state.x - self.spawn_x
+        self._distance = self.state.x - self.cfg.spawn_x
         return self.bundle
 
     def step(self, action: np.ndarray) -> StepResult:
@@ -450,7 +425,10 @@ class TerrainEnv:
             return self._diverged()
         dr = self.dr
         model = self.model
-        apply_push(st, self.push, self.rng)
+        if not st.time < self._next_push - 1e-9:
+            # a horizontal velocity impulse each push interval
+            st.vx += float(self.rng.uniform(-self.cfg.push_vel_max, self.cfg.push_vel_max))
+            self._next_push += self.cfg.push_interval_s
 
         self._action_queue.append(action.copy())
         applied = self._action_queue[0]
@@ -489,11 +467,12 @@ class TerrainEnv:
         termination = self._check_termination()
         self._done = termination != "none"
 
-        o_t = build_o_t(st, self.commands, self.last_action, out=self._o_t)
-        self._history.append(o_t.copy())
+        hist, d_o = self._hist, self.dims["d_o"]
+        hist[:-d_o] = hist[d_o:]
+        hist[-d_o:] = build_o_t(st, self.commands, self.last_action, out=self._o_t)
         self._scans.append(self._scan())
         self.bundle = bundle = self._assemble()
-        self._distance = distance = self.state.x - self.spawn_x
+        self._distance = distance = self.state.x - self.cfg.spawn_x
         return StepResult(bundle=bundle, termination=termination, distance=distance)
 
     def set_gait(self, gait: np.ndarray) -> None:
@@ -529,12 +508,8 @@ class TerrainEnv:
     def _assemble(self) -> ObservationBundle:
         """The observation row of the raw quantities, ``o_t`` already in place."""
         raw, sl, st = self._raw, self.slices, self.state
-        # scans delivered with the per-episode sensor delay: (S_{t-1-d}, S_{t-d})
-        d = self._scan_delay
-        cur = self._scans[-1 - d]
-        prev = self._scans[-2 - d] if len(self._scans) >= 2 + d else cur
-        np.concatenate([prev, cur], out=raw[sl["scans"]])
-        np.concatenate(self._history, out=raw[sl["hist"]])
+        # the sensor delay d: the queue holds S_{t-1-d} .. S_t
+        np.concatenate([self._scans[0], self._scans[1]], out=raw[sl["scans"]])
         np.subtract(self.terrain.heights_at(st.x + self._elev_offsets), st.z, out=raw[sl["m"]])
         (lx, lz), (rx, rz) = st.foot_pos.tolist()
         # [feet relative to the base, contacts, true velocity]; the DR draw follows

@@ -301,14 +301,13 @@ class AdamState:
         lr: float = 3e-4,
         beta1: float = 0.9,
         beta2: float = 0.999,
-        eps: float = 1e-8,
     ):
         if lr <= 0.0:
             raise ValueError("lr must be positive")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
+        self.eps = 1e-8  # a field, so a checkpoint holds the eps its steps used
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]

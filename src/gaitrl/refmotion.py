@@ -151,20 +151,21 @@ def gen_reference_clip(
     )
 
 
-def window_stream(frames: np.ndarray, width: int = WINDOW_LEN) -> np.ndarray:
-    """All stride-1 sliding windows, each flattened oldest-frame-first.
+def window_stream(frames: np.ndarray) -> np.ndarray:
+    """All stride-1 sliding windows of ``WINDOW_LEN`` frames, each flattened
+    oldest-frame-first.
 
-    Returns an empty [0, width * n] array for sources shorter than the width.
+    Returns an empty [0, WINDOW_LEN * n] array for sources shorter than that.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ValueError("frames must be [T, n_joints]")
     T, n = frames.shape
-    if T < width:
-        return np.zeros((0, width * n))
-    out = np.empty((T - width + 1, width * n))
-    for i in range(T - width + 1):
-        out[i] = frames[i : i + width].ravel()
+    if T < WINDOW_LEN:
+        return np.zeros((0, WINDOW_LEN * n))
+    out = np.empty((T - WINDOW_LEN + 1, WINDOW_LEN * n))
+    for i in range(T - WINDOW_LEN + 1):
+        out[i] = frames[i : i + WINDOW_LEN].ravel()
     return out
 
 

@@ -130,7 +130,7 @@ def locomotion_rewards(
     at, ap, app = a_t.tolist(), a_prev.tolist(), a_prev2.tolist()
     frac, tfrac, vsoft = cfg.soft_limit_frac, cfg.torque_soft_frac, cfg.joint_vel_soft
     acc_sq = vel_sq = rate_sq = smooth_sq = power = pos_lim = vel_lim = torque_lim = 0.0
-    for j, (lo, hi, tlim) in enumerate(zip(model._lower_f, model._upper_f, model._tlim_f)):
+    for j, (lo, hi, tlim) in enumerate(zip(model.joint_lower, model.joint_upper, model.torque_limit)):
         q, v, t = jp[j], jv[j], jt[j]
         abs_v, abs_t = abs(v), abs(t)
         d1 = at[j] - ap[j]
@@ -153,7 +153,7 @@ def locomotion_rewards(
         torque_lim += over_t if over_t > 0.0 or over_t != over_t else 0.0
     posture = 0.0
     for j in POSTURE_JOINTS:
-        posture += abs(jp[j] - model._nominal_f[j])
+        posture += abs(jp[j] - model.nominal_pose[j])
     verr = commands.v_cmd - st.vx
     werr = commands.w_cmd - st.yaw_rate
     (f_lx, f_lz), (f_rx, f_rz) = st.contact_force.tolist()

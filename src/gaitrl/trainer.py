@@ -86,34 +86,6 @@ def update_curriculum(state: CurriculumState, traversal_frac: float, cfg) -> Cur
     return CurriculumState(state.kind, d, promotions, demotions)
 
 
-# -- gait schedule --------------------------------------------------------------
-
-
-class GaitScheduler:
-    """Hold a one-hot gait command for a fixed period, then redraw."""
-
-    def __init__(self, period_s: float, distribution):
-        self.period_s = period_s
-        self.distribution = np.asarray(distribution, dtype=np.float64)
-        self.distribution = self.distribution / self.distribution.sum()
-        self.n_gaits = len(self.distribution)
-        self.segment = -1
-        self.current = 0
-
-    def draw(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self.n_gaits, p=self.distribution))
-
-    def command_at(self, time: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
-        """One-hot command for this instant, drawn anew as each period begins;
-        the second value flags a draw."""
-        seg = int(time / self.period_s + 1e-9)
-        changed = seg != self.segment
-        if changed:
-            self.current = self.draw(rng)
-            self.segment = seg
-        return one_hot(self.current, self.n_gaits), changed
-
-
 # -- per-environment worker -----------------------------------------------------
 
 
@@ -121,7 +93,12 @@ class EnvWorker:
     """One env of the rollout, and what training adds to it: the worker's
     rng (terrain, DR, commands, exploration noise), its terrain curriculum,
     the gait schedule and the frames the AMP style windows are cut from.
-    The episode's own state (observation, commands, actions) is the env's."""
+    The episode's own state (observation, commands, actions) is the env's.
+
+    The gait schedule is two fields: ``gait_p``, the gait distribution
+    normalized to sum to one, and ``gait_period``, the index of the
+    ``cfg.gaits.period_s`` period whose gait the env holds (-1 before the
+    first draw).  At stage 2 a gait is drawn as each period begins."""
 
     def __init__(self, index: int, cfg: RunConfig, stage: int, seed_seq: np.random.SeedSequence):
         self.index = index
@@ -134,7 +111,9 @@ class EnvWorker:
         self.curr = CurriculumState(
             kind=kinds[index % len(kinds)], difficulty=cfg.curriculum.init_difficulty
         )
-        self.scheduler = GaitScheduler(cfg.gaits.period_s, cfg.gaits.distribution)
+        p = np.asarray(cfg.gaits.distribution, dtype=np.float64)
+        self.gait_p = p / p.sum()
+        self.gait_period = -1
         self.frames: deque = deque(maxlen=WINDOW_LEN)
         # frames since the episode began or the gait was last drawn; a style
         # window joins the policy buffer only if all its frames follow that
@@ -155,19 +134,25 @@ class EnvWorker:
             w_cmd=float(self.rng.uniform(w_lo, w_hi)),
             gait=np.zeros(self.cfg.env.n_gaits),
         )
-        self.scheduler.segment = -1
         if self.stage >= 2:
-            commands.gait, _ = self.scheduler.command_at(0.0, self.rng)
+            self.gait_period = 0
+            commands.gait = self.draw_gait()
         self.env.reset(terrain, dr, commands)
         self.frames.clear()
         self.frames_in_segment = 0
 
+    def draw_gait(self) -> np.ndarray:
+        """A one-hot gait command drawn from ``gait_p``."""
+        n = len(self.gait_p)
+        return one_hot(int(self.rng.choice(n, p=self.gait_p)), n)
+
     def maybe_resample_gait(self) -> None:
         if self.stage < 2:
             return
-        gait, changed = self.scheduler.command_at(self.env.state.time, self.rng)
-        if changed:
-            self.env.set_gait(gait)
+        period = int(self.env.state.time / self.cfg.gaits.period_s + 1e-9)
+        if period != self.gait_period:
+            self.gait_period = period
+            self.env.set_gait(self.draw_gait())
             self.frames_in_segment = 0
 
     def finish_episode(self, distance: float) -> None:

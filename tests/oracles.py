@@ -153,11 +153,12 @@ def _cell(terrain, x):
 
 def ref_pd_torques(model, state, action, kp_scale, kd_scale, motor_strength, target=None):
     if target is None:
-        target = model.action_scale * action + model._nominal
-    tau = model._kp * kp_scale * (target - state.joint_pos) - model._kd * kd_scale * state.joint_vel
+        target = model.action_scale * action + model.nominal()
+    kp, kd, tlim = np.array(model.kp), np.array(model.kd), np.array(model.torque_limit)
+    tau = kp * kp_scale * (target - state.joint_pos) - kd * kd_scale * state.joint_vel
     tau *= motor_strength
-    np.minimum(tau, model._tlim, out=tau)
-    np.maximum(tau, -model._tlim, out=tau)
+    np.minimum(tau, tlim, out=tau)
+    np.maximum(tau, -tlim, out=tau)
     return tau
 
 
@@ -167,7 +168,7 @@ def ref_substep(model, state, tau, terrain, dt, friction, restitution, total_mas
     state.joint_vel += dt * qdd
     np.clip(state.joint_vel, -model.joint_vel_limit, model.joint_vel_limit, out=state.joint_vel)
     state.joint_pos += dt * state.joint_vel
-    lo, hi = model._lower, model._upper
+    lo, hi = model.lower(), model.upper()
     below = state.joint_pos < lo
     above = state.joint_pos > hi
     if below.any() or above.any():
@@ -734,7 +735,7 @@ def ref_run_trial(controller, terrain, model, env_cfg, *, v_cmd=0.6, gait_id=Non
     cfg_ep = EnvConfig(**{**env_cfg.__dict__, "max_episode_s": timeout_s, "push_vel_max": 0.0})
     env = TerrainEnv(model, cfg_ep, seed=seed)
     gait = one_hot(gait_id, cfg_ep.n_gaits) if gait_id is not None else np.zeros(cfg_ep.n_gaits)
-    bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=v_cmd, gait=gait))
+    bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait))
     reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
     a_prev = np.zeros(N_JOINTS)
     a_prev2 = np.zeros(N_JOINTS)
@@ -801,7 +802,7 @@ def ref_measure_gait_attribute(policy, cfg, gait_id, attribute, n_rollouts=10, r
             track_length=cfg.terrain.track_length, cell_size=cfg.terrain.cell_size,
         )
         bundle = env.reset(
-            terrain, DRConfig.identity(),
+            terrain, DRConfig(),
             CommandState(v_cmd=0.4, gait=one_hot(gait_id, env_cfg.n_gaits)),
         )
         values = []
@@ -843,7 +844,7 @@ def ref_collect_latent_samples(policy, cfg, terrain_kinds=("flat", "gap", "step"
                 track_length=cfg.terrain.track_length, cell_size=cfg.terrain.cell_size,
             )
             gait = one_hot(gid, cfg.env.n_gaits)
-            bundle = env.reset(terrain, DRConfig.identity(), CommandState(v_cmd=0.5, gait=gait))
+            bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=0.5, gait=gait))
             controller = PolicyController(policy, gait_id=gid)
             for _ in range(steps_per_combo):
                 samples.append((bundle, gait.copy(), kind))

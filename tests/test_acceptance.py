@@ -73,7 +73,7 @@ def sample_bundles(n, seed=0, env_cfg=SMALL_ENV, kind="rough"):
     env = TerrainEnv(MODEL, env_cfg, seed=seed)
     env.reset(
         generate_terrain(kind, 0.4, seed=seed),
-        DRConfig.identity(),
+        DRConfig(),
         CommandState(v_cmd=0.5, gait=one_hot(0, 3)),
     )
     rng = np.random.default_rng(seed)
@@ -84,7 +84,7 @@ def sample_bundles(n, seed=0, env_cfg=SMALL_ENV, kind="rough"):
         if res.done:
             env.reset(
                 generate_terrain(kind, 0.4, seed=seed),
-                DRConfig.identity(),
+                DRConfig(),
                 CommandState(v_cmd=0.5, gait=one_hot(0, 3)),
             )
     return out

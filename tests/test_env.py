@@ -16,9 +16,7 @@ from gaitrl.env import (
     EnvConfig,
     TERMINATIONS,
     ObservationBundle,
-    PushSchedule,
     TerrainEnv,
-    apply_push,
     build_o_t,
     obs_dims,
     obs_slices,
@@ -44,7 +42,7 @@ def flat():
 
 def fresh_env(model, flat, seed=0, **cfg_kwargs):
     env = TerrainEnv(model, EnvConfig(**cfg_kwargs), seed=seed)
-    env.reset(flat, DRConfig.identity(), CommandState(gait=np.zeros(3)))
+    env.reset(flat, DRConfig(), CommandState(gait=np.zeros(3)))
     return env
 
 
@@ -74,11 +72,10 @@ class TestReset:
 
     def test_spawn_over_void_rejected(self, model):
         gap = generate_terrain("gap", 1.0, seed=1)
-        env = TerrainEnv(model, EnvConfig(), seed=0)
         start = gap.obstacles[0].start * gap.cell_size
-        env.spawn_x = start + 0.1
+        env = TerrainEnv(model, EnvConfig(spawn_x=start + 0.1), seed=0)
         with pytest.raises(ValueError):
-            env.reset(gap, DRConfig.identity(), CommandState(gait=np.zeros(3)))
+            env.reset(gap, DRConfig(), CommandState(gait=np.zeros(3)))
 
 
 class TestStep:
@@ -113,7 +110,7 @@ class TestStep:
     def test_walking_into_gap_falls(self, model):
         gap = generate_terrain("gap", 1.0, seed=3)
         env = TerrainEnv(model, EnvConfig(max_episode_s=40.0), seed=0)
-        env.reset(gap, DRConfig.identity(), CommandState(v_cmd=0.6, gait=np.zeros(3)))
+        env.reset(gap, DRConfig(), CommandState(v_cmd=0.6, gait=np.zeros(3)))
         walker = ScriptedWalker(model)
         last = None
         for _ in range(2000):
@@ -219,7 +216,7 @@ class TestHeightScan:
 
     def test_blind_mode_zeroes_scan(self, model, flat):
         env = TerrainEnv(model, EnvConfig(blind=True), seed=0)
-        b = env.reset(flat, DRConfig.identity(), CommandState(gait=np.zeros(3)))
+        b = env.reset(flat, DRConfig(), CommandState(gait=np.zeros(3)))
         zeros = np.zeros(env.dims["d_scan"])
         assert b.scans.tobytes() == ref_normalize(model, env.cfg, "scans", zeros).tobytes()
 
@@ -238,32 +235,68 @@ class TestHeightScan:
         expected = ref_normalize(model, env.cfg, "scans", np.concatenate([env._scans[-3], lagged]))
         assert delivered_now.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(("delay_ms", "d"), [(0.0, 0), (8.0, 1), (24.0, 3), (28.0, 4), (40.0, 5)])
+    def test_scan_delay_delivers_the_scans_d_steps_back(self, model, delay_ms, d):
+        rough = generate_terrain("rough", 0.8, seed=4)
+        env = TerrainEnv(model, EnvConfig(), seed=0)
+        bundle = env.reset(rough, DRConfig(scan_delay_ms=delay_ms), CommandState(gait=np.zeros(3)))
+        assert env.dr.scan_delay_steps() == d
+        walker, k = ScriptedWalker(model), env.cfg.scan_points
+        current, rows = [], []  # S_t: the scan at each row's state, no noise or bias
+        for _ in range(d + 12):
+            st_ = env.state
+            current.append(sample_height_scan(rough, st_.x, st_.z, env.cfg.scan_offsets(),
+                                              clip=env.cfg.scan_clip))
+            rows.append(bundle.scans.copy())
+            res = env.step(walker.act(bundle, env.state))
+            assert not res.done
+            bundle = res.bundle
+        assert all(not np.array_equal(a, b) for a, b in zip(current, current[1:]))
+        for t, scans in enumerate(rows):
+            raw = np.concatenate([current[max(t - 1 - d, 0)], current[max(t - d, 0)]])
+            assert scans.tobytes() == ref_normalize(model, env.cfg, "scans", raw).tobytes(), t
+            # the history rule: the previous scan is the row before's current scan
+            before = rows[t - 1][k:] if t else scans[k:]
+            assert scans[:k].tobytes() == before.tobytes(), t
+
 
 class TestPush:
-    def test_applied_on_schedule(self):
-        from gaitrl.biped import BipedState
+    """Pushes through ``env.step``, with the physics replaced by a clock: the
+    base velocity moves only when a push lands."""
 
-        rng = np.random.default_rng(0)
-        st = BipedState()
-        st.time = 7.98
-        sched = PushSchedule(interval_s=8.0, vel_max=0.5, next_time=8.0)
-        assert apply_push(st, sched, rng) == 0.0
-        st.time = 8.0
-        v0 = st.vx
-        imp = apply_push(st, sched, rng)
-        assert imp != 0.0
-        assert st.vx == pytest.approx(v0 + imp)
-        assert sched.next_time == pytest.approx(16.0)
+    @staticmethod
+    def base_velocity_per_step(monkeypatch, model, flat, push_vel_max):
+        def clock(model, state, tau, terrain, dt, *args):
+            state.time += dt
 
-    def test_zero_magnitude_leaves_state(self):
-        from gaitrl.biped import BipedState
+        monkeypatch.setattr(env_module, "substep", clock)
+        env = TerrainEnv(model, EnvConfig(push_vel_max=push_vel_max), seed=0)
+        env.reset(flat, DRConfig(), CommandState(gait=np.zeros(3)))
+        starts, vx = [], []
+        while env.state.time < 16.5:
+            starts.append(env.state.time)
+            env.step(np.zeros(N_JOINTS))
+            vx.append(env.state.vx)
+        return np.array(starts), np.array(vx)
 
-        rng = np.random.default_rng(0)
-        st = BipedState()
-        st.time = 8.0
-        sched = PushSchedule(interval_s=8.0, vel_max=0.0, next_time=8.0)
-        apply_push(st, sched, rng)
-        assert st.vx == 0.0
+    def test_applied_on_schedule(self, monkeypatch, model, flat):
+        starts, vx = self.base_velocity_per_step(monkeypatch, model, flat, 0.5)
+        # the env's stream: the scan-bias sign at reset, then one draw a push
+        rng = np.random.default_rng(np.random.SeedSequence(0))
+        rng.random()
+        first, second = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+        assert first != 0.0 and second != 0.0
+        # a push lands on the first step that starts at each multiple of 8 s
+        at_8, at_16 = (int(np.argmax(starts > t - 1e-9)) for t in (8.0, 16.0))
+        assert starts[at_8 - 1] < 8.0 - 1e-9 and starts[at_16 - 1] < 16.0 - 1e-9
+        expected = np.zeros(len(vx))
+        expected[at_8:] = first
+        expected[at_16:] = first + second
+        assert vx.tobytes() == expected.tobytes()
+
+    def test_zero_magnitude_leaves_state(self, monkeypatch, model, flat):
+        _, vx = self.base_velocity_per_step(monkeypatch, model, flat, 0.0)
+        assert not vx.any()
 
 
 class TestSampleDR:
@@ -284,8 +317,8 @@ class TestSampleDR:
     def test_disabled_gives_identity(self):
         rng = np.random.default_rng(0)
         dr = sample_dr(rng, enabled=False)
-        assert dr == DRConfig.identity()
-        ident = DRConfig.identity()
+        assert dr == DRConfig()
+        ident = DRConfig()
         assert ident.friction == 1.0 and ident.scan_noise == 0.0 and ident.payload == 0.0
 
     def test_deterministic_in_seed(self):
@@ -463,7 +496,7 @@ def bundle_is_finite(bundle) -> bool:
 class TestDivergence:
     def walk(self, kind="gap", steps=5, seed=0):
         env = TerrainEnv(BipedModel(), EnvConfig(), seed=seed)
-        env.reset(generate_terrain(kind, 0.5, seed=seed), DRConfig.identity(), CommandState(v_cmd=0.5))
+        env.reset(generate_terrain(kind, 0.5, seed=seed), DRConfig(), CommandState(v_cmd=0.5))
         res = None
         for _ in range(steps):
             res = env.step(np.full(N_JOINTS, 0.1))
@@ -542,7 +575,7 @@ class TestDivergence:
 )
 def test_any_non_finite_state_component_diverges_instead_of_raising(component, value, kind, steps):
     env = TerrainEnv(BipedModel(), EnvConfig(), seed=1)
-    env.reset(generate_terrain(kind, 0.5, seed=2), DRConfig.identity(), CommandState(v_cmd=0.5))
+    env.reset(generate_terrain(kind, 0.5, seed=2), DRConfig(), CommandState(v_cmd=0.5))
     distance = 0.0
     for _ in range(steps):
         res = env.step(np.full(N_JOINTS, 0.2))

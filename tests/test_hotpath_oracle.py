@@ -108,7 +108,7 @@ class TestPhysicsOracle:
             gains = (dr.kp_scale, dr.kd_scale, dr.motor_strength)
             tau = pd_torques(MODEL, st_, action_targets(MODEL, action), *gains)
             assert_same_array(tau, ref_pd_torques(MODEL, st_, action, *gains))
-            saturated += int(np.any(np.abs(tau) == MODEL._tlim))
+            saturated += int(np.any(np.abs(tau) == np.array(MODEL.torque_limit)))
         assert saturated > 0
 
     def test_substep_matches_reference_on_every_terrain_kind(self):
@@ -137,7 +137,7 @@ class TestPhysicsOracle:
                     assert_same_state(new, ref)
 
                     q = ref.joint_pos
-                    seen["joint_stop"] += int(np.any((q == MODEL._lower) | (q == MODEL._upper)))
+                    seen["joint_stop"] += int(np.any((q == MODEL.lower()) | (q == MODEL.upper())))
                     seen["vel_clip"] += int(np.any(np.abs(ref.joint_vel) == MODEL.joint_vel_limit))
                     seen["contact"] += int(ref.contact.any())
                     held = anchors_before[0] & ref.anchor_on
@@ -161,8 +161,9 @@ class TestRewardOracle:
             st_.n_collisions = int(rng.integers(0, 3))
             if trial % 7 == 0:
                 # exact soft-limit and zero-velocity ties
-                mid = 0.5 * (MODEL._lower + MODEL._upper)
-                st_.joint_pos = mid - 0.5 * (MODEL._upper - MODEL._lower) * 0.9
+                lo, hi = MODEL.lower(), MODEL.upper()
+                mid = 0.5 * (lo + hi)
+                st_.joint_pos = mid - 0.5 * (hi - lo) * 0.9
                 st_.joint_vel = np.array([-0.0, 0.0, 12.0, -12.0, 0.0, -0.0])
             cfg = RewardConfig(
                 soft_limit_frac=float(rng.uniform(0.5, 1.0)),

@@ -27,6 +27,15 @@ is read somewhere in the package, the tests or the benchmark harness, by
 name, as an attribute or through an import.  And no function of the package
 takes a parameter it never reads (``self`` and ``cls`` excepted), apart from
 the exemptions listed with their reasons in ``PARAMETERS_EXEMPT``.
+
+No value is stashed on an object behind its class's back: no module of the
+package calls ``object.__setattr__`` (a frozen config holds its fields and
+nothing derived from them).  And no parameter keeps a default that no caller
+overrides: every parameter with a default, of every function and method of
+the package, is passed, by keyword or by position, by at least one call in
+the package, the tests or the benchmark harness, apart from the exemptions
+in ``DEFAULTS_EXEMPT``.  Calls are matched to functions by name, so a call
+of any function of that name counts.
 """
 
 from __future__ import annotations
@@ -414,3 +423,141 @@ def test_no_parameter_that_its_function_never_reads():
         if param not in PARAMETERS_EXEMPT.get(signature, ())
     ]
     assert unread == []
+
+
+def object_setattr_calls(tree: ast.Module) -> list[int]:
+    """The lines that call ``object.__setattr__``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    )
+
+
+def test_the_check_flags_an_object_setattr_call():
+    tree = ast.parse(
+        "class Model:\n    def __post_init__(self):\n"
+        "        object.__setattr__(self, '_cache', 1)\n"
+        "        setattr(self, 'x', 2)\n        super().__setattr__('y', 3)\n"
+    )
+    assert object_setattr_calls(tree) == [3]
+
+
+def test_no_object_setattr():
+    found = [
+        f"{path.name}:{line}"
+        for path in FILES
+        if path.parent.name == "gaitrl"
+        for line in object_setattr_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+
+
+# Parameters with a default that no call passes, each keyed by
+# ``callee: parameter``, with the reason it stays.
+DEFAULTS_EXEMPT: dict[str, str] = {}
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[int, str, str, int | None]]:
+    """``(line, callee, parameter, position)`` for each parameter with a
+    default of each function and method.  A method's ``__init__`` is called
+    as its class; ``position`` counts the arguments a call passes before
+    the parameter (``self`` and ``cls`` not counted), and is None for a
+    keyword-only one.  Dunders other than ``__init__`` are not called by name."""
+    found = []
+    owner = {
+        id(item): cls
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if fn.name.startswith("__") and fn.name != "__init__":
+            continue
+        cls = owner.get(id(fn))
+        callee = cls.name if cls is not None and fn.name == "__init__" else fn.name
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+        )
+        a = fn.args
+        positional = [*a.posonlyargs, *a.args]
+        first = len(positional) - len(a.defaults)
+        found += [
+            (fn.lineno, callee, p.arg, i - bound)
+            for i, p in enumerate(positional[first:], first)
+        ]
+        found += [
+            (fn.lineno, callee, p.arg, None)
+            for p, default in zip(a.kwonlyargs, a.kw_defaults)
+            if default is not None
+        ]
+    return found
+
+
+def passed_arguments(tree: ast.Module) -> dict[str, tuple[set[str], float]]:
+    """Callee name -> (the keywords some call passes, the most positional
+    arguments a call passes).  A callee is the called name or attribute; a
+    ``*args`` or ``**kwargs`` splat counts as passing every parameter."""
+    passed: dict[str, tuple[set[str], float]] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name is None:
+            continue
+        keywords, n_positional = passed.get(name, (set(), 0))
+        keywords = keywords | {k.arg for k in node.keywords if k.arg is not None}
+        n_positional = max(n_positional, len(node.args))
+        if any(isinstance(x, ast.Starred) for x in node.args) or any(
+            k.arg is None for k in node.keywords
+        ):
+            n_positional = float("inf")
+            keywords.add("**")
+        passed[name] = (keywords, n_positional)
+    return passed
+
+
+def defaults_nothing_passes(tree: ast.Module, passed: dict) -> list[str]:
+    found = []
+    for line, callee, param, position in defaulted_parameters(tree):
+        keywords, n_positional = passed.get(callee, (set(), 0))
+        by_position = position is not None and n_positional > position
+        if not (param in keywords or "**" in keywords or by_position):
+            found.append(f"{line}: {callee}: {param}")
+    return found
+
+
+def test_the_check_flags_a_default_nothing_passes():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    ...\n"
+        "class Walker:\n    def __init__(self, model=None, gain=1.0):\n        ...\n"
+        "    def act(self, x, scale=2.0):\n        ...\n"
+        "    @staticmethod\n    def make(n=1):\n        ...\n"
+        "def g(u=0, v=1):\n    ...\n"
+        "f(0, 1, e=5)\nWalker(model)\nWalker(None).act(1)\nWalker.make(2)\n"
+        "args = (1, 2)\ng(*args)\n"
+    )
+    assert defaults_nothing_passes(tree, passed_arguments(tree)) == [
+        "1: f: c", "1: f: d", "4: Walker: gain", "6: act: scale",
+    ]
+
+
+def test_every_default_is_passed_by_some_call():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in READERS]
+    passed: dict[str, tuple[set[str], float]] = {}
+    for tree in trees:
+        for name, (keywords, n_positional) in passed_arguments(tree).items():
+            seen, most = passed.get(name, (set(), 0))
+            passed[name] = (seen | keywords, max(most, n_positional))
+    unpassed = [
+        f"{path.name}:{entry}"
+        for path, tree in zip(READERS, trees)
+        if path.parent.name == "gaitrl"
+        for entry in defaults_nothing_passes(tree, passed)
+        if entry.split(": ", 1)[1] not in DEFAULTS_EXEMPT
+    ]
+    assert unpassed == []

@@ -33,7 +33,7 @@ def collect_bundles(n, seed=0):
     env = TerrainEnv(MODEL, TINY_ENV, seed=seed)
     env.reset(
         generate_terrain("rough", 0.4, seed=seed),
-        DRConfig.identity(),
+        DRConfig(),
         CommandState(v_cmd=0.4, gait=one_hot(0, 3)),
     )
     rng = np.random.default_rng(seed)
@@ -44,7 +44,7 @@ def collect_bundles(n, seed=0):
         if res.done:
             env.reset(
                 generate_terrain("rough", 0.4, seed=seed),
-                DRConfig.identity(),
+                DRConfig(),
                 CommandState(v_cmd=0.4, gait=one_hot(0, 3)),
             )
     return out
@@ -151,7 +151,7 @@ class TestPPOUpdate:
         """A buffer that a rollout of ``policy`` on N envs fills, with random rewards."""
         terrain = generate_terrain("rough", 0.4, seed=seed)
         reset = lambda env: env.reset(
-            terrain, DRConfig.identity(), CommandState(v_cmd=0.4, gait=one_hot(0, 3))
+            terrain, DRConfig(), CommandState(v_cmd=0.4, gait=one_hot(0, 3))
         )
         envs = [TerrainEnv(MODEL, TINY_ENV, seed=seed + i) for i in range(N)]
         for env in envs:

@@ -24,7 +24,7 @@ from gaitrl.ppo import RolloutBuffer
 from gaitrl.rewards import RewardBreakdown
 from gaitrl.trainer import (
     CurriculumState,
-    GaitScheduler,
+    EnvWorker,
     Trainer,
     load_checkpoint,
     update_curriculum,
@@ -126,29 +126,42 @@ class TestCurriculum:
 
 
 class TestGaitScheduler:
-    def test_command_constant_within_period(self):
-        sched = GaitScheduler(period_s=4.0, distribution=(0.3, 0.4, 0.3))
-        rng = np.random.default_rng(0)
+    """The gait schedule of a stage-2 ``EnvWorker``, on the env's clock."""
+
+    @staticmethod
+    def worker(period_s, distribution, seed):
+        cfg = tiny_cfg(**{"gaits.period_s": period_s, "gaits.distribution": distribution})
+        w = EnvWorker(0, cfg, stage=2, seed_seq=np.random.SeedSequence(seed))
+        w.begin_episode()
+        return w
+
+    @staticmethod
+    def commands(w, steps):
+        """The gait the env holds at each control step, the clock set by hand."""
         seen = []
-        for step in range(400):  # 8 s at 50 Hz
-            cmd, _ = sched.command_at(step * 0.02, rng)
-            seen.append(int(np.argmax(cmd)))
+        for step in range(steps):
+            w.env.state.time = step * 0.02
+            w.maybe_resample_gait()
+            assert w.gait_period == int(step * 0.02 / w.cfg.gaits.period_s + 1e-9)
+            seen.append(int(np.argmax(w.env.commands.gait)))
+            assert w.env.bundle.gait.tobytes() == w.env.commands.gait.tobytes()
+        return seen
+
+    def test_command_constant_within_period(self):
+        w = self.worker(4.0, (0.3, 0.4, 0.3), seed=0)
+        seen = self.commands(w, 400)  # 8 s at 50 Hz
         assert len(set(seen[:200])) == 1
         assert len(set(seen[200:400])) == 1
 
     def test_degenerate_distribution(self):
-        sched = GaitScheduler(period_s=1.0, distribution=(1.0, 0.0, 0.0))
-        rng = np.random.default_rng(1)
-        for step in range(500):
-            cmd, _ = sched.command_at(step * 0.02, rng)
-            assert np.argmax(cmd) == 0
+        w = self.worker(1.0, (1.0, 0.0, 0.0), seed=1)
+        assert self.commands(w, 500) == [0] * 500
 
     def test_draw_frequencies_match_distribution(self):
         probs = np.array([0.5, 0.3, 0.2])
-        sched = GaitScheduler(period_s=1.0, distribution=probs)
-        rng = np.random.default_rng(2)
+        w = self.worker(1.0, (5.0, 3.0, 2.0), seed=2)  # normalized by the worker
         n = 10_000
-        draws = np.array([sched.draw(rng) for _ in range(n)])
+        draws = np.array([int(np.argmax(w.draw_gait())) for _ in range(n)])
         for g in range(3):
             freq = np.mean(draws == g)
             sigma = np.sqrt(probs[g] * (1 - probs[g]) / n)
@@ -263,7 +276,7 @@ class TestRollout:
             seen.clear()
             buffer = RolloutBuffer(T, N, trainer.policy.dims, N_JOINTS)
             trainer.collect_rollout(buffer)
-            delays |= {w.env._scan_delay for w in trainer.workers}
+            delays |= {w.env.dr.scan_delay_steps() for w in trainer.workers}
             assert buffer.dones.sum() >= N
             rebuilt = buffer.batch(np.arange(T * N))
             for t, acted in enumerate(seen):
@@ -342,7 +355,7 @@ class TestStage2:
         pol2 = trainer2.policy
         env = TerrainEnv(cfg.model, cfg.env, seed=5)
         env.reset(generate_terrain("flat", 0.0, seed=1),
-                  DRConfig.identity(), CommandState(v_cmd=0.5, gait=one_hot(0, 3)))
+                  DRConfig(), CommandState(v_cmd=0.5, gait=one_hot(0, 3)))
         rng = np.random.default_rng(0)
         for _ in range(25):
             res = env.step(rng.uniform(-0.3, 0.3, 6))
