@@ -73,6 +73,14 @@ class CurriculumConfig:
     delta: float = 0.1
     init_difficulty: float = 0.0
 
+    def __post_init__(self):
+        # every env starts at init_difficulty, a terrain's difficulty lies in
+        # [0, 1], and a promotion raises it by delta
+        if not 0.0 <= self.init_difficulty <= 1.0:
+            raise ValueError("init_difficulty must be in [0, 1]")
+        if not self.delta >= 0.0:
+            raise ValueError("delta must be non-negative")
+
 
 @dataclass
 class BenchConfig:

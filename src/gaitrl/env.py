@@ -44,6 +44,24 @@ is its first row):
 
 So ``o`` and the current scan are all that is new at a step; the rollout
 buffer stores only those, normalized, and rebuilds the rest by this rule.
+
+The episode start.  A training episode starts in
+``trainer.EnvWorker.begin_episode``, and two generators draw it, each in a
+fixed order:
+
+- the worker's: the terrain seed (one ``integers``), the DR vector
+  (:func:`sample_dr`: one call, 13 doubles; nothing when DR is off),
+  ``v_cmd`` and ``w_cmd`` (one ``uniform`` each), then, at stage 2, the
+  gait (one ``choice``);
+- the env's: in ``reset``, the scan-bias sign (one double), then the first
+  scan's noise; in each step, the push (one ``uniform``, when one is due),
+  then the scan's noise.  A scan draws noise (one ``normal`` per point)
+  only when the episode's ``scan_noise`` is positive and the env is not
+  blind.
+
+The terrain has a generator of its own, seeded by the terrain seed (flat
+terrain draws nothing and builds none).  Each env's run of draws, and so
+every byte a run writes, rests on this order and count.
 """
 
 from __future__ import annotations
@@ -51,19 +69,13 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .biped import (
-    N_JOINTS,
-    BipedModel,
-    BipedState,
-    action_targets,
-    leg_points,
-    pd_torques,
-    substep,
-)
+from .biped import N_JOINTS, BipedModel, BipedState, action_targets, pd_torques, substep
 from .terrain import Heightfield
 
 # "diverged": the state went non-finite (NaN or inf).  That step returns the
@@ -88,6 +100,10 @@ DR_RANGES = {
 }
 
 DR_FIELDS = tuple(DR_RANGES.keys())
+# the ranges' bounds as read-only vectors in DR_FIELDS order, and their widths
+DR_LOW, DR_HIGH = (np.array(b) for b in zip(*DR_RANGES.values()))
+DR_SPAN = DR_HIGH - DR_LOW
+DR_LOW.flags.writeable = DR_HIGH.flags.writeable = DR_SPAN.flags.writeable = False
 # e's columns before the DR draw: feet relative to the base (4), contacts (2), true velocity (2)
 N_EXTRAS = 8
 
@@ -112,7 +128,11 @@ class DRConfig:
         return int(round(self.action_delay_ms / (dt * 1000.0)))
 
     def scan_delay_steps(self) -> int:
-        # sub-control-step sensor latency rounds to a 0-or-1-step delay
+        """The scan delay in control steps, counted in units of the top of its
+        DR range whatever the control period: 8 ms is one step, so a 40 ms
+        scan delay is 5 steps where a 40 ms action delay is 2
+        (:meth:`action_delay_steps` at dt = 0.02 s).  A draw inside the DR
+        range is 0 or 1 step."""
         return int(round(self.scan_delay_ms / DR_RANGES["scan_delay_ms"][1]))
 
     def as_vector(self) -> np.ndarray:
@@ -120,11 +140,16 @@ class DRConfig:
 
 
 def sample_dr(rng: np.random.Generator, enabled: bool = True) -> DRConfig:
-    """Uniform draw of every dynamic parameter inside its table range."""
+    """Uniform draw of every dynamic parameter inside its table range.
+
+    One draw of ``len(DR_FIELDS)`` doubles ``u``, in ``DR_FIELDS`` order:
+    each value is ``lo + (hi - lo) * u``, the floats ``rng.uniform(lo, hi)``
+    gives field by field, from the same generator output, without its
+    per-call argument checks.
+    """
     if not enabled:
         return DRConfig()
-    vals = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in DR_RANGES.items()}
-    return DRConfig(**vals)
+    return DRConfig(*(DR_LOW + DR_SPAN * rng.random(len(DR_FIELDS))).tolist())
 
 
 @dataclass
@@ -135,9 +160,6 @@ class CommandState:
 
     def __post_init__(self):
         self.gait = np.asarray(self.gait, dtype=np.float64)
-
-    def copy(self) -> "CommandState":
-        return CommandState(self.v_cmd, self.w_cmd, self.gait.copy())
 
 
 def one_hot(i: int, n: int) -> np.ndarray:
@@ -204,11 +226,9 @@ def obs_slices(dims: dict) -> dict[str, slice]:
     return out
 
 
-@functools.lru_cache(maxsize=8)  # the envs of a run share one pair
-def obs_scaling(model: BipedModel, widths: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's ``(shift, scale)``, read-only: the row holds ``(raw - shift) * scale``.
-    ``widths`` is ``tuple(obs_dims(cfg).items())``."""
-    dims = dict(widths)
+def obs_scaling(model: BipedModel, dims: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's ``(shift, scale)`` for the blocks ``dims`` gives
+    (:func:`obs_dims`): the row holds ``(raw - shift) * scale``."""
     sl = obs_slices(dims)
     shift, scale = np.zeros(sl["scans"].stop), np.ones(sl["scans"].stop)
     nj, H = N_JOINTS, model.standing_height()
@@ -224,11 +244,42 @@ def obs_scaling(model: BipedModel, widths: tuple) -> tuple[np.ndarray, np.ndarra
         scale[sl[name]] = 2.0
     e_shift, e_scale = shift[sl["e"]], scale[sl["e"]]
     e_shift[1] = e_shift[3] = -H  # the feet's vertical offsets
-    lo, hi = np.array(list(DR_RANGES.values())).T
-    e_shift[N_EXTRAS:] = 0.5 * (lo + hi)
-    e_scale[N_EXTRAS:] = 2.0 / np.maximum(hi - lo, 1e-9)
-    shift.flags.writeable = scale.flags.writeable = False
+    e_shift[N_EXTRAS:] = 0.5 * (DR_LOW + DR_HIGH)
+    e_scale[N_EXTRAS:] = 2.0 / np.maximum(DR_SPAN, 1e-9)
     return shift, scale
+
+
+@dataclass(frozen=True, eq=False)
+class EnvLayout:
+    """What an env derives from its model and config alone, read-only: each
+    block's width (``dims``, :func:`obs_dims`) and columns (``slices``,
+    :func:`obs_slices`), the x offsets of the height scan and of the
+    elevation map, and each column's ``shift`` and ``scale``
+    (:func:`obs_scaling`).  The envs of a run share one (:func:`env_layout`)."""
+
+    dims: Mapping[str, int]
+    slices: Mapping[str, slice]
+    scan_offsets: np.ndarray
+    elev_offsets: np.ndarray
+    shift: np.ndarray
+    scale: np.ndarray
+
+
+def env_layout(model: BipedModel, cfg: EnvConfig) -> EnvLayout:
+    """The layout of ``cfg`` for ``model``, built once per pair of values."""
+    # an EnvConfig holds its fields and nothing else, in field order
+    return _layout(model, tuple(vars(cfg).values()))
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(model: BipedModel, cfg_fields: tuple) -> EnvLayout:
+    cfg = EnvConfig(*cfg_fields)
+    dims = obs_dims(cfg)
+    shift, scale = obs_scaling(model, dims)
+    arrays = (cfg.scan_offsets(), cfg.elev_offsets(), shift, scale)
+    for a in arrays:
+        a.flags.writeable = False
+    return EnvLayout(MappingProxyType(dims), MappingProxyType(obs_slices(dims)), *arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,6 +373,40 @@ def _state_is_finite(st: BipedState) -> bool:
     )
 
 
+def _spawn_state(model: BipedModel, terrain: Heightfield, x: float, joint_scale: float) -> BipedState:
+    """An episode's first state: at rest at ``x``, the nominal pose times
+    ``joint_scale`` clipped to the joint limits, the base dropped until the
+    lower foot touches the local ground.  The floats of ``np.clip`` and of
+    two ``leg_points`` passes per leg (from the origin, then from the placed
+    base), with each leg's sines and cosines taken once."""
+    q = []
+    for n, lo, hi in zip(model.nominal_pose, model.joint_lower, model.joint_upper):
+        v = joint_scale * n
+        v = lo if v <= lo else v  # np.clip's order: the lower limit first; NaN passes
+        q.append(hi if v >= hi else v)
+    links, z = [], -math.inf
+    for side in (0, 1):
+        a1 = 0.0 + q[3 * side]  # the pitch is 0
+        a2 = a1 + q[3 * side + 1]
+        a3 = a2 + q[3 * side + 2]
+        link = (model.thigh_len * math.sin(a1), model.thigh_len * math.cos(a1),
+                model.shin_len * math.sin(a2), model.shin_len * math.cos(a2),
+                model.foot_len * math.sin(a3), model.foot_len * math.cos(a3))
+        links.append(link)
+        # the foot relative to the base, summed as from a base at the origin
+        gx = x + (0.0 + link[0] + link[2] + link[4])
+        if terrain.is_void(gx):
+            raise ValueError("spawn places a foot over a void cell")
+        z = max(z, terrain.height_at(gx) - (0.0 - link[1] - link[3] - link[5]))
+    feet, knees = [], []
+    for sx, cx, sa, ca, sf, cf in links:
+        kx, kz = x + sx, z - cx
+        feet.append((kx + sa + sf, kz - ca - cf))
+        knees.append(kz - terrain.height_at(kx))
+    return BipedState(x=x, z=z, joint_pos=np.array(q), foot_pos=np.array(feet),
+                      knee_heights=np.array(knees))
+
+
 class TerrainEnv:
     """Single biped on a single heightfield; episodes run at the control rate.
 
@@ -335,23 +420,19 @@ class TerrainEnv:
         self.model = model or BipedModel()
         self.cfg = cfg or EnvConfig()
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.dims = obs_dims(self.cfg)
-        self.slices = obs_slices(self.dims)
-        self._shift, self._scale = obs_scaling(self.model, tuple(self.dims.items()))
+        self.layout = env_layout(self.model, self.cfg)
+        self.dims, self.slices = self.layout.dims, self.layout.slices
         # the raw row _assemble normalizes; o_t and the history are written in place
-        self._raw = np.empty(len(self._shift))
+        self._raw = np.empty(len(self.layout.shift))
         self._o_t = self._raw[self.slices["o"]]
         self._hist = self._raw[self.slices["hist"]]
-        self._scan_offsets = self.cfg.scan_offsets()
-        self._elev_offsets = self.cfg.elev_offsets()
+        # the episode; reset sets each of these
         self.terrain: Heightfield | None = None
-        self.dr = DRConfig()
-        self.commands = CommandState(gait=np.zeros(self.cfg.n_gaits))
-        self.state = BipedState()
+        self.dr: DRConfig | None = None
+        self.commands: CommandState | None = None
+        self.state: BipedState | None = None
         self.bundle: ObservationBundle | None = None
-        self.last_action = np.zeros(N_JOINTS)
-        self.prev_action = np.zeros(N_JOINTS)
-        self.prev2_action = np.zeros(N_JOINTS)
+        self.last_action = self.prev_action = self.prev2_action = None
         self._done = True
 
     # -- episode control ----------------------------------------------------
@@ -359,48 +440,32 @@ class TerrainEnv:
     def reset(
         self, terrain: Heightfield, dr: DRConfig, commands: CommandState
     ) -> ObservationBundle:
-        self.terrain = terrain
-        self.dr = dr
+        """Start an episode on ``terrain`` under the DR draw ``dr`` and return
+        its first observation.  The env takes ``commands`` as its own: a
+        later ``set_gait`` rebinds its gait.  A spawn that places a foot over
+        a void cell is a ``ValueError``."""
+        cfg = self.cfg
+        self.terrain, self.dr, self.commands = terrain, dr, commands
         # the DR draw is fixed for the episode; the critic sees it every step
-        self._raw[self.slices["e"]][N_EXTRAS:] = self.dr.as_vector()
-        self.commands = commands.copy()
+        self._raw[self.slices["e"]][N_EXTRAS:] = dr.as_vector()
+        self.state = st = _spawn_state(self.model, terrain, cfg.spawn_x, dr.init_joint_scale)
+        self._ep_dr_mass = (self.model.base_mass + dr.payload) * dr.link_mass_scale
+        self._scan_bias = dr.scan_bias * (1.0 if self.rng.random() < 0.5 else -1.0)
 
-        q0 = np.clip(
-            self.dr.init_joint_scale * self.model.nominal(),
-            self.model.lower(),
-            self.model.upper(),
-        )
-        st = BipedState(joint_pos=q0.copy())
-        st.x = self.cfg.spawn_x
-        # drop the base until the lowest foot touches the local ground
-        base_z = -np.inf
-        for side in (0, 1):
-            _, _, (fx_off, fz_off) = leg_points(self.model, 0.0, 0.0, 0.0, q0[3 * side : 3 * side + 3])
-            gx = st.x + fx_off
-            if terrain.is_void(gx):
-                raise ValueError("spawn places a foot over a void cell")
-            base_z = max(base_z, terrain.height_at(gx) - fz_off)
-        st.z = float(base_z)
-        self.state = st
-        self._ep_dr_mass = (self.model.base_mass + self.dr.payload) * self.dr.link_mass_scale
-        self._scan_bias = self.dr.scan_bias * (1.0 if self.rng.random() < 0.5 else -1.0)
-
-        self.last_action = np.zeros(N_JOINTS)
-        self.prev_action = np.zeros(N_JOINTS)
-        self.prev2_action = np.zeros(N_JOINTS)
-        n = self.dr.action_delay_steps(self.cfg.dt) + 1
-        self._action_queue = deque([np.zeros(N_JOINTS)] * n, maxlen=n)
-        self._next_push = self.cfg.push_interval_s
+        # no action yet: one zero vector, which each step replaces and none writes
+        zeros = np.zeros(N_JOINTS)
+        self.last_action = self.prev_action = self.prev2_action = zeros
+        n = dr.action_delay_steps(cfg.dt) + 1
+        self._action_queue = deque([zeros] * n, maxlen=n)
+        self._next_push = cfg.push_interval_s
         self._done = False
 
-        self._refresh_foot_state()
-        o0 = build_o_t(self.state, self.commands, self.last_action, out=self._o_t)
+        o0 = build_o_t(st, commands, zeros, out=self._o_t)
         self._hist.reshape(-1, self.dims["d_o"])[:] = o0
-        scan0 = self._scan()
-        n = 2 + self.dr.scan_delay_steps()
-        self._scans = deque([scan0] * n, maxlen=n)
+        n = 2 + dr.scan_delay_steps()
+        self._scans = deque([self._scan()] * n, maxlen=n)
         self.bundle = self._assemble()
-        self._distance = self.state.x - self.cfg.spawn_x
+        self._distance = st.x - cfg.spawn_x
         return self.bundle
 
     def step(self, action: np.ndarray) -> StepResult:
@@ -498,7 +563,7 @@ class TerrainEnv:
             self.terrain,
             self.state.x,
             self.state.z,
-            self._scan_offsets,
+            self.layout.scan_offsets,
             noise_sigma=self.dr.scan_noise,
             bias=self._scan_bias,
             clip=self.cfg.scan_clip,
@@ -510,24 +575,16 @@ class TerrainEnv:
         raw, sl, st = self._raw, self.slices, self.state
         # the sensor delay d: the queue holds S_{t-1-d} .. S_t
         np.concatenate([self._scans[0], self._scans[1]], out=raw[sl["scans"]])
-        np.subtract(self.terrain.heights_at(st.x + self._elev_offsets), st.z, out=raw[sl["m"]])
+        np.subtract(self.terrain.heights_at(st.x + self.layout.elev_offsets), st.z, out=raw[sl["m"]])
         (lx, lz), (rx, rz) = st.foot_pos.tolist()
         # [feet relative to the base, contacts, true velocity]; the DR draw follows
         raw[sl["e"].start : sl["e"].start + N_EXTRAS] = [
             lx - st.x, lz - st.z, rx - st.x, rz - st.z, *st.contact.tolist(), st.vx, st.vz
         ]
         raw[sl["gait"]] = self.commands.gait
-        row = np.subtract(raw, self._shift)
-        row *= self._scale
+        row = np.subtract(raw, self.layout.shift)
+        row *= self.layout.scale
         return ObservationBundle(row, sl)
-
-    def _refresh_foot_state(self) -> None:
-        st = self.state
-        for side in (0, 1):
-            q = st.joint_pos[3 * side : 3 * side + 3]
-            (kx, kz), _, (fx, fz) = leg_points(self.model, st.x, st.z, st.pitch, q)
-            st.foot_pos[side] = (fx, fz)
-            st.knee_heights[side] = kz - self.terrain.height_at(kx)
 
     # -- termination ---------------------------------------------------------
 

@@ -148,6 +148,12 @@ def _lerp(lo: float, hi: float, t: float) -> float:
     return lo + (hi - lo) * t
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """The float ``rng.uniform(lo, hi)`` returns, ``lo + (hi - lo) * u`` from
+    the same one double ``u``, without that call's argument checks."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _fill(hf: Heightfield, x: float, length: float, level: float) -> tuple[int, int]:
     """Set the cells from ``x`` through ``x + length`` to ``level``; returns their range."""
     i0 = hf.cell_at(x)
@@ -167,19 +173,20 @@ def _lay_out(hf: Heightfield, kind: str, rng: np.random.Generator, size,
     gap_spacing_hi)`` apart.
     """
     track_length, x = terrain.track_length, terrain.start_clear
+    obstacles = hf.obstacles
     level = 0.0
     if kind == "gap":
+        heights, void, n_cells = hf.heights, hf.void, hf.n_cells
         while True:
             width = size()
             if x + width + 1.0 >= track_length:
                 return
             i0 = hf.cell_at(x)
-            n = max(1, int(round(width / hf.cell_size)))
-            i1 = min(i0 + n, hf.n_cells)
-            hf.heights[i0:i1] = VOID_DEPTH  # cut from level ground
-            hf.void[i0:i1] = True
-            hf.obstacles.append(Obstacle("gap", width, i0, i1, 0.0))
-            x += width + rng.uniform(1.2, gap_spacing_hi)
+            i1 = min(i0 + max(1, int(round(width / hf.cell_size))), n_cells)
+            heights[i0:i1] = VOID_DEPTH  # cut from level ground
+            void[i0:i1] = True
+            obstacles.append(Obstacle("gap", width, i0, i1, 0.0))
+            x += width + _uniform(rng, 1.2, gap_spacing_hi)
 
     if kind == "step":
         up = True
@@ -187,8 +194,8 @@ def _lay_out(hf: Heightfield, kind: str, rng: np.random.Generator, size,
             height = size()
             level = level + height if up else max(level - height, 0.0)
             up = not up
-            run = rng.uniform(1.0, 1.8)
-            hf.obstacles.append(Obstacle("step", height, *_fill(hf, x, run, level), level))
+            run = _uniform(rng, 1.0, 1.8)
+            obstacles.append(Obstacle("step", height, *_fill(hf, x, run, level), level))
             x += run
         return
 
@@ -200,9 +207,9 @@ def _lay_out(hf: Heightfield, kind: str, rng: np.random.Generator, size,
                 break
             rise = size()
             level += rise
-            hf.obstacles.append(Obstacle("stair", rise, *_fill(hf, x, run, level), level))
+            obstacles.append(Obstacle("stair", rise, *_fill(hf, x, run, level), level))
             x += run
-        landing = rng.uniform(1.0, 2.0)
+        landing = _uniform(rng, 1.0, 2.0)
         _fill(hf, x, landing, level)
         x += landing
 
@@ -220,13 +227,12 @@ def generate_terrain(
         raise ValueError(f"unknown terrain kind: {kind!r}")
     if not 0.0 <= difficulty <= 1.0:
         raise ValueError("difficulty must be in [0, 1]")
+    hf = _blank(terrain, kind, float(difficulty))
+    if kind == "flat":  # it draws nothing, so it builds no generator
+        return hf
     rng = np.random.default_rng(
         np.random.SeedSequence([TERRAIN_KINDS.index(kind), seed & 0xFFFFFFFF])
     )
-    hf = _blank(terrain, kind, float(difficulty))
-
-    if kind == "flat":
-        return hf
 
     if kind == "rough":
         amp = _lerp(*ROUGH_RANGE, difficulty)
@@ -257,5 +263,5 @@ def build_benchmark_track(
         )
     )
     hf = _blank(terrain, obstacle, 1.0 if mode == "hard" else 0.5)
-    _lay_out(hf, obstacle, rng, lambda: rng.uniform(lo, hi), 2.0, terrain)
+    _lay_out(hf, obstacle, rng, lambda: _uniform(rng, lo, hi), 2.0, terrain)
     return hf

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import ctypes
+import functools
 import json
 import logging
 import os
@@ -89,6 +90,15 @@ def update_curriculum(state: CurriculumState, traversal_frac: float, cfg) -> Cur
 # -- per-environment worker -----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)  # the workers of a run share one
+def _gait_p(distribution: tuple) -> np.ndarray:
+    """``distribution`` normalized to sum to one, read-only."""
+    p = np.asarray(distribution, dtype=np.float64)
+    p = p / p.sum()
+    p.flags.writeable = False
+    return p
+
+
 class EnvWorker:
     """One env of the rollout, and what training adds to it: the worker's
     rng (terrain, DR, commands, exploration noise), its terrain curriculum,
@@ -111,8 +121,7 @@ class EnvWorker:
         self.curr = CurriculumState(
             kind=kinds[index % len(kinds)], difficulty=cfg.curriculum.init_difficulty
         )
-        p = np.asarray(cfg.gaits.distribution, dtype=np.float64)
-        self.gait_p = p / p.sum()
+        self.gait_p = _gait_p(tuple(cfg.gaits.distribution))
         self.gait_period = -1
         self.frames: deque = deque(maxlen=WINDOW_LEN)
         # frames since the episode began or the gait was last drawn; a style
@@ -120,24 +129,25 @@ class EnvWorker:
         self.frames_in_segment = 0
 
     def begin_episode(self) -> None:
+        """Start the env's next episode: the worker's rng draws the terrain
+        seed, the DR vector, ``v_cmd``, ``w_cmd`` and, at stage 2, the gait,
+        in that order (the ``gaitrl.env`` docstring, "The episode start")."""
+        cfg, rng = self.cfg, self.rng
         terrain = generate_terrain(
             self.curr.kind,
-            self.curr.difficulty if self.cfg.curriculum.enabled else 0.0,
-            int(self.rng.integers(2**31)),
-            self.cfg.terrain,
+            self.curr.difficulty if cfg.curriculum.enabled else 0.0,
+            int(rng.integers(2**31)),
+            cfg.terrain,
         )
-        dr = sample_dr(self.rng, enabled=self.cfg.train.dr_enabled)
-        v_lo, v_hi = self.cfg.commands.v_range
-        w_lo, w_hi = self.cfg.commands.w_range
-        commands = CommandState(
-            v_cmd=float(self.rng.uniform(v_lo, v_hi)),
-            w_cmd=float(self.rng.uniform(w_lo, w_hi)),
-            gait=np.zeros(self.cfg.env.n_gaits),
-        )
+        dr = sample_dr(rng, enabled=cfg.train.dr_enabled)
+        (v_lo, v_hi), (w_lo, w_hi) = cfg.commands.v_range, cfg.commands.w_range
+        v_cmd, w_cmd = float(rng.uniform(v_lo, v_hi)), float(rng.uniform(w_lo, w_hi))
         if self.stage >= 2:
             self.gait_period = 0
-            commands.gait = self.draw_gait()
-        self.env.reset(terrain, dr, commands)
+            gait = self.draw_gait()
+        else:
+            gait = np.zeros(cfg.env.n_gaits)
+        self.env.reset(terrain, dr, CommandState(v_cmd, w_cmd, gait))
         self.frames.clear()
         self.frames_in_segment = 0
 

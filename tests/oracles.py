@@ -17,9 +17,9 @@ import numpy as np
 
 from gaitrl.amp import DiscriminatorSet
 from gaitrl.bench import BenchmarkReport, CellResult, PolicyController
-from gaitrl.biped import N_JOINTS
+from gaitrl.biped import N_JOINTS, BipedState
 from gaitrl.config import RunConfig
-from gaitrl.env import DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
+from gaitrl.env import BLOCKS, DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from gaitrl.nets import AdamState, DenseNet, Layer
 from gaitrl.policy import (
     ActorCritic,
@@ -396,6 +396,69 @@ def ref_normalize(model, env_cfg, block: str, raw: np.ndarray) -> np.ndarray:
         return ((raw.reshape(-1, len(shift)) - shift) * scale).reshape(raw.shape)
     shift, scale = ref_normalizer(model, env_cfg)[block]
     return (raw - shift) * scale
+
+
+# The episode start as the library computed it before it drew the DR vector in
+# one call and placed the spawn on floats.
+
+
+def ref_sample_dr(rng, enabled=True) -> DRConfig:
+    """One scalar ``rng.uniform`` draw per ``DR_RANGES`` row, in table order."""
+    if not enabled:
+        return DRConfig()
+    return DRConfig(**{k: float(rng.uniform(lo, hi)) for k, (lo, hi) in DR_RANGES.items()})
+
+
+def ref_reset(model, env_cfg, rng, terrain, dr, commands):
+    """``(state, row)`` of an episode's start: the spawn state and the first
+    observation row.  ``rng`` stands for the env's generator and draws what
+    it draws: the scan-bias sign, then the scan noise.
+
+    The pose is ``np.clip`` of the scaled nominal pose on arrays; one
+    ``fk_leg_points`` pass per leg from the origin drops the base, a second
+    from the placed base gives the feet and the knees.
+    """
+    q0 = np.clip(dr.init_joint_scale * model.nominal(), model.lower(), model.upper())
+    legs = [(*q0[3 * side : 3 * side + 3], model.thigh_len, model.shin_len, model.foot_len)
+            for side in (0, 1)]
+    x, z = env_cfg.spawn_x, -np.inf
+    for leg in legs:
+        _, _, (fx, fz) = fk_leg_points(0.0, 0.0, 0.0, *leg)
+        if terrain.is_void(x + fx):
+            raise ValueError("spawn places a foot over a void cell")
+        z = max(z, terrain.height_at(x + fx) - fz)
+    z = float(z)
+    points = [fk_leg_points(x, z, 0.0, *leg) for leg in legs]
+    state = BipedState(
+        x=x, z=z, joint_pos=q0.copy(),
+        foot_pos=np.array([foot for _, _, foot in points]),
+        knee_heights=np.array([kz - terrain.height_at(kx) for (kx, kz), _, _ in points]),
+    )
+
+    bias = dr.scan_bias * (1.0 if rng.random() < 0.5 else -1.0)
+    if env_cfg.blind:
+        scan = np.zeros(env_cfg.scan_points)
+    else:
+        scan = terrain.heights_at(x + env_cfg.scan_offsets()) - z
+        if bias != 0.0:
+            scan += bias
+        if dr.scan_noise > 0.0:
+            scan += rng.normal(0.0, dr.scan_noise, size=scan.shape)
+        scan = np.clip(scan, -env_cfg.scan_clip, env_cfg.scan_clip)
+    zeros = np.zeros(N_JOINTS)
+    o = np.concatenate([[0.0, 0.0, -math.sin(0.0), -math.cos(0.0), commands.v_cmd, commands.w_cmd],
+                        q0, zeros, zeros])
+    (lx, lz), (rx, rz) = state.foot_pos
+    raw = {
+        "m": terrain.heights_at(x + env_cfg.elev_offsets()) - z,
+        "e": np.concatenate([[lx - x, lz - z, rx - x, rz - z, 0.0, 0.0, 0.0, 0.0], dr.as_vector()]),
+        "o": o,
+        "hist": np.tile(o, env_cfg.history_len),
+        "gait": commands.gait,
+        "scans": np.concatenate([scan, scan]),
+    }
+    row = np.concatenate([ref_normalize(model, env_cfg, name, raw[name]) for name, _ in BLOCKS])
+    return state, row
 
 
 def ref_stack(bundles) -> dict:

@@ -217,6 +217,13 @@ class TestUsage:
         pytest.param({"terrain": {"track_length": 0.02}},
                      "terrain: track_length must hold at least one cell_size cell",
                      id="terrain.track_length-under-one-cell"),
+        # inspect-config passed it; training exited 1 naming no field
+        pytest.param({"curriculum": {"init_difficulty": 2.0}},
+                     "curriculum: init_difficulty must be in [0, 1]",
+                     id="curriculum.init_difficulty=2.0"),
+        # a run took it, and a demotion raised the difficulty
+        pytest.param({"curriculum": {"delta": -0.5}}, "curriculum: delta must be non-negative",
+                     id="curriculum.delta=-0.5"),
     ])
     def test_a_config_the_pipeline_cannot_run_exits_1(self, tmp_path, capsys, change, message):
         doc = config_to_dict(tiny_cfg())

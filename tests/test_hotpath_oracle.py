@@ -2,21 +2,26 @@
 
 ``pd_torques``, ``substep`` and ``locomotion_rewards`` compute on Python
 floats; ``tests/oracles.py`` keeps the array formulations they replaced.
+The episode start too: ``sample_dr`` draws the DR vector in one call and
+``TerrainEnv.reset`` places the spawn on floats, where the references draw
+one scalar per DR field and place it on arrays.
 Every comparison here is on the bytes of the float64 values, which is
 stricter than ``==`` (it also tells 0.0 from -0.0), and has no tolerance.
 """
 
 import contextlib
+import dataclasses
 import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaitrl.env as env_module
 from gaitrl.biped import N_JOINTS, BipedModel, BipedState, action_targets, pd_torques, substep
-from gaitrl.env import DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
+from gaitrl.env import DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot, sample_dr
 from gaitrl.rewards import DEFAULT_WEIGHTS, RewardConfig, locomotion_rewards
 from gaitrl.terrain import TERRAIN_KINDS, generate_terrain
 
@@ -24,6 +29,8 @@ from oracles import (
     ref_locomotion_raw,
     ref_locomotion_total,
     ref_pd_torques,
+    ref_reset,
+    ref_sample_dr,
     ref_substep,
 )
 
@@ -69,10 +76,6 @@ def random_weights(rng) -> dict:
             for k in DEFAULT_WEIGHTS}
 
 
-def random_dr(rng) -> DRConfig:
-    return DRConfig(**{k: float(rng.uniform(lo, hi)) for k, (lo, hi) in DR_RANGES.items()})
-
-
 def random_state(rng, terrain) -> BipedState:
     """A state near the ground anywhere on the track, joints near or past their
     limits, and friction anchors set at random (some far enough to slip)."""
@@ -103,7 +106,7 @@ class TestPhysicsOracle:
         saturated = 0
         for _ in range(300):
             st_ = random_state(rng, generate_terrain("flat", 0.0, seed=0))
-            dr = random_dr(rng)
+            dr = ref_sample_dr(rng)
             action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
             gains = (dr.kp_scale, dr.kd_scale, dr.motor_strength)
             tau = pd_torques(MODEL, st_, action_targets(MODEL, action), *gains)
@@ -119,7 +122,7 @@ class TestPhysicsOracle:
                 terrain = generate_terrain(kind, float(rng.uniform(0.3, 1.0)), seed=trial)
                 new = random_state(rng, terrain)
                 ref = new.copy()
-                dr = random_dr(rng)
+                dr = ref_sample_dr(rng)
                 mass = (MODEL.base_mass + dr.payload) * dr.link_mass_scale
                 action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
                 target = action_targets(MODEL, action)
@@ -241,3 +244,46 @@ def test_env_trajectory_matches_reference_for_any_dr_and_bounded_actions(
         if res.done:
             break
     assert math.isfinite(new.state.x)
+
+
+class TestEpisodeStartOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        enabled=st.booleans(),
+        kind=st.sampled_from(TERRAIN_KINDS),
+        difficulty=st.floats(min_value=0.0, max_value=1.0),
+        # None keeps the draw.  Past the DR range the clip binds: the knee and
+        # ankle limits above a scale of about 3.43, the hips' above 4.57, the
+        # knee's upper limit below about 0.03
+        joint_scale=st.one_of(st.none(), st.floats(min_value=-1.0, max_value=6.0)),
+        blind=st.booleans(),
+    )
+    def test_the_draw_and_the_reset_match_the_reference(
+        self, seed, enabled, kind, difficulty, joint_scale, blind
+    ):
+        rng, rng_ref = (np.random.default_rng(seed) for _ in range(2))
+        dr, dr_ref = sample_dr(rng, enabled), ref_sample_dr(rng_ref, enabled)
+        assert dr == dr_ref
+        assert_same_array(dr.as_vector(), dr_ref.as_vector())
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        if joint_scale is not None:
+            dr = dataclasses.replace(dr, init_joint_scale=joint_scale)
+
+        terrain = generate_terrain(kind, difficulty, seed=seed)
+        commands = CommandState(float(rng.uniform(0.2, 1.0)), float(rng.uniform(-0.5, 0.5)),
+                                one_hot(seed % 3, 3))
+        cfg = EnvConfig(blind=blind)
+        env = TerrainEnv(MODEL, cfg, seed=seed)
+        env_rng = np.random.default_rng()
+        env_rng.bit_generator.state = env.rng.bit_generator.state
+        try:
+            state_ref, row_ref = ref_reset(MODEL, cfg, env_rng, terrain, dr, commands)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                env.reset(terrain, dr, commands)
+        else:
+            bundle = env.reset(terrain, dr, commands)
+            assert_same_array(bundle.row, row_ref)
+            assert_same_state(env.state, state_ref)
+        assert env.rng.bit_generator.state == env_rng.bit_generator.state
