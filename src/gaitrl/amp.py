@@ -47,9 +47,10 @@ def make_discriminators(
     rng: np.random.Generator,
     hidden: tuple = (64, 32),
     alpha_gp: float = 10.0,
+    dtype=np.float32,
 ) -> DiscriminatorSet:
     nets = [
-        make_net([window_dim, *hidden, 1], rng, hidden_activation="tanh")
+        make_net([window_dim, *hidden, 1], rng, hidden_activation="tanh", dtype=dtype)
         for _ in range(n_gaits)
     ]
     return DiscriminatorSet(nets=nets, alpha_gp=alpha_gp)

@@ -8,9 +8,12 @@ it back, both driven by the dataclass's fields and their annotations
   ``config.RunConfig``, no arrays;
 - checkpoint (``checkpoint_*.json``): ``trainer.Checkpoint``.  Every network
   is a ``DenseNet`` (a layer manifest plus its parameters as one packed flat
-  array); ``log_std`` and the Adam moments are ``PackedArray``: base64 of the
-  little-endian float64 bytes, bit-exact.  No observation normalizer is
-  stored: the env writes normalized rows (``env.obs_scaling``);
+  array); ``log_std`` and the Adam moments are ``PackedArray``: the dtype
+  and the base64 of the little-endian bytes, bit-exact.  A net and its Adam
+  moments are float32, ``log_std`` and its moments float64 (the dtype rule
+  of :mod:`gaitrl.nets`); a packed array decodes to the dtype it records.
+  No observation normalizer is stored: the env writes normalized rows
+  (``env.obs_scaling``);
 - heightfield: ``terrain.Heightfield``, heights and void as nested lists;
 - reference clip (``clip_*.json``): ``refmotion.ReferenceClip``, frames as
   nested lists;
@@ -56,9 +59,12 @@ import typing
 
 import numpy as np
 
-from .nets import DenseNet, Layer, PackedArray
+from .nets import NET_DTYPES, DenseNet, Layer, PackedArray
 
-NET_FORMAT_VERSION = 1
+# 2: a packed array records its dtype, float32 or float64
+NET_FORMAT_VERSION = 2
+# the dtype a packed array records, little-endian, for each dtype it may hold
+_PACKED_DTYPES = {dt.newbyteorder("<").str: dt for dt in NET_DTYPES}
 
 
 def encode(obj, tp=None):
@@ -220,25 +226,32 @@ def _decode_dataclass(cls, data, path: str):
 
 
 def _pack(a: np.ndarray) -> dict:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = np.ascontiguousarray(a)
+    if a.dtype not in NET_DTYPES:
+        raise ValueError(f"a packed array is float32 or float64, not {a.dtype}")
+    stored = a.dtype.newbyteorder("<")
     return {
         "shape": list(a.shape),
-        "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii"),
+        "dtype": stored.str,
+        "data": base64.b64encode(a.astype(stored, copy=False).tobytes()).decode("ascii"),
     }
 
 
 def _unpack(data, path: str) -> np.ndarray:
     data = _expect(data, dict, path)
     shape, packed = _need(data, "shape", path), _need(data, "data", path)
+    key = _need(data, "dtype", path)
+    if key not in _PACKED_DTYPES:
+        raise _error(_at(path, "dtype"), f"expected one of {sorted(_PACKED_DTYPES)}, got {key!r}")
     try:
         raw = base64.b64decode(packed)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        return np.frombuffer(raw, dtype=key).reshape(shape).astype(_PACKED_DTYPES[key])
     except (TypeError, ValueError) as e:
         raise _error(path, f"invalid packed array: {e}") from e
 
 
-# A network is a shape manifest plus one flat float64 array in declared layer
-# order (W0 row-major, b0, W1, b1, ...).
+# A network is a shape manifest plus one flat array of its dtype in declared
+# layer order (W0 row-major, b0, W1, b1, ...).
 
 
 def _encode_net(net: DenseNet) -> dict:
@@ -257,10 +270,10 @@ def _encode_net(net: DenseNet) -> dict:
 
 def _decode_net(data, path: str) -> DenseNet:
     data = _expect(data, dict, path)
-    flat = _unpack(_need(data, "flat", path), _at(path, "flat"))
     manifest_path = _at(path, "manifest")
     manifest = _expect(_need(data, "manifest", path), dict, manifest_path)
     _check_version(manifest, NET_FORMAT_VERSION, manifest_path)
+    flat = _unpack(_need(data, "flat", path), _at(path, "flat"))
     layers, pos = [], 0
     try:
         for spec in manifest["layers"]:

@@ -31,6 +31,13 @@ class CommandConfig:
     v_range: tuple[float, float] = (0.2, 1.0)
     w_range: tuple[float, float] = (-0.5, 0.5)
 
+    def __post_init__(self):
+        # each episode draws its commands uniformly from [low, high]
+        for name in ("v_range", "w_range"):
+            low, high = getattr(self, name)
+            if not low <= high:
+                raise ValueError(f"{name} must have low <= high, got [{low}, {high}]")
+
 
 @dataclass
 class AmpConfig:
@@ -80,6 +87,9 @@ class CurriculumConfig:
             raise ValueError("init_difficulty must be in [0, 1]")
         if not self.delta >= 0.0:
             raise ValueError("delta must be non-negative")
+        # an episode at or above promote promotes, one at or below demote demotes
+        if not self.promote > self.demote:
+            raise ValueError(f"promote ({self.promote}) must be above demote ({self.demote})")
 
 
 @dataclass

@@ -8,8 +8,8 @@ gait) and the last three actions.  Reward evaluation lives in
 :mod:`gaitrl.rewards`; the env fills everything rewards need into the state
 it exposes.
 
-The observation row.  Each control step the env writes one float64 row
-(``ObservationBundle.row``), its blocks in ``BLOCKS`` order:
+The observation row.  Each control step the env writes one float32 row
+(``ObservationBundle.row``, ``ROW_DTYPE``), its blocks in ``BLOCKS`` order:
 
 - ``m``: the privileged elevation map, heights around the base (m);
 - ``e``: the privileged extras, what the actor never sees: the feet (m),
@@ -23,7 +23,10 @@ The observation row.  Each control step the env writes one float64 row
 Heights and feet are relative to the base.  The env keeps the raw
 quantities and writes each column once as ``(raw - shift) * scale``
 (:func:`obs_scaling`; the gait command is not scaled), so no network
-normalizes.  The critic's blocks come first, in the column order its
+normalizes.  The dtype rule: the raw quantities, the physics that makes
+them and the normalizing arithmetic are float64, and each normalized column
+is rounded once to float32, the dtype the networks compute in
+(:mod:`gaitrl.nets`).  The critic's blocks come first, in the column order its
 weights were trained on, so its input, ``[m, e, o, hist]`` plus ``gait`` at
 stage 2, is a prefix of the row: a view.
 
@@ -52,7 +55,7 @@ fixed order:
 - the worker's: the terrain seed (one ``integers``), the DR vector
   (:func:`sample_dr`: one call, 13 doubles; nothing when DR is off),
   ``v_cmd`` and ``w_cmd`` (one ``uniform`` each), then, at stage 2, the
-  gait (one ``choice``);
+  gait (one double, drawn as ``choice`` draws it);
 - the env's: in ``reset``, the scan-bias sign (one double), then the first
   scan's noise; in each step, the push (one ``uniform``, when one is due),
   then the scan's noise.  A scan draws noise (one ``normal`` per point)
@@ -106,6 +109,8 @@ DR_SPAN = DR_HIGH - DR_LOW
 DR_LOW.flags.writeable = DR_HIGH.flags.writeable = DR_SPAN.flags.writeable = False
 # e's columns before the DR draw: feet relative to the base (4), contacts (2), true velocity (2)
 N_EXTRAS = 8
+# the dtype of a normalized observation row
+ROW_DTYPE = np.dtype(np.float32)
 
 
 @dataclass
@@ -284,8 +289,9 @@ def _layout(model: BipedModel, cfg_fields: tuple) -> EnvLayout:
 
 @dataclass(frozen=True, eq=False)
 class ObservationBundle:
-    """One observation row, normalized and read-only; each block is a view of
-    its columns (``slices``, from :func:`obs_slices`)."""
+    """One observation row, normalized and read-only (float32 as the env
+    writes it); each block is a view of its columns (``slices``, from
+    :func:`obs_slices`)."""
 
     row: np.ndarray  # [d]
     slices: dict[str, slice]
@@ -584,7 +590,7 @@ class TerrainEnv:
         raw[sl["gait"]] = self.commands.gait
         row = np.subtract(raw, self.layout.shift)
         row *= self.layout.scale
-        return ObservationBundle(row, sl)
+        return ObservationBundle(row.astype(ROW_DTYPE), sl)
 
     # -- termination ---------------------------------------------------------
 

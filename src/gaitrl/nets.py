@@ -9,6 +9,17 @@ of any autodiff framework.
 Inputs are batches ``[B, d]``: a single sample is a batch of one, ``x[None]``.
 Parameter gradients over a batch are summed.
 
+The dtype rule.  A network computes in the dtype of its parameter arrays,
+float32 or float64, and nothing else: ``make_net`` draws its weights in
+float64 and rounds them once to the dtype it is given (float32 unless a
+caller asks for float64), every layer of a net has the net's dtype, and each
+input and cotangent is cast to it on the way in.  So the tapes, the gradients
+and the Adam moments (``np.zeros_like`` of the parameters) have it too.  The
+package's networks are float32, as PPO nets usually are; float64 instances of
+the same code are what the finite-difference and bit-for-bit checks run on.
+Everything around the nets stays float64: physics, rewards, the return and
+advantage arithmetic, the Gaussian log-density and the policy's ``log_std``.
+
 A forward call's tape holds the input and each layer's output, and no
 pre-activation: every derivative the backward rules read is a function of the
 output (tanh' = 1 - z²), so tanh runs in place on the fresh matmul result.
@@ -25,9 +36,12 @@ from typing import NewType
 import numpy as np
 
 ACTIVATIONS = ("tanh", "identity")
+# the dtypes a network computes in (the module docstring's dtype rule)
+NET_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-# The annotation of float64 state that the codec stores packed (the base64 of
-# its little-endian bytes, bit-exact) rather than as nested lists.
+# The annotation of float32 or float64 state that the codec stores packed
+# (its dtype and the base64 of its little-endian bytes, bit-exact) rather
+# than as nested lists.
 PackedArray = NewType("PackedArray", np.ndarray)
 
 
@@ -59,8 +73,10 @@ class Layer:
     activation: str
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        self.weight, self.bias = np.asarray(self.weight), np.asarray(self.bias)
+        if self.weight.dtype not in NET_DTYPES or self.bias.dtype != self.weight.dtype:
+            raise ValueError("layer weight and bias must both be float32 or both float64, "
+                             f"got {self.weight.dtype} and {self.bias.dtype}")
         if self.weight.ndim != 2 or self.bias.ndim != 1:
             raise ValueError("layer weight must be 2-D and bias 1-D")
         if self.weight.shape[0] != self.bias.shape[0]:
@@ -81,6 +97,12 @@ class DenseNet:
                 raise ValueError(
                     f"layer dims do not chain: {a.weight.shape} -> {b.weight.shape}"
                 )
+        if any(layer.weight.dtype != self.dtype for layer in self.layers):
+            raise ValueError("every layer of a net has one dtype")
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.layers[0].weight.dtype
 
     @property
     def input_dim(self) -> int:
@@ -106,12 +128,15 @@ def make_net(
     output_activation: str = "identity",
     out_gain: float = 1.0,
     zero_output_layer: bool = False,
+    dtype=np.float32,
 ) -> DenseNet:
     """Build an MLP with Xavier-scaled Gaussian init.
 
     ``dims`` is [input, hidden..., output].  ``out_gain`` scales the final
     layer's init; ``zero_output_layer`` forces the final layer to exact zeros
-    (used where a module must start as the zero function).
+    (used where a module must start as the zero function).  The weights are
+    drawn in float64 and rounded once to ``dtype``, so a float32 net and a
+    float64 net of one generator state hold the same draws.
     """
     if len(dims) < 2:
         raise ValueError("dims needs at least input and output")
@@ -122,8 +147,8 @@ def make_net(
         scale = math.sqrt(2.0 / (fan_in + fan_out))
         if last:
             scale *= out_gain
-        w = rng.normal(0.0, scale, size=(fan_out, fan_in))
-        b = np.zeros(fan_out)
+        w = rng.normal(0.0, scale, size=(fan_out, fan_in)).astype(dtype)
+        b = np.zeros(fan_out, dtype=dtype)
         if last and zero_output_layer:
             w[:] = 0.0
         layers.append(Layer(w, b, output_activation if last else hidden_activation))
@@ -161,8 +186,9 @@ class NetGrads:
         return out
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _as_batch(x: np.ndarray, net: DenseNet, dim: int, what: str) -> np.ndarray:
+    """``x`` as a ``[B, dim]`` array of ``net``'s dtype, copied only to cast it."""
+    x = np.asarray(x, dtype=net.dtype)
     if x.ndim != 2 or x.shape[1] != dim:
         raise ValueError(f"{what} has shape {x.shape}, expected [*, {dim}]")
     return x
@@ -170,7 +196,7 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, GradientTape]:
     """Evaluate the network; the tape keeps the input and each layer's output."""
-    xb = _as_batch(x, net.input_dim, "input")
+    xb = _as_batch(x, net, net.input_dim, "input")
     if not np.isfinite(xb).all():
         raise ValueError("non-finite network input")
     post = []
@@ -210,7 +236,7 @@ def net_backward(
     the gradients are None; ``grad_input`` has the same bits.
     """
     _check_tape(net, tape)
-    g = _as_batch(grad_out, net.output_dim, "grad_out")
+    g = _as_batch(grad_out, net, net.output_dim, "grad_out")
     if g.shape[0] != tape.x.shape[0]:
         raise ValueError("grad_out batch size does not match the forward call")
     n_layers = len(net.layers)
@@ -236,8 +262,8 @@ def net_directional_param_grads(
     the returned parameter grads are summed over the batch.
     """
     _check_tape(net, tape)
-    vb = _as_batch(v, net.input_dim, "tangent")
-    gb = _as_batch(grad_out, net.output_dim, "grad_out")
+    vb = _as_batch(v, net, net.input_dim, "tangent")
+    gb = _as_batch(grad_out, net, net.output_dim, "grad_out")
     n_layers = len(net.layers)
 
     # Forward tangent sweep: s_dot_l = W_l z_dot_{l-1}; z_dot_l = act'(s_l) * s_dot_l.
@@ -274,8 +300,11 @@ def net_directional_param_grads(
 
 
 def softmax(w: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis (max-subtraction)."""
-    w = np.asarray(w, dtype=np.float64)
+    """Numerically stable softmax over the last axis (max-subtraction), in
+    float32 for float32 logits and in float64 otherwise."""
+    w = np.asarray(w)
+    if w.dtype != np.float32:
+        w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise ValueError("non-finite softmax input")
     shifted = w - w.max(axis=-1, keepdims=True)

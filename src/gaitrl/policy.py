@@ -137,6 +137,7 @@ class ResidualModule:
         out_dim: int,
         arch: PolicyArch,
         rng: np.random.Generator,
+        dtype=np.float32,
     ):
         self.feat_dim = feat_dim
         self.gait_dim = gait_dim
@@ -148,6 +149,7 @@ class ResidualModule:
                 rng,
                 hidden_activation="tanh",
                 zero_output_layer=True,
+                dtype=dtype,
             )
             for _ in range(n_experts)
         ]
@@ -156,6 +158,7 @@ class ResidualModule:
             rng,
             hidden_activation="tanh",
             zero_output_layer=True,
+            dtype=dtype,
         )
 
     @property
@@ -262,23 +265,25 @@ class ActorCritic:
         arch: PolicyArch,
         mode: PolicyMode,
         seed: int = 0,
+        dtype=np.float32,
     ):
-        """A fresh policy, its networks drawn from ``seed``."""
+        """A fresh policy, its networks drawn from ``seed`` and rounded to
+        ``dtype`` (:func:`gaitrl.nets.make_net`); ``log_std`` is float64."""
         dims = obs_dims(env_cfg)
         rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0xAC]))
         widths = _input_widths(dims, arch, mode)
         # the four actor nets draw first, so a stage-2 actor starts from the
         # same weights as a stage-1 actor of the same seed; the residual's and
         # the critic's weights follow in the same stream
-        scan_enc = make_net([widths["nets.scan_enc"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
-        hist_enc = make_net([widths["nets.hist_enc"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh")
-        trunk = make_net([widths["nets.trunk"], *arch.trunk_hidden, arch.d_z], rng, hidden_activation="tanh", output_activation="tanh")
-        head = make_net([arch.d_z, *arch.head_hidden, N_JOINTS], rng, out_gain=0.01)
+        scan_enc = make_net([widths["nets.scan_enc"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh", dtype=dtype)
+        hist_enc = make_net([widths["nets.hist_enc"], *arch.encoder_hidden, arch.d_f], rng, hidden_activation="tanh", output_activation="tanh", dtype=dtype)
+        trunk = make_net([widths["nets.trunk"], *arch.trunk_hidden, arch.d_z], rng, hidden_activation="tanh", output_activation="tanh", dtype=dtype)
+        head = make_net([arch.d_z, *arch.head_hidden, N_JOINTS], rng, out_gain=0.01, dtype=dtype)
         residual = None
         if mode.stage >= 2:
             res_out = arch.d_z if mode.residual_fusion == "latent" else N_JOINTS
-            residual = ResidualModule(mode.n_experts, widths["nets.trunk"], dims["d_gait"], res_out, arch, rng)
-        critic = make_net([widths["nets.critic"], *arch.critic_hidden, 1], rng, hidden_activation="tanh")
+            residual = ResidualModule(mode.n_experts, widths["nets.trunk"], dims["d_gait"], res_out, arch, rng, dtype)
+        critic = make_net([widths["nets.critic"], *arch.critic_hidden, 1], rng, hidden_activation="tanh", dtype=dtype)
         nets = PolicyNets(scan_enc, hist_enc, trunk, head, critic)
         log_std = np.full(N_JOINTS, float(arch.log_std_init))
         self._adopt(PolicyState(arch, mode, nets, log_std, residual), model, dims)

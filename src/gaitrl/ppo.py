@@ -11,6 +11,12 @@ On each minibatch the actor's forward and backward passes run first and its
 tapes are dropped; only then do the critic's forward and backward passes
 run, so the tapes of one network at a time are alive.  The critic's input
 gradient is not computed: nothing reads it.
+
+The dtype rule: the buffer's observation arrays hold the env's float32 rows
+and the nets compute in their own dtype (float32 for the package's nets,
+:mod:`gaitrl.nets`); the actions, log-probabilities, rewards, values,
+returns and advantages are float64, and so is the surrogate's arithmetic up
+to the cotangents the nets' backward passes take.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import obs_slices
+from .env import ROW_DTYPE, obs_slices
 from .nets import AdamState, adam_step, clip_grad_norm, net_backward
 from .policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
 
@@ -57,7 +63,8 @@ class PPOConfig:
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    """Whether two float32 arrays hold the same bits (NaN and -0.0 included)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 class RolloutBuffer:
@@ -66,8 +73,8 @@ class RolloutBuffer:
     One row per control step, from the batch the policy acted on and from
     what the step returned; ``values`` has one bootstrap row beyond the
     horizon.  A row stores only what is new at its step, normalized as the
-    env wrote it: ``o``, the current scan (``scan``), ``m``, ``e`` and the
-    gait command.  :meth:`batch` rebuilds each row's history and previous
+    env wrote it (float32): ``o``, the current scan (``scan``), ``m``, ``e``
+    and the gait command.  :meth:`batch` rebuilds each row's history and previous
     scan from earlier rows by the rule the :mod:`gaitrl.env` docstring
     states, so ``o`` starts with the H - 1 history rows, and ``scan`` with
     the previous scan, that the rollout's first row starts from: row ``t``
@@ -82,11 +89,11 @@ class RolloutBuffer:
         self.n_envs = n_envs
         self.history_len = H = dims["d_hist"] // dims["d_o"]
         self.slices = obs_slices(dims)
-        self.o = np.zeros((H - 1 + T, N, dims["d_o"]))
-        self.scan = np.zeros((1 + T, N, dims["d_scan"] // 2))
-        self.m = np.zeros((T, N, dims["d_m"]))
-        self.e = np.zeros((T, N, dims["d_e"]))
-        self.gait = np.zeros((T, N, dims["d_gait"]))
+        self.o = np.zeros((H - 1 + T, N, dims["d_o"]), ROW_DTYPE)
+        self.scan = np.zeros((1 + T, N, dims["d_scan"] // 2), ROW_DTYPE)
+        self.m = np.zeros((T, N, dims["d_m"]), ROW_DTYPE)
+        self.e = np.zeros((T, N, dims["d_e"]), ROW_DTYPE)
+        self.gait = np.zeros((T, N, dims["d_gait"]), ROW_DTYPE)
         self.start = np.full((T, N), -H)
         self.actions = np.zeros((T, N, n_joints))
         self.log_probs = np.zeros((T, N))
@@ -113,7 +120,7 @@ class RolloutBuffer:
             src = np.maximum(t[:, None] + np.arange(1 - width, 1), s)
             return np.take(flat(steps), (src + lead) * N + n[:, None], axis=0).reshape(len(rows), -1)
 
-        out = np.empty((len(rows), sl["scans"].stop))
+        out = np.empty((len(rows), sl["scans"].stop), ROW_DTYPE)
         for name in ("m", "e", "gait"):
             out[:, sl[name]] = np.take(flat(getattr(self, name)), rows, axis=0)
         out[:, sl["o"]] = np.take(flat(self.o), rows + (H - 1) * N, axis=0)

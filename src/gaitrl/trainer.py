@@ -56,7 +56,8 @@ from .terrain import generate_terrain
 
 log = logging.getLogger(__name__)
 
-CHECKPOINT_FORMAT_VERSION = 1
+# 2: nets and their Adam moments are float32, and packed arrays record their dtype
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -91,12 +92,15 @@ def update_curriculum(state: CurriculumState, traversal_frac: float, cfg) -> Cur
 
 
 @functools.lru_cache(maxsize=8)  # the workers of a run share one
-def _gait_p(distribution: tuple) -> np.ndarray:
-    """``distribution`` normalized to sum to one, read-only."""
+def _gait_cdf(distribution: tuple) -> np.ndarray:
+    """The cumulative probabilities of ``distribution`` normalized to sum to
+    one, read-only, by ``Generator.choice``'s arithmetic: the cumulative sum
+    of the normalized ``p``, divided by its last value."""
     p = np.asarray(distribution, dtype=np.float64)
-    p = p / p.sum()
-    p.flags.writeable = False
-    return p
+    cdf = (p / p.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
 class EnvWorker:
@@ -105,10 +109,10 @@ class EnvWorker:
     the gait schedule and the frames the AMP style windows are cut from.
     The episode's own state (observation, commands, actions) is the env's.
 
-    The gait schedule is two fields: ``gait_p``, the gait distribution
-    normalized to sum to one, and ``gait_period``, the index of the
-    ``cfg.gaits.period_s`` period whose gait the env holds (-1 before the
-    first draw).  At stage 2 a gait is drawn as each period begins."""
+    The gait schedule is two fields: ``gait_cdf``, the cumulative
+    probabilities of the gait distribution, and ``gait_period``, the index
+    of the ``cfg.gaits.period_s`` period whose gait the env holds (-1 before
+    the first draw).  At stage 2 a gait is drawn as each period begins."""
 
     def __init__(self, index: int, cfg: RunConfig, stage: int, seed_seq: np.random.SeedSequence):
         self.index = index
@@ -121,7 +125,7 @@ class EnvWorker:
         self.curr = CurriculumState(
             kind=kinds[index % len(kinds)], difficulty=cfg.curriculum.init_difficulty
         )
-        self.gait_p = _gait_p(tuple(cfg.gaits.distribution))
+        self.gait_cdf = _gait_cdf(tuple(cfg.gaits.distribution))
         self.gait_period = -1
         self.frames: deque = deque(maxlen=WINDOW_LEN)
         # frames since the episode began or the gait was last drawn; a style
@@ -152,9 +156,11 @@ class EnvWorker:
         self.frames_in_segment = 0
 
     def draw_gait(self) -> np.ndarray:
-        """A one-hot gait command drawn from ``gait_p``."""
-        n = len(self.gait_p)
-        return one_hot(int(self.rng.choice(n, p=self.gait_p)), n)
+        """A one-hot gait command drawn by inverse CDF from one double: the
+        index and the generator state ``rng.choice(n, p=p)`` gives for the
+        normalized distribution ``p``, without its per-call checks."""
+        n = len(self.gait_cdf)
+        return one_hot(int(self.gait_cdf.searchsorted(self.rng.random(), side="right")), n)
 
     def maybe_resample_gait(self) -> None:
         if self.stage < 2:

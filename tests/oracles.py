@@ -387,15 +387,16 @@ def ref_normalizer(model, env_cfg) -> dict:
 
 
 def ref_normalize(model, env_cfg, block: str, raw: np.ndarray) -> np.ndarray:
-    """``(raw - shift) * scale`` for one block; history rows take ``o``'s
-    shift and scale, broadcast over an ``[H, d_o]`` view, and ``gait`` none."""
+    """``(raw - shift) * scale`` for one block in float64, rounded to the
+    row's float32; history rows take ``o``'s shift and scale, broadcast over
+    an ``[H, d_o]`` view, and ``gait`` none."""
     if block == "gait":
-        return np.array(raw, dtype=np.float64)
+        return np.array(raw, dtype=np.float32)
     if block == "hist":
         shift, scale = ref_normalizer(model, env_cfg)["o"]
-        return ((raw.reshape(-1, len(shift)) - shift) * scale).reshape(raw.shape)
+        return ((raw.reshape(-1, len(shift)) - shift) * scale).reshape(raw.shape).astype(np.float32)
     shift, scale = ref_normalizer(model, env_cfg)[block]
-    return (raw - shift) * scale
+    return ((raw - shift) * scale).astype(np.float32)
 
 
 # The episode start as the library computed it before it drew the DR vector in
@@ -478,7 +479,7 @@ def _ref_act(name, s):
 
 
 def ref_net_forward(net, x):
-    xb = np.asarray(x, dtype=np.float64)
+    xb = np.asarray(x, dtype=net.layers[0].weight.dtype)
     single = xb.ndim == 1
     if single:
         xb = xb[None, :]
@@ -491,7 +492,8 @@ def ref_net_forward(net, x):
 
 
 def ref_softmax(w):
-    w = np.asarray(w, dtype=np.float64)
+    w = np.asarray(w)
+    w = w if w.dtype == np.float32 else w.astype(np.float64)
     if not np.all(np.isfinite(w)):
         raise ValueError("non-finite softmax input")
     shifted = w - w.max(axis=-1, keepdims=True)
@@ -924,37 +926,43 @@ def ref_collect_latent_samples(policy, cfg, terrain_kinds=("flat", "gap", "step"
 # (policy, Adam states, discriminators, curriculum), run configs,
 # heightfields, reference clips, benchmark and latent reports, and the CLI's
 # latents.json.  tests/test_codec_oracle.py holds the codec to these byte for
-# byte, and its decoding to their readers bit for bit.
+# byte, and its decoding to their readers bit for bit.  The checkpoint writers
+# and readers are kept in the format of version 2: a packed array records its
+# dtype (float32 for the nets and their Adam moments, float64 for log_std),
+# and a net manifest and a checkpoint say version 2.
 
 
 def ref_encode_array(a):
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = np.ascontiguousarray(a)
+    stored = {np.float32: "<f4", np.float64: "<f8"}[a.dtype.type]
     return {
         "shape": list(a.shape),
-        "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii"),
+        "dtype": stored,
+        "data": base64.b64encode(a.astype(stored).tobytes()).decode("ascii"),
     }
 
 
 def ref_decode_array(d):
     raw = base64.b64decode(d["data"])
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(d["shape"]).copy()
+    native = {"<f4": np.float32, "<f8": np.float64}[d["dtype"]]
+    return np.frombuffer(raw, dtype=d["dtype"]).astype(native).reshape(d["shape"]).copy()
 
 
 def ref_net_to_dict(net) -> dict:
     manifest = {
-        "format_version": 1,
+        "format_version": 2,
         "layers": [
             {"in": int(l.weight.shape[1]), "out": int(l.weight.shape[0]), "activation": l.activation}
             for l in net.layers
         ],
     }
-    flat = np.concatenate([p.ravel() for p in net.params()]).astype(np.float64)
+    flat = np.concatenate([p.ravel() for p in net.params()])
     return {"manifest": manifest, "flat": ref_encode_array(flat)}
 
 
 def ref_net_from_dict(d):
     manifest = d["manifest"]
-    if manifest.get("format_version") != 1:
+    if manifest.get("format_version") != 2:
         raise ValueError(f"unsupported net manifest version: {manifest.get('format_version')}")
     flat = ref_decode_array(d["flat"])
     layers = []
@@ -1108,7 +1116,7 @@ def ref_checkpoint_doc(*, stage, iteration, cfg, policy, opts, discs=None, disc_
                        curriculum=None) -> dict:
     """What ``save_checkpoint`` wrote, before ``json.dump(doc, f, sort_keys=True)``."""
     doc = {
-        "format_version": 1,
+        "format_version": 2,
         "stage": stage,
         "iteration": iteration,
         "config_hash": ref_config_hash(cfg),

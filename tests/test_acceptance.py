@@ -91,7 +91,8 @@ def sample_bundles(n, seed=0, env_cfg=SMALL_ENV, kind="rough"):
 
 
 class TestCriterion1Gradients:
-    """Every trainable network matches central finite differences to 1e-4."""
+    """Every trainable network matches central finite differences to 1e-4,
+    checked on float64 instances of the code the float32 nets run."""
 
     def test_criterion_1(self):
         worst = 0.0
@@ -100,7 +101,8 @@ class TestCriterion1Gradients:
         # policy stack end to end (encoders, trunk, MoE, head), both stages
         for fusion in ("latent", "action"):
             pol = ActorCritic(MODEL, SMALL_ENV, SMALL_ARCH,
-                              PolicyMode(stage=2, residual_fusion=fusion), seed=1)
+                              PolicyMode(stage=2, residual_fusion=fusion), seed=1,
+                              dtype=np.float64)
             for net in [*pol.residual.experts, pol.residual.gate]:
                 net.layers[-1].weight[:] = rng.normal(0, 0.3, net.layers[-1].weight.shape)
             bundles = sample_bundles(3, seed=2)
@@ -120,7 +122,8 @@ class TestCriterion1Gradients:
                     worst = max(worst, rel_err(a, b, floor=1e-6))
 
         # critic
-        pol = ActorCritic(MODEL, SMALL_ENV, SMALL_ARCH, PolicyMode(stage=1), seed=3)
+        pol = ActorCritic(MODEL, SMALL_ENV, SMALL_ARCH, PolicyMode(stage=1), seed=3,
+                          dtype=np.float64)
         b = BundleBatch.stack(sample_bundles(1, seed=4))
 
         def critic_scalar():
@@ -134,7 +137,7 @@ class TestCriterion1Gradients:
             worst = max(worst, rel_err(a, fdg, floor=1e-6))
 
         # discriminator loss including the gradient-penalty term
-        discs = make_discriminators(1, 6, rng, hidden=(8, 5), alpha_gp=10.0)
+        discs = make_discriminators(1, 6, rng, hidden=(8, 5), alpha_gp=10.0, dtype=np.float64)
         net = discs.nets[0]
         real = rng.normal(size=(4, 6))
         fake = rng.normal(size=(3, 6))
@@ -149,7 +152,8 @@ class TestCriterion1Gradients:
             worst = max(worst, rel_err(a, b_, floor=1e-6))
 
         # full PPO loss (clipped surrogate + value + entropy) on a tiny batch
-        pol2 = ActorCritic(MODEL, SMALL_ENV, SMALL_ARCH, PolicyMode(stage=2), seed=5)
+        pol2 = ActorCritic(MODEL, SMALL_ENV, SMALL_ARCH, PolicyMode(stage=2), seed=5,
+                           dtype=np.float64)
         for netn in [*pol2.residual.experts, pol2.residual.gate]:
             netn.layers[-1].weight[:] = rng.normal(0, 0.3, netn.layers[-1].weight.shape)
         bundles = sample_bundles(5, seed=6)

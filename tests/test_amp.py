@@ -41,7 +41,7 @@ class TestDiscriminatorLoss:
     @pytest.mark.parametrize("alpha", [0.0, 10.0])
     def test_full_gradient_matches_finite_differences(self, alpha):
         rng = np.random.default_rng(2)
-        discs = make_discriminators(1, 6, rng, hidden=(8, 5), alpha_gp=alpha)
+        discs = make_discriminators(1, 6, rng, hidden=(8, 5), alpha_gp=alpha, dtype=np.float64)
         net = discs.nets[0]
         real = rng.normal(size=(4, 6))
         fake = rng.normal(size=(3, 6))
@@ -57,7 +57,7 @@ class TestDiscriminatorLoss:
 
     def test_batch_shuffle_invariance(self):
         rng = np.random.default_rng(3)
-        discs = make_discriminators(1, 6, rng, hidden=(8,))
+        discs = make_discriminators(1, 6, rng, hidden=(8,), dtype=np.float64)
         net = discs.nets[0]
         real = rng.normal(size=(10, 6))
         fake = rng.normal(size=(9, 6))

@@ -224,6 +224,20 @@ class TestUsage:
         # a run took it, and a demotion raised the difficulty
         pytest.param({"curriculum": {"delta": -0.5}}, "curriculum: delta must be non-negative",
                      id="curriculum.delta=-0.5"),
+        # training exited 1 with "high - low < 0", naming no field
+        pytest.param({"commands": {"v_range": [1.0, 0.2]}},
+                     "commands: v_range must have low <= high, got [1.0, 0.2]",
+                     id="commands.v_range-reversed"),
+        pytest.param({"commands": {"w_range": [0.5, -0.5]}},
+                     "commands: w_range must have low <= high, got [0.5, -0.5]",
+                     id="commands.w_range-reversed"),
+        # a run took it: promotion is checked first, so no episode over 0.1 demoted
+        pytest.param({"curriculum": {"promote": 0.1}},
+                     "curriculum: promote (0.1) must be above demote (0.4)",
+                     id="curriculum.promote=0.1"),
+        pytest.param({"curriculum": {"promote": 0.4}},
+                     "curriculum: promote (0.4) must be above demote (0.4)",
+                     id="curriculum.promote=demote"),
     ])
     def test_a_config_the_pipeline_cannot_run_exits_1(self, tmp_path, capsys, change, message):
         doc = config_to_dict(tiny_cfg())

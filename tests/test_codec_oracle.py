@@ -10,6 +10,7 @@ the curriculum.
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
 
@@ -19,7 +20,8 @@ import pytest
 from gaitrl.bench import BenchmarkReport, CellResult, LatentReport, analyze_latents
 from gaitrl.codec import decode, write_json
 from gaitrl.config import RunConfig, config_from_dict, config_to_dict
-from gaitrl.policy import ActorCritic, LatentTable
+from gaitrl.nets import PackedArray
+from gaitrl.policy import ActorCritic, LatentTable, PolicyState
 from gaitrl.refmotion import ClipParams, ReferenceClip, default_clip_set
 from gaitrl.terrain import TERRAIN_KINDS, Heightfield, build_benchmark_track, generate_terrain
 from gaitrl.trainer import Checkpoint, CurriculumState, Trainer
@@ -172,6 +174,40 @@ def test_old_checkpoint_decodes_like_the_old_readers(trainers, name):
         assert_same(ck.discriminators, ref_discriminators_from_doc(doc), "discriminators")
         assert_same(ck.disc_optimizers, [ref_adam_from_state_dict(s) for s in doc["disc_optimizers"]],
                     "disc_optimizers")
+
+
+def as_version_1(doc):
+    """``doc`` as the format of version 1 wrote it: float64 packed arrays that
+    record no dtype, and version 1 in each net manifest and in the checkpoint."""
+    if isinstance(doc, list):
+        return [as_version_1(v) for v in doc]
+    if not isinstance(doc, dict):
+        return doc
+    if "dtype" in doc:
+        a = decode(PackedArray, doc).astype(np.float64)
+        return {"shape": doc["shape"], "data": base64.b64encode(a.tobytes()).decode("ascii")}
+    return {k: 1 if k == "format_version" and v == 2 else as_version_1(v) for k, v in doc.items()}
+
+
+@pytest.mark.parametrize("name", ["stage1", "stage2-action-3"])
+def test_a_version_1_checkpoint_is_refused_by_its_format_version(trainers, name):
+    old = as_version_1(ref_doc(trainers[name]))
+    assert old["policy"]["nets"]["trunk"]["manifest"]["format_version"] == 1
+    with pytest.raises(ValueError, match=r"^format_version: unsupported version 1 \(expected 2\)$"):
+        decode(Checkpoint, old)
+    with pytest.raises(ValueError, match=r"^policy\.nets\.scan_enc\.manifest\.format_version: "
+                                         r"unsupported version 1 \(expected 2\)$"):
+        decode(PolicyState, old["policy"], "policy")
+
+
+def test_a_default_checkpoint_is_smaller_in_float32(tmp_path):
+    cfg = RunConfig()
+    cfg.ppo.n_envs = 1
+    t = Trainer(cfg, seed=0, stage=1)
+    new = len(file_bytes(tmp_path, "new.json", t.checkpoint()))
+    old = len(file_bytes(tmp_path, "old.json", doc=as_version_1(ref_doc(t))))
+    # the nets and their two Adam moments are most of the bytes: about half
+    assert new < 0.55 * old
 
 
 @pytest.mark.parametrize("name", ["stage1", "stage2-latent-3"])

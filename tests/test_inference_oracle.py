@@ -58,9 +58,12 @@ STAGE2 = [
 ]
 
 
-def make_policy(stage: int, fusion: str = "latent", n_experts: int = 3, seed: int = 0):
+def make_policy(stage: int, fusion: str = "latent", n_experts: int = 3, seed: int = 0,
+                dtype=np.float64):
+    """A policy with float64 nets unless ``dtype`` says otherwise: the checks
+    run on float64 instances of the code, and a few on the float32 nets too."""
     mode = PolicyMode(stage=stage, residual_fusion=fusion, n_experts=n_experts)
-    pol = ActorCritic(MODEL, ENV_CFG, ARCH, mode, seed=seed)
+    pol = ActorCritic(MODEL, ENV_CFG, ARCH, mode, seed=seed, dtype=dtype)
     pol.log_std[:] = np.linspace(-1.0, 0.5, len(pol.log_std))
     if pol.residual is not None:
         # the expert and gate output layers start at zero; give them weights
@@ -130,9 +133,13 @@ def assert_log_prob_matches(pol, bundle, gait, rng_seed):
     assert same(float(got), logp)
 
 
+DTYPES = [np.float64, np.float32]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("rng_seed", [None, 5])
-def test_stage1_act_matches_reference(rng_seed):
-    pol = make_policy(1)
+def test_stage1_act_matches_reference(rng_seed, dtype):
+    pol = make_policy(1, dtype=dtype)
     _, bundles = env_bundles()
     for b in bundles:
         assert_act_matches(pol, b, None)
@@ -193,10 +200,11 @@ def test_export_residual_latents_matches_reference(fusion, n_experts):
     assert table.terrain_labels == kinds
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("stage", [1, 2])
-def test_batched_actor_mean_matches_reference(stage):
+def test_batched_actor_mean_matches_reference(stage, dtype):
     # the training path: a stacked batch of several bundles
-    pol = make_policy(stage, seed=2)
+    pol = make_policy(stage, seed=2, dtype=dtype)
     _, bundles = env_bundles()
     gaits = None
     if stage == 2:
@@ -255,9 +263,10 @@ def test_non_finite_input_raises_the_same_error(field_name):
         ref_act(pol, b, gait)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("stage", [1, 2])
-def test_critic_value_matches_the_copied_privileged_row(stage):
-    pol = make_policy(stage, seed=stage)
+def test_critic_value_matches_the_copied_privileged_row(stage, dtype):
+    pol = make_policy(stage, seed=stage, dtype=dtype)
     gait = one_hot(1, ENV_CFG.n_gaits)
     _, bundles = env_bundles()
     bundles = [b.with_gait(gait) for b in (*bundles, random_bundle(3, 10.0))]

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,8 +198,8 @@ class TestEpisodes:
         for (b, k), (rb, rg, rk) in zip(new, ref):
             for name in ("o", "hist", "scans", "m", "e", "gait"):
                 assert getattr(b, name).tobytes() == getattr(rb, name).tobytes(), name
-            # the gait each sample was collected under is its bundle's block
-            assert b.gait.tobytes() == rg.tobytes() and k == rk
+            # the gait each sample was collected under is its bundle's (float32) block
+            assert b.gait.tobytes() == rg.astype(np.float32).tobytes() and k == rk
 
     def test_latent_samples_stop_at_the_step_budget_or_the_episode_end(self):
         policy = make_policy(2)

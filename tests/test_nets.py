@@ -25,13 +25,15 @@ from oracles import central_diff_params, mlp_eval, ref_adam_step, ref_net_backwa
 
 
 def bits(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+    return a.dtype.str.encode() + np.ascontiguousarray(a).tobytes()
 
 
 def random_net(rng, dims=None, act="tanh"):
+    """A float64 net: the checks against expressions and finite differences
+    run on float64 instances of the network code."""
     if dims is None:
         dims = [4, 7, 5, 3]
-    return make_net(dims, rng, hidden_activation=act)
+    return make_net(dims, rng, hidden_activation=act, dtype=np.float64)
 
 
 class TestForward:
@@ -94,6 +96,46 @@ class TestForward:
                 Layer(np.zeros((2, 3)), np.zeros(2), act)
 
 
+class TestDtype:
+    """A net computes in its parameters' dtype, float32 or float64."""
+
+    @pytest.mark.parametrize("weight, bias", [
+        (np.zeros((2, 3), np.float16), np.zeros(2, np.float16)),
+        (np.zeros((2, 3), int), np.zeros(2, int)),
+        (np.zeros((2, 3), np.float32), np.zeros(2)),
+    ])
+    def test_a_layer_is_float32_or_float64_throughout(self, weight, bias):
+        with pytest.raises(ValueError, match="must both be float32 or both float64"):
+            Layer(weight, bias, "tanh")
+
+    def test_a_net_has_one_dtype(self):
+        with pytest.raises(ValueError, match="one dtype"):
+            DenseNet([Layer(np.zeros((2, 3)), np.zeros(2), "tanh"),
+                      Layer(np.zeros((1, 2), np.float32), np.zeros(1, np.float32), "identity")])
+
+    def test_make_net_rounds_the_float64_draw_once(self):
+        n32 = make_net([4, 7, 3], np.random.default_rng(0), zero_output_layer=True)
+        n64 = make_net([4, 7, 3], np.random.default_rng(0), zero_output_layer=True,
+                       dtype=np.float64)
+        assert n32.dtype == np.float32 and n64.dtype == np.float64
+        for a, b in zip(n32.params(), n64.params()):
+            assert bits(a) == bits(b.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inputs_and_cotangents_are_cast_to_the_nets_dtype(self, dtype):
+        rng = np.random.default_rng(1)
+        net = make_net([4, 5, 2], rng, dtype=dtype)
+        x = rng.normal(size=(3, 4))
+        y, tape = net_forward(net, x)
+        assert bits(tape.x) == bits(x.astype(dtype))
+        grads, gx = net_backward(net, tape, rng.normal(size=(3, 2)))
+        _, tape_d = net_forward(net, x[:1])
+        h, d_grads = net_directional_param_grads(net, tape_d, x[:1], np.ones((1, 2)))
+        for a in (y, *tape.post, *grads.params(), gx, h, *d_grads.params()):
+            assert a.dtype == dtype
+        assert softmax(y).dtype == dtype
+
+
 class TestBackward:
     def test_zero_cotangent_gives_zero_grads(self):
         rng = np.random.default_rng(4)
@@ -143,7 +185,7 @@ class TestBackward:
             dims = [int(rng.integers(2, 5)) for _ in range(int(rng.integers(2, 4)))]
             dims = [int(rng.integers(2, 5))] + dims
             act = ["tanh", "identity"][trial % 2]
-            net = make_net(dims, rng, hidden_activation=act)
+            net = make_net(dims, rng, hidden_activation=act, dtype=np.float64)
             x = rng.normal(size=(1, dims[0]))
             gout = rng.normal(size=(1, dims[-1]))
 
@@ -185,10 +227,11 @@ class TestBackward:
             net_backward(n2, tape, np.zeros((1, 3)))
 
 
-def nets_an_update_trains() -> dict:
-    """Every net of a default stage-2 policy, by component name, and one
-    discriminator; the residual's zero output layers get weights."""
-    policy = ActorCritic(BipedModel(), EnvConfig(), PolicyArch(), PolicyMode(stage=2), seed=3)
+def nets_an_update_trains(dtype) -> dict:
+    """Every net of a default stage-2 policy of ``dtype``, by component name,
+    and one discriminator; the residual's zero output layers get weights."""
+    policy = ActorCritic(BipedModel(), EnvConfig(), PolicyArch(), PolicyMode(stage=2), seed=3,
+                         dtype=dtype)
     rng = np.random.default_rng(14)
     nets = {name: getattr(policy, name) for name in NET_NAMES}
     nets.update({f"expert_{i}": e for i, e in enumerate(policy.residual.experts)})
@@ -196,24 +239,54 @@ def nets_an_update_trains() -> dict:
     for name in ("expert_0", "expert_1", "expert_2", "gate"):
         layer = nets[name].layers[-1]
         layer.weight[:] = rng.normal(0.0, 0.3, layer.weight.shape)
-    nets["disc"] = make_discriminators(1, 30, rng).nets[0]
+    nets["disc"] = make_discriminators(1, 30, rng, dtype=dtype).nets[0]
     return nets
 
 
-NETS = nets_an_update_trains()
+NETS = {dtype: nets_an_update_trains(dtype) for dtype in (np.float64, np.float32)}
+NET_CASES = [pytest.param(dtype, name, id=f"{np.dtype(dtype)}-{name}")
+             for dtype, nets in NETS.items() for name in sorted(nets)]
+
+
+def upcast(net: DenseNet) -> DenseNet:
+    """``net``'s float32 parameters, exactly, in a float64 net."""
+    return DenseNet([Layer(l.weight.astype(np.float64), l.bias.astype(np.float64), l.activation)
+                     for l in net.layers])
+
+
+# how far a float32 pass may stray from the float64 pass over the same
+# parameters, relative to the largest value of the output compared
+FLOAT32_TOL = 1000 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("name", sorted(NETS[np.float32]))
+def test_a_float32_net_computes_its_float64_values_to_float32_precision(name):
+    net = NETS[np.float32][name]
+    ref = upcast(net)
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(64, net.input_dim)).astype(np.float32)
+    g = rng.normal(size=(64, net.output_dim)).astype(np.float32)
+    y, tape = net_forward(net, x)
+    y_ref, tape_ref = net_forward(ref, x)
+    grads, gx = net_backward(net, tape, g)
+    grads_ref, gx_ref = net_backward(ref, tape_ref, g)
+    for got, want in zip((y, gx, *grads.params()), (y_ref, gx_ref, *grads_ref.params())):
+        assert np.max(np.abs(got - want)) <= FLOAT32_TOL * np.max(np.abs(want))
 
 
 class TestBitwiseBackward:
-    """net_backward against the expression it replaced, bit for bit."""
+    """net_backward against the expression it replaced, bit for bit, on
+    float64 instances of the nets and on the float32 nets the package trains
+    (the reference reads the input and the cotangent in the net's dtype)."""
 
-    @pytest.mark.parametrize("name", sorted(NETS))
-    def test_skipping_the_input_gradient_keeps_every_parameter_gradient(self, name):
-        net = NETS[name]
+    @pytest.mark.parametrize("dtype, name", NET_CASES)
+    def test_skipping_the_input_gradient_keeps_every_parameter_gradient(self, dtype, name):
+        net = NETS[dtype][name]
         rng = np.random.default_rng(15)
-        x = rng.normal(size=(37, net.input_dim))
+        x = rng.normal(size=(37, net.input_dim)).astype(dtype)
         # a scalar head's cotangent is a [B, 1] view of a vector, as callers pass it
-        g = rng.normal(size=37)[:, None] if net.output_dim == 1 else rng.normal(
-            size=(37, net.output_dim))
+        g = (rng.normal(size=37)[:, None] if net.output_dim == 1 else rng.normal(
+            size=(37, net.output_dim))).astype(dtype)
         _, tape = net_forward(net, x)
         full, gx = net_backward(net, tape, g)
         params_only, none = net_backward(net, tape, g, input_grad=False)
@@ -225,12 +298,12 @@ class TestBitwiseBackward:
                 assert bits(got.weights[k]) == bits(ref_w[k]), (name, k)
                 assert bits(got.biases[k]) == bits(ref_b[k]), (name, k)
 
-    @pytest.mark.parametrize("name", sorted(NETS))
-    def test_skipping_the_parameter_gradients_keeps_the_input_gradient(self, name):
+    @pytest.mark.parametrize("dtype, name", NET_CASES)
+    def test_skipping_the_parameter_gradients_keeps_the_input_gradient(self, dtype, name):
         # the discriminator's gradient penalty asks for the input gradient alone
-        net = NETS[name]
-        x = np.random.default_rng(17).normal(size=(37, net.input_dim))
-        g = np.ones((37, net.output_dim))
+        net = NETS[dtype][name]
+        x = np.random.default_rng(17).normal(size=(37, net.input_dim)).astype(dtype)
+        g = np.ones((37, net.output_dim), dtype)
         _, tape = net_forward(net, x)
         _, gx = net_backward(net, tape, g)
         none, u = net_backward(net, tape, g, param_grads=False)
@@ -238,7 +311,7 @@ class TestBitwiseBackward:
         assert bits(u) == bits(gx) == bits(ref_net_backward(net, x, g)[2])
 
     def test_the_tape_holds_the_input_and_each_layer_output(self):
-        net = NETS["critic"]
+        net = NETS[np.float64]["critic"]
         x = np.random.default_rng(16).normal(size=(5, net.input_dim))
         y, tape = net_forward(net, x)
         assert list(vars(tape)) == ["net_ref", "x", "post"]
@@ -250,7 +323,7 @@ class TestDirectionalParamGrads:
     def test_matches_finite_differences_of_input_grad_norm(self):
         # grads of h = v . grad_x(f) for fixed v equal d/dtheta of that dot product
         rng = np.random.default_rng(10)
-        net = make_net([4, 8, 5, 1], rng, hidden_activation="tanh")
+        net = make_net([4, 8, 5, 1], rng, hidden_activation="tanh", dtype=np.float64)
         x = rng.normal(size=(1, 4))
         v = rng.normal(size=(1, 4))
 
@@ -268,7 +341,7 @@ class TestDirectionalParamGrads:
 
     def test_batched_rows_independent(self):
         rng = np.random.default_rng(11)
-        net = make_net([3, 6, 1], rng)
+        net = make_net([3, 6, 1], rng, dtype=np.float64)
         xs = rng.normal(size=(4, 3))
         vs = rng.normal(size=(4, 3))
         _, tape = net_forward(net, xs)
@@ -399,18 +472,28 @@ class TestSoftmax:
 
 
 class TestSerialization:
-    def test_bit_exact_round_trip(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_exact_round_trip(self, dtype):
         rng = np.random.default_rng(12)
-        net = make_net([5, 9, 4], rng)
+        net = make_net([5, 9, 4], rng, dtype=dtype)
         # deliberately awkward values
-        net.layers[0].weight[0, 0] = np.nextafter(1.0, 2.0)
+        net.layers[0].weight[0, 0] = np.nextafter(dtype(1.0), dtype(2.0))
         net.layers[1].bias[1] = -0.0
         restored = decode(DenseNet, encode(net))
         for a, b in zip(net.params(), restored.params()):
-            assert a.shape == b.shape
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            assert bits(a) == bits(b)
         doc = encode(net)
         assert [l["activation"] for l in doc["manifest"]["layers"]] == ["tanh", "identity"]
+        assert doc["flat"]["dtype"] == np.dtype(dtype).newbyteorder("<").str
+
+    @pytest.mark.parametrize("dtype", ["<f2", "<i8", "|b1"])
+    def test_a_packed_array_of_another_dtype_is_refused(self, dtype):
+        doc = encode(make_net([3, 2], np.random.default_rng(13)))
+        doc["flat"]["dtype"] = dtype
+        with pytest.raises(ValueError, match="flat.dtype: expected one of"):
+            decode(DenseNet, doc)
+        with pytest.raises(ValueError, match="float32 or float64"):
+            encode(np.zeros(3, dtype), PackedArray)
 
     def test_wrong_length_rejected(self):
         rng = np.random.default_rng(13)

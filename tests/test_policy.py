@@ -97,7 +97,8 @@ class TestEncodeFeatures:
 class TestResidualForward:
     def make_res(self, seed=0, n=3, randomize=True):
         rng = np.random.default_rng(seed)
-        res = ResidualModule(n, feat_dim=7, gait_dim=3, out_dim=5, arch=SMALL, rng=rng)
+        res = ResidualModule(n, feat_dim=7, gait_dim=3, out_dim=5, arch=SMALL, rng=rng,
+                             dtype=np.float64)
         if randomize:
             for net in [*res.experts, res.gate]:
                 for l in net.layers:
@@ -248,11 +249,12 @@ class TestCritic:
             assert np.all(np.isfinite(v))
 
     def test_value_input_gradient_matches_finite_differences(self):
-        pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=2)
+        pol = ActorCritic(MODEL, EnvConfig(), SMALL, PolicyMode(stage=1), seed=2,
+                          dtype=np.float64)
         b = make_bundles(1)[0]
         from gaitrl.nets import net_backward
 
-        x = BundleBatch.stack([b]).rows[:, : pol.critic.input_dim].copy()
+        x = BundleBatch.stack([b]).rows[:, : pol.critic.input_dim].astype(np.float64)
 
         def scalar():
             from gaitrl.nets import net_forward
@@ -285,7 +287,8 @@ class TestEndToEndGradients:
     def test_actor_gradient_matches_finite_differences(self, fusion):
         cfg = EnvConfig(scan_points=4, history_len=2, elev_points=3)
         pol = ActorCritic(
-            MODEL, cfg, SMALL, PolicyMode(stage=2, residual_fusion=fusion), seed=3
+            MODEL, cfg, SMALL, PolicyMode(stage=2, residual_fusion=fusion), seed=3,
+            dtype=np.float64,
         )
         rng = np.random.default_rng(0)
         # randomize the zero-init layers so gradients flow everywhere

@@ -124,7 +124,7 @@ class TestPPOLoss:
     @pytest.mark.parametrize("stage2", [False, True])
     def test_full_loss_gradient_matches_finite_differences(self, stage2):
         mode = PolicyMode(stage=2 if stage2 else 1)
-        policy = ActorCritic(MODEL, TINY_ENV, TINY, mode, seed=3)
+        policy = ActorCritic(MODEL, TINY_ENV, TINY, mode, seed=3, dtype=np.float64)
         rng = np.random.default_rng(9)
         if stage2:
             for net in [*policy.residual.experts, policy.residual.gate]:
@@ -224,12 +224,12 @@ class TestPPOUpdate:
 
 
 # One default-dims ppo_update (stage 1, one epoch of eight 512-row minibatches)
-# peaks at 8.8 MB of traced allocations: the pre-update snapshot (2.7 MB), a
-# minibatch, and the tapes of one network at a time.  It peaked at 17.4 MB
-# while tapes kept every pre-activation, the critic's input gradient was
-# computed and both networks' tapes were alive together.  The bound leaves a
-# margin of 1.7 MB.
-UPDATE_PEAK_BUDGET_MB = 10.5
+# peaks at 4.2 MB of traced allocations: the pre-update snapshot, a minibatch,
+# and the tapes of one network at a time, all float32.  It peaked at 8.1 MB
+# with float64 nets and rows, and at 17.4 MB while tapes kept every
+# pre-activation, the critic's input gradient was computed and both networks'
+# tapes were alive together.  The bound leaves a margin of 1.7 MB.
+UPDATE_PEAK_BUDGET_MB = 5.9
 
 
 def default_update(cfg):
@@ -257,11 +257,12 @@ def test_the_update_working_set_stays_in_its_budget():
     assert peak / 1e6 <= UPDATE_PEAK_BUDGET_MB
 
 
-# A default buffer (64 envs x 64 steps) allocates 2.97 MB: each row stores
-# ``o``, the current scan, ``m``, ``e`` and the gait command once, and the
-# history and the previous scan are rebuilt from earlier rows.  Copying both
-# into every row took 7.34 MB.
-BUFFER_BUDGET_MB = 3.1
+# A default buffer (64 envs x 64 steps) allocates 1.72 MB: each row stores
+# ``o``, the current scan, ``m``, ``e`` and the gait command once, in float32,
+# and the history and the previous scan are rebuilt from earlier rows.  The
+# float64 rows took 2.97 MB, and copying history and scan into every row
+# 7.34 MB.  The bound leaves a margin of 0.13 MB.
+BUFFER_BUDGET_MB = 1.85
 
 
 def test_a_default_buffer_stays_in_its_budget():

@@ -21,7 +21,7 @@ from pipeline_digest import stack
 
 RECORDED_ON = "# numpy 2.4.6, scipy-openblas 0.3.31.188.0, Python 3.11.7"
 SEED = 31
-DIGEST = "4d7bd5f3b27279d1cc6a9ab24f557aa984e437f28a4f345c1cfa79ba8104475d"
+DIGEST = "39aef5994c3522e6c1ffeb6ba7450d9f302d226dd82c153bbcbb63757700fd73"
 
 
 def setup_digest(trainer: Trainer) -> str:

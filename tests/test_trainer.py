@@ -18,7 +18,7 @@ from gaitrl.config import (
     config_to_dict,
     save_config,
 )
-from gaitrl.env import TerrainEnv
+from gaitrl.env import TerrainEnv, one_hot
 from gaitrl.policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
 from gaitrl.ppo import RolloutBuffer
 from gaitrl.rewards import RewardBreakdown
@@ -144,7 +144,7 @@ class TestGaitScheduler:
             w.maybe_resample_gait()
             assert w.gait_period == int(step * 0.02 / w.cfg.gaits.period_s + 1e-9)
             seen.append(int(np.argmax(w.env.commands.gait)))
-            assert w.env.bundle.gait.tobytes() == w.env.commands.gait.tobytes()
+            assert w.env.bundle.gait.tobytes() == w.env.commands.gait.astype(np.float32).tobytes()
         return seen
 
     def test_command_constant_within_period(self):
@@ -156,6 +156,24 @@ class TestGaitScheduler:
     def test_degenerate_distribution(self):
         w = self.worker(1.0, (1.0, 0.0, 0.0), seed=1)
         assert self.commands(w, 500) == [0] * 500
+
+    @pytest.mark.parametrize("distribution", [
+        (1 / 3, 1 / 3, 1 / 3), (5.0, 3.0, 2.0), (0.1, 0.2, 0.7), (1.0, 0.0, 0.0),
+        (0.0, 0.0, 1.0), (0.0, 2.0, 0.0), (1e-9, 1.0, 1e-9), (0.3, 0.7), (1.0,),
+    ])
+    def test_a_draw_is_what_generator_choice_draws(self, distribution):
+        # the index and the generator state after it, draw by draw
+        n = len(distribution)
+        cfg = tiny_cfg(**{"gaits.distribution": distribution, "env.n_gaits": n})
+        p = np.asarray(distribution, dtype=np.float64)
+        p = p / p.sum()
+        for seed in range(40):
+            w = EnvWorker(0, cfg, stage=2, seed_seq=np.random.SeedSequence(seed))
+            ref = np.random.default_rng()
+            ref.bit_generator.state = w.rng.bit_generator.state
+            for _ in range(50):
+                assert w.draw_gait().tolist() == one_hot(int(ref.choice(n, p=p)), n).tolist()
+                assert w.rng.bit_generator.state == ref.bit_generator.state
 
     def test_draw_frequencies_match_distribution(self):
         probs = np.array([0.5, 0.3, 0.2])
@@ -251,7 +269,7 @@ class TestRollout:
             logps = gaussian_log_prob_batch(buffer.actions[t], means, pol.log_std)
             assert logps.tobytes() == buffer.log_probs[t].tobytes(), t
             values, _ = pol.critic_value(row)
-            assert values.tobytes() == buffer.values[t].tobytes(), t
+            assert values.astype(np.float64).tobytes() == buffer.values[t].tobytes(), t
 
     def test_the_buffer_rebuilds_every_batch_the_policy_acted_on(self, monkeypatch):
         # short episodes, scan delays of 0 and 1 steps, a gait period of three
@@ -285,7 +303,7 @@ class TestRollout:
         assert delays == {0, 1}
         assert buffer.dones[0, 1] == 1.0  # the poisoned env diverged at once
 
-        # a batch with one history float or one previous-scan float edited is refused
+        # a batch with one history float or one previous-scan float one ulp off is refused
         d_o, K = buffer.o.shape[2], buffer.scan.shape[2]
         rows_slices = seen[0].slices
         for t, (block, col) in enumerate((("hist", 0), ("hist", d_o), ("scans", K - 1))):
@@ -295,7 +313,8 @@ class TestRollout:
                                buffer.values[s], buffer.rewards[s], buffer.dones[s],
                                [RewardBreakdown()] * N)
             rows = seen[t + 1].rows.copy()
-            rows[2, rows_slices[block].start + col] += 1e-9
+            col += rows_slices[block].start
+            rows[2, col] = np.nextafter(rows[2, col], np.float32(np.inf))
             edited = BundleBatch(rows, rows_slices)
             with pytest.raises(ValueError, match="history or previous scan"):
                 fresh.add_step(t + 1, edited, buffer.actions[t + 1], buffer.log_probs[t + 1],
@@ -321,7 +340,7 @@ class TestRollout:
         held = np.array(held).reshape(T, N, cfg.env.n_gaits)
         resampled = (held[1:] != held[:-1]).any(axis=2) & (buffer.dones[:-1] == 0.0)
         assert resampled.any()
-        assert buffer.batch(np.arange(T * N)).gait.tobytes() == held.tobytes()
+        assert buffer.batch(np.arange(T * N)).gait.tobytes() == held.astype(np.float32).tobytes()
 
     def test_every_stage1_row_scores_no_style_and_no_gait_terms(self):
         # not just on average: a gait term can take either sign, so a mean of
