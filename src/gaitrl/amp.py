@@ -135,16 +135,19 @@ class WindowBuffer:
     """Per-gait FIFO of the most recent policy windows.
 
     Each gait owns a preallocated ring of ``capacity`` rows, so ``add`` writes
-    only the new rows.  Logical index 0 is the oldest window held; ``sample``
-    draws logical indices and maps them onto the ring, so a given rng draw
-    picks the same windows as it would from an oldest-first array.
+    only the new rows.  The rings hold the discriminators' dtype (float32):
+    ``add`` rounds each window once, as the discriminators' input cast did,
+    and ``sample`` hands them rows they read without a cast.  Logical index 0
+    is the oldest window held; ``sample`` draws logical indices and maps them
+    onto the ring, so a given rng draw picks the same windows as it would
+    from an oldest-first array.
     """
 
     def __init__(self, n_gaits: int, window_dim: int, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("window buffer capacity must be positive")
         self.capacity = capacity
-        self._rings = [np.zeros((capacity, window_dim)) for _ in range(n_gaits)]
+        self._rings = [np.zeros((capacity, window_dim), np.float32) for _ in range(n_gaits)]
         self._sizes = [0] * n_gaits
         self._next = [0] * n_gaits  # ring row the next window goes to
 

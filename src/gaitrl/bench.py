@@ -17,13 +17,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .biped import BipedModel
+from .biped import N_JOINTS, PITCH, STATE_WIDTH, TIME, VX, X, Z, BipedModel
 from .codec import encode, write_json
 from .config import RunConfig, config_hash
 from .env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from .policy import ActorCritic
 from .refmotion import GAIT_NAMES
-from .rewards import RewardConfig, locomotion_rewards
+from .rewards import LOCOMOTION_TERMS, RewardConfig, locomotion_rewards
 from .terrain import build_benchmark_track, generate_terrain
 
 REPORT_FORMAT_VERSION = 1
@@ -119,7 +119,7 @@ def eval_episode(controller, terrain, model: BipedModel, env_cfg: EnvConfig, *,
     )
     env = TerrainEnv(model, cfg, seed=seed)
     gait = one_hot(gait_id, cfg.n_gaits) if gait_id is not None else np.zeros(cfg.n_gaits)
-    bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait))
+    bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait)).bundle
     while True:
         action = controller.act(bundle, env.state)
         res = env.step(action)
@@ -134,6 +134,9 @@ def _finite_or_none(v: float):
 
 
 TRIAL_V_CMD = 0.6  # m/s, the forward velocity command of every benchmark trial
+# a trial's trace scores and writes its steps this many at a time, in one
+# reward call a chunk, so its memory does not grow with the trial's length
+TRACE_CHUNK = 256
 
 
 def run_trial(
@@ -152,10 +155,13 @@ def run_trial(
     """One evaluation episode (see :func:`eval_episode`) at the velocity
     command ``TRIAL_V_CMD``; returns the trial summary.
 
-    The trace scores its reward terms with ``reward_cfg`` (the default
-    ``RewardConfig()`` when omitted).  A step that ends ``"diverged"`` is
-    scored zero on every term, as the trainer scores it, and its non-finite
-    state fields are written as ``null``, so every trace line is strict JSON.
+    The trace keeps each step's state row, action and distance, and scores
+    the reward terms of each ``TRACE_CHUNK`` steps, and of the last steps
+    when the trial ends, in one call with ``reward_cfg`` (the default
+    ``RewardConfig()`` when omitted), writing one line per step.  A step
+    that ends ``"diverged"`` is scored zero on every term, as the trainer
+    scores it, and its non-finite state fields are written as ``null``, so
+    every trace line is strict JSON.
     """
     reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
     distance = 0.0
@@ -164,39 +170,27 @@ def run_trial(
         controller, terrain, model, env_cfg,
         v_cmd=TRIAL_V_CMD, gait_id=gait_id, max_episode_s=timeout_s, seed=seed,
     )
+    if trace_file is not None:
+        # a chunk of steps: each step's state row, action and distance
+        chunk = np.empty((TRACE_CHUNK, STATE_WIDTH + N_JOINTS + 1))
     # the episode ends on a terminating step, so the loop ends on one or on the goal
     for steps, (env, _, action, res) in enumerate(episode, 1):
         distance = max(res.distance, distance)
         if trace_file is not None:
-            st = env.state
-            if res.termination == "diverged":
-                rewards = {}
-            else:
-                rewards = locomotion_rewards(
-                    st, env.commands, env.last_action, env.prev_action, env.prev2_action,
-                    reward_cfg, model,
-                ).weighted
-            trace_file.write(
-                json.dumps(
-                    {
-                        "step": steps,
-                        "t": _finite_or_none(round(st.time, 6)),
-                        "x": _finite_or_none(st.x),
-                        "z": _finite_or_none(st.z),
-                        "pitch": _finite_or_none(st.pitch),
-                        "vx": _finite_or_none(st.vx),
-                        "action": [round(float(a), 6) for a in action],
-                        "rewards": rewards,
-                        "distance": res.distance,
-                        "termination": res.termination,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            k = (steps - 1) % TRACE_CHUNK
+            if k == 0 and steps > 1:  # the chunk is full, and the trial goes on
+                _write_trace(trace_file, chunk, steps - 1 - TRACE_CHUNK, "none",
+                             env.batch.commands()[env.index], reward_cfg, model)
+            chunk[k, :STATE_WIDTH] = env.batch.state[env.index]
+            chunk[k, STATE_WIDTH:-1] = action
+            chunk[k, -1] = res.distance
         if res.distance >= goal_m:
             success = True
             break
+    if trace_file is not None:
+        n = (steps - 1) % TRACE_CHUNK + 1
+        _write_trace(trace_file, chunk[:n], steps - n, res.termination,
+                     env.batch.commands()[env.index], reward_cfg, model)
     return {
         "success": success,
         "distance": min(max(distance, 0.0), goal_m),
@@ -204,6 +198,41 @@ def run_trial(
         "steps": steps,
         "seed": seed,
     }
+
+
+def _write_trace(trace_file, rows, first_step, termination, commands, reward_cfg, model) -> None:
+    """One trace line per step of ``rows`` (state row, action, distance), the
+    steps after ``first_step``: the step's state, action, distance and
+    weighted locomotion terms, scored in one call.  The last row carries
+    ``termination``."""
+    n = len(rows)
+    states = rows[:, :STATE_WIDTH]
+    weighted = locomotion_rewards(
+        states, np.broadcast_to(commands, (n, 2)), reward_cfg, model
+    ).weighted
+    fields = states[:, [TIME, X, Z, PITCH, VX]]
+    for k in range(n):
+        t, x, z, pitch, vx = fields[k].tolist()
+        term = termination if k == n - 1 else "none"
+        trace_file.write(
+            json.dumps(
+                {
+                    "step": first_step + k + 1,
+                    "t": _finite_or_none(round(t, 6)),
+                    "x": _finite_or_none(x),
+                    "z": _finite_or_none(z),
+                    "pitch": _finite_or_none(pitch),
+                    "vx": _finite_or_none(vx),
+                    "action": [round(a, 6) for a in rows[k, STATE_WIDTH:-1].tolist()],
+                    "rewards": {} if term == "diverged"
+                    else dict(zip(LOCOMOTION_TERMS, weighted[k].tolist())),
+                    "distance": float(rows[k, -1]),
+                    "termination": term,
+                },
+                sort_keys=True,
+            )
+            + "\n"
+        )
 
 
 def run_benchmark(

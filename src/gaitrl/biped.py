@@ -22,7 +22,7 @@ in the planar model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,68 +119,98 @@ def leg_points(
     return (kx, kz), (ax, az), (fx, fz)
 
 
-@dataclass
-class BipedState:
-    """Full mutable simulation state plus per-control-step derived quantities."""
+# The float state of one env: one float64 row, a field at its columns.  The
+# physics runs on it as a list of Python floats (``row.tolist()``), the
+# rewards read it as ``[N, STATE_WIDTH]`` rows; ``BipedState`` names it.
+X, Z, PITCH, VX, VZ, PITCH_RATE, YAW_RATE, HEADING, Y_OFFSET, TIME = range(10)
+Q = 10  # joint positions; the integrated state ends with the joint velocities
+QD = Q + N_JOINTS
+QDD = QD + N_JOINTS  # joint accelerations over the last control step
+TAU = QDD + N_JOINTS  # joint torques averaged over the last control step
+FOOT = TAU + N_JOINTS  # foot centers [left, right] x [x, z]
+FOOT_VEL = FOOT + 4
+CONTACT = FOOT_VEL + 4  # [left, right], 1.0 in contact
+FORCE = CONTACT + 2  # contact forces [left, right] x [x, z]
+KNEE = FORCE + 4  # knee heights above the local ground [left, right]
+ANCHOR_X = KNEE + 2  # friction anchors [foot] x [heel, toe]
+ANCHOR_ON = ANCHOR_X + 4  # 1.0 while an anchor holds
+N_COLLISIONS = ANCHOR_ON + 4
+ACTION = N_COLLISIONS + 1  # the last three actions, newest first: [3, N_JOINTS]
+STATE_WIDTH = ACTION + 3 * N_JOINTS
 
-    x: float = 0.0
-    z: float = 0.0
-    pitch: float = 0.0
-    vx: float = 0.0
-    vz: float = 0.0
-    pitch_rate: float = 0.0
-    yaw_rate: float = 0.0
-    heading: float = 0.0
-    y_offset: float = 0.0
-    joint_pos: np.ndarray = field(default_factory=lambda: np.zeros(N_JOINTS))
-    joint_vel: np.ndarray = field(default_factory=lambda: np.zeros(N_JOINTS))
-    joint_acc: np.ndarray = field(default_factory=lambda: np.zeros(N_JOINTS))
-    joint_torque: np.ndarray = field(default_factory=lambda: np.zeros(N_JOINTS))
-    foot_pos: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-    foot_vel: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-    contact: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=bool))
-    contact_force: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-    knee_heights: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    # friction anchors per [foot][heel, toe]
-    anchor_x: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-    anchor_on: np.ndarray = field(default_factory=lambda: np.zeros((2, 2), dtype=bool))
-    n_collisions: int = 0
-    time: float = 0.0
+# name -> (first column, shape) of each field
+STATE_FIELDS = {
+    **{name: (col, ()) for col, name in enumerate(
+        ("x", "z", "pitch", "vx", "vz", "pitch_rate", "yaw_rate", "heading", "y_offset", "time"))},
+    "joint_pos": (Q, (N_JOINTS,)),
+    "joint_vel": (QD, (N_JOINTS,)),
+    "joint_acc": (QDD, (N_JOINTS,)),
+    "joint_torque": (TAU, (N_JOINTS,)),
+    "foot_pos": (FOOT, (2, 2)),
+    "foot_vel": (FOOT_VEL, (2, 2)),
+    "contact": (CONTACT, (2,)),
+    "contact_force": (FORCE, (2, 2)),
+    "knee_heights": (KNEE, (2,)),
+    "anchor_x": (ANCHOR_X, (2, 2)),
+    "anchor_on": (ANCHOR_ON, (2, 2)),
+    "n_collisions": (N_COLLISIONS, ()),
+    "actions": (ACTION, (3, N_JOINTS)),
+}
+
+
+class BipedState:
+    """A named view of one float state row (``STATE_FIELDS``): a scalar field
+    reads as a Python float, an array field as a view of its columns, and
+    assigning either writes the row.  Made without a row, it owns a zero
+    row; keyword arguments then set fields.  Flags (``contact``,
+    ``anchor_on``) are 1.0 or 0.0."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: np.ndarray | None = None, **fields):
+        self.row = np.zeros(STATE_WIDTH) if row is None else row
+        for name, value in fields.items():
+            setattr(self, name, value)
 
     def copy(self) -> "BipedState":
-        c = BipedState(
-            x=self.x, z=self.z, pitch=self.pitch, vx=self.vx, vz=self.vz,
-            pitch_rate=self.pitch_rate, yaw_rate=self.yaw_rate,
-            heading=self.heading, y_offset=self.y_offset,
-            joint_pos=self.joint_pos.copy(), joint_vel=self.joint_vel.copy(),
-            joint_acc=self.joint_acc.copy(), joint_torque=self.joint_torque.copy(),
-            foot_pos=self.foot_pos.copy(), foot_vel=self.foot_vel.copy(),
-            contact=self.contact.copy(), contact_force=self.contact_force.copy(),
-            knee_heights=self.knee_heights.copy(),
-            anchor_x=self.anchor_x.copy(), anchor_on=self.anchor_on.copy(),
-            n_collisions=self.n_collisions, time=self.time,
-        )
-        return c
+        return BipedState(self.row.copy())
 
 
-def action_targets(model: BipedModel, action: np.ndarray) -> np.ndarray:
-    """Joint-position targets for one action (constant across the substeps)."""
-    return model.action_scale * action + model.nominal_pose
+def _state_field(col: int, shape: tuple) -> property:
+    if not shape:
+        return property(lambda s: float(s.row[col]), lambda s, v: s.row.__setitem__(col, v))
+    stop = col + math.prod(shape)
+
+    def put(s, value):
+        s.row[col:stop] = np.asarray(value, dtype=np.float64).reshape(-1)
+
+    return property(lambda s: s.row[col:stop].reshape(shape), put)
+
+
+for _name, (_col, _shape) in STATE_FIELDS.items():
+    setattr(BipedState, _name, _state_field(_col, _shape))
+
+
+def action_targets(model: BipedModel, action: list) -> list:
+    """Joint-position targets for one action (constant across the substeps),
+    as floats: ``action_scale * a + nominal`` per joint."""
+    scale = model.action_scale
+    return [scale * a + n for a, n in zip(action, model.nominal_pose)]
 
 
 def pd_torques(
     model: BipedModel,
-    state: BipedState,
-    target: np.ndarray,
+    s: list,
+    target: list,
     kp_scale: float,
     kd_scale: float,
     motor_strength: float,
-) -> np.ndarray:
-    """Target-position PD control: torque toward ``target`` (see :func:`action_targets`)."""
+) -> list:
+    """Target-position PD control on the float state ``s``: the torques
+    toward ``target`` (see :func:`action_targets`), clipped to the limits."""
     tau = []
     for kp, kd, lim, tgt, q, qd in zip(
-        model.kp, model.kd, model.torque_limit,
-        target.tolist(), state.joint_pos.tolist(), state.joint_vel.tolist(),
+        model.kp, model.kd, model.torque_limit, target, s[Q:QD], s[QD:QDD],
     ):
         t = (kp * kp_scale * (tgt - q) - kd * kd_scale * qd) * motor_strength
         # np.minimum then np.maximum against +-lim: NaN passes, ties take lim
@@ -189,7 +219,7 @@ def pd_torques(
         if not t > -lim and t == t:
             t = -lim
         tau.append(t)
-    return np.array(tau)
+    return tau
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -203,8 +233,8 @@ def _clip(x: float, lo: float, hi: float) -> float:
 
 def substep(
     model: BipedModel,
-    state: BipedState,
-    tau: np.ndarray,
+    s: list,
+    tau: list,
     terrain,
     dt: float,
     friction: float,
@@ -213,26 +243,29 @@ def substep(
     com_shift: float,
     inertia_scale: float = 1.0,
 ) -> None:
-    """One physics integration step (semi-implicit Euler), in place.
+    """One physics integration step (semi-implicit Euler) of the float state
+    ``s`` (a ``STATE_WIDTH`` list), in place.
 
     Restitution softens the normal contact damping, letting touchdown keep a
     share of its vertical momentum; friction scales the tangential force cap.
-
-    Everything below runs on Python floats: each state array is read once with
-    ``tolist`` and written back once, and the expressions keep the operation
-    order of the array formulation, so results are bit-identical to it.
+    The expressions keep the operation order of the array formulation, so
+    results are bit-identical to it.
     """
     # joints first: torque-driven servos (semi-implicit), then hard joint
     # stops that kill velocity into the limit
-    q = state.joint_pos.tolist()
-    qd = state.joint_vel.tolist()
-    tq = tau.tolist()
+    q = s[Q:QD]
+    qd = s[QD:QDD]
     damping, inertia = model.joint_damping, model.joint_inertia
     vlim = model.joint_vel_limit
     lower, upper = model.joint_lower, model.joint_upper
     at_stop = False
     for j in range(N_JOINTS):
-        v = _clip(qd[j] + dt * ((tq[j] - damping * qd[j]) / inertia), -vlim, vlim)
+        v = qd[j] + dt * ((tau[j] - damping * qd[j]) / inertia)
+        # _clip(v, -vlim, vlim), inline: this runs for every joint
+        if not v > -vlim and v == v:
+            v = -vlim
+        if not v < vlim and v == v:
+            v = vlim
         qd[j] = v
         p = q[j] + dt * v
         q[j] = p
@@ -244,13 +277,13 @@ def substep(
             if (p < lower[j] and v < 0) or (p > upper[j] and v > 0):
                 qd[j] = 0.0
             q[j] = _clip(p, lower[j], upper[j])
-    state.joint_pos[:] = q
-    state.joint_vel[:] = qd
+    s[Q:QD] = q
+    s[QD:QDD] = qd
 
     # contact loop; terrain cells are read through the heightfield's views
-    bx, bz = float(state.x), float(state.z)
-    vx, vz = float(state.vx), float(state.vz)
-    pitch, pr = float(state.pitch), float(state.pitch_rate)
+    bx, bz = s[X], s[Z]
+    vx, vz = s[VX], s[VZ]
+    pitch, pr = s[PITCH], s[PITCH_RATE]
     l1, l2, l3, fh = model.thigh_len, model.shin_len, model.foot_len, model.foot_half
     f_x = 0.0
     f_z = -total_mass * model.gravity
@@ -262,12 +295,6 @@ def substep(
     kn, kt, ct = model.contact_kn, model.contact_kt, model.contact_ct
     damp_ramp, force_cap = model.contact_damp_ramp, model.contact_force_cap
     heights, void, cell_at = terrain.height_view, terrain.void_view, terrain.cell_at
-    anchor_on = state.anchor_on
-    anchor_x = state.anchor_x
-    on = anchor_on.tolist()
-    ax = anchor_x.tolist()
-    foot_pos = state.foot_pos
-    foot_vel = state.foot_vel
     contact = [False, False]
 
     for side in (LEFT, RIGHT):
@@ -292,19 +319,19 @@ def substep(
         # foot-center velocity = base translation + pitch sweep + joint sweep
         vfx = vx + j00 * (pr + qd1) + j01 * qd2 + j02 * qd3
         vfz = vz + j10 * (pr + qd1) + j11 * qd2 + j12 * qd3
-        foot_pos[side, 0] = fx
-        foot_pos[side, 1] = fz
-        foot_vel[side, 0] = vfx
-        foot_vel[side, 1] = vfz
+        two = 2 * side
+        s[FOOT + two] = fx
+        s[FOOT + two + 1] = fz
+        s[FOOT_VEL + two] = vfx
+        s[FOOT_VEL + two + 1] = vfz
 
         in_contact = False
         force_x = force_z = 0.0
-        state.knee_heights[side] = kz - heights[cell_at(kx)]
-        side_on = on[side]
-        side_x = ax[side]
+        s[KNEE + side] = kz - heights[cell_at(kx)]
         rate_sum = pr + qd1 + qd2 + qd3
         # heel and toe of the flat foot; the segment is horizontal at a3 = 0
         for pt, sgn in ((0, -1.0), (1, 1.0)):
+            on, anchor = ANCHOR_ON + two + pt, ANCHOR_X + two + pt
             px = fx + sgn * fh * c3
             pz = fz + sgn * fh * s3
             i = cell_at(px)
@@ -319,53 +346,51 @@ def substep(
                     fcz = kn * pen - dn * ramp * vpz
             if fcz <= 0.0:
                 # void cell, no penetration, or the damper pulls: no contact
-                if side_on[pt]:
-                    side_on[pt] = False
-                    anchor_on[side, pt] = False
+                s[on] = 0.0
                 continue
             fcz = min(fcz, force_cap)
             # anchored tangential spring: stick until the friction cone slips
-            if not side_on[pt]:
-                side_on[pt] = True
-                anchor_on[side, pt] = True
-                side_x[pt] = anchor_x[side, pt] = px
-            fcx = -kt * (px - side_x[pt]) - ct * vpx
+            if not s[on]:
+                s[on] = 1.0
+                s[anchor] = px
+            fcx = -kt * (px - s[anchor]) - ct * vpx
             cap = friction * fcz
             if fcx > cap:
                 fcx = cap
-                side_x[pt] = anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
+                s[anchor] = px + (fcx + ct * vpx) / kt
             elif fcx < -cap:
                 fcx = -cap
-                side_x[pt] = anchor_x[side, pt] = px + (fcx + ct * vpx) / kt
+                s[anchor] = px + (fcx + ct * vpx) / kt
             in_contact = True
             force_x += fcx
             force_z += fcz
             f_x += fcx
             f_z += fcz
             torque += (px - com_x) * fcz - (pz - com_z) * fcx
-        contact[side] = state.contact[side] = in_contact
-        state.contact_force[side, 0] = force_x
-        state.contact_force[side, 1] = force_z
+        contact[side] = in_contact
+        s[CONTACT + side] = 1.0 if in_contact else 0.0
+        s[FORCE + two] = force_x
+        s[FORCE + two + 1] = force_z
 
     # base (semi-implicit: velocities first)
     torque -= model.base_rot_damping * pr
     vx += dt * f_x / total_mass
     vz += dt * f_z / total_mass
     pr += dt * torque / (model.base_inertia * inertia_scale)
-    state.vx = vx
-    state.vz = vz
-    state.pitch_rate = pr
-    state.x = bx + dt * vx
-    state.z = bz + dt * vz
-    state.pitch = pitch + dt * pr
+    s[VX] = vx
+    s[VZ] = vz
+    s[PITCH_RATE] = pr
+    s[X] = bx + dt * vx
+    s[Z] = bz + dt * vz
+    s[PITCH] = pitch + dt * pr
 
     # yaw proxy: hip-torque asymmetry turns the robot while grounded
     grounded = contact[0] or contact[1]
-    yaw_tau = model.yaw_gain * (tq[0] - tq[3]) * (1.0 if grounded else 0.0)
-    yr = float(state.yaw_rate)
+    yaw_tau = model.yaw_gain * (tau[0] - tau[3]) * (1.0 if grounded else 0.0)
+    yr = s[YAW_RATE]
     yr += dt * (yaw_tau - model.yaw_damping * yr) / model.yaw_inertia
-    state.yaw_rate = yr
-    state.heading = float(state.heading) + dt * yr
-    state.y_offset = float(state.y_offset) + dt * yr * vx * 0.5
+    s[YAW_RATE] = yr
+    s[HEADING] = s[HEADING] + dt * yr
+    s[Y_OFFSET] = s[Y_OFFSET] + dt * yr * vx * 0.5
 
-    state.time += dt
+    s[TIME] += dt

@@ -1,15 +1,26 @@
-"""Terrain-traversal environment for the planar biped.
+"""Terrain-traversal environments for the planar biped, stepped in lockstep.
 
-Owns an episode: spawn, PD actuation with domain-randomized dynamics,
-height-scan exteroception, privileged sensing for the critic, periodic
-pushes, and termination.  It also holds the episode's per-step state: the
-observation the next action is chosen from, the commands (velocity and
-gait) and the last three actions.  Reward evaluation lives in
-:mod:`gaitrl.rewards`; the env fills everything rewards need into the state
-it exposes.
+An :class:`EnvBatch` holds N envs' episodes as arrays with one row per env
+(legged_gym's layout); a :class:`TerrainEnv` is one row of it, and a
+standalone env is a batch of one through the same code.  An env owns its
+episodes: spawn, PD actuation with domain-randomized dynamics, height-scan
+exteroception, privileged sensing for the critic, periodic pushes, and
+termination.  Reward evaluation lives in :mod:`gaitrl.rewards`, which reads
+the batch's state rows as they are.
 
-The observation row.  Each control step the env writes one float32 row
-(``ObservationBundle.row``, ``ROW_DTYPE``), its blocks in ``BLOCKS`` order:
+A control step.  ``TerrainEnv.step`` reads the env's float state row once
+(``row.tolist()``, :data:`gaitrl.biped.STATE_FIELDS`), runs the push, the
+four ``pd_torques``/``substep`` pairs, the torque average, the joint
+acceleration, the finite check and the termination on Python floats, and
+writes the row once, with the last three actions.  The envs started
+(``reset``) or stepped since the batch's last pass are then sensed in one
+pass over their rows, when the first of their results
+(``StepResult.bundle``) or a reader of the batch's ``rows`` asks.
+
+The observation row.  Each pass writes the raw rows (``raw``, ``[N, d]``
+float64) and normalizes all of them at once into a new ``[N, d]`` float32
+array (``rows``, ``ROW_DTYPE``), which is never written again: a bundle or a
+policy batch is a view of it.  A row's blocks, in ``BLOCKS`` order:
 
 - ``m``: the privileged elevation map, heights around the base (m);
 - ``e``: the privileged extras, what the actor never sees: the feet (m),
@@ -20,37 +31,39 @@ The observation row.  Each control step the env writes one float32 row
 - ``gait``: the one-hot gait command, all zero when none is given;
 - ``scans``: the previous and the current forward height scan (m).
 
-Heights and feet are relative to the base.  The env keeps the raw
-quantities and writes each column once as ``(raw - shift) * scale``
-(:func:`obs_scaling`; the gait command is not scaled), so no network
-normalizes.  The dtype rule: the raw quantities, the physics that makes
-them and the normalizing arithmetic are float64, and each normalized column
-is rounded once to float32, the dtype the networks compute in
-(:mod:`gaitrl.nets`).  The critic's blocks come first, in the column order its
-weights were trained on, so its input, ``[m, e, o, hist]`` plus ``gait`` at
-stage 2, is a prefix of the row: a view.
+Heights and feet are relative to the base; the scans and the elevation map
+are read in one gather from the episodes' heightfields, stacked as
+``[N, n_cells]`` when each episode starts.  Each column is written as
+``(raw - shift) * scale`` (:func:`obs_scaling`; the gait command is not
+scaled), so no network normalizes.  The dtype rule: the raw quantities, the
+physics that makes them and the normalizing arithmetic are float64, and each
+normalized column is rounded once to float32, the dtype the networks
+compute in (:mod:`gaitrl.nets`).  The critic's blocks come first, in the
+column order its weights were trained on, so its input, ``[m, e, o, hist]``
+plus ``gait`` at stage 2, is a prefix of the row: a view.
 
-The episode's memory lives where the row reads it.  The raw row's ``hist``
-block is the history itself: each step shifts it in place by one ``o`` and
-writes the new ``o`` last.  The scan queue holds the last ``2 + d`` current
-scans, where ``d`` is the episode's scan delay in control steps, and the
-row's ``scans`` are its first two, ``(S_{t-1-d}, S_{t-d})``.
+The episode's memory lives where the rows read it.  A raw row's ``hist``
+block is the history itself: each pass shifts it in place by one ``o`` and
+writes the new ``o`` last.  An env's scan queue (``scan_queue``, a block of
+``[N, L, K]``, newest last) holds its last current scans, and the row's
+``scans`` are ``S_{t-1-d}`` and ``S_{t-d}`` for the episode's scan delay
+``d`` in control steps.
 
 The history rule.  Within an episode, step by step (the reset observation
-is its first row):
+is its first row), in every env's row:
 
 - a row's history ``hist`` is the episode's last H ``o`` rows, oldest
   first, with the first one repeated until H have passed;
 - a row's previous scan (the first half of ``scans``) is the row before's
   current scan, or its own current scan at an episode's first row;
-- in a rollout, an episode starts on the row after a done row.
+- in a rollout, an env's episode starts on the row after its done row.
 
 So ``o`` and the current scan are all that is new at a step; the rollout
 buffer stores only those, normalized, and rebuilds the rest by this rule.
 
 The episode start.  A training episode starts in
-``trainer.EnvWorker.begin_episode``, and two generators draw it, each in a
-fixed order:
+``trainer.EnvWorker.begin_episode``, and two generators per env draw it,
+each in a fixed order:
 
 - the worker's: the terrain seed (one ``integers``), the DR vector
   (:func:`sample_dr`: one call, 13 doubles; nothing when DR is off),
@@ -58,19 +71,21 @@ fixed order:
   gait (one double, drawn as ``choice`` draws it);
 - the env's: in ``reset``, the scan-bias sign (one double), then the first
   scan's noise; in each step, the push (one ``uniform``, when one is due),
-  then the scan's noise.  A scan draws noise (one ``normal`` per point)
-  only when the episode's ``scan_noise`` is positive and the env is not
-  blind.
+  then the scan's noise, drawn in the step for the pass that senses it.
+  A scan draws noise (one ``normal`` per point) only when the episode's
+  ``scan_noise`` is positive and the env is not blind.
 
 The terrain has a generator of its own, seeded by the terrain seed (flat
-terrain draws nothing and builds none).  Each env's run of draws, and so
-every byte a run writes, rests on this order and count.
+terrain draws nothing and builds none).  No draw crosses envs, so each
+env's run of draws, and so every byte a run writes, rests on this order and
+count whatever the order the envs are stepped and sensed in.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -78,7 +93,32 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .biped import N_JOINTS, BipedModel, BipedState, action_targets, pd_torques, substep
+from .biped import (
+    ACTION,
+    CONTACT,
+    FOOT,
+    KNEE,
+    N_COLLISIONS,
+    N_JOINTS,
+    PITCH,
+    PITCH_RATE,
+    Q,
+    QD,
+    QDD,
+    STATE_WIDTH,
+    TAU,
+    TIME,
+    VX,
+    VZ,
+    X,
+    YAW_RATE,
+    Z,
+    BipedModel,
+    BipedState,
+    action_targets,
+    pd_torques,
+    substep,
+)
 from .terrain import Heightfield
 
 # "diverged": the state went non-finite (NaN or inf).  That step returns the
@@ -313,70 +353,38 @@ class ObservationBundle:
         return ObservationBundle(row, self.slices)
 
 
-@dataclass
 class StepResult:
-    bundle: ObservationBundle
-    termination: str = "none"
-    distance: float = 0.0
+    """One env's episode start or control step: its termination, the
+    distance it reports and ``bundle``, the observation the env holds after
+    it.  The batch senses every env started or stepped since its last pass
+    in one pass, when the first of their results or any reader of its rows
+    asks; a bundle never changes once made."""
+
+    __slots__ = ("termination", "distance", "_batch", "_index", "_rows", "__weakref__")
+
+    def __init__(self, termination: str, distance: float, batch: "EnvBatch", index: int):
+        self.termination = termination
+        self.distance = distance
+        self._batch, self._index, self._rows = batch, index, None
 
     @property
     def done(self) -> bool:
         return self.termination != "none"
 
-
-def build_o_t(
-    state: BipedState,
-    commands: CommandState,
-    last_action: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Proprioceptive observation in the fixed layout [w, g, c_v, q, qd, a_prev].
-
-    Written into ``out`` (one assignment), which is returned.
-    """
-    out[:] = [
-        state.pitch_rate, state.yaw_rate,
-        -math.sin(state.pitch), -math.cos(state.pitch),  # projected gravity
-        commands.v_cmd, commands.w_cmd,
-        *state.joint_pos.tolist(), *state.joint_vel.tolist(), *last_action.tolist(),
-    ]
-    return out
+    @property
+    def bundle(self) -> ObservationBundle:
+        if self._rows is None:
+            self._batch.flush()
+        return ObservationBundle(self._rows[self._index], self._batch.layout.slices)
 
 
-def sample_height_scan(
-    terrain: Heightfield,
-    base_x: float,
-    base_z: float,
-    offsets: np.ndarray,
-    noise_sigma: float = 0.0,
-    bias: float = 0.0,
-    clip: float = 1.5,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Forward terrain heights relative to the base, with sensor noise model."""
-    vals = terrain.heights_at(base_x + offsets) - base_z
-    if bias != 0.0:
-        vals += bias
-    if noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("noise requires an rng")
-        vals += rng.normal(0.0, noise_sigma, size=vals.shape)
-    # np.clip as two ufuncs: same values, a fraction of the call overhead
-    np.maximum(vals, -clip, out=vals)
-    return np.minimum(vals, clip, out=vals)
-
-
-def _state_is_finite(st: BipedState) -> bool:
-    """Every integrated state component is finite.
+def _is_finite(s: list) -> bool:
+    """Every integrated component of the float state ``s`` is finite.
 
     One float sum, finite only if every term is; finite terms that overflow
     it also read as non-finite, which only a diverging state reaches.
     """
-    return math.isfinite(
-        st.x + st.z + st.pitch + st.vx + st.vz + st.pitch_rate + st.yaw_rate
-        + st.heading + st.y_offset + st.time
-        + sum(st.joint_pos.tolist()) + sum(st.joint_vel.tolist())
-    )
+    return math.isfinite(sum(s[:QDD]))
 
 
 def _spawn_state(model: BipedModel, terrain: Heightfield, x: float, joint_scale: float) -> BipedState:
@@ -413,143 +421,352 @@ def _spawn_state(model: BipedModel, terrain: Heightfield, x: float, joint_scale:
                       knee_heights=np.array(knees))
 
 
-class TerrainEnv:
-    """Single biped on a single heightfield; episodes run at the control rate.
+class EnvBatch:
+    """N envs stepped in lockstep: every per-step value of an episode is a
+    row of an array here, one row per env (the envs, :class:`TerrainEnv`,
+    hold the rest: terrain, DR draw, generator, action queue).
 
-    The env holds the episode's observation (``bundle``: what the next
-    action is chosen from), its ``commands`` and its last three actions
-    (``last_action``, ``prev_action``, ``prev2_action``; zeros after
-    ``reset``).
+    - ``state``: ``[N, STATE_WIDTH]`` float64, each env's float state and
+      last three actions (:data:`gaitrl.biped.STATE_FIELDS`);
+    - ``raw``: ``[N, d]`` float64, the raw observation rows; ``rows``: the
+      normalized ``[N, d]`` float32 rows, a new read-only array from each
+      pass, so a bundle or batch once handed out never changes;
+    - ``heights``: the episodes' heightfields as ``[N, n_cells]``, with each
+      row's ``inv_cell`` and ``last_cell``;
+    - ``scan_queue``: ``[N, L, K]``, each env's last ``L`` current scans,
+      newest last, and its ``scan_delay``, ``scan_bias`` and ``scan_sigma``;
+      ``noise``, the scan noise each env drew for its next sensing.
     """
 
-    def __init__(self, model: BipedModel | None = None, cfg: EnvConfig | None = None, seed: int = 0):
-        self.model = model or BipedModel()
-        self.cfg = cfg or EnvConfig()
+    def __init__(self, model: BipedModel, cfg: EnvConfig, n: int):
+        self.model, self.cfg, self.n = model, cfg, n
+        self.layout = env_layout(model, cfg)
+        d, K = len(self.layout.shift), cfg.scan_points
+        self.size = 0  # rows taken by envs
+        self.state = np.zeros((n, STATE_WIDTH))
+        self.raw = np.zeros((n, d))
+        self._rows = self._normalize()
+        self.heights = np.zeros((n, 1))
+        self.inv_cell = np.ones(n)
+        self.last_cell = np.zeros(n, dtype=np.intp)
+        self.scan_queue = np.zeros((n, 2, K))
+        self.scan_delay = np.zeros(n, dtype=np.intp)
+        self.scan_bias = np.zeros(n)
+        self.scan_sigma = np.zeros(n)
+        self.noise = np.zeros((n, K))
+        # the scan's points, then the elevation map's: read in one gather
+        self._offsets = np.concatenate([self.layout.scan_offsets, self.layout.elev_offsets])
+        # what the next pass senses: envs whose episode starts, and envs stepped
+        self._sense_next: dict[bool, list[int]] = {True: [], False: []}
+        # given their rows at the next pass; held weakly, so that a batch and
+        # the results it waits to fill form no reference cycle
+        self._results: list[weakref.ref] = []
+        self._waiting: set[int] = set()  # envs whose last result has no rows yet
+        self._stale = False  # a raw row changed outside a pass
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The normalized rows, read-only, after a pass over what changed since the last."""
+        if self._waiting or self._stale:
+            self.flush()
+        return self._rows
+
+    def commands(self) -> np.ndarray:
+        """Each env's ``(v_cmd, w_cmd)``, ``[N, 2]``: a view of the raw rows."""
+        o = self.layout.slices["o"].start
+        return self.raw[:, o + 4 : o + 6]
+
+    def gaits(self) -> np.ndarray:
+        """Each env's gait command, ``[N, n_gaits]``: a view of the raw rows."""
+        return self.raw[:, self.layout.slices["gait"]]
+
+    # -- passes ---------------------------------------------------------------
+
+    def flush(self) -> None:
+        """One pass: sense the envs whose episodes started, then those stepped,
+        since the last pass (each group in one pass over its rows), normalize
+        every row into new rows and give each waiting result those."""
+        sense_next, results = self._sense_next, self._results
+        self._sense_next, self._results = {True: [], False: []}, []
+        for start, ix in sense_next.items():
+            if ix:
+                self._sense(slice(None) if ix == list(range(self.n)) else np.array(ix), start)
+        if results or self._stale:
+            self._rows = self._normalize()
+        for ref in results:
+            res = ref()
+            if res is not None:
+                res._rows = self._rows
+        self._waiting.clear()
+        self._stale = False
+
+    def _normalize(self) -> np.ndarray:
+        """New read-only rows: ``raw`` normalized."""
+        rows = np.subtract(self.raw, self.layout.shift)
+        rows *= self.layout.scale
+        rows = rows.astype(ROW_DTYPE)
+        rows.flags.writeable = False
+        return rows
+
+    def _sense(self, ix, start: bool) -> None:
+        """Write the raw rows of envs ``ix`` (an index array or a slice) from
+        their state: ``o``, the history, the scans, the elevation map and
+        ``e``'s extras; the command, gait and DR columns keep what the
+        episode start wrote.  ``start`` begins each env's history and scan
+        queue at this row; otherwise both advance by one."""
+        cfg, sl, raw = self.cfg, self.layout.slices, self.raw
+        st = self.state[ix]
+        n, nj, K = len(st), N_JOINTS, cfg.scan_points
+        # o: [pitch and yaw rates, projected gravity, commands, q, qd, last action]
+        o = raw[ix, sl["o"]]
+        o[:, 0:2] = st[:, PITCH_RATE : YAW_RATE + 1]
+        pitch = st[:, PITCH].tolist()
+        o[:, 2] = [-math.sin(p) for p in pitch]
+        o[:, 3] = [-math.cos(p) for p in pitch]
+        o[:, 6 : 6 + 2 * nj] = st[:, Q:QDD]
+        o[:, 6 + 2 * nj :] = st[:, ACTION : ACTION + nj]
+        raw[ix, sl["o"]] = o
+        if start:
+            raw[ix, sl["hist"]] = np.tile(o, self.layout.dims["d_hist"] // o.shape[1])
+        else:
+            hist, d_o = raw[ix, sl["hist"]], o.shape[1]
+            hist[:, :-d_o] = hist[:, d_o:]
+            hist[:, -d_o:] = o
+            raw[ix, sl["hist"]] = hist
+
+        # heights under the scan's points and the elevation map's, relative to the base
+        env_ix = np.arange(self.n)[ix]
+        x, z = st[:, X], st[:, Z]
+        cells = ((x[:, None] + self._offsets) * self.inv_cell[ix, None]).astype(np.intp)
+        np.maximum(cells, 0, out=cells)
+        np.minimum(cells, self.last_cell[ix, None], out=cells)
+        cells += (env_ix * self.heights.shape[1])[:, None]
+        h = self.heights.take(cells)
+        h -= z[:, None]
+        raw[ix, sl["m"]] = h[:, K:]
+        if cfg.blind:
+            scan = np.zeros((n, K))
+        else:
+            scan = h[:, :K]
+            bias = self.scan_bias[ix]
+            np.add(scan, bias[:, None], out=scan, where=(bias != 0.0)[:, None])
+            np.add(scan, self.noise[ix], out=scan, where=(self.scan_sigma[ix] > 0.0)[:, None])
+            np.maximum(scan, -cfg.scan_clip, out=scan)
+            np.minimum(scan, cfg.scan_clip, out=scan)
+        queue = self.scan_queue[ix]
+        if start:
+            queue[:] = scan[:, None, :]
+        else:
+            queue[:, :-1] = queue[:, 1:]
+            queue[:, -1] = scan
+        self.scan_queue[ix] = queue
+        # the sensor delay d: the row's scans are S_{t-1-d} and S_t-d
+        last = queue.shape[1] - 1 - self.scan_delay[ix]
+        rows = np.arange(n)
+        raw[ix, sl["scans"]] = np.concatenate([queue[rows, last - 1], queue[rows, last]], axis=1)
+
+        # e's extras: [feet relative to the base, contacts, true velocity]
+        extras = np.empty((n, N_EXTRAS))
+        feet = st[:, FOOT : FOOT + 4].reshape(n, 2, 2) - st[:, None, X : Z + 1]
+        extras[:, 0:4] = feet.reshape(n, 4)
+        extras[:, 4:6] = st[:, CONTACT : CONTACT + 2]
+        extras[:, 6:8] = st[:, VX : VZ + 1]
+        e = sl["e"].start
+        raw[ix, e : e + N_EXTRAS] = extras
+
+    # -- what the envs call ---------------------------------------------------
+
+    def settle(self, i: int) -> None:
+        """Give env ``i``'s last step result its rows before the env's state or
+        rows change again."""
+        if i in self._waiting:
+            self.flush()
+
+    def queue(self, res: StepResult, start: bool | None) -> StepResult:
+        """Queue ``res`` for the next pass, which senses its env from the
+        episode's start (``start``), after a step (``not start``), or, for
+        ``None``, not at all."""
+        self._waiting.add(res._index)
+        if start is not None:
+            self._sense_next[start].append(res._index)
+        self._results.append(weakref.ref(res))
+        return res
+
+    def begin(self, i: int, terrain: Heightfield, scan_delay: int) -> None:
+        """Give env ``i`` an episode on ``terrain`` with a scan delay of
+        ``scan_delay`` control steps."""
+        extra = terrain.n_cells - self.heights.shape[1]
+        if extra > 0:
+            self.heights = np.pad(self.heights, ((0, 0), (0, extra)))
+        self.heights[i, : terrain.n_cells] = terrain.heights
+        self.inv_cell[i] = 1.0 / terrain.cell_size
+        self.last_cell[i] = terrain.n_cells - 1
+        if 2 + scan_delay > self.scan_queue.shape[1]:
+            extra = 2 + scan_delay - self.scan_queue.shape[1]
+            self.scan_queue = np.pad(self.scan_queue, ((0, 0), (extra, 0), (0, 0)))
+        self.scan_delay[i] = scan_delay
+
+    def touch(self) -> None:
+        """Have the next pass normalize again: a raw row changed outside one."""
+        self._stale = True
+
+
+class TerrainEnv:
+    """One biped on one heightfield, episodes run at the control rate: a row
+    of an :class:`EnvBatch` (made without one, the only row of its own).
+
+    The env's episode values are its batch's rows: ``state`` (with the last
+    three actions, zeros after ``reset``), its observation (``bundle``: what
+    the next action is chosen from) and its ``commands``.
+    """
+
+    def __init__(self, model: BipedModel | None = None, cfg: EnvConfig | None = None, seed: int = 0,
+                 batch: EnvBatch | None = None):
+        if batch is None:
+            batch = EnvBatch(model or BipedModel(), cfg or EnvConfig(), 1)
+        elif (model or batch.model) != batch.model or (cfg or batch.cfg) != batch.cfg:
+            raise ValueError("an env in a batch has the batch's model and config")
+        if batch.size >= batch.n:
+            raise ValueError(f"the batch holds {batch.n} envs")
+        self.model, self.cfg, self.batch = batch.model, batch.cfg, batch
+        self.index = batch.size
+        batch.size += 1
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.layout = env_layout(self.model, self.cfg)
+        self.layout = batch.layout
         self.dims, self.slices = self.layout.dims, self.layout.slices
-        # the raw row _assemble normalizes; o_t and the history are written in place
-        self._raw = np.empty(len(self.layout.shift))
-        self._o_t = self._raw[self.slices["o"]]
-        self._hist = self._raw[self.slices["hist"]]
         # the episode; reset sets each of these
         self.terrain: Heightfield | None = None
         self.dr: DRConfig | None = None
-        self.commands: CommandState | None = None
-        self.state: BipedState | None = None
-        self.bundle: ObservationBundle | None = None
-        self.last_action = self.prev_action = self.prev2_action = None
         self._done = True
+
+    # -- the env's rows -----------------------------------------------------
+
+    @property
+    def state(self) -> BipedState:
+        """A view of the env's float state row (its last step sensed first,
+        so a write to it cannot reach that step's observation)."""
+        self.batch.settle(self.index)
+        return BipedState(self.batch.state[self.index])
+
+    @property
+    def bundle(self) -> ObservationBundle:
+        return ObservationBundle(self.batch.rows[self.index], self.slices)
+
+    @property
+    def commands(self) -> CommandState:
+        """The episode's commands, a copy of the raw row's."""
+        b, i = self.batch, self.index
+        v_cmd, w_cmd = b.commands()[i].tolist()
+        return CommandState(v_cmd, w_cmd, b.gaits()[i].copy())
 
     # -- episode control ----------------------------------------------------
 
-    def reset(
-        self, terrain: Heightfield, dr: DRConfig, commands: CommandState
-    ) -> ObservationBundle:
-        """Start an episode on ``terrain`` under the DR draw ``dr`` and return
-        its first observation.  The env takes ``commands`` as its own: a
-        later ``set_gait`` rebinds its gait.  A spawn that places a foot over
-        a void cell is a ``ValueError``."""
-        cfg = self.cfg
-        self.terrain, self.dr, self.commands = terrain, dr, commands
-        # the DR draw is fixed for the episode; the critic sees it every step
-        self._raw[self.slices["e"]][N_EXTRAS:] = dr.as_vector()
-        self.state = st = _spawn_state(self.model, terrain, cfg.spawn_x, dr.init_joint_scale)
+    def reset(self, terrain: Heightfield, dr: DRConfig, commands: CommandState) -> StepResult:
+        """Start an episode on ``terrain`` under the DR draw ``dr`` and the
+        ``commands``.  The result's ``bundle`` is the episode's first
+        observation, sensed in the batch's next pass with every other env
+        started or stepped since its last.  A spawn that places a foot over a
+        void cell is a ``ValueError``."""
+        b, i, cfg, sl = self.batch, self.index, self.cfg, self.slices
+        b.settle(i)
+        st = _spawn_state(self.model, terrain, cfg.spawn_x, dr.init_joint_scale)
+        self.terrain, self.dr = terrain, dr
+        b.state[i] = st.row
+        # the episode's columns of the raw row: commands, gait, the DR draw
+        o = sl["o"].start
+        b.raw[i, o + 4 : o + 6] = commands.v_cmd, commands.w_cmd
+        b.raw[i, sl["gait"]] = commands.gait
+        b.raw[i, sl["e"].start + N_EXTRAS : sl["e"].stop] = dr.as_vector()
         self._ep_dr_mass = (self.model.base_mass + dr.payload) * dr.link_mass_scale
-        self._scan_bias = dr.scan_bias * (1.0 if self.rng.random() < 0.5 else -1.0)
+        b.scan_bias[i] = dr.scan_bias * (1.0 if self.rng.random() < 0.5 else -1.0)
+        b.scan_sigma[i] = dr.scan_noise
 
-        # no action yet: one zero vector, which each step replaces and none writes
-        zeros = np.zeros(N_JOINTS)
-        self.last_action = self.prev_action = self.prev2_action = zeros
+        # no action yet: zeros, which each step's action pushes out
         n = dr.action_delay_steps(cfg.dt) + 1
-        self._action_queue = deque([zeros] * n, maxlen=n)
+        self._action_queue = deque([[0.0] * N_JOINTS] * n, maxlen=n)
         self._next_push = cfg.push_interval_s
         self._done = False
-
-        o0 = build_o_t(st, commands, zeros, out=self._o_t)
-        self._hist.reshape(-1, self.dims["d_o"])[:] = o0
-        n = 2 + dr.scan_delay_steps()
-        self._scans = deque([self._scan()] * n, maxlen=n)
-        self.bundle = self._assemble()
+        self._draw_scan_noise()
+        b.begin(i, terrain, dr.scan_delay_steps())
         self._distance = st.x - cfg.spawn_x
-        return self.bundle
+        return b.queue(StepResult("none", self._distance, b, i), start=True)
 
     def step(self, action: np.ndarray) -> StepResult:
+        """One control step: the state row is read once, the four PD/physics
+        substeps, the torque average, the joint acceleration, the finite
+        check and the termination run on Python floats, and the row is
+        written once.  The observation follows in the batch's next pass."""
         if self._done:
             raise RuntimeError("episode is finished; call reset()")
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (N_JOINTS,):
             raise ValueError(f"action shape {action.shape}, expected ({N_JOINTS},)")
-        # one reduction for both checks: max propagates NaN, so NaN wins
-        peak = float(np.abs(action).max())
-        if peak != peak:
+        a = action.tolist()
+        if any(v != v for v in a):
             raise ValueError("NaN in action")
-        if peak > self.model.action_bound + 1e-9:
+        bound = self.model.action_bound + 1e-9
+        if any(abs(v) > bound for v in a):
             raise ValueError("action outside configured bound")
 
-        st = self.state
+        b, cfg, model, dr = self.batch, self.cfg, self.model, self.dr
+        b.settle(self.index)
+        row = b.state[self.index]
+        s = row.tolist()
         # a state the previous step left is finite (checked after its
         # substeps); this catches one set from outside (a caller writing
         # env.state), whose non-finite value need not raise or survive below:
         # a joint stop clamps an infinite joint angle back to its limit
-        if not _state_is_finite(st):
+        if not _is_finite(s):
             return self._diverged()
-        dr = self.dr
-        model = self.model
-        if not st.time < self._next_push - 1e-9:
+        if not s[TIME] < self._next_push - 1e-9:
             # a horizontal velocity impulse each push interval
-            st.vx += float(self.rng.uniform(-self.cfg.push_vel_max, self.cfg.push_vel_max))
-            self._next_push += self.cfg.push_interval_s
+            s[VX] += float(self.rng.uniform(-cfg.push_vel_max, cfg.push_vel_max))
+            self._next_push += cfg.push_interval_s
 
-        self._action_queue.append(action.copy())
-        applied = self._action_queue[0]
-
-        substeps = self.cfg.substeps
-        dt_sub = self.cfg.dt / substeps
-        qd_before = st.joint_vel.copy()
-        torque_acc = np.zeros(N_JOINTS)
-        target = action_targets(model, applied)
+        self._action_queue.append(a)
+        target = action_targets(model, self._action_queue[0])
+        substeps = cfg.substeps
+        dt_sub = cfg.dt / substeps
+        qd_before = s[QD:QDD]
+        torque_sum = [0.0] * N_JOINTS
         # no check per substep: a state that turns non-finite inside the loop
         # either makes the physics raise (int(nan) in a cell lookup,
         # math.cos(inf)) or is caught by the check after the loop
         try:
             for _ in range(substeps):
-                tau = pd_torques(model, st, target, dr.kp_scale, dr.kd_scale, dr.motor_strength)
+                tau = pd_torques(model, s, target, dr.kp_scale, dr.kd_scale, dr.motor_strength)
                 substep(
-                    model, st, tau, self.terrain, dt_sub, dr.friction, dr.restitution,
+                    model, s, tau, self.terrain, dt_sub, dr.friction, dr.restitution,
                     self._ep_dr_mass, dr.com_shift, dr.link_mass_scale,
                 )
-                torque_acc += tau
+                torque_sum = [acc + t for acc, t in zip(torque_sum, tau)]
         except (ArithmeticError, ValueError):
-            if _state_is_finite(st):
+            row[:] = s
+            if _is_finite(s):
                 raise
             return self._diverged()
-        if not _state_is_finite(st):
+        if not _is_finite(s):
+            row[:] = s
             return self._diverged()
-        st.joint_torque = torque_acc / substeps
-        st.joint_acc = (st.joint_vel - qd_before) / self.cfg.dt
+        s[TAU:FOOT] = [acc / substeps for acc in torque_sum]
+        s[QDD:TAU] = [(v - v0) / cfg.dt for v, v0 in zip(s[QD:QDD], qd_before)]
+        s[N_COLLISIONS] = float((s[KNEE] < 0.0) + (s[KNEE + 1] < 0.0))
+        s[ACTION + N_JOINTS :] = s[ACTION : ACTION + 2 * N_JOINTS]
+        s[ACTION : ACTION + N_JOINTS] = a
+        termination = self._check_termination(s)
+        row[:] = s
 
-        knee_l, knee_r = st.knee_heights.tolist()
-        st.n_collisions = (knee_l < 0.0) + (knee_r < 0.0)
-        self.prev2_action = self.prev_action
-        self.prev_action = self.last_action
-        self.last_action = action.copy()
-
-        termination = self._check_termination()
         self._done = termination != "none"
-
-        hist, d_o = self._hist, self.dims["d_o"]
-        hist[:-d_o] = hist[d_o:]
-        hist[-d_o:] = build_o_t(st, self.commands, self.last_action, out=self._o_t)
-        self._scans.append(self._scan())
-        self.bundle = bundle = self._assemble()
-        self._distance = distance = self.state.x - self.cfg.spawn_x
-        return StepResult(bundle=bundle, termination=termination, distance=distance)
+        self._distance = distance = s[X] - cfg.spawn_x
+        self._draw_scan_noise()
+        return b.queue(StepResult(termination, distance, b, self.index), start=False)
 
     def set_gait(self, gait: np.ndarray) -> None:
         """Hold ``gait`` from now on, and show it in the current observation."""
-        self.commands.gait = gait
-        self.bundle = self.bundle.with_gait(gait)
+        b = self.batch
+        b.settle(self.index)
+        b.raw[self.index, self.slices["gait"]] = gait
+        b.touch()
 
     def _diverged(self) -> StepResult:
         """End the episode on a non-finite state.
@@ -558,55 +775,32 @@ class TerrainEnv:
         observation and the distance reported before this step.
         """
         self._done = True
-        return StepResult(bundle=self.bundle, termination="diverged", distance=self._distance)
+        res = StepResult("diverged", self._distance, self.batch, self.index)
+        return self.batch.queue(res, start=None)
 
-    # -- sensing ------------------------------------------------------------
-
-    def _scan(self) -> np.ndarray:
-        if self.cfg.blind:
-            return np.zeros(self.cfg.scan_points)
-        return sample_height_scan(
-            self.terrain,
-            self.state.x,
-            self.state.z,
-            self.layout.scan_offsets,
-            noise_sigma=self.dr.scan_noise,
-            bias=self._scan_bias,
-            clip=self.cfg.scan_clip,
-            rng=self.rng,
-        )
-
-    def _assemble(self) -> ObservationBundle:
-        """The observation row of the raw quantities, ``o_t`` already in place."""
-        raw, sl, st = self._raw, self.slices, self.state
-        # the sensor delay d: the queue holds S_{t-1-d} .. S_t
-        np.concatenate([self._scans[0], self._scans[1]], out=raw[sl["scans"]])
-        np.subtract(self.terrain.heights_at(st.x + self.layout.elev_offsets), st.z, out=raw[sl["m"]])
-        (lx, lz), (rx, rz) = st.foot_pos.tolist()
-        # [feet relative to the base, contacts, true velocity]; the DR draw follows
-        raw[sl["e"].start : sl["e"].start + N_EXTRAS] = [
-            lx - st.x, lz - st.z, rx - st.x, rz - st.z, *st.contact.tolist(), st.vx, st.vz
-        ]
-        raw[sl["gait"]] = self.commands.gait
-        row = np.subtract(raw, self.layout.shift)
-        row *= self.layout.scale
-        return ObservationBundle(row.astype(ROW_DTYPE), sl)
+    def _draw_scan_noise(self) -> None:
+        """The noise of the scan the batch senses next: one ``normal`` per
+        point, when the episode's ``scan_noise`` is positive and the env
+        is not blind."""
+        sigma = self.dr.scan_noise
+        if sigma > 0.0 and not self.cfg.blind:
+            self.batch.noise[self.index] = self.rng.normal(0.0, sigma, size=self.cfg.scan_points)
 
     # -- termination ---------------------------------------------------------
 
-    def _check_termination(self) -> str:
-        st = self.state
-        terrain = self.terrain
-        if st.time >= self.cfg.max_episode_s - 1e-9:
+    def _check_termination(self, s: list) -> str:
+        terrain, cfg = self.terrain, self.cfg
+        x, z = s[X], s[Z]
+        if s[TIME] >= cfg.max_episode_s - 1e-9:
             return "timeout"
-        if st.x < 0.05:
+        if x < 0.05:
             return "out_of_bounds"
-        base_clearance = st.z - terrain.surface_at(st.x)
-        if base_clearance < self.cfg.min_base_height or abs(st.pitch) > self.cfg.max_pitch:
+        base_clearance = z - terrain.surface_at(x)
+        if base_clearance < cfg.min_base_height or abs(s[PITCH]) > cfg.max_pitch:
             return "fall"
-        for fx, fz in st.foot_pos.tolist():
+        for fx, fz in (s[FOOT : FOOT + 2], s[FOOT + 2 : FOOT + 4]):
             if terrain.is_void(fx) and fz < terrain.surface_at(fx) - 0.05:
                 return "fall"
-        if not terrain.is_void(st.x) and st.z - self.model.base_half_height < terrain.height_at(st.x):
+        if not terrain.is_void(x) and z - self.model.base_half_height < terrain.height_at(x):
             return "collision"
         return "none"

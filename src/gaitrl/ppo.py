@@ -128,8 +128,9 @@ class RolloutBuffer:
         out[:, sl["scans"]] = window(self.scan, 1, 2)
         return BundleBatch(out, sl)
 
-    def add_step(self, t, batch, actions, log_probs, values, rewards, dones, breakdowns):
-        """Row ``t``: ``[N, ...]`` arrays and per-env lists, in env order; rows
+    def add_step(self, t, batch, actions, log_probs, values, rewards, dones, breakdown):
+        """Row ``t``: ``[N, ...]`` arrays (``dones`` may be a list) and the
+        step's ``RewardBreakdown``, in env order; rows
         are added in order from ``t = 0``.  A ``ValueError`` refuses a batch
         whose history or previous scan does not follow from the row before by
         the history rule, so that :meth:`batch` rebuilds every row bit for bit.
@@ -163,9 +164,9 @@ class RolloutBuffer:
         self.values[t] = values
         self.rewards[t] = rewards
         self.dones[t] = dones
-        self.r_l[t] = [bd.r_l for bd in breakdowns]
-        self.r_s[t] = [bd.r_s for bd in breakdowns]
-        self.r_g[t] = [bd.r_g for bd in breakdowns]
+        self.r_l[t] = breakdown.r_l
+        self.r_s[t] = breakdown.r_s
+        self.r_g[t] = breakdown.r_g
 
 
 def compute_gae(

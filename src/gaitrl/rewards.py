@@ -12,6 +12,24 @@ agent for being wrong, so they are evaluated with the evident penalty/bonus
 intent.  Rows with no planar quantity are evaluated on documented stand-ins:
 lateral foot spread uses fore/aft separation, and posture deviation uses the
 ankles (``POSTURE_JOINTS``) instead of the arms.
+
+The env axis.  Each function scores N envs in one call, from their state
+rows as the env batch holds them (``[N, STATE_WIDTH]``), and returns
+``[N, n_terms]`` arrays (:class:`RewardBreakdown`).  Every value has the
+bits of the per-env float formulation (``tests/oracles.py``), because the
+batch keeps its operation order:
+
+- the per-joint sums add the joints in index order from 0.0, column by
+  column, not through ``np.sum``;
+- ``math.exp``, ``math.hypot`` and the squat term's float ``**`` are
+  applied per element, where numpy's would differ in the last bit;
+- the knee term uses ``np.exp``, as the float formulation did;
+- the weighted terms are summed in table order from 0.0;
+- the trainer's ``mean_track`` and ``mean_total_reward`` accumulate per
+  env, in env order, and not through ``np.sum``.
+
+A non-finite row (a diverged step, which the caller scores zero with
+:meth:`RewardBreakdown.clear`) raises no numpy warning.
 """
 
 from __future__ import annotations
@@ -21,8 +39,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .biped import BipedState
-from .env import CommandState
+from .biped import (
+    ACTION,
+    CONTACT,
+    FOOT,
+    FOOT_VEL,
+    FORCE,
+    HEADING,
+    KNEE,
+    N_COLLISIONS,
+    N_JOINTS,
+    PITCH_RATE,
+    Q,
+    QD,
+    QDD,
+    TAU,
+    VX,
+    Y_OFFSET,
+    YAW_RATE,
+    Z,
+)
 from .refmotion import GAIT_HIGH_KNEES, GAIT_SQUAT
 
 DEFAULT_WEIGHTS = {
@@ -89,162 +125,184 @@ class RewardConfig:
         return self.weights[name]
 
 
-@dataclass
+LOCOMOTION_TERMS = (
+    "track_lin_vel", "track_ang_vel", "joint_acc", "joint_vel", "action_rate",
+    "action_smoothness", "ang_vel_pitch", "joint_power", "feet_stumble", "posture_deviation",
+    "joint_pos_limits", "joint_vel_limits", "torque_limits", "feet_distance", "feet_slippage",
+    "feet_force", "collision", "stuck", "cheat", "y_offset",
+)
+GAIT_TERMS = ("knee_height", "squat_height")
+# the locomotion terms that sum a quantity over the joints
+JOINT_SUMS = ("joint_acc", "joint_vel", "action_rate", "action_smoothness", "joint_power",
+              "joint_pos_limits", "joint_vel_limits", "torque_limits")
+
+
+@dataclass(eq=False)
 class RewardBreakdown:
-    raw: dict = field(default_factory=dict)
-    weighted: dict = field(default_factory=dict)
-    r_l: float = 0.0
-    r_s: float = 0.0
-    r_g: float = 0.0
-    total: float = 0.0
+    """The reward terms of N envs, one row each: ``raw`` and ``weighted`` are
+    ``[N, len(names)]`` (columns in ``names`` order); ``r_l``, ``r_s``,
+    ``r_g`` and ``total`` are ``[N]``."""
+
+    names: tuple[str, ...]
+    raw: np.ndarray
+    weighted: np.ndarray
+    r_l: np.ndarray
+    r_s: np.ndarray
+    r_g: np.ndarray
+    total: np.ndarray
+
+    def column(self, name: str) -> np.ndarray:
+        """The weighted term ``name`` of every env."""
+        return self.weighted[:, self.names.index(name)]
+
+    def clear(self, rows: np.ndarray) -> None:
+        """Score ``rows`` zero on every term (a diverged step)."""
+        for a in (self.raw, self.weighted, self.r_l, self.r_s, self.r_g, self.total):
+            a[rows] = 0.0
+
+
+def _weigh(names: tuple, raw: np.ndarray, cfg: RewardConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted terms, and their sum per env in column order from 0.0."""
+    weighted = raw * np.array([cfg.weights[name] for name in names])
+    total = np.zeros(len(raw))
+    for c in range(len(names)):
+        total += weighted[:, c]
+    return weighted, total
+
+
+def _pos(x: np.ndarray) -> np.ndarray:
+    """``np.maximum(x, 0.0)`` as the float terms take it, in place: NaN
+    passes and -0.0 becomes 0.0."""
+    np.copyto(x, 0.0, where=x <= 0.0)
+    return x
+
+
+def _max0(x: np.ndarray) -> np.ndarray:
+    """Python's ``max(x, 0.0)``: ``x`` unless ``0.0 > x``."""
+    return np.where(0.0 > x, 0.0, x)
 
 
 # -- locomotion terms ---------------------------------------------------------
-#
-# The per-joint rows run on Python floats.  Each sum starts at 0.0 and adds
-# the joints in index order, which is exactly what np.sum does on these
-# 6-vectors; the builtin sum() would not do (Python >= 3.12 compensates).
-# ``x if x > 0.0 or x != x else 0.0`` is np.maximum(x, 0.0): NaN passes and
-# -0.0 becomes 0.0.
 
 
 def locomotion_rewards(
-    state: BipedState,
-    commands: CommandState,
-    a_t: np.ndarray,
-    a_prev: np.ndarray,
-    a_prev2: np.ndarray,
-    cfg: RewardConfig,
-    model,
+    state: np.ndarray, commands: np.ndarray, cfg: RewardConfig, model
 ) -> RewardBreakdown:
-    """Evaluate every locomotion-table row on the post-step state.
+    """Every locomotion-table row of N post-step states.
 
-    The soft joint and torque limits are derived from ``cfg`` and ``model``
-    on every call, so a changed config takes effect at once.
+    ``state`` holds float state rows with the last three actions
+    (``[N, STATE_WIDTH]``, :data:`gaitrl.biped.STATE_FIELDS`) and
+    ``commands`` each env's ``(v_cmd, w_cmd)``.  The soft joint and torque
+    limits are derived from ``cfg`` and ``model`` on every call, so a
+    changed config takes effect at once.
     """
-    st = state
-    jp = st.joint_pos.tolist()
-    jv = st.joint_vel.tolist()
-    ja = st.joint_acc.tolist()
-    jt = st.joint_torque.tolist()
-    at, ap, app = a_t.tolist(), a_prev.tolist(), a_prev2.tolist()
-    frac, tfrac, vsoft = cfg.soft_limit_frac, cfg.torque_soft_frac, cfg.joint_vel_soft
-    acc_sq = vel_sq = rate_sq = smooth_sq = power = pos_lim = vel_lim = torque_lim = 0.0
-    for j, (lo, hi, tlim) in enumerate(zip(model.joint_lower, model.joint_upper, model.torque_limit)):
-        q, v, t = jp[j], jv[j], jt[j]
-        abs_v, abs_t = abs(v), abs(t)
-        d1 = at[j] - ap[j]
-        d2 = d1 - (ap[j] - app[j])
-        acc_sq += ja[j] * ja[j]
-        vel_sq += v * v
-        rate_sq += d1 * d1
-        smooth_sq += d2 * d2
-        power += abs_t * abs_v
+    n, nj = len(state), N_JOINTS
+    frac = cfg.soft_limit_frac
+    soft_lo, soft_hi = [], []
+    for lo, hi in zip(model.joint_lower, model.joint_upper):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo) * frac
-        below = (mid - half) - q
-        above = q - (mid + half)
-        pos_lim += (below if below > 0.0 or below != below else 0.0) + (
-            above if above > 0.0 or above != above else 0.0
-        )
-        over_v = abs_v - vsoft
-        vel_lim += over_v if over_v > 0.0 or over_v != over_v else 0.0
-        over_t = abs_t - tlim * tfrac
-        torque_lim += over_t if over_t > 0.0 or over_t != over_t else 0.0
-    posture = 0.0
-    for j in POSTURE_JOINTS:
-        posture += abs(jp[j] - model.nominal_pose[j])
-    verr = commands.v_cmd - st.vx
-    werr = commands.w_cmd - st.yaw_rate
-    (f_lx, f_lz), (f_rx, f_rz) = st.contact_force.tolist()
-    (v_lx, v_lz), (v_rx, v_rz) = st.foot_vel.tolist()
-    left, right = st.contact.tolist()
-    stumble = float(
-        (left and abs(f_lx) >= 3.0 * abs(f_lz)) or (right and abs(f_rx) >= 3.0 * abs(f_rz))
-    )
-    (p_lx, _), (p_rx, _) = st.foot_pos.tolist()
-    sep = abs(p_lx - p_rx)
-    slip = float(left * math.hypot(v_lx, v_lz) + right * math.hypot(v_rx, v_rz))
-    raw = {
-        "track_lin_vel": math.exp(-(verr * verr) / cfg.tracking_sigma),
-        "track_ang_vel": math.exp(-(werr * werr) / cfg.tracking_sigma),
-        "joint_acc": acc_sq,
-        "joint_vel": vel_sq,
-        "action_rate": rate_sq,
-        "action_smoothness": smooth_sq,
-        "ang_vel_pitch": st.pitch_rate * st.pitch_rate,
-        "joint_power": power,
-        "feet_stumble": stumble,
-        "posture_deviation": posture,
-        "joint_pos_limits": pos_lim,
-        "joint_vel_limits": vel_lim,
-        "torque_limits": torque_lim,
-        "feet_distance": -max(cfg.d_min_feet - sep, 0.0),
-        "feet_slippage": slip,
-        "feet_force": float(
-            max(f_lz - cfg.f_min_force, 0.0) + max(f_rz - cfg.f_min_force, 0.0)
-        ),
-        "collision": float(st.n_collisions),
-        "stuck": float(
-            abs(st.vx) <= cfg.stuck_v
-            and math.hypot(commands.v_cmd, commands.w_cmd) >= cfg.stuck_cmd
-        ),
-        "cheat": float(abs(st.heading) > cfg.heading_limit),
-        "y_offset": abs(st.y_offset),
-    }
-    weights = cfg.weights
-    weighted = {}
-    total = 0.0
-    for name, value in raw.items():
-        wv = weights[name] * value
-        weighted[name] = wv
-        total += wv
-    return RewardBreakdown(raw=raw, weighted=weighted, r_l=total)
+        soft_lo.append(mid - half)
+        soft_hi.append(mid + half)
+    t_soft = [t * cfg.torque_soft_frac for t in model.torque_limit]
+    jp, jv = state[:, Q:QD], state[:, QD:QDD]
+    ja, jt = state[:, QDD:TAU], state[:, TAU:FOOT]
+    a_t, a_p, a_pp = (state[:, ACTION + k * nj : ACTION + (k + 1) * nj] for k in range(3))
+    raw = np.empty((n, len(LOCOMOTION_TERMS)))
+    with np.errstate(all="ignore"):
+        # each per-joint quantity as a [N, N_JOINTS] block of one array,
+        # written in place; its sums over the joints follow
+        per_joint = np.empty((n, len(JOINT_SUMS), nj))
+        q = per_joint.transpose(1, 0, 2)
+        np.multiply(ja, ja, out=q[0])
+        np.multiply(jv, jv, out=q[1])
+        d1 = np.subtract(a_t, a_p, out=q[2])
+        d2 = np.subtract(d1, np.subtract(a_p, a_pp, out=q[3]), out=q[3])
+        np.multiply(d2, d2, out=d2)
+        np.multiply(d1, d1, out=d1)
+        np.multiply(np.abs(jt, out=q[4]), np.abs(jv), out=q[4])
+        np.add(_pos(np.subtract(soft_lo, jp, out=q[5])), _pos(jp - soft_hi), out=q[5])
+        _pos(np.subtract(np.abs(jv, out=q[6]), cfg.joint_vel_soft, out=q[6]))
+        _pos(np.subtract(np.abs(jt, out=q[7]), t_soft, out=q[7]))
+        sums = np.zeros((n, len(JOINT_SUMS)))
+        for j in range(nj):
+            sums += per_joint[:, :, j]
+        raw[:, [LOCOMOTION_TERMS.index(name) for name in JOINT_SUMS]] = sums
+        posture = np.zeros(n)
+        for j in POSTURE_JOINTS:
+            posture += np.abs(jp[:, j] - model.nominal_pose[j])
+        v_cmd, w_cmd = commands[:, 0], commands[:, 1]
+        sigma = cfg.tracking_sigma
+        verr = v_cmd - state[:, VX]
+        werr = w_cmd - state[:, YAW_RATE]
+        left, right = state[:, CONTACT] != 0.0, state[:, CONTACT + 1] != 0.0
+        force, vel = state[:, FORCE : FORCE + 4], state[:, FOOT_VEL : FOOT_VEL + 4].tolist()
+        hypot = math.hypot
+        cols = {
+            "track_lin_vel": [math.exp(v) for v in (-(verr * verr) / sigma).tolist()],
+            "track_ang_vel": [math.exp(v) for v in (-(werr * werr) / sigma).tolist()],
+            "ang_vel_pitch": state[:, PITCH_RATE] * state[:, PITCH_RATE],
+            "posture_deviation": posture,
+            "feet_stumble": (left & (np.abs(force[:, 0]) >= 3.0 * np.abs(force[:, 1])))
+            | (right & (np.abs(force[:, 2]) >= 3.0 * np.abs(force[:, 3]))),
+            "feet_distance": -_max0(
+                cfg.d_min_feet - np.abs(state[:, FOOT] - state[:, FOOT + 2])),
+            "feet_slippage": state[:, CONTACT] * [hypot(v[0], v[1]) for v in vel]
+            + state[:, CONTACT + 1] * [hypot(v[2], v[3]) for v in vel],
+            "feet_force": _max0(force[:, 1] - cfg.f_min_force)
+            + _max0(force[:, 3] - cfg.f_min_force),
+            "collision": state[:, N_COLLISIONS],
+            "stuck": (np.abs(state[:, VX]) <= cfg.stuck_v)
+            & (np.array([hypot(v, w) for v, w in commands.tolist()]) >= cfg.stuck_cmd),
+            "cheat": np.abs(state[:, HEADING]) > cfg.heading_limit,
+            "y_offset": np.abs(state[:, Y_OFFSET]),
+        }
+        for name, values in cols.items():
+            raw[:, LOCOMOTION_TERMS.index(name)] = values
+        weighted, r_l = _weigh(LOCOMOTION_TERMS, raw, cfg)
+    zero = np.zeros(n)
+    return RewardBreakdown(LOCOMOTION_TERMS, raw, weighted, r_l, zero, zero, r_l)
 
 
 # -- gait terms ---------------------------------------------------------------
 
 
-def gait_rewards(
-    state: BipedState, gait: np.ndarray, cfg: RewardConfig
-) -> RewardBreakdown:
-    """Gait-command-routed terms; non-commanded gaits contribute exactly zero."""
-    bd = RewardBreakdown()
-    g = gait.tolist()
-    active = g.index(max(g)) if any(g) else -1  # np.argmax: the first maximum
-
-    knee = 0.0
-    if active == GAIT_HIGH_KNEES:
-        err = abs(cfg.knee_lift_target - float(np.max(state.knee_heights)))
-        knee = float(np.exp(-err / cfg.gait_sigma))
-    bd.raw["knee_height"] = knee
-    bd.weighted["knee_height"] = cfg.weight("knee_height") * knee
-
-    squat = 0.0
-    if active == GAIT_SQUAT:
-        base_height = state.z - min(state.foot_pos[0, 1], state.foot_pos[1, 1])
-        # published +2.0 on a squared error reads as a penalty
-        squat = -((cfg.squat_height_target - base_height) ** 2)
-    bd.raw["squat_height"] = squat
-    bd.weighted["squat_height"] = cfg.weight("squat_height") * squat
-
-    # the 0.0 start of the sum keeps a -0.0 pair at +0.0
-    bd.r_g = 0.0 + bd.weighted["knee_height"] + bd.weighted["squat_height"]
-    return bd
+def gait_rewards(state: np.ndarray, gaits: np.ndarray, cfg: RewardConfig) -> RewardBreakdown:
+    """Gait-command-routed terms of N post-step states (``[N, STATE_WIDTH]``)
+    under their gait commands (``[N, n_gaits]``); non-commanded gaits
+    contribute exactly zero."""
+    n = len(state)
+    # the first maximum of a command, none for an all-zero one
+    active = np.where((gaits != 0.0).any(axis=1), gaits.argmax(axis=1), -1)
+    raw = np.empty((n, len(GAIT_TERMS)))
+    with np.errstate(all="ignore"):
+        err = np.abs(cfg.knee_lift_target - state[:, KNEE : KNEE + 2].max(axis=1))
+        raw[:, 0] = np.where(active == GAIT_HIGH_KNEES, np.exp(-err / cfg.gait_sigma), 0.0)
+        lz, rz = state[:, FOOT + 1], state[:, FOOT + 3]
+        error = cfg.squat_height_target - (state[:, Z] - np.where(rz < lz, rz, lz))
+        # published +2.0 on a squared error reads as a penalty; the square is
+        # Python's float pow, not np.square (they differ in the last bit), but
+        # where that pow would overflow and raise (only a diverged state's)
+        raw[:, 1] = np.where(active == GAIT_SQUAT,
+                             [-(e**2) if abs(e) < 1e150 else -(e * e) for e in error.tolist()], 0.0)
+        weighted, r_g = _weigh(GAIT_TERMS, raw, cfg)
+    zero = np.zeros(n)
+    return RewardBreakdown(GAIT_TERMS, raw, weighted, zero, zero, r_g, r_g)
 
 
 def total_reward(
     loco: RewardBreakdown,
-    style_raw: float,
+    style_raw: np.ndarray,
     gait_bd: RewardBreakdown,
     cfg: RewardConfig,
 ) -> RewardBreakdown:
-    """Compose the total; per-term logging is preserved.  At stage 1 the caller
-    passes ``style_raw = 0.0`` and an all-zero command's gait terms: both add 0.0."""
+    """Compose the totals; per-term logging is preserved.  At stage 1 the caller
+    passes a zero ``style_raw`` and all-zero gait commands: both add 0.0."""
     r_s = cfg.style_weight * style_raw
     return RewardBreakdown(
-        raw={**loco.raw, **gait_bd.raw, "style": style_raw},
-        weighted={**loco.weighted, **gait_bd.weighted, "style": r_s},
+        names=(*loco.names, *gait_bd.names, "style"),
+        raw=np.concatenate([loco.raw, gait_bd.raw, style_raw[:, None]], axis=1),
+        weighted=np.concatenate([loco.weighted, gait_bd.weighted, r_s[:, None]], axis=1),
         r_l=loco.r_l,
         r_s=r_s,
         r_g=gait_bd.r_g,

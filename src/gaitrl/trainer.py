@@ -30,7 +30,6 @@ import functools
 import json
 import logging
 import os
-from collections import deque
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import ClassVar
 
@@ -43,15 +42,15 @@ from .amp import (
     make_discriminators,
     style_reward,
 )
-from .biped import N_JOINTS
+from .biped import N_JOINTS, Q, QD
 from .codec import decode, read_json, write_json
 from .config import RunConfig, config_hash
-from .env import CommandState, TerrainEnv, one_hot, sample_dr
+from .env import CommandState, EnvBatch, TerrainEnv, one_hot, sample_dr
 from .nets import AdamState
 from .policy import ActorCritic, BundleBatch, PolicyState, gaussian_log_prob_batch
 from .ppo import RolloutBuffer, make_optimizers, ppo_update
 from .refmotion import WINDOW_LEN, default_clip_set, reference_windows
-from .rewards import RewardBreakdown, gait_rewards, locomotion_rewards, total_reward
+from .rewards import gait_rewards, locomotion_rewards, total_reward
 from .terrain import generate_terrain
 
 log = logging.getLogger(__name__)
@@ -114,23 +113,35 @@ class EnvWorker:
     of the ``cfg.gaits.period_s`` period whose gait the env holds (-1 before
     the first draw).  At stage 2 a gait is drawn as each period begins."""
 
-    def __init__(self, index: int, cfg: RunConfig, stage: int, seed_seq: np.random.SeedSequence):
+    def __init__(self, index: int, cfg: RunConfig, stage: int, seed_seq: np.random.SeedSequence,
+                 envs: EnvBatch | None = None):
         self.index = index
         self.cfg = cfg
         self.stage = stage
         child = seed_seq.spawn(2)
         self.rng = np.random.default_rng(child[0])
-        self.env = TerrainEnv(cfg.model, cfg.env, seed=int(child[1].generate_state(1)[0]))
+        self.env = TerrainEnv(cfg.model, cfg.env, seed=int(child[1].generate_state(1)[0]), batch=envs)
         kinds = cfg.terrain.kinds
         self.curr = CurriculumState(
             kind=kinds[index % len(kinds)], difficulty=cfg.curriculum.init_difficulty
         )
         self.gait_cdf = _gait_cdf(tuple(cfg.gaits.distribution))
         self.gait_period = -1
-        self.frames: deque = deque(maxlen=WINDOW_LEN)
+        # the last WINDOW_LEN frames of joint angles, oldest first: one row,
+        # shifted and written in place; a style window once the episode has
+        # WINDOW_LEN frames (n_frames)
+        self.frames = np.zeros(WINDOW_LEN * N_JOINTS)
+        self.n_frames = 0
         # frames since the episode began or the gait was last drawn; a style
         # window joins the policy buffer only if all its frames follow that
         self.frames_in_segment = 0
+
+    def add_frame(self, q: np.ndarray) -> None:
+        """Append one frame of joint angles to the style window."""
+        self.frames[:-N_JOINTS] = self.frames[N_JOINTS:]
+        self.frames[-N_JOINTS:] = q
+        self.n_frames += 1
+        self.frames_in_segment += 1
 
     def begin_episode(self) -> None:
         """Start the env's next episode: the worker's rng draws the terrain
@@ -152,7 +163,7 @@ class EnvWorker:
         else:
             gait = np.zeros(cfg.env.n_gaits)
         self.env.reset(terrain, dr, CommandState(v_cmd, w_cmd, gait))
-        self.frames.clear()
+        self.n_frames = 0
         self.frames_in_segment = 0
 
     def draw_gait(self) -> np.ndarray:
@@ -344,8 +355,9 @@ class Trainer:
             self.policy_windows = WindowBuffer(cfg.env.n_gaits, window_dim, cfg.amp.buffer_size)
 
         env_seeds = env_root.spawn(cfg.ppo.n_envs)
+        self.envs = EnvBatch(cfg.model, cfg.env, cfg.ppo.n_envs)
         self.workers = [
-            EnvWorker(i, cfg, stage, env_seeds[i]) for i in range(cfg.ppo.n_envs)
+            EnvWorker(i, cfg, stage, env_seeds[i], self.envs) for i in range(cfg.ppo.n_envs)
         ]
         if resume is not None:
             for w, c in zip(self.workers, resume.curriculum or []):
@@ -384,9 +396,20 @@ class Trainer:
     # -- rollout ----------------------------------------------------------------
 
     def collect_rollout(self, buffer: RolloutBuffer) -> dict:
+        """One rollout of ``cfg.ppo.horizon`` control steps into ``buffer``.
+
+        Each step is one pass over the env axis, but for the per-env
+        physics (``TerrainEnv.step``) and style scoring: the policy reads
+        the batch's rows as they are, the rewards score every env in one
+        call, and the statistics accumulate per env in env order.
+        """
         cfg = self.cfg
         pol = self.policy
+        envs = self.envs
+        n = cfg.ppo.n_envs
         std = np.exp(pol.log_std)
+        noise = np.empty((n, N_JOINTS))
+        style_raw = np.zeros(n)
         track_sum = 0.0
         style_sum = 0.0
         style_count = 0
@@ -398,65 +421,64 @@ class Trainer:
         for t in range(cfg.ppo.horizon):
             for w in self.workers:
                 w.maybe_resample_gait()
-            batch = BundleBatch.stack([w.env.bundle for w in self.workers])
+            batch = BundleBatch(envs.rows, envs.layout.slices)
             means, _ = pol.actor_mean(batch)
             values, _ = pol.critic_value(batch)
-            noise = np.stack([w.rng.standard_normal(N_JOINTS) for w in self.workers])
+            for w, row in zip(self.workers, noise):
+                w.rng.standard_normal(out=row)
             actions = np.clip(
                 means + std * noise, -cfg.model.action_bound, cfg.model.action_bound
             )
             logps = gaussian_log_prob_batch(actions, means, pol.log_std)
 
-            rewards, dones, breakdowns = [], [], []
-            for i, w in enumerate(self.workers):
-                env = w.env
-                gait = env.commands.gait
-                res = env.step(actions[i])
-                st = env.state
+            results = [w.env.step(a) for w, a in zip(self.workers, actions)]
+            diverged = np.array([res.termination == "diverged" for res in results])
+            for i in np.flatnonzero(diverged).tolist():
+                # the state is non-finite: the step scores zero on every term
+                # and adds no style window
+                log.warning("env %d diverged at step %d; episode ended", i, t)
+            # the steps leave the commands as they were
+            gaits = envs.gaits()
+            if self.stage >= 2:
+                gait_ids = gaits.argmax(axis=1).tolist()
+                style_raw[:] = 0.0
+                for i, w in enumerate(self.workers):
+                    if diverged[i]:
+                        continue
+                    w.add_frame(envs.state[i, Q:QD])
+                    if w.n_frames >= WINDOW_LEN:
+                        style_raw[i] = score = style_reward(w.frames, gaits[i], self.discs)
+                        gid = gait_ids[i]
+                        per_gait_style[gid] += score
+                        per_gait_count[gid] += 1
+                        style_sum += score
+                        style_count += 1
+                        if w.frames_in_segment >= WINDOW_LEN:
+                            self.policy_windows.add(gid, w.frames[None, :])
+            # at stage 1 style_raw is zero and the gaits all zero: both add 0.0
+            loco = locomotion_rewards(envs.state, envs.commands(), cfg.rewards, cfg.model)
+            bd = total_reward(loco, style_raw, gait_rewards(envs.state, gaits, cfg.rewards),
+                              cfg.rewards)
+            bd.clear(diverged)
+            rewards = bd.total.copy()
+            if cfg.rewards.only_positive_total:
+                rewards[0.0 > rewards] = 0.0  # max(total, 0.0): NaN passes
+            for v in bd.column("track_lin_vel").tolist():
+                track_sum += v
+            for v in rewards.tolist():
+                total_sum += v
 
-                if res.termination == "diverged":
-                    # the state is non-finite: the step scores zero on every
-                    # term (an empty breakdown) and adds no style window
-                    log.warning("env %d diverged at step %d; episode ended", i, t)
-                    bd = RewardBreakdown()
-                else:
-                    loco = locomotion_rewards(
-                        st, env.commands, env.last_action, env.prev_action, env.prev2_action,
-                        cfg.rewards, cfg.model,
-                    )
-                    style_raw = 0.0
-                    if self.stage >= 2:
-                        w.frames.append(st.joint_pos.copy())
-                        w.frames_in_segment += 1
-                        if len(w.frames) == WINDOW_LEN:
-                            window = np.concatenate(list(w.frames))
-                            style_raw = style_reward(window, gait, self.discs)
-                            gid = int(np.argmax(gait))
-                            per_gait_style[gid] += style_raw
-                            per_gait_count[gid] += 1
-                            style_sum += style_raw
-                            style_count += 1
-                            if w.frames_in_segment >= WINDOW_LEN:
-                                self.policy_windows.add(gid, window[None, :])
-                    # at stage 1 style_raw is 0.0 and the gait all zero: both add 0.0
-                    gait_bd = gait_rewards(st, gait, cfg.rewards)
-                    bd = total_reward(loco, style_raw, gait_bd, cfg.rewards)
-                reward = max(bd.total, 0.0) if cfg.rewards.only_positive_total else bd.total
-                track_sum += bd.weighted.get("track_lin_vel", 0.0)
-                total_sum += reward
-
+            for i, res in enumerate(results):
                 if res.termination == "timeout":
                     v_term, _ = pol.critic_value(BundleBatch.stack([res.bundle]))
-                    reward += cfg.ppo.gamma * float(v_term[0])
-
-                rewards.append(reward)
-                dones.append(res.done)
-                breakdowns.append(bd)
+                    rewards[i] += cfg.ppo.gamma * float(v_term[0])
+            for w, res in zip(self.workers, results):
                 if res.done:
                     ep_distances.append(res.distance)
                     w.finish_episode(res.distance)
                     w.begin_episode()
-            buffer.add_step(t, batch, actions, logps, values, rewards, dones, breakdowns)
+            dones = [res.done for res in results]
+            buffer.add_step(t, batch, actions, logps, values, rewards, dones, bd)
 
         values, _ = pol.critic_value(BundleBatch.stack([w.env.bundle for w in self.workers]))
         buffer.values[cfg.ppo.horizon] = values

@@ -12,12 +12,13 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import deque
 
 import numpy as np
 
 from gaitrl.amp import DiscriminatorSet
 from gaitrl.bench import BenchmarkReport, CellResult, PolicyController
-from gaitrl.biped import N_JOINTS, BipedState
+from gaitrl.biped import ACTION, N_JOINTS, BipedState
 from gaitrl.config import RunConfig
 from gaitrl.env import BLOCKS, DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from gaitrl.nets import AdamState, DenseNet, Layer
@@ -28,8 +29,14 @@ from gaitrl.policy import (
     PolicyMode,
     ResidualModule,
 )
-from gaitrl.refmotion import ReferenceClip
-from gaitrl.rewards import RewardConfig, locomotion_rewards
+from gaitrl.refmotion import GAIT_HIGH_KNEES, GAIT_SQUAT, ReferenceClip
+from gaitrl.rewards import (
+    RewardBreakdown,
+    RewardConfig,
+    gait_rewards,
+    locomotion_rewards,
+    total_reward,
+)
 from gaitrl.terrain import (
     BENCH_RANGES,
     GAP_RANGE,
@@ -353,6 +360,316 @@ def ref_locomotion_total(raw, cfg):
     return total
 
 
+# -- the per-env float rewards ------------------------------------------------
+#
+# The library scores N envs in one call (gaitrl.rewards); these are the
+# per-env float formulations it replaced, its reference bit for bit.  The
+# per-joint rows run on Python floats: each sum starts at 0.0 and adds the
+# joints in index order.  ``x if x > 0.0 or x != x else 0.0`` is
+# np.maximum(x, 0.0) as the terms take it: NaN passes and -0.0 becomes 0.0.
+
+
+@dataclasses.dataclass
+class RefBreakdown:
+    raw: dict = dataclasses.field(default_factory=dict)
+    weighted: dict = dataclasses.field(default_factory=dict)
+    r_l: float = 0.0
+    r_s: float = 0.0
+    r_g: float = 0.0
+    total: float = 0.0
+
+
+def ref_locomotion_rewards(state, commands, a_t, a_prev, a_prev2, cfg, model) -> RefBreakdown:
+    st = state
+    jp = st.joint_pos.tolist()
+    jv = st.joint_vel.tolist()
+    ja = st.joint_acc.tolist()
+    jt = st.joint_torque.tolist()
+    at, ap, app = np.asarray(a_t).tolist(), np.asarray(a_prev).tolist(), np.asarray(a_prev2).tolist()
+    frac, tfrac, vsoft = cfg.soft_limit_frac, cfg.torque_soft_frac, cfg.joint_vel_soft
+    acc_sq = vel_sq = rate_sq = smooth_sq = power = pos_lim = vel_lim = torque_lim = 0.0
+    for j, (lo, hi, tlim) in enumerate(zip(model.joint_lower, model.joint_upper, model.torque_limit)):
+        q, v, t = jp[j], jv[j], jt[j]
+        abs_v, abs_t = abs(v), abs(t)
+        d1 = at[j] - ap[j]
+        d2 = d1 - (ap[j] - app[j])
+        acc_sq += ja[j] * ja[j]
+        vel_sq += v * v
+        rate_sq += d1 * d1
+        smooth_sq += d2 * d2
+        power += abs_t * abs_v
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo) * frac
+        below = (mid - half) - q
+        above = q - (mid + half)
+        pos_lim += (below if below > 0.0 or below != below else 0.0) + (
+            above if above > 0.0 or above != above else 0.0
+        )
+        over_v = abs_v - vsoft
+        vel_lim += over_v if over_v > 0.0 or over_v != over_v else 0.0
+        over_t = abs_t - tlim * tfrac
+        torque_lim += over_t if over_t > 0.0 or over_t != over_t else 0.0
+    posture = 0.0
+    for j in (2, 5):  # the ankles
+        posture += abs(jp[j] - model.nominal_pose[j])
+    verr = commands.v_cmd - st.vx
+    werr = commands.w_cmd - st.yaw_rate
+    (f_lx, f_lz), (f_rx, f_rz) = st.contact_force.tolist()
+    (v_lx, v_lz), (v_rx, v_rz) = st.foot_vel.tolist()
+    left, right = (bool(c) for c in st.contact.tolist())
+    stumble = float(
+        (left and abs(f_lx) >= 3.0 * abs(f_lz)) or (right and abs(f_rx) >= 3.0 * abs(f_rz))
+    )
+    (p_lx, _), (p_rx, _) = st.foot_pos.tolist()
+    sep = abs(p_lx - p_rx)
+    slip = float(left * math.hypot(v_lx, v_lz) + right * math.hypot(v_rx, v_rz))
+    raw = {
+        "track_lin_vel": math.exp(-(verr * verr) / cfg.tracking_sigma),
+        "track_ang_vel": math.exp(-(werr * werr) / cfg.tracking_sigma),
+        "joint_acc": acc_sq,
+        "joint_vel": vel_sq,
+        "action_rate": rate_sq,
+        "action_smoothness": smooth_sq,
+        "ang_vel_pitch": st.pitch_rate * st.pitch_rate,
+        "joint_power": power,
+        "feet_stumble": stumble,
+        "posture_deviation": posture,
+        "joint_pos_limits": pos_lim,
+        "joint_vel_limits": vel_lim,
+        "torque_limits": torque_lim,
+        "feet_distance": -max(cfg.d_min_feet - sep, 0.0),
+        "feet_slippage": slip,
+        "feet_force": float(
+            max(f_lz - cfg.f_min_force, 0.0) + max(f_rz - cfg.f_min_force, 0.0)
+        ),
+        "collision": float(st.n_collisions),
+        "stuck": float(
+            abs(st.vx) <= cfg.stuck_v
+            and math.hypot(commands.v_cmd, commands.w_cmd) >= cfg.stuck_cmd
+        ),
+        "cheat": float(abs(st.heading) > cfg.heading_limit),
+        "y_offset": abs(st.y_offset),
+    }
+    weighted = {}
+    total = 0.0
+    for name, value in raw.items():
+        wv = cfg.weights[name] * value
+        weighted[name] = wv
+        total += wv
+    return RefBreakdown(raw=raw, weighted=weighted, r_l=total)
+
+
+def ref_gait_rewards(state, gait, cfg) -> RefBreakdown:
+    bd = RefBreakdown()
+    g = np.asarray(gait).tolist()
+    active = g.index(max(g)) if any(g) else -1  # np.argmax: the first maximum
+
+    knee = 0.0
+    if active == GAIT_HIGH_KNEES:
+        err = abs(cfg.knee_lift_target - float(np.max(state.knee_heights)))
+        knee = float(np.exp(-err / cfg.gait_sigma))
+    bd.raw["knee_height"] = knee
+    bd.weighted["knee_height"] = cfg.weight("knee_height") * knee
+
+    squat = 0.0
+    if active == GAIT_SQUAT:
+        base_height = state.z - min(state.foot_pos[0, 1], state.foot_pos[1, 1])
+        squat = -((cfg.squat_height_target - base_height) ** 2)
+    bd.raw["squat_height"] = squat
+    bd.weighted["squat_height"] = cfg.weight("squat_height") * squat
+
+    # the 0.0 start of the sum keeps a -0.0 pair at +0.0
+    bd.r_g = 0.0 + bd.weighted["knee_height"] + bd.weighted["squat_height"]
+    return bd
+
+
+def ref_total_reward(loco, style_raw, gait_bd, cfg) -> RefBreakdown:
+    r_s = cfg.style_weight * style_raw
+    return RefBreakdown(
+        raw={**loco.raw, **gait_bd.raw, "style": style_raw},
+        weighted={**loco.weighted, **gait_bd.weighted, "style": r_s},
+        r_l=loco.r_l,
+        r_s=r_s,
+        r_g=gait_bd.r_g,
+        total=loco.r_l + r_s + gait_bd.r_g,
+    )
+
+
+# The library's batch calls on one env: its state with the three actions as
+# one row, its commands as ``[[v_cmd, w_cmd]]``, and row 0 of the result by
+# term name (``Scored``).
+
+
+@dataclasses.dataclass
+class Scored:
+    """Row 0 of a library ``RewardBreakdown`` by term name, and the breakdown."""
+
+    bd: RewardBreakdown
+
+    raw = property(lambda self: dict(zip(self.bd.names, self.bd.raw[0].tolist())))
+    weighted = property(lambda self: dict(zip(self.bd.names, self.bd.weighted[0].tolist())))
+    r_l = property(lambda self: float(self.bd.r_l[0]))
+    r_s = property(lambda self: float(self.bd.r_s[0]))
+    r_g = property(lambda self: float(self.bd.r_g[0]))
+    total = property(lambda self: float(self.bd.total[0]))
+
+
+def state_row(state, a_t, a_prev, a_prev2) -> np.ndarray:
+    """``[1, STATE_WIDTH]``: ``state``'s row with the three actions written in."""
+    row = state.row.copy()
+    row[ACTION:] = np.concatenate([a_t, a_prev, a_prev2])
+    return row[None]
+
+
+def no_rewards(n: int) -> RewardBreakdown:
+    """A breakdown of ``n`` envs with no terms and zero sums."""
+    return RewardBreakdown((), np.zeros((n, 0)), np.zeros((n, 0)), *(np.zeros(n) for _ in range(4)))
+
+
+def score_locomotion(state, commands, a_t, a_prev, a_prev2, cfg, model) -> Scored:
+    return Scored(locomotion_rewards(state_row(state, a_t, a_prev, a_prev2),
+                                     np.array([[commands.v_cmd, commands.w_cmd]]), cfg, model))
+
+
+def score_gait(state, gait, cfg) -> Scored:
+    return Scored(gait_rewards(state.row[None], np.asarray(gait, dtype=np.float64)[None], cfg))
+
+
+def score_total(loco: Scored, style_raw: float, gait_bd: Scored, cfg) -> Scored:
+    return Scored(total_reward(loco.bd, np.array([style_raw]), gait_bd.bd, cfg))
+
+
+# -- the per-env control step ---------------------------------------------------
+#
+# One env as it stepped before the envs became rows of a batch: array state,
+# the array physics above, a deque of scans and the observation assembled
+# row by row.  tests/test_batch_step.py holds the batch to it bit for bit.
+
+
+def ref_o_t(state, commands, last_action) -> np.ndarray:
+    """Proprioception in the fixed layout [w, g, c_v, q, qd, a_prev]."""
+    return np.array([
+        state.pitch_rate, state.yaw_rate,
+        -math.sin(state.pitch), -math.cos(state.pitch),  # projected gravity
+        commands.v_cmd, commands.w_cmd,
+        *state.joint_pos.tolist(), *state.joint_vel.tolist(), *np.asarray(last_action).tolist(),
+    ])
+
+
+def sample_height_scan(terrain, base_x, base_z, offsets, noise_sigma=0.0, bias=0.0, clip=1.5,
+                       rng=None) -> np.ndarray:
+    """Forward terrain heights relative to the base, with the sensor noise model."""
+    vals = terrain.heights_at(base_x + offsets) - base_z
+    if bias != 0.0:
+        vals += bias
+    if noise_sigma > 0.0:
+        if rng is None:
+            raise ValueError("noise requires an rng")
+        vals += rng.normal(0.0, noise_sigma, size=vals.shape)
+    return np.clip(vals, -clip, clip)
+
+
+def _ref_finite(st) -> bool:
+    scalars = [st.x, st.z, st.pitch, st.vx, st.vz, st.pitch_rate, st.yaw_rate, st.heading,
+               st.y_offset, st.time]
+    return bool(np.isfinite(scalars).all() and np.isfinite(st.joint_pos).all()
+                and np.isfinite(st.joint_vel).all())
+
+
+class RefEnv:
+    """One env's episodes, stepped one env at a time (see above)."""
+
+    def __init__(self, model, cfg, seed):
+        self.model, self.cfg = model, cfg
+        self.rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def reset(self, terrain, dr, commands) -> np.ndarray:
+        cfg = self.cfg
+        self.state, self.raw, self.bias = _ref_episode_start(
+            self.model, cfg, self.rng, terrain, dr, commands)
+        self.terrain, self.dr = terrain, dr
+        self.commands = CommandState(commands.v_cmd, commands.w_cmd, np.array(commands.gait))
+        self.mass = (self.model.base_mass + dr.payload) * dr.link_mass_scale
+        zeros = np.zeros(N_JOINTS)
+        self.last_action = self.prev_action = self.prev2_action = zeros
+        n = dr.action_delay_steps(cfg.dt) + 1
+        self.queue = deque([zeros] * n, maxlen=n)
+        n = 2 + dr.scan_delay_steps()
+        self.scans = deque([self.raw["scans"][cfg.scan_points:]] * n, maxlen=n)
+        self.next_push = cfg.push_interval_s
+        self.distance = self.state.x - cfg.spawn_x
+        self.row = ref_row(self.model, cfg, self.raw)
+        return self.row
+
+    def set_gait(self, gait) -> None:
+        self.commands.gait = self.raw["gait"] = np.array(gait, dtype=np.float64)
+        self.row = ref_row(self.model, self.cfg, self.raw)
+
+    def step(self, action) -> tuple[str, float]:
+        """``(termination, distance)``; ``row`` is the observation after the step."""
+        cfg, model, dr, st = self.cfg, self.model, self.dr, self.state
+        action = np.asarray(action, dtype=np.float64)
+        if not _ref_finite(st):
+            return "diverged", self.distance
+        if not st.time < self.next_push - 1e-9:
+            st.vx += float(self.rng.uniform(-cfg.push_vel_max, cfg.push_vel_max))
+            self.next_push += cfg.push_interval_s
+        self.queue.append(action.copy())
+        qd_before = st.joint_vel.copy()
+        torque_acc = np.zeros(N_JOINTS)
+        try:
+            for _ in range(cfg.substeps):
+                tau = ref_pd_torques(model, st, self.queue[0], dr.kp_scale, dr.kd_scale,
+                                     dr.motor_strength)
+                ref_substep(model, st, tau, self.terrain, cfg.dt / cfg.substeps, dr.friction,
+                            dr.restitution, self.mass, dr.com_shift, dr.link_mass_scale)
+                torque_acc += tau
+        except (ArithmeticError, ValueError):
+            if _ref_finite(st):
+                raise
+            return "diverged", self.distance
+        if not _ref_finite(st):
+            return "diverged", self.distance
+        st.joint_torque = torque_acc / cfg.substeps
+        st.joint_acc = (st.joint_vel - qd_before) / cfg.dt
+        st.n_collisions = float(np.sum(st.knee_heights < 0.0))
+        self.prev2_action, self.prev_action, self.last_action = (
+            self.prev_action, self.last_action, action.copy())
+        termination = self._termination()
+
+        o = ref_o_t(st, self.commands, self.last_action)
+        self.raw["hist"] = np.concatenate([self.raw["hist"][len(o):], o])
+        self.raw["o"] = o
+        self.scans.append(sample_height_scan(
+            self.terrain, st.x, st.z, cfg.scan_offsets(), noise_sigma=self.dr.scan_noise,
+            bias=self.bias, clip=cfg.scan_clip, rng=self.rng,
+        ) if not cfg.blind else np.zeros(cfg.scan_points))
+        self.raw["scans"] = np.concatenate([self.scans[0], self.scans[1]])
+        self.raw["m"] = self.terrain.heights_at(st.x + cfg.elev_offsets()) - st.z
+        (lx, lz), (rx, rz) = st.foot_pos.tolist()
+        self.raw["e"] = np.concatenate(
+            [[lx - st.x, lz - st.z, rx - st.x, rz - st.z, *st.contact.tolist(), st.vx, st.vz],
+             self.dr.as_vector()])
+        self.row = ref_row(model, cfg, self.raw)
+        self.distance = st.x - cfg.spawn_x
+        return termination, self.distance
+
+    def _termination(self) -> str:
+        st, terrain, cfg = self.state, self.terrain, self.cfg
+        if st.time >= cfg.max_episode_s - 1e-9:
+            return "timeout"
+        if st.x < 0.05:
+            return "out_of_bounds"
+        if st.z - terrain.surface_at(st.x) < cfg.min_base_height or abs(st.pitch) > cfg.max_pitch:
+            return "fall"
+        for fx, fz in st.foot_pos.tolist():
+            if terrain.is_void(fx) and fz < terrain.surface_at(fx) - 0.05:
+                return "fall"
+        if not terrain.is_void(st.x) and st.z - self.model.base_half_height < terrain.height_at(st.x):
+            return "collision"
+        return "none"
+
+
 # -- reference batch-of-one policy inference -------------------------------------
 #
 # The array formulation the library's batch-of-one path replaced: np.stack
@@ -419,6 +736,17 @@ def ref_reset(model, env_cfg, rng, terrain, dr, commands):
     ``fk_leg_points`` pass per leg from the origin drops the base, a second
     from the placed base gives the feet and the knees.
     """
+    state, raw, _ = _ref_episode_start(model, env_cfg, rng, terrain, dr, commands)
+    return state, ref_row(model, env_cfg, raw)
+
+
+def ref_row(model, env_cfg, raw: dict) -> np.ndarray:
+    """The normalized row of the raw blocks ``raw``, block by block."""
+    return np.concatenate([ref_normalize(model, env_cfg, name, raw[name]) for name, _ in BLOCKS])
+
+
+def _ref_episode_start(model, env_cfg, rng, terrain, dr, commands):
+    """``(state, raw blocks, scan bias)`` of an episode's first row."""
     q0 = np.clip(dr.init_joint_scale * model.nominal(), model.lower(), model.upper())
     legs = [(*q0[3 * side : 3 * side + 3], model.thigh_len, model.shin_len, model.foot_len)
             for side in (0, 1)]
@@ -455,11 +783,10 @@ def ref_reset(model, env_cfg, rng, terrain, dr, commands):
         "e": np.concatenate([[lx - x, lz - z, rx - x, rz - z, 0.0, 0.0, 0.0, 0.0], dr.as_vector()]),
         "o": o,
         "hist": np.tile(o, env_cfg.history_len),
-        "gait": commands.gait,
+        "gait": np.asarray(commands.gait, dtype=np.float64),
         "scans": np.concatenate([scan, scan]),
     }
-    row = np.concatenate([ref_normalize(model, env_cfg, name, raw[name]) for name, _ in BLOCKS])
-    return state, row
+    return state, raw, bias
 
 
 def ref_stack(bundles) -> dict:
@@ -800,7 +1127,7 @@ def ref_run_trial(controller, terrain, model, env_cfg, *, v_cmd=0.6, gait_id=Non
     cfg_ep = EnvConfig(**{**env_cfg.__dict__, "max_episode_s": timeout_s, "push_vel_max": 0.0})
     env = TerrainEnv(model, cfg_ep, seed=seed)
     gait = one_hot(gait_id, cfg_ep.n_gaits) if gait_id is not None else np.zeros(cfg_ep.n_gaits)
-    bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait))
+    bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait)).bundle
     reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
     a_prev = np.zeros(N_JOINTS)
     a_prev2 = np.zeros(N_JOINTS)
@@ -814,7 +1141,7 @@ def ref_run_trial(controller, terrain, model, env_cfg, *, v_cmd=0.6, gait_id=Non
         steps += 1
         distance = max(res.distance, distance)
         if trace_file is not None:
-            bd = locomotion_rewards(
+            bd = ref_locomotion_rewards(
                 env.state, env.commands, action, a_prev, a_prev2, reward_cfg, model,
             )
             trace_file.write(
@@ -869,7 +1196,7 @@ def ref_measure_gait_attribute(policy, cfg, gait_id, attribute, n_rollouts=10, r
         bundle = env.reset(
             terrain, DRConfig(),
             CommandState(v_cmd=0.4, gait=one_hot(gait_id, env_cfg.n_gaits)),
-        )
+        ).bundle
         values = []
         apex = 0.0
         prev_max = 0.0
@@ -909,7 +1236,7 @@ def ref_collect_latent_samples(policy, cfg, terrain_kinds=("flat", "gap", "step"
                 track_length=cfg.terrain.track_length, cell_size=cfg.terrain.cell_size,
             )
             gait = one_hot(gid, cfg.env.n_gaits)
-            bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=0.5, gait=gait))
+            bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=0.5, gait=gait)).bundle
             controller = PolicyController(policy, gait_id=gid)
             for _ in range(steps_per_combo):
                 samples.append((bundle, gait.copy(), kind))

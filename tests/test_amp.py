@@ -198,3 +198,18 @@ class TestWindowBuffer:
         drawn = buf.sample(1, 50, np.random.default_rng(4))
         idx = np.random.default_rng(4).integers(0, 7, size=7)
         np.testing.assert_array_equal(drawn, oldest_first[idx])
+
+    def test_rings_hold_float32_with_the_bits_of_the_old_cast(self):
+        # the trainer cuts float64 windows; the rings held float64 until the
+        # discriminators' input cast rounded each sampled row once
+        rng = np.random.default_rng(5)
+        windows = rng.normal(size=(40, 30))
+        buf = WindowBuffer(1, 30, capacity=32)
+        for start in range(0, 40, 7):
+            buf.add(0, windows[start : start + 7])
+        drawn = buf.sample(0, 64, np.random.default_rng(9))
+        assert drawn.dtype == np.float32
+        old = windows[8:][np.random.default_rng(9).integers(0, 32, size=32)]
+        assert drawn.tobytes() == np.asarray(old, dtype=np.float32).tobytes()
+        net = make_discriminators(1, 30, rng).nets[0]
+        assert disc_scores(net, drawn).tobytes() == disc_scores(net, old).tobytes()

@@ -1,0 +1,180 @@
+"""The batched control step against the per-env float references, bit for bit.
+
+An ``EnvBatch`` of 8 envs runs 300 control steps beside one ``RefEnv`` per
+env (``tests/oracles.py``: array state, array physics, a deque of scans, the
+observation assembled row by row) and the per-env float rewards.  Each step
+compares, as bytes: every env's state row and its last three actions, its
+termination and distance, its observation row, and every raw and weighted
+reward term with ``r_l``, ``r_s``, ``r_g`` and the total.  The episodes
+cycle through all five terrain kinds, under identity and randomized DR;
+short episodes and small actions make timeouts, large ones falls, and three
+envs are poked non-finite so they diverge.  A standalone env (a batch of
+one) follows env 2 with the same draws and must equal its row of the batch.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from gaitrl.biped import ACTION, N_JOINTS, BipedModel
+from gaitrl.env import (
+    CommandState,
+    DRConfig,
+    EnvBatch,
+    EnvConfig,
+    TerrainEnv,
+    one_hot,
+    sample_dr,
+)
+from gaitrl.rewards import RewardConfig, gait_rewards, locomotion_rewards, total_reward
+from gaitrl.terrain import TERRAIN_KINDS, generate_terrain
+
+from oracles import RefEnv, ref_gait_rewards, ref_locomotion_rewards, ref_total_reward
+
+MODEL = BipedModel()
+N, STEPS, SOLO = 8, 300, 2
+# the actions' scale per env: even envs stand (and time out), odd ones flail
+SCALE = np.where(np.arange(N) % 2 == 0, 0.2, 1.5)[:, None]
+# (step, env, state field, value): the pokes that make an env diverge
+POKES = ((40, 3, "vx", math.nan), (150, 5, "pitch_rate", math.inf), (220, 0, "z", -math.inf))
+
+
+def bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def scores(batch, style, cfg):
+    """The library's rewards of every env in ``batch``; a numpy warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loco = locomotion_rewards(batch.state, batch.commands(), cfg, MODEL)
+        return total_reward(loco, style, gait_rewards(batch.state, batch.gaits(), cfg), cfg)
+
+
+def ref_scores(ref, style, cfg):
+    loco = ref_locomotion_rewards(ref.state, ref.commands, ref.last_action, ref.prev_action,
+                                  ref.prev2_action, cfg, MODEL)
+    return ref_total_reward(loco, style, ref_gait_rewards(ref.state, ref.commands.gait, cfg), cfg)
+
+
+def assert_same_env(batch, i, ref, res, ref_res):
+    termination, distance = ref_res
+    assert res.termination == termination
+    assert bits(res.distance) == bits(distance)
+    assert batch.state[i, :ACTION].tobytes() == ref.state.row[:ACTION].tobytes()
+    actions = np.concatenate([ref.last_action, ref.prev_action, ref.prev2_action])
+    assert batch.state[i, ACTION:].tobytes() == actions.tobytes()
+    assert res.bundle.row.tobytes() == ref.row.tobytes()
+
+
+def assert_same_scores(bd, i, ref_bd, diverged):
+    if diverged:
+        for a in (bd.raw[i], bd.weighted[i], bd.r_l[i], bd.r_s[i], bd.r_g[i], bd.total[i]):
+            assert not np.any(a), "a diverged row scores zero"
+        return
+    assert bd.names == tuple(ref_bd.raw) == tuple(ref_bd.weighted)
+    for c, name in enumerate(bd.names):
+        assert bits(bd.raw[i, c]) == bits(ref_bd.raw[name]), name
+        assert bits(bd.weighted[i, c]) == bits(ref_bd.weighted[name]), name
+    for name in ("r_l", "r_s", "r_g", "total"):
+        assert bits(getattr(bd, name)[i]) == bits(getattr(ref_bd, name)), name
+
+
+@pytest.mark.parametrize("dr_enabled", [False, True])
+def test_the_batched_step_is_the_per_env_float_step(dr_enabled):
+    cfg = EnvConfig(max_episode_s=0.6)
+    rcfg = RewardConfig()
+    batch = EnvBatch(MODEL, cfg, N)
+    envs = [TerrainEnv(seed=100 + i, batch=batch) for i in range(N)]
+    refs = [RefEnv(MODEL, cfg, 100 + i) for i in range(N)]
+    solo = TerrainEnv(MODEL, cfg, seed=100 + SOLO)
+    rng = np.random.default_rng(17 + dr_enabled)
+    episodes = [0] * N
+    seen = dict.fromkeys(("timeout", "diverged", "fall"), 0)
+    kinds = set()
+
+    def start(i):
+        kind = TERRAIN_KINDS[(i + episodes[i]) % len(TERRAIN_KINDS)]
+        kinds.add(kind)
+        episodes[i] += 1
+        terrain = generate_terrain(kind, float(rng.uniform(0.2, 0.9)), int(rng.integers(2**31)))
+        dr = sample_dr(rng, dr_enabled)
+        cmd = CommandState(float(rng.uniform(0.2, 1.0)), float(rng.uniform(-0.5, 0.5)),
+                           one_hot(int(rng.integers(0, 3)), 3))
+        bundle = envs[i].reset(terrain, dr, cmd).bundle
+        assert bundle.row.tobytes() == refs[i].reset(terrain, dr, cmd).tobytes()
+        if i == SOLO:
+            assert solo.reset(terrain, dr, cmd).bundle.row.tobytes() == bundle.row.tobytes()
+
+    for i in range(N):
+        start(i)
+    handed_out = []  # (bundle or rows, their bytes when handed out)
+    for t in range(STEPS):
+        if t % 37 == 5:  # a gait drawn mid-episode
+            i, gait = t % N, one_hot(int(rng.integers(0, 3)), 3)
+            envs[i].set_gait(gait)
+            refs[i].set_gait(gait)
+            if i == SOLO:
+                solo.set_gait(gait)
+        rows = batch.rows
+        handed_out.append((rows, rows.tobytes()))
+        for step, i, field, value in POKES:
+            if step == t:
+                for st in (envs[i].state, refs[i].state) + ((solo.state,) if i == SOLO else ()):
+                    setattr(st, field, value)
+        actions = rng.uniform(-1.0, 1.0, (N, N_JOINTS)) * SCALE
+        results = [env.step(a) for env, a in zip(envs, actions)]
+        solo_res = solo.step(actions[SOLO])
+        ref_results = [ref.step(a) for ref, a in zip(refs, actions)]
+        for i in range(N):
+            assert_same_env(batch, i, refs[i], results[i], ref_results[i])
+        handed_out.append((results[1].bundle, results[1].bundle.row.tobytes()))
+
+        style = rng.uniform(0.0, 1.0, N)
+        bd = scores(batch, style, rcfg)
+        diverged = np.array([res.termination == "diverged" for res in results])
+        bd.clear(diverged)
+        for i in range(N):
+            assert_same_scores(bd, i, ref_scores(refs[i], style[i], rcfg), diverged[i])
+
+        # the batch of one is env SOLO's row of the batch
+        assert solo_res.termination == results[SOLO].termination
+        assert solo.batch.state.tobytes() == batch.state[SOLO].tobytes()
+        assert solo_res.bundle.row.tobytes() == results[SOLO].bundle.row.tobytes()
+        solo_bd = scores(solo.batch, style[SOLO:SOLO + 1], rcfg)
+        solo_bd.clear(diverged[SOLO:SOLO + 1])
+        for name in ("raw", "weighted", "r_l", "r_s", "r_g", "total"):
+            assert getattr(solo_bd, name)[0].tobytes() == getattr(bd, name)[SOLO].tobytes()
+
+        for i, res in enumerate(results):
+            if res.termination in seen:
+                seen[res.termination] += 1
+            if res.done:
+                start(i)
+    for item, data in handed_out:
+        got = item.row if hasattr(item, "row") else item
+        assert got.tobytes() == data, "a bundle changed after it was handed out"
+    assert kinds == set(TERRAIN_KINDS)
+    assert seen["diverged"] == len(POKES) and seen["timeout"] > 0 and seen["fall"] > 0, seen
+
+
+def test_a_result_read_after_its_env_moved_on_shows_its_own_step():
+    terrain = generate_terrain("rough", 0.5, seed=3)
+    start = (terrain, DRConfig(scan_noise=0.02), CommandState(0.5, 0.0, np.zeros(3)))
+    env, ref = TerrainEnv(MODEL, EnvConfig(), seed=1), RefEnv(MODEL, EnvConfig(), 1)
+    env.reset(*start)
+    ref.reset(*start)
+    results, rows = [], []
+    for a in (np.zeros(N_JOINTS), np.full(N_JOINTS, 0.3), np.full(N_JOINTS, -0.2)):
+        results.append(env.step(a))
+        ref.step(a)
+        rows.append(ref.row)
+    env.state.vx = math.nan  # the next step diverges and shows the last row
+    results.append(env.step(np.zeros(N_JOINTS)))
+    rows.append(rows[-1])
+    env.reset(*start)
+    assert [res.bundle.row.tobytes() for res in results] == [row.tobytes() for row in rows]

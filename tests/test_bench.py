@@ -23,7 +23,7 @@ from gaitrl.controllers import ConstantController, ScriptedWalker
 from gaitrl.policy import LatentTable
 from gaitrl.terrain import generate_terrain
 
-from oracles import ref_measure_gait_attribute
+from oracles import ref_measure_gait_attribute, ref_run_trial
 from test_inference_oracle import make_policy
 
 
@@ -275,3 +275,18 @@ class TestLatentAnalysis:
         assert set(report.gate_usage.keys()) == {"0", "1", "2"}
         for w in report.gate_usage.values():
             assert w.shape == (3,)
+
+
+def test_a_trace_of_several_chunks_has_the_bytes_of_the_per_step_trace(tmp_path):
+    # standing to the timeout: the trace scores its steps a chunk at a time
+    cfg = RunConfig()
+    terrain = generate_terrain("flat", 0.0, 0, cfg.terrain)
+    stand = ConstantController(np.zeros(N_JOINTS))
+    traces = []
+    for trial in (bench.run_trial, ref_run_trial):
+        path = tmp_path / f"{trial.__name__}.jsonl"
+        with open(path, "w") as f:
+            out = trial(stand, terrain, cfg.model, cfg.env, timeout_s=12.0, trace_file=f)
+        traces.append(path.read_bytes())
+    assert out["steps"] > 2 * bench.TRACE_CHUNK and out["termination"] == "timeout"
+    assert traces[0] == traces[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaitrl.env as env_module
-from gaitrl.biped import N_JOINTS, BipedModel
+from gaitrl.biped import N_JOINTS, PITCH_RATE, STATE_FIELDS, TIME, BipedModel
 from gaitrl.controllers import ScriptedWalker
 from gaitrl.env import (
     BLOCKS,
@@ -17,17 +17,15 @@ from gaitrl.env import (
     TERMINATIONS,
     ObservationBundle,
     TerrainEnv,
-    build_o_t,
     obs_dims,
     obs_slices,
     one_hot,
     sample_dr,
-    sample_height_scan,
 )
 from gaitrl.policy import PolicyArch, PolicyMode, _input_widths
 from gaitrl.terrain import generate_terrain
 
-from oracles import ref_normalize
+from oracles import ref_normalize, ref_o_t, sample_height_scan
 
 
 @pytest.fixture
@@ -38,6 +36,14 @@ def model():
 @pytest.fixture
 def flat():
     return generate_terrain("flat", 0.0, seed=0)
+
+
+def scan_queue(env):
+    """The env's last current scans (raw), newest last, as of its batch's
+    last pass (reading ``rows`` runs one): its row's scans are ``[-2 - d]``
+    and ``[-1 - d]`` for the scan delay ``d``."""
+    env.batch.rows
+    return env.batch.scan_queue[env.index]
 
 
 def fresh_env(model, flat, seed=0, **cfg_kwargs):
@@ -61,10 +67,10 @@ class TestReset:
     def test_same_seed_identical_bundle(self, model, flat):
         b1 = TerrainEnv(model, EnvConfig(), seed=5).reset(
             flat, DRConfig(scan_noise=0.03), CommandState(v_cmd=0.4, gait=one_hot(1, 3))
-        )
+        ).bundle
         b2 = TerrainEnv(model, EnvConfig(), seed=5).reset(
             flat, DRConfig(scan_noise=0.03), CommandState(v_cmd=0.4, gait=one_hot(1, 3))
-        )
+        ).bundle
         for a, b in zip(
             (b1.o, b1.hist, b1.scans, b1.m, b1.e), (b2.o, b2.hist, b2.scans, b2.m, b2.e)
         ):
@@ -181,42 +187,43 @@ class TestStep:
 
 
 class TestHeightScan:
+    """The env's current scan (``scan_queue(env)[-1]``, raw) against the sensor model."""
+
     def test_flat_reads_negative_base_height(self, model, flat):
         env = fresh_env(model, flat)
-        scan = sample_height_scan(flat, env.state.x, env.state.z, env.cfg.scan_offsets())
-        np.testing.assert_allclose(scan, -env.state.z, atol=1e-12)
+        np.testing.assert_allclose(scan_queue(env)[-1], -env.state.z, atol=1e-12)
 
     def test_step_geometry(self, model, flat):
         hf = generate_terrain("flat", 0.0, seed=0)
         i0 = hf.cell_at(1.0)  # 0.2 m step starting 0.5 m ahead of base at 0.5
         hf.heights[i0:] = 0.2
         env = fresh_env(model, hf)
-        offs = env.cfg.scan_offsets()
-        scan = sample_height_scan(hf, env.state.x, env.state.z, offs)
-        for k, off in enumerate(offs):
+        scan = scan_queue(env)[-1]
+        for k, off in enumerate(env.cfg.scan_offsets()):
             expect = (0.2 if off >= 0.5 else 0.0) - env.state.z
             assert scan[k] == pytest.approx(expect, abs=1e-9)
 
-    def test_noise_sigma_statistics(self, flat):
-        rng = np.random.default_rng(7)
-        vals = np.stack(
-            [
-                sample_height_scan(
-                    flat, 0.5, 0.8, np.linspace(0, 1.2, 8), noise_sigma=0.05, rng=rng
-                )
-                for _ in range(10_000)
-            ]
-        )
-        stds = vals.std(axis=0)
+    def test_noise_sigma_statistics(self, model, flat):
+        # each reset draws the noise of its first scan
+        env = TerrainEnv(model, EnvConfig(scan_points=8), seed=7)
+        scans = []
+        for _ in range(10_000):
+            env.reset(flat, DRConfig(scan_noise=0.05), CommandState(gait=np.zeros(3)))
+            scans.append(scan_queue(env)[-1] + env.state.z)
+        stds = np.stack(scans).std(axis=0)
         assert np.all(np.abs(stds - 0.05) < 0.005)
 
-    def test_bias_applied(self, flat):
-        scan = sample_height_scan(flat, 0.5, 0.8, np.linspace(0, 1.2, 8), bias=0.15)
-        np.testing.assert_allclose(scan, -0.8 + 0.15, atol=1e-12)
+    def test_bias_applied(self, model, flat):
+        env = TerrainEnv(model, EnvConfig(), seed=0)
+        env.reset(flat, DRConfig(scan_bias=0.15), CommandState(gait=np.zeros(3)))
+        # the bias's sign is drawn per episode
+        bias = env.batch.scan_bias[env.index]
+        assert abs(bias) == 0.15
+        np.testing.assert_allclose(scan_queue(env)[-1], -env.state.z + bias, atol=1e-12)
 
     def test_blind_mode_zeroes_scan(self, model, flat):
         env = TerrainEnv(model, EnvConfig(blind=True), seed=0)
-        b = env.reset(flat, DRConfig(), CommandState(gait=np.zeros(3)))
+        b = env.reset(flat, DRConfig(), CommandState(gait=np.zeros(3))).bundle
         zeros = np.zeros(env.dims["d_scan"])
         assert b.scans.tobytes() == ref_normalize(model, env.cfg, "scans", zeros).tobytes()
 
@@ -230,16 +237,17 @@ class TestHeightScan:
         env.state.z += 0.5
         r1 = env.step(np.zeros(N_JOINTS))
         delivered_now = r1.bundle.scans
-        fresh, lagged = env._scans[-1], env._scans[-2]
+        fresh, lagged = scan_queue(env)[-1], scan_queue(env)[-2]
         assert not np.allclose(fresh, lagged)
-        expected = ref_normalize(model, env.cfg, "scans", np.concatenate([env._scans[-3], lagged]))
+        expected = ref_normalize(model, env.cfg, "scans", np.concatenate([scan_queue(env)[-3], lagged]))
         assert delivered_now.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(("delay_ms", "d"), [(0.0, 0), (8.0, 1), (24.0, 3), (28.0, 4), (40.0, 5)])
     def test_scan_delay_delivers_the_scans_d_steps_back(self, model, delay_ms, d):
         rough = generate_terrain("rough", 0.8, seed=4)
         env = TerrainEnv(model, EnvConfig(), seed=0)
-        bundle = env.reset(rough, DRConfig(scan_delay_ms=delay_ms), CommandState(gait=np.zeros(3)))
+        bundle = env.reset(rough, DRConfig(scan_delay_ms=delay_ms),
+                           CommandState(gait=np.zeros(3))).bundle
         assert env.dr.scan_delay_steps() == d
         walker, k = ScriptedWalker(model), env.cfg.scan_points
         current, rows = [], []  # S_t: the scan at each row's state, no noise or bias
@@ -267,7 +275,7 @@ class TestPush:
     @staticmethod
     def base_velocity_per_step(monkeypatch, model, flat, push_vel_max):
         def clock(model, state, tau, terrain, dt, *args):
-            state.time += dt
+            state[TIME] += dt
 
         monkeypatch.setattr(env_module, "substep", clock)
         env = TerrainEnv(model, EnvConfig(push_vel_max=push_vel_max), seed=0)
@@ -344,9 +352,8 @@ class TestObservationAssembly:
 
     def test_stationary_nominal_blocks(self, model, flat):
         env = fresh_env(model, flat)
-        out = np.empty(obs_dims(env.cfg)["d_o"])
-        o = build_o_t(env.state, env.commands, np.zeros(N_JOINTS), out)
-        assert o is out
+        env.batch.rows  # the raw rows as of a pass
+        o = env.batch.raw[env.index, env.slices["o"]]
         np.testing.assert_array_equal(o[0:2], 0.0)  # angular block
         np.testing.assert_allclose(o[2:4], [0.0, -1.0], atol=1e-12)  # gravity
         np.testing.assert_array_equal(o[4:6], 0.0)  # commands
@@ -401,7 +408,7 @@ class TestObservationAssembly:
             assert bundle.e.tobytes() == ref_normalize(env.model, cfg, "e", raw_e).tobytes()
 
         assert_layout(env.reset(generate_terrain("rough", 0.5, seed=seed), dr,
-                                CommandState(v_cmd=0.5, gait=one_hot(seed % 3, 3))))
+                                CommandState(v_cmd=0.5, gait=one_hot(seed % 3, 3))).bundle)
         for _ in range(4):
             res = env.step(rng.uniform(-1.0, 1.0, N_JOINTS))
             assert_layout(res.bundle)
@@ -437,11 +444,12 @@ class TestObservationAssembly:
         rng = np.random.default_rng(seed)
         dr = sample_dr(rng)
         terrain = generate_terrain("rough", 0.5, seed=seed)
-        bundle = env.reset(terrain, dr, CommandState(v_cmd=0.5, gait=one_hot(seed % n_gaits, n_gaits)))
+        bundle = env.reset(terrain, dr,
+                           CommandState(v_cmd=0.5, gait=one_hot(seed % n_gaits, n_gaits))).bundle
         seen, last_action = [], np.zeros(N_JOINTS)
         for _ in range(history_len + 2):
             s = env.state
-            o = build_o_t(s, env.commands, last_action, np.empty(dims["d_o"]))
+            o = ref_o_t(s, env.commands, last_action)
             seen = seen + [o] if seen else [o] * history_len
             d = env.dr.scan_delay_steps()
             (lx, lz), (rx, rz) = s.foot_pos.tolist()
@@ -452,7 +460,7 @@ class TestObservationAssembly:
                 "o": o,
                 "hist": np.concatenate(seen[-history_len:]),
                 "gait": env.commands.gait,
-                "scans": np.concatenate([env._scans[-2 - d], env._scans[-1 - d]]),
+                "scans": np.concatenate([scan_queue(env)[-2 - d], scan_queue(env)[-1 - d]]),
             }
             for name, _ in BLOCKS:
                 expected = ref_normalize(model, cfg, name, raw[name])
@@ -523,7 +531,7 @@ class TestDivergence:
             substep(model, state, *args)
             calls.append(1)
             if len(calls) == 2:
-                state.pitch_rate = math.inf
+                state[PITCH_RATE] = math.inf
 
         substep = env_module.substep
         monkeypatch.setattr(env_module, "substep", blow_up)
@@ -545,7 +553,7 @@ class TestDivergence:
             substep(model, state, *args)
             calls.append(1)
             if len(calls) == env.cfg.substeps:
-                setattr(state, component, value)
+                state[STATE_FIELDS[component][0]] = value
 
         substep = env_module.substep
         monkeypatch.setattr(env_module, "substep", blow_up_last)

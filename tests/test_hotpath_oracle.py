@@ -1,7 +1,8 @@
 """Bit-exact agreement of the scalar control step with its numpy references.
 
-``pd_torques``, ``substep`` and ``locomotion_rewards`` compute on Python
-floats; ``tests/oracles.py`` keeps the array formulations they replaced.
+``pd_torques`` and ``substep`` compute on the float state (a list of Python
+floats), ``locomotion_rewards`` on the env axis; ``tests/oracles.py`` keeps
+the array formulations they replaced.
 The episode start too: ``sample_dr`` draws the DR vector in one call and
 ``TerrainEnv.reset`` places the spawn on floats, where the references draw
 one scalar per DR field and place it on arrays.
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import gaitrl.env as env_module
 from gaitrl.biped import N_JOINTS, BipedModel, BipedState, action_targets, pd_torques, substep
 from gaitrl.env import DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot, sample_dr
-from gaitrl.rewards import DEFAULT_WEIGHTS, RewardConfig, locomotion_rewards
+from gaitrl.rewards import DEFAULT_WEIGHTS, RewardConfig
 from gaitrl.terrain import TERRAIN_KINDS, generate_terrain
 
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     ref_reset,
     ref_sample_dr,
     ref_substep,
+    score_locomotion,
 )
 
 MODEL = BipedModel()
@@ -109,7 +111,7 @@ class TestPhysicsOracle:
             dr = ref_sample_dr(rng)
             action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
             gains = (dr.kp_scale, dr.kd_scale, dr.motor_strength)
-            tau = pd_torques(MODEL, st_, action_targets(MODEL, action), *gains)
+            tau = np.array(pd_torques(MODEL, st_.row.tolist(), action_targets(MODEL, action), *gains))
             assert_same_array(tau, ref_pd_torques(MODEL, st_, action, *gains))
             saturated += int(np.any(np.abs(tau) == np.array(MODEL.torque_limit)))
         assert saturated > 0
@@ -120,30 +122,30 @@ class TestPhysicsOracle:
         for kind in TERRAIN_KINDS:
             for trial in range(40):
                 terrain = generate_terrain(kind, float(rng.uniform(0.3, 1.0)), seed=trial)
-                new = random_state(rng, terrain)
-                ref = new.copy()
+                ref = random_state(rng, terrain)
+                s = ref.row.tolist()
                 dr = ref_sample_dr(rng)
                 mass = (MODEL.base_mass + dr.payload) * dr.link_mass_scale
                 action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
                 target = action_targets(MODEL, action)
                 for _ in range(12):
-                    tau = pd_torques(MODEL, new, target, dr.kp_scale, dr.kd_scale, dr.motor_strength)
+                    tau = pd_torques(MODEL, s, target, dr.kp_scale, dr.kd_scale, dr.motor_strength)
                     tau_ref = ref_pd_torques(
                         MODEL, ref, action, dr.kp_scale, dr.kd_scale, dr.motor_strength
                     )
-                    assert_same_array(tau, tau_ref)
+                    assert_same_array(np.array(tau), tau_ref)
                     anchors_before = (ref.anchor_on.copy(), ref.anchor_x.copy())
                     physics = (0.005, dr.friction, dr.restitution, mass, dr.com_shift,
                                dr.link_mass_scale)
-                    substep(MODEL, new, tau, terrain, *physics)
+                    substep(MODEL, s, tau, terrain, *physics)
                     ref_substep(MODEL, ref, tau_ref, terrain, *physics)
-                    assert_same_state(new, ref)
+                    assert_same_state(BipedState(np.array(s)), ref)
 
                     q = ref.joint_pos
                     seen["joint_stop"] += int(np.any((q == MODEL.lower()) | (q == MODEL.upper())))
                     seen["vel_clip"] += int(np.any(np.abs(ref.joint_vel) == MODEL.joint_vel_limit))
                     seen["contact"] += int(ref.contact.any())
-                    held = anchors_before[0] & ref.anchor_on
+                    held = (anchors_before[0] != 0.0) & (ref.anchor_on != 0.0)
                     seen["slip"] += int(np.any(held & (anchors_before[1] != ref.anchor_x)))
                     seen["void"] += int(any(terrain.is_void(fx) for fx in ref.foot_pos[:, 0]))
         assert all(seen.values()), seen
@@ -178,20 +180,31 @@ class TestRewardOracle:
                 gait=one_hot(trial % 3, 3),
             )
             a_t, a_p, a_pp = (rng.uniform(-4.0, 4.0, N_JOINTS) for _ in range(3))
-            bd = locomotion_rewards(st_, cmd, a_t, a_p, a_pp, cfg, MODEL)
+            bd = score_locomotion(st_, cmd, a_t, a_p, a_pp, cfg, MODEL)
             assert_same_rewards(bd, ref_locomotion_raw(st_, cmd, a_t, a_p, a_pp, cfg, MODEL), cfg)
 
 
-def ref_pd_torques_to_target(model, state, target, kp_scale, kd_scale, motor_strength):
-    """The reference torques, called the way TerrainEnv.step calls pd_torques."""
-    return ref_pd_torques(model, state, None, kp_scale, kd_scale, motor_strength, target=target)
+def ref_pd_torques_to_target(model, s, target, kp_scale, kd_scale, motor_strength):
+    """The reference torques, called the way TerrainEnv.step calls pd_torques:
+    on the float state, toward the float targets."""
+    return ref_pd_torques(model, BipedState(np.array(s)), None, kp_scale, kd_scale, motor_strength,
+                          target=np.array(target)).tolist()
+
+
+def ref_substep_on_floats(model, s, tau, terrain, *args):
+    """The reference substep on the float state ``s``, written back in place."""
+    st_ = BipedState(np.array(s))
+    try:
+        ref_substep(model, st_, np.array(tau), terrain, *args)
+    finally:
+        s[:] = st_.row.tolist()
 
 
 @contextlib.contextmanager
 def reference_physics():
     """Run TerrainEnv.step with the numpy reference pd_torques and substep."""
     saved = env_module.pd_torques, env_module.substep
-    env_module.pd_torques, env_module.substep = ref_pd_torques_to_target, ref_substep
+    env_module.pd_torques, env_module.substep = ref_pd_torques_to_target, ref_substep_on_floats
     try:
         yield
     finally:
@@ -236,7 +249,7 @@ def test_env_trajectory_matches_reference_for_any_dr_and_bounded_actions(
         assert res.termination == res_ref.termination
         for name in ("o", "hist", "scans", "m", "e"):
             assert_same_array(getattr(res.bundle, name), getattr(res_ref.bundle, name), name)
-        bd = locomotion_rewards(new.state, new.commands, a, a_p, a_pp, cfg, MODEL)
+        bd = score_locomotion(new.state, new.commands, a, a_p, a_pp, cfg, MODEL)
         assert_same_rewards(
             bd, ref_locomotion_raw(ref.state, ref.commands, a, a_p, a_pp, cfg, MODEL), cfg
         )
@@ -283,7 +296,7 @@ class TestEpisodeStartOracle:
             with pytest.raises(ValueError, match=str(exc)):
                 env.reset(terrain, dr, commands)
         else:
-            bundle = env.reset(terrain, dr, commands)
+            bundle = env.reset(terrain, dr, commands).bundle
             assert_same_array(bundle.row, row_ref)
             assert_same_state(env.state, state_ref)
         assert env.rng.bit_generator.state == env_rng.bit_generator.state

@@ -81,7 +81,7 @@ def env_bundles(n: int = 6, seed: int = 0):
         generate_terrain("rough", 0.6, seed=seed),
         DRConfig(scan_noise=0.03, scan_bias=0.05),
         CommandState(v_cmd=0.7, gait=one_hot(1, 3)),
-    )
+    ).bundle
     rng = np.random.default_rng(seed)
     bundles = [bundle]
     for _ in range(n - 1):

@@ -7,13 +7,10 @@ from gaitrl.biped import N_JOINTS, BipedModel, BipedState
 from gaitrl.env import CommandState, one_hot
 from gaitrl.refmotion import GAIT_HIGH_KNEES, GAIT_SQUAT, GAIT_WALK_RUN
 from gaitrl.config import config_from_dict
-from gaitrl.rewards import (
-    DEFAULT_WEIGHTS,
-    RewardConfig,
-    gait_rewards,
-    locomotion_rewards,
-    total_reward,
-)
+from gaitrl.rewards import DEFAULT_WEIGHTS, RewardConfig
+
+# the library's batch calls, on one env
+from oracles import score_gait, score_locomotion, score_total
 
 MODEL = BipedModel()
 CFG = RewardConfig()
@@ -114,20 +111,20 @@ class TestClosedForm:
         rng = np.random.default_rng(0)
         st, cmd, a, ap, app = random_inputs(rng)
         cmd.v_cmd = st.vx
-        bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
+        bd = score_locomotion(st, cmd, a, ap, app, CFG, MODEL)
         assert bd.weighted["track_lin_vel"] == pytest.approx(2.0, abs=1e-12)
 
     def test_quarter_squared_error_tracking_value(self):
         rng = np.random.default_rng(1)
         st, cmd, a, ap, app = random_inputs(rng)
         cmd.v_cmd = st.vx + 0.5  # err^2 = 0.25
-        bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
+        bd = score_locomotion(st, cmd, a, ap, app, CFG, MODEL)
         assert bd.weighted["track_lin_vel"] == pytest.approx(2.0 * math.exp(-1.0), abs=1e-12)
 
     def test_constant_actions_zero_rate_and_smoothness(self):
         rng = np.random.default_rng(2)
         st, cmd, a, _, _ = random_inputs(rng)
-        bd = locomotion_rewards(st, cmd, a, a.copy(), a.copy(), CFG, MODEL)
+        bd = score_locomotion(st, cmd, a, a.copy(), a.copy(), CFG, MODEL)
         assert bd.raw["action_rate"] == 0.0
         assert bd.raw["action_smoothness"] == 0.0
 
@@ -135,20 +132,20 @@ class TestClosedForm:
         rng = np.random.default_rng(3)
         st = random_state(rng)
         st.knee_heights[:] = (0.2, CFG.knee_lift_target)
-        bd = gait_rewards(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
+        bd = score_gait(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
         assert bd.weighted["knee_height"] == pytest.approx(2.0, abs=1e-12)
 
     def test_knee_height_quarter_error(self):
         rng = np.random.default_rng(4)
         st = random_state(rng)
         st.knee_heights[:] = (0.0, CFG.knee_lift_target - 0.25)
-        bd = gait_rewards(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
+        bd = score_gait(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
         assert bd.weighted["knee_height"] == pytest.approx(2.0 * math.exp(-1.0), abs=1e-12)
 
     def test_walk_run_command_zeroes_gait_terms(self):
         rng = np.random.default_rng(5)
         st = random_state(rng)
-        bd = gait_rewards(st, one_hot(GAIT_WALK_RUN, 3), CFG)
+        bd = score_gait(st, one_hot(GAIT_WALK_RUN, 3), CFG)
         assert bd.raw["knee_height"] == 0.0
         assert bd.raw["squat_height"] == 0.0
         assert bd.r_g == 0.0
@@ -159,7 +156,7 @@ class TestDualImplementation:
         rng = np.random.default_rng(42)
         for _ in range(1000):
             st, cmd, a, ap, app = random_inputs(rng)
-            bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
+            bd = score_locomotion(st, cmd, a, ap, app, CFG, MODEL)
             expect = dual_locomotion(st, cmd, a, ap, app, CFG, MODEL)
             for name, val in expect.items():
                 assert bd.raw[name] == pytest.approx(val, abs=1e-12), name
@@ -172,7 +169,7 @@ class TestRoutingAndSigns:
         values = []
         for g in range(3):
             c = CommandState(v_cmd=cmd.v_cmd, w_cmd=cmd.w_cmd, gait=one_hot(g, 3))
-            bd = locomotion_rewards(st, c, a, ap, app, CFG, MODEL)
+            bd = score_locomotion(st, c, a, ap, app, CFG, MODEL)
             values.append(bd.weighted)
         assert values[0] == values[1] == values[2]
 
@@ -181,7 +178,7 @@ class TestRoutingAndSigns:
         for _ in range(50):
             st = random_state(rng)
             for active in range(3):
-                bd = gait_rewards(st, one_hot(active, 3), CFG)
+                bd = score_gait(st, one_hot(active, 3), CFG)
                 if active != GAIT_HIGH_KNEES:
                     assert bd.weighted["knee_height"] == 0.0
                 if active != GAIT_SQUAT:
@@ -191,10 +188,10 @@ class TestRoutingAndSigns:
         rng = np.random.default_rng(10)
         for _ in range(200):
             st, cmd, a, ap, app = random_inputs(rng)
-            bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
+            bd = score_locomotion(st, cmd, a, ap, app, CFG, MODEL)
             assert 0.0 < bd.weighted["track_lin_vel"] <= 2.0
             assert 0.0 < bd.weighted["track_ang_vel"] <= 2.0
-            gb = gait_rewards(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
+            gb = score_gait(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
             assert 0.0 < gb.weighted["knee_height"] <= 2.0
 
     def test_sign_discipline_default_mode(self):
@@ -202,13 +199,13 @@ class TestRoutingAndSigns:
         rng = np.random.default_rng(11)
         for _ in range(300):
             st, cmd, a, ap, app = random_inputs(rng)
-            bd = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
+            bd = score_locomotion(st, cmd, a, ap, app, CFG, MODEL)
             for name, w in bd.weighted.items():
                 if name in bonus:
                     assert w >= 0.0, name
                 else:
                     assert w <= 0.0, name
-            gb = gait_rewards(st, one_hot(GAIT_SQUAT, 3), CFG)
+            gb = score_gait(st, one_hot(GAIT_SQUAT, 3), CFG)
             assert gb.weighted["squat_height"] <= 0.0
 
 
@@ -218,8 +215,8 @@ class TestTotal:
         rng = np.random.default_rng(12)
         for _ in range(50):
             st, cmd, a, ap, app = random_inputs(rng)
-            loco = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
-            bd = total_reward(loco, 0.0, gait_rewards(st, np.zeros(3), CFG), CFG)
+            loco = score_locomotion(st, cmd, a, ap, app, CFG, MODEL)
+            bd = score_total(loco, 0.0, score_gait(st, np.zeros(3), CFG), CFG)
             assert math.copysign(1.0, bd.r_s) == math.copysign(1.0, bd.r_g) == 1.0
             assert bd.r_s == bd.r_g == 0.0
             assert bd.total == loco.r_l + 0.0
@@ -227,9 +224,9 @@ class TestTotal:
     def test_stage2_includes_all_components(self):
         rng = np.random.default_rng(13)
         st, cmd, a, ap, app = random_inputs(rng)
-        loco = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
-        gait = gait_rewards(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
-        bd = total_reward(loco, style_raw=0.8, gait_bd=gait, cfg=CFG)
+        loco = score_locomotion(st, cmd, a, ap, app, CFG, MODEL)
+        gait = score_gait(st, one_hot(GAIT_HIGH_KNEES, 3), CFG)
+        bd = score_total(loco, style_raw=0.8, gait_bd=gait, cfg=CFG)
         assert bd.r_s == pytest.approx(5.0 * 0.8)
         assert bd.total == pytest.approx(bd.r_l + bd.r_s + bd.r_g)
 
@@ -239,9 +236,9 @@ class TestTotal:
         cmd = CommandState(gait=np.zeros(3))
         zero = np.zeros(N_JOINTS)
         st.joint_pos = MODEL.nominal()
-        loco = locomotion_rewards(st, cmd, zero, zero, zero, CFG, MODEL)
-        gait = gait_rewards(st, np.zeros(3), CFG)
-        bd = total_reward(loco, 0.0, gait, cfg=CFG)
+        loco = score_locomotion(st, cmd, zero, zero, zero, CFG, MODEL)
+        gait = score_gait(st, np.zeros(3), CFG)
+        bd = score_total(loco, 0.0, gait, cfg=CFG)
         # tracking terms are 1.0 * 2 each at zero error; remove them for the zero check
         residual = bd.total - bd.weighted["track_lin_vel"] - bd.weighted["track_ang_vel"]
         assert residual == pytest.approx(0.0, abs=1e-12)
@@ -250,10 +247,10 @@ class TestTotal:
         rng = np.random.default_rng(14)
         for _ in range(100):
             st, cmd, a, ap, app = random_inputs(rng)
-            loco = locomotion_rewards(st, cmd, a, ap, app, CFG, MODEL)
-            gait = gait_rewards(st, one_hot(int(rng.integers(0, 3)), 3), CFG)
+            loco = score_locomotion(st, cmd, a, ap, app, CFG, MODEL)
+            gait = score_gait(st, one_hot(int(rng.integers(0, 3)), 3), CFG)
             style = float(rng.uniform(0, 1))
-            bd = total_reward(loco, style, gait, cfg=CFG)
+            bd = score_total(loco, style, gait, cfg=CFG)
             assert bd.total == pytest.approx(sum(bd.weighted.values()), abs=1e-12)
 
 
@@ -264,11 +261,11 @@ class TestLimitConfig:
         st.joint_pos = MODEL.upper() - 0.05  # inside the hard limits, near the top
         st.joint_torque = np.array(MODEL.torque_limit) * 0.8
         cfg = RewardConfig()
-        first = locomotion_rewards(st, cmd, a, ap, app, cfg, MODEL)
+        first = score_locomotion(st, cmd, a, ap, app, cfg, MODEL)
         cfg.soft_limit_frac = 0.5
         cfg.torque_soft_frac = 0.5
-        changed = locomotion_rewards(st, cmd, a, ap, app, cfg, MODEL)
-        fresh = locomotion_rewards(
+        changed = score_locomotion(st, cmd, a, ap, app, cfg, MODEL)
+        fresh = score_locomotion(
             st, cmd, a, ap, app,
             RewardConfig(soft_limit_frac=0.5, torque_soft_frac=0.5), MODEL,
         )

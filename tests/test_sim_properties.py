@@ -35,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaitrl.env as env_module
-from gaitrl.biped import N_JOINTS, BipedModel
+from gaitrl.biped import N_JOINTS, VZ, Z, BipedModel, BipedState
 from gaitrl.env import CommandState, EnvConfig, TerrainEnv, sample_dr
 from gaitrl.terrain import TERRAIN_KINDS, generate_terrain
 
@@ -119,11 +119,13 @@ def test_spawning_further_along_flat_ground_translates_the_trajectory(
 
 
 def checked_substep(substep, violations):
-    """``substep``, followed by the bounds check of its result."""
+    """``substep``, followed by the bounds check of its result (the float
+    state it wrote, read through a ``BipedState``)."""
 
-    def run(model, state, tau, terrain, dt, friction, restitution, total_mass, *args):
-        z0, vz0 = state.z, state.vz
-        substep(model, state, tau, terrain, dt, friction, restitution, total_mass, *args)
+    def run(model, s, tau, terrain, dt, friction, restitution, total_mass, *args):
+        z0, vz0 = s[Z], s[VZ]
+        substep(model, s, tau, terrain, dt, friction, restitution, total_mass, *args)
+        state = BipedState(np.array(s))
         q = state.joint_pos
         if not ((q >= model.lower()) & (q <= model.upper())).all():
             violations.append(("joint limits", q.copy()))

@@ -21,7 +21,6 @@ from gaitrl.config import (
 from gaitrl.env import TerrainEnv, one_hot
 from gaitrl.policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
 from gaitrl.ppo import RolloutBuffer
-from gaitrl.rewards import RewardBreakdown
 from gaitrl.trainer import (
     CurriculumState,
     EnvWorker,
@@ -30,7 +29,7 @@ from gaitrl.trainer import (
     update_curriculum,
 )
 
-from oracles import ref_normalize
+from oracles import no_rewards, ref_normalize
 
 
 def tiny_cfg(**over):
@@ -186,6 +185,19 @@ class TestGaitScheduler:
             assert abs(freq - probs[g]) < 3 * sigma
 
 
+class TestExplorationNoise:
+    def test_a_draw_into_a_row_is_a_draw_of_standard_normal(self):
+        # collect_rollout draws each worker's noise into its row of one array
+        for seed in range(20):
+            into, fresh = np.random.default_rng(seed), np.random.default_rng(seed)
+            noise = np.empty((3, N_JOINTS))
+            for row in noise:
+                into.standard_normal(out=row)
+            expected = np.stack([fresh.standard_normal(N_JOINTS) for _ in range(3)])
+            assert noise.tobytes() == expected.tobytes()
+            assert into.bit_generator.state == fresh.bit_generator.state
+
+
 class TestStage1:
     def test_runs_and_logs_without_style_terms(self, tmp_path):
         cfg = tiny_cfg()
@@ -311,7 +323,7 @@ class TestRollout:
             for s in range(t + 1):
                 fresh.add_step(s, seen[s], buffer.actions[s], buffer.log_probs[s],
                                buffer.values[s], buffer.rewards[s], buffer.dones[s],
-                               [RewardBreakdown()] * N)
+                               no_rewards(N))
             rows = seen[t + 1].rows.copy()
             col += rows_slices[block].start
             rows[2, col] = np.nextafter(rows[2, col], np.float32(np.inf))
@@ -319,7 +331,7 @@ class TestRollout:
             with pytest.raises(ValueError, match="history or previous scan"):
                 fresh.add_step(t + 1, edited, buffer.actions[t + 1], buffer.log_probs[t + 1],
                                buffer.values[t + 1], buffer.rewards[t + 1],
-                               buffer.dones[t + 1], [RewardBreakdown()] * N)
+                               buffer.dones[t + 1], no_rewards(N))
 
     def test_a_gait_resample_reaches_the_observation(self, monkeypatch):
         # a gait period of three control steps: commands change mid-episode,
