@@ -28,6 +28,8 @@ from .terrain import build_benchmark_track, generate_terrain
 
 REPORT_FORMAT_VERSION = 1
 TRACE_FORMAT_VERSION = 1
+# every trace line: the bytes of json.dumps(..., sort_keys=True), from one encoder
+_TRACE_JSON = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass
@@ -210,27 +212,26 @@ def _write_trace(trace_file, rows, first_step, termination, commands, reward_cfg
     weighted = locomotion_rewards(
         states, np.broadcast_to(commands, (n, 2)), reward_cfg, model
     ).weighted
-    fields = states[:, [TIME, X, Z, PITCH, VX]]
+    # the chunk's floats, as Python floats, in one call per column group
+    fields = states[:, [TIME, X, Z, PITCH, VX]].tolist()
+    actions, distances = rows[:, STATE_WIDTH:-1].tolist(), rows[:, -1].tolist()
+    weighted = weighted.tolist()
     for k in range(n):
-        t, x, z, pitch, vx = fields[k].tolist()
+        t, x, z, pitch, vx = fields[k]
         term = termination if k == n - 1 else "none"
         trace_file.write(
-            json.dumps(
-                {
-                    "step": first_step + k + 1,
-                    "t": _finite_or_none(round(t, 6)),
-                    "x": _finite_or_none(x),
-                    "z": _finite_or_none(z),
-                    "pitch": _finite_or_none(pitch),
-                    "vx": _finite_or_none(vx),
-                    "action": [round(a, 6) for a in rows[k, STATE_WIDTH:-1].tolist()],
-                    "rewards": {} if term == "diverged"
-                    else dict(zip(LOCOMOTION_TERMS, weighted[k].tolist())),
-                    "distance": float(rows[k, -1]),
-                    "termination": term,
-                },
-                sort_keys=True,
-            )
+            _TRACE_JSON.encode({
+                "step": first_step + k + 1,
+                "t": _finite_or_none(round(t, 6)),
+                "x": _finite_or_none(x),
+                "z": _finite_or_none(z),
+                "pitch": _finite_or_none(pitch),
+                "vx": _finite_or_none(vx),
+                "action": [round(a, 6) for a in actions[k]],
+                "rewards": {} if term == "diverged" else dict(zip(LOCOMOTION_TERMS, weighted[k])),
+                "distance": distances[k],
+                "termination": term,
+            })
             + "\n"
         )
 
@@ -267,13 +268,9 @@ def run_benchmark(
             else:
                 terrain = build_benchmark_track(obstacle, mode, seed, cfg.terrain)
             if trace_file is not None:
-                trace_file.write(
-                    json.dumps(
-                        {"trial": trial, "seed": seed, "format_version": TRACE_FORMAT_VERSION},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                trace_file.write(_TRACE_JSON.encode(
+                    {"trial": trial, "seed": seed, "format_version": TRACE_FORMAT_VERSION}
+                ) + "\n")
             out = run_trial(
                 controller, terrain, cfg.model, cfg.env,
                 gait_id=gait_id,
@@ -284,7 +281,7 @@ def run_benchmark(
                 reward_cfg=cfg.rewards,
             )
             if trace_file is not None:
-                trace_file.write(json.dumps({"trial_end": trial, **out}, sort_keys=True) + "\n")
+                trace_file.write(_TRACE_JSON.encode({"trial_end": trial, **out}) + "\n")
             successes += int(out["success"])
             dist_sum += out["distance"]
         if trace_file is not None:
@@ -434,13 +431,14 @@ def pca_2d(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
-    """Plain euclidean silhouette over the given labeling."""
+    """Plain euclidean silhouette over the given labeling.
+
+    Each row's distances to every row are taken one row at a time, so the
+    working set is ``[n, d]``, not the ``[n, n, d]`` of all differences."""
     labels = np.asarray(labels)
     uniq = np.unique(labels)
     if len(uniq) < 2:
         raise ValueError("silhouette needs at least two clusters")
-    diffs = data[:, None, :] - data[None, :, :]
-    dist = np.sqrt(np.sum(diffs * diffs, axis=2))
     scores = []
     for i in range(len(data)):
         same = labels == labels[i]
@@ -448,8 +446,10 @@ def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:
         if n_same <= 1:
             scores.append(0.0)
             continue
-        a = dist[i, same].sum() / (n_same - 1)
-        b = min(dist[i, labels == u].mean() for u in uniq if u != labels[i])
+        d = data[i] - data
+        dist = np.sqrt(np.sum(d * d, axis=1))
+        a = dist[same].sum() / (n_same - 1)
+        b = min(dist[labels == u].mean() for u in uniq if u != labels[i])
         scores.append((b - a) / max(a, b))
     return float(np.mean(scores))
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 import numpy as np
 
@@ -198,21 +200,35 @@ def action_targets(model: BipedModel, action: list) -> list:
     return [scale * a + n for a, n in zip(action, model.nominal_pose)]
 
 
+def pd_gains(model: BipedModel, kp_scale: float, kd_scale: float) -> tuple[list, list]:
+    """An episode's PD gains: each joint's ``kp`` and ``kd`` times the DR
+    draw's ``kp_scale`` and ``kd_scale``."""
+    return list(map(mul, model.kp, repeat(kp_scale))), list(map(mul, model.kd, repeat(kd_scale)))
+
+
+def contact_damping(model: BipedModel, restitution: float) -> float:
+    """An episode's normal contact damping: restitution softens it, letting
+    touchdown keep a share of its vertical momentum."""
+    return model.contact_dn * (1.0 - 0.85 * restitution)
+
+
 def pd_torques(
     model: BipedModel,
     s: list,
     target: list,
-    kp_scale: float,
-    kd_scale: float,
+    kp: list,
+    kd: list,
     motor_strength: float,
 ) -> list:
     """Target-position PD control on the float state ``s``: the torques
-    toward ``target`` (see :func:`action_targets`), clipped to the limits."""
+    toward ``target`` (see :func:`action_targets`), clipped to the limits.
+
+    ``kp`` and ``kd`` are the episode's gains (:func:`pd_gains`) and
+    ``motor_strength`` its DR draw, all fixed for the episode.
+    """
     tau = []
-    for kp, kd, lim, tgt, q, qd in zip(
-        model.kp, model.kd, model.torque_limit, target, s[Q:QD], s[QD:QDD],
-    ):
-        t = (kp * kp_scale * (tgt - q) - kd * kd_scale * qd) * motor_strength
+    for kp_j, kd_j, lim, tgt, q, qd in zip(kp, kd, model.torque_limit, target, s[Q:QD], s[QD:QDD]):
+        t = (kp_j * (tgt - q) - kd_j * qd) * motor_strength
         # np.minimum then np.maximum against +-lim: NaN passes, ties take lim
         if not t < lim and t == t:
             t = lim
@@ -238,17 +254,21 @@ def substep(
     terrain,
     dt: float,
     friction: float,
-    restitution: float,
+    dn: float,
     total_mass: float,
     com_shift: float,
-    inertia_scale: float = 1.0,
+    pitch_inertia: float,
 ) -> None:
     """One physics integration step (semi-implicit Euler) of the float state
-    ``s`` (a ``STATE_WIDTH`` list), in place.
+    ``s`` (a ``STATE_WIDTH`` list), in place, over ``dt`` (the control period
+    over the substeps).
 
-    Restitution softens the normal contact damping, letting touchdown keep a
-    share of its vertical momentum; friction scales the tangential force cap.
-    The expressions keep the operation order of the array formulation, so
+    The rest are the episode's, fixed for it: ``friction`` scales the
+    tangential force cap, ``dn`` is the normal contact damping
+    (:func:`contact_damping`), ``total_mass`` the base's mass with the
+    payload, ``com_shift`` its centre-of-mass offset and ``pitch_inertia``
+    its pitch inertia (``base_inertia`` times the link-mass scale).  The
+    expressions keep the operation order of the array formulation, so
     results are bit-identical to it.
     """
     # joints first: torque-driven servos (semi-implicit), then hard joint
@@ -291,7 +311,6 @@ def substep(
     cosp = math.cos(pitch)
     com_x = bx + com_shift * cosp
     com_z = bz - com_shift * math.sin(pitch)
-    dn = model.contact_dn * (1.0 - 0.85 * restitution)
     kn, kt, ct = model.contact_kn, model.contact_kt, model.contact_ct
     damp_ramp, force_cap = model.contact_damp_ramp, model.contact_force_cap
     heights, void, cell_at = terrain.height_view, terrain.void_view, terrain.cell_at
@@ -376,7 +395,7 @@ def substep(
     torque -= model.base_rot_damping * pr
     vx += dt * f_x / total_mass
     vz += dt * f_z / total_mass
-    pr += dt * torque / (model.base_inertia * inertia_scale)
+    pr += dt * torque / pitch_inertia
     s[VX] = vx
     s[VZ] = vz
     s[PITCH_RATE] = pr

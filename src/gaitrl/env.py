@@ -12,10 +12,16 @@ A control step.  ``TerrainEnv.step`` reads the env's float state row once
 (``row.tolist()``, :data:`gaitrl.biped.STATE_FIELDS`), runs the push, the
 four ``pd_torques``/``substep`` pairs, the torque average, the joint
 acceleration, the finite check and the termination on Python floats, and
-writes the row once, with the last three actions.  The envs started
-(``reset``) or stepped since the batch's last pass are then sensed in one
-pass over their rows, when the first of their results
-(``StepResult.bundle``) or a reader of the batch's ``rows`` asks.
+writes the row once, with the last three actions.  What the physics reads
+of the DR draw is derived once per episode, in ``reset``: the PD gains,
+the contact damping, the base's mass and pitch inertia, beside the friction,
+motor strength and centre-of-mass shift (``TerrainEnv._kernel``); the
+substep's ``dt`` once per env.  The envs started (``reset``) or stepped
+since the batch's last pass are then sensed in one pass over their rows,
+when the first of their results (``StepResult.bundle``) or a reader of the
+batch's ``rows`` asks.  A pass costs a fixed set of numpy calls whatever
+the number of rows: a batch of one pays for one row's arithmetic and those
+calls, not for a batch.
 
 The observation row.  Each pass writes the raw rows (``raw``, ``[N, d]``
 float64) and normalizes all of them at once into a new ``[N, d]`` float32
@@ -89,6 +95,7 @@ import weakref
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import add
 from types import MappingProxyType
 
 import numpy as np
@@ -116,6 +123,8 @@ from .biped import (
     BipedModel,
     BipedState,
     action_targets,
+    contact_damping,
+    pd_gains,
     pd_torques,
     substep,
 )
@@ -299,8 +308,11 @@ class EnvLayout:
     """What an env derives from its model and config alone, read-only: each
     block's width (``dims``, :func:`obs_dims`) and columns (``slices``,
     :func:`obs_slices`), the x offsets of the height scan and of the
-    elevation map, and each column's ``shift`` and ``scale``
-    (:func:`obs_scaling`).  The envs of a run share one (:func:`env_layout`)."""
+    elevation map, each column's ``shift`` and ``scale``
+    (:func:`obs_scaling`), and the index map of the sensing pass's one
+    gather: the raw columns (``sensed_cols``) that take state columns
+    (``state_cols``) as they are.  The envs of a run share one
+    (:func:`env_layout`)."""
 
     dims: Mapping[str, int]
     slices: Mapping[str, slice]
@@ -308,6 +320,19 @@ class EnvLayout:
     elev_offsets: np.ndarray
     shift: np.ndarray
     scale: np.ndarray
+    sensed_cols: np.ndarray
+    state_cols: np.ndarray
+
+
+def _sensing_map(slices: Mapping[str, slice]) -> tuple[np.ndarray, np.ndarray]:
+    """``(raw columns, state columns)``: ``o``'s rates, q, qd and last
+    action, and ``e``'s feet (relative to the base once the pass subtracts
+    it), contacts and true velocity."""
+    o, e = slices["o"].start, slices["e"].start
+    raw_cols = [o, o + 1, *range(o + 6, o + 6 + 3 * N_JOINTS), *range(e, e + N_EXTRAS)]
+    state_cols = [PITCH_RATE, YAW_RATE, *range(Q, QDD), *range(ACTION, ACTION + N_JOINTS),
+                  *range(FOOT, FOOT + 4), CONTACT, CONTACT + 1, VX, VZ]
+    return np.array(raw_cols), np.array(state_cols)
 
 
 def env_layout(model: BipedModel, cfg: EnvConfig) -> EnvLayout:
@@ -320,11 +345,12 @@ def env_layout(model: BipedModel, cfg: EnvConfig) -> EnvLayout:
 def _layout(model: BipedModel, cfg_fields: tuple) -> EnvLayout:
     cfg = EnvConfig(*cfg_fields)
     dims = obs_dims(cfg)
-    shift, scale = obs_scaling(model, dims)
-    arrays = (cfg.scan_offsets(), cfg.elev_offsets(), shift, scale)
+    slices = obs_slices(dims)
+    arrays = (cfg.scan_offsets(), cfg.elev_offsets(), *obs_scaling(model, dims),
+              *_sensing_map(slices))
     for a in arrays:
         a.flags.writeable = False
-    return EnvLayout(MappingProxyType(dims), MappingProxyType(obs_slices(dims)), *arrays)
+    return EnvLayout(MappingProxyType(dims), MappingProxyType(slices), *arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,33 +462,56 @@ class EnvBatch:
     - ``scan_queue``: ``[N, L, K]``, each env's last ``L`` current scans,
       newest last, and its ``scan_delay``, ``scan_bias`` and ``scan_sigma``;
       ``noise``, the scan noise each env drew for its next sensing.
+
+    What a pass reads of an episode is set when the episode starts
+    (:meth:`begin`), as ``[N, 1]`` columns or flat indices: the row's first
+    cell in the stacked heights and which scans of its queue the row shows.
     """
 
     def __init__(self, model: BipedModel, cfg: EnvConfig, n: int):
         self.model, self.cfg, self.n = model, cfg, n
-        self.layout = env_layout(model, cfg)
-        d, K = len(self.layout.shift), cfg.scan_points
+        self.layout = lay = env_layout(model, cfg)
+        d, K = len(lay.shift), cfg.scan_points
         self.size = 0  # rows taken by envs
         self.state = np.zeros((n, STATE_WIDTH))
         self.raw = np.zeros((n, d))
-        self._rows = self._normalize()
+        self._rows = None  # normalized when first read
+        self._env_rows = np.arange(n)[:, None]
         self.heights = np.zeros((n, 1))
-        self.inv_cell = np.ones(n)
-        self.last_cell = np.zeros(n, dtype=np.intp)
+        self._cell_base = self._env_rows * self.heights.shape[1]  # each row's first cell
+        self.inv_cell = np.ones((n, 1))
+        self.last_cell = np.zeros((n, 1), dtype=np.intp)
         self.scan_queue = np.zeros((n, 2, K))
         self.scan_delay = np.zeros(n, dtype=np.intp)
+        self._scan_cols = np.arange(2 * K)
+        self._pick_scans()
         self.scan_bias = np.zeros(n)
         self.scan_sigma = np.zeros(n)
+        self._biased: set[int] = set()
+        self._noisy: set[int] = set()
         self.noise = np.zeros((n, K))
         # the scan's points, then the elevation map's: read in one gather
-        self._offsets = np.concatenate([self.layout.scan_offsets, self.layout.elev_offsets])
+        self._offsets = np.concatenate([lay.scan_offsets, lay.elev_offsets])
+        # the columns a pass writes by block: o's and e's first, the
+        # history's bounds and o's width, the elevation map, the scans
+        sl = lay.slices
+        self._blocks = (sl["o"].start, sl["e"].start, (sl["hist"].start, sl["hist"].stop),
+                        lay.dims["d_o"])
+        self._m, self._scans = sl["m"], sl["scans"]
+        # the layout's gather as flat indices into a pass's first n raw and
+        # state rows, and the base's x, z, x, z beside the feet
+        self._gather = (self._env_rows * d + lay.sensed_cols,
+                        self._env_rows * STATE_WIDTH + lay.state_cols)
+        self._feet_base = self._env_rows * STATE_WIDTH + np.array([X, Z, X, Z])
+        for a in (*self._gather, self._feet_base):
+            a.flags.writeable = False
         # what the next pass senses: envs whose episode starts, and envs stepped
         self._sense_next: dict[bool, list[int]] = {True: [], False: []}
         # given their rows at the next pass; held weakly, so that a batch and
         # the results it waits to fill form no reference cycle
         self._results: list[weakref.ref] = []
         self._waiting: set[int] = set()  # envs whose last result has no rows yet
-        self._stale = False  # a raw row changed outside a pass
+        self._stale = True  # a raw row changed outside a pass, or none was normalized yet
 
     @property
     def rows(self) -> np.ndarray:
@@ -490,7 +539,8 @@ class EnvBatch:
         self._sense_next, self._results = {True: [], False: []}, []
         for start, ix in sense_next.items():
             if ix:
-                self._sense(slice(None) if ix == list(range(self.n)) else np.array(ix), start)
+                # every env, in any order: a slice, so the rows are views
+                self._sense(slice(None) if len(ix) == self.n else np.array(ix), start)
         if results or self._stale:
             self._rows = self._normalize()
         for ref in results:
@@ -513,66 +563,60 @@ class EnvBatch:
         their state: ``o``, the history, the scans, the elevation map and
         ``e``'s extras; the command, gait and DR columns keep what the
         episode start wrote.  ``start`` begins each env's history and scan
-        queue at this row; otherwise both advance by one."""
-        cfg, sl, raw = self.cfg, self.layout.slices, self.raw
-        st = self.state[ix]
-        n, nj, K = len(st), N_JOINTS, cfg.scan_points
-        # o: [pitch and yaw rates, projected gravity, commands, q, qd, last action]
-        o = raw[ix, sl["o"]]
-        o[:, 0:2] = st[:, PITCH_RATE : YAW_RATE + 1]
+        queue at this row; otherwise both advance by one, in place.
+
+        A fixed set of numpy calls whatever the number of rows: the rows are
+        taken once (views for a slice) and written back once."""
+        cfg, K = self.cfg, self.cfg.scan_points
+        o, e, (h0, h1), d_o = self._blocks
+        st, r = self.state[ix], self.raw[ix]
+        n = len(st)
+        to, frm = self._gather
+        r.put(to[:n], st.take(frm[:n]))
+        # projected gravity: -sin and -cos of the pitch, one float at a time
         pitch = st[:, PITCH].tolist()
-        o[:, 2] = [-math.sin(p) for p in pitch]
-        o[:, 3] = [-math.cos(p) for p in pitch]
-        o[:, 6 : 6 + 2 * nj] = st[:, Q:QDD]
-        o[:, 6 + 2 * nj :] = st[:, ACTION : ACTION + nj]
-        raw[ix, sl["o"]] = o
+        r[:, o + 2] = [-math.sin(p) for p in pitch]
+        r[:, o + 3] = [-math.cos(p) for p in pitch]
+        feet = r[:, e : e + 4]
+        np.subtract(feet, st.take(self._feet_base[:n]), out=feet)
         if start:
-            raw[ix, sl["hist"]] = np.tile(o, self.layout.dims["d_hist"] // o.shape[1])
+            r[:, h0:h1] = np.tile(r[:, o : o + d_o], (h1 - h0) // d_o)
         else:
-            hist, d_o = raw[ix, sl["hist"]], o.shape[1]
-            hist[:, :-d_o] = hist[:, d_o:]
-            hist[:, -d_o:] = o
-            raw[ix, sl["hist"]] = hist
+            r[:, h0 : h1 - d_o] = r[:, h0 + d_o : h1]
+            r[:, h1 - d_o : h1] = r[:, o : o + d_o]
 
         # heights under the scan's points and the elevation map's, relative to the base
-        env_ix = np.arange(self.n)[ix]
-        x, z = st[:, X], st[:, Z]
-        cells = ((x[:, None] + self._offsets) * self.inv_cell[ix, None]).astype(np.intp)
+        cells = st[:, X, None] + self._offsets
+        cells *= self.inv_cell[ix]
+        cells = cells.astype(np.intp)
         np.maximum(cells, 0, out=cells)
-        np.minimum(cells, self.last_cell[ix, None], out=cells)
-        cells += (env_ix * self.heights.shape[1])[:, None]
+        np.minimum(cells, self.last_cell[ix], out=cells)
+        cells += self._cell_base[ix]
         h = self.heights.take(cells)
-        h -= z[:, None]
-        raw[ix, sl["m"]] = h[:, K:]
+        h -= st[:, Z, None]
+        r[:, self._m] = h[:, K:]
         if cfg.blind:
             scan = np.zeros((n, K))
         else:
             scan = h[:, :K]
-            bias = self.scan_bias[ix]
-            np.add(scan, bias[:, None], out=scan, where=(bias != 0.0)[:, None])
-            np.add(scan, self.noise[ix], out=scan, where=(self.scan_sigma[ix] > 0.0)[:, None])
+            # each add only where a row's episode has it, and none when no row's has
+            if self._biased:
+                bias = self.scan_bias[ix, None]
+                np.add(scan, bias, out=scan, where=bias != 0.0)
+            if self._noisy:
+                np.add(scan, self.noise[ix], out=scan, where=self.scan_sigma[ix, None] > 0.0)
             np.maximum(scan, -cfg.scan_clip, out=scan)
             np.minimum(scan, cfg.scan_clip, out=scan)
-        queue = self.scan_queue[ix]
+        queue = self.scan_queue
         if start:
-            queue[:] = scan[:, None, :]
+            queue[ix] = scan[:, None]
         else:
-            queue[:, :-1] = queue[:, 1:]
-            queue[:, -1] = scan
-        self.scan_queue[ix] = queue
-        # the sensor delay d: the row's scans are S_{t-1-d} and S_t-d
-        last = queue.shape[1] - 1 - self.scan_delay[ix]
-        rows = np.arange(n)
-        raw[ix, sl["scans"]] = np.concatenate([queue[rows, last - 1], queue[rows, last]], axis=1)
-
-        # e's extras: [feet relative to the base, contacts, true velocity]
-        extras = np.empty((n, N_EXTRAS))
-        feet = st[:, FOOT : FOOT + 4].reshape(n, 2, 2) - st[:, None, X : Z + 1]
-        extras[:, 0:4] = feet.reshape(n, 4)
-        extras[:, 4:6] = st[:, CONTACT : CONTACT + 2]
-        extras[:, 6:8] = st[:, VX : VZ + 1]
-        e = sl["e"].start
-        raw[ix, e : e + N_EXTRAS] = extras
+            queue[ix, :-1] = queue[ix, 1:]
+            queue[ix, -1] = scan
+        # the sensor delay d: the row's scans are S_{t-1-d} and S_{t-d}
+        r[:, self._scans] = queue.take(self._scan_pick[ix])
+        if not isinstance(ix, slice):  # a slice's rows were written in place
+            self.raw[ix] = r
 
     # -- what the envs call ---------------------------------------------------
 
@@ -592,19 +636,41 @@ class EnvBatch:
         self._results.append(weakref.ref(res))
         return res
 
-    def begin(self, i: int, terrain: Heightfield, scan_delay: int) -> None:
-        """Give env ``i`` an episode on ``terrain`` with a scan delay of
-        ``scan_delay`` control steps."""
+    def begin(self, i: int, terrain: Heightfield, dr: DRConfig, scan_bias: float) -> None:
+        """Give env ``i`` an episode on ``terrain`` under the DR draw ``dr``,
+        its scans offset by ``scan_bias``."""
         extra = terrain.n_cells - self.heights.shape[1]
         if extra > 0:
             self.heights = np.pad(self.heights, ((0, 0), (0, extra)))
+            self._cell_base = self._env_rows * self.heights.shape[1]
         self.heights[i, : terrain.n_cells] = terrain.heights
         self.inv_cell[i] = 1.0 / terrain.cell_size
         self.last_cell[i] = terrain.n_cells - 1
-        if 2 + scan_delay > self.scan_queue.shape[1]:
-            extra = 2 + scan_delay - self.scan_queue.shape[1]
-            self.scan_queue = np.pad(self.scan_queue, ((0, 0), (extra, 0), (0, 0)))
-        self.scan_delay[i] = scan_delay
+        self.scan_bias[i], self.scan_sigma[i] = scan_bias, dr.scan_noise
+        # the rows with a bias and with noise, so a pass can skip an add that none has
+        self._biased.discard(i)
+        self._noisy.discard(i)
+        if scan_bias != 0.0:
+            self._biased.add(i)
+        if dr.scan_noise > 0.0:
+            self._noisy.add(i)
+        scan_delay = dr.scan_delay_steps()
+        _, L, K = self.scan_queue.shape
+        if 2 + scan_delay > L:
+            self.scan_delay[i] = scan_delay
+            self.scan_queue = np.pad(self.scan_queue, ((0, 0), (2 + scan_delay - L, 0), (0, 0)))
+            self._pick_scans()
+        elif scan_delay != self.scan_delay[i]:  # the one row of _pick_scans
+            self.scan_delay[i] = scan_delay
+            np.add(self._scan_cols, (i * L + L - 2 - scan_delay) * K, out=self._scan_pick[i])
+
+    def _pick_scans(self) -> None:
+        """Set each row's flat indices into ``scan_queue`` of the scans that it
+        shows: ``S_{t-1-d}`` and ``S_{t-d}`` for the env's scan delay ``d``,
+        ``[-2 - d]`` and ``[-1 - d]`` of its queue."""
+        _, L, K = self.scan_queue.shape
+        first = (self._env_rows * L + L - 2 - self.scan_delay[:, None]) * K
+        self._scan_pick = first + self._scan_cols
 
     def touch(self) -> None:
         """Have the next pass normalize again: a raw row changed outside one."""
@@ -634,6 +700,7 @@ class TerrainEnv:
         self.rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.layout = batch.layout
         self.dims, self.slices = self.layout.dims, self.layout.slices
+        self._dt_sub = self.cfg.dt / self.cfg.substeps  # the physics' step
         # the episode; reset sets each of these
         self.terrain: Heightfield | None = None
         self.dr: DRConfig | None = None
@@ -677,9 +744,15 @@ class TerrainEnv:
         b.raw[i, o + 4 : o + 6] = commands.v_cmd, commands.w_cmd
         b.raw[i, sl["gait"]] = commands.gait
         b.raw[i, sl["e"].start + N_EXTRAS : sl["e"].stop] = dr.as_vector()
-        self._ep_dr_mass = (self.model.base_mass + dr.payload) * dr.link_mass_scale
-        b.scan_bias[i] = dr.scan_bias * (1.0 if self.rng.random() < 0.5 else -1.0)
-        b.scan_sigma[i] = dr.scan_noise
+        # the physics' constants of the episode, in the order pd_torques and substep take them
+        model = self.model
+        kp, kd = pd_gains(model, dr.kp_scale, dr.kd_scale)
+        self._kernel = (
+            kp, kd, dr.motor_strength, dr.friction, contact_damping(model, dr.restitution),
+            (model.base_mass + dr.payload) * dr.link_mass_scale, dr.com_shift,
+            model.base_inertia * dr.link_mass_scale,
+        )
+        scan_bias = dr.scan_bias * (1.0 if self.rng.random() < 0.5 else -1.0)
 
         # no action yet: zeros, which each step's action pushes out
         n = dr.action_delay_steps(cfg.dt) + 1
@@ -687,7 +760,7 @@ class TerrainEnv:
         self._next_push = cfg.push_interval_s
         self._done = False
         self._draw_scan_noise()
-        b.begin(i, terrain, dr.scan_delay_steps())
+        b.begin(i, terrain, dr, scan_bias)
         self._distance = st.x - cfg.spawn_x
         return b.queue(StepResult("none", self._distance, b, i), start=True)
 
@@ -702,15 +775,14 @@ class TerrainEnv:
         if action.shape != (N_JOINTS,):
             raise ValueError(f"action shape {action.shape}, expected ({N_JOINTS},)")
         a = action.tolist()
-        if any(v != v for v in a):
-            raise ValueError("NaN in action")
         bound = self.model.action_bound + 1e-9
-        if any(abs(v) > bound for v in a):
-            raise ValueError("action outside configured bound")
+        if not all(abs(v) <= bound for v in a):  # one pass: NaN fails it too
+            raise ValueError("NaN in action" if any(v != v for v in a)
+                             else "action outside configured bound")
 
-        b, cfg, model, dr = self.batch, self.cfg, self.model, self.dr
-        b.settle(self.index)
-        row = b.state[self.index]
+        b, i, cfg, model = self.batch, self.index, self.cfg, self.model
+        b.settle(i)
+        row = b.state[i]
         s = row.tolist()
         # a state the previous step left is finite (checked after its
         # substeps); this catches one set from outside (a caller writing
@@ -725,21 +797,18 @@ class TerrainEnv:
 
         self._action_queue.append(a)
         target = action_targets(model, self._action_queue[0])
-        substeps = cfg.substeps
-        dt_sub = cfg.dt / substeps
+        kp, kd, strength, friction, dn, mass, com_shift, pitch_inertia = self._kernel
+        terrain, substeps, dt_sub = self.terrain, cfg.substeps, self._dt_sub
         qd_before = s[QD:QDD]
-        torque_sum = [0.0] * N_JOINTS
+        taus = []
         # no check per substep: a state that turns non-finite inside the loop
         # either makes the physics raise (int(nan) in a cell lookup,
         # math.cos(inf)) or is caught by the check after the loop
         try:
             for _ in range(substeps):
-                tau = pd_torques(model, s, target, dr.kp_scale, dr.kd_scale, dr.motor_strength)
-                substep(
-                    model, s, tau, self.terrain, dt_sub, dr.friction, dr.restitution,
-                    self._ep_dr_mass, dr.com_shift, dr.link_mass_scale,
-                )
-                torque_sum = [acc + t for acc, t in zip(torque_sum, tau)]
+                tau = pd_torques(model, s, target, kp, kd, strength)
+                substep(model, s, tau, terrain, dt_sub, friction, dn, mass, com_shift, pitch_inertia)
+                taus.append(tau)
         except (ArithmeticError, ValueError):
             row[:] = s
             if _is_finite(s):
@@ -748,7 +817,8 @@ class TerrainEnv:
         if not _is_finite(s):
             row[:] = s
             return self._diverged()
-        s[TAU:FOOT] = [acc / substeps for acc in torque_sum]
+        # each joint's torques summed once, from 0.0 in substep order, then averaged
+        s[TAU:FOOT] = [functools.reduce(add, joint, 0.0) / substeps for joint in zip(*taus)]
         s[QDD:TAU] = [(v - v0) / cfg.dt for v, v0 in zip(s[QD:QDD], qd_before)]
         s[N_COLLISIONS] = float((s[KNEE] < 0.0) + (s[KNEE + 1] < 0.0))
         s[ACTION + N_JOINTS :] = s[ACTION : ACTION + 2 * N_JOINTS]
@@ -759,7 +829,7 @@ class TerrainEnv:
         self._done = termination != "none"
         self._distance = distance = s[X] - cfg.spawn_x
         self._draw_scan_noise()
-        return b.queue(StepResult(termination, distance, b, self.index), start=False)
+        return b.queue(StepResult(termination, distance, b, i), start=False)
 
     def set_gait(self, gait: np.ndarray) -> None:
         """Hold ``gait`` from now on, and show it in the current observation."""
@@ -795,12 +865,15 @@ class TerrainEnv:
             return "timeout"
         if x < 0.05:
             return "out_of_bounds"
-        base_clearance = z - terrain.surface_at(x)
-        if base_clearance < cfg.min_base_height or abs(s[PITCH]) > cfg.max_pitch:
+        # the cells under the base and the feet, each looked up once
+        heights, void, cell_at = terrain.height_view, terrain.void_view, terrain.cell_at
+        i = cell_at(x)
+        surface = terrain.surface_at(x) if void[i] else heights[i]
+        if z - surface < cfg.min_base_height or abs(s[PITCH]) > cfg.max_pitch:
             return "fall"
         for fx, fz in (s[FOOT : FOOT + 2], s[FOOT + 2 : FOOT + 4]):
-            if terrain.is_void(fx) and fz < terrain.surface_at(fx) - 0.05:
+            if void[cell_at(fx)] and fz < terrain.surface_at(fx) - 0.05:
                 return "fall"
-        if not terrain.is_void(x) and z - self.model.base_half_height < terrain.height_at(x):
+        if not void[i] and z - self.model.base_half_height < heights[i]:
             return "collision"
         return "none"

@@ -1247,6 +1247,27 @@ def ref_collect_latent_samples(policy, cfg, terrain_kinds=("flat", "gap", "step"
     return samples
 
 
+def ref_silhouette_score(data, labels) -> float:
+    """The silhouette over every pairwise difference at once, ``[n, n, d]``."""
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    if len(uniq) < 2:
+        raise ValueError("silhouette needs at least two clusters")
+    diffs = data[:, None, :] - data[None, :, :]
+    dist = np.sqrt(np.sum(diffs * diffs, axis=2))
+    scores = []
+    for i in range(len(data)):
+        same = labels == labels[i]
+        n_same = same.sum()
+        if n_same <= 1:
+            scores.append(0.0)
+            continue
+        a = dist[i, same].sum() / (n_same - 1)
+        b = min(dist[i, labels == u].mean() for u in uniq if u != labels[i])
+        scores.append((b - a) / max(a, b))
+    return float(np.mean(scores))
+
+
 # -- the hand-written serializers gaitrl.codec replaced ---------------------------
 #
 # Every document had its own writer and reader, class by class: checkpoints

@@ -10,6 +10,10 @@ cycle through all five terrain kinds, under identity and randomized DR;
 short episodes and small actions make timeouts, large ones falls, and three
 envs are poked non-finite so they diverge.  A standalone env (a batch of
 one) follows env 2 with the same draws and must equal its row of the batch.
+Three smaller cases hold the sensing pass to the reference: a blind batch,
+scan delays of several steps joining a running batch (its scan queue padded
+mid-run), and a start over scattered rows sensed in the same pass as
+stepped rows.
 """
 
 from __future__ import annotations
@@ -178,3 +182,116 @@ def test_a_result_read_after_its_env_moved_on_shows_its_own_step():
     rows.append(rows[-1])
     env.reset(*start)
     assert [res.bundle.row.tobytes() for res in results] == [row.tobytes() for row in rows]
+
+
+# -- sensing cases: each compared as bytes against one RefEnv per env -------------
+
+
+def lockstep(cfg, n, seed):
+    batch = EnvBatch(MODEL, cfg, n)
+    envs = [TerrainEnv(seed=seed + i, batch=batch) for i in range(n)]
+    return batch, envs, [RefEnv(MODEL, cfg, seed + i) for i in range(n)]
+
+
+def start_beside(env, ref, terrain, dr, cmd):
+    """Start ``env`` and ``ref`` on the same episode; ``env``'s result, unread."""
+    res = env.reset(terrain, dr, cmd)
+    return res, ref.reset(terrain, dr, cmd)
+
+
+def test_a_blind_batch_is_the_per_env_step():
+    cfg = EnvConfig(blind=True, max_episode_s=0.4)
+    n = 4
+    batch, envs, refs = lockstep(cfg, n, 300)
+    rng = np.random.default_rng(5)
+
+    def start(i):
+        terrain = generate_terrain(("rough", "step")[i % 2], 0.6, int(rng.integers(2**31)))
+        res, row = start_beside(envs[i], refs[i], terrain, sample_dr(rng),
+                                CommandState(0.5, 0.0, one_hot(i % 3, 3)))
+        assert res.bundle.row.tobytes() == row.tobytes()
+
+    for i in range(n):
+        start(i)
+    ends = 0
+    for _ in range(60):
+        actions = rng.uniform(-1.0, 1.0, (n, N_JOINTS)) * 0.3
+        results = [env.step(a) for env, a in zip(envs, actions)]
+        ref_results = [ref.step(a) for ref, a in zip(refs, actions)]
+        for i in range(n):
+            assert_same_env(batch, i, refs[i], results[i], ref_results[i])
+            if results[i].done:
+                ends += 1
+                start(i)
+    assert ends > 0
+
+
+def test_scan_delays_of_several_steps_join_a_running_batch():
+    # delays of 0 and 1 step (the DR range) first, then 2 to 5 steps
+    # (scan_delay_ms 16 to 40), each making the batch pad its scan queue
+    cfg = EnvConfig(max_episode_s=0.5)
+    n = 6
+    batch, envs, refs = lockstep(cfg, n, 400)
+    rng = np.random.default_rng(9)
+    joins = {4: (1, 16.0), 9: (3, 40.0), 13: (4, 24.0), 14: (5, 32.0), 20: (0, 8.0)}
+    delays = set()
+
+    def start(i, delay_ms):
+        dr = DRConfig(scan_noise=0.02 * (i % 2), scan_bias=0.1 * (i % 3 == 0), scan_delay_ms=delay_ms)
+        delays.add(dr.scan_delay_steps())
+        terrain = generate_terrain("rough", 0.8, int(rng.integers(2**31)))
+        res, row = start_beside(envs[i], refs[i], terrain, dr, CommandState(0.5, 0.0, np.zeros(3)))
+        assert res.bundle.row.tobytes() == row.tobytes()
+
+    for i in range(n):
+        start(i, 8.0 * (i % 2))
+    queue_lengths = [batch.scan_queue.shape[1]]
+    for t in range(40):
+        if t in joins:
+            start(*joins[t])
+            queue_lengths.append(batch.scan_queue.shape[1])
+        actions = rng.uniform(-1.0, 1.0, (n, N_JOINTS)) * 0.2
+        results = [env.step(a) for env, a in zip(envs, actions)]
+        ref_results = [ref.step(a) for ref, a in zip(refs, actions)]
+        for i in range(n):
+            assert_same_env(batch, i, refs[i], results[i], ref_results[i])
+            if results[i].done:
+                start(i, 8.0 * i)
+    assert delays >= {0, 1, 2, 3, 4, 5}
+    assert queue_lengths == [3, 4, 7, 7, 7, 7]
+
+
+def test_a_start_over_scattered_rows_shares_a_pass_with_stepped_rows():
+    cfg = EnvConfig(max_episode_s=0.5)
+    n = 8
+    batch, envs, refs = lockstep(cfg, n, 500)
+    rng = np.random.default_rng(11)
+
+    def episode():
+        terrain = generate_terrain(TERRAIN_KINDS[int(rng.integers(1, 5))], 0.5,
+                                   int(rng.integers(2**31)))
+        return terrain, sample_dr(rng), CommandState(0.6, 0.1, one_hot(int(rng.integers(3)), 3))
+
+    for i in range(n):
+        res, row = start_beside(envs[i], refs[i], *episode())
+        assert res.bundle.row.tobytes() == row.tobytes()
+    for t in range(12):
+        # after a pass, some envs start again and the rest step: one pass senses both
+        batch.rows
+        restart = {1 + t % 2, 4, 6 + t % 2}
+        started, stepped = {}, {}
+        for i in range(n):
+            if i in restart:
+                started[i] = start_beside(envs[i], refs[i], *episode())
+            else:
+                a = rng.uniform(-1.0, 1.0, N_JOINTS) * 0.3
+                stepped[i] = envs[i].step(a), refs[i].step(a)
+        rows = batch.rows
+        for i, (res, row) in started.items():
+            assert res.bundle.row.base is rows
+            assert res.bundle.row.tobytes() == row.tobytes()
+        for i, (res, ref_res) in stepped.items():
+            assert res.bundle.row.base is rows
+            assert_same_env(batch, i, refs[i], res, ref_res)
+            if res.done:
+                start_beside(envs[i], refs[i], *episode())

@@ -1,4 +1,6 @@
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,13 +25,17 @@ from gaitrl.controllers import ConstantController, ScriptedWalker
 from gaitrl.policy import LatentTable
 from gaitrl.terrain import generate_terrain
 
-from oracles import ref_measure_gait_attribute, ref_run_trial
+from oracles import ref_measure_gait_attribute, ref_run_trial, ref_silhouette_score
 from test_inference_oracle import make_policy
 
 
 def small_cfg():
     cfg = RunConfig()
     return cfg
+
+
+def bits(v: float) -> bytes:
+    return struct.pack("<d", v)
 
 
 class TestRunTrial:
@@ -269,6 +275,30 @@ class TestLatentAnalysis:
         assert -1.0 <= s <= 1.0
         with pytest.raises(ValueError):
             silhouette_score(data, np.zeros(20))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_silhouette_has_the_bits_of_all_pairwise_differences(self, seed):
+        # export-latents' default table: 3 terrains x 3 gaits x 40 steps of d_z 64,
+        # with a singleton label, whose row scores 0
+        rng = np.random.default_rng(seed)
+        labels = np.repeat([0, 1, 2], 120)
+        data = rng.normal(0.0, 0.7, (360, 64)) + np.eye(64)[labels] * 2.0
+        labels[17] = 3
+        assert bits(silhouette_score(data, labels)) == bits(ref_silhouette_score(data, labels))
+
+    def test_silhouette_memory_is_one_row_of_distances(self):
+        # bound set before measuring: a few [n, d] float64 rows (184 kB each)
+        # at n = 360, d = 64, where all pairwise differences were 66 MB
+        rng = np.random.default_rng(4)
+        data, labels = rng.normal(size=(360, 64)), np.repeat([0, 1, 2], 120)
+        silhouette_score(data, labels)  # what a first call imports and caches stays out
+        tracemalloc.start()
+        try:
+            silhouette_score(data, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_gate_usage_reported_per_gait(self):
         report = analyze_latents(self.synthetic_table())

@@ -21,7 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaitrl.env as env_module
-from gaitrl.biped import N_JOINTS, BipedModel, BipedState, action_targets, pd_torques, substep
+from gaitrl.biped import (
+    N_JOINTS,
+    BipedModel,
+    BipedState,
+    action_targets,
+    contact_damping,
+    pd_gains,
+    pd_torques,
+    substep,
+)
 from gaitrl.env import DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot, sample_dr
 from gaitrl.rewards import DEFAULT_WEIGHTS, RewardConfig
 from gaitrl.terrain import TERRAIN_KINDS, generate_terrain
@@ -110,9 +119,11 @@ class TestPhysicsOracle:
             st_ = random_state(rng, generate_terrain("flat", 0.0, seed=0))
             dr = ref_sample_dr(rng)
             action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
-            gains = (dr.kp_scale, dr.kd_scale, dr.motor_strength)
+            gains = (*pd_gains(MODEL, dr.kp_scale, dr.kd_scale), dr.motor_strength)
             tau = np.array(pd_torques(MODEL, st_.row.tolist(), action_targets(MODEL, action), *gains))
-            assert_same_array(tau, ref_pd_torques(MODEL, st_, action, *gains))
+            assert_same_array(
+                tau, ref_pd_torques(MODEL, st_, action, dr.kp_scale, dr.kd_scale, dr.motor_strength)
+            )
             saturated += int(np.any(np.abs(tau) == np.array(MODEL.torque_limit)))
         assert saturated > 0
 
@@ -128,17 +139,19 @@ class TestPhysicsOracle:
                 mass = (MODEL.base_mass + dr.payload) * dr.link_mass_scale
                 action = rng.uniform(-MODEL.action_bound, MODEL.action_bound, N_JOINTS)
                 target = action_targets(MODEL, action)
+                kp, kd = pd_gains(MODEL, dr.kp_scale, dr.kd_scale)
                 for _ in range(12):
-                    tau = pd_torques(MODEL, s, target, dr.kp_scale, dr.kd_scale, dr.motor_strength)
+                    tau = pd_torques(MODEL, s, target, kp, kd, dr.motor_strength)
                     tau_ref = ref_pd_torques(
                         MODEL, ref, action, dr.kp_scale, dr.kd_scale, dr.motor_strength
                     )
                     assert_same_array(np.array(tau), tau_ref)
                     anchors_before = (ref.anchor_on.copy(), ref.anchor_x.copy())
-                    physics = (0.005, dr.friction, dr.restitution, mass, dr.com_shift,
-                               dr.link_mass_scale)
-                    substep(MODEL, s, tau, terrain, *physics)
-                    ref_substep(MODEL, ref, tau_ref, terrain, *physics)
+                    substep(MODEL, s, tau, terrain, 0.005, dr.friction,
+                            contact_damping(MODEL, dr.restitution), mass, dr.com_shift,
+                            MODEL.base_inertia * dr.link_mass_scale)
+                    ref_substep(MODEL, ref, tau_ref, terrain, 0.005, dr.friction, dr.restitution,
+                                mass, dr.com_shift, dr.link_mass_scale)
                     assert_same_state(BipedState(np.array(s)), ref)
 
                     q = ref.joint_pos
@@ -184,18 +197,25 @@ class TestRewardOracle:
             assert_same_rewards(bd, ref_locomotion_raw(st_, cmd, a_t, a_p, a_pp, cfg, MODEL), cfg)
 
 
-def ref_pd_torques_to_target(model, s, target, kp_scale, kd_scale, motor_strength):
+def ref_pd_torques_to_target(model, s, target, kp, kd, motor_strength):
     """The reference torques, called the way TerrainEnv.step calls pd_torques:
-    on the float state, toward the float targets."""
-    return ref_pd_torques(model, BipedState(np.array(s)), None, kp_scale, kd_scale, motor_strength,
+    on the float state, toward the float targets, with the episode's gains
+    (the reference's model gains at a scale of 1.0)."""
+    model = dataclasses.replace(model, kp=tuple(kp), kd=tuple(kd))
+    return ref_pd_torques(model, BipedState(np.array(s)), None, 1.0, 1.0, motor_strength,
                           target=np.array(target)).tolist()
 
 
-def ref_substep_on_floats(model, s, tau, terrain, *args):
-    """The reference substep on the float state ``s``, written back in place."""
+def ref_substep_on_floats(model, s, tau, terrain, dt, friction, dn, total_mass, com_shift,
+                          pitch_inertia):
+    """The reference substep on the float state ``s``, written back in place,
+    with the episode's contact damping and pitch inertia (the reference's
+    at a restitution of 0.0 and a scale of 1.0)."""
+    model = dataclasses.replace(model, contact_dn=dn, base_inertia=pitch_inertia)
     st_ = BipedState(np.array(s))
     try:
-        ref_substep(model, st_, np.array(tau), terrain, *args)
+        ref_substep(model, st_, np.array(tau), terrain, dt, friction, 0.0, total_mass, com_shift,
+                    1.0)
     finally:
         s[:] = st_.row.tolist()
 

@@ -122,9 +122,9 @@ def checked_substep(substep, violations):
     """``substep``, followed by the bounds check of its result (the float
     state it wrote, read through a ``BipedState``)."""
 
-    def run(model, s, tau, terrain, dt, friction, restitution, total_mass, *args):
+    def run(model, s, tau, terrain, dt, friction, dn, total_mass, *args):
         z0, vz0 = s[Z], s[VZ]
-        substep(model, s, tau, terrain, dt, friction, restitution, total_mass, *args)
+        substep(model, s, tau, terrain, dt, friction, dn, total_mass, *args)
         state = BipedState(np.array(s))
         q = state.joint_pos
         if not ((q >= model.lower()) & (q <= model.upper())).all():
