@@ -22,6 +22,7 @@ from .nets import (
     DenseNet,
     NetGrads,
     adam_step,
+    finite_input,
     make_net,
     net_backward,
     net_directional_param_grads,
@@ -36,9 +37,18 @@ class DiscriminatorSet:
     nets: list[DenseNet]
     alpha_gp: float = 10.0
 
+    def __post_init__(self):
+        if len({net.dtype for net in self.nets}) > 1:
+            raise ValueError("every discriminator of a set has one dtype")
+
     @property
     def n_gaits(self) -> int:
         return len(self.nets)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The discriminators' dtype, which the style windows are written in."""
+        return self.nets[0].dtype
 
 
 def make_discriminators(
@@ -57,7 +67,9 @@ def make_discriminators(
 
 
 def disc_scores(net: DenseNet, windows: np.ndarray) -> np.ndarray:
-    y, _ = net_forward(net, windows)
+    """Scores of ``[B, window_dim]`` windows, checked finite (the ``nets``
+    finite rule)."""
+    y, _ = net_forward(net, finite_input(windows, net.dtype))
     return y[:, 0]
 
 
@@ -71,6 +83,7 @@ def discriminator_loss(
     if real.shape[0] == 0 or fake.shape[0] == 0:
         raise ValueError("empty discriminator batch")
     n_r, n_f = real.shape[0], fake.shape[0]
+    real, fake = finite_input(real, net.dtype), finite_input(fake, net.dtype)
 
     y_r, tape_r = net_forward(net, real)
     y_r = y_r[:, 0]
@@ -126,7 +139,7 @@ def style_reward(
     gait = np.asarray(gait)
     if gait.shape != (discs.n_gaits,):
         raise ValueError("gait command length does not match discriminator count")
-    i = int(np.argmax(gait))
+    i = int(gait.argmax())
     score = float(disc_scores(discs.nets[i], window[None, :])[0])
     return style_reward_value(score)
 
@@ -136,11 +149,12 @@ class WindowBuffer:
 
     Each gait owns a preallocated ring of ``capacity`` rows, so ``add`` writes
     only the new rows.  The rings hold the discriminators' dtype (float32):
-    ``add`` rounds each window once, as the discriminators' input cast did,
-    and ``sample`` hands them rows they read without a cast.  Logical index 0
-    is the oldest window held; ``sample`` draws logical indices and maps them
-    onto the ring, so a given rng draw picks the same windows as it would
-    from an oldest-first array.
+    ``add`` rounds a float64 window once, as the discriminators' input cast
+    did (the trainer's windows are float32 already), and ``sample`` hands
+    them rows they read without a cast.  Logical index 0 is the oldest window
+    held; ``sample`` draws logical indices and maps them onto the ring, so a
+    given rng draw picks the same windows as it would from an oldest-first
+    array.
     """
 
     def __init__(self, n_gaits: int, window_dim: int, capacity: int = 4096):

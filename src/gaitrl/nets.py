@@ -20,6 +20,16 @@ the same code are what the finite-difference and bit-for-bit checks run on.
 Everything around the nets stays float64: physics, rewards, the return and
 advantage arithmetic, the Gaussian log-density and the policy's ``log_std``.
 
+The finite rule.  An array is checked finite once, where it enters the nets
+from outside them, in the net's dtype (:func:`finite_input`, which refuses
+it with ``ValueError("non-finite network input")``): the callers in
+:mod:`gaitrl.policy` and :mod:`gaitrl.amp` check each observation block,
+window and discriminator batch they are handed.  What one net hands to
+another (encoder features, the trunk latent, the residual's input, the gate
+logits) is not checked again: it can be non-finite only through a
+non-finite parameter, and then the output carries it to whoever reads it.
+``net_forward`` and ``softmax`` check nothing.
+
 A forward call's tape holds the input and each layer's output, and no
 pre-activation: every derivative the backward rules read is a function of the
 output (tanh' = 1 - z²), so tanh runs in place on the fresh matmul result.
@@ -194,16 +204,39 @@ def _as_batch(x: np.ndarray, net: DenseNet, dim: int, what: str) -> np.ndarray:
     return x
 
 
-def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, GradientTape]:
-    """Evaluate the network; the tape keeps the input and each layer's output."""
-    xb = _as_batch(x, net, net.input_dim, "input")
-    if not np.isfinite(xb).all():
+def finite_input(x: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``x`` in ``dtype``, copied only to cast it, and refused if any value is
+    NaN or inf there: the one check of an array that enters the nets (the
+    module docstring's finite rule)."""
+    x = np.asarray(x, dtype=dtype)
+    # a count of the finite entries: cheaper than ``.all()``'s reduction on a row
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise ValueError("non-finite network input")
+    return x
+
+
+def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, GradientTape]:
+    """Evaluate the network; the tape keeps the input and each layer's output.
+
+    ``x`` is cast to the net's dtype and its shape checked; it is not checked
+    finite (the finite rule: whoever hands the nets an outside array checks
+    it with :func:`finite_input`)."""
+    layers = net.layers
+    w0 = layers[0].weight
+    # an array of the net's (canonical) dtype and width is the input as it is
+    if type(x) is np.ndarray and x.dtype is w0.dtype and x.ndim == 2 and x.shape[1] == w0.shape[1]:
+        xb = x
+    else:
+        xb = _as_batch(x, net, net.input_dim, "input")
     post = []
     z = xb
-    for layer in net.layers:
-        # the matmul result is a fresh array: the bias and tanh go in place
-        z = z @ layer.weight.T
+    for layer in layers:
+        # ``ndarray.dot`` makes the BLAS call that ``@`` makes, without the
+        # ufunc machinery around it; a width-1 layer keeps ``@``, because
+        # over a strided batch of a few columns the two differ in float32
+        w = layer.weight
+        z = z @ w.T if w.shape[0] == 1 else z.dot(w.T)
+        # the product is a fresh array: the bias and tanh go in place
         z += layer.bias
         if layer.activation == "tanh":
             np.tanh(z, out=z)
@@ -302,14 +335,16 @@ def net_directional_param_grads(
 def softmax(w: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis (max-subtraction), in
     float32 for float32 logits and in float64 otherwise."""
-    w = np.asarray(w)
+    if type(w) is not np.ndarray:
+        w = np.asarray(w)
     if w.dtype != np.float32:
         w = np.asarray(w, dtype=np.float64)
-    if not np.isfinite(w).all():
-        raise ValueError("non-finite softmax input")
-    shifted = w - w.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # the reductions as the ufuncs that ``max``/``sum`` call; exp and the
+    # division go in place on the fresh difference
+    e = w - np.maximum.reduce(w, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 @dataclass(init=False, eq=False)

@@ -16,6 +16,14 @@ parameters with the actor; the actor path never sees a privileged column.
 Every network input is a view of one ``BundleBatch``, rows the env wrote
 already normalized (see :mod:`gaitrl.env`): the gait command is its ``gait``
 block, so the forward passes take the batch and nothing else.
+
+Each block is checked finite where it enters the nets, once (the finite rule
+of :mod:`gaitrl.nets`): ``encode_features`` checks the actor's blocks, the
+rows' suffix ``[o, hist, gait, scans]``, for ``actor_mean``, ``act`` and
+``export_residual_latents`` alike; ``critic_value`` checks the critic's
+prefix, ``[m, e, o, hist]`` and ``gait`` at stage 2.  The encoders' features,
+the trunk latent, the residual's input and the gate logits are not checked
+again.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .nets import (
     GradientTape,
     NetGrads,
     PackedArray,
+    finite_input,
     make_net,
     net_backward,
     net_forward,
@@ -175,7 +184,7 @@ class ResidualModule:
             tapes.append(t)
         logits, gate_tape = net_forward(self.gate, res_in)
         w = softmax(logits)
-        z = np.zeros_like(outs[0])
+        z = np.zeros(outs[0].shape, outs[0].dtype)  # a third of zeros_like's cost on a row
         for i, y in enumerate(outs):
             z += w[:, i : i + 1] * y
         cache = ResidualCache(res_in, tapes, outs, gate_tape, w, z)
@@ -342,7 +351,10 @@ class ActorCritic:
     # -- forward -------------------------------------------------------------
 
     def encode_features(self, batch: BundleBatch) -> tuple[np.ndarray, GradientTape, GradientTape]:
-        """f = concat(o, scan feature, history feature), fixed order."""
+        """f = concat(o, scan feature, history feature), fixed order.  The
+        actor's inputs are checked finite here, once: the rows' suffix
+        ``[o, hist, gait, scans]``, in the nets' dtype."""
+        finite_input(batch.rows[:, batch.slices["o"].start :], self.scan_enc.dtype)
         f_d, scan_tape = net_forward(self.scan_enc, batch.scans)
         f_h, hist_tape = net_forward(self.hist_enc, batch.hist)
         feats = np.concatenate([batch.o, f_d, f_h], axis=1)
@@ -374,7 +386,7 @@ class ActorCritic:
         """Values from a prefix of the rows, a view: ``[m, e, o, hist]``, and
         ``gait`` at stage 2."""
         end = batch.slices["gait" if self.residual is not None else "hist"].stop
-        v, tape = net_forward(self.critic, batch.rows[:, :end])
+        v, tape = net_forward(self.critic, finite_input(batch.rows[:, :end], self.critic.dtype))
         return v[:, 0], tape
 
     # -- backward ------------------------------------------------------------

@@ -114,7 +114,7 @@ class EnvWorker:
     the first draw).  At stage 2 a gait is drawn as each period begins."""
 
     def __init__(self, index: int, cfg: RunConfig, stage: int, seed_seq: np.random.SeedSequence,
-                 envs: EnvBatch | None = None):
+                 envs: EnvBatch | None = None, frame_dtype=np.float32):
         self.index = index
         self.cfg = cfg
         self.stage = stage
@@ -129,8 +129,10 @@ class EnvWorker:
         self.gait_period = -1
         # the last WINDOW_LEN frames of joint angles, oldest first: one row,
         # shifted and written in place; a style window once the episode has
-        # WINDOW_LEN frames (n_frames)
-        self.frames = np.zeros(WINDOW_LEN * N_JOINTS)
+        # WINDOW_LEN frames (n_frames).  The row has the discriminators' dtype,
+        # so a frame is rounded once, as it is written, and the discriminators
+        # and the policy buffer read it without a cast.
+        self.frames = np.zeros(WINDOW_LEN * N_JOINTS, frame_dtype)
         self.n_frames = 0
         # frames since the episode began or the gait was last drawn; a style
         # window joins the policy buffer only if all its frames follow that
@@ -357,7 +359,9 @@ class Trainer:
         env_seeds = env_root.spawn(cfg.ppo.n_envs)
         self.envs = EnvBatch(cfg.model, cfg.env, cfg.ppo.n_envs)
         self.workers = [
-            EnvWorker(i, cfg, stage, env_seeds[i], self.envs) for i in range(cfg.ppo.n_envs)
+            EnvWorker(i, cfg, stage, env_seeds[i], self.envs,
+                      self.discs.dtype if self.discs is not None else np.float32)
+            for i in range(cfg.ppo.n_envs)
         ]
         if resume is not None:
             for w, c in zip(self.workers, resume.curriculum or []):

@@ -11,7 +11,12 @@ from gaitrl.amp import (
     style_reward,
     style_reward_value,
 )
+from gaitrl.biped import N_JOINTS
+from gaitrl.config import RunConfig
+from gaitrl.env import one_hot
 from gaitrl.nets import AdamState, DenseNet, Layer
+from gaitrl.refmotion import WINDOW_LEN
+from gaitrl.trainer import EnvWorker
 
 from oracles import central_diff_params, rel_err
 
@@ -90,6 +95,13 @@ class TestStyleReward:
         assert style_reward(w, np.array([1.0, 0, 0]), discs) == pytest.approx(1.0)
         assert style_reward(w, np.array([0, 1.0, 0]), discs) == pytest.approx(0.75)
         assert style_reward(w, np.array([0, 0, 1.0]), discs) == pytest.approx(0.0)
+
+    def test_a_set_has_one_dtype(self):
+        # the trainer writes the style windows in the set's dtype
+        nets = [constant_net(30, 0.0), make_discriminators(1, 30, np.random.default_rng(0)).nets[0]]
+        with pytest.raises(ValueError, match="^every discriminator of a set has one dtype$"):
+            DiscriminatorSet(nets=nets)
+        assert DiscriminatorSet(nets=nets[1:]).dtype == np.float32
 
     def test_perturbing_unselected_discriminator_changes_nothing(self):
         rng = np.random.default_rng(5)
@@ -213,3 +225,24 @@ class TestWindowBuffer:
         assert drawn.tobytes() == np.asarray(old, dtype=np.float32).tobytes()
         net = make_discriminators(1, 30, rng).nets[0]
         assert disc_scores(net, drawn).tobytes() == disc_scores(net, old).tobytes()
+
+        # the trainer's style row holds float32 frames; float64 frames, rounded
+        # by the discriminators' input cast and by ``add``, gave the same style
+        # scores and the same rows the discriminators sample
+        discs = make_discriminators(3, WINDOW_LEN * N_JOINTS, rng)
+        workers = {dt: EnvWorker(0, RunConfig(), 2, np.random.SeedSequence(0), frame_dtype=dt)
+                   for dt in (np.float64, np.float32)}
+        bufs = {dt: WindowBuffer(3, WINDOW_LEN * N_JOINTS, capacity=8) for dt in workers}
+        for step in range(40):
+            q = rng.normal(0.0, 0.7, N_JOINTS)
+            gait = one_hot(step % 3, 3)
+            scores = {}
+            for dt, w in workers.items():
+                w.add_frame(q)
+                scores[dt] = style_reward(w.frames, gait, discs)
+                bufs[dt].add(step % 3, w.frames[None, :])
+            assert scores[np.float32].hex() == scores[np.float64].hex()
+        assert workers[np.float32].frames.dtype == np.float32
+        for g in range(3):
+            rows = {dt: buf.sample(g, 16, np.random.default_rng(g)) for dt, buf in bufs.items()}
+            assert rows[np.float32].tobytes() == rows[np.float64].tobytes()

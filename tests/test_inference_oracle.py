@@ -6,6 +6,10 @@ in place and read z' from the residual's own sum; ``ActorCritic.critic_value``
 reads a prefix of the rows, a strided view, instead of a contiguous
 ``[m, e, o, hist]`` copy.  Each must still give exactly the bytes of the
 reference in tests/oracles.py, which reads contiguous copies of the blocks.
+
+The reference checks each net's input finite; the library checks each input
+once, where it enters the nets (the ``gaitrl.nets`` finite rule), and must
+refuse every non-finite block the reference refuses, with the same error.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaitrl.amp import discriminator_loss, make_discriminators, style_reward
 from gaitrl.bench import PolicyController
 from gaitrl.biped import BipedModel
 from gaitrl.env import (
@@ -249,18 +254,103 @@ def test_act_leaves_the_bundle_unchanged():
         assert same(b.row, before)
 
 
-@pytest.mark.parametrize("field_name", ["o", "hist", "scans"])
+def with_nan(bundle, block, at=0):
+    """A copy of ``bundle`` with NaN in column ``at`` of ``block``."""
+    row = bundle.row.copy()
+    row[bundle.slices[block].start + at] = np.nan
+    return ObservationBundle(row, bundle.slices)
+
+
+@pytest.mark.parametrize("field_name", ["o", "hist", "gait", "scans"])
 def test_non_finite_input_raises_the_same_error(field_name):
     pol = make_policy(2)
     _, (b, *_) = env_bundles(1)
-    row = b.row.copy()
-    row[b.slices[field_name].start] = np.nan
-    b = ObservationBundle(row, b.slices)
     gait = one_hot(0, 3)
+    b = with_nan(b.with_gait(gait), field_name)
     with pytest.raises(ValueError, match="^non-finite network input$"):
-        pol.act(b.with_gait(gait))
+        pol.act(b)
     with pytest.raises(ValueError, match="^non-finite network input$"):
-        ref_act(pol, b, gait)
+        ref_act(pol, b, b.gait)
+    # one NaN row of a 64-row training batch refuses the whole batch
+    rows = [random_bundle(seed, 1.0).with_gait(gait) for seed in range(64)]
+    rows[37] = with_nan(rows[37], field_name, at=1)
+    with pytest.raises(ValueError, match="^non-finite network input$"):
+        pol.actor_mean(BundleBatch.stack(rows))
+    with pytest.raises(ValueError, match="^non-finite network input$"):
+        export_residual_latents(pol, [(random_bundle(0, 1.0).with_gait(gait), "flat"), (b, "flat")])
+
+
+@pytest.mark.parametrize("field_name", ["m", "e"])
+def test_the_actor_never_reads_the_privileged_blocks(field_name):
+    # the actor's check covers its own blocks only: NaN in m or e acts as before
+    pol = make_policy(2)
+    _, (b, *_) = env_bundles(1)
+    b = b.with_gait(one_hot(1, 3))
+    assert same(pol.act(with_nan(b, field_name)), pol.act(b))
+
+
+@pytest.mark.parametrize("stage,field_name", [
+    *((1, name) for name in ("m", "e", "o", "hist")),
+    *((2, name) for name in ("m", "e", "o", "hist", "gait")),
+])
+def test_non_finite_critic_input_raises_the_same_error(stage, field_name):
+    pol = make_policy(stage, dtype=np.float32)
+    _, bundles = env_bundles(3)
+    gait = one_hot(2, 3)
+    bundles = [b.with_gait(gait) for b in bundles]
+    v, _ = pol.critic_value(BundleBatch.stack([with_nan(bundles[0], "scans")]))
+    assert np.isfinite(v).all()  # the critic reads no scan
+    for rows in ([bundles[0]], bundles):
+        rows = [*rows[:-1], with_nan(rows[-1], field_name)]
+        with pytest.raises(ValueError, match="^non-finite network input$"):
+            pol.critic_value(BundleBatch.stack(rows))
+
+
+def test_non_finite_discriminator_input_raises_the_same_error():
+    discs = make_discriminators(3, 30, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    window = rng.normal(size=30)
+    window[17] = np.nan
+    with pytest.raises(ValueError, match="^non-finite network input$"):
+        style_reward(window, one_hot(1, 3), discs)
+    real, fake = rng.normal(size=(8, 30)), rng.normal(size=(6, 30)).astype(np.float32)
+    for batch in (real, fake):
+        batch[3, 5] = np.inf
+        with pytest.raises(ValueError, match="^non-finite network input$"):
+            discriminator_loss(discs.nets[0], real, fake, alpha_gp=10.0)
+        batch[3, 5] = 0.0
+
+
+def count_finite_checks(monkeypatch) -> list:
+    """Each ``np.isfinite`` call from now on appends to the returned list."""
+    calls, isfinite = [], np.isfinite
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    return calls
+
+
+def test_each_input_is_checked_finite_once(monkeypatch):
+    # the nets' finite rule: one check per array that enters the nets, none
+    # on what one net hands another
+    pol = make_policy(2, dtype=np.float32)
+    _, (b, *_) = env_bundles(1)
+    b = b.with_gait(one_hot(0, 3))
+    discs = make_discriminators(3, 30, np.random.default_rng(0))
+    window = np.random.default_rng(1).normal(size=30).astype(np.float32)
+    batch = BundleBatch.stack([b])
+    calls = count_finite_checks(monkeypatch)
+    pol.act(b)
+    assert calls == [(1, b.slices["scans"].stop - b.slices["o"].start)]
+    calls.clear()
+    pol.critic_value(batch)
+    assert calls == [(1, pol.critic.input_dim)]
+    calls.clear()
+    style_reward(window, one_hot(2, 3), discs)
+    assert calls == [(1, 30)]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -21,7 +21,14 @@ from gaitrl.nets import (
 )
 from gaitrl.policy import NET_NAMES, ActorCritic, PolicyArch, PolicyMode
 
-from oracles import central_diff_params, mlp_eval, ref_adam_step, ref_net_backward, rel_err
+from oracles import (
+    central_diff_params,
+    mlp_eval,
+    ref_adam_step,
+    ref_net_backward,
+    ref_net_forward,
+    rel_err,
+)
 
 
 def bits(a: np.ndarray) -> bytes:
@@ -66,6 +73,19 @@ class TestForward:
         for i in range(6):
             yi, _ = net_forward(net, xs[i : i + 1])
             np.testing.assert_allclose(yb[i], yi[0], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dims", [[87, 64, 6], [87, 32, 1], [5, 1], [7, 1], [3, 5, 2]])
+    def test_each_layer_has_the_bits_of_matmul(self, dims, dtype):
+        # a layer is one ``dot``, the BLAS call ``@`` makes, but for a width-1
+        # layer: there a strided batch of up to 8 columns gives ``@`` and
+        # ``dot`` other bits in float32
+        rng = np.random.default_rng(len(dims) + dims[-1])
+        net = make_net(dims, rng, hidden_activation="tanh", dtype=dtype)
+        rows = rng.normal(size=(64, dims[0] + 13)).astype(dtype)
+        for x in (rows[:, 5 : 5 + dims[0]], rows[:1, : dims[0]], rows[:, : dims[0]].copy()):
+            y, _ = net_forward(net, x)
+            assert bits(y) == bits(ref_net_forward(net, x))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
