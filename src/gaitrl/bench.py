@@ -13,12 +13,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
 from .biped import N_JOINTS, PITCH, STATE_WIDTH, TIME, VX, X, Z, BipedModel
-from .codec import encode, write_json
+from .codec import POSITIVE, Bounded, encode, write_json
 from .config import RunConfig, config_hash
 from .env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
 from .policy import ActorCritic
@@ -33,16 +33,16 @@ _TRACE_JSON = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass
-class BenchmarkSuite:
+class BenchmarkSuite(Bounded):
     cells: tuple = (
         ("gap", "easy"), ("gap", "hard"),
         ("stair", "easy"), ("stair", "hard"),
         ("step", "easy"), ("step", "hard"),
     )
-    trials: int = 200
+    trials: Annotated[int, POSITIVE] = 200
     seed_base: int = 0
-    timeout_s: float = 40.0
-    goal_m: float = 14.0
+    timeout_s: Annotated[float, POSITIVE] = 40.0
+    goal_m: Annotated[float, POSITIVE] = 14.0
 
 
 @dataclass
@@ -245,8 +245,6 @@ def run_benchmark(
     out_dir: str | None = None,
 ) -> BenchmarkReport:
     """The full Succ./Dist. sweep over the suite's obstacle cells."""
-    if suite.trials < 1:
-        raise ValueError("suite needs at least one trial per cell")
     gait_name = GAIT_NAMES[gait_id] if gait_id is not None else "none"
     cells = []
     if out_dir:

@@ -25,62 +25,68 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
+from typing import Annotated
 
 import numpy as np
+
+from .codec import EACH_NON_NEGATIVE, EACH_POSITIVE, NON_NEGATIVE, POSITIVE, Bound, Bounded
 
 N_JOINTS = 6  # [hip_l, knee_l, ankle_l, hip_r, knee_r, ankle_r]
 LEFT = 0
 RIGHT = 1
 
 
+PER_JOINT = Annotated[tuple[float, ...], Bound(  # one value per joint, in joint order
+    lambda v: len(v) == N_JOINTS, f"{{name}} must have {N_JOINTS} values, got {{value}}")]
+
+
 @dataclass(frozen=True)
-class BipedModel:
+class BipedModel(Bounded):
     """The robot's parameters, and nothing derived from them: the physics
     reads the tuple fields as they are, and ``nominal``, ``lower`` and
-    ``upper`` build a fresh array on each call."""
+    ``upper`` build a fresh array on each call.  Where a bound admits 0, a
+    0 is no damping, no gain or no foot extent."""
 
-    thigh_len: float = 0.42
-    shin_len: float = 0.42
-    foot_len: float = 0.05
-    foot_half: float = 0.09  # heel/toe half-spacing of the flat foot segment
-    base_mass: float = 12.0
-    base_inertia: float = 0.8
-    base_half_height: float = 0.12
-    joint_inertia: float = 0.12
-    joint_damping: float = 1.5
-    kp: tuple[float, ...] = (220.0, 220.0, 60.0) * 2  # hip, knee, ankle
-    kd: tuple[float, ...] = (6.0, 6.0, 2.0) * 2
-    torque_limit: tuple[float, ...] = (120.0, 120.0, 45.0) * 2
-    action_scale: float = 0.25  # rad of joint target per unit action
-    action_bound: float = 4.0
-    nominal_pose: tuple[float, ...] = (0.35, -0.7, 0.35, 0.35, -0.7, 0.35)
-    joint_lower: tuple[float, ...] = (-1.6, -2.4, -1.2, -1.6, -2.4, -1.2)
-    joint_upper: tuple[float, ...] = (1.6, -0.02, 1.2, 1.6, -0.02, 1.2)
-    joint_vel_limit: float = 20.0
-    gravity: float = 9.81
+    thigh_len: Annotated[float, POSITIVE] = 0.42
+    shin_len: Annotated[float, POSITIVE] = 0.42
+    foot_len: Annotated[float, NON_NEGATIVE] = 0.05
+    foot_half: Annotated[float, NON_NEGATIVE] = 0.09  # heel/toe half-spacing of the flat foot
+    base_mass: Annotated[float, POSITIVE] = 12.0
+    base_inertia: Annotated[float, POSITIVE] = 0.8
+    base_half_height: Annotated[float, NON_NEGATIVE] = 0.12
+    joint_inertia: Annotated[float, POSITIVE] = 0.12
+    joint_damping: Annotated[float, NON_NEGATIVE] = 1.5
+    kp: Annotated[PER_JOINT, EACH_NON_NEGATIVE] = (220.0, 220.0, 60.0) * 2  # hip, knee, ankle
+    kd: Annotated[PER_JOINT, EACH_NON_NEGATIVE] = (6.0, 6.0, 2.0) * 2
+    torque_limit: Annotated[PER_JOINT, EACH_POSITIVE] = (120.0, 120.0, 45.0) * 2
+    action_scale: Annotated[float, POSITIVE] = 0.25  # rad of joint target per unit action
+    action_bound: Annotated[float, POSITIVE] = 4.0
+    nominal_pose: PER_JOINT = (0.35, -0.7, 0.35, 0.35, -0.7, 0.35)
+    joint_lower: PER_JOINT = (-1.6, -2.4, -1.2, -1.6, -2.4, -1.2)
+    joint_upper: PER_JOINT = (1.6, -0.02, 1.2, 1.6, -0.02, 1.2)
+    joint_vel_limit: Annotated[float, POSITIVE] = 20.0
+    gravity: Annotated[float, POSITIVE] = 9.81
     # spring-damper normal contact, anchored-spring (stick/slip) friction;
     # damping ramps in with penetration so touchdown does not slam
-    contact_kn: float = 8000.0
-    contact_dn: float = 300.0
-    contact_damp_ramp: float = 0.004  # m of penetration for full damping
-    contact_force_cap: float = 900.0  # N per point, kinematic-penetration guard
-    contact_kt: float = 4000.0
-    contact_ct: float = 120.0
+    contact_kn: Annotated[float, POSITIVE] = 8000.0
+    contact_dn: Annotated[float, NON_NEGATIVE] = 300.0
+    contact_damp_ramp: Annotated[float, POSITIVE] = 0.004  # m of penetration for full damping
+    contact_force_cap: Annotated[float, POSITIVE] = 900.0  # N per point, penetration guard
+    contact_kt: Annotated[float, POSITIVE] = 4000.0
+    contact_ct: Annotated[float, NON_NEGATIVE] = 120.0
     # unmodeled 3-D/arm dissipation; also tames airborne tumbling
-    base_rot_damping: float = 1.5
+    base_rot_damping: Annotated[float, NON_NEGATIVE] = 1.5
     # yaw-proxy dynamics
-    yaw_inertia: float = 0.5
-    yaw_damping: float = 2.0
-    yaw_gain: float = 0.35
+    yaw_inertia: Annotated[float, POSITIVE] = 0.5
+    yaw_damping: Annotated[float, NON_NEGATIVE] = 2.0
+    yaw_gain: Annotated[float, NON_NEGATIVE] = 0.35
 
     def __post_init__(self):
-        # each is a length, a divisor or a bound the physics reads
-        for name in ("thigh_len", "shin_len", "base_mass", "base_inertia", "joint_inertia",
-                     "action_bound", "contact_damp_ramp", "contact_kt", "yaw_inertia"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not self.foot_len >= 0.0:
-            raise ValueError("foot_len must be non-negative")
+        super().__post_init__()
+        for i, (lo, q, hi) in enumerate(zip(self.joint_lower, self.nominal_pose, self.joint_upper)):
+            if not (lo < hi and lo <= q <= hi):
+                raise ValueError(f"joint {i} must have joint_lower < joint_upper and nominal_pose "
+                                 f"between them, got [{lo}, {hi}] and {q}")
 
     def nominal(self) -> np.ndarray:
         return np.array(self.nominal_pose, dtype=np.float64)

@@ -42,7 +42,11 @@ The rules:
 - a dict field's values follow the scalar rule too (``dict[str, float]``:
   ``rewards.weights.joint_vel: expected float, got str``);
 - a dataclass declared ``init=False`` is filled field by field, without
-  calling its ``__init__``.
+  calling its ``__init__``;
+- a field annotated ``Annotated[T, bound, ...]`` is coded as ``T``; each
+  :class:`Bound` is a set its value must lie in, which a :class:`Bounded`
+  config section checks as it is built (``ppo: iterations must be positive``,
+  ``arch: critic_hidden[0] must be positive``).
 
 Every decoding error is a ``ValueError`` that starts with the field's path,
 e.g. ``policy.nets.trunk: missing``.
@@ -129,6 +133,48 @@ def decode(tp, data, path: str = ""):
         if not isinstance(data, _SCALAR_KINDS[tp]) or (tp is not bool and isinstance(data, bool)):
             raise _error(path, f"expected {tp.__name__}, got {type(data).__name__}")
     return data  # a scalar, or a value the annotation leaves untyped
+
+
+class Bound(typing.NamedTuple):
+    """A field's admissible set: ``holds(value)`` inside it; outside, the refusal is
+    ``phrase`` formatted with ``name`` and ``value``, element by element if ``each``."""
+
+    holds: typing.Callable[[typing.Any], bool]
+    phrase: str
+    each: bool = False
+
+
+POSITIVE = Bound(lambda v: v > 0, "{name} must be positive")
+NON_NEGATIVE = Bound(lambda v: v >= 0, "{name} must be non-negative")
+EACH_POSITIVE, EACH_NON_NEGATIVE = (b._replace(each=True) for b in (POSITIVE, NON_NEGATIVE))
+UNIT = Bound(lambda v: 0 <= v <= 1, "{name} must be in [0, 1]")
+UNIT_OPEN = Bound(lambda v: 0 <= v < 1, "{name} must be in [0, 1)")
+FINITE = Bound(np.isfinite, "{name} must be finite")
+LOW_HIGH = Bound(lambda v: v[0] <= v[1],
+                 "{name} must have low <= high, got [{value[0]}, {value[1]}]")
+
+
+def one_of(values: tuple) -> Bound:
+    return Bound(values.__contains__, f"{{name}} must be one of {values}, got {{value!r}}")
+
+
+@functools.cache
+def field_bounds(cls) -> tuple[tuple[str, Bound], ...]:
+    """``(field, bound)`` for each bound ``cls``'s annotations declare, in field order."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return tuple((name, b) for name, tp in hints.items() for b in getattr(tp, "__metadata__", ()))
+
+
+class Bounded:
+    """A dataclass that checks each bound its fields declare as it is built; one
+    with a cross-field rule checks that after calling this ``__post_init__``."""
+
+    def __post_init__(self):
+        for name, (holds, phrase, each) in field_bounds(type(self)):
+            value = getattr(self, name)
+            for i, v in enumerate(value if each else (value,)):
+                if not holds(v):
+                    raise ValueError(phrase.format(name=f"{name}[{i}]" if each else name, value=v))
 
 
 def write_json(path, obj, indent: int | None = None) -> None:

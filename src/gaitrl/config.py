@@ -2,6 +2,8 @@
 
 Every section maps onto the dataclass that owns those knobs (``TerrainConfig``
 lives in terrain.py, ``EnvConfig`` in env.py), and no field repeats another.
+Each field states its admissible values beside it (``codec.Bound``), which
+building its section checks; ``__post_init__`` holds the cross-field rules.
 Loading is strict (unknown keys are errors, so typos cannot silently fall
 back to defaults) and the resolved config has a canonical JSON form whose
 SHA-256 is stamped into reports and checkpoints.
@@ -12,10 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 from .biped import BipedModel
-from .codec import decode, encode, write_json
+from .codec import (EACH_POSITIVE, LOW_HIGH, NON_NEGATIVE, POSITIVE, UNIT, Bound, Bounded, decode,
+                    encode, write_json)
 from .env import EnvConfig
 from .policy import PolicyArch, PolicyMode
 from .ppo import PPOConfig
@@ -27,93 +30,65 @@ CONFIG_FORMAT_VERSION = 1
 
 
 @dataclass
-class CommandConfig:
-    v_range: tuple[float, float] = (0.2, 1.0)
-    w_range: tuple[float, float] = (-0.5, 0.5)
-
-    def __post_init__(self):
-        # each episode draws its commands uniformly from [low, high]
-        for name in ("v_range", "w_range"):
-            low, high = getattr(self, name)
-            if not low <= high:
-                raise ValueError(f"{name} must have low <= high, got [{low}, {high}]")
+class CommandConfig(Bounded):
+    # each episode draws its commands uniformly from [low, high]
+    v_range: Annotated[tuple[float, float], LOW_HIGH] = (0.2, 1.0)
+    w_range: Annotated[tuple[float, float], LOW_HIGH] = (-0.5, 0.5)
 
 
 @dataclass
-class AmpConfig:
-    alpha_gp: float = 10.0
-    disc_hidden: tuple[int, ...] = (64, 32)
-    disc_lr: float = 3e-4
-    buffer_size: int = 4096
-    batch_size: int = 256
-    updates_per_iter: int = 1
+class AmpConfig(Bounded):
+    alpha_gp: Annotated[float, NON_NEGATIVE] = 10.0  # 0: no gradient penalty
+    disc_hidden: Annotated[tuple[int, ...], EACH_POSITIVE] = (64, 32)
+    disc_lr: Annotated[float, POSITIVE] = 3e-4
+    buffer_size: Annotated[int, POSITIVE] = 4096
+    batch_size: Annotated[int, POSITIVE] = 256
+    updates_per_iter: Annotated[int, POSITIVE] = 1
 
-    def __post_init__(self):
-        for name in ("disc_lr", "buffer_size", "batch_size"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+
+# each rollout worker (trainer.EnvWorker) draws gaits with probabilities distribution / sum
+NO_NEGATIVE_ENTRY = Bound(lambda d: all(p >= 0.0 for p in d), "{name} must have no negative entry")
+POSITIVE_SUM = Bound(lambda d: sum(d) > 0.0, "{name} must have a positive sum")
 
 
 @dataclass
-class GaitConfig:
-    period_s: float = 4.0
-    distribution: tuple[float, ...] = (1 / 3, 1 / 3, 1 / 3)
+class GaitConfig(Bounded):
+    period_s: Annotated[float, POSITIVE] = 4.0
+    distribution: Annotated[tuple[float, ...], NO_NEGATIVE_ENTRY, POSITIVE_SUM] = (1 / 3,) * 3
     clip_params: ClipParams = field(default_factory=ClipParams)
-    clip_seed: int = 0
-
-    def __post_init__(self):
-        if not self.period_s > 0.0:
-            raise ValueError("period_s must be positive")
-        # each rollout worker (trainer.EnvWorker) draws gaits with
-        # probabilities distribution / sum
-        if any(not p >= 0.0 for p in self.distribution):
-            raise ValueError("distribution must have no negative entry")
-        if not sum(self.distribution) > 0.0:
-            raise ValueError("distribution must have a positive sum")
+    clip_seed: Annotated[int, NON_NEGATIVE] = 0
 
 
 @dataclass
-class CurriculumConfig:
+class CurriculumConfig(Bounded):
     enabled: bool = True
-    promote: float = 0.8
-    demote: float = 0.4
-    delta: float = 0.1
-    init_difficulty: float = 0.0
+    # a traversal fraction at or above promote promotes, one at or below demote
+    # demotes, by delta; a terrain's difficulty, init_difficulty first, lies in [0, 1]
+    promote: Annotated[float, UNIT] = 0.8
+    demote: Annotated[float, UNIT] = 0.4
+    delta: Annotated[float, NON_NEGATIVE] = 0.1
+    init_difficulty: Annotated[float, UNIT] = 0.0
 
     def __post_init__(self):
-        # every env starts at init_difficulty, a terrain's difficulty lies in
-        # [0, 1], and a promotion raises it by delta
-        if not 0.0 <= self.init_difficulty <= 1.0:
-            raise ValueError("init_difficulty must be in [0, 1]")
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be non-negative")
-        # an episode at or above promote promotes, one at or below demote demotes
+        super().__post_init__()
         if not self.promote > self.demote:
             raise ValueError(f"promote ({self.promote}) must be above demote ({self.demote})")
 
 
 @dataclass
-class BenchConfig:
-    trials: int = 200
-    timeout_s: float = 40.0
-    goal_m: float = 14.0
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
+class BenchConfig(Bounded):
+    trials: Annotated[int, POSITIVE] = 200
+    timeout_s: Annotated[float, POSITIVE] = 40.0
+    goal_m: Annotated[float, POSITIVE] = 14.0
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Bounded):
     dr_enabled: bool = True
-    checkpoint_every: int = 100
-    divergence_floor: float = 0.2  # of the max tracking term
-    divergence_patience: int = 80
-    divergence_warmup: int = 120
-
-    def __post_init__(self):
-        if self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive")
+    checkpoint_every: Annotated[int, POSITIVE] = 100
+    divergence_floor: Annotated[float, UNIT] = 0.2  # of the max tracking term; 0: no guard
+    divergence_patience: Annotated[int, POSITIVE] = 80
+    divergence_warmup: Annotated[int, NON_NEGATIVE] = 120  # 0: guard from the first iteration
 
 
 @dataclass

@@ -97,6 +97,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import add
 from types import MappingProxyType
+from typing import Annotated
 
 import numpy as np
 
@@ -128,6 +129,7 @@ from .biped import (
     pd_torques,
     substep,
 )
+from .codec import NON_NEGATIVE, POSITIVE, Bounded
 from .terrain import Heightfield
 
 # "diverged": the state went non-finite (NaN or inf).  That step returns the
@@ -223,28 +225,23 @@ def one_hot(i: int, n: int) -> np.ndarray:
 
 
 @dataclass
-class EnvConfig:
-    dt: float = 0.02  # control period, 50 Hz
-    substeps: int = 4  # physics at 200 Hz
-    history_len: int = 5
-    scan_points: int = 16
-    scan_lookahead: float = 1.2
-    scan_clip: float = 1.5
-    elev_points: int = 11
-    elev_halfwidth: float = 0.5
-    max_episode_s: float = 20.0
-    push_interval_s: float = 8.0
-    push_vel_max: float = 0.5
-    spawn_x: float = 0.5
-    min_base_height: float = 0.40
-    max_pitch: float = 1.0
+class EnvConfig(Bounded):
+    dt: Annotated[float, POSITIVE] = 0.02  # control period, 50 Hz
+    substeps: Annotated[int, POSITIVE] = 4  # physics at 200 Hz
+    history_len: Annotated[int, POSITIVE] = 5
+    scan_points: Annotated[int, POSITIVE] = 16
+    scan_lookahead: Annotated[float, NON_NEGATIVE] = 1.2  # 0: every scan point under the base
+    scan_clip: Annotated[float, POSITIVE] = 1.5
+    elev_points: Annotated[int, POSITIVE] = 11
+    elev_halfwidth: Annotated[float, NON_NEGATIVE] = 0.5  # 0: every point under the base
+    max_episode_s: Annotated[float, POSITIVE] = 20.0
+    push_interval_s: Annotated[float, POSITIVE] = 8.0
+    push_vel_max: Annotated[float, NON_NEGATIVE] = 0.5  # 0: no pushes (evaluation's setting)
+    spawn_x: Annotated[float, NON_NEGATIVE] = 0.5  # along the track, which starts at 0
+    min_base_height: Annotated[float, POSITIVE] = 0.40
+    max_pitch: Annotated[float, POSITIVE] = 1.0
     blind: bool = False
-    n_gaits: int = 3
-
-    def __post_init__(self):
-        for name in ("dt", "substeps", "history_len", "scan_points", "elev_points"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+    n_gaits: int = 3  # RunConfig bounds it by the reference gaits
 
     def scan_offsets(self) -> np.ndarray:
         return np.linspace(0.0, self.scan_lookahead, self.scan_points)

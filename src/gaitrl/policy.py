@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
 from .biped import BipedModel, N_JOINTS
-from .codec import encode
+from .codec import EACH_POSITIVE, FINITE, NON_NEGATIVE, POSITIVE, Bounded, encode, one_of
 from .env import EnvConfig, ObservationBundle, obs_dims
 from .nets import (
     DenseNet,
@@ -57,39 +57,33 @@ RESIDUAL_FUSIONS = ("latent", "action")
 
 
 @dataclass
-class PolicyMode:
-    stage: int = 1
-    residual_fusion: str = "latent"  # or "action"
+class PolicyMode(Bounded):
+    stage: Annotated[int, one_of((1, 2))] = 1
+    residual_fusion: Annotated[str, one_of(RESIDUAL_FUSIONS)] = "latent"
     one_stage: bool = False
-    n_experts: int = 3
-
-    def __post_init__(self):
-        if self.residual_fusion not in RESIDUAL_FUSIONS:
-            raise ValueError(
-                f"residual_fusion must be one of {RESIDUAL_FUSIONS}, got {self.residual_fusion!r}"
-            )
-        if self.n_experts < 1:
-            raise ValueError("n_experts must be positive")
+    n_experts: Annotated[int, POSITIVE] = 3
 
 
 @dataclass
-class PolicyArch:
-    d_f: int = 32  # encoder feature width
-    d_z: int = 64  # actor latent width
-    encoder_hidden: tuple[int, ...] = (64,)
-    trunk_hidden: tuple[int, ...] = (128,)
-    head_hidden: tuple[int, ...] = ()
-    expert_hidden: tuple[int, ...] = (64,)
-    gate_hidden: tuple[int, ...] = (32,)
-    critic_hidden: tuple[int, ...] = (256, 128)
-    log_std_init: float = 0.0
-    log_std_min: float = -4.0
-    log_std_max: float = 1.0
+class PolicyArch(Bounded):
+    d_f: Annotated[int, NON_NEGATIVE] = 32  # encoder feature width
+    d_z: Annotated[int, NON_NEGATIVE] = 64  # actor latent width
+    encoder_hidden: Annotated[tuple[int, ...], EACH_POSITIVE] = (64,)
+    trunk_hidden: Annotated[tuple[int, ...], EACH_POSITIVE] = (128,)
+    head_hidden: Annotated[tuple[int, ...], EACH_POSITIVE] = ()  # no hidden layer
+    expert_hidden: Annotated[tuple[int, ...], EACH_POSITIVE] = (64,)
+    gate_hidden: Annotated[tuple[int, ...], EACH_POSITIVE] = (32,)
+    critic_hidden: Annotated[tuple[int, ...], EACH_POSITIVE] = (256, 128)
+    log_std_init: Annotated[float, FINITE] = 0.0
+    log_std_min: Annotated[float, FINITE] = -4.0
+    log_std_max: Annotated[float, FINITE] = 1.0
 
     def __post_init__(self):
-        for name in ("d_f", "d_z"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        super().__post_init__()
+        lo, x, hi = self.log_std_min, self.log_std_init, self.log_std_max
+        if not lo <= x <= hi:
+            raise ValueError(f"log_std_init ({x}) must lie in [log_std_min, log_std_max], "
+                             f"got [{lo}, {hi}]")
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from .codec import NON_NEGATIVE, POSITIVE, UNIT, UNIT_OPEN, Bounded
 from .env import ROW_DTYPE, obs_slices
 from .nets import AdamState, adam_step, clip_grad_norm, net_backward
 from .policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
@@ -36,30 +38,20 @@ LOG_2PI_E = 1.0 + float(np.log(2.0 * np.pi))
 
 
 @dataclass
-class PPOConfig:
-    gamma: float = 0.99
-    lam: float = 0.95
-    clip: float = 0.2
-    epochs: int = 4
-    minibatch: int = 512
-    value_coef: float = 1.0
-    entropy_coef: float = 0.005
-    lr: float = 3e-4
-    lr_residual: float = 1e-3
-    max_grad_norm: float = 1.0
-    horizon: int = 64
-    n_envs: int = 64
-    iterations: int = 300
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must be in [0, 1)")
-        for name in ("clip", "lr", "lr_residual"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("epochs", "minibatch", "horizon", "n_envs", "iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+class PPOConfig(Bounded):
+    gamma: Annotated[float, UNIT_OPEN] = 0.99
+    lam: Annotated[float, UNIT] = 0.95
+    clip: Annotated[float, POSITIVE] = 0.2
+    epochs: Annotated[int, POSITIVE] = 4
+    minibatch: Annotated[int, POSITIVE] = 512
+    value_coef: Annotated[float, NON_NEGATIVE] = 1.0  # 0: the critic does not learn
+    entropy_coef: Annotated[float, NON_NEGATIVE] = 0.005  # 0: no entropy bonus
+    lr: Annotated[float, POSITIVE] = 3e-4
+    lr_residual: Annotated[float, POSITIVE] = 1e-3
+    max_grad_norm: Annotated[float, NON_NEGATIVE] = 1.0  # 0: no clipping (clip_grad_norm)
+    horizon: Annotated[int, POSITIVE] = 64
+    n_envs: Annotated[int, POSITIVE] = 64
+    iterations: Annotated[int, POSITIVE] = 300
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

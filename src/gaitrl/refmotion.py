@@ -11,12 +11,13 @@ Walk and run share gait id 0; a single style model covers both speeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, replace
+from typing import Annotated, ClassVar
 
 import numpy as np
 
 from .biped import N_JOINTS, BipedModel
+from .codec import NON_NEGATIVE, POSITIVE, Bounded
 
 CLIP_FORMAT_VERSION = 1
 
@@ -30,15 +31,15 @@ WINDOW_LEN = 5
 
 
 @dataclass
-class ClipParams:
-    stride_freq: float = 1.4  # Hz
-    hip_amplitude: float = 0.4  # rad, walk/run swing
-    knee_amplitude: float = 0.55  # rad, swing flexion on top of nominal
-    knee_lift_target: float = 0.58  # m, high-knees swing-knee apex
-    squat_height_target: float = 0.68  # m, crouch-walk base height
-    squat_wobble: float = 0.12  # rad, crouch-walk leg modulation
-    n_cycles: int = 4
-    frame_rate: float = 50.0
+class ClipParams(Bounded):
+    stride_freq: Annotated[float, POSITIVE] = 1.4  # Hz
+    hip_amplitude: Annotated[float, NON_NEGATIVE] = 0.4  # rad, walk/run swing
+    knee_amplitude: Annotated[float, NON_NEGATIVE] = 0.55  # rad, swing flexion on top of nominal
+    knee_lift_target: Annotated[float, POSITIVE] = 0.58  # m, high-knees swing-knee apex
+    squat_height_target: Annotated[float, POSITIVE] = 0.68  # m, crouch-walk base height
+    squat_wobble: Annotated[float, NON_NEGATIVE] = 0.12  # rad, crouch-walk leg modulation
+    n_cycles: Annotated[int, POSITIVE] = 4
+    frame_rate: Annotated[float, POSITIVE] = 50.0
 
 
 @dataclass
@@ -88,15 +89,9 @@ def gen_reference_clip(
     params = params or ClipParams()
     model = model or BipedModel()
     if gait == "run":
-        params = ClipParams(
-            stride_freq=max(params.stride_freq * 1.6, 2.0),
-            hip_amplitude=params.hip_amplitude * 1.4,
-            knee_amplitude=min(params.knee_amplitude * 1.5, 1.2),
-            knee_lift_target=params.knee_lift_target,
-            squat_height_target=params.squat_height_target,
-            n_cycles=params.n_cycles,
-            frame_rate=params.frame_rate,
-        )
+        params = replace(params, stride_freq=max(params.stride_freq * 1.6, 2.0),
+                         hip_amplitude=params.hip_amplitude * 1.4,
+                         knee_amplitude=min(params.knee_amplitude * 1.5, 1.2))
     per_cycle = _frames_per_cycle(params)
     total = per_cycle * params.n_cycles
     shift = seed % per_cycle

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -59,6 +60,7 @@ from .biped import (
     YAW_RATE,
     Z,
 )
+from .codec import NON_NEGATIVE, POSITIVE, UNIT, Bounded
 from .refmotion import GAIT_HIGH_KNEES, GAIT_SQUAT
 
 DEFAULT_WEIGHTS = {
@@ -92,30 +94,28 @@ POSTURE_JOINTS = (2, 5)  # the ankles stand in for the arm-deviation row
 
 
 @dataclass
-class RewardConfig:
+class RewardConfig(Bounded):
     weights: dict[str, float] = field(default_factory=dict)
-    style_weight: float = STYLE_WEIGHT
-    tracking_sigma: float = 0.25
-    gait_sigma: float = 0.25
-    knee_lift_target: float = 0.58
-    squat_height_target: float = 0.68
-    f_min_force: float = 90.0  # N, ~1.5x standing weight per foot
-    d_min_feet: float = 0.18  # m, fore/aft separation floor
-    heading_limit: float = 1.0  # rad
-    stuck_v: float = 0.1
-    stuck_cmd: float = 0.2
+    style_weight: Annotated[float, NON_NEGATIVE] = STYLE_WEIGHT  # 0: no style term
+    tracking_sigma: Annotated[float, POSITIVE] = 0.25  # the kernels divide by the sigmas
+    gait_sigma: Annotated[float, POSITIVE] = 0.25
+    knee_lift_target: Annotated[float, POSITIVE] = 0.58
+    squat_height_target: Annotated[float, POSITIVE] = 0.68
+    f_min_force: Annotated[float, NON_NEGATIVE] = 90.0  # N, ~1.5x standing weight per foot
+    d_min_feet: Annotated[float, NON_NEGATIVE] = 0.18  # m, fore/aft separation floor
+    heading_limit: Annotated[float, NON_NEGATIVE] = 1.0  # rad
+    stuck_v: Annotated[float, NON_NEGATIVE] = 0.1
+    stuck_cmd: Annotated[float, NON_NEGATIVE] = 0.2
     # floor the per-step total at zero for the learner (a net-negative step
     # income otherwise makes early termination the optimal policy); the
     # logged breakdown always keeps the exact signed sum
     only_positive_total: bool = True
-    soft_limit_frac: float = 0.9
-    joint_vel_soft: float = 12.0  # rad/s
-    torque_soft_frac: float = 0.9
+    soft_limit_frac: Annotated[float, UNIT] = 0.9
+    joint_vel_soft: Annotated[float, NON_NEGATIVE] = 12.0  # rad/s
+    torque_soft_frac: Annotated[float, UNIT] = 0.9
 
     def __post_init__(self):
-        for name in ("tracking_sigma", "gait_sigma"):  # the kernels divide by them
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        super().__post_init__()
         for name in self.weights:
             if name not in DEFAULT_WEIGHTS:
                 raise ValueError(f"weights.{name}: unknown reward term")

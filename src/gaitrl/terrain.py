@@ -7,11 +7,16 @@ Gap cells are flagged as void; a foot descending into one ends the episode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Annotated, ClassVar
 
 import numpy as np
 
+from .codec import NON_NEGATIVE, POSITIVE, Bound, Bounded
+
 TERRAIN_KINDS = ("flat", "rough", "gap", "step", "stair")
+NON_EMPTY = Bound(len, "{name} must name at least one terrain kind")
+TERRAIN_KIND = Bound(TERRAIN_KINDS.__contains__, f"{{name}}: unknown terrain kind {{value!r}}, "
+                     f"not one of {TERRAIN_KINDS}", each=True)
 
 # Curriculum obstacle parameter ranges (meters), interpolated by difficulty.
 GAP_RANGE = (0.05, 0.45)
@@ -35,27 +40,18 @@ HEIGHTFIELD_FORMAT_VERSION = 1
 
 
 @dataclass
-class TerrainConfig:
+class TerrainConfig(Bounded):
     """A run's ``terrain`` section: curriculum kinds and the tracks' geometry."""
 
-    kinds: tuple[str, ...] = ("flat", "rough", "gap", "step", "stair")
-    track_length: float = 14.0
-    cell_size: float = 0.05
-    start_clear: float = 2.0
+    kinds: Annotated[tuple[str, ...], NON_EMPTY, TERRAIN_KIND] = TERRAIN_KINDS
+    track_length: Annotated[float, POSITIVE] = 14.0
+    cell_size: Annotated[float, POSITIVE] = 0.05
+    start_clear: Annotated[float, NON_NEGATIVE] = 2.0  # 0: obstacles from the spawn on
 
     def __post_init__(self):
-        for name in ("track_length", "cell_size"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        super().__post_init__()
         if int(round(self.track_length / self.cell_size)) < 1:
             raise ValueError("track_length must hold at least one cell_size cell")
-        if not self.kinds:
-            raise ValueError("kinds must name at least one terrain kind")
-        for i, kind in enumerate(self.kinds):
-            if kind not in TERRAIN_KINDS:
-                raise ValueError(
-                    f"kinds[{i}]: unknown terrain kind {kind!r}, not one of {TERRAIN_KINDS}"
-                )
 
 
 @dataclass

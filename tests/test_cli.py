@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import math
 import os
+import typing
 
 import pytest
 
 from gaitrl.cli import cli
+from gaitrl.codec import field_bounds
 from gaitrl.config import RunConfig, config_from_dict, config_hash, config_to_dict, save_config
+from test_hygiene import config_sections
 
 
 def tiny_cfg(**over) -> RunConfig:
@@ -33,6 +37,46 @@ def tiny_cfg(**over) -> RunConfig:
         section, name = key.split(".")
         setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **{name: value}))
     return cfg
+
+
+# the candidates, in order, for a value outside a bound; a tuple tries them
+# as its first element, and a bound on the whole tuple first tries it
+# emptied, shortened and reversed
+CANDIDATES = {int: (0, -1, 3), float: (0.0, 1.0, -1.0, math.nan), str: ("",)}
+
+
+def outside(bound, annotation, default):
+    """The first candidate value of ``annotation``'s kind that ``bound``
+    refuses, from ``default`` for a tuple."""
+    if typing.get_origin(annotation) is not tuple:
+        return next(v for v in CANDIDATES[annotation] if not bound.holds(v))
+    args = typing.get_args(annotation)
+    firsts = [(v, *default[1:]) for v in CANDIDATES[args[0]]]
+    if bound.each:
+        return next(v for v in firsts if not bound.holds(v[0]))
+    tried = ((), default[:-1], default[::-1], *firsts)
+    return next(v for v in tried
+                if (args[-1] is Ellipsis or len(v) == len(args)) and not bound.holds(v))
+
+
+def outside_each_bound() -> list[tuple[str, str, object]]:
+    """``(section path, field, value)``: per bound a config section declares,
+    the first value outside it, set on the tiny config."""
+    doc = config_to_dict(tiny_cfg())
+    cases = []
+    for path, cls in config_sections(RunConfig):
+        section = doc
+        for key in path.split("."):
+            section = section[key]
+        hints = typing.get_type_hints(cls)
+        for name, bound in field_bounds(cls):
+            default = tuple(section[name]) if isinstance(section[name], list) else section[name]
+            value = outside(bound, hints[name], default)
+            cases.append((path, name, list(value) if isinstance(value, tuple) else value))
+    return cases
+
+
+OUTSIDE_EACH_BOUND = outside_each_bound()
 
 
 @pytest.fixture
@@ -240,6 +284,62 @@ class TestUsage:
                      id="curriculum.promote=demote"),
     ])
     def test_a_config_the_pipeline_cannot_run_exits_1(self, tmp_path, capsys, change, message):
+        doc = config_to_dict(tiny_cfg())
+        for section, values in change.items():
+            doc[section].update(values)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli(["inspect-config", "--config", str(bad)]) == 1
+        assert f"usage error: invalid config {bad}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,name,value", OUTSIDE_EACH_BOUND,
+                             ids=[f"{p}.{n}={json.dumps(v)}" for p, n, v in OUTSIDE_EACH_BOUND])
+    def test_a_value_outside_its_declared_bound_exits_1(self, tmp_path, capsys, path, name, value):
+        doc = config_to_dict(tiny_cfg())
+        section = doc
+        for key in path.split("."):
+            section = section[key]
+        section[name] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli(["inspect-config", "--config", str(bad)]) == 1
+        assert f"usage error: invalid config {bad}: {path}: {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,message", [
+        # each loaded and then ran a training iteration, or crashed it naming no field
+        pytest.param({section: {key: value}}, f"{section}: {key}", id=f"{section}.{key}={value}")
+        for section, key, value in (
+            ("amp", "updates_per_iter", 0),
+            ("amp", "updates_per_iter", -1),
+            ("amp", "alpha_gp", -1.0),
+            ("amp", "disc_hidden", [0]),
+            ("arch", "critic_hidden", [0]),
+            ("env", "max_episode_s", 0.0),
+            ("env", "scan_clip", 0.0),
+            ("env", "min_base_height", -1.0),
+            ("bench", "timeout_s", 0.0),
+            ("train", "divergence_patience", -5),
+            ("gaits", "clip_seed", -1),
+        )
+    ] + [
+        pytest.param({"model": {"kp": [220.0, 220.0, 60.0]}},
+                     "model: kp must have 6 values, got (220.0, 220.0, 60.0)",
+                     id="model.kp-3-values"),
+        pytest.param({"arch": {"log_std_min": 2.0}},
+                     "arch: log_std_init (0.0) must lie in [log_std_min, log_std_max], "
+                     "got [2.0, 1.0]", id="arch.log_std_min=2.0"),
+        pytest.param({"arch": {"log_std_init": -5.0}},
+                     "arch: log_std_init (-5.0) must lie in [log_std_min, log_std_max], "
+                     "got [-4.0, 1.0]", id="arch.log_std_init=-5.0"),
+        pytest.param({"model": {"joint_upper": [1.6, -2.5, 1.2, 1.6, -0.02, 1.2]}},
+                     "model: joint 1 must have joint_lower < joint_upper and nominal_pose "
+                     "between them, got [-2.4, -2.5] and -0.7", id="model.joint_upper-below-lower"),
+        pytest.param({"model": {"nominal_pose": [0.35, -0.7, 0.35, 0.35, -0.7, 1.5]}},
+                     "model: joint 5 must have joint_lower < joint_upper and nominal_pose "
+                     "between them, got [-1.2, 1.2] and 1.5", id="model.nominal_pose-outside"),
+    ])
+    def test_a_probed_value_or_a_cross_field_rule_exits_1(self, tmp_path, capsys, change,
+                                                          message):
         doc = config_to_dict(tiny_cfg())
         for section, values in change.items():
             doc[section].update(values)

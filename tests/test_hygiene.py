@@ -36,14 +36,25 @@ the package, is passed, by keyword or by position, by at least one call in
 the package, the tests or the benchmark harness, apart from the exemptions
 in ``DEFAULTS_EXEMPT``.  Calls are matched to functions by name, so a call
 of any function of that name counts.
+
+Every config field states its admissible values: each int, float and tuple
+field of each section reachable from ``RunConfig`` declares a bound
+(``Annotated[float, POSITIVE]``, :mod:`gaitrl.codec`), apart from the
+exemptions listed with their reasons in ``BOUNDS_EXEMPT``.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import typing
 from pathlib import Path
+from typing import Annotated
 
 import pytest
+
+from gaitrl.codec import POSITIVE, Bounded, field_bounds
+from gaitrl.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 READERS = sorted(p for d in ("src/gaitrl", "tests", "perfbench") for p in (ROOT / d).glob("*.py"))
@@ -561,3 +572,58 @@ def test_every_default_is_passed_by_some_call():
         if entry.split(": ", 1)[1] not in DEFAULTS_EXEMPT
     ]
     assert unpassed == []
+
+
+# int, float and tuple config fields that declare no bound, each with the reason
+BOUNDS_EXEMPT = {
+    "EnvConfig.n_gaits": "RunConfig bounds it by the reference gaits, with its own message",
+}
+
+
+def config_sections(cls, path: str = ""):
+    """``(path, class)`` of each dataclass section under ``cls``, depth first
+    (``gaits``, then ``gaits.clip_params``)."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            sub = f"{path}.{f.name}" if path else f.name
+            yield sub, hints[f.name]
+            yield from config_sections(hints[f.name], sub)
+
+
+def unbounded_fields(root) -> list[str]:
+    """``Class.field`` for each int, float or tuple field of ``root`` and its
+    sections that declares no bound."""
+    found = []
+    for cls in {root, *(cls for _, cls in config_sections(root))}:
+        bounded = {name for name, _ in field_bounds(cls)}
+        hints = typing.get_type_hints(cls)
+        found += [
+            f"{cls.__name__}.{f.name}"
+            for f in dataclasses.fields(cls)
+            if (typing.get_origin(hints[f.name]) or hints[f.name]) in (int, float, tuple)
+            and f.name not in bounded
+        ]
+    return sorted(found)
+
+
+@dataclasses.dataclass
+class _ProbeSection(Bounded):
+    width: Annotated[int, POSITIVE] = 1
+    scale: float = 1.0
+    name: str = ""
+
+
+@dataclasses.dataclass
+class _ProbeRun:
+    section: _ProbeSection = dataclasses.field(default_factory=_ProbeSection)
+    sizes: tuple[int, ...] = ()
+    ranked: bool = False
+
+
+def test_the_check_flags_a_field_without_a_bound():
+    assert unbounded_fields(_ProbeRun) == ["_ProbeRun.sizes", "_ProbeSection.scale"]
+
+
+def test_every_config_field_declares_its_bound():
+    assert unbounded_fields(RunConfig) == sorted(BOUNDS_EXEMPT)
