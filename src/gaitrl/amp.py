@@ -7,7 +7,10 @@ the L2 norm, not its square.  The penalty's parameter gradient runs through
 the hand-derived second-order rule in nets.py.
 
 The style reward routes through the gait command: only the commanded gait's
-discriminator is read, every other one contributes exactly zero.
+discriminator is read, every other one contributes exactly zero.  It is a
+batch call on the env axis, one row per env: each gait's rows go through
+that gait's discriminator in one stacked pass, each row at the bits of a
+batch of one, so a row's reward does not depend on its batchmates.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .nets import (
     net_backward,
     net_directional_param_grads,
     net_forward,
+    net_forward_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -133,15 +137,29 @@ def style_reward_value(score: float) -> float:
 
 
 def style_reward(
-    window: np.ndarray, gait: np.ndarray, discs: DiscriminatorSet
-) -> float:
-    """Route the window to the commanded gait's discriminator only."""
-    gait = np.asarray(gait)
-    if gait.shape != (discs.n_gaits,):
-        raise ValueError("gait command length does not match discriminator count")
-    i = int(gait.argmax())
-    score = float(disc_scores(discs.nets[i], window[None, :])[0])
-    return style_reward_value(score)
+    windows: np.ndarray, gait_ids: np.ndarray, discs: DiscriminatorSet
+) -> np.ndarray:
+    """The style rewards ``[n]`` of ``[n, window_dim]`` windows, each read by
+    the discriminator of its gait id (``gait_ids``, ``[n]``) only.
+
+    The windows are checked finite once.  Each gait's rows go through its
+    discriminator in one stacked pass (``net_forward_rows``), each row at the
+    bits of a batch of one, and each score becomes a reward by the Python
+    formula of ``style_reward_value``."""
+    windows = finite_input(windows, discs.dtype)
+    gait_ids = np.asarray(gait_ids)
+    if windows.ndim != 2 or gait_ids.shape != windows.shape[:1]:
+        raise ValueError(f"windows {windows.shape} and gait ids {gait_ids.shape}: "
+                         "expected [n, window_dim] and [n]")
+    if gait_ids.size and not 0 <= gait_ids.min() <= gait_ids.max() < discs.n_gaits:
+        raise ValueError(f"a gait id outside the {discs.n_gaits} discriminators")
+    rewards = np.empty(len(gait_ids))
+    for gid, net in enumerate(discs.nets):
+        rows = gait_ids == gid
+        if rows.any():
+            scores = net_forward_rows(net, windows[rows])[:, 0]
+            rewards[rows] = [style_reward_value(s) for s in scores.tolist()]
+    return rewards
 
 
 class WindowBuffer:
@@ -188,14 +206,6 @@ class WindowBuffer:
         """Ring rows of oldest-first logical indices."""
         oldest = (self._next[gait_id] - self._sizes[gait_id]) % self.capacity
         return (oldest + logical) % self.capacity
-
-    @property
-    def buffers(self) -> list[np.ndarray]:
-        """Each gait's windows, oldest first (copies)."""
-        return [
-            ring[self._rows(g, np.arange(size))]
-            for g, (ring, size) in enumerate(zip(self._rings, self._sizes))
-        ]
 
     def sample(self, gait_id: int, n: int, rng: np.random.Generator) -> np.ndarray:
         size = self._sizes[gait_id]

@@ -120,6 +120,10 @@ class RunConfig:
                 f"gaits.distribution has {len(self.gaits.distribution)} values, "
                 f"but env.n_gaits is {n}"
             )
+        # an episode starts on the track, whose length its progress is measured against
+        if not self.env.spawn_x < self.terrain.track_length:
+            raise ValueError(f"env.spawn_x ({self.env.spawn_x}) must lie on the track, "
+                             f"below terrain.track_length ({self.terrain.track_length})")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -28,7 +28,7 @@ window and discriminator batch they are handed.  What one net hands to
 another (encoder features, the trunk latent, the residual's input, the gate
 logits) is not checked again: it can be non-finite only through a
 non-finite parameter, and then the output carries it to whoever reads it.
-``net_forward`` and ``softmax`` check nothing.
+``net_forward``, ``net_forward_rows`` and ``softmax`` check nothing.
 
 A forward call's tape holds the input and each layer's output, and no
 pre-activation: every derivative the backward rules read is a function of the
@@ -242,6 +242,23 @@ def net_forward(net: DenseNet, x: np.ndarray) -> tuple[np.ndarray, GradientTape]
             np.tanh(z, out=z)
         post.append(z)
     return z, GradientTape(net, xb, post)
+
+
+def net_forward_rows(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    """Each row of ``x`` ``[B, in]`` as its own batch of one, with the bits of
+    ``net_forward(net, x[i : i + 1])``, in one matmul per layer and no tape.
+
+    A ``[B, in]`` product's row bits depend on ``B`` (BLAS blocks the rows);
+    a ``[B, 1, in]`` stack's do not: ``np.matmul`` multiplies each ``[1, in]``
+    member as the batch of one is multiplied.  Like ``net_forward`` it casts
+    ``x`` and checks its shape, not that it is finite."""
+    z = _as_batch(x, net, net.input_dim, "input")[:, None, :]
+    for layer in net.layers:
+        z = np.matmul(z, layer.weight.T)
+        z += layer.bias
+        if layer.activation == "tanh":
+            np.tanh(z, out=z)
+    return z[:, 0]
 
 
 def _check_tape(net: DenseNet, tape: GradientTape) -> None:

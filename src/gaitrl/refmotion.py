@@ -41,6 +41,16 @@ class ClipParams(Bounded):
     n_cycles: Annotated[int, POSITIVE] = 4
     frame_rate: Annotated[float, POSITIVE] = 50.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        # the run clip strides fastest, so it has the fewest frames per cycle
+        if round(self.frame_rate / run_stride_freq(self.stride_freq)) < 4:
+            raise ValueError(
+                f"stride_freq ({self.stride_freq}) must leave the run clip, which strides at "
+                f"max(1.6 * stride_freq, 2.0) Hz, at least 4 frames per cycle at frame_rate "
+                f"({self.frame_rate})"
+            )
+
 
 @dataclass
 class ReferenceClip:
@@ -64,11 +74,9 @@ def _hump(phase: float) -> float:
     return s * s if s > 0.0 else 0.0
 
 
-def _frames_per_cycle(params: ClipParams) -> int:
-    n = int(round(params.frame_rate / params.stride_freq))
-    if n < 4:
-        raise ValueError("stride frequency too high for the frame rate")
-    return n
+def run_stride_freq(stride_freq: float) -> float:
+    """The run clip's stride frequency: the walk's raised 1.6 times, to at least 2 Hz."""
+    return max(stride_freq * 1.6, 2.0)
 
 
 def _check_limits(frames: np.ndarray, model: BipedModel) -> None:
@@ -88,11 +96,12 @@ def gen_reference_clip(
         raise ValueError(f"unknown gait: {gait!r}")
     params = params or ClipParams()
     model = model or BipedModel()
+    stride_freq = params.stride_freq
     if gait == "run":
-        params = replace(params, stride_freq=max(params.stride_freq * 1.6, 2.0),
-                         hip_amplitude=params.hip_amplitude * 1.4,
+        stride_freq = run_stride_freq(stride_freq)
+        params = replace(params, hip_amplitude=params.hip_amplitude * 1.4,
                          knee_amplitude=min(params.knee_amplitude * 1.5, 1.2))
-    per_cycle = _frames_per_cycle(params)
+    per_cycle = round(params.frame_rate / stride_freq)  # at least 4 (the ClipParams rule)
     total = per_cycle * params.n_cycles
     shift = seed % per_cycle
     nominal = model.nominal()

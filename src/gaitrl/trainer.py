@@ -7,7 +7,11 @@ together (base parts at the base learning rate, residual parts at their
 own).  The gait schedule draws each env's command anew at every period, so
 stage 2 learns to switch gaits; it writes the command through
 ``TerrainEnv.set_gait``, so the command reaches the policy, the critic and
-the rollout buffer as the observation's gait block.
+the rollout buffer as the observation's gait block.  Style runs on the env
+axis: the schedule and the style frames are the trainer's ``[N]`` and
+``[N, d]`` columns, and each step scores every full window in one
+``style_reward`` call, one stacked pass per gait's discriminator with each
+row at the bits of a batch of one.
 
 A run is ``Trainer(...).run()``, and ``Trainer.__init__`` alone decides what
 it starts from: a resume takes a checkpoint at the run's stage and runs
@@ -42,7 +46,7 @@ from .amp import (
     make_discriminators,
     style_reward,
 )
-from .biped import N_JOINTS, Q, QD
+from .biped import N_JOINTS, Q, QD, TIME
 from .codec import decode, read_json, write_json
 from .config import RunConfig, config_hash
 from .env import CommandState, EnvBatch, TerrainEnv, one_hot, sample_dr
@@ -104,17 +108,14 @@ def _gait_cdf(distribution: tuple) -> np.ndarray:
 
 class EnvWorker:
     """One env of the rollout, and what training adds to it: the worker's
-    rng (terrain, DR, commands, exploration noise), its terrain curriculum,
-    the gait schedule and the frames the AMP style windows are cut from.
-    The episode's own state (observation, commands, actions) is the env's.
-
-    The gait schedule is two fields: ``gait_cdf``, the cumulative
-    probabilities of the gait distribution, and ``gait_period``, the index
-    of the ``cfg.gaits.period_s`` period whose gait the env holds (-1 before
-    the first draw).  At stage 2 a gait is drawn as each period begins."""
+    rng (terrain, DR, commands, gaits, exploration noise) and its terrain
+    curriculum.  The episode's own state (observation, commands, actions)
+    is the env's; the gait schedule and the style frames are the trainer's
+    columns.  ``gait_cdf`` holds the cumulative probabilities of the gait
+    distribution the worker draws from."""
 
     def __init__(self, index: int, cfg: RunConfig, stage: int, seed_seq: np.random.SeedSequence,
-                 envs: EnvBatch | None = None, frame_dtype=np.float32):
+                 envs: EnvBatch | None = None):
         self.index = index
         self.cfg = cfg
         self.stage = stage
@@ -126,24 +127,6 @@ class EnvWorker:
             kind=kinds[index % len(kinds)], difficulty=cfg.curriculum.init_difficulty
         )
         self.gait_cdf = _gait_cdf(tuple(cfg.gaits.distribution))
-        self.gait_period = -1
-        # the last WINDOW_LEN frames of joint angles, oldest first: one row,
-        # shifted and written in place; a style window once the episode has
-        # WINDOW_LEN frames (n_frames).  The row has the discriminators' dtype,
-        # so a frame is rounded once, as it is written, and the discriminators
-        # and the policy buffer read it without a cast.
-        self.frames = np.zeros(WINDOW_LEN * N_JOINTS, frame_dtype)
-        self.n_frames = 0
-        # frames since the episode began or the gait was last drawn; a style
-        # window joins the policy buffer only if all its frames follow that
-        self.frames_in_segment = 0
-
-    def add_frame(self, q: np.ndarray) -> None:
-        """Append one frame of joint angles to the style window."""
-        self.frames[:-N_JOINTS] = self.frames[N_JOINTS:]
-        self.frames[-N_JOINTS:] = q
-        self.n_frames += 1
-        self.frames_in_segment += 1
 
     def begin_episode(self) -> None:
         """Start the env's next episode: the worker's rng draws the terrain
@@ -159,14 +142,8 @@ class EnvWorker:
         dr = sample_dr(rng, enabled=cfg.train.dr_enabled)
         (v_lo, v_hi), (w_lo, w_hi) = cfg.commands.v_range, cfg.commands.w_range
         v_cmd, w_cmd = float(rng.uniform(v_lo, v_hi)), float(rng.uniform(w_lo, w_hi))
-        if self.stage >= 2:
-            self.gait_period = 0
-            gait = self.draw_gait()
-        else:
-            gait = np.zeros(cfg.env.n_gaits)
+        gait = self.draw_gait() if self.stage >= 2 else np.zeros(cfg.env.n_gaits)
         self.env.reset(terrain, dr, CommandState(v_cmd, w_cmd, gait))
-        self.n_frames = 0
-        self.frames_in_segment = 0
 
     def draw_gait(self) -> np.ndarray:
         """A one-hot gait command drawn by inverse CDF from one double: the
@@ -174,15 +151,6 @@ class EnvWorker:
         normalized distribution ``p``, without its per-call checks."""
         n = len(self.gait_cdf)
         return one_hot(int(self.gait_cdf.searchsorted(self.rng.random(), side="right")), n)
-
-    def maybe_resample_gait(self) -> None:
-        if self.stage < 2:
-            return
-        period = int(self.env.state.time / self.cfg.gaits.period_s + 1e-9)
-        if period != self.gait_period:
-            self.gait_period = period
-            self.env.set_gait(self.draw_gait())
-            self.frames_in_segment = 0
 
     def finish_episode(self, distance: float) -> None:
         frac = max(distance, 0.0) / self.cfg.terrain.track_length
@@ -356,18 +324,28 @@ class Trainer:
             self.refs = reference_windows(clips)
             self.policy_windows = WindowBuffer(cfg.env.n_gaits, window_dim, cfg.amp.buffer_size)
 
-        env_seeds = env_root.spawn(cfg.ppo.n_envs)
-        self.envs = EnvBatch(cfg.model, cfg.env, cfg.ppo.n_envs)
-        self.workers = [
-            EnvWorker(i, cfg, stage, env_seeds[i], self.envs,
-                      self.discs.dtype if self.discs is not None else np.float32)
-            for i in range(cfg.ppo.n_envs)
-        ]
+        n = cfg.ppo.n_envs
+        env_seeds = env_root.spawn(n)
+        self.envs = EnvBatch(cfg.model, cfg.env, n)
+        self.workers = [EnvWorker(i, cfg, stage, env_seeds[i], self.envs) for i in range(n)]
         if resume is not None:
             for w, c in zip(self.workers, resume.curriculum or []):
                 w.curr = c
-        for w in self.workers:
-            w.begin_episode()
+        # the stage-2 style state, one row per env.  ``frames``: the last
+        # WINDOW_LEN frames of joint angles, oldest first, in the
+        # discriminators' dtype, so a frame is rounded once, as it is
+        # written, and the discriminators and the policy buffer read it
+        # without a cast; a style window once the episode has WINDOW_LEN
+        # frames (``n_frames``).  ``frames_in_segment``: the frames since the
+        # episode began or the gait was last drawn; a window joins the policy
+        # buffer only if all its frames follow that.  ``gait_period``: the
+        # index of the ``cfg.gaits.period_s`` period whose gait the env holds.
+        self.frames = np.zeros((n, WINDOW_LEN * N_JOINTS),
+                               self.discs.dtype if self.discs is not None else np.float32)
+        self.n_frames = np.zeros(n, np.intp)
+        self.frames_in_segment = np.zeros(n, np.intp)
+        self.gait_period = np.zeros(n, np.intp)
+        self._begin_episodes(list(range(n)))
 
         self.iteration = resume.iteration if resume is not None else 0
         self.metrics_path = os.path.join(out_dir, "metrics.jsonl") if out_dir else None
@@ -399,18 +377,40 @@ class Trainer:
 
     # -- rollout ----------------------------------------------------------------
 
+    def _begin_episodes(self, rows: list[int]) -> None:
+        """Start the next episode of the envs ``rows``, in env order; their
+        style columns start over (no frame, the gait of period 0)."""
+        for i in rows:
+            self.workers[i].begin_episode()
+        self.n_frames[rows] = self.frames_in_segment[rows] = self.gait_period[rows] = 0
+
+    def schedule_gaits(self) -> None:
+        """Draw a new gait for each env whose clock has entered a new gait
+        period, in env order, each from its worker's rng."""
+        period = (self.envs.state[:, TIME] / self.cfg.gaits.period_s + 1e-9).astype(np.intp)
+        changed = period != self.gait_period
+        for i in np.flatnonzero(changed).tolist():
+            w = self.workers[i]
+            w.env.set_gait(w.draw_gait())
+        self.gait_period = period
+        self.frames_in_segment[changed] = 0
+
     def collect_rollout(self, buffer: RolloutBuffer) -> dict:
         """One rollout of ``cfg.ppo.horizon`` control steps into ``buffer``.
 
         Each step is one pass over the env axis, but for the per-env
-        physics (``TerrainEnv.step``) and style scoring: the policy reads
-        the batch's rows as they are, the rewards score every env in one
-        call, and the statistics accumulate per env in env order.
+        physics (``TerrainEnv.step``): the policy reads the batch's rows as
+        they are, the rewards score every env in one call, and the
+        statistics accumulate per env in env order.  At stage 2 the gait
+        schedule and the style frames are the trainer's columns, and style
+        is scored in one ``style_reward`` call per step: one stacked pass
+        per gait's discriminator, each row at the bits of a batch of one.
         """
         cfg = self.cfg
         pol = self.policy
         envs = self.envs
         n = cfg.ppo.n_envs
+        n_gaits = cfg.env.n_gaits
         std = np.exp(pol.log_std)
         noise = np.empty((n, N_JOINTS))
         style_raw = np.zeros(n)
@@ -419,12 +419,12 @@ class Trainer:
         style_count = 0
         total_sum = 0.0
         ep_distances = []
-        per_gait_style = np.zeros(cfg.env.n_gaits)
-        per_gait_count = np.zeros(cfg.env.n_gaits)
+        per_gait_style = np.zeros(n_gaits)
+        per_gait_count = np.zeros(n_gaits)
 
         for t in range(cfg.ppo.horizon):
-            for w in self.workers:
-                w.maybe_resample_gait()
+            if self.stage >= 2:
+                self.schedule_gaits()
             batch = BundleBatch(envs.rows, envs.layout.slices)
             means, _ = pol.actor_mean(batch)
             values, _ = pol.critic_value(batch)
@@ -444,21 +444,28 @@ class Trainer:
             # the steps leave the commands as they were
             gaits = envs.gaits()
             if self.stage >= 2:
-                gait_ids = gaits.argmax(axis=1).tolist()
+                kept = ~diverged
+                frames = self.frames
+                frames[kept] = np.concatenate((frames[kept, N_JOINTS:], envs.state[kept, Q:QD]), 1)
+                self.n_frames += kept
+                self.frames_in_segment += kept
+                scored = kept & (self.n_frames >= WINDOW_LEN)
+                gait_ids = gaits.argmax(axis=1)
+                scores = style_reward(frames[scored], gait_ids[scored], self.discs)
                 style_raw[:] = 0.0
-                for i, w in enumerate(self.workers):
-                    if diverged[i]:
-                        continue
-                    w.add_frame(envs.state[i, Q:QD])
-                    if w.n_frames >= WINDOW_LEN:
-                        style_raw[i] = score = style_reward(w.frames, gaits[i], self.discs)
-                        gid = gait_ids[i]
-                        per_gait_style[gid] += score
-                        per_gait_count[gid] += 1
-                        style_sum += score
-                        style_count += 1
-                        if w.frames_in_segment >= WINDOW_LEN:
-                            self.policy_windows.add(gid, w.frames[None, :])
+                style_raw[scored] = scores
+                # a window joins the policy buffer if all its frames follow the last gait draw
+                buffered = scored & (self.frames_in_segment >= WINDOW_LEN)
+                for gid in range(n_gaits):
+                    rows = buffered & (gait_ids == gid)
+                    if rows.any():
+                        self.policy_windows.add(gid, frames[rows])
+                scored_ids = gait_ids[scored]
+                for gid, score in zip(scored_ids.tolist(), scores.tolist()):
+                    per_gait_style[gid] += score
+                    style_sum += score
+                per_gait_count += np.bincount(scored_ids, minlength=n_gaits)
+                style_count += len(scores)
             # at stage 1 style_raw is zero and the gaits all zero: both add 0.0
             loco = locomotion_rewards(envs.state, envs.commands(), cfg.rewards, cfg.model)
             bd = total_reward(loco, style_raw, gait_rewards(envs.state, gaits, cfg.rewards),
@@ -476,12 +483,12 @@ class Trainer:
                 if res.termination == "timeout":
                     v_term, _ = pol.critic_value(BundleBatch.stack([res.bundle]))
                     rewards[i] += cfg.ppo.gamma * float(v_term[0])
-            for w, res in zip(self.workers, results):
-                if res.done:
-                    ep_distances.append(res.distance)
-                    w.finish_episode(res.distance)
-                    w.begin_episode()
             dones = [res.done for res in results]
+            ended = [i for i, done in enumerate(dones) if done]
+            for i in ended:
+                ep_distances.append(results[i].distance)
+                self.workers[i].finish_episode(results[i].distance)
+            self._begin_episodes(ended)
             buffer.add_step(t, batch, actions, logps, values, rewards, dones, bd)
 
         values, _ = pol.critic_value(BundleBatch.stack([w.env.bundle for w in self.workers]))

@@ -546,6 +546,11 @@ def score_total(loco: Scored, style_raw: float, gait_bd: Scored, cfg) -> Scored:
 # row by row.  tests/test_batch_step.py holds the batch to it bit for bit.
 
 
+def held_windows(buf, gait_id: int) -> np.ndarray:
+    """The windows a ``WindowBuffer`` holds for ``gait_id``, oldest first (a copy)."""
+    return buf._rings[gait_id][buf._rows(gait_id, np.arange(buf.size(gait_id)))]
+
+
 def ref_o_t(state, commands, last_action) -> np.ndarray:
     """Proprioception in the fixed layout [w, g, c_v, q, qd, a_prev]."""
     return np.array([

@@ -49,7 +49,7 @@ from gaitrl.terrain import (
 )
 from gaitrl.trainer import Trainer
 
-from oracles import central_diff_params, rel_err, score_gait, score_locomotion
+from oracles import central_diff_params, held_windows, rel_err, score_gait, score_locomotion
 from test_rewards import dual_locomotion, random_inputs, random_state
 
 MODEL = BipedModel()
@@ -209,10 +209,10 @@ class TestCriterion2Rewards:
         # routing: non-commanded discriminators and gait terms contribute zero
         discs = make_discriminators(3, 30, np.random.default_rng(1), hidden=(12,))
         w = np.random.default_rng(2).normal(size=30)
-        before = style_reward(w, one_hot(1, 3), discs)
+        before = style_reward(w[None], [1], discs)[0]
         discs.nets[0].layers[0].weight += 3.0
         discs.nets[2].layers[0].weight -= 2.0
-        if style_reward(w, one_hot(1, 3), discs) != before:
+        if style_reward(w[None], [1], discs)[0] != before:
             ok = False
             detail.append("style routing leaked")
         for _ in range(100):
@@ -309,7 +309,7 @@ class TestCriterion5Discriminator:
         for _ in range(500):
             amp_update(discs, refs, buf, opts, rng, batch_size=64)
         mr = float(np.mean(disc_scores(discs.nets[0], refs[0])))
-        mf = float(np.mean(disc_scores(discs.nets[0], buf.buffers[0])))
+        mf = float(np.mean(disc_scores(discs.nets[0], held_windows(buf, 0))))
         sep_ok = mr > 0.8 and mf < -0.8
 
         discs2 = make_discriminators(1, dim, np.random.default_rng(12), hidden=(16,), alpha_gp=5.0)
@@ -321,7 +321,7 @@ class TestCriterion5Discriminator:
         for _ in range(500):
             amp_update(discs2, refs2, buf2, opts2, np.random.default_rng(14), batch_size=64)
         mr2 = float(np.mean(disc_scores(discs2.nets[0], refs2[0])))
-        mf2 = float(np.mean(disc_scores(discs2.nets[0], buf2.buffers[0])))
+        mf2 = float(np.mean(disc_scores(discs2.nets[0], held_windows(buf2, 0))))
         sym_ok = abs(mr2) < 0.35 and abs(mf2) < 0.35
 
         report(

@@ -12,13 +12,10 @@ from gaitrl.amp import (
     style_reward_value,
 )
 from gaitrl.biped import N_JOINTS
-from gaitrl.config import RunConfig
-from gaitrl.env import one_hot
 from gaitrl.nets import AdamState, DenseNet, Layer
 from gaitrl.refmotion import WINDOW_LEN
-from gaitrl.trainer import EnvWorker
 
-from oracles import central_diff_params, rel_err
+from oracles import central_diff_params, held_windows, rel_err
 
 
 def constant_net(dim, value):
@@ -92,9 +89,9 @@ class TestStyleReward:
         nets = [constant_net(30, v) for v in (1.0, 0.0, -1.0)]
         discs = DiscriminatorSet(nets=nets)
         w = np.zeros(30)
-        assert style_reward(w, np.array([1.0, 0, 0]), discs) == pytest.approx(1.0)
-        assert style_reward(w, np.array([0, 1.0, 0]), discs) == pytest.approx(0.75)
-        assert style_reward(w, np.array([0, 0, 1.0]), discs) == pytest.approx(0.0)
+        assert style_reward(w[None], [0], discs)[0] == pytest.approx(1.0)
+        assert style_reward(w[None], [1], discs)[0] == pytest.approx(0.75)
+        assert style_reward(w[None], [2], discs)[0] == pytest.approx(0.0)
 
     def test_a_set_has_one_dtype(self):
         # the trainer writes the style windows in the set's dtype
@@ -107,11 +104,39 @@ class TestStyleReward:
         rng = np.random.default_rng(5)
         discs = make_discriminators(3, 30, rng, hidden=(16,))
         w = rng.normal(size=30)
-        cmd = np.array([0.0, 1.0, 0.0])
-        before = style_reward(w, cmd, discs)
+        before = style_reward(w[None], [1], discs)[0]
         discs.nets[0].layers[0].weight += 5.0
         discs.nets[2].layers[0].weight -= 3.0
-        assert style_reward(w, cmd, discs) == before
+        assert style_reward(w[None], [1], discs)[0] == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_batch_scores_each_row_at_the_bits_of_a_batch_of_one(self, dtype):
+        rng = np.random.default_rng(8)
+        discs = make_discriminators(3, WINDOW_LEN * N_JOINTS, rng, dtype=dtype)
+        for net in discs.nets:
+            for layer in net.layers:
+                layer.bias[:] = rng.normal(0.0, 0.3, layer.bias.shape)
+        for n in range(1, 131):
+            windows = rng.normal(0.0, 0.7, (n, WINDOW_LEN * N_JOINTS))
+            # every other batch leaves gait 2 without a row
+            gait_ids = rng.integers(0, 3 if n % 2 else 2, n)
+            got = style_reward(windows, gait_ids, discs)
+            want = [style_reward_value(float(disc_scores(discs.nets[g], w[None])[0]))
+                    for w, g in zip(windows, gait_ids.tolist())]
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(want).tobytes(), n
+
+    def test_a_batch_has_one_gait_id_per_window_in_range(self):
+        discs = make_discriminators(3, 30, np.random.default_rng(0))
+        windows = np.zeros((4, 30))
+        assert style_reward(windows[:0], [], discs).shape == (0,)
+        with pytest.raises(ValueError, match="expected \\[n, window_dim\\] and \\[n\\]$"):
+            style_reward(windows, [0, 1, 2], discs)
+        with pytest.raises(ValueError, match="expected \\[n, window_dim\\] and \\[n\\]$"):
+            style_reward(windows[0], [0], discs)
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match="^a gait id outside the 3 discriminators$"):
+                style_reward(windows, [0, 1, bad, 2], discs)
 
     def test_bounded_for_any_score(self):
         rng = np.random.default_rng(6)
@@ -139,7 +164,7 @@ class TestAmpUpdate:
         for _ in range(500):
             amp_update(discs, refs, buf, opts, rng, batch_size=64)
         mr = float(np.mean(disc_scores(discs.nets[0], refs[0])))
-        mf = float(np.mean(disc_scores(discs.nets[0], buf.buffers[0])))
+        mf = float(np.mean(disc_scores(discs.nets[0], held_windows(buf, 0))))
         assert mr > 0.8
         assert mf < -0.8
 
@@ -153,10 +178,10 @@ class TestAmpUpdate:
         for _ in range(500):
             amp_update(discs, refs, buf, opts, rng, batch_size=64)
         mr = float(np.mean(disc_scores(discs.nets[0], refs[0])))
-        mf = float(np.mean(disc_scores(discs.nets[0], buf.buffers[0])))
+        mf = float(np.mean(disc_scores(discs.nets[0], held_windows(buf, 0))))
         assert abs(mr) < 0.35
         assert abs(mf) < 0.35
-        _, _, m = discriminator_loss(discs.nets[0], refs[0], buf.buffers[0], 0.0)
+        _, _, m = discriminator_loss(discs.nets[0], refs[0], held_windows(buf, 0), 0.0)
         assert abs(m["loss"] - 2.0) < 0.5
 
     def test_large_penalty_shrinks_reference_gradients(self):
@@ -166,10 +191,10 @@ class TestAmpUpdate:
         refs = {0: rng.normal(0.5, 0.5, size=(256, dim))}
         buf = WindowBuffer(1, dim)
         buf.add(0, rng.normal(-0.5, 0.5, size=(256, dim)))
-        _, _, first = discriminator_loss(discs.nets[0], refs[0], buf.buffers[0], discs.alpha_gp)
+        _, _, first = discriminator_loss(discs.nets[0], refs[0], held_windows(buf, 0), discs.alpha_gp)
         for _ in range(300):
             amp_update(discs, refs, buf, opts, rng, batch_size=64)
-        _, _, last = discriminator_loss(discs.nets[0], refs[0], buf.buffers[0], discs.alpha_gp)
+        _, _, last = discriminator_loss(discs.nets[0], refs[0], held_windows(buf, 0), discs.alpha_gp)
         assert last["grad_norm"] < first["grad_norm"]
 
     def test_empty_policy_buffer_skipped_with_warning(self, caplog):
@@ -188,8 +213,8 @@ class TestWindowBuffer:
         buf = WindowBuffer(2, 4, capacity=10)
         buf.add(0, np.arange(48, dtype=float).reshape(12, 4))
         assert buf.size(0) == 10
-        np.testing.assert_array_equal(buf.buffers[0][-1], np.arange(44, 48))
-        np.testing.assert_array_equal(buf.buffers[0][0], np.arange(8, 12))
+        np.testing.assert_array_equal(held_windows(buf, 0)[-1], np.arange(44, 48))
+        np.testing.assert_array_equal(held_windows(buf, 0)[0], np.arange(8, 12))
         assert buf.size(1) == 0
 
     def test_ring_keeps_fifo_order_across_wraps(self):
@@ -199,14 +224,14 @@ class TestWindowBuffer:
             buf.add(0, rows[start:stop])
             kept = rows[max(0, stop - 5) : stop]
             assert buf.size(0) == len(kept)
-            np.testing.assert_array_equal(buf.buffers[0], kept)
+            np.testing.assert_array_equal(held_windows(buf, 0), kept)
 
     def test_sample_maps_the_draw_oldest_first(self):
         buf = WindowBuffer(2, 3, capacity=7)
         rows = np.arange(60, dtype=float).reshape(20, 3)
         buf.add(1, rows[:4])
         buf.add(1, rows[4:15])  # wraps: the ring holds rows 8..14
-        oldest_first = buf.buffers[1]
+        oldest_first = held_windows(buf, 1)
         drawn = buf.sample(1, 50, np.random.default_rng(4))
         idx = np.random.default_rng(4).integers(0, 7, size=7)
         np.testing.assert_array_equal(drawn, oldest_first[idx])
@@ -226,23 +251,22 @@ class TestWindowBuffer:
         net = make_discriminators(1, 30, rng).nets[0]
         assert disc_scores(net, drawn).tobytes() == disc_scores(net, old).tobytes()
 
-        # the trainer's style row holds float32 frames; float64 frames, rounded
+        # the trainer's style rows hold float32 frames; float64 frames, rounded
         # by the discriminators' input cast and by ``add``, gave the same style
         # scores and the same rows the discriminators sample
         discs = make_discriminators(3, WINDOW_LEN * N_JOINTS, rng)
-        workers = {dt: EnvWorker(0, RunConfig(), 2, np.random.SeedSequence(0), frame_dtype=dt)
-                   for dt in (np.float64, np.float32)}
-        bufs = {dt: WindowBuffer(3, WINDOW_LEN * N_JOINTS, capacity=8) for dt in workers}
+        frames = {dt: np.zeros(WINDOW_LEN * N_JOINTS, dt) for dt in (np.float64, np.float32)}
+        bufs = {dt: WindowBuffer(3, WINDOW_LEN * N_JOINTS, capacity=8) for dt in frames}
         for step in range(40):
             q = rng.normal(0.0, 0.7, N_JOINTS)
-            gait = one_hot(step % 3, 3)
             scores = {}
-            for dt, w in workers.items():
-                w.add_frame(q)
-                scores[dt] = style_reward(w.frames, gait, discs)
-                bufs[dt].add(step % 3, w.frames[None, :])
+            for dt, f in frames.items():
+                f[:-N_JOINTS] = f[N_JOINTS:]
+                f[-N_JOINTS:] = q
+                scores[dt] = style_reward(f[None], [step % 3], discs)[0]
+                bufs[dt].add(step % 3, f[None, :])
             assert scores[np.float32].hex() == scores[np.float64].hex()
-        assert workers[np.float32].frames.dtype == np.float32
+        assert frames[np.float32].dtype == np.float32
         for g in range(3):
             rows = {dt: buf.sample(g, 16, np.random.default_rng(g)) for dt, buf in bufs.items()}
             assert rows[np.float32].tobytes() == rows[np.float64].tobytes()

@@ -337,6 +337,15 @@ class TestUsage:
         pytest.param({"model": {"nominal_pose": [0.35, -0.7, 0.35, 0.35, -0.7, 1.5]}},
                      "model: joint 5 must have joint_lower < joint_upper and nominal_pose "
                      "between them, got [-1.2, 1.2] and 1.5", id="model.nominal_pose-outside"),
+        # inspect-config and stage 1 passed it; stage 2 exited 1 naming no field
+        pytest.param({"gaits": {"clip_params": {"stride_freq": 20}}},
+                     "gaits.clip_params: stride_freq (20) must leave the run clip, which strides "
+                     "at max(1.6 * stride_freq, 2.0) Hz, at least 4 frames per cycle at "
+                     "frame_rate (50.0)", id="gaits.clip_params.stride_freq=20"),
+        # a run took it and trained past the end of the track
+        pytest.param({"env": {"spawn_x": 30.0}},
+                     "env.spawn_x (30.0) must lie on the track, below terrain.track_length (14.0)",
+                     id="env.spawn_x=30.0"),
     ])
     def test_a_probed_value_or_a_cross_field_rule_exits_1(self, tmp_path, capsys, change,
                                                           message):

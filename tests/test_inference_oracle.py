@@ -32,6 +32,7 @@ from gaitrl.env import (
     obs_slices,
     one_hot,
 )
+from gaitrl.nets import net_forward, net_forward_rows
 from gaitrl.policy import (
     ActorCritic,
     BundleBatch,
@@ -312,7 +313,7 @@ def test_non_finite_discriminator_input_raises_the_same_error():
     window = rng.normal(size=30)
     window[17] = np.nan
     with pytest.raises(ValueError, match="^non-finite network input$"):
-        style_reward(window, one_hot(1, 3), discs)
+        style_reward(window[None], [1], discs)
     real, fake = rng.normal(size=(8, 30)), rng.normal(size=(6, 30)).astype(np.float32)
     for batch in (real, fake):
         batch[3, 5] = np.inf
@@ -349,8 +350,38 @@ def test_each_input_is_checked_finite_once(monkeypatch):
     pol.critic_value(batch)
     assert calls == [(1, pol.critic.input_dim)]
     calls.clear()
-    style_reward(window, one_hot(2, 3), discs)
+    style_reward(window[None], [2], discs)
     assert calls == [(1, 30)]
+
+
+def test_a_window_batch_with_one_nan_is_refused_after_one_check(monkeypatch):
+    discs = make_discriminators(3, 30, np.random.default_rng(0))
+    rng = np.random.default_rng(2)
+    windows = rng.normal(size=(64, 30))
+    windows[40, 7] = np.nan
+    gait_ids = rng.integers(0, 3, 64)
+    calls = count_finite_checks(monkeypatch)
+    with pytest.raises(ValueError, match="^non-finite network input$"):
+        style_reward(windows, gait_ids, discs)
+    assert calls == [(64, 30)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_row_forward_matches_a_batch_of_one_per_row(dtype):
+    # every net of a default stage-2 policy and a default discriminator set
+    pol = make_policy(2, dtype=dtype)
+    discs = make_discriminators(3, 30, np.random.default_rng(3), dtype=dtype)
+    r = pol.residual
+    nets = [pol.scan_enc, pol.hist_enc, pol.trunk, pol.head, pol.critic, *r.experts, r.gate,
+            *discs.nets]
+    rng = np.random.default_rng(4)
+    for net in nets:
+        for layer in net.layers:
+            layer.bias[:] = rng.normal(0.0, 0.1, layer.bias.shape)
+        for n in (1, 2, 3, 7, 64, 129):
+            x = rng.normal(0.0, 1.0, (n, net.input_dim)).astype(dtype)
+            want = np.concatenate([net_forward(net, x[i : i + 1])[0] for i in range(n)])
+            assert net_forward_rows(net, x).tobytes() == want.tobytes(), (net.input_dim, n)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

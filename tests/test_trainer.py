@@ -125,36 +125,35 @@ class TestCurriculum:
 
 
 class TestGaitScheduler:
-    """The gait schedule of a stage-2 ``EnvWorker``, on the env's clock."""
+    """The gait schedule of a stage-2 ``Trainer``'s columns, on the env's clock."""
 
     @staticmethod
-    def worker(period_s, distribution, seed):
-        cfg = tiny_cfg(**{"gaits.period_s": period_s, "gaits.distribution": distribution})
-        w = EnvWorker(0, cfg, stage=2, seed_seq=np.random.SeedSequence(seed))
-        w.begin_episode()
-        return w
+    def trainer(period_s, distribution, seed):
+        cfg = tiny_cfg(**{"gaits.period_s": period_s, "gaits.distribution": distribution,
+                          "mode.one_stage": True, "ppo.n_envs": 1})
+        return Trainer(cfg, seed, stage=2)
 
     @staticmethod
-    def commands(w, steps):
+    def commands(trainer, steps):
         """The gait the env holds at each control step, the clock set by hand."""
         seen = []
+        w = trainer.workers[0]
         for step in range(steps):
             w.env.state.time = step * 0.02
-            w.maybe_resample_gait()
-            assert w.gait_period == int(step * 0.02 / w.cfg.gaits.period_s + 1e-9)
+            trainer.schedule_gaits()
+            assert trainer.gait_period.tolist() == [int(step * 0.02 / w.cfg.gaits.period_s + 1e-9)]
             seen.append(int(np.argmax(w.env.commands.gait)))
             assert w.env.bundle.gait.tobytes() == w.env.commands.gait.astype(np.float32).tobytes()
         return seen
 
     def test_command_constant_within_period(self):
-        w = self.worker(4.0, (0.3, 0.4, 0.3), seed=0)
-        seen = self.commands(w, 400)  # 8 s at 50 Hz
+        seen = self.commands(self.trainer(4.0, (0.3, 0.4, 0.3), seed=0), 400)  # 8 s at 50 Hz
         assert len(set(seen[:200])) == 1
         assert len(set(seen[200:400])) == 1
 
     def test_degenerate_distribution(self):
-        w = self.worker(1.0, (1.0, 0.0, 0.0), seed=1)
-        assert self.commands(w, 500) == [0] * 500
+        trainer = self.trainer(1.0, (1.0, 0.0, 0.0), seed=1)
+        assert self.commands(trainer, 500) == [0] * 500
 
     @pytest.mark.parametrize("distribution", [
         (1 / 3, 1 / 3, 1 / 3), (5.0, 3.0, 2.0), (0.1, 0.2, 0.7), (1.0, 0.0, 0.0),
@@ -176,13 +175,49 @@ class TestGaitScheduler:
 
     def test_draw_frequencies_match_distribution(self):
         probs = np.array([0.5, 0.3, 0.2])
-        w = self.worker(1.0, (5.0, 3.0, 2.0), seed=2)  # normalized by the worker
+        w = self.trainer(1.0, (5.0, 3.0, 2.0), seed=2).workers[0]  # normalized by the worker
         n = 10_000
         draws = np.array([int(np.argmax(w.draw_gait())) for _ in range(n)])
         for g in range(3):
             freq = np.mean(draws == g)
             sigma = np.sqrt(probs[g] * (1 - probs[g]) / n)
             assert abs(freq - probs[g]) < 3 * sigma
+
+
+class TestStyleOnTheEnvAxis:
+    def test_a_step_scores_style_in_one_call_and_adds_once_per_gait(self, monkeypatch):
+        # episodes end and gait periods turn inside the rollout
+        cfg = tiny_cfg(**{"mode.one_stage": True, "env.max_episode_s": 0.3,
+                          "gaits.period_s": 0.14, "ppo.horizon": 24})
+        trainer = Trainer(cfg, seed=4, stage=2)
+        assert trainer.frames.dtype == trainer.discs.dtype == np.float32
+        steps, scored, adds = [], [], []
+        style_reward, add = trainer_mod.style_reward, trainer_mod.WindowBuffer.add
+        schedule = Trainer.schedule_gaits
+
+        def counted_schedule(self):
+            steps.append(len(steps))
+            return schedule(self)
+
+        def counted_style_reward(windows, gait_ids, discs):
+            scored.append((len(steps), len(windows)))
+            return style_reward(windows, gait_ids, discs)
+
+        def counted_add(self, gait_id, windows):
+            adds.append((len(steps), gait_id))
+            return add(self, gait_id, windows)
+
+        monkeypatch.setattr(Trainer, "schedule_gaits", counted_schedule)
+        monkeypatch.setattr(trainer_mod, "style_reward", counted_style_reward)
+        monkeypatch.setattr(trainer_mod.WindowBuffer, "add", counted_add)
+        buffer = RolloutBuffer(cfg.ppo.horizon, cfg.ppo.n_envs, trainer.policy.dims, N_JOINTS)
+        stats = trainer.collect_rollout(buffer)
+        assert buffer.dones.sum() > 0
+        assert len(steps) == cfg.ppo.horizon
+        assert [step for step, _ in scored] == list(range(1, cfg.ppo.horizon + 1))
+        assert sum(n for _, n in scored) > 0 and stats["mean_style"] > 0.0
+        assert len(adds) == len(set(adds)) > 0  # at most one add per gait per step
+        assert all(0 <= gid < cfg.env.n_gaits for _, gid in adds)
 
 
 class TestExplorationNoise:
