@@ -24,8 +24,10 @@ from .nets import (
     AdamState,
     DenseNet,
     NetGrads,
+    Snapshot,
     adam_step,
     finite_input,
+    finite_step,
     make_net,
     net_backward,
     net_directional_param_grads,
@@ -68,13 +70,6 @@ def make_discriminators(
         for _ in range(n_gaits)
     ]
     return DiscriminatorSet(nets=nets, alpha_gp=alpha_gp)
-
-
-def disc_scores(net: DenseNet, windows: np.ndarray) -> np.ndarray:
-    """Scores of ``[B, window_dim]`` windows, checked finite (the ``nets``
-    finite rule)."""
-    y, _ = net_forward(net, finite_input(windows, net.dtype))
-    return y[:, 0]
 
 
 def discriminator_loss(
@@ -221,6 +216,11 @@ def sample_reference(
     return pool[idx]
 
 
+def disc_parts(discs: DiscriminatorSet, opt_states: list[AdamState]) -> list[tuple]:
+    """Each discriminator's parameters with its Adam state: what an AMP update touches."""
+    return [(net.params(), state) for net, state in zip(discs.nets, opt_states)]
+
+
 def amp_update(
     discs: DiscriminatorSet,
     refs: dict[int, np.ndarray],
@@ -229,8 +229,13 @@ def amp_update(
     rng: np.random.Generator,
     batch_size: int = 256,
     updates: int = 1,
+    snap: Snapshot | None = None,
 ) -> dict:
-    """One round of discriminator training; gaits with no policy data are skipped."""
+    """One round of discriminator training; gaits with no policy data are
+    skipped.  A non-finite loss or gradient restores ``snap`` (by default,
+    one taken here) and ends the round with ``{"nan_aborted": True,
+    "nan_update": "disc<g>"}`` for the discriminator ``g`` that met it."""
+    snap = snap if snap is not None else Snapshot(disc_parts(discs, opt_states))
     metrics: dict = {}
     for gid, net in enumerate(discs.nets):
         if policy_buffer.size(gid) == 0:
@@ -241,7 +246,12 @@ def amp_update(
         for _ in range(updates):
             real = sample_reference(refs, gid, batch_size, rng)
             fake = policy_buffer.sample(gid, batch_size, rng)
-            _, grads, last = discriminator_loss(net, real, fake, discs.alpha_gp)
+            loss, grads, last = discriminator_loss(net, real, fake, discs.alpha_gp)
+            if not finite_step(loss, grads.params()):
+                snap.restore()
+                log.warning("non-finite loss/gradient in discriminator %d; iteration aborted, "
+                            "parameters and optimizer states restored", gid)
+                return {"nan_aborted": True, "nan_update": f"disc{gid}"}
             adam_step(net.params(), grads.params(), opt_states[gid])
         metrics[f"disc{gid}"] = last
     return metrics

@@ -67,12 +67,6 @@ class BenchmarkReport:
         """The report document, as ``report_<method>.json`` holds it."""
         return encode(self)
 
-    def cell(self, obstacle: str, mode: str) -> CellResult:
-        for c in self.cells:
-            if c.obstacle == obstacle and c.mode == mode:
-                return c
-        raise KeyError((obstacle, mode))
-
     def text_table(self) -> str:
         lines = [f"method: {self.method}   gait: {self.gait}"]
         header = f"{'terrain':<14}{'Succ.':>8}{'Dist.':>9}{'trials':>8}"
@@ -121,14 +115,14 @@ def eval_episode(controller, terrain, model: BipedModel, env_cfg: EnvConfig, *,
     )
     env = TerrainEnv(model, cfg, seed=seed)
     gait = one_hot(gait_id, cfg.n_gaits) if gait_id is not None else np.zeros(cfg.n_gaits)
-    bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait)).bundle
+    env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait))
     while True:
+        bundle = env.bundle
         action = controller.act(bundle, env.state)
         res = env.step(action)
         yield env, bundle, action, res
         if res.done:
             return
-        bundle = res.bundle
 
 
 def _finite_or_none(v: float):

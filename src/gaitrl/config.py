@@ -18,7 +18,7 @@ from typing import Annotated, ClassVar
 
 from .biped import BipedModel
 from .codec import (EACH_POSITIVE, LOW_HIGH, NON_NEGATIVE, POSITIVE, UNIT, Bound, Bounded, decode,
-                    encode, write_json)
+                    encode)
 from .env import EnvConfig
 from .policy import PolicyArch, PolicyMode
 from .ppo import PPOConfig
@@ -148,10 +148,6 @@ def config_hash(cfg: RunConfig) -> str:
 def load_config(path) -> RunConfig:
     with open(path) as f:
         return config_from_dict(json.load(f))
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    write_json(path, cfg, indent=2)
 
 
 # each documented ablation and its edit: a partial config merged section by section

@@ -16,12 +16,15 @@ writes the row once, with the last three actions.  What the physics reads
 of the DR draw is derived once per episode, in ``reset``: the PD gains,
 the contact damping, the base's mass and pitch inertia, beside the friction,
 motor strength and centre-of-mass shift (``TerrainEnv._kernel``); the
-substep's ``dt`` once per env.  The envs started (``reset``) or stepped
-since the batch's last pass are then sensed in one pass over their rows,
-when the first of their results (``StepResult.bundle``) or a reader of the
-batch's ``rows`` asks.  A pass costs a fixed set of numpy calls whatever
-the number of rows: a batch of one pays for one row's arithmetic and those
-calls, not for a batch.
+substep's ``dt`` once per env.  ``reset`` and ``step`` return only the
+termination and the distance (:class:`StepResult`).  The envs started or
+stepped since the batch's last pass are sensed in one pass over their rows
+when a reader of the batch's ``rows`` (or an env's ``bundle``) asks, or
+before one of them is stepped or reset again.  So an env's observation has
+one home, its row of the batch: read it from ``env.bundle`` before stepping
+or resetting that env again.  A pass costs a fixed set of numpy calls
+whatever the number of rows: a batch of one pays for one row's arithmetic
+and those calls, not for a batch.
 
 The observation row.  Each pass writes the raw rows (``raw``, ``[N, d]``
 float64) and normalizes all of them at once into a new ``[N, d]`` float32
@@ -91,13 +94,12 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import add
 from types import MappingProxyType
-from typing import Annotated
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -132,8 +134,9 @@ from .biped import (
 from .codec import NON_NEGATIVE, POSITIVE, Bounded
 from .terrain import Heightfield
 
-# "diverged": the state went non-finite (NaN or inf).  That step returns the
-# last finite observation and the pre-step distance, and ends the episode.
+# "diverged": the state went non-finite (NaN or inf).  That step leaves the
+# last finite observation in the env's row, returns the pre-step distance and
+# ends the episode.
 TERMINATIONS = ("none", "fall", "collision", "out_of_bounds", "timeout", "diverged")
 
 # Domain randomization ranges (uniform), one row per dynamic parameter.
@@ -376,29 +379,18 @@ class ObservationBundle:
         return ObservationBundle(row, self.slices)
 
 
-class StepResult:
-    """One env's episode start or control step: its termination, the
-    distance it reports and ``bundle``, the observation the env holds after
-    it.  The batch senses every env started or stepped since its last pass
-    in one pass, when the first of their results or any reader of its rows
-    asks; a bundle never changes once made."""
+class StepResult(NamedTuple):
+    """One env's episode start or control step: its termination and the
+    distance it reports.  The observation after it is the env's row of the
+    batch (``env.bundle``): read it before stepping or resetting that env
+    again."""
 
-    __slots__ = ("termination", "distance", "_batch", "_index", "_rows", "__weakref__")
-
-    def __init__(self, termination: str, distance: float, batch: "EnvBatch", index: int):
-        self.termination = termination
-        self.distance = distance
-        self._batch, self._index, self._rows = batch, index, None
+    termination: str
+    distance: float
 
     @property
     def done(self) -> bool:
         return self.termination != "none"
-
-    @property
-    def bundle(self) -> ObservationBundle:
-        if self._rows is None:
-            self._batch.flush()
-        return ObservationBundle(self._rows[self._index], self._batch.layout.slices)
 
 
 def _is_finite(s: list) -> bool:
@@ -502,18 +494,14 @@ class EnvBatch:
         self._feet_base = self._env_rows * STATE_WIDTH + np.array([X, Z, X, Z])
         for a in (*self._gather, self._feet_base):
             a.flags.writeable = False
-        # what the next pass senses: envs whose episode starts, and envs stepped
-        self._sense_next: dict[bool, list[int]] = {True: [], False: []}
-        # given their rows at the next pass; held weakly, so that a batch and
-        # the results it waits to fill form no reference cycle
-        self._results: list[weakref.ref] = []
-        self._waiting: set[int] = set()  # envs whose last result has no rows yet
+        # the envs the next pass senses, each with whether its episode starts there
+        self._pending: dict[int, bool] = {}
         self._stale = True  # a raw row changed outside a pass, or none was normalized yet
 
     @property
     def rows(self) -> np.ndarray:
         """The normalized rows, read-only, after a pass over what changed since the last."""
-        if self._waiting or self._stale:
+        if self._pending or self._stale:
             self.flush()
         return self._rows
 
@@ -530,21 +518,18 @@ class EnvBatch:
 
     def flush(self) -> None:
         """One pass: sense the envs whose episodes started, then those stepped,
-        since the last pass (each group in one pass over its rows), normalize
-        every row into new rows and give each waiting result those."""
-        sense_next, results = self._sense_next, self._results
-        self._sense_next, self._results = {True: [], False: []}, []
-        for start, ix in sense_next.items():
+        since the last pass (each group in one pass over its rows), and
+        normalize every row into new rows.  An env's row is the observation
+        after its last start or step until the env moves on: read it from
+        ``env.bundle`` (or ``rows``) before stepping or resetting that env
+        again."""
+        pending, self._pending = self._pending, {}
+        for start in (True, False):
+            ix = [i for i, s in pending.items() if s is start]
             if ix:
                 # every env, in any order: a slice, so the rows are views
                 self._sense(slice(None) if len(ix) == self.n else np.array(ix), start)
-        if results or self._stale:
-            self._rows = self._normalize()
-        for ref in results:
-            res = ref()
-            if res is not None:
-                res._rows = self._rows
-        self._waiting.clear()
+        self._rows = self._normalize()
         self._stale = False
 
     def _normalize(self) -> np.ndarray:
@@ -618,20 +603,18 @@ class EnvBatch:
     # -- what the envs call ---------------------------------------------------
 
     def settle(self, i: int) -> None:
-        """Give env ``i``'s last step result its rows before the env's state or
-        rows change again."""
-        if i in self._waiting:
+        """Run the next pass now if it senses env ``i``, before the env's state
+        or rows change again, so that its last start or step is sensed from
+        the state it left.  What a pass senses is not kept anywhere else:
+        read an env's observation from ``env.bundle`` before stepping or
+        resetting that env again."""
+        if i in self._pending:
             self.flush()
 
-    def queue(self, res: StepResult, start: bool | None) -> StepResult:
-        """Queue ``res`` for the next pass, which senses its env from the
-        episode's start (``start``), after a step (``not start``), or, for
-        ``None``, not at all."""
-        self._waiting.add(res._index)
-        if start is not None:
-            self._sense_next[start].append(res._index)
-        self._results.append(weakref.ref(res))
-        return res
+    def sense_next(self, i: int, start: bool) -> None:
+        """Have the next pass sense env ``i`` from its episode's start
+        (``start``) or after a step."""
+        self._pending[i] = start
 
     def begin(self, i: int, terrain: Heightfield, dr: DRConfig, scan_bias: float) -> None:
         """Give env ``i`` an episode on ``terrain`` under the DR draw ``dr``,
@@ -679,8 +662,8 @@ class TerrainEnv:
     of an :class:`EnvBatch` (made without one, the only row of its own).
 
     The env's episode values are its batch's rows: ``state`` (with the last
-    three actions, zeros after ``reset``), its observation (``bundle``: what
-    the next action is chosen from) and its ``commands``.
+    three actions, zeros after ``reset``) and its observation (``bundle``:
+    what the next action is chosen from), with the commands in the raw row.
     """
 
     def __init__(self, model: BipedModel | None = None, cfg: EnvConfig | None = None, seed: int = 0,
@@ -716,19 +699,12 @@ class TerrainEnv:
     def bundle(self) -> ObservationBundle:
         return ObservationBundle(self.batch.rows[self.index], self.slices)
 
-    @property
-    def commands(self) -> CommandState:
-        """The episode's commands, a copy of the raw row's."""
-        b, i = self.batch, self.index
-        v_cmd, w_cmd = b.commands()[i].tolist()
-        return CommandState(v_cmd, w_cmd, b.gaits()[i].copy())
-
     # -- episode control ----------------------------------------------------
 
     def reset(self, terrain: Heightfield, dr: DRConfig, commands: CommandState) -> StepResult:
         """Start an episode on ``terrain`` under the DR draw ``dr`` and the
-        ``commands``.  The result's ``bundle`` is the episode's first
-        observation, sensed in the batch's next pass with every other env
+        ``commands``.  The episode's first observation is the env's
+        ``bundle``, sensed in the batch's next pass with every other env
         started or stepped since its last.  A spawn that places a foot over a
         void cell is a ``ValueError``."""
         b, i, cfg, sl = self.batch, self.index, self.cfg, self.slices
@@ -759,7 +735,8 @@ class TerrainEnv:
         self._draw_scan_noise()
         b.begin(i, terrain, dr, scan_bias)
         self._distance = st.x - cfg.spawn_x
-        return b.queue(StepResult("none", self._distance, b, i), start=True)
+        b.sense_next(i, start=True)
+        return StepResult("none", self._distance)
 
     def step(self, action: np.ndarray) -> StepResult:
         """One control step: the state row is read once, the four PD/physics
@@ -826,7 +803,8 @@ class TerrainEnv:
         self._done = termination != "none"
         self._distance = distance = s[X] - cfg.spawn_x
         self._draw_scan_noise()
-        return b.queue(StepResult(termination, distance, b, i), start=False)
+        b.sense_next(i, start=False)
+        return StepResult(termination, distance)
 
     def set_gait(self, gait: np.ndarray) -> None:
         """Hold ``gait`` from now on, and show it in the current observation."""
@@ -838,12 +816,12 @@ class TerrainEnv:
     def _diverged(self) -> StepResult:
         """End the episode on a non-finite state.
 
-        The state is left as it is; the result carries the last finite
-        observation and the distance reported before this step.
+        The state is left as it is, and nothing is sensed: the env's row
+        keeps the last finite observation, and the result carries the
+        distance reported before this step.
         """
         self._done = True
-        res = StepResult("diverged", self._distance, self.batch, self.index)
-        return self.batch.queue(res, start=None)
+        return StepResult("diverged", self._distance)
 
     def _draw_scan_noise(self) -> None:
         """The noise of the scan the batch senses next: one ``normal`` per

@@ -433,6 +433,30 @@ def adam_step(
         p -= s
 
 
+def finite_step(loss: float, grads: list[np.ndarray]) -> bool:
+    """Whether an update may step on ``loss`` and ``grads``: all finite."""
+    return math.isfinite(loss) and all(np.isfinite(g).all() for g in grads)
+
+
+class Snapshot:
+    """Copies of parameter lists and their Adam states (``parts``, pairs of
+    ``(params, state)``), taken before an iteration's updates.  ``restore``
+    writes every array and step count back in place, so an update that meets
+    a non-finite loss or gradient (:func:`finite_step`) leaves what it and
+    the updates before it touched as they found it."""
+
+    def __init__(self, parts: list[tuple[list[np.ndarray], AdamState]]):
+        self.parts = parts
+        self.copies = [([a.copy() for a in (*params, *state.m, *state.v)], state.step_count)
+                       for params, state in parts]
+
+    def restore(self) -> None:
+        for (params, state), (arrays, step_count) in zip(self.parts, self.copies):
+            for a, saved in zip((*params, *state.m, *state.v), arrays):
+                a[:] = saved
+            state.step_count = step_count
+
+
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale grads in place so the global L2 norm is at most max_norm."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))

@@ -4,8 +4,9 @@ The update differentiates the clipped objective by hand: the per-sample
 cotangent on the action mean and log-std follows from the diagonal-Gaussian
 log-density, and flows through the policy's own backward pass.  Every
 component of the policy steps on every minibatch, each with its own Adam
-state.  A NaN in the loss or any gradient aborts the iteration and restores
-the pre-update parameters and optimizer states.
+state.  A NaN in the loss or any gradient aborts the update and restores
+the snapshot it is given (:class:`gaitrl.nets.Snapshot`; by default, the
+policy's parameters and optimizer states before the update).
 
 On each minibatch the actor's forward and backward passes run first and its
 tapes are dropped; only then do the critic's forward and backward passes
@@ -29,7 +30,7 @@ import numpy as np
 
 from .codec import NON_NEGATIVE, POSITIVE, UNIT, UNIT_OPEN, Bounded
 from .env import ROW_DTYPE, obs_slices
-from .nets import AdamState, adam_step, clip_grad_norm, net_backward
+from .nets import AdamState, Snapshot, adam_step, clip_grad_norm, finite_step, net_backward
 from .policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
 
 log = logging.getLogger(__name__)
@@ -198,27 +199,9 @@ def make_optimizers(policy: ActorCritic, cfg: PPOConfig) -> dict[str, AdamState]
     return opts
 
 
-def _snapshot(policy: ActorCritic, opts: dict[str, AdamState]) -> tuple:
-    """Copies of everything an update touches: parameters and Adam states."""
-    params = {k: [p.copy() for p in ps] for k, ps in policy.components().items()}
-    adam = {
-        k: (o.step_count, [m.copy() for m in o.m], [v.copy() for v in o.v])
-        for k, o in opts.items()
-    }
-    return params, adam
-
-
-def _restore(policy: ActorCritic, opts: dict[str, AdamState], snap: tuple) -> None:
-    params, adam = snap
-    for k, ps in policy.components().items():
-        for p, s in zip(ps, params[k]):
-            p[:] = s
-    for k, o in opts.items():
-        o.step_count, ms, vs = adam[k]
-        for m, s in zip(o.m, ms):
-            m[:] = s
-        for v, s in zip(o.v, vs):
-            v[:] = s
+def policy_parts(policy: ActorCritic, opts: dict[str, AdamState]) -> list[tuple]:
+    """Each component's parameters with its Adam state: what a PPO update touches."""
+    return [(params, opts[name]) for name, params in policy.components().items()]
 
 
 def ppo_loss_and_grads(
@@ -289,9 +272,12 @@ def ppo_update(
     cfg: PPOConfig,
     opts: dict[str, AdamState],
     rng: np.random.Generator,
+    snap: Snapshot | None = None,
 ) -> dict:
     """Epochs of minibatched clipped-surrogate updates over the buffer, every
-    row of which the rollout has written."""
+    row of which the rollout has written.  A non-finite loss or gradient
+    restores ``snap`` (by default, one taken here) and returns
+    ``{"nan_aborted": True, "nan_update": "ppo"}``."""
     B = buffer.horizon * buffer.n_envs
     actions = buffer.actions.reshape(B, -1)
     old_logp = buffer.log_probs.reshape(B)
@@ -302,7 +288,7 @@ def ppo_update(
     adv_std = adv.std()
     adv_n = (adv - adv.mean()) / (adv_std + 1e-8)
 
-    snap = _snapshot(policy, opts)
+    snap = snap if snap is not None else Snapshot(policy_parts(policy, opts))
     stats = {"policy_loss": [], "value_loss": [], "entropy": [], "approx_kl": [], "clip_frac": []}
 
     for _ in range(cfg.epochs):
@@ -314,16 +300,13 @@ def ppo_update(
                 policy, mb, actions[idx], adv_n[idx], returns[idx], old_logp[idx], cfg
             )
 
-            finite = np.isfinite(loss) and all(
-                all(np.all(np.isfinite(ga)) for ga in gl) for gl in grad_lists.values()
-            )
-            if not finite:
-                _restore(policy, opts, snap)
+            if not finite_step(loss, [g for gl in grad_lists.values() for g in gl]):
+                snap.restore()
                 log.warning(
                     "non-finite PPO loss/gradient; iteration aborted, parameters "
                     "and optimizer states restored"
                 )
-                return {"nan_aborted": True}
+                return {"nan_aborted": True, "nan_update": "ppo"}
 
             comps = policy.components()
             for name, gl in grad_lists.items():

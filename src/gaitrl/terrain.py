@@ -112,12 +112,6 @@ class Heightfield:
     def is_void(self, x: float) -> bool:
         return self.void_view[self.cell_at(x)]
 
-    def heights_at(self, xs: np.ndarray) -> np.ndarray:
-        idx = (xs * self._inv_cell).astype(np.intp)
-        np.maximum(idx, 0, out=idx)
-        np.minimum(idx, self._last, out=idx)
-        return self.heights[idx]
-
     def surface_at(self, x: float) -> float:
         """Walkable surface height: for void cells, the edge level of the gap."""
         i = self.cell_at(x)

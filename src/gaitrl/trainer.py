@@ -22,6 +22,13 @@ run's arch and mode (``cfg.mode`` at the run's stage), an actor the run's
 arch, and every net the run's observation widths, so a checkpoint's config
 describes its policy; a ``ValueError`` names the first field that differs.
 The run writes nothing into its config.
+An iteration's updates are all or nothing: one :class:`gaitrl.nets.Snapshot`
+of the policy, the discriminators and their Adam states is taken before
+them, and a non-finite loss or gradient in the AMP or the PPO update
+restores all of it.  That iteration's metrics line records ``nan_aborted``
+and which update met it (``nan_update``: ``"disc<g>"`` or ``"ppo"``), and
+the run goes on; the divergence guard still decides when a run stops.
+
 Everything is single-threaded and keyed off one run seed, so a (config,
 seed) pair reproduces checkpoints and metrics byte for byte.
 """
@@ -43,6 +50,7 @@ from .amp import (
     DiscriminatorSet,
     WindowBuffer,
     amp_update,
+    disc_parts,
     make_discriminators,
     style_reward,
 )
@@ -50,9 +58,9 @@ from .biped import N_JOINTS, Q, QD, TIME
 from .codec import decode, read_json, write_json
 from .config import RunConfig, config_hash
 from .env import CommandState, EnvBatch, TerrainEnv, one_hot, sample_dr
-from .nets import AdamState
+from .nets import AdamState, Snapshot
 from .policy import ActorCritic, BundleBatch, PolicyState, gaussian_log_prob_batch
-from .ppo import RolloutBuffer, make_optimizers, ppo_update
+from .ppo import RolloutBuffer, make_optimizers, policy_parts, ppo_update
 from .refmotion import WINDOW_LEN, default_clip_set, reference_windows
 from .rewards import gait_rewards, locomotion_rewards, total_reward
 from .terrain import generate_terrain
@@ -481,7 +489,7 @@ class Trainer:
 
             for i, res in enumerate(results):
                 if res.termination == "timeout":
-                    v_term, _ = pol.critic_value(BundleBatch.stack([res.bundle]))
+                    v_term, _ = pol.critic_value(BundleBatch.stack([self.workers[i].env.bundle]))
                     rewards[i] += cfg.ppo.gamma * float(v_term[0])
             dones = [res.done for res in results]
             ended = [i for i, done in enumerate(dones) if done]
@@ -519,13 +527,18 @@ class Trainer:
         for i in range(iterations):
             buffer = RolloutBuffer(cfg.ppo.horizon, cfg.ppo.n_envs, self.policy.dims, N_JOINTS)
             roll_stats = self.collect_rollout(buffer)
+            # everything the iteration's updates touch, restored if either aborts
+            snap = Snapshot(policy_parts(self.policy, self.opts)
+                            + (disc_parts(self.discs, self.disc_opts) if self.stage >= 2 else []))
             amp_stats = {}
             if self.stage >= 2:
                 amp_stats = amp_update(
                     self.discs, self.refs, self.policy_windows, self.disc_opts,
-                    self.amp_rng, cfg.amp.batch_size, cfg.amp.updates_per_iter,
+                    self.amp_rng, cfg.amp.batch_size, cfg.amp.updates_per_iter, snap,
                 )
-            ppo_stats = ppo_update(self.policy, buffer, cfg.ppo, self.opts, self.train_rng)
+            # an aborted AMP update aborts the iteration: no PPO update follows it
+            ppo_stats = amp_stats if amp_stats.get("nan_aborted") else ppo_update(
+                self.policy, buffer, cfg.ppo, self.opts, self.train_rng, snap)
             self.iteration += 1
 
             entry = {

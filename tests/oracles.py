@@ -19,9 +19,10 @@ import numpy as np
 from gaitrl.amp import DiscriminatorSet
 from gaitrl.bench import BenchmarkReport, CellResult, PolicyController
 from gaitrl.biped import ACTION, N_JOINTS, BipedState
+from gaitrl.codec import write_json
 from gaitrl.config import RunConfig
 from gaitrl.env import BLOCKS, DR_RANGES, CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
-from gaitrl.nets import AdamState, DenseNet, Layer
+from gaitrl.nets import AdamState, DenseNet, Layer, finite_input, net_forward
 from gaitrl.policy import (
     ActorCritic,
     LatentTable,
@@ -561,10 +562,36 @@ def ref_o_t(state, commands, last_action) -> np.ndarray:
     ])
 
 
+def heights_at(terrain, xs: np.ndarray) -> np.ndarray:
+    """The heights under the points ``xs``: each point's cell as
+    ``Heightfield.cell_at`` finds it, clamped to the track."""
+    idx = (xs * (1.0 / terrain.cell_size)).astype(np.intp)
+    return terrain.heights[np.clip(idx, 0, terrain.n_cells - 1)]
+
+
+def env_commands(env: TerrainEnv) -> CommandState:
+    """An env's episode commands, a copy of its raw row's."""
+    v_cmd, w_cmd = env.batch.commands()[env.index].tolist()
+    return CommandState(v_cmd, w_cmd, env.batch.gaits()[env.index].copy())
+
+
+def save_config(cfg: RunConfig, path) -> None:
+    """``cfg`` as a config file that ``gaitrl.config.load_config`` and the CLI read."""
+    write_json(path, cfg, indent=2)
+
+
+def disc_scores(net: DenseNet, windows: np.ndarray) -> np.ndarray:
+    """A discriminator's scores of ``[B, window_dim]`` windows in one
+    ``net_forward`` pass, checked finite: with ``B = 1`` per row, the
+    reference that ``amp.style_reward`` scores each row against."""
+    y, _ = net_forward(net, finite_input(windows, net.dtype))
+    return y[:, 0]
+
+
 def sample_height_scan(terrain, base_x, base_z, offsets, noise_sigma=0.0, bias=0.0, clip=1.5,
                        rng=None) -> np.ndarray:
     """Forward terrain heights relative to the base, with the sensor noise model."""
-    vals = terrain.heights_at(base_x + offsets) - base_z
+    vals = heights_at(terrain, base_x + offsets) - base_z
     if bias != 0.0:
         vals += bias
     if noise_sigma > 0.0:
@@ -650,7 +677,7 @@ class RefEnv:
             bias=self.bias, clip=cfg.scan_clip, rng=self.rng,
         ) if not cfg.blind else np.zeros(cfg.scan_points))
         self.raw["scans"] = np.concatenate([self.scans[0], self.scans[1]])
-        self.raw["m"] = self.terrain.heights_at(st.x + cfg.elev_offsets()) - st.z
+        self.raw["m"] = heights_at(self.terrain, st.x + cfg.elev_offsets()) - st.z
         (lx, lz), (rx, rz) = st.foot_pos.tolist()
         self.raw["e"] = np.concatenate(
             [[lx - st.x, lz - st.z, rx - st.x, rz - st.z, *st.contact.tolist(), st.vx, st.vz],
@@ -773,7 +800,7 @@ def _ref_episode_start(model, env_cfg, rng, terrain, dr, commands):
     if env_cfg.blind:
         scan = np.zeros(env_cfg.scan_points)
     else:
-        scan = terrain.heights_at(x + env_cfg.scan_offsets()) - z
+        scan = heights_at(terrain, x + env_cfg.scan_offsets()) - z
         if bias != 0.0:
             scan += bias
         if dr.scan_noise > 0.0:
@@ -784,7 +811,7 @@ def _ref_episode_start(model, env_cfg, rng, terrain, dr, commands):
                         q0, zeros, zeros])
     (lx, lz), (rx, rz) = state.foot_pos
     raw = {
-        "m": terrain.heights_at(x + env_cfg.elev_offsets()) - z,
+        "m": heights_at(terrain, x + env_cfg.elev_offsets()) - z,
         "e": np.concatenate([[lx - x, lz - z, rx - x, rz - z, 0.0, 0.0, 0.0, 0.0], dr.as_vector()]),
         "o": o,
         "hist": np.tile(o, env_cfg.history_len),
@@ -1132,7 +1159,8 @@ def ref_run_trial(controller, terrain, model, env_cfg, *, v_cmd=0.6, gait_id=Non
     cfg_ep = EnvConfig(**{**env_cfg.__dict__, "max_episode_s": timeout_s, "push_vel_max": 0.0})
     env = TerrainEnv(model, cfg_ep, seed=seed)
     gait = one_hot(gait_id, cfg_ep.n_gaits) if gait_id is not None else np.zeros(cfg_ep.n_gaits)
-    bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait)).bundle
+    env.reset(terrain, DRConfig(), CommandState(v_cmd=v_cmd, gait=gait))
+    bundle = env.bundle
     reward_cfg = reward_cfg if reward_cfg is not None else RewardConfig()
     a_prev = np.zeros(N_JOINTS)
     a_prev2 = np.zeros(N_JOINTS)
@@ -1147,7 +1175,7 @@ def ref_run_trial(controller, terrain, model, env_cfg, *, v_cmd=0.6, gait_id=Non
         distance = max(res.distance, distance)
         if trace_file is not None:
             bd = ref_locomotion_rewards(
-                env.state, env.commands, action, a_prev, a_prev2, reward_cfg, model,
+                env.state, env_commands(env), action, a_prev, a_prev2, reward_cfg, model,
             )
             trace_file.write(
                 json.dumps(
@@ -1176,7 +1204,7 @@ def ref_run_trial(controller, terrain, model, env_cfg, *, v_cmd=0.6, gait_id=Non
         if res.done:
             termination = res.termination
             break
-        bundle = res.bundle
+        bundle = env.bundle
     return {
         "success": success,
         "distance": min(max(distance, 0.0), goal_m),
@@ -1198,10 +1226,8 @@ def ref_measure_gait_attribute(policy, cfg, gait_id, attribute, n_rollouts=10, r
             terrain_kind, 0.0, seed=seed + k,
             track_length=cfg.terrain.track_length, cell_size=cfg.terrain.cell_size,
         )
-        bundle = env.reset(
-            terrain, DRConfig(),
-            CommandState(v_cmd=0.4, gait=one_hot(gait_id, env_cfg.n_gaits)),
-        ).bundle
+        env.reset(terrain, DRConfig(), CommandState(v_cmd=0.4, gait=one_hot(gait_id, env_cfg.n_gaits)))
+        bundle = env.bundle
         values = []
         apex = 0.0
         prev_max = 0.0
@@ -1221,7 +1247,7 @@ def ref_measure_gait_attribute(policy, cfg, gait_id, attribute, n_rollouts=10, r
                 raise ValueError(f"unknown gait attribute: {attribute!r}")
             if res.done:
                 break
-            bundle = res.bundle
+            bundle = env.bundle
         if values:
             per_rollout.append(float(np.mean(values)))
     if not per_rollout:
@@ -1241,14 +1267,15 @@ def ref_collect_latent_samples(policy, cfg, terrain_kinds=("flat", "gap", "step"
                 track_length=cfg.terrain.track_length, cell_size=cfg.terrain.cell_size,
             )
             gait = one_hot(gid, cfg.env.n_gaits)
-            bundle = env.reset(terrain, DRConfig(), CommandState(v_cmd=0.5, gait=gait)).bundle
+            env.reset(terrain, DRConfig(), CommandState(v_cmd=0.5, gait=gait))
+            bundle = env.bundle
             controller = PolicyController(policy, gait_id=gid)
             for _ in range(steps_per_combo):
                 samples.append((bundle, gait.copy(), kind))
                 res = env.step(controller.act(bundle, env.state))
                 if res.done:
                     break
-                bundle = res.bundle
+                bundle = env.bundle
     return samples
 
 

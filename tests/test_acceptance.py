@@ -13,7 +13,6 @@ import numpy as np
 from gaitrl.amp import (
     WindowBuffer,
     amp_update,
-    disc_scores,
     discriminator_loss,
     make_discriminators,
     style_reward,
@@ -49,7 +48,14 @@ from gaitrl.terrain import (
 )
 from gaitrl.trainer import Trainer
 
-from oracles import central_diff_params, held_windows, rel_err, score_gait, score_locomotion
+from oracles import (
+    central_diff_params,
+    disc_scores,
+    held_windows,
+    rel_err,
+    score_gait,
+    score_locomotion,
+)
 from test_rewards import dual_locomotion, random_inputs, random_state
 
 MODEL = BipedModel()
@@ -80,7 +86,7 @@ def sample_bundles(n, seed=0, env_cfg=SMALL_ENV, kind="rough"):
     out = []
     while len(out) < n:
         res = env.step(rng.uniform(-0.4, 0.4, N_JOINTS))
-        out.append(res.bundle)
+        out.append(env.bundle)
         if res.done:
             env.reset(
                 generate_terrain(kind, 0.4, seed=seed),

@@ -5,7 +5,6 @@ from gaitrl.amp import (
     DiscriminatorSet,
     WindowBuffer,
     amp_update,
-    disc_scores,
     discriminator_loss,
     make_discriminators,
     style_reward,
@@ -15,7 +14,7 @@ from gaitrl.biped import N_JOINTS
 from gaitrl.nets import AdamState, DenseNet, Layer
 from gaitrl.refmotion import WINDOW_LEN
 
-from oracles import central_diff_params, held_windows, rel_err
+from oracles import central_diff_params, disc_scores, held_windows, rel_err
 
 
 def constant_net(dim, value):

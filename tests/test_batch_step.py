@@ -13,13 +13,17 @@ one) follows env 2 with the same draws and must equal its row of the batch.
 Three smaller cases hold the sensing pass to the reference: a blind batch,
 scan delays of several steps joining a running batch (its scan queue padded
 mid-run), and a start over scattered rows sensed in the same pass as
-stepped rows.
+stepped rows.  An env's observation is read from its row of the batch
+(``env.bundle``, ``batch.rows``); a bundle read right after its step keeps
+that step, and a step's result holds nothing of its batch.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -72,7 +76,7 @@ def assert_same_env(batch, i, ref, res, ref_res):
     assert batch.state[i, :ACTION].tobytes() == ref.state.row[:ACTION].tobytes()
     actions = np.concatenate([ref.last_action, ref.prev_action, ref.prev2_action])
     assert batch.state[i, ACTION:].tobytes() == actions.tobytes()
-    assert res.bundle.row.tobytes() == ref.row.tobytes()
+    assert batch.rows[i].tobytes() == ref.row.tobytes()
 
 
 def assert_same_scores(bd, i, ref_bd, diverged):
@@ -109,10 +113,12 @@ def test_the_batched_step_is_the_per_env_float_step(dr_enabled):
         dr = sample_dr(rng, dr_enabled)
         cmd = CommandState(float(rng.uniform(0.2, 1.0)), float(rng.uniform(-0.5, 0.5)),
                            one_hot(int(rng.integers(0, 3)), 3))
-        bundle = envs[i].reset(terrain, dr, cmd).bundle
+        envs[i].reset(terrain, dr, cmd)
+        bundle = envs[i].bundle
         assert bundle.row.tobytes() == refs[i].reset(terrain, dr, cmd).tobytes()
         if i == SOLO:
-            assert solo.reset(terrain, dr, cmd).bundle.row.tobytes() == bundle.row.tobytes()
+            solo.reset(terrain, dr, cmd)
+            assert solo.bundle.row.tobytes() == bundle.row.tobytes()
 
     for i in range(N):
         start(i)
@@ -136,7 +142,7 @@ def test_the_batched_step_is_the_per_env_float_step(dr_enabled):
         ref_results = [ref.step(a) for ref, a in zip(refs, actions)]
         for i in range(N):
             assert_same_env(batch, i, refs[i], results[i], ref_results[i])
-        handed_out.append((results[1].bundle, results[1].bundle.row.tobytes()))
+        handed_out.append((envs[1].bundle, envs[1].bundle.row.tobytes()))
 
         style = rng.uniform(0.0, 1.0, N)
         bd = scores(batch, style, rcfg)
@@ -148,7 +154,7 @@ def test_the_batched_step_is_the_per_env_float_step(dr_enabled):
         # the batch of one is env SOLO's row of the batch
         assert solo_res.termination == results[SOLO].termination
         assert solo.batch.state.tobytes() == batch.state[SOLO].tobytes()
-        assert solo_res.bundle.row.tobytes() == results[SOLO].bundle.row.tobytes()
+        assert solo.bundle.row.tobytes() == envs[SOLO].bundle.row.tobytes()
         solo_bd = scores(solo.batch, style[SOLO:SOLO + 1], rcfg)
         solo_bd.clear(diverged[SOLO:SOLO + 1])
         for name in ("raw", "weighted", "r_l", "r_s", "r_g", "total"):
@@ -166,22 +172,35 @@ def test_the_batched_step_is_the_per_env_float_step(dr_enabled):
     assert seen["diverged"] == len(POKES) and seen["timeout"] > 0 and seen["fall"] > 0, seen
 
 
-def test_a_result_read_after_its_env_moved_on_shows_its_own_step():
+def test_a_bundle_read_right_after_its_step_keeps_that_step():
     terrain = generate_terrain("rough", 0.5, seed=3)
     start = (terrain, DRConfig(scan_noise=0.02), CommandState(0.5, 0.0, np.zeros(3)))
     env, ref = TerrainEnv(MODEL, EnvConfig(), seed=1), RefEnv(MODEL, EnvConfig(), 1)
     env.reset(*start)
     ref.reset(*start)
-    results, rows = [], []
+    bundles, rows = [], []
     for a in (np.zeros(N_JOINTS), np.full(N_JOINTS, 0.3), np.full(N_JOINTS, -0.2)):
-        results.append(env.step(a))
+        env.step(a)
+        bundles.append(env.bundle)
         ref.step(a)
         rows.append(ref.row)
     env.state.vx = math.nan  # the next step diverges and shows the last row
-    results.append(env.step(np.zeros(N_JOINTS)))
+    assert env.step(np.zeros(N_JOINTS)).termination == "diverged"
+    bundles.append(env.bundle)
     rows.append(rows[-1])
     env.reset(*start)
-    assert [res.bundle.row.tobytes() for res in results] == [row.tobytes() for row in rows]
+    assert [b.row.tobytes() for b in bundles] == [row.tobytes() for row in rows]
+
+
+def test_a_result_does_not_keep_its_batch_alive():
+    env = TerrainEnv(MODEL, EnvConfig(), seed=1)
+    env.reset(generate_terrain("flat", 0.0, seed=0), DRConfig(), CommandState(0.5, 0.0, np.zeros(3)))
+    batch = weakref.ref(env.batch)
+    res = env.step(np.zeros(N_JOINTS))
+    del env
+    gc.collect()
+    assert batch() is None
+    assert (res.termination, res.done) == ("none", False)
 
 
 # -- sensing cases: each compared as bytes against one RefEnv per env -------------
@@ -194,9 +213,9 @@ def lockstep(cfg, n, seed):
 
 
 def start_beside(env, ref, terrain, dr, cmd):
-    """Start ``env`` and ``ref`` on the same episode; ``env``'s result, unread."""
-    res = env.reset(terrain, dr, cmd)
-    return res, ref.reset(terrain, dr, cmd)
+    """Start ``env`` and ``ref`` on the same episode; ``ref``'s first row (``env``'s, unread)."""
+    env.reset(terrain, dr, cmd)
+    return ref.reset(terrain, dr, cmd)
 
 
 def test_a_blind_batch_is_the_per_env_step():
@@ -207,9 +226,9 @@ def test_a_blind_batch_is_the_per_env_step():
 
     def start(i):
         terrain = generate_terrain(("rough", "step")[i % 2], 0.6, int(rng.integers(2**31)))
-        res, row = start_beside(envs[i], refs[i], terrain, sample_dr(rng),
-                                CommandState(0.5, 0.0, one_hot(i % 3, 3)))
-        assert res.bundle.row.tobytes() == row.tobytes()
+        row = start_beside(envs[i], refs[i], terrain, sample_dr(rng),
+                           CommandState(0.5, 0.0, one_hot(i % 3, 3)))
+        assert envs[i].bundle.row.tobytes() == row.tobytes()
 
     for i in range(n):
         start(i)
@@ -240,8 +259,8 @@ def test_scan_delays_of_several_steps_join_a_running_batch():
         dr = DRConfig(scan_noise=0.02 * (i % 2), scan_bias=0.1 * (i % 3 == 0), scan_delay_ms=delay_ms)
         delays.add(dr.scan_delay_steps())
         terrain = generate_terrain("rough", 0.8, int(rng.integers(2**31)))
-        res, row = start_beside(envs[i], refs[i], terrain, dr, CommandState(0.5, 0.0, np.zeros(3)))
-        assert res.bundle.row.tobytes() == row.tobytes()
+        row = start_beside(envs[i], refs[i], terrain, dr, CommandState(0.5, 0.0, np.zeros(3)))
+        assert envs[i].bundle.row.tobytes() == row.tobytes()
 
     for i in range(n):
         start(i, 8.0 * (i % 2))
@@ -273,8 +292,8 @@ def test_a_start_over_scattered_rows_shares_a_pass_with_stepped_rows():
         return terrain, sample_dr(rng), CommandState(0.6, 0.1, one_hot(int(rng.integers(3)), 3))
 
     for i in range(n):
-        res, row = start_beside(envs[i], refs[i], *episode())
-        assert res.bundle.row.tobytes() == row.tobytes()
+        row = start_beside(envs[i], refs[i], *episode())
+        assert envs[i].bundle.row.tobytes() == row.tobytes()
     for t in range(12):
         # after a pass, some envs start again and the rest step: one pass senses both
         batch.rows
@@ -287,11 +306,11 @@ def test_a_start_over_scattered_rows_shares_a_pass_with_stepped_rows():
                 a = rng.uniform(-1.0, 1.0, N_JOINTS) * 0.3
                 stepped[i] = envs[i].step(a), refs[i].step(a)
         rows = batch.rows
-        for i, (res, row) in started.items():
-            assert res.bundle.row.base is rows
-            assert res.bundle.row.tobytes() == row.tobytes()
+        for i, row in started.items():
+            assert envs[i].bundle.row.base is rows
+            assert envs[i].bundle.row.tobytes() == row.tobytes()
         for i, (res, ref_res) in stepped.items():
-            assert res.bundle.row.base is rows
+            assert envs[i].bundle.row.base is rows
             assert_same_env(batch, i, refs[i], res, ref_res)
             if res.done:
                 start_beside(envs[i], refs[i], *episode())

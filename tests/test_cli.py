@@ -8,7 +8,8 @@ import pytest
 
 from gaitrl.cli import cli
 from gaitrl.codec import field_bounds
-from gaitrl.config import RunConfig, config_from_dict, config_hash, config_to_dict, save_config
+from gaitrl.config import RunConfig, config_from_dict, config_hash, config_to_dict
+from oracles import save_config
 from test_hygiene import config_sections
 
 

@@ -25,7 +25,7 @@ from gaitrl.env import (
 from gaitrl.policy import PolicyArch, PolicyMode, _input_widths
 from gaitrl.terrain import generate_terrain
 
-from oracles import ref_normalize, ref_o_t, sample_height_scan
+from oracles import env_commands, heights_at, ref_normalize, ref_o_t, sample_height_scan
 
 
 @pytest.fixture
@@ -65,12 +65,12 @@ class TestReset:
         np.testing.assert_allclose(env.state.joint_pos, expected)
 
     def test_same_seed_identical_bundle(self, model, flat):
-        b1 = TerrainEnv(model, EnvConfig(), seed=5).reset(
-            flat, DRConfig(scan_noise=0.03), CommandState(v_cmd=0.4, gait=one_hot(1, 3))
-        ).bundle
-        b2 = TerrainEnv(model, EnvConfig(), seed=5).reset(
-            flat, DRConfig(scan_noise=0.03), CommandState(v_cmd=0.4, gait=one_hot(1, 3))
-        ).bundle
+        bundles = []
+        for _ in range(2):
+            env = TerrainEnv(model, EnvConfig(), seed=5)
+            env.reset(flat, DRConfig(scan_noise=0.03), CommandState(v_cmd=0.4, gait=one_hot(1, 3)))
+            bundles.append(env.bundle)
+        b1, b2 = bundles
         for a, b in zip(
             (b1.o, b1.hist, b1.scans, b1.m, b1.e), (b2.o, b2.hist, b2.scans, b2.m, b2.e)
         ):
@@ -170,7 +170,7 @@ class TestStep:
             tr = []
             for a in actions:
                 res = env.step(a)
-                tr.append((env.state.x, env.state.z, env.state.pitch, res.bundle.o.tobytes()))
+                tr.append((env.state.x, env.state.z, env.state.pitch, env.bundle.o.tobytes()))
                 if res.done:
                     break
             states.append(tr)
@@ -223,7 +223,8 @@ class TestHeightScan:
 
     def test_blind_mode_zeroes_scan(self, model, flat):
         env = TerrainEnv(model, EnvConfig(blind=True), seed=0)
-        b = env.reset(flat, DRConfig(), CommandState(gait=np.zeros(3))).bundle
+        env.reset(flat, DRConfig(), CommandState(gait=np.zeros(3)))
+        b = env.bundle
         zeros = np.zeros(env.dims["d_scan"])
         assert b.scans.tobytes() == ref_normalize(model, env.cfg, "scans", zeros).tobytes()
 
@@ -235,8 +236,8 @@ class TestHeightScan:
         k = env.cfg.scan_points
         # lift the robot: current scan changes immediately, delivered scan lags a step
         env.state.z += 0.5
-        r1 = env.step(np.zeros(N_JOINTS))
-        delivered_now = r1.bundle.scans
+        env.step(np.zeros(N_JOINTS))
+        delivered_now = env.bundle.scans
         fresh, lagged = scan_queue(env)[-1], scan_queue(env)[-2]
         assert not np.allclose(fresh, lagged)
         expected = ref_normalize(model, env.cfg, "scans", np.concatenate([scan_queue(env)[-3], lagged]))
@@ -246,8 +247,8 @@ class TestHeightScan:
     def test_scan_delay_delivers_the_scans_d_steps_back(self, model, delay_ms, d):
         rough = generate_terrain("rough", 0.8, seed=4)
         env = TerrainEnv(model, EnvConfig(), seed=0)
-        bundle = env.reset(rough, DRConfig(scan_delay_ms=delay_ms),
-                           CommandState(gait=np.zeros(3))).bundle
+        env.reset(rough, DRConfig(scan_delay_ms=delay_ms), CommandState(gait=np.zeros(3)))
+        bundle = env.bundle
         assert env.dr.scan_delay_steps() == d
         walker, k = ScriptedWalker(model), env.cfg.scan_points
         current, rows = [], []  # S_t: the scan at each row's state, no noise or bias
@@ -258,7 +259,7 @@ class TestHeightScan:
             rows.append(bundle.scans.copy())
             res = env.step(walker.act(bundle, env.state))
             assert not res.done
-            bundle = res.bundle
+            bundle = env.bundle
         assert all(not np.array_equal(a, b) for a, b in zip(current, current[1:]))
         for t, scans in enumerate(rows):
             raw = np.concatenate([current[max(t - 1 - d, 0)], current[max(t - d, 0)]])
@@ -341,7 +342,8 @@ class TestObservationAssembly:
         dims = obs_dims(cfg)
         assert dims["d_o"] == 2 + 2 + 2 + 2 * N_JOINTS + N_JOINTS
         env = fresh_env(model, flat)
-        b = env.step(np.zeros(N_JOINTS)).bundle
+        env.step(np.zeros(N_JOINTS))
+        b = env.bundle
         assert b.o.shape == (dims["d_o"],)
         assert b.hist.shape == (dims["d_hist"],)
         assert b.scans.shape == (dims["d_scan"],)
@@ -361,13 +363,15 @@ class TestObservationAssembly:
 
     def test_elevation_map_constant_on_flat(self, model, flat):
         env = fresh_env(model, flat)
-        b = env.step(np.zeros(N_JOINTS)).bundle
+        env.step(np.zeros(N_JOINTS))
+        b = env.bundle
         assert np.allclose(b.m, b.m[0])
 
     def test_privileged_fields_absent_from_actor_inputs(self, model, flat):
         # other m/e columns must leave the actor-visible blocks untouched
         env = fresh_env(model, flat)
-        b = env.step(np.zeros(N_JOINTS)).bundle
+        env.step(np.zeros(N_JOINTS))
+        b = env.bundle
         with pytest.raises(ValueError):  # a bundle is read-only
             b.m[:] = 99.0
         row = b.row.copy()
@@ -407,11 +411,12 @@ class TestObservationAssembly:
             raw_e = np.concatenate([privileged, dr.as_vector()])
             assert bundle.e.tobytes() == ref_normalize(env.model, cfg, "e", raw_e).tobytes()
 
-        assert_layout(env.reset(generate_terrain("rough", 0.5, seed=seed), dr,
-                                CommandState(v_cmd=0.5, gait=one_hot(seed % 3, 3))).bundle)
+        env.reset(generate_terrain("rough", 0.5, seed=seed), dr,
+                  CommandState(v_cmd=0.5, gait=one_hot(seed % 3, 3)))
+        assert_layout(env.bundle)
         for _ in range(4):
             res = env.step(rng.uniform(-1.0, 1.0, N_JOINTS))
-            assert_layout(res.bundle)
+            assert_layout(env.bundle)
             if res.done:
                 break
 
@@ -444,22 +449,22 @@ class TestObservationAssembly:
         rng = np.random.default_rng(seed)
         dr = sample_dr(rng)
         terrain = generate_terrain("rough", 0.5, seed=seed)
-        bundle = env.reset(terrain, dr,
-                           CommandState(v_cmd=0.5, gait=one_hot(seed % n_gaits, n_gaits))).bundle
+        env.reset(terrain, dr, CommandState(v_cmd=0.5, gait=one_hot(seed % n_gaits, n_gaits)))
+        bundle = env.bundle
         seen, last_action = [], np.zeros(N_JOINTS)
         for _ in range(history_len + 2):
             s = env.state
-            o = ref_o_t(s, env.commands, last_action)
+            o = ref_o_t(s, env_commands(env), last_action)
             seen = seen + [o] if seen else [o] * history_len
             d = env.dr.scan_delay_steps()
             (lx, lz), (rx, rz) = s.foot_pos.tolist()
             raw = {
-                "m": terrain.heights_at(s.x + cfg.elev_offsets()) - s.z,
+                "m": heights_at(terrain, s.x + cfg.elev_offsets()) - s.z,
                 "e": np.concatenate([[lx - s.x, lz - s.z, rx - s.x, rz - s.z,
                                       *s.contact.astype(float), s.vx, s.vz], dr.as_vector()]),
                 "o": o,
                 "hist": np.concatenate(seen[-history_len:]),
-                "gait": env.commands.gait,
+                "gait": env_commands(env).gait,
                 "scans": np.concatenate([scan_queue(env)[-2 - d], scan_queue(env)[-1 - d]]),
             }
             for name, _ in BLOCKS:
@@ -469,16 +474,16 @@ class TestObservationAssembly:
             res = env.step(last_action)
             if res.done:
                 break
-            bundle = res.bundle
+            bundle = env.bundle
 
     def test_history_holds_past_observations(self, model, flat):
         env = fresh_env(model, flat)
         d_o = env.dims["d_o"]
         seen = []
         for _ in range(7):
-            res = env.step(np.full(N_JOINTS, 0.1))
-            seen.append(res.bundle.o.copy())
-        hist = res.bundle.hist.reshape(env.cfg.history_len, d_o)
+            env.step(np.full(N_JOINTS, 0.1))
+            seen.append(env.bundle.o.copy())
+        hist = env.bundle.hist.reshape(env.cfg.history_len, d_o)
         np.testing.assert_array_equal(hist[-1], seen[-1])
         np.testing.assert_array_equal(hist[-2], seen[-2])
 
@@ -513,13 +518,14 @@ class TestDivergence:
     def test_nan_velocity_ends_the_episode_as_diverged(self):
         assert "diverged" in TERMINATIONS
         env, last = self.walk()
+        before = env.bundle
         env.state.vx = math.nan
         res = env.step(np.zeros(N_JOINTS))
         assert res.termination == "diverged" and res.done
         assert res.distance == last.distance
-        assert bundle_is_finite(res.bundle)
+        assert bundle_is_finite(env.bundle)
         for k in ("o", "hist", "scans", "m", "e"):
-            np.testing.assert_array_equal(getattr(res.bundle, k), getattr(last.bundle, k))
+            np.testing.assert_array_equal(getattr(env.bundle, k), getattr(before, k))
         with pytest.raises(RuntimeError):
             env.step(np.zeros(N_JOINTS))
 
@@ -561,7 +567,7 @@ class TestDivergence:
         assert len(calls) == env.cfg.substeps
         assert res.termination == "diverged" and res.done
         assert res.distance == last.distance
-        assert bundle_is_finite(res.bundle)
+        assert bundle_is_finite(env.bundle)
 
     def test_error_on_a_finite_state_still_raises(self, monkeypatch):
         env, _ = self.walk()
@@ -594,4 +600,4 @@ def test_any_non_finite_state_component_diverges_instead_of_raising(component, v
     res = env.step(np.zeros(N_JOINTS))
     assert res.termination == "diverged"
     assert res.distance == distance and math.isfinite(res.distance)
-    assert bundle_is_finite(res.bundle)
+    assert bundle_is_finite(env.bundle)

@@ -37,6 +37,12 @@ the package, the tests or the benchmark harness, apart from the exemptions
 in ``DEFAULTS_EXEMPT``.  Calls are matched to functions by name, so a call
 of any function of that name counts.
 
+No code is kept that only the tests reach: every module-level name and
+every method and property of the package is read, by the same name match,
+in the package or the benchmark harness, apart from the exemptions listed
+with their reasons in ``ONLY_TESTS_EXEMPT``.  A helper that only tests use
+lives in the tests (``tests/oracles.py`` when several share it).
+
 Every config field states its admissible values: each int, float and tuple
 field of each section reachable from ``RunConfig`` declares a bound
 (``Annotated[float, POSITIVE]``, :mod:`gaitrl.codec`), apart from the
@@ -369,6 +375,59 @@ def test_no_module_name_that_nothing_reads():
         if name not in read
     ]
     assert unread == []
+
+
+# Names that only the tests reach but that stay in the package, each with the reason.
+ONLY_TESTS_EXEMPT = {
+    "controllers.ScriptedWalker": "scripted controllers for the tests; they move under tests/ "
+                                  "with the tests that use them when evaluation runs as one batch "
+                                  "(ROADMAP, item 8)",
+    "controllers.ConstantController": "as controllers.ScriptedWalker",
+    "env.TERMINATIONS": "the vocabulary of StepResult.termination, stated once beside the env "
+                        "that writes it; per-reason termination counts will index it (ROADMAP, "
+                        "item 5)",
+}
+# the code a run reaches: the package and the benchmark harness
+IN_USE = sorted(p for d in ("src/gaitrl", "perfbench") for p in (ROOT / d).glob("*.py"))
+
+
+def only_tests_reach(package: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """``module.name`` for each name a module of ``package`` (stem -> tree)
+    binds at its top level, and ``Class.name`` for each method and property
+    its classes define, that no tree of ``readers`` reads by name, as an
+    attribute or through an import."""
+    read = set().union(*(module_names_read(tree) for tree in readers))
+    return [
+        *(f"{stem}.{name}" for stem, tree in package.items() for name in module_names(tree)
+          if name not in read),
+        *(method for tree in package.values() for method in defined_methods(tree)
+          if method.split(".", 1)[1] not in read),
+    ]
+
+
+def test_the_check_flags_code_that_only_tests_reach():
+    package = {"lib": ast.parse(
+        "LIMIT = 3\nSPARE = 4\n"
+        "class Env:\n    def step(self): ...\n    def peek(self): ...\n"
+        "    @property\n    def width(self): ...\n"
+        "def run(env):\n    return env.step() + env.width + LIMIT\n"
+        "def helper(): ...\n"
+    )}
+    harness = ast.parse("from lib import Env, run\nrun(Env())\n")
+    test = ast.parse("from lib import SPARE, helper\nhelper(SPARE)\nEnv().peek()\n")
+    assert only_tests_reach(package, [*package.values(), harness]) == [
+        "lib.SPARE", "lib.helper", "Env.peek",
+    ]
+    assert only_tests_reach(package, [*package.values(), harness, test]) == []
+
+
+def test_no_code_that_only_tests_reach():
+    package = {p.stem: ast.parse(p.read_text(), filename=str(p))
+               for p in IN_USE if p.parent.name == "gaitrl"}
+    found = only_tests_reach(package, [ast.parse(p.read_text()) for p in IN_USE])
+    assert sorted(set(found) - set(ONLY_TESTS_EXEMPT)) == []
+    # an exemption goes with the code it names, or once the code is read
+    assert sorted(set(ONLY_TESTS_EXEMPT) - set(found)) == []
 
 
 # Parameters that stay although their function does not read them, each

@@ -44,6 +44,7 @@ from gaitrl.policy import (
 from gaitrl.terrain import generate_terrain
 
 from oracles import (
+    env_commands,
     ref_act,
     ref_actor_mean,
     ref_controller_act,
@@ -83,16 +84,16 @@ def make_policy(stage: int, fusion: str = "latent", n_experts: int = 3, seed: in
 
 def env_bundles(n: int = 6, seed: int = 0):
     env = TerrainEnv(MODEL, ENV_CFG, seed=seed)
-    bundle = env.reset(
+    env.reset(
         generate_terrain("rough", 0.6, seed=seed),
         DRConfig(scan_noise=0.03, scan_bias=0.05),
         CommandState(v_cmd=0.7, gait=one_hot(1, 3)),
-    ).bundle
+    )
     rng = np.random.default_rng(seed)
-    bundles = [bundle]
+    bundles = [env.bundle]
     for _ in range(n - 1):
         res = env.step(rng.uniform(-1.0, 1.0, 6))
-        bundles.append(res.bundle)
+        bundles.append(env.bundle)
         if res.done:
             break
     return env, bundles
@@ -173,7 +174,7 @@ def test_controller_act_matches_reference(fusion, gait_id):
         gait = controller.gait
         assert same(
             controller.act(b, env.state),
-            ref_controller_act(pol, gait, b, env.commands),
+            ref_controller_act(pol, gait, b, env_commands(env)),
         )
 
 
@@ -184,7 +185,7 @@ def test_controller_clips_like_np_clip():
     env, (b, *_) = env_bundles(1)
     with np.errstate(invalid="ignore"):  # the reference's log-probability of the NaN row
         got = PolicyController(pol).act(b, env.state)
-        assert same(got, ref_controller_act(pol, None, b, env.commands))
+        assert same(got, ref_controller_act(pol, None, b, env_commands(env)))
     assert np.isnan(got[3])
     assert got[[0, 1, 2, 4, 5]].tolist() == [4.0, -4.0, 0.0, 4.0, -4.0]
 

@@ -59,7 +59,7 @@ def make_bundles(n=4, seed=0, cfg=None, noise=True):
     bundles = []
     for _ in range(n):
         res = env.step(rng.uniform(-0.5, 0.5, N_JOINTS))
-        bundles.append(res.bundle)
+        bundles.append(env.bundle)
         if res.done:
             break
     return bundles

@@ -39,7 +39,7 @@ def collect_bundles(n, seed=0):
     out = []
     while len(out) < n:
         res = env.step(rng.uniform(-0.4, 0.4, N_JOINTS))
-        out.append(res.bundle)
+        out.append(env.bundle)
         if res.done:
             env.reset(
                 generate_terrain("rough", 0.4, seed=seed),

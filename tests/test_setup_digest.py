@@ -17,6 +17,7 @@ import pytest
 from gaitrl.config import RunConfig
 from gaitrl.trainer import Trainer
 
+from oracles import env_commands
 from pipeline_digest import stack
 
 RECORDED_ON = "# numpy 2.4.6, scipy-openblas 0.3.31.188.0, Python 3.11.7"
@@ -27,9 +28,9 @@ DIGEST = "39aef5994c3522e6c1ffeb6ba7450d9f302d226dd82c153bbcbb63757700fd73"
 def setup_digest(trainer: Trainer) -> str:
     h = hashlib.sha256()
     for w in trainer.workers:
-        env = w.env
+        env, commands = w.env, env_commands(w.env)
         for a in (env.terrain.heights, env.terrain.void, env.dr.as_vector(),
-                  np.array([env.commands.v_cmd, env.commands.w_cmd]), env.commands.gait,
+                  np.array([commands.v_cmd, commands.w_cmd]), commands.gait,
                   env.bundle.row):
             h.update(a.tobytes())
     return h.hexdigest()

@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+import gaitrl.amp as amp_mod
+import gaitrl.ppo as ppo_mod
 import gaitrl.trainer as trainer_mod
 from gaitrl.biped import N_JOINTS
 from gaitrl.cli import cli
@@ -16,7 +18,6 @@ from gaitrl.config import (
     config_from_dict,
     config_hash,
     config_to_dict,
-    save_config,
 )
 from gaitrl.env import TerrainEnv, one_hot
 from gaitrl.policy import ActorCritic, BundleBatch, gaussian_log_prob_batch
@@ -29,7 +30,7 @@ from gaitrl.trainer import (
     update_curriculum,
 )
 
-from oracles import no_rewards, ref_normalize
+from oracles import env_commands, no_rewards, ref_normalize, save_config
 
 
 def tiny_cfg(**over):
@@ -142,8 +143,9 @@ class TestGaitScheduler:
             w.env.state.time = step * 0.02
             trainer.schedule_gaits()
             assert trainer.gait_period.tolist() == [int(step * 0.02 / w.cfg.gaits.period_s + 1e-9)]
-            seen.append(int(np.argmax(w.env.commands.gait)))
-            assert w.env.bundle.gait.tobytes() == w.env.commands.gait.astype(np.float32).tobytes()
+            gait = env_commands(w.env).gait
+            seen.append(int(np.argmax(gait)))
+            assert w.env.bundle.gait.tobytes() == gait.astype(np.float32).tobytes()
         return seen
 
     def test_command_constant_within_period(self):
@@ -377,7 +379,7 @@ class TestRollout:
         step = TerrainEnv.step
 
         def recording_step(env, action):
-            held.append(env.commands.gait.copy())
+            held.append(env_commands(env).gait)
             return step(env, action)
 
         monkeypatch.setattr(TerrainEnv, "step", recording_step)
@@ -425,8 +427,8 @@ class TestStage2:
         rng = np.random.default_rng(0)
         for _ in range(25):
             res = env.step(rng.uniform(-0.3, 0.3, 6))
-            a1 = pol1.act(res.bundle)
-            a2 = pol2.act(res.bundle.with_gait(one_hot(int(rng.integers(0, 3)), 3)))
+            a1 = pol1.act(env.bundle)
+            a2 = pol2.act(env.bundle.with_gait(one_hot(int(rng.integers(0, 3)), 3)))
             np.testing.assert_array_equal(a1, a2)
             if res.done:
                 break
@@ -660,3 +662,70 @@ class TestDivergingEnv:
         # the diverged env started a new episode and kept stepping
         assert np.isfinite(got_obs.o.reshape(T, N, -1)[1:, 1]).all()
         assert got.dones[1:, 1].sum() < got.horizon - 1
+
+
+def held_state(trainer: Trainer) -> list:
+    """The bytes of every parameter and Adam moment an iteration's updates
+    can touch, and each Adam step count: the policy's and the discriminators'."""
+    params = [p for ps in trainer.policy.components().values() for p in ps]
+    params += [p for net in trainer.discs.nets for p in net.params()]
+    opts = [*trainer.opts.values(), *trainer.disc_opts]
+    arrays = params + [a for o in opts for a in (*o.m, *o.v)]
+    return [a.tobytes() for a in arrays] + [o.step_count for o in opts]
+
+
+class TestIterationRollback:
+    """A non-finite loss or gradient in either update of an iteration puts
+    back the policy, the discriminators and every Adam state as they were
+    before the iteration's updates, and the run goes on."""
+
+    def trainer(self) -> Trainer:
+        trainer = Trainer(tiny_cfg(**{"mode.one_stage": True}), seed=3, stage=2)
+        trainer.run(1)  # every gait's window buffer holds windows: no discriminator is skipped
+        assert all(trainer.policy_windows.size(g) > 0 for g in range(trainer.discs.n_gaits))
+        return trainer
+
+    def test_a_nan_in_discriminator_1s_gradient_restores_everything(self, monkeypatch):
+        trainer = self.trainer()
+        before = held_state(trainer)
+        disc0 = [p.tobytes() for p in trainer.discs.nets[0].params()]
+        moved = []
+        loss_and_grads = amp_mod.discriminator_loss
+
+        def nan_in_disc1(net, *args):
+            loss, grads, metrics = loss_and_grads(net, *args)
+            if net is trainer.discs.nets[1]:
+                moved.append([p.tobytes() for p in trainer.discs.nets[0].params()] != disc0)
+                grads.params()[0][0, 0] = np.nan  # the first weight gradient
+            return loss, grads, metrics
+
+        monkeypatch.setattr(amp_mod, "discriminator_loss", nan_in_disc1)
+        entry = trainer.run(1)[0]
+        assert moved == [True]  # discriminator 0 had stepped
+        assert entry["nan_aborted"] is True and entry["nan_update"] == "disc1"
+        assert held_state(trainer) == before
+        monkeypatch.undo()
+        assert "nan_aborted" not in trainer.run(1)[0]
+
+    def test_a_nan_ppo_loss_after_an_amp_update_restores_everything(self, monkeypatch):
+        trainer = self.trainer()
+        before = held_state(trainer)
+        discs = [p.tobytes() for net in trainer.discs.nets for p in net.params()]
+        moved = []
+        loss_and_grads = ppo_mod.ppo_loss_and_grads
+
+        def nan_loss(*args):
+            loss, grads, stats = loss_and_grads(*args)
+            if not moved:
+                moved.append([p.tobytes() for net in trainer.discs.nets for p in net.params()]
+                             != discs)
+                loss = math.nan
+            return loss, grads, stats
+
+        monkeypatch.setattr(ppo_mod, "ppo_loss_and_grads", nan_loss)
+        entry = trainer.run(1)[0]
+        assert moved == [True]  # the AMP update had stepped the discriminators
+        assert entry["nan_aborted"] is True and entry["nan_update"] == "ppo"
+        assert held_state(trainer) == before
+        monkeypatch.undo()
+        assert "nan_aborted" not in trainer.run(1)[0]
