@@ -227,15 +227,14 @@ def amp_update(
     policy_buffer: WindowBuffer,
     opt_states: list[AdamState],
     rng: np.random.Generator,
+    snap: Snapshot,
     batch_size: int = 256,
     updates: int = 1,
-    snap: Snapshot | None = None,
 ) -> dict:
     """One round of discriminator training; gaits with no policy data are
-    skipped.  A non-finite loss or gradient restores ``snap`` (by default,
-    one taken here) and ends the round with ``{"nan_aborted": True,
-    "nan_update": "disc<g>"}`` for the discriminator ``g`` that met it."""
-    snap = snap if snap is not None else Snapshot(disc_parts(discs, opt_states))
+    skipped.  A non-finite loss or gradient restores ``snap`` and ends the
+    round with ``{"nan_aborted": True, "nan_update": "disc<g>"}`` for the
+    discriminator ``g`` that met it."""
     metrics: dict = {}
     for gid, net in enumerate(discs.nets):
         if policy_buffer.size(gid) == 0:

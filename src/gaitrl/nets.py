@@ -28,7 +28,10 @@ window and discriminator batch they are handed.  What one net hands to
 another (encoder features, the trunk latent, the residual's input, the gate
 logits) is not checked again: it can be non-finite only through a
 non-finite parameter, and then the output carries it to whoever reads it.
-``net_forward``, ``net_forward_rows`` and ``softmax`` check nothing.
+``net_forward``, ``net_forward_rows`` and ``softmax`` check nothing.  A
+loss and its gradients are checked once too, by the update that computed
+them and before any parameter steps (:func:`finite_step`); ``adam_step``
+checks nothing.
 
 A forward call's tape holds the input and each layer's output, and no
 pre-activation: every derivative the backward rules read is a function of the
@@ -402,16 +405,15 @@ def adam_step(
     Each parameter's temporaries are two scratch arrays, written in place in
     the order of ``m = β1·m + (1-β1)·g``, ``v = β2·v + ((1-β2)·g)·g`` and
     ``p -= (lr·(m/c1)) / (sqrt(v/c2) + eps)``, so every value keeps the bits
-    of that expression.  A NaN/Inf gradient raises before any parameter or
-    moment is touched.
+    of that expression.  The gradients are finite: the updates check them
+    with :func:`finite_step` before stepping (the module docstring's finite
+    rule).
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params/grads/state lengths differ")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"grad shape {g.shape} != param shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient in adam_step")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t

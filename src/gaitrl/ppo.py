@@ -5,8 +5,8 @@ cotangent on the action mean and log-std follows from the diagonal-Gaussian
 log-density, and flows through the policy's own backward pass.  Every
 component of the policy steps on every minibatch, each with its own Adam
 state.  A NaN in the loss or any gradient aborts the update and restores
-the snapshot it is given (:class:`gaitrl.nets.Snapshot`; by default, the
-policy's parameters and optimizer states before the update).
+the snapshot it is given (:class:`gaitrl.nets.Snapshot`, taken by the caller
+before the iteration's updates).
 
 On each minibatch the actor's forward and backward passes run first and its
 tapes are dropped; only then do the critic's forward and backward passes
@@ -272,11 +272,11 @@ def ppo_update(
     cfg: PPOConfig,
     opts: dict[str, AdamState],
     rng: np.random.Generator,
-    snap: Snapshot | None = None,
+    snap: Snapshot,
 ) -> dict:
     """Epochs of minibatched clipped-surrogate updates over the buffer, every
     row of which the rollout has written.  A non-finite loss or gradient
-    restores ``snap`` (by default, one taken here) and returns
+    restores ``snap`` and returns
     ``{"nan_aborted": True, "nan_update": "ppo"}``."""
     B = buffer.horizon * buffer.n_envs
     actions = buffer.actions.reshape(B, -1)
@@ -288,7 +288,6 @@ def ppo_update(
     adv_std = adv.std()
     adv_n = (adv - adv.mean()) / (adv_std + 1e-8)
 
-    snap = snap if snap is not None else Snapshot(policy_parts(policy, opts))
     stats = {"policy_loss": [], "value_loss": [], "entropy": [], "approx_kl": [], "clip_frac": []}
 
     for _ in range(cfg.epochs):

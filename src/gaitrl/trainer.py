@@ -534,7 +534,7 @@ class Trainer:
             if self.stage >= 2:
                 amp_stats = amp_update(
                     self.discs, self.refs, self.policy_windows, self.disc_opts,
-                    self.amp_rng, cfg.amp.batch_size, cfg.amp.updates_per_iter, snap,
+                    self.amp_rng, snap, cfg.amp.batch_size, cfg.amp.updates_per_iter,
                 )
             # an aborted AMP update aborts the iteration: no PPO update follows it
             ppo_stats = amp_stats if amp_stats.get("nan_aborted") else ppo_update(

@@ -13,6 +13,7 @@ import numpy as np
 from gaitrl.amp import (
     WindowBuffer,
     amp_update,
+    disc_parts,
     discriminator_loss,
     make_discriminators,
     style_reward,
@@ -28,7 +29,7 @@ from gaitrl.biped import N_JOINTS, BipedModel
 from gaitrl.codec import decode
 from gaitrl.config import RunConfig, config_from_dict, config_to_dict
 from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, one_hot
-from gaitrl.nets import AdamState, net_backward, net_forward
+from gaitrl.nets import AdamState, Snapshot, net_backward, net_forward
 from gaitrl.policy import (
     ActorCritic,
     BundleBatch,
@@ -313,7 +314,8 @@ class TestCriterion5Discriminator:
         buf = WindowBuffer(1, dim)
         buf.add(0, rng.normal(-1.5, 0.3, size=(512, dim)))
         for _ in range(500):
-            amp_update(discs, refs, buf, opts, rng, batch_size=64)
+            amp_update(discs, refs, buf, opts, rng,
+                       Snapshot(disc_parts(discs, opts)), batch_size=64)
         mr = float(np.mean(disc_scores(discs.nets[0], refs[0])))
         mf = float(np.mean(disc_scores(discs.nets[0], held_windows(buf, 0))))
         sep_ok = mr > 0.8 and mf < -0.8
@@ -325,7 +327,8 @@ class TestCriterion5Discriminator:
         buf2 = WindowBuffer(1, dim)
         buf2.add(0, data[512:])
         for _ in range(500):
-            amp_update(discs2, refs2, buf2, opts2, np.random.default_rng(14), batch_size=64)
+            amp_update(discs2, refs2, buf2, opts2, np.random.default_rng(14),
+                       Snapshot(disc_parts(discs2, opts2)), batch_size=64)
         mr2 = float(np.mean(disc_scores(discs2.nets[0], refs2[0])))
         mf2 = float(np.mean(disc_scores(discs2.nets[0], held_windows(buf2, 0))))
         sym_ok = abs(mr2) < 0.35 and abs(mf2) < 0.35

@@ -5,13 +5,14 @@ from gaitrl.amp import (
     DiscriminatorSet,
     WindowBuffer,
     amp_update,
+    disc_parts,
     discriminator_loss,
     make_discriminators,
     style_reward,
     style_reward_value,
 )
 from gaitrl.biped import N_JOINTS
-from gaitrl.nets import AdamState, DenseNet, Layer
+from gaitrl.nets import AdamState, DenseNet, Layer, Snapshot
 from gaitrl.refmotion import WINDOW_LEN
 
 from oracles import central_diff_params, disc_scores, held_windows, rel_err
@@ -161,7 +162,8 @@ class TestAmpUpdate:
         buf = WindowBuffer(1, dim, capacity=4096)
         buf.add(0, rng.normal(-1.5, 0.3, size=(512, dim)))
         for _ in range(500):
-            amp_update(discs, refs, buf, opts, rng, batch_size=64)
+            amp_update(discs, refs, buf, opts, rng,
+                       Snapshot(disc_parts(discs, opts)), batch_size=64)
         mr = float(np.mean(disc_scores(discs.nets[0], refs[0])))
         mf = float(np.mean(disc_scores(discs.nets[0], held_windows(buf, 0))))
         assert mr > 0.8
@@ -175,7 +177,8 @@ class TestAmpUpdate:
         buf = WindowBuffer(1, dim)
         buf.add(0, data[512:])
         for _ in range(500):
-            amp_update(discs, refs, buf, opts, rng, batch_size=64)
+            amp_update(discs, refs, buf, opts, rng,
+                       Snapshot(disc_parts(discs, opts)), batch_size=64)
         mr = float(np.mean(disc_scores(discs.nets[0], refs[0])))
         mf = float(np.mean(disc_scores(discs.nets[0], held_windows(buf, 0))))
         assert abs(mr) < 0.35
@@ -192,7 +195,8 @@ class TestAmpUpdate:
         buf.add(0, rng.normal(-0.5, 0.5, size=(256, dim)))
         _, _, first = discriminator_loss(discs.nets[0], refs[0], held_windows(buf, 0), discs.alpha_gp)
         for _ in range(300):
-            amp_update(discs, refs, buf, opts, rng, batch_size=64)
+            amp_update(discs, refs, buf, opts, rng,
+                       Snapshot(disc_parts(discs, opts)), batch_size=64)
         _, _, last = discriminator_loss(discs.nets[0], refs[0], held_windows(buf, 0), discs.alpha_gp)
         assert last["grad_norm"] < first["grad_norm"]
 
@@ -201,7 +205,7 @@ class TestAmpUpdate:
         refs = {0: rng.normal(size=(64, 8))}
         buf = WindowBuffer(1, 8)
         with caplog.at_level("WARNING"):
-            m = amp_update(discs, refs, buf, opts, rng)
+            m = amp_update(discs, refs, buf, opts, rng, Snapshot(disc_parts(discs, opts)))
         assert m["disc0"] == {"skipped": True}
         assert any("empty policy buffer" in r.message for r in caplog.records)
         assert opts[0].step_count == 0

@@ -6,6 +6,7 @@ import pytest
 from gaitrl.biped import N_JOINTS, BipedModel
 from gaitrl.codec import encode
 from gaitrl.env import CommandState, DRConfig, EnvConfig, TerrainEnv, obs_dims, one_hot
+from gaitrl.nets import Snapshot
 from gaitrl.policy import ActorCritic, BundleBatch, PolicyArch, PolicyMode, gaussian_log_prob_batch
 from gaitrl.ppo import (
     PPOConfig,
@@ -13,6 +14,7 @@ from gaitrl.ppo import (
     compute_gae,
     make_optimizers,
     ppo_loss_and_grads,
+    policy_parts,
     ppo_update,
 )
 from gaitrl.terrain import generate_terrain
@@ -180,7 +182,8 @@ class TestPPOUpdate:
         opts = make_optimizers(policy, cfg)
         buf = self.make_buffer(policy)
         before = [p.copy() for p in policy.trunk.params()]
-        metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0))
+        metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0),
+                             Snapshot(policy_parts(policy, opts)))
         assert "policy_loss" in metrics
         assert any(not np.array_equal(a, b) for a, b in zip(before, policy.trunk.params()))
 
@@ -191,7 +194,8 @@ class TestPPOUpdate:
         buf = self.make_buffer(policy, seed=3)
         buf.rewards[1, 1] = np.nan
         before = {k: [p.copy() for p in ps] for k, ps in policy.components().items()}
-        metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0))
+        metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0),
+                             Snapshot(policy_parts(policy, opts)))
         assert metrics.get("nan_aborted") is True
         for k, ps in policy.components().items():
             for a, b in zip(before[k], ps):
@@ -207,7 +211,8 @@ class TestPPOUpdate:
         last = int(np.random.default_rng(0).permutation(B)[-1])
         buf.actions[last // buf.n_envs, last % buf.n_envs, 0] = np.nan
         before = {k: encode(o) for k, o in opts.items()}
-        metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0))
+        metrics = ppo_update(policy, buf, cfg, opts, np.random.default_rng(0),
+                             Snapshot(policy_parts(policy, opts)))
         assert metrics.get("nan_aborted") is True
         for k, o in opts.items():
             assert encode(o) == before[k], k
@@ -217,7 +222,8 @@ class TestPPOUpdate:
         cfg = PPOConfig(epochs=3, minibatch=4, entropy_coef=10.0)  # huge entropy push
         opts = make_optimizers(policy, cfg)
         buf = self.make_buffer(policy, seed=5)
-        ppo_update(policy, buf, cfg, opts, np.random.default_rng(0))
+        ppo_update(policy, buf, cfg, opts, np.random.default_rng(0),
+                   Snapshot(policy_parts(policy, opts)))
         assert np.all(policy.log_std <= TINY.log_std_max + 1e-12)
         assert np.all(policy.log_std >= TINY.log_std_min - 1e-12)
 
@@ -248,7 +254,8 @@ def test_the_update_working_set_stays_in_its_budget():
     policy, buf, opts = default_update(cfg)
     tracemalloc.start()
     try:
-        stats = ppo_update(policy, buf, cfg, opts, np.random.default_rng(1))
+        stats = ppo_update(policy, buf, cfg, opts, np.random.default_rng(1),
+                           Snapshot(policy_parts(policy, opts)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -285,7 +292,9 @@ def test_an_update_reuses_the_memory_it_frees():
     cfg = PPOConfig(epochs=1)
     policy, buf, opts = default_update(cfg)
     keep_freed_memory()
-    ppo_update(policy, buf, cfg, opts, np.random.default_rng(1))
+    ppo_update(policy, buf, cfg, opts, np.random.default_rng(1),
+               Snapshot(policy_parts(policy, opts)))
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    ppo_update(policy, buf, cfg, opts, np.random.default_rng(2))
+    ppo_update(policy, buf, cfg, opts, np.random.default_rng(2),
+               Snapshot(policy_parts(policy, opts)))
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= UPDATE_FAULT_BUDGET
