@@ -276,8 +276,7 @@ def ppo_update(
 ) -> dict:
     """Epochs of minibatched clipped-surrogate updates over the buffer, every
     row of which the rollout has written.  A non-finite loss or gradient
-    restores ``snap`` and returns
-    ``{"nan_aborted": True, "nan_update": "ppo"}``."""
+    restores ``snap`` and returns ``{"nan_aborted": True, "nan_update": "ppo"}``."""
     B = buffer.horizon * buffer.n_envs
     actions = buffer.actions.reshape(B, -1)
     old_logp = buffer.log_probs.reshape(B)
