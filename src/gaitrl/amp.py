@@ -23,7 +23,6 @@ import numpy as np
 from .nets import (
     AdamState,
     DenseNet,
-    NetGrads,
     Snapshot,
     adam_step,
     finite_input,
@@ -77,8 +76,9 @@ def discriminator_loss(
     real: np.ndarray,
     fake: np.ndarray,
     alpha_gp: float,
-) -> tuple[float, NetGrads, dict]:
-    """LSGAN loss with reference-sample gradient penalty, plus its gradients."""
+) -> tuple[float, list[np.ndarray], dict]:
+    """LSGAN loss with reference-sample gradient penalty, plus its gradients
+    in the order of ``net.params()``."""
     if real.shape[0] == 0 or fake.shape[0] == 0:
         raise ValueError("empty discriminator batch")
     n_r, n_f = real.shape[0], fake.shape[0]
@@ -93,7 +93,8 @@ def discriminator_loss(
     y_f = y_f[:, 0]
     loss_fake = float(np.mean((y_f + 1.0) ** 2))
     g_f, _ = net_backward(net, tape_f, (2.0 * (y_f + 1.0) / n_f)[:, None], input_grad=False)
-    grads.add_(g_f)
+    for a, b in zip(grads, g_f):
+        a += b
 
     penalty = 0.0
     grad_norm_mean = 0.0
@@ -111,7 +112,8 @@ def discriminator_loss(
             v[safe] = u[safe] / norms[safe, None]
             v *= 0.5 * alpha_gp / n_r
             _, g_p = net_directional_param_grads(net, tape_r, v, np.ones((n_r, 1)))
-            grads.add_(g_p)
+            for a, b in zip(grads, g_p):
+                a += b
 
     loss = loss_real + loss_fake + penalty
     metrics = {
@@ -246,11 +248,11 @@ def amp_update(
             real = sample_reference(refs, gid, batch_size, rng)
             fake = policy_buffer.sample(gid, batch_size, rng)
             loss, grads, last = discriminator_loss(net, real, fake, discs.alpha_gp)
-            if not finite_step(loss, grads.params()):
+            if not finite_step(loss, grads):
                 snap.restore()
                 log.warning("non-finite loss/gradient in discriminator %d; iteration aborted, "
                             "parameters and optimizer states restored", gid)
                 return {"nan_aborted": True, "nan_update": f"disc{gid}"}
-            adam_step(net.params(), grads.params(), opt_states[gid])
+            adam_step(net.params(), grads, opt_states[gid])
         metrics[f"disc{gid}"] = last
     return metrics

@@ -16,8 +16,8 @@ writes the row once, with the last three actions.  What the physics reads
 of the DR draw is derived once per episode, in ``reset``: the PD gains,
 the contact damping, the base's mass and pitch inertia, beside the friction,
 motor strength and centre-of-mass shift (``TerrainEnv._kernel``); the
-substep's ``dt`` once per env.  ``reset`` and ``step`` return only the
-termination and the distance (:class:`StepResult`).  The envs started or
+substep's ``dt`` once per env.  ``step`` returns only the termination and
+the distance (:class:`StepResult`), ``reset`` nothing.  The envs started or
 stepped since the batch's last pass are sensed in one pass over their rows
 when a reader of the batch's ``rows`` (or an env's ``bundle``) asks, or
 before one of them is stepped or reset again.  So an env's observation has
@@ -380,10 +380,9 @@ class ObservationBundle:
 
 
 class StepResult(NamedTuple):
-    """One env's episode start or control step: its termination and the
-    distance it reports.  The observation after it is the env's row of the
-    batch (``env.bundle``): read it before stepping or resetting that env
-    again."""
+    """One env's control step: its termination and the distance it reports.
+    The observation after it is the env's row of the batch (``env.bundle``):
+    read it before stepping or resetting that env again."""
 
     termination: str
     distance: float
@@ -701,7 +700,7 @@ class TerrainEnv:
 
     # -- episode control ----------------------------------------------------
 
-    def reset(self, terrain: Heightfield, dr: DRConfig, commands: CommandState) -> StepResult:
+    def reset(self, terrain: Heightfield, dr: DRConfig, commands: CommandState) -> None:
         """Start an episode on ``terrain`` under the DR draw ``dr`` and the
         ``commands``.  The episode's first observation is the env's
         ``bundle``, sensed in the batch's next pass with every other env
@@ -736,7 +735,6 @@ class TerrainEnv:
         b.begin(i, terrain, dr, scan_bias)
         self._distance = st.x - cfg.spawn_x
         b.sense_next(i, start=True)
-        return StepResult("none", self._distance)
 
     def step(self, action: np.ndarray) -> StepResult:
         """One control step: the state row is read once, the four PD/physics

@@ -38,6 +38,14 @@ pre-activation: every derivative the backward rules read is a function of the
 output (tanh' = 1 - z²), so tanh runs in place on the fresh matmul result.
 ``net_backward`` computes the input's cotangent, the layer-0 ``gs @ W``, only
 when the caller asks for it (``input_grad``).
+
+A net's gradient is a list in the order of ``DenseNet.params()`` (W0, b0,
+W1, b1, ...), the form ``adam_step``, ``clip_grad_norm``, ``finite_step``
+and ``Snapshot`` take; a policy's is such a list per component, keyed as
+``ActorCritic.components()``.  The backward rules form each product with
+``ndarray.dot``, the BLAS call ``@`` makes: on every backward shape of the
+package's default nets, at 1 to 512 rows and in both dtypes, it has the
+bits of ``@``.
 """
 
 from __future__ import annotations
@@ -59,11 +67,7 @@ PackedArray = NewType("PackedArray", np.ndarray)
 
 
 # ``Layer`` admits only the ACTIVATIONS, so anything but "tanh" is the identity;
-# both derivatives read the layer's output z alone
-def _act_deriv(name: str, z: np.ndarray) -> np.ndarray:
-    return 1.0 - z * z if name == "tanh" else np.ones_like(z)
-
-
+# the derivatives read the layer's output z alone
 def _act_deriv2(name: str, z: np.ndarray) -> np.ndarray:
     return -2.0 * z * (1.0 - z * z) if name == "tanh" else np.zeros_like(z)
 
@@ -178,27 +182,6 @@ class GradientTape:
     post: list[np.ndarray]  # z_l = act(s_l), [B, out_l]
 
 
-@dataclass
-class NetGrads:
-    """Parameter-shaped gradients mirroring a DenseNet; ``add_`` accumulates."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def add_(self, other: "NetGrads") -> None:
-        for w, ow in zip(self.weights, other.weights):
-            w += ow
-        for b, ob in zip(self.biases, other.biases):
-            b += ob
-
-    def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-
 def _as_batch(x: np.ndarray, net: DenseNet, dim: int, what: str) -> np.ndarray:
     """``x`` as a ``[B, dim]`` array of ``net``'s dtype, copied only to cast it."""
     x = np.asarray(x, dtype=net.dtype)
@@ -278,41 +261,42 @@ def net_backward(
     *,
     input_grad: bool = True,
     param_grads: bool = True,
-) -> tuple[NetGrads | None, np.ndarray | None]:
+) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """Reverse-mode gradients of <grad_out, y> w.r.t. parameters and input.
 
     Batched ``grad_out`` rows are treated as independent cotangents; parameter
-    gradients are summed over the batch and ``grad_input`` keeps the batch
-    shape.  With ``input_grad`` false the layer-0 ``gs @ W`` is skipped and
-    ``grad_input`` is None; the parameter gradients have the same bits.  With
-    ``param_grads`` false no layer's ``gs.T @ z`` or bias sum is formed and
-    the gradients are None; ``grad_input`` has the same bits.
+    gradients are summed over the batch, in the order of ``net.params()``,
+    and ``grad_input`` keeps the batch shape.  With ``input_grad`` false the
+    layer-0 ``gs @ W`` is skipped and ``grad_input`` is None; the parameter
+    gradients have the same bits.  With ``param_grads`` false no layer's
+    ``gs.T @ z`` or bias sum is formed and the gradients are None;
+    ``grad_input`` has the same bits.
     """
     _check_tape(net, tape)
     g = _as_batch(grad_out, net, net.output_dim, "grad_out")
     if g.shape[0] != tape.x.shape[0]:
         raise ValueError("grad_out batch size does not match the forward call")
-    n_layers = len(net.layers)
-    weights, biases = [None] * n_layers, [None] * n_layers
-    for k in range(n_layers - 1, -1, -1):
+    grads = [None] * (2 * len(net.layers)) if param_grads else None
+    for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         g = _through_act(layer.activation, tape.post[k], g)
         if param_grads:
-            weights[k] = g.T @ (tape.x if k == 0 else tape.post[k - 1])
-            biases[k] = g.sum(axis=0)
-        g = g @ layer.weight if k > 0 or input_grad else None
-    return (NetGrads(weights, biases) if param_grads else None), g
+            grads[2 * k] = g.T.dot(tape.x if k == 0 else tape.post[k - 1])
+            grads[2 * k + 1] = g.sum(axis=0)
+        g = g.dot(layer.weight) if k > 0 or input_grad else None
+    return grads, g
 
 
 def net_directional_param_grads(
     net: DenseNet, tape: GradientTape, v: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, NetGrads]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Parameter gradients of the directional derivative h = grad_out . (J v).
 
     J is the network Jacobian dy/dx at the taped input.  This is the
     second-order rule needed to train through an input-gradient norm: with
     v held fixed, grad_theta(h) is exact.  Batched rows are independent and
-    the returned parameter grads are summed over the batch.
+    the returned parameter grads are summed over the batch, in the order of
+    ``net.params()``.
     """
     _check_tape(net, tape)
     vb = _as_batch(v, net, net.input_dim, "tangent")
@@ -322,34 +306,31 @@ def net_directional_param_grads(
     # Forward tangent sweep: s_dot_l = W_l z_dot_{l-1}; z_dot_l = act'(s_l) * s_dot_l.
     s_dot: list[np.ndarray] = []
     z_dot: list[np.ndarray] = []
-    derivs: list[np.ndarray] = []
     zd = vb
     for k, layer in enumerate(net.layers):
-        sd = zd @ layer.weight.T
-        d1 = _act_deriv(layer.activation, tape.post[k])
-        zd = d1 * sd
+        sd = zd.dot(layer.weight.T)
+        zd = _through_act(layer.activation, tape.post[k], sd)
         s_dot.append(sd)
         z_dot.append(zd)
-        derivs.append(d1)
     h = np.einsum("bo,bo->b", gb, z_dot[-1])
 
     # Reverse sweep over the joint primal/tangent graph.
-    weights, biases = [None] * n_layers, [None] * n_layers
+    grads = [None] * (2 * n_layers)
     g_zdot = gb  # cotangent of z_dot_l
     g_z = np.zeros_like(gb)  # cotangent of z_l (primal)
     for k in range(n_layers - 1, -1, -1):
-        layer = net.layers[k]
-        d2 = _act_deriv2(layer.activation, tape.post[k])
-        g_sdot = derivs[k] * g_zdot
+        layer, z = net.layers[k], tape.post[k]
+        d2 = _act_deriv2(layer.activation, z)
+        g_sdot = _through_act(layer.activation, z, g_zdot)
         # s_l feeds act'(s_l) in the tangent chain and act(s_l) in the primal one
-        g_s = d2 * s_dot[k] * g_zdot + derivs[k] * g_z
+        g_s = d2 * s_dot[k] * g_zdot + _through_act(layer.activation, z, g_z)
         zin = tape.x if k == 0 else tape.post[k - 1]
         zdin = vb if k == 0 else z_dot[k - 1]
-        weights[k] = g_sdot.T @ zdin + g_s.T @ zin
-        biases[k] = g_s.sum(axis=0)
-        g_zdot = g_sdot @ layer.weight
-        g_z = g_s @ layer.weight
-    return h, NetGrads(weights, biases)
+        grads[2 * k] = g_sdot.T.dot(zdin) + g_s.T.dot(zin)
+        grads[2 * k + 1] = g_s.sum(axis=0)
+        g_zdot = g_sdot.dot(layer.weight)
+        g_z = g_s.dot(layer.weight)
+    return h, grads
 
 
 def softmax(w: np.ndarray) -> np.ndarray:

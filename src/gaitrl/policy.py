@@ -40,7 +40,6 @@ from .env import EnvConfig, ObservationBundle, obs_dims
 from .nets import (
     DenseNet,
     GradientTape,
-    NetGrads,
     PackedArray,
     finite_input,
     make_net,
@@ -184,9 +183,12 @@ class ResidualModule:
         cache = ResidualCache(res_in, tapes, outs, gate_tape, w, z)
         return z, w, cache
 
-    def backward(self, cache: ResidualCache, d_z: np.ndarray) -> tuple[dict, np.ndarray]:
-        """Grads for experts/gate plus the cotangent on the feature input."""
-        grads: dict[str, NetGrads] = {}
+    def backward(
+        self, cache: ResidualCache, d_z: np.ndarray
+    ) -> tuple[dict[str, list[np.ndarray]], np.ndarray]:
+        """Grads for experts/gate, keyed as ``components()``, plus the
+        cotangent on the feature input."""
+        grads: dict[str, list[np.ndarray]] = {}
         d_in = np.zeros_like(cache.res_in)
         w = cache.weights
         dw = np.stack(
@@ -385,8 +387,9 @@ class ActorCritic:
 
     # -- backward ------------------------------------------------------------
 
-    def actor_backward(self, cache: ActorCache, d_mean: np.ndarray) -> dict[str, NetGrads]:
-        grads: dict[str, NetGrads] = {}
+    def actor_backward(self, cache: ActorCache, d_mean: np.ndarray) -> dict[str, list[np.ndarray]]:
+        """Each actor net's parameter gradients, keyed as ``components()``."""
+        grads: dict[str, list[np.ndarray]] = {}
         g_head, g_z = net_backward(self.head, cache.head_tape, d_mean)
         grads["head"] = g_head
         d_feats_extra = None

@@ -250,9 +250,7 @@ def ppo_loss_and_grads(
     cg, _ = net_backward(policy.critic, vtape, d_v, input_grad=False)
 
     loss = policy_loss + value_loss - cfg.entropy_coef * entropy
-    grad_lists = {name: g.params() for name, g in grads.items()}
-    grad_lists["critic"] = cg.params()
-    grad_lists["log_std"] = [d_logstd]
+    grads = {**grads, "critic": cg, "log_std": [d_logstd]}
 
     stats = {
         "policy_loss": policy_loss,
@@ -260,10 +258,8 @@ def ppo_loss_and_grads(
         "entropy": entropy,
         "approx_kl": float(np.mean(old_logp - lp_new)),
         "clip_frac": float(np.mean(~in_band)),
-        "surr1": surr1,
-        "surr2": surr2,
     }
-    return loss, grad_lists, stats
+    return loss, grads, stats
 
 
 def ppo_update(

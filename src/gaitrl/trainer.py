@@ -499,7 +499,7 @@ class Trainer:
             self._begin_episodes(ended)
             buffer.add_step(t, batch, actions, logps, values, rewards, dones, bd)
 
-        values, _ = pol.critic_value(BundleBatch.stack([w.env.bundle for w in self.workers]))
+        values, _ = pol.critic_value(BundleBatch(envs.rows, envs.layout.slices))
         buffer.values[cfg.ppo.horizon] = values
 
         steps = cfg.ppo.horizon * cfg.ppo.n_envs

@@ -986,6 +986,39 @@ def ref_net_backward(net, x, grad_out):
     return weights, biases, g
 
 
+def ref_net_directional_param_grads(net, x, v, grad_out):
+    """(h, weight grads, bias grads) of h = grad_out . (J v), J = dy/dx at
+    ``x``: ``net_directional_param_grads`` with each layer's derivatives
+    ``act'(z)`` and ``act''(z)`` held as arrays and every product an ``@``."""
+    post, z = [], x
+    for layer in net.layers:
+        z = _ref_act(layer.activation, z @ layer.weight.T + layer.bias)
+        post.append(z)
+    tanh = [layer.activation == "tanh" for layer in net.layers]
+    d1 = [1.0 - z * z if t else np.ones_like(z) for z, t in zip(post, tanh)]
+    d2 = [-2.0 * z * (1.0 - z * z) if t else np.zeros_like(z) for z, t in zip(post, tanh)]
+    s_dot, z_dot, zd = [], [], v
+    for k, layer in enumerate(net.layers):
+        sd = zd @ layer.weight.T
+        zd = d1[k] * sd
+        s_dot.append(sd)
+        z_dot.append(zd)
+    h = np.einsum("bo,bo->b", grad_out, z_dot[-1])
+    weights, biases = [None] * len(net.layers), [None] * len(net.layers)
+    g_zdot, g_z = grad_out, np.zeros_like(grad_out)
+    for k in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[k]
+        g_sdot = d1[k] * g_zdot
+        g_s = d2[k] * s_dot[k] * g_zdot + d1[k] * g_z
+        zin = x if k == 0 else post[k - 1]
+        zdin = v if k == 0 else z_dot[k - 1]
+        weights[k] = g_sdot.T @ zdin + g_s.T @ zin
+        biases[k] = g_s.sum(axis=0)
+        g_zdot = g_sdot @ layer.weight
+        g_z = g_s @ layer.weight
+    return h, weights, biases
+
+
 def ref_adam_step(params, grads, state) -> None:
     """Bias-corrected Adam, in place, each update one numpy expression."""
     state.step_count += 1

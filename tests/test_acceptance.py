@@ -125,7 +125,7 @@ class TestCriterion1Gradients:
             comps = pol.components()
             for name, g in grads.items():
                 fd = central_diff_params(actor_scalar, comps[name])
-                for a, b in zip(g.params(), fd):
+                for a, b in zip(g, fd):
                     worst = max(worst, rel_err(a, b, floor=1e-6))
 
         # critic
@@ -140,7 +140,7 @@ class TestCriterion1Gradients:
         v, tape = pol.critic_value(b)
         cg, _ = net_backward(pol.critic, tape, np.ones((1, 1)))
         fd = central_diff_params(critic_scalar, pol.critic.params())
-        for a, fdg in zip(cg.params(), fd):
+        for a, fdg in zip(cg, fd):
             worst = max(worst, rel_err(a, fdg, floor=1e-6))
 
         # discriminator loss including the gradient-penalty term
@@ -155,7 +155,7 @@ class TestCriterion1Gradients:
 
         _, dgrads, _ = discriminator_loss(net, real, fake, 10.0)
         fd = central_diff_params(disc_scalar, net.params())
-        for a, b_ in zip(dgrads.params(), fd):
+        for a, b_ in zip(dgrads, fd):
             worst = max(worst, rel_err(a, b_, floor=1e-6))
 
         # full PPO loss (clipped surrogate + value + entropy) on a tiny batch

@@ -54,7 +54,7 @@ class TestDiscriminatorLoss:
 
         _, grads, _ = discriminator_loss(net, real, fake, alpha)
         fd = central_diff_params(scalar, net.params())
-        for analytic, numeric in zip(grads.params(), fd):
+        for analytic, numeric in zip(grads, fd):
             assert rel_err(analytic, numeric, floor=1e-6) <= 1e-4
 
     def test_batch_shuffle_invariance(self):
@@ -68,7 +68,7 @@ class TestDiscriminatorLoss:
         perm_f = rng.permutation(9)
         l2, g2, _ = discriminator_loss(net, real[perm_r], fake[perm_f], 10.0)
         assert l1 == pytest.approx(l2, rel=1e-12)
-        for a, b in zip(g1.params(), g2.params()):
+        for a, b in zip(g1, g2):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
 
     def test_empty_batch_rejected(self):

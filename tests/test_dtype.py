@@ -22,7 +22,7 @@ import gaitrl.ppo
 from gaitrl.amp import make_discriminators
 from gaitrl.biped import N_JOINTS
 from gaitrl.config import RunConfig, config_hash
-from gaitrl.nets import AdamState, NetGrads
+from gaitrl.nets import AdamState
 from gaitrl.policy import ActorCritic
 from gaitrl.ppo import RolloutBuffer, make_optimizers
 from gaitrl.refmotion import WINDOW_LEN
@@ -83,9 +83,9 @@ def record_network_arrays(monkeypatch) -> list:
                 params, grads, state = args
                 key = (name, id(params[0]))
                 arrays = [*params, *grads, *state.m, *state.v]
-            else:  # gradients and an array, either of them None when skipped
+            else:  # a gradient list and an array, either of them None when skipped
                 arrays = [a for part in out if part is not None
-                          for a in (part.params() if isinstance(part, NetGrads) else [part])]
+                          for a in (part if isinstance(part, list) else [part])]
             seen.extend((key, a) for a in arrays)
             return out
 

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitrl.amp import make_discriminators
-from gaitrl.biped import BipedModel
+from gaitrl.biped import N_JOINTS, BipedModel
 from gaitrl.codec import decode, encode
-from gaitrl.env import EnvConfig
+from gaitrl.config import RunConfig
+from gaitrl.env import EnvConfig, env_layout
 from gaitrl.nets import (
     AdamState,
     DenseNet,
@@ -20,13 +21,15 @@ from gaitrl.nets import (
     net_forward,
     softmax,
 )
-from gaitrl.policy import NET_NAMES, ActorCritic, PolicyArch, PolicyMode
+from gaitrl.policy import NET_NAMES, ActorCritic, BundleBatch, PolicyArch, PolicyMode
+from gaitrl.refmotion import WINDOW_LEN
 
 from oracles import (
     central_diff_params,
     mlp_eval,
     ref_adam_step,
     ref_net_backward,
+    ref_net_directional_param_grads,
     ref_net_forward,
     rel_err,
 )
@@ -152,7 +155,7 @@ class TestDtype:
         grads, gx = net_backward(net, tape, rng.normal(size=(3, 2)))
         _, tape_d = net_forward(net, x[:1])
         h, d_grads = net_directional_param_grads(net, tape_d, x[:1], np.ones((1, 2)))
-        for a in (y, *tape.post, *grads.params(), gx, h, *d_grads.params()):
+        for a in (y, *tape.post, *grads, gx, h, *d_grads):
             assert a.dtype == dtype
         assert softmax(y).dtype == dtype
 
@@ -163,7 +166,7 @@ class TestBackward:
         net = random_net(rng)
         _, tape = net_forward(net, rng.normal(size=(1, 4)))
         grads, gx = net_backward(net, tape, np.zeros((1, 3)))
-        for g in grads.params():
+        for g in grads:
             assert np.all(g == 0.0)
         assert np.all(gx == 0.0)
 
@@ -175,8 +178,8 @@ class TestBackward:
         g = rng.normal(size=3)
         _, tape = net_forward(net, x[None])
         grads, gx = net_backward(net, tape, g[None])
-        np.testing.assert_allclose(grads.weights[0], np.outer(g, x), rtol=1e-15)
-        np.testing.assert_allclose(grads.biases[0], g, rtol=1e-15)
+        np.testing.assert_allclose(grads[0], np.outer(g, x), rtol=1e-15)
+        np.testing.assert_allclose(grads[1], g, rtol=1e-15)
         np.testing.assert_allclose(gx[0], w.T @ g, rtol=1e-14)
 
     @pytest.mark.parametrize("act", ["tanh", "identity"])
@@ -193,7 +196,7 @@ class TestBackward:
         _, tape = net_forward(net, x)
         grads, gx = net_backward(net, tape, gout)
         fd = central_diff_params(scalar, net.params())
-        for analytic, numeric in zip(grads.params(), fd):
+        for analytic, numeric in zip(grads, fd):
             assert rel_err(analytic, numeric, floor=1e-6) <= 1e-4
         fd_x = central_diff_params(scalar, [x])[0]
         assert rel_err(gx, fd_x, floor=1e-6) <= 1e-4
@@ -217,7 +220,7 @@ class TestBackward:
             _, tape = net_forward(net, x)
             grads, _ = net_backward(net, tape, gout)
             fd = central_diff_params(scalar, net.params())
-            for analytic, numeric in zip(grads.params(), fd):
+            for analytic, numeric in zip(grads, fd):
                 worst = max(worst, rel_err(analytic, numeric, floor=1e-6))
         assert worst <= 1e-4
 
@@ -236,8 +239,9 @@ class TestBackward:
             if acc is None:
                 acc = gi
             else:
-                acc.add_(gi)
-        for a, b in zip(grads.params(), acc.params()):
+                for a, b in zip(acc, gi):
+                    a += b
+        for a, b in zip(grads, acc):
             np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_foreign_tape_rejected(self):
@@ -291,7 +295,7 @@ def test_a_float32_net_computes_its_float64_values_to_float32_precision(name):
     y_ref, tape_ref = net_forward(ref, x)
     grads, gx = net_backward(net, tape, g)
     grads_ref, gx_ref = net_backward(ref, tape_ref, g)
-    for got, want in zip((y, gx, *grads.params()), (y_ref, gx_ref, *grads_ref.params())):
+    for got, want in zip((y, gx, *grads), (y_ref, gx_ref, *grads_ref)):
         assert np.max(np.abs(got - want)) <= FLOAT32_TOL * np.max(np.abs(want))
 
 
@@ -316,8 +320,8 @@ class TestBitwiseBackward:
         assert bits(gx) == bits(ref_gx)
         for k in range(len(net.layers)):
             for got in (full, params_only):
-                assert bits(got.weights[k]) == bits(ref_w[k]), (name, k)
-                assert bits(got.biases[k]) == bits(ref_b[k]), (name, k)
+                assert bits(got[2 * k]) == bits(ref_w[k]), (name, k)
+                assert bits(got[2 * k + 1]) == bits(ref_b[k]), (name, k)
 
     @pytest.mark.parametrize("dtype, name", NET_CASES)
     def test_skipping_the_parameter_gradients_keeps_the_input_gradient(self, dtype, name):
@@ -340,6 +344,81 @@ class TestBitwiseBackward:
         assert [z.shape for z in tape.post] == [(5, l.weight.shape[0]) for l in net.layers]
 
 
+@pytest.mark.parametrize("dtype, name", NET_CASES)
+def test_a_gradient_is_the_list_of_the_nets_parameters(dtype, name):
+    # one array per ``net.params()`` entry, of its shape and dtype, in its order
+    net = NETS[dtype][name]
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(5, net.input_dim)).astype(dtype)
+    g = rng.normal(size=(5, net.output_dim)).astype(dtype)
+    _, tape = net_forward(net, x)
+    grads, _ = net_backward(net, tape, g)
+    _, d_grads = net_directional_param_grads(net, tape, x, g)
+    want = [(np.ndarray, p.shape, p.dtype) for p in net.params()]
+    for got in (grads, d_grads):
+        assert type(got) is list
+        assert [(type(a), a.shape, a.dtype) for a in got] == want
+    assert net_backward(net, tape, g, param_grads=False)[0] is None
+
+
+def default_policies(dtype) -> list[ActorCritic]:
+    """The default stage-1 and stage-2 policies of ``dtype``; the residual's
+    zero output layers get weights."""
+    cfg, rng = RunConfig(), np.random.default_rng(21)
+    out = [ActorCritic(cfg.model, cfg.env, cfg.arch, PolicyMode(stage=stage), seed=3, dtype=dtype)
+           for stage in (1, 2)]
+    for net in [*out[1].residual.experts, out[1].residual.gate]:
+        net.layers[-1].weight[:] = rng.normal(0.0, 0.3, net.layers[-1].weight.shape)
+    return out
+
+
+POLICIES = {dtype: default_policies(dtype) for dtype in (np.float64, np.float32)}
+DISCS = {dtype: make_discriminators(1, WINDOW_LEN * N_JOINTS, np.random.default_rng(22),
+                                    hidden=RunConfig().amp.disc_hidden, dtype=dtype).nets[0]
+         for dtype in (np.float64, np.float32)}
+
+
+def default_tapes(dtype, n_rows: int) -> list:
+    """The tapes an update differentiates, over ``n_rows`` rows: both default
+    policies' actor and critic passes over observation rows, as the PPO
+    update makes them (the encoders and the critic read strided views of the
+    rows), and a default discriminator's pass over as many windows."""
+    cfg, rng = RunConfig(), np.random.default_rng(n_rows)
+    slices = env_layout(cfg.model, cfg.env).slices
+    rows = rng.normal(size=(n_rows, max(s.stop for s in slices.values()))).astype(np.float32)
+    rows[:, slices["gait"]] = np.eye(cfg.env.n_gaits)[rng.integers(0, cfg.env.n_gaits, n_rows)]
+    batch = BundleBatch(rows, slices)
+    tapes = []
+    for policy in POLICIES[dtype]:
+        _, cache = policy.actor_mean(batch)
+        tapes += [cache.scan_tape, cache.hist_tape, cache.trunk_tape, cache.head_tape,
+                  policy.critic_value(batch)[1]]
+        if cache.residual is not None:
+            tapes += [*cache.residual.expert_tapes, cache.residual.gate_tape]
+    windows = rng.normal(size=(n_rows, WINDOW_LEN * N_JOINTS)).astype(dtype)
+    return [*tapes, net_forward(DISCS[dtype], windows)[1]]
+
+
+@pytest.mark.parametrize("n_rows", [1, 37, 64, 512])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_each_backward_product_has_the_bits_of_matmul(dtype, n_rows):
+    # the backward rules form every product with ``dot``: on the default nets'
+    # tapes at these batch sizes, ``dot`` has the bits of ``@``
+    rng = np.random.default_rng(20)
+    for i, tape in enumerate(default_tapes(dtype, n_rows)):
+        net = tape.net_ref
+        g = rng.normal(size=(n_rows, net.output_dim)).astype(dtype)
+        v = rng.normal(size=tape.x.shape).astype(dtype)
+        grads, gx = net_backward(net, tape, g)
+        ref_w, ref_b, ref_gx = ref_net_backward(net, tape.x, g)
+        assert bits(gx) == bits(ref_gx), i
+        assert [bits(a) for a in grads] == [bits(a) for wb in zip(ref_w, ref_b) for a in wb], i
+        h, d_grads = net_directional_param_grads(net, tape, v, g)
+        ref_h, ref_w, ref_b = ref_net_directional_param_grads(net, tape.x, v, g)
+        assert bits(h) == bits(ref_h), i
+        assert [bits(a) for a in d_grads] == [bits(a) for wb in zip(ref_w, ref_b) for a in wb], i
+
+
 class TestDirectionalParamGrads:
     def test_matches_finite_differences_of_input_grad_norm(self):
         # grads of h = v . grad_x(f) for fixed v equal d/dtheta of that dot product
@@ -357,7 +436,7 @@ class TestDirectionalParamGrads:
         h, grads = net_directional_param_grads(net, tape, v, np.ones((1, 1)))
         assert abs(h[0] - h_of_params()) <= 1e-10
         fd = central_diff_params(h_of_params, net.params())
-        for analytic, numeric in zip(grads.params(), fd):
+        for analytic, numeric in zip(grads, fd):
             assert rel_err(analytic, numeric, floor=1e-6) <= 1e-4
 
     def test_batched_rows_independent(self):
@@ -375,8 +454,9 @@ class TestDirectionalParamGrads:
             if acc is None:
                 acc = gi
             else:
-                acc.add_(gi)
-        for a, b in zip(gb.params(), acc.params()):
+                for a, b in zip(acc, gi):
+                    a += b
+        for a, b in zip(gb, acc):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
 
 

@@ -307,7 +307,7 @@ class TestEndToEndGradients:
         comps = pol.components()
         for name, grad in grads.items():
             fd = central_diff_params(scalar, comps[name])
-            for a, b in zip(grad.params(), fd):
+            for a, b in zip(grad, fd):
                 assert rel_err(a, b, floor=1e-6) <= 1e-4, name
 
     def test_gait_command_unused_in_stage1_path(self):

@@ -107,7 +107,9 @@ class TestPPOLoss:
         policy = ActorCritic(MODEL, TINY_ENV, TINY, PolicyMode(stage=1), seed=0)
         mb, a, adv, ret, lp = prepared_batch(policy)
         _, _, stats = ppo_loss_and_grads(policy, mb, a, adv, ret, lp, PPOConfig())
-        np.testing.assert_allclose(stats["surr1"], stats["surr2"], atol=1e-9)
+        # both surrogates are the advantage: policy_loss is -mean(min(surr1, surr2))
+        assert stats["policy_loss"] == pytest.approx(-np.mean(adv), abs=1e-9)
+        assert stats["clip_frac"] == 0.0
         assert stats["approx_kl"] == pytest.approx(0.0, abs=1e-9)
 
     def test_clipped_region_kills_policy_gradient(self):
@@ -118,7 +120,9 @@ class TestPPOLoss:
         # fake an old log-prob that puts the ratio at 1 + 2*clip
         lp_shifted = lp - np.log(1.0 + 2 * cfg.clip)
         _, grads, stats = ppo_loss_and_grads(policy, mb, a, adv, ret, lp_shifted, cfg)
-        assert stats["surr2"][0] < stats["surr1"][0]
+        # the clipped surrogate (1 + clip) * adv is the smaller one: it is the loss
+        assert stats["clip_frac"] == 1.0
+        assert stats["policy_loss"] == -(1.0 + cfg.clip) * adv[0]
         for name in ("trunk", "head", "scan_enc", "hist_enc"):
             assert all(np.all(ga == 0.0) for ga in grads[name]), name
 

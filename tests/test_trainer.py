@@ -696,7 +696,7 @@ class TestIterationRollback:
             loss, grads, metrics = loss_and_grads(net, *args)
             if net is trainer.discs.nets[1]:
                 moved.append([p.tobytes() for p in trainer.discs.nets[0].params()] != disc0)
-                grads.params()[0][0, 0] = np.nan  # the first weight gradient
+                grads[0][0, 0] = np.nan  # the first weight gradient
             return loss, grads, metrics
 
         monkeypatch.setattr(amp_mod, "discriminator_loss", nan_in_disc1)
